@@ -8,8 +8,9 @@
 // Exit-code gates:
 //   - the tuner-emitted configuration must strictly beat the best
 //     hand-written configs/*.xml on total virtual time across the
-//     eight-case comparison campaign; the margin is recorded in
-//     BENCH_tune.json (exit 3). Hand-written configs are scored through
+//     stall-shaded eight-case comparison campaign; the margin and the
+//     winning XML are recorded in BENCH_tune.json (exit 3).
+//     Hand-written configs are scored through
 //     tune::Evaluator::EvaluateXml, i.e. on their scheduling-space knobs
 //     over the identical workload — elements outside the knob space
 //     (<fault>, <check>, <service>) do not participate.
@@ -18,8 +19,9 @@
 //     effects), each algorithm on a fresh evaluator so equal budget means
 //     equal campaign runs (exit 4).
 //   - the online controller must improve a shifting-workload scenario
-//     (the dedicated in situ device slows down mid-run) over the same
-//     static configuration without the controller (exit 5).
+//     (the dedicated in situ device stalls 8 ms per submission from
+//     step 16 on) over the same static configuration without the
+//     controller (exit 5).
 //   - two annealer runs with the same seed must produce bit-identical
 //     winning XML and search traces (exit 6).
 //   - under VP_CHECK=1 any checker violation exits 2.
@@ -70,10 +72,24 @@ long EnvLong(const char *name, long def)
 
 // ---- the campaigns candidates are scored on -------------------------------
 
+/// The dedicated in situ device (node 0, device 3) carries an extra 2 ms
+/// per submission: a `<fault>` element the campaign builder folds into
+/// every case, so the queue/backpressure/placement knobs have graded
+/// effects instead of a flat floor many configurations tie on.
+void StallShading(sxml::Element &root)
+{
+  sxml::Element *fe = root.FindOrAddChild("fault");
+  fe->SetAttribute("enabled", "1");
+  fe->SetAttributeDouble("stream_delay", 2e-3);
+  fe->SetAttributeInt("delay_node", 0);
+  fe->SetAttributeInt("delay_device", 3);
+}
+
 /// Eight-case comparison campaign: paper-shaped analysis load (9 systems,
 /// 10 variables) at 3 steps so captured step-graphs have replays to
 /// amortize their capture over, one virtual node to keep a search
-/// affordable.
+/// affordable. Stall-shaded, since the healthy campaign is flat
+/// (EXPERIMENTS.md, um_tune).
 tune::EvalConfig CompareConfig()
 {
   tune::EvalConfig ec;
@@ -82,18 +98,16 @@ tune::EvalConfig CompareConfig()
   ec.Campaign.BodiesPerNode = 30000;
   ec.Campaign.CoordSystems = 9;
   ec.Campaign.VariablesPerSystem = 10;
+  ec.Campaign.ConfigMutator = StallShading;
   ec.K = 0.0; // the gate is on total virtual time
   return ec;
 }
 
-/// Down-scaled proxy for the search-quality and reproducibility gates.
-/// The dedicated in situ device carries extra per-submission latency (a
-/// `<fault>` element the campaign builder folds into every case), so the
-/// queue/backpressure/placement knobs have graded effects instead of a
-/// flat floor many configurations tie on — uniform random draws must hit
-/// several correlated knobs at once while the annealer can walk there,
-/// which is exactly the structure the search-quality gate probes. Scored
-/// with k = 1 so the SET footprint term participates too.
+/// Down-scaled, stall-shaded proxy for the search-quality and
+/// reproducibility gates: uniform random draws must hit several
+/// correlated knobs at once while the annealer can walk there, which is
+/// exactly the structure the search-quality gate probes. Scored with
+/// k = 1 so the SET footprint term participates too.
 tune::EvalConfig ProxyConfig()
 {
   tune::EvalConfig ec;
@@ -102,15 +116,8 @@ tune::EvalConfig ProxyConfig()
   ec.Campaign.BodiesPerNode = 30000;
   ec.Campaign.CoordSystems = 3;
   ec.Campaign.VariablesPerSystem = 4;
+  ec.Campaign.ConfigMutator = StallShading;
   ec.K = 1.0;
-  ec.Campaign.ConfigMutator = [](sxml::Element &root)
-  {
-    sxml::Element *fe = root.FindOrAddChild("fault");
-    fe->SetAttribute("enabled", "1");
-    fe->SetAttributeDouble("stream_delay", 2e-3);
-    fe->SetAttributeInt("delay_node", 0);
-    fe->SetAttributeInt("delay_device", 3);
-  };
   return ec;
 }
 
@@ -164,6 +171,10 @@ std::string TraceKey(const tune::SearchResult &r)
 constexpr long ScenarioSteps = 48;
 constexpr long ScenarioShiftStep = 16;
 constexpr int ScenarioInSituDevice = 3;
+/// Per-submission stall the shift adds: 4x the 2 ms used while every
+/// binning grid was its own allocation, init and readback, since an in
+/// situ step now makes about 4x fewer submissions.
+constexpr double ScenarioStallSeconds = 8e-3;
 
 /// Single-rank driver run: asynchronous in situ on a dedicated device
 /// behind a depth-1 blocking queue (a sane static choice for a healthy
@@ -234,7 +245,7 @@ double RunShiftingScenario(bool online, tune::OnlineStats *stats,
       {
         vp::fault::FaultConfig fc;
         fc.Enabled = true;
-        fc.StreamDelaySeconds = 2e-3;
+        fc.StreamDelaySeconds = ScenarioStallSeconds;
         fc.DelayNode = 0;
         fc.DelayDevice = ScenarioInSituDevice;
         vp::fault::Configure(fc);
@@ -302,7 +313,9 @@ void WriteJson(const std::vector<ScoredConfig> &hand,
      << "    \"evaluations\": " << tuned.Evaluations << ",\n"
      << "    \"margin_vs_best_handwritten\": " << margin << ",\n"
      << "    \"config\": \"" << JsonEscape(tune::Describe(tuned.Best))
-     << "\"\n  },\n"
+     << "\",\n"
+     << "    \"xml\": \"" << JsonEscape(tune::EmitXml(tuned.Best)) << "\"\n"
+     << "  },\n"
      << "  \"proxy_search\": {\n"
      << "    \"anneal_cost\": " << annealProxy.BestEval.Cost << ",\n"
      << "    \"anneal_evaluations\": " << annealProxy.Evaluations << ",\n"

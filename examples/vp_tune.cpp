@@ -26,9 +26,10 @@
 //     --out FILE     write the winning XML (default: stdout)
 //     --trace        print the full search trace
 //
-// Reproducing configs/tuned_campaign.xml:
-//   ./vp_tune --budget 48 --steps 3 --systems 9 --vars 10
-//             --out configs/tuned_campaign.xml   (one command line)
+// Searching the comparison-campaign shape (on the healthy campaign this
+// returns the default configuration; configs/tuned_campaign.xml is the
+// winner of bench/um_tune's stall-shaded search instead):
+//   ./vp_tune --budget 48 --steps 3 --systems 9 --vars 10 --out FILE
 
 #include "senseiProfiler.h"
 #include "tuneOnline.h"

@@ -65,7 +65,7 @@ fi
 # um_graph writes the captured step-graph campaign: the eight cases under
 # VP_GRAPH=0 vs VP_GRAPH=1 plus the serial bit-exactness probe; the binary
 # exits nonzero unless replay stays bit-exact with the eager timeline and
-# exec::tasks_enqueued drops >= 5x with fusion+replay (wall-clock must also
+# exec::tasks_enqueued drops >= 2.5x with replay (wall-clock must also
 # hold steady on machines with >= 4 hardware threads)
 if [ -f BENCH_graph.json ]; then
   echo "wrote results/BENCH_graph.json"
@@ -149,9 +149,9 @@ echo "== steerable visualization campaign (VP_CHECK=1) =="
 VP_CHECK=1 ../build/bench/um_viz --benchmark_min_time=0.05 \
   | tee um_viz_checked.txt
 echo "== step-graph campaign (VP_CHECK=1) =="
-# capture, fusion, and replay under the checker: the validate-once capture
+# capture and replay under the checker: the validate-once capture
 # step plus every replayed step's summary edges must be race/lifetime
-# clean; the binary also gates on bit-exact replay and the 5x
+# clean; the binary also gates on bit-exact replay and the 2.5x
 # tasks_enqueued drop, so a regression in either aborts the script here
 VP_CHECK=1 ../build/bench/um_graph --benchmark_min_time=0.05 \
   | tee um_graph_checked.txt
@@ -194,7 +194,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning
 ../build-sanitize/bench/um_sched --benchmark_min_time=0.05 \
   | tee um_sched_sanitized.txt
 ../build-sanitize/tests/testSched
@@ -204,9 +204,9 @@ VP_CHECK=1 ../build-sanitize/bench/um_compress --benchmark_min_time=0.05 \
 # the service's ring transfers, frame reassembly, and session teardown
 # paths under ASan+UBSan
 ../build-sanitize/tests/testService
-# capture-node lifetimes, fused-launch trampolines, and the replay
-# rebinding paths under ASan+UBSan; um_graph keeps its bit-exact and 5x
-# gates in the sanitized build too
+# capture-node lifetimes and the replay rebinding paths under
+# ASan+UBSan; um_graph keeps its bit-exact and 2.5x gates in the
+# sanitized build too
 ctest --test-dir ../build-sanitize -L graph --output-on-failure
 VP_CHECK=1 ../build-sanitize/bench/um_graph --benchmark_min_time=0.05 \
   | tee um_graph_sanitized.txt
@@ -223,13 +223,16 @@ VP_CHECK=1 ../build-sanitize/bench/um_graph --benchmark_min_time=0.05 \
 ../build-sanitize/tests/testLayout
 VP_CHECK=1 ../build-sanitize/bench/um_layout --benchmark_min_time=0.05 \
   | tee um_layout_sanitized.txt
+# the packed binning record of a 4-rank mixed-op binning under ASan+UBSan
+../build-sanitize/tests/testBinning \
+  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
 
 echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # a separate TSan build configuration (mutually exclusive with ASan):
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning
 ../build-tsan/tests/testExec
 VP_EXEC=threads ../build-tsan/bench/um_exec --benchmark_min_time=0.05 \
   | tee um_exec_tsan.txt
@@ -252,6 +255,9 @@ VP_EXEC=threads ../build-tsan/bench/um_graph --benchmark_min_time=0.05 \
 # engine: deferred reorder bodies retain the old storage while worker
 # queues drain; the serial-vs-threads equality tests must be race clean
 ../build-tsan/tests/testLayout
+# 4 rank threads meeting in the packed binning record's collectives
+../build-tsan/tests/testBinning \
+  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
 
 if command -v gnuplot >/dev/null 2>&1; then
   gnuplot ../scripts/plot_fig2_fig3.gp

@@ -122,13 +122,13 @@ void Autocorrelation::Run(
     sums[tau] = acc;
   }
 
-  // combine across ranks: global sum of dot products and element count
-  double count = static_cast<double>(n);
+  // combine across ranks in one collective: the dot products plus the
+  // element count packed behind them
+  sums.push_back(static_cast<double>(n));
   if (comm)
-  {
     comm->Allreduce(sums.data(), sums.size(), minimpi::Op::Sum);
-    comm->Allreduce(&count, 1, minimpi::Op::Sum);
-  }
+  const double count = sums.back();
+  sums.pop_back();
 
   for (double &s : sums)
     s = count > 0 ? s / count : 0.0;

@@ -165,17 +165,14 @@ void ConfigurableAnalysis::Initialize(const sxml::Element &root)
 
   // optional <graph> element turns on captured step-graph execution
   // (capture a step's device DAG once, replay it with pointer rebinding
-  // and kernel fusion on later steps). VP_GRAPH / VP_GRAPH_FUSION in the
-  // environment win over the XML so command lines can force either mode.
+  // on later steps). VP_GRAPH in the environment wins over the XML so
+  // command lines can force either mode.
   if (const sxml::Element *ge = root.FirstChild("graph"))
   {
     vp::graph::GraphConfig cfg = vp::graph::GetConfig();
     const vp::graph::GraphConfig env = vp::graph::DefaultConfig();
     cfg.Enabled = std::getenv("VP_GRAPH") ? env.Enabled
                                           : ge->AttributeBool("enabled", true);
-    cfg.Fusion = std::getenv("VP_GRAPH_FUSION")
-                   ? env.Fusion
-                   : ge->AttributeBool("fusion", cfg.Fusion);
     const long long maxNodes = ge->AttributeInt(
       "max_nodes", static_cast<long long>(cfg.MaxNodes));
     if (maxNodes < 1)

@@ -340,6 +340,24 @@ void PointerRangeHost(const double *p, std::size_t n, double &lo, double &hi)
   lo = mn;
   hi = mx;
 }
+
+/// Initial grid value of a reduction kind (count and sums start at 0).
+double InitValue(BinningOp op)
+{
+  switch (op)
+  {
+    case BinningOp::Min: return std::numeric_limits<double>::infinity();
+    case BinningOp::Max: return -std::numeric_limits<double>::infinity();
+    default: return 0.0;
+  }
+}
+
+/// The cross-rank collective a grid joins: 0 = Sum (count, sum, avg),
+/// 1 = Min, 2 = Max (reduced as a Min over the negated values).
+int CollectiveClass(BinningOp op)
+{
+  return op == BinningOp::Min ? 1 : (op == BinningOp::Max ? 2 : 0);
+}
 } // namespace
 
 void DataBinning::RunBinning(const Snapshot &snap)
@@ -359,6 +377,25 @@ void DataBinning::RunBinning(const Snapshot &snap)
     if (op.Kind != BinningOp::Count)
       redOps.push_back(op);
   const std::size_t nRed = redOps.size();
+
+  // --- the packed grid record: one buffer [count | seg 1 | ... | seg nRed]
+  // of nGrids x nBins doubles. Segments are grouped by collective class
+  // (sum/avg, then min, then max) so the cross-rank reduction of the whole
+  // record is at most two collectives; segOp[s] is the reduction held in
+  // segment 1 + s and kinds[g] the kind of segment g.
+  std::vector<std::size_t> segOp(nRed);
+  for (std::size_t k = 0; k < nRed; ++k)
+    segOp[k] = k;
+  std::stable_sort(segOp.begin(), segOp.end(),
+                   [&redOps](std::size_t a, std::size_t b)
+                   {
+                     return CollectiveClass(redOps[a].Kind) <
+                            CollectiveClass(redOps[b].Kind);
+                   });
+  const std::size_t nGrids = 1 + nRed;
+  std::vector<BinningOp> kinds(nGrids, BinningOp::Count);
+  for (std::size_t s = 0; s < nRed; ++s)
+    kinds[1 + s] = redOps[segOp[s]].Kind;
 
   // --- inputs at the target location, acquired exactly once per column
   // (the access API moves a column at most once per execute; both the
@@ -388,8 +425,8 @@ void DataBinning::RunBinning(const Snapshot &snap)
     vals[b].resize(nRed);
     for (std::size_t a = 0; a < nAxes; ++a)
       ax[b][a] = acquire(blk.AxisCols[a].Get());
-    for (std::size_t k = 0; k < nRed; ++k)
-      vals[b][k] = acquire(blk.ValueCols[k].Get());
+    for (std::size_t s = 0; s < nRed; ++s)
+      vals[b][s] = acquire(blk.ValueCols[segOp[s]].Get());
     // make sure data in flight, if it was moved, has arrived
     for (const auto &c : blk.AxisCols)
       c->Synchronize();
@@ -508,10 +545,23 @@ void DataBinning::RunBinning(const Snapshot &snap)
       }
   }
 
-  if (snap.Comm && this->AutoRange_)
+  // one Min collective over [lo | -hi], since max(x) = -min(-x) exactly;
+  // skipped when every axis has a fixed range (the config, and so the
+  // decision, is the same on every rank)
+  if (snap.Comm && !autoAxes.empty())
   {
-    snap.Comm->Allreduce(lo.data(), nAxes, minimpi::Op::Min);
-    snap.Comm->Allreduce(hi.data(), nAxes, minimpi::Op::Max);
+    std::vector<double> ext(2 * nAxes);
+    for (std::size_t a = 0; a < nAxes; ++a)
+    {
+      ext[a] = lo[a];
+      ext[nAxes + a] = -hi[a];
+    }
+    snap.Comm->Allreduce(ext.data(), ext.size(), minimpi::Op::Min);
+    for (std::size_t a = 0; a < nAxes; ++a)
+    {
+      lo[a] = ext[a];
+      hi[a] = -ext[nAxes + a];
+    }
   }
 
   for (std::size_t a = 0; a < nAxes; ++a)
@@ -537,18 +587,22 @@ void DataBinning::RunBinning(const Snapshot &snap)
     shift[a] = lo[a];
   }
 
-  // host-side result grids: counts first, then one per non-count op
-  std::vector<double> counts(nBins, 0.0);
-  std::vector<std::vector<double>> grids(nRed);
+  // the host-side packed record
+  const std::size_t recLen = nGrids * nBins;
+  std::vector<double> record(recLen);
 
-  // init values per reduction kind
-  auto initValue = [](BinningOp op) -> double
+  // fill [b, e) of back-to-back packed records with each segment's init
+  // value, one std::fill per segment run (a sharded launch may hand any
+  // sub-range to a chunk)
+  const BinningOp *kn = kinds.data();
+  auto fillInit = [kn, nGrids, nBins](double *p, std::size_t b, std::size_t e)
   {
-    switch (op)
+    while (b < e)
     {
-      case BinningOp::Min: return std::numeric_limits<double>::infinity();
-      case BinningOp::Max: return -std::numeric_limits<double>::infinity();
-      default: return 0.0;
+      const std::size_t seg = b / nBins;
+      const std::size_t end = std::min(e, (seg + 1) * nBins);
+      std::fill(p + b, p + end, InitValue(kn[seg % nGrids]));
+      b = end;
     }
   };
 
@@ -571,27 +625,51 @@ void DataBinning::RunBinning(const Snapshot &snap)
   else
     vp::layout::NoteScalarKernel();
 
-  // the shared accumulation body: bin index from the coordinate columns,
-  // then a counter increment plus each reduction — the updates that need
-  // atomics on a real GPU. With slabStride > 0 the body is privatized:
-  // each exec shard accumulates into its own copy of the grids
-  // (cnt + slab*slabStride, grid[k] + slab*slabStride), removing the
-  // shared-atomic contention so the sharded kernel scales; a tree merge
-  // folds the copies afterwards. slabStride == 0 is the shared path,
-  // bit-exact with the pre-engine implementation.
-  auto makeBody = [&](double *cnt, double *const *grid,
-                      const BinningOp *kinds, const double *const *axp,
+  // the accumulation body over a packed record at `rec`: bin index from
+  // the coordinate columns, then a counter increment plus each reduction
+  // (segment 1 + k takes valp[k]) — the updates that need atomics on a
+  // real GPU. With slabStride > 0 the body is privatized: each exec shard
+  // accumulates into its own packed record (rec + slab*slabStride),
+  // removing the shared-atomic contention so the sharded kernel scales; a
+  // tree merge folds the records afterwards. slabStride == 0 is the
+  // shared path, bit-exact with the pre-engine implementation.
+  auto makeBody = [&](double *rec, const double *const *axp,
                       const double *const *valp, std::size_t slabStride = 0,
                       std::size_t maxSlab = 0)
   {
     return [=](std::size_t b, std::size_t e)
     {
-      const std::size_t off =
-        slabStride
-          ? std::min<std::size_t>(
-              static_cast<std::size_t>(vp::exec::ShardIndex()), maxSlab) *
-              slabStride
-          : 0;
+      double *const cnt =
+        rec + (slabStride
+                 ? std::min<std::size_t>(
+                     static_cast<std::size_t>(vp::exec::ShardIndex()),
+                     maxSlab) *
+                     slabStride
+                 : 0);
+      const auto addRow = [&](std::size_t idx, std::size_t row)
+      {
+        cnt[idx] += 1.0;
+        for (std::size_t k = 0; k < nRedC; ++k)
+        {
+          double &cell = cnt[(1 + k) * nBins + idx];
+          const double v = valp[k][row];
+          switch (kn[1 + k])
+          {
+            case BinningOp::Sum:
+            case BinningOp::Average:
+              cell += v;
+              break;
+            case BinningOp::Min:
+              cell = std::min(cell, v);
+              break;
+            case BinningOp::Max:
+              cell = std::max(cell, v);
+              break;
+            default:
+              break;
+          }
+        }
+      };
       if (tiled)
       {
         constexpr std::size_t Tile = 256; // rows per index-precompute tile
@@ -618,29 +696,7 @@ void DataBinning::RunBinning(const Snapshot &snap)
             strideAcc *= static_cast<std::size_t>(resPtr[a]);
           }
           for (std::size_t i = 0; i < m; ++i)
-          {
-            const std::size_t idx = idxBuf[i];
-            cnt[off + idx] += 1.0;
-            for (std::size_t k = 0; k < nRedC; ++k)
-            {
-              const double v = valp[k][t0 + i];
-              switch (kinds[k])
-              {
-                case BinningOp::Sum:
-                case BinningOp::Average:
-                  grid[k][off + idx] += v;
-                  break;
-                case BinningOp::Min:
-                  grid[k][off + idx] = std::min(grid[k][off + idx], v);
-                  break;
-                case BinningOp::Max:
-                  grid[k][off + idx] = std::max(grid[k][off + idx], v);
-                  break;
-                default:
-                  break;
-              }
-            }
-          }
+            addRow(idxBuf[i], t0 + i);
         }
         return;
       }
@@ -656,26 +712,7 @@ void DataBinning::RunBinning(const Snapshot &snap)
           idx += static_cast<std::size_t>(bi) * strideAcc;
           strideAcc *= static_cast<std::size_t>(resPtr[a]);
         }
-        cnt[off + idx] += 1.0;
-        for (std::size_t k = 0; k < nRedC; ++k)
-        {
-          const double v = valp[k][i];
-          switch (kinds[k])
-          {
-            case BinningOp::Sum:
-            case BinningOp::Average:
-              grid[k][off + idx] += v;
-              break;
-            case BinningOp::Min:
-              grid[k][off + idx] = std::min(grid[k][off + idx], v);
-              break;
-            case BinningOp::Max:
-              grid[k][off + idx] = std::max(grid[k][off + idx], v);
-              break;
-            default:
-              break;
-          }
-        }
+        addRow(idx, i);
       }
     };
   };
@@ -708,55 +745,25 @@ void DataBinning::RunBinning(const Snapshot &snap)
       final[i] += slabs[i];
   };
 
-  std::vector<BinningOp> kinds(nRed);
-  for (std::size_t k = 0; k < nRed; ++k)
-    kinds[k] = redOps[k].Kind;
-
   // cost of one row: index math per axis plus one atomic-ish update per grid
   const double opsPerRow = 4.0 * static_cast<double>(nAxes) +
                            3.0 * static_cast<double>(nRed + 1);
+  const std::size_t recBytes = recLen * sizeof(double);
 
   if (onDevice)
   {
-    // device grids, accumulated with atomics (AtomicFraction models the
-    // contention the paper identifies as binning's GPU weakness)
-    auto *dCnt =
-      static_cast<double *>(vcuda::MallocAsync(nBins * sizeof(double), strm));
-    std::vector<double *> dGrids(nRed);
-    for (std::size_t k = 0; k < nRed; ++k)
-      dGrids[k] = static_cast<double *>(
-        vcuda::MallocAsync(nBins * sizeof(double), strm));
-
-    // initialize grids. The inits write disjoint arrays of equal length —
-    // the FuseKey lets captured-graph replay merge them into one
-    // multi-output launch.
-    vcuda::LaunchBounds initLb{1.0, 0.0, "binning_init"};
-    initLb.FuseKey = dCnt;
+    // the device record, accumulated with atomics (AtomicFraction models
+    // the contention the paper identifies as binning's GPU weakness):
+    // one allocation, one init launch, one readback
+    auto *dRec = static_cast<double *>(vcuda::MallocAsync(recBytes, strm));
     vcuda::LaunchN(
-      strm, nBins,
-      [dCnt](std::size_t b, std::size_t e)
-      {
-        for (std::size_t i = b; i < e; ++i)
-          dCnt[i] = 0.0;
-      },
-      initLb);
-    for (std::size_t k = 0; k < nRed; ++k)
-    {
-      double *g = dGrids[k];
-      const double iv = initValue(kinds[k]);
-      vcuda::LaunchN(
-        strm, nBins,
-        [g, iv](std::size_t b, std::size_t e)
-        {
-          for (std::size_t i = b; i < e; ++i)
-            g[i] = iv;
-        },
-        initLb);
-    }
+      strm, recLen,
+      [fillInit, dRec](std::size_t b, std::size_t e) { fillInit(dRec, b, e); },
+      vcuda::LaunchBounds{1.0, 0.0, "binning_init"});
 
-    // privatized strategy under VP_EXEC=threads: real per-shard slab
+    // privatized strategy under VP_EXEC=threads: real per-shard record
     // copies on the device so the deferred, sharded accumulation kernels
-    // scale instead of contending on one grid. Serial mode keeps the
+    // scale instead of contending on one record. Serial mode keeps the
     // pre-engine behaviour exactly (no slabs, body-less merge kernel).
     vp::exec::Engine &eng = vp::exec::Engine::Get();
     const bool privStrategy =
@@ -767,41 +774,16 @@ void DataBinning::RunBinning(const Snapshot &snap)
         privMax = std::max(privMax, eng.PlanShards(rows[b], 0));
     const std::size_t np = static_cast<std::size_t>(privMax);
 
-    double *dPrivCnt = nullptr;
-    std::vector<double *> dPrivGrids(nRed, nullptr);
+    double *dPriv = nullptr;
     if (privMax > 1)
     {
-      dPrivCnt = static_cast<double *>(
-        vcuda::MallocAsync(np * nBins * sizeof(double), strm));
-      for (std::size_t k = 0; k < nRed; ++k)
-        dPrivGrids[k] = static_cast<double *>(
-          vcuda::MallocAsync(np * nBins * sizeof(double), strm));
-
-      vcuda::LaunchBounds privLb{1.0, 0.0, "binning_init",
-                                 /*Shardable=*/true};
-      privLb.FuseKey = dPrivCnt;
-      double *pc = dPrivCnt;
+      dPriv =
+        static_cast<double *>(vcuda::MallocAsync(np * recBytes, strm));
       vcuda::LaunchN(
-        strm, np * nBins,
-        [pc](std::size_t b, std::size_t e)
-        {
-          for (std::size_t i = b; i < e; ++i)
-            pc[i] = 0.0;
-        },
-        privLb);
-      for (std::size_t k = 0; k < nRed; ++k)
-      {
-        double *g = dPrivGrids[k];
-        const double iv = initValue(kinds[k]);
-        vcuda::LaunchN(
-          strm, np * nBins,
-          [g, iv](std::size_t b, std::size_t e)
-          {
-            for (std::size_t i = b; i < e; ++i)
-              g[i] = iv;
-          },
-          privLb);
-      }
+        strm, np * recLen,
+        [fillInit, dPriv](std::size_t b, std::size_t e)
+        { fillInit(dPriv, b, e); },
+        vcuda::LaunchBounds{1.0, 0.0, "binning_init", /*Shardable=*/true});
     }
 
     bool accumulated = false;
@@ -816,19 +798,17 @@ void DataBinning::RunBinning(const Snapshot &snap)
         // global atomic, so contention throttles the device — never
         // sharded, that contention is the point
         vcuda::LaunchN(strm, rows[b],
-                       makeBody(dCnt, dGrids.data(), kinds.data(),
-                                ax[b].data(), vals[b].data()),
+                       makeBody(dRec, ax[b].data(), vals[b].data()),
                        vcuda::LaunchBounds{opsPerRow, 0.6, "binning_accum"});
       }
       else if (privMax > 1)
       {
         // privatized with real slabs: each shard accumulates into its
-        // own copy; the tree merge below folds them into the final grids
+        // own record; the tree merge below folds them into the final one
         vcuda::LaunchN(
           strm, rows[b],
-          makeBody(dPrivCnt, dPrivGrids.data(), kinds.data(), ax[b].data(),
-                   vals[b].data(), /*slabStride=*/nBins,
-                   /*maxSlab=*/np - 1),
+          makeBody(dPriv, ax[b].data(), vals[b].data(),
+                   /*slabStride=*/recLen, /*maxSlab=*/np - 1),
           vcuda::LaunchBounds{opsPerRow, 0.05, "binning_accum_privatized",
                               /*Shardable=*/true});
       }
@@ -839,9 +819,7 @@ void DataBinning::RunBinning(const Snapshot &snap)
         // on physical hardware the privatization changes scheduling, not
         // arithmetic); the merge of private copies follows below
         vcuda::LaunchN(
-          strm, rows[b],
-          makeBody(dCnt, dGrids.data(), kinds.data(), ax[b].data(),
-                   vals[b].data()),
+          strm, rows[b], makeBody(dRec, ax[b].data(), vals[b].data()),
           vcuda::LaunchBounds{opsPerRow, 0.05, "binning_accum_privatized"});
       }
     }
@@ -850,66 +828,36 @@ void DataBinning::RunBinning(const Snapshot &snap)
     {
       // merge kernel: each bin gathers its privatized copies. With real
       // slabs the body does the per-bin tree reduction; in serial mode
-      // the accumulation already wrote the final grids and the kernel
+      // the accumulation already wrote the final record and the kernel
       // only charges the virtual merge cost, as before.
       constexpr double PrivateCopies = 64.0;
       vp::KernelFn mergeFn;
       if (privMax > 1)
       {
-        double *pc = dPrivCnt;
-        double *cf = dCnt;
-        double *const *pg = dPrivGrids.data();
-        double *const *gf = dGrids.data();
-        const BinningOp *kn = kinds.data();
-        const std::size_t bins = nBins;
         mergeFn = [=](std::size_t jb, std::size_t je)
         {
           for (std::size_t j = jb; j < je; ++j)
-          {
-            const std::size_t g = j / bins;
-            const std::size_t i = j % bins;
-            if (g == 0)
-              treeMerge(pc, cf, np, bins, i, BinningOp::Sum);
-            else
-              treeMerge(pg[g - 1], gf[g - 1], np, bins, i, kn[g - 1]);
-          }
+            treeMerge(dPriv, dRec, np, recLen, j, kn[j / nBins]);
         };
       }
-      vcuda::LaunchN(strm, nBins * (1 + nRed), mergeFn,
+      vcuda::LaunchN(strm, recLen, mergeFn,
                      vcuda::LaunchBounds{PrivateCopies, 0.0,
                                          "binning_merge_privatized",
                                          /*Shardable=*/privMax > 1});
     }
-    // stream-ordered readbacks on the private stream (the default stream
-    // is shared with the simulation and would splice foreign work into
-    // the captured graph), settled by one synchronize
-    vcuda::MemcpyAsync(counts.data(), dCnt, nBins * sizeof(double), strm);
-    for (std::size_t k = 0; k < nRed; ++k)
-    {
-      grids[k].resize(nBins);
-      vcuda::MemcpyAsync(grids[k].data(), dGrids[k], nBins * sizeof(double),
-                         strm);
-    }
+    // one stream-ordered readback on the private stream (the default
+    // stream is shared with the simulation and would splice foreign work
+    // into the captured graph)
+    vcuda::MemcpyAsync(record.data(), dRec, recBytes, strm);
     vcuda::StreamSynchronize(strm);
 
-    for (std::size_t k = 0; k < nRed; ++k)
-    {
-      vcuda::Free(dGrids[k]);
-      if (dPrivGrids[k])
-        vcuda::Free(dPrivGrids[k]);
-    }
-    if (dPrivCnt)
-      vcuda::Free(dPrivCnt);
-    vcuda::Free(dCnt);
+    if (dPriv)
+      vcuda::Free(dPriv);
+    vcuda::Free(dRec);
   }
   else
   {
-    for (std::size_t k = 0; k < nRed; ++k)
-      grids[k].assign(nBins, initValue(kinds[k]));
-
-    std::vector<double *> gPtrs(nRed);
-    for (std::size_t k = 0; k < nRed; ++k)
-      gPtrs[k] = grids[k].data();
+    fillInit(record.data(), 0, recLen);
 
     vp::exec::Engine &eng = vp::exec::Engine::Get();
     for (std::size_t b = 0; b < nBlocks; ++b)
@@ -921,85 +869,88 @@ void DataBinning::RunBinning(const Snapshot &snap)
       if (priv <= 1)
       {
         // VP_EXEC=serial (and blocks below the shard grain): the shared
-        // grid path, bit-exact with the pre-engine implementation
+        // record path, bit-exact with the pre-engine implementation
         vp::Platform::Get().HostParallelFor(
           vp::KernelDesc{rows[b], opsPerRow, 0.15, "binning_accum_host"},
-          makeBody(counts.data(), gPtrs.data(), kinds.data(), ax[b].data(),
-                   vals[b].data()));
+          makeBody(record.data(), ax[b].data(), vals[b].data()));
         continue;
       }
 
-      // threads mode: privatize per-shard histogram copies so the
-      // sharded accumulation scales, then tree-reduce them into the
-      // final grids
+      // threads mode: privatize per-shard record copies so the sharded
+      // accumulation scales, then tree-reduce them into the final record
       const std::size_t np = static_cast<std::size_t>(priv);
-      std::vector<double> pCnt(np * nBins, 0.0);
-      std::vector<std::vector<double>> pGrids(nRed);
-      std::vector<double *> pgPtrs(nRed);
-      for (std::size_t k = 0; k < nRed; ++k)
-      {
-        pGrids[k].assign(np * nBins, initValue(kinds[k]));
-        pgPtrs[k] = pGrids[k].data();
-      }
+      std::vector<double> slabs(np * recLen);
+      fillInit(slabs.data(), 0, slabs.size());
 
       vp::Platform::Get().HostParallelFor(
         vp::KernelDesc{rows[b], opsPerRow, 0.15,
                        "binning_accum_host_privatized", /*Shardable=*/true},
-        makeBody(pCnt.data(), pgPtrs.data(), kinds.data(), ax[b].data(),
-                 vals[b].data(), /*slabStride=*/nBins,
-                 /*maxSlab=*/np - 1));
+        makeBody(slabs.data(), ax[b].data(), vals[b].data(),
+                 /*slabStride=*/recLen, /*maxSlab=*/np - 1));
 
-      double *pc = pCnt.data();
-      double *const *pg = pgPtrs.data();
-      double *cf = counts.data();
-      double *const *gf = gPtrs.data();
-      const BinningOp *kn = kinds.data();
-      const std::size_t bins = nBins;
+      double *pv = slabs.data();
+      double *rf = record.data();
       const double mergeOps =
-        static_cast<double>(np) * static_cast<double>(1 + nRed);
+        static_cast<double>(np) * static_cast<double>(nGrids);
       vp::Platform::Get().HostParallelFor(
         vp::KernelDesc{nBins, mergeOps, 0.0, "binning_merge_host",
                        /*Shardable=*/true},
         [=](std::size_t mb, std::size_t me)
         {
           for (std::size_t i = mb; i < me; ++i)
-          {
-            treeMerge(pc, cf, np, bins, i, BinningOp::Sum);
-            for (std::size_t k = 0; k < nRedC; ++k)
-              treeMerge(pg[k], gf[k], np, bins, i, kn[k]);
-          }
+            for (std::size_t g = 0; g < nGrids; ++g)
+              treeMerge(pv, rf, np, recLen, g * nBins + i, kn[g]);
         });
     }
   }
 
-  // --- cross-rank reduction -----------------------------------------------------
+  // --- cross-rank reduction: one Sum collective over count + sum/avg,
+  // one Min collective over the min segments plus the negated max
+  // segments (max(x) = -min(-x), exact in IEEE arithmetic), each reducing
+  // elementwise in rank order
   if (snap.Comm)
   {
-    snap.Comm->Allreduce(counts.data(), nBins, minimpi::Op::Sum);
-    for (std::size_t k = 0; k < nRed; ++k)
+    std::size_t sumEnd = 0, maxBegin = 0;
+    for (BinningOp op : kinds)
     {
-      minimpi::Op mop = minimpi::Op::Sum;
-      if (kinds[k] == BinningOp::Min)
-        mop = minimpi::Op::Min;
-      else if (kinds[k] == BinningOp::Max)
-        mop = minimpi::Op::Max;
-      snap.Comm->Allreduce(grids[k].data(), nBins, mop);
+      sumEnd += CollectiveClass(op) == 0;
+      maxBegin += CollectiveClass(op) < 2;
+    }
+    double *const minSegs = record.data() + sumEnd * nBins;
+    double *const maxSegs = record.data() + maxBegin * nBins;
+    double *const end = record.data() + recLen;
+    auto negateMax = [maxSegs, end]()
+    {
+      for (double *p = maxSegs; p != end; ++p)
+        *p = -*p;
+    };
+    snap.Comm->Allreduce(record.data(),
+                         static_cast<std::size_t>(minSegs - record.data()),
+                         minimpi::Op::Sum);
+    if (minSegs != end)
+    {
+      negateMax();
+      snap.Comm->Allreduce(minSegs, static_cast<std::size_t>(end - minSegs),
+                           minimpi::Op::Min);
+      negateMax();
     }
   }
 
   // finalize averages, clean empty bins of min/max
-  for (std::size_t k = 0; k < nRed; ++k)
+  const double *cnt = record.data();
+  for (std::size_t g = 1; g < nGrids; ++g)
   {
-    if (kinds[k] == BinningOp::Average)
+    double *seg = record.data() + g * nBins;
+    if (kinds[g] == BinningOp::Average)
     {
       for (std::size_t i = 0; i < nBins; ++i)
-        grids[k][i] = counts[i] > 0.0 ? grids[k][i] / counts[i] : 0.0;
+        seg[i] = cnt[i] > 0.0 ? seg[i] / cnt[i] : 0.0;
     }
-    else if (kinds[k] == BinningOp::Min || kinds[k] == BinningOp::Max)
+    else if (kinds[g] == BinningOp::Min || kinds[g] == BinningOp::Max)
     {
       for (std::size_t i = 0; i < nBins; ++i)
-        if (counts[i] == 0.0)
-          grids[k][i] = 0.0;
+        if (cnt[i] == 0.0)
+          seg[i] = 0.0;
     }
   }
 
@@ -1016,19 +967,19 @@ void DataBinning::RunBinning(const Snapshot &snap)
     nAxes > 2 ? (hi[2] - lo[2]) / static_cast<double>(this->Resolution_[2])
               : 1.0);
 
+  // arrays in the configured op order, each copied from its segment
+  std::vector<std::size_t> segOf(nGrids, 0);
+  for (std::size_t s = 0; s < nRed; ++s)
+    segOf[1 + segOp[s]] = 1 + s;
+  for (std::size_t k = 0; k < nGrids; ++k)
   {
-    svtkAOSDoubleArray *c = svtkAOSDoubleArray::New("count");
-    c->GetVector() = counts;
-    image->GetPointData()->AddArray(c);
-    c->Delete();
-  }
-  for (std::size_t k = 0; k < nRed; ++k)
-  {
-    svtkAOSDoubleArray *g = svtkAOSDoubleArray::New(
-      redOps[k].Column + "_" + BinningOpName(kinds[k]));
-    g->GetVector() = grids[k];
-    image->GetPointData()->AddArray(g);
-    g->Delete();
+    svtkAOSDoubleArray *a = svtkAOSDoubleArray::New(
+      k ? redOps[k - 1].Column + "_" + BinningOpName(redOps[k - 1].Kind)
+        : std::string("count"));
+    const double *p = record.data() + segOf[k] * nBins;
+    a->GetVector().assign(p, p + nBins);
+    image->GetPointData()->AddArray(a);
+    a->Delete();
   }
 
   const bool isRoot = !snap.Comm || snap.Comm->Rank() == 0;

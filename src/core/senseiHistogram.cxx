@@ -115,8 +115,11 @@ void Histogram::Run(const svtkSmartPtr<svtkHAMRDoubleArray> &col,
 
     if (comm)
     {
-      comm->Allreduce(&lo, 1, minimpi::Op::Min);
-      comm->Allreduce(&hi, 1, minimpi::Op::Max);
+      // one Min collective over [lo, -hi]: max(x) = -min(-x) exactly
+      double ext[2] = {lo, -hi};
+      comm->Allreduce(ext, 2, minimpi::Op::Min);
+      lo = ext[0];
+      hi = -ext[1];
     }
     if (!std::isfinite(lo) || !std::isfinite(hi))
     {

@@ -58,7 +58,6 @@ struct AtomicStats
   std::atomic<std::uint64_t> Replays{0};
   std::atomic<std::uint64_t> Invalidations{0};
   std::atomic<std::uint64_t> NodesCaptured{0};
-  std::atomic<std::uint64_t> LaunchesFused{0};
   std::atomic<std::uint64_t> Flushes{0};
   std::atomic<std::uint64_t> OpsAbsorbed{0};
 };
@@ -97,7 +96,6 @@ GraphConfig DefaultConfig()
 {
   GraphConfig cfg;
   cfg.Enabled = EnvFlag("VP_GRAPH", cfg.Enabled);
-  cfg.Fusion = EnvFlag("VP_GRAPH_FUSION", cfg.Fusion);
   if (const char *v = std::getenv("VP_GRAPH_MAX_NODES"))
   {
     const long n = std::atol(v);
@@ -139,7 +137,6 @@ GraphStats Stats()
   s.Replays = a.Replays.load();
   s.Invalidations = a.Invalidations.load();
   s.NodesCaptured = a.NodesCaptured.load();
-  s.LaunchesFused = a.LaunchesFused.load();
   s.Flushes = a.Flushes.load();
   s.OpsAbsorbed = a.OpsAbsorbed.load();
   return s;
@@ -153,7 +150,6 @@ void ResetStats()
   a.Replays = 0;
   a.Invalidations = 0;
   a.NodesCaptured = 0;
-  a.LaunchesFused = 0;
   a.Flushes = 0;
   a.OpsAbsorbed = 0;
 }
@@ -177,7 +173,6 @@ void Session::Drop()
   this->Nodes_.clear();
   this->Streams_.clear();
   this->StreamIxOf_.clear();
-  this->SyncMarks_.clear();
   TheStats().Invalidations++;
 }
 
@@ -198,7 +193,6 @@ void Session::BeginStep()
       this->Nodes_.clear();
       this->Streams_.clear();
       this->StreamIxOf_.clear();
-      this->SyncMarks_.clear();
       this->NextEventIx_ = 0;
       this->State_ = State::Capturing;
       break;
@@ -215,7 +209,6 @@ void Session::BeginStep()
       this->Nodes_.clear();
       this->Streams_.clear();
       this->StreamIxOf_.clear();
-      this->SyncMarks_.clear();
       this->NextEventIx_ = 0;
       this->State_ = State::Capturing;
       break;
@@ -235,8 +228,6 @@ void Session::EndStep()
         this->State_ = State::Idle;
         break;
       }
-      if (GetConfig().Fusion)
-        this->FusePass();
       this->NumEvents_ = this->NextEventIx_;
       this->StreamIxOf_.clear();
       for (StreamSlot &slot : this->Streams_)
@@ -254,7 +245,6 @@ void Session::EndStep()
         this->State_ = State::Idle;
         this->Nodes_.clear();
         this->Streams_.clear();
-        this->SyncMarks_.clear();
         TheStats().Invalidations++;
       }
       else
@@ -272,7 +262,6 @@ void Session::EndStep()
       this->Nodes_.clear();
       this->Streams_.clear();
       this->StreamIxOf_.clear();
-      this->SyncMarks_.clear();
       break;
 
     default:
@@ -288,7 +277,6 @@ void Session::AbortCapture()
   this->Nodes_.clear();
   this->Streams_.clear();
   this->StreamIxOf_.clear();
-  this->SyncMarks_.clear();
   TheStats().CaptureAborts++;
 }
 
@@ -597,33 +585,18 @@ bool Session::OnStreamWaitEvent(const Stream &stream, std::uint64_t captureId)
 
 void Session::BeforeStreamSync(const Stream &)
 {
-  if (this->State_ == State::Capturing)
-  {
-    this->SyncMarks_.push_back(this->Nodes_.size());
-    return;
-  }
   if (this->State_ == State::Replaying)
     this->Flush();
 }
 
 void Session::BeforeDeviceSync(int, DeviceId)
 {
-  if (this->State_ == State::Capturing)
-  {
-    this->SyncMarks_.push_back(this->Nodes_.size());
-    return;
-  }
   if (this->State_ == State::Replaying)
     this->Flush();
 }
 
 void Session::BeforeEventSync(std::uint64_t captureId)
 {
-  if (this->State_ == State::Capturing)
-  {
-    this->SyncMarks_.push_back(this->Nodes_.size());
-    return;
-  }
   if (this->State_ != State::Replaying && this->State_ != State::Bypass)
     return;
   auto it = this->EventIx_.find(captureId);
@@ -693,31 +666,18 @@ void Session::Flush()
       {
         StreamState *s = touch(n.StreamIx);
         Device &dev = plat.GetDevice(s->Node, s->Device);
-        // a fused group charges one launch latency over the summed work
-        // and runs its members' bodies back to back; a group split by an
-        // invalidation degrades to the matched prefix
-        const std::size_t g = n.GroupSize >= 1 ? n.GroupSize : 1;
-        const std::size_t gEnd = std::min(i + g, this->Cursor_);
-        double work = 0.0;
-        for (std::size_t j = i; j < gEnd; ++j)
-          work += this->Nodes_[j].WorkSeconds;
-        const double dur = cost.KernelLaunchLatency + work;
         const double complete =
-          dev.Engine.Claim(std::max(now, sLast[n.StreamIx]), dur);
+          dev.Engine.Claim(std::max(now, sLast[n.StreamIx]),
+                           cost.KernelLaunchLatency + n.WorkSeconds);
         sLast[n.StreamIx] = complete;
         plat.Stats().KernelsLaunched++;
         if (execute)
         {
           exec::NoteInlineTask();
-          for (std::size_t j = i; j < gEnd; ++j)
-          {
-            const GraphNode &m = this->Nodes_[j];
-            if (m.Fn && m.Desc.N)
-              m.Fn(0, m.Desc.N);
-          }
+          if (n.Fn)
+            n.Fn(0, n.Desc.N);
         }
-        i = gEnd;
-        continue;
+        break;
       }
 
       case NodeKind::Copy:
@@ -781,52 +741,6 @@ void Session::Invalidate()
   this->Flush();
   this->State_ = State::Bypass;
   TheStats().Invalidations++;
-}
-
-// ---------------------------------------------------------------------------
-// Session — fusion
-// ---------------------------------------------------------------------------
-
-void Session::FusePass()
-{
-  const std::size_t n = this->Nodes_.size();
-  std::size_t i = 0;
-  while (i < n)
-  {
-    GraphNode &head = this->Nodes_[i];
-    if (head.Kind != NodeKind::Kernel || !head.Desc.FuseKey ||
-        head.Synchronous)
-    {
-      ++i;
-      continue;
-    }
-    // extend the run over compatible launches: same stream, same non-null
-    // key (the caller's disjoint-outputs assertion), same N and sharding,
-    // asynchronous, and no synchronization point recorded between them
-    std::size_t j = i + 1;
-    while (j < n)
-    {
-      const GraphNode &m = this->Nodes_[j];
-      if (m.Kind != NodeKind::Kernel || m.StreamIx != head.StreamIx ||
-          m.Desc.FuseKey != head.Desc.FuseKey || m.Desc.N != head.Desc.N ||
-          m.Desc.Shardable != head.Desc.Shardable || m.Synchronous)
-        break;
-      const bool crossesSync =
-        std::upper_bound(this->SyncMarks_.begin(), this->SyncMarks_.end(),
-                         i) !=
-        std::upper_bound(this->SyncMarks_.begin(), this->SyncMarks_.end(),
-                         j);
-      if (crossesSync)
-        break;
-      ++j;
-    }
-    head.GroupSize = static_cast<int>(j - i);
-    for (std::size_t k = i + 1; k < j; ++k)
-      this->Nodes_[k].GroupSize = 0;
-    if (j - i > 1)
-      TheStats().LaunchesFused += (j - i) - 1;
-    i = j;
-  }
 }
 
 // ---------------------------------------------------------------------------

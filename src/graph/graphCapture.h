@@ -11,13 +11,11 @@
 /// graph: each submission is matched positionally against the recorded
 /// node (rebinding pointers and kernel bodies to this step's buffers) at
 /// near-zero cost, and the accumulated virtual-time charges are applied in
-/// one amortized flush per synchronization point instead of per call. An
-/// optional fusion pass merges runs of compatible launches that share a
-/// FuseKey into one multi-output launch, collapsing per-launch latency and
-/// task-dispatch overhead. Any structural divergence (different op, N,
-/// stream shape, or event wiring) flushes the matched prefix, falls back
-/// to eager execution for the rest of the step, and recaptures on the
-/// next step — results are bit-exact with eager execution in all cases.
+/// one amortized flush per synchronization point instead of per call. Any
+/// structural divergence (different op, N, stream shape, or event wiring)
+/// flushes the matched prefix, falls back to eager execution for the rest
+/// of the step, and recaptures on the next step — results are bit-exact
+/// with eager execution in all cases.
 
 #include "vpCaptureSink.h"
 #include "vpPlatform.h"
@@ -35,11 +33,10 @@ namespace vp
 namespace graph
 {
 
-/// Runtime configuration, env-overridable (VP_GRAPH, VP_GRAPH_FUSION).
+/// Runtime configuration, env-overridable (VP_GRAPH, VP_GRAPH_MAX_NODES).
 struct GraphConfig
 {
   bool Enabled = false;   ///< capture/replay on (VP_GRAPH=1)
-  bool Fusion = true;     ///< merge FuseKey-compatible launches
   std::size_t MaxNodes = 4096; ///< capture aborts beyond this many nodes
   /// Backlog gap (virtual seconds) between the pinned replay device and
   /// the best adaptive candidate beyond which the placement is considered
@@ -48,7 +45,7 @@ struct GraphConfig
 };
 
 /// Configuration seeded from the environment: VP_GRAPH (1/on/true enables,
-/// 0/off/false disables), VP_GRAPH_FUSION likewise, VP_GRAPH_MAX_NODES.
+/// 0/off/false disables), VP_GRAPH_MAX_NODES.
 GraphConfig DefaultConfig();
 
 /// Install a configuration (tests, ConfigurableAnalysis <graph> element).
@@ -68,7 +65,7 @@ struct GraphStats
   std::uint64_t Replays = 0;       ///< full-step replays completed
   std::uint64_t Invalidations = 0; ///< armed graphs dropped (divergence, repin)
   std::uint64_t NodesCaptured = 0; ///< DAG nodes across all captures
-  std::uint64_t LaunchesFused = 0; ///< launches absorbed into a fused head
+  std::uint64_t LaunchesFused = 0; ///< always 0; kept for stat exporters
   std::uint64_t Flushes = 0;       ///< amortized replay flushes
   std::uint64_t OpsAbsorbed = 0;   ///< submissions matched during replay
 };
@@ -89,22 +86,19 @@ enum class NodeKind : std::uint8_t
 };
 
 /// A node of the captured DAG. Kernel nodes keep the work cost *excluding*
-/// launch latency so fusion can sum member work under a single latency;
-/// copy nodes keep the classified cost; event nodes carry the per-step
-/// event index wired by record/wait pairs.
+/// launch latency (the flush adds one latency per kernel); copy nodes keep
+/// the classified cost; event nodes carry the per-step event index wired
+/// by record/wait pairs.
 struct GraphNode
 {
   NodeKind Kind = NodeKind::Kernel;
   int StreamIx = 0;     ///< index into the session's stream slots
 
   // --- Kernel ---
-  KernelDesc Desc;      ///< captured launch description (N, ops, name, key)
+  KernelDesc Desc;      ///< captured launch description (N, ops, name)
   KernelFn Fn;          ///< body, rebound every replay step
   bool Synchronous = false;
   double WorkSeconds = 0.0; ///< KernelSeconds minus launch latency
-  /// Fusion grouping: >=1 on a group head (member count, 1 = unfused),
-  /// 0 on a member absorbed by the preceding head.
-  int GroupSize = 1;
 
   // --- Copy ---
   void *Dst = nullptr;
@@ -189,14 +183,11 @@ private:
   bool BindStreamIx(const Stream &stream, int wantIx);
 
   /// Apply the matched-prefix charges: one amortized latency, engine
-  /// claims per node group, inline bodies, then per-stream summary edges.
+  /// claims per node, inline bodies, then per-stream summary edges.
   void Flush();
 
   /// Structural mismatch mid-replay: flush the prefix and go eager.
   void Invalidate();
-
-  /// Merge FuseKey-compatible consecutive launches (EndStep, post-capture).
-  void FusePass();
 
   mutable std::mutex Mutex_; ///< held across a step by StepScope
   State State_ = State::Idle;
@@ -216,10 +207,6 @@ private:
   /// Per-replay-step virtual completion time of each event slot.
   std::vector<double> EventTime_;
   std::vector<char> EventSet_; ///< EventTime_ validity per slot
-  /// Node counts at which a synchronization happened during capture;
-  /// fusion never groups across these boundaries so a replay flush can
-  /// never split a fused group.
-  std::vector<std::size_t> SyncMarks_;
 };
 
 /// RAII step driver: installs the session as the calling thread's capture

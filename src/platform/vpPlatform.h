@@ -58,13 +58,6 @@ struct KernelDesc
   double AtomicFraction = 0.0;  ///< fraction of work that is atomic-bound
   const char *Name = "kernel";  ///< label for diagnostics
   bool Shardable = false;       ///< body may run as concurrent [b,e) chunks
-
-  /// Fusion opt-in for captured step-graph replay (src/graph): consecutive
-  /// same-stream launches carrying the same non-null key, the same N, and
-  /// the same Shardable flag assert that their outputs are disjoint and
-  /// may be merged into one multi-output launch. Null (the default) never
-  /// fuses.
-  const void *FuseKey = nullptr;
 };
 
 /// A range kernel body: invoked as fn(begin, end) over [0, N).

@@ -135,7 +135,6 @@ void LaunchN(const stream_t &stream, std::size_t n, const vp::KernelFn &fn,
   desc.AtomicFraction = bounds.AtomicFraction;
   desc.Name = bounds.Name;
   desc.Shardable = bounds.Shardable;
-  desc.FuseKey = bounds.FuseKey;
 
   plat.LaunchKernel(stream ? stream : plat.DefaultStream(CurrentDevice()),
                     desc, fn, /*synchronous=*/false);

@@ -80,10 +80,6 @@ struct LaunchBounds
   double AtomicFraction = 0.0; ///< fraction of atomic-bound work
   const char *Name = "vcuda_kernel";
   bool Shardable = false;      ///< body may run as concurrent [b,e) chunks
-
-  /// Fusion opt-in for captured step-graph replay; see
-  /// vp::KernelDesc::FuseKey. Null (the default) never fuses.
-  const void *FuseKey = nullptr;
 };
 
 /// Launch an n-index kernel on the current device in `stream`. The body is

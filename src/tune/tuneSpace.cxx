@@ -39,7 +39,6 @@ bool ConfigPoint::operator==(const ConfigPoint &o) const
       this->ExecMode != o.ExecMode || this->ExecThreads != o.ExecThreads ||
       this->ExecShardGrain != o.ExecShardGrain ||
       this->GraphEnabled != o.GraphEnabled ||
-      this->GraphFusion != o.GraphFusion ||
       this->GraphMaxNodes != o.GraphMaxNodes ||
       this->Layout != o.Layout || this->LayoutBlock != o.LayoutBlock ||
       this->LayoutSimd != o.LayoutSimd ||
@@ -317,15 +316,6 @@ KnobSpace KnobSpace::Campaign(int nAnalyses, bool includeExec)
   }
   {
     Knob k;
-    k.Name = "graph.fusion";
-    k.Kind = KnobKind::Bool;
-    k.Choices = {"0", "1"};
-    k.Get = [](const ConfigPoint &p) { return p.GraphFusion ? 1.0 : 0.0; };
-    k.Set = [](ConfigPoint &p, double v) { p.GraphFusion = v >= 0.5; };
-    add(std::move(k));
-  }
-  {
-    Knob k;
     k.Name = "graph.max_nodes";
     k.Kind = KnobKind::PowerOfTwo;
     k.Min = 1024; k.Max = 8192;
@@ -538,7 +528,6 @@ void ApplyToDoc(const ConfigPoint &p, sxml::Element &root)
   sxml::Element *ge = root.FindOrAddChild("graph");
   ge->ClearAttributes();
   ge->SetAttributeBool("enabled", p.GraphEnabled);
-  ge->SetAttributeBool("fusion", p.GraphFusion);
   ge->SetAttributeInt("max_nodes", static_cast<long long>(p.GraphMaxNodes));
 
   sxml::Element *le = root.FindOrAddChild("layout");
@@ -687,7 +676,6 @@ ConfigPoint ParseDoc(const sxml::Element &root)
     if (const sxml::Element *ge = root.FirstChild("graph"))
     {
       p.GraphEnabled = ge->AttributeBool("enabled", true);
-      p.GraphFusion = ge->AttributeBool("fusion", p.GraphFusion);
       p.GraphMaxNodes = static_cast<std::size_t>(ge->AttributeInt(
         "max_nodes", static_cast<long long>(p.GraphMaxNodes)));
     }
@@ -778,8 +766,7 @@ std::string Describe(const ConfigPoint &p)
   os << " exec=" << vp::exec::ModeName(p.ExecMode);
   if (p.ExecMode == vp::exec::Mode::Threads)
     os << "/" << p.ExecThreads << "t/g" << p.ExecShardGrain;
-  os << " graph=" << (p.GraphEnabled ? (p.GraphFusion ? "fused" : "on")
-                                     : "off");
+  os << " graph=" << (p.GraphEnabled ? "on" : "off");
   os << " layout=" << vp::layout::KindName(p.Layout, p.LayoutBlock);
   if (p.LayoutSimd)
     os << "+simd";

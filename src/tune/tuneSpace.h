@@ -84,7 +84,6 @@ struct ConfigPoint
 
   // <graph>
   bool GraphEnabled = false;
-  bool GraphFusion = true;
   std::size_t GraphMaxNodes = 4096;
 
   // <layout> — default array layout, AoSoA block size, and whether the

@@ -1,8 +1,9 @@
 // Unit tests for the data binning analysis: correctness of every
 // reduction against a straightforward reference, host/device path
 // equivalence (parameterized), fixed and automatic ranges, 1D/2D/3D
-// meshes, multi-rank reduction through minimpi, asynchronous execution,
-// and file output.
+// meshes, bit-exact multi-rank reduction through minimpi, the launch and
+// readback counts of the packed grid record, asynchronous execution, and
+// file output.
 
 #include "minimpi.h"
 #include "senseiDataBinning.h"
@@ -504,64 +505,145 @@ TEST(Binning, GpuStrategyNamesParse)
 
 TEST(Binning, MultiRankReductionMatchesSerial)
 {
-  ResetPlatform();
-
-  // serial reference over the union of the per-rank tables
-  svtkTable *t0 = MakeTable(1500, 100);
-  svtkTable *t1 = MakeTable(1500, 101);
-  svtkTable *t2 = MakeTable(1500, 102);
-  svtkTable *serialUnion = svtkTable::New();
-  for (const char *name : {"x", "y", "v", "m"})
+  // 4 ranks, host and device, both GPU strategies; ops in an order that
+  // differs from the packed segment order (sum/avg, then min, then max),
+  // with column v used twice: every rank's result must equal, bit for
+  // bit, a serial fold of each rank's row-order grids in rank order
+  constexpr int Ranks = 4;
+  constexpr long Res = 16;
+  const std::vector<std::pair<std::string, BinningOp>> ops = {
+    {"v", BinningOp::Max}, {"v", BinningOp::Sum}, {"y", BinningOp::Min},
+    {"x", BinningOp::Average}};
+  auto fold = [](BinningOp op, double &acc, double v)
   {
-    svtkAOSDoubleArray *c = svtkAOSDoubleArray::New(name, 0, 1);
-    for (svtkTable *t : {t0, t1, t2})
+    if (op == BinningOp::Min)
+      acc = std::min(acc, v);
+    else if (op == BinningOp::Max)
+      acc = std::max(acc, v);
+    else
+      acc += v;
+  };
+  auto column = [](svtkTable *t, const std::string &name)
+  {
+    return dynamic_cast<svtkAOSDoubleArray *>(t->GetColumnByName(name))
+      ->GetVector();
+  };
+  auto bin = [](double c) // the kernel's index math over [-1, 1]
+  {
+    return static_cast<std::size_t>(std::clamp(
+      static_cast<long>((c - -1.0) * (static_cast<double>(Res) / 2.0)), 0L,
+      Res - 1));
+  };
+
+  // ref[0] counts, ref[1 + k] the grid of ops[k]
+  std::vector<svtkTable *> tables;
+  std::vector<std::vector<double>> ref;
+  for (int r = 0; r < Ranks; ++r)
+  {
+    tables.push_back(MakeTable(1200 + 100 * r, 200u + r));
+    const auto x = column(tables[r], "x"), y = column(tables[r], "y");
+    std::vector<std::vector<double>> g(1, std::vector<double>(Res * Res));
+    std::vector<std::vector<double>> vals;
+    for (const auto &op : ops)
     {
-      const auto *src =
-        dynamic_cast<svtkAOSDoubleArray *>(t->GetColumnByName(name));
-      c->GetVector().insert(c->GetVector().end(), src->GetVector().begin(),
-                            src->GetVector().end());
+      const double inf = std::numeric_limits<double>::infinity();
+      g.emplace_back(Res * Res, op.second == BinningOp::Min   ? inf
+                                : op.second == BinningOp::Max ? -inf
+                                                              : 0.0);
+      vals.push_back(column(tables[r], op.first));
     }
-    serialUnion->AddColumn(c);
-    c->Delete();
+    for (std::size_t i = 0; i < x.size(); ++i)
+    {
+      const std::size_t idx = bin(x[i]) + Res * bin(y[i]);
+      g[0][idx] += 1.0;
+      for (std::size_t k = 0; k < ops.size(); ++k)
+        fold(ops[k].second, g[1 + k][idx], vals[k][i]);
+    }
+    for (std::size_t k = 0; r && k < g.size(); ++k)
+      for (std::size_t i = 0; i < g[k].size(); ++i)
+        fold(k ? ops[k - 1].second : BinningOp::Sum, ref[k][i], g[k][i]);
+    if (!r)
+      ref = g;
   }
-  const Reference ref(serialUnion, 16);
-  serialUnion->Delete();
+  for (std::size_t k = 0; k < ops.size(); ++k)
+    for (std::size_t i = 0; i < ref[0].size(); ++i)
+      if (ops[k].second == BinningOp::Average)
+        ref[1 + k][i] = ref[0][i] > 0.0 ? ref[1 + k][i] / ref[0][i] : 0.0;
+      else if (ref[0][i] == 0.0)
+        ref[1 + k][i] = 0.0;
 
-  std::vector<double> counts, sums;
-  minimpi::Run(3,
-               [&](minimpi::Communicator &comm)
-               {
-                 svtkTable *mine =
-                   comm.Rank() == 0 ? t0 : (comm.Rank() == 1 ? t1 : t2);
+  for (int device : {AnalysisAdaptor::DEVICE_HOST, 0})
+    for (auto strat : {sensei::GpuBinningStrategy::GlobalAtomics,
+                       sensei::GpuBinningStrategy::Privatized})
+    {
+      ResetPlatform();
+      minimpi::Run(
+        Ranks,
+        [&](minimpi::Communicator &comm)
+        {
+          const int r = comm.Rank();
+          sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+          da->SetTable(tables[r]);
+          da->SetCommunicator(&comm);
+          DataBinning *b = DataBinning::New();
+          b->SetMeshName("bodies");
+          b->SetAxes({"x", "y"});
+          b->SetResolution({Res});
+          b->SetRange(0, -1.0, 1.0);
+          b->SetRange(1, -1.0, 1.0);
+          for (const auto &op : ops)
+            b->AddOperation(op.first, op.second);
+          b->SetDeviceId(device < 0 ? device : r);
+          b->SetGpuStrategy(strat);
+          EXPECT_TRUE(b->Execute(da));
 
-                 sensei::TableAdaptor *da =
-                   sensei::TableAdaptor::New("bodies");
-                 da->SetTable(mine);
-                 da->SetCommunicator(&comm);
+          svtkImageData *img = b->GetLastResult();
+          for (std::size_t k = 0; k <= ops.size(); ++k)
+            EXPECT_EQ(GridValues(img, k ? ops[k - 1].first + "_" +
+                                            BinningOpName(ops[k - 1].second)
+                                        : std::string("count")),
+                      ref[k])
+              << "device " << device << " strategy " << int(strat)
+              << " rank " << r << " grid " << k;
+          img->UnRegister();
+          b->Delete();
+          da->ReleaseData();
+          da->Delete();
+        });
+    }
 
-                 DataBinning *b = MakeBinning(AnalysisAdaptor::DEVICE_HOST);
-                 EXPECT_TRUE(b->Execute(da));
-                 b->Finalize();
+  for (svtkTable *t : tables)
+    t->Delete();
+}
 
-                 if (comm.Rank() == 0)
-                 {
-                   svtkImageData *img = b->GetLastResult();
-                   counts = GridValues(img, "count");
-                   sums = GridValues(img, "v_sum");
-                   img->UnRegister();
-                 }
-                 b->Delete();
-                 da->ReleaseData();
-                 da->Delete();
-               });
+TEST(BinningPacked, DeviceExecuteIsThreeLaunchesAndTwoReadbacks)
+{
+  // one device Execute of a 10-sum binning with auto ranges: the range
+  // scan, one packed init and one accumulation; the range readback and
+  // one packed grid readback
+  ResetPlatform();
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  svtkTable *t = MakeTable(2000, 12);
+  da->SetTable(t);
+  t->Delete();
 
-  ASSERT_EQ(counts, ref.Count);
-  for (std::size_t i = 0; i < sums.size(); ++i)
-    EXPECT_NEAR(sums[i], ref.Sum[i], 1e-12);
+  DataBinning *b = DataBinning::New();
+  b->SetMeshName("bodies");
+  b->SetAxes({"x", "y"});
+  b->SetResolution({16});
+  for (int k = 0; k < 10; ++k)
+    b->AddOperation(k % 2 ? "v" : "m", BinningOp::Sum);
+  b->SetDeviceId(0);
 
-  t0->Delete();
-  t1->Delete();
-  t2->Delete();
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  stats.Reset();
+  ASSERT_TRUE(b->Execute(da));
+  EXPECT_EQ(stats.KernelsLaunched.load(), 3u);
+  EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 2u);
+
+  b->Delete();
+  da->ReleaseData();
+  da->Delete();
 }
 
 // --- file output ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Tests for captured step-graph execution (src/graph): capture/replay
 // bit-exact equality against eager execution for the binning device path
 // and full coupled nbody pipelines (serial and threaded engines, lockstep
-// and async+compressed cases), kernel fusion on/off histogram equality,
-// pointer rebinding across steps with fresh buffers, mid-run DAG-change
+// and async+compressed cases), graph on/off histogram equality over the
+// packed grid init, pointer rebinding across steps with fresh buffers, mid-run DAG-change
 // invalidation with eager fallback and recapture, the <graph> XML
 // element, and a 1000-seed property sweep of random stream/event/copy
 // DAGs that must replay node-for-node identical to eager execution and
@@ -68,11 +68,10 @@ void ConfigureSerial()
   vp::exec::Configure(vp::exec::ExecConfig());
 }
 
-void ConfigureGraph(bool enabled, bool fusion = true)
+void ConfigureGraph(bool enabled)
 {
   vp::graph::GraphConfig cfg;
   cfg.Enabled = enabled;
-  cfg.Fusion = fusion;
   vp::graph::Configure(cfg);
 }
 
@@ -130,7 +129,7 @@ struct BinningGrids
 /// per step (new column buffers every step exercise pointer rebinding on
 /// replay) and return each step's grids.
 std::vector<BinningGrids> RunBinningSteps(bool graphOn, bool threads,
-                                          bool fusion, bool autoRange,
+                                          bool autoRange,
                                           GpuBinningStrategy strat,
                                           int steps = 4)
 {
@@ -139,7 +138,7 @@ std::vector<BinningGrids> RunBinningSteps(bool graphOn, bool threads,
     ConfigureThreads();
   else
     ConfigureSerial();
-  ConfigureGraph(graphOn, fusion);
+  ConfigureGraph(graphOn);
   vp::graph::ResetStats();
   vp::exec::ResetStats();
 
@@ -203,7 +202,6 @@ TEST(GraphXml, ElementConfiguresAndValidates)
 {
   ResetPlatform();
   unsetenv("VP_GRAPH");
-  unsetenv("VP_GRAPH_FUSION");
   ConfigureGraph(false);
 
   auto parse = [](const std::string &xml)
@@ -221,11 +219,10 @@ TEST(GraphXml, ElementConfiguresAndValidates)
     a->UnRegister();
   };
 
-  parse("<sensei><graph enabled=\"1\" fusion=\"0\" max_nodes=\"128\" "
+  parse("<sensei><graph enabled=\"1\" max_nodes=\"128\" "
         "repin_threshold=\"0.5\"/></sensei>");
   vp::graph::GraphConfig cfg = vp::graph::GetConfig();
   EXPECT_TRUE(cfg.Enabled);
-  EXPECT_FALSE(cfg.Fusion);
   EXPECT_EQ(cfg.MaxNodes, 128u);
   EXPECT_DOUBLE_EQ(cfg.RepinThreshold, 0.5);
 
@@ -249,12 +246,12 @@ TEST(GraphBinning, CaptureReplayBitExactAcrossStepsSerialAndThreads)
 {
   for (bool threads : {false, true})
   {
-    const auto eager = RunBinningSteps(false, threads, true, false,
-                                       GpuBinningStrategy::GlobalAtomics);
+    const auto eager =
+      RunBinningSteps(false, threads, false, GpuBinningStrategy::GlobalAtomics);
     const std::uint64_t eagerTasks = vp::exec::Stats().TasksEnqueued;
 
-    const auto replayed = RunBinningSteps(true, threads, true, false,
-                                          GpuBinningStrategy::GlobalAtomics);
+    const auto replayed =
+      RunBinningSteps(true, threads, false, GpuBinningStrategy::GlobalAtomics);
     const std::uint64_t graphTasks = vp::exec::Stats().TasksEnqueued;
     const vp::graph::GraphStats s = vp::graph::Stats();
 
@@ -284,15 +281,15 @@ TEST(GraphBinning, CaptureReplayBitExactAcrossStepsSerialAndThreads)
 
 TEST(GraphBinning, AutoRangeKernelCapturesAndReplaysBitExact)
 {
-  // auto axis bounds add the fused multi-axis range kernel + readback to
+  // auto axis bounds add the multi-output range kernel + readback to
   // the captured DAG; bounds differ every step (fresh data) yet replay
   // must stay bit-exact
   for (bool threads : {false, true})
   {
-    const auto eager = RunBinningSteps(false, threads, true, true,
-                                       GpuBinningStrategy::GlobalAtomics);
-    const auto replayed = RunBinningSteps(true, threads, true, true,
-                                          GpuBinningStrategy::GlobalAtomics);
+    const auto eager =
+      RunBinningSteps(false, threads, true, GpuBinningStrategy::GlobalAtomics);
+    const auto replayed =
+      RunBinningSteps(true, threads, true, GpuBinningStrategy::GlobalAtomics);
     const vp::graph::GraphStats s = vp::graph::Stats();
 
     ASSERT_EQ(eager.size(), replayed.size());
@@ -305,32 +302,28 @@ TEST(GraphBinning, AutoRangeKernelCapturesAndReplaysBitExact)
   }
 }
 
-TEST(GraphBinning, FusionOnOffHistogramsIdenticalAndLaunchesFuse)
+TEST(GraphBinning, PackedInitGraphOnOffHistogramsIdentical)
 {
+  // one packed init launch fills every grid segment (count, sum, min,
+  // max) with its own init value; replaying it must match eager runs
   for (GpuBinningStrategy strat : {GpuBinningStrategy::GlobalAtomics,
                                    GpuBinningStrategy::Privatized})
   {
-    const auto eager =
-      RunBinningSteps(false, false, true, false, strat);
+    const auto eager = RunBinningSteps(false, false, false, strat);
+    const auto replayed = RunBinningSteps(true, false, false, strat);
+    const vp::graph::GraphStats s = vp::graph::Stats();
 
-    const auto fused = RunBinningSteps(true, false, true, false, strat);
-    const vp::graph::GraphStats withFusion = vp::graph::Stats();
-
-    const auto unfused = RunBinningSteps(true, false, false, false, strat);
-    const vp::graph::GraphStats noFusion = vp::graph::Stats();
-
-    ASSERT_EQ(eager.size(), fused.size());
-    ASSERT_EQ(eager.size(), unfused.size());
+    ASSERT_EQ(eager.size(), replayed.size());
     for (std::size_t i = 0; i < eager.size(); ++i)
-    {
-      EXPECT_TRUE(eager[i] == fused[i]) << "fused step " << i;
-      EXPECT_TRUE(eager[i] == unfused[i]) << "unfused step " << i;
-    }
+      EXPECT_TRUE(eager[i] == replayed[i])
+        << "strategy " << static_cast<int>(strat) << " step " << i;
 
-    // the shared-grid (or privatized-slab) init launches carry a FuseKey
-    EXPECT_GT(withFusion.LaunchesFused, 0u)
-      << "strategy " << static_cast<int>(strat);
-    EXPECT_EQ(noFusion.LaunchesFused, 0u);
+    // fixed ranges: init, accumulate, (privatized: merge,) one readback
+    const bool priv = strat == GpuBinningStrategy::Privatized;
+    EXPECT_EQ(s.Captures, 1u);
+    EXPECT_EQ(s.Replays, 3u);
+    EXPECT_EQ(s.NodesCaptured, priv ? 4u : 3u);
+    EXPECT_EQ(s.LaunchesFused, 0u);
   }
 }
 

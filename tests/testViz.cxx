@@ -88,11 +88,10 @@ void ConfigureSerial()
   vp::exec::Configure(vp::exec::ExecConfig());
 }
 
-void ConfigureGraph(bool enabled, bool fusion = true)
+void ConfigureGraph(bool enabled)
 {
   vp::graph::GraphConfig cfg;
   cfg.Enabled = enabled;
-  cfg.Fusion = fusion;
   vp::graph::Configure(cfg);
 }
 
