@@ -193,13 +193,10 @@ double RunShiftingScenario(bool online, tune::OnlineStats *stats,
   plat.ExecuteKernels = false; // timing-only, like the campaign
   vp::Platform::Initialize(plat);
 
-  sched::Configure(sched::SchedConfig());
+  sensei::ResetConfig({"sched", "exec", "graph", "fault"});
   sched::ResetAggregateStats();
-  vp::exec::Configure(vp::exec::DefaultConfig());
   vp::exec::ResetStats();
-  vp::graph::Configure(vp::graph::DefaultConfig());
   vp::graph::ResetStats();
-  vp::fault::Reset();
   vp::ThisClock().Set(0.0);
   sensei::Profiler::Global().Clear(); // the controller reads step deltas
 

@@ -9,20 +9,23 @@
 //   ranks   MPI ranks = threads         (default 4)
 //   xml     SENSEI config file          (default: built-in config)
 //
-// Outputs: nbody_mass_xy.vti (in situ mass binning), nbody_bodies_*.csv
-// (posthoc IO of the final step), and a run summary on stdout.
+// Outputs (built-in config): nbody_mass_xy.vti (in situ mass binning),
+// nbody_bodies_*.csv (posthoc IO), and a run summary on stdout naming
+// the files actually written.
 
 #include "minimpi.h"
 #include "newtonDriver.h"
 #include "schedPipeline.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataBinning.h"
+#include "senseiPosthocIO.h"
 #include "senseiProfiler.h"
 #include "sio.h"
 #include "vpChecker.h"
 #include "vpFaultInjector.h"
 #include "vpPlatform.h"
 
+#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -42,7 +45,10 @@ const char *DefaultXml = R"(<sensei>
 </sensei>)";
 } // namespace
 
+// a configuration error (a malformed XML value or VP_* variable) surfaces
+// from every rank's Initialize: report it and exit 1
 int main(int argc, char **argv)
+try
 {
   const std::size_t bodies = argc > 1 ? std::stoul(argv[1]) : 2048;
   const long steps = argc > 2 ? std::stol(argv[2]) : 10;
@@ -68,6 +74,8 @@ int main(int argc, char **argv)
   std::vector<double> totals(static_cast<std::size_t>(ranks), 0.0);
   std::vector<double> solver(static_cast<std::size_t>(ranks), 0.0);
   std::vector<double> insitu(static_cast<std::size_t>(ranks), 0.0);
+  bool wroteVti = false;
+  std::atomic<long> posthocFiles{0};
 
   minimpi::Run(ranks,
                [&](minimpi::Communicator &comm)
@@ -98,9 +106,14 @@ int main(int argc, char **argv)
                      {
                        sio::WriteVTI("nbody_mass_xy.vti", img);
                        img->UnRegister();
+                       wroteVti = true;
                      }
                    }
                  }
+                 for (int i = 0; i < analysis->GetNumberOfAnalyses(); ++i)
+                   if (auto *io = dynamic_cast<sensei::PosthocIO *>(
+                         analysis->GetAnalysis(i)))
+                     posthocFiles += io->GetWriteCount();
                  analysis->Delete();
                });
 
@@ -115,8 +128,11 @@ int main(int argc, char **argv)
   std::cout << "total run time (virtual)     : " << total << " s\n"
             << "avg solver time / iteration  : " << meanSolver << " s\n"
             << "avg in situ time / iteration : " << meanInsitu
-            << " s (apparent; binning ran asynchronously)\n"
-            << "wrote nbody_mass_xy.vti and nbody_bodies_r*_s*.csv\n";
+            << " s (apparent; binning ran asynchronously)\n";
+  if (wroteVti)
+    std::cout << "wrote nbody_mass_xy.vti\n";
+  if (posthocFiles > 0)
+    std::cout << "wrote " << posthocFiles << " posthoc_io files\n";
 
   // every rank's analyses were drained before their Finalize (see
   // ConfigurableAnalysis::Finalize) and all ranks have joined, so the
@@ -165,4 +181,9 @@ int main(int argc, char **argv)
     std::cout << "VP_CHECK: 0 violations\n";
   }
   return 0;
+}
+catch (const std::exception &e)
+{
+  std::cerr << "nbody_insitu: " << e.what() << "\n";
+  return 1;
 }

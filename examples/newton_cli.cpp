@@ -26,7 +26,10 @@
 #include <cstring>
 #include <iostream>
 
+// a configuration error (a malformed XML value or VP_* variable) surfaces
+// from every rank's Initialize: report it and exit 1
 int main(int argc, char **argv)
+try
 {
   newton::Config cfg;
   cfg.TotalBodies = 4096;
@@ -175,4 +178,9 @@ int main(int argc, char **argv)
   if (!outPrefix.empty())
     std::cout << "wrote " << outPrefix << "_r*_s*.vtk\n";
   return 0;
+}
+catch (const std::exception &e)
+{
+  std::cerr << "newton_cli: " << e.what() << "\n";
+  return 1;
 }

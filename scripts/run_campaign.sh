@@ -189,12 +189,15 @@ ctest --test-dir ../build -L layout --output-on-failure
 echo "== visualization tests =="
 ctest --test-dir ../build -L viz --output-on-failure
 
+echo "== configuration tests =="
+ctest --test-dir ../build -L config --output-on-failure
+
 echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # a separate ASan+UBSan build configuration; the real-thread pipeline,
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testConfigs testKnob
 ../build-sanitize/bench/um_sched --benchmark_min_time=0.05 \
   | tee um_sched_sanitized.txt
 ../build-sanitize/tests/testSched
@@ -226,13 +229,16 @@ VP_CHECK=1 ../build-sanitize/bench/um_layout --benchmark_min_time=0.05 \
 # the packed binning record of a 4-rank mixed-op binning under ASan+UBSan
 ../build-sanitize/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
+# the knob rows: every shipped config, the golden effective config, the
+# env matrix, and every row's bad attribute/variable under ASan+UBSan
+ctest --test-dir ../build-sanitize -L config --output-on-failure
 
 echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # a separate TSan build configuration (mutually exclusive with ASan):
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testConfigs testKnob
 ../build-tsan/tests/testExec
 VP_EXEC=threads ../build-tsan/bench/um_exec --benchmark_min_time=0.05 \
   | tee um_exec_tsan.txt
@@ -258,6 +264,9 @@ VP_EXEC=threads ../build-tsan/bench/um_graph --benchmark_min_time=0.05 \
 # 4 rank threads meeting in the packed binning record's collectives
 ../build-tsan/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
+# 4 rank threads running Initialize at once against the one-time knob
+# rows (each test is its own process, so the first use races for real)
+ctest --test-dir ../build-tsan -L config --output-on-failure
 
 if command -v gnuplot >/dev/null 2>&1; then
   gnuplot ../scripts/plot_fig2_fig3.gp

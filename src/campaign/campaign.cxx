@@ -222,22 +222,14 @@ CaseResult RunCase(const CaseConfig &c, const CampaignConfig &g)
   plat.ExecuteKernels = !g.TimingOnly;
   vp::Platform::Initialize(plat);
 
-  // scheduler configuration is process-wide and sticky; start every case
-  // from the defaults so a <sched> element (or a prior caller's
-  // sched::Configure) cannot leak into the next case, and zero the
-  // pipeline counters so per-case exports are self-contained
-  sched::Configure(sched::SchedConfig());
+  // the scheduler, execution engine and captured step-graph
+  // configurations are process-wide and sticky; start every case from the
+  // defaults (the environment's VP_EXEC / VP_GRAPH included) so an element
+  // of a prior case, or a prior caller's Configure, cannot leak into this
+  // one, and zero their counters so per-case exports are self-contained
+  sensei::ResetConfig({"sched", "exec", "graph"});
   sched::ResetAggregateStats();
-
-  // likewise the execution engine: start from the environment's default
-  // (serial unless VP_EXEC says otherwise) so an <exec> element from a
-  // prior case cannot leak into this one, and zero its counters
-  vp::exec::Configure(vp::exec::DefaultConfig());
   vp::exec::ResetStats();
-
-  // and captured step-graph execution: re-read the environment (VP_GRAPH)
-  // so a <graph> element or a prior Configure cannot leak across cases
-  vp::graph::Configure(vp::graph::DefaultConfig());
   vp::graph::ResetStats();
 
   newton::Config sim;

@@ -399,6 +399,17 @@ void WriteLocked(Checker &c, int tl, const void *p, const char *what)
 } // namespace
 
 // ---------------------------------------------------------------------------
+const vp::knob::Table<CheckConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  static const Table<CheckConfig> rows({
+    Bool<&CheckConfig::Enabled>("check", "enabled", "VP_CHECK").Implies("1"),
+    Int<&CheckConfig::MaxReports>("check", "max_reports", 0, kMaxInt),
+    Bool<&CheckConfig::FailFast>("check", "fail_fast"),
+  });
+  return rows;
+}
+
 void Configure(const CheckConfig &cfg)
 {
   Checker &c = Self();
@@ -426,8 +437,7 @@ bool Enabled()
   int s = EnabledState.load(std::memory_order_relaxed);
   if (s < 0)
   {
-    const char *e = std::getenv("VP_CHECK");
-    s = (e && *e && !(e[0] == '0' && e[1] == '\0')) ? 1 : 0;
+    s = ConfigRows().Defaults().Enabled ? 1 : 0;
     EnabledState.store(s, std::memory_order_relaxed);
   }
   return s == 1;

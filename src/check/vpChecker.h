@@ -34,6 +34,7 @@
 /// Reports are exported through the profiler (sensei::ExportCheckReport)
 /// so campaigns can assert "0 violations" as a first-class metric.
 
+#include "vpKnob.h"
 #include "vpMemory.h"
 #include "vpTypes.h"
 
@@ -107,6 +108,10 @@ struct CheckConfig
 
 // --- control ----------------------------------------------------------------
 
+/// The `<check>` rows: enabled (VP_CHECK; a bare element means enabled),
+/// max_reports and fail_fast.
+const vp::knob::Table<CheckConfig> &ConfigRows();
+
 /// Replace the configuration (implies Enable(cfg.Enabled)).
 void Configure(const CheckConfig &cfg);
 
@@ -116,8 +121,8 @@ CheckConfig GetConfig();
 /// Turn checking on or off, overriding the VP_CHECK environment variable.
 void Enable(bool on);
 
-/// True when checking is on. The first call consults VP_CHECK unless
-/// Configure/Enable ran earlier.
+/// True when checking is on. The first call consults the rows' defaults
+/// (VP_CHECK) unless Configure/Enable ran earlier.
 bool Enabled();
 
 /// Drop all per-allocation state, timelines, and recorded violations.

@@ -31,6 +31,27 @@ Injector &Self()
 
 } // namespace
 
+const vp::knob::Table<FaultConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  using F = FaultConfig;
+  static const Table<FaultConfig> rows({
+    Bool<&F::Enabled>("fault", "enabled").Implies("1"),
+    Int<&F::Seed>("fault", "seed", 0, kMaxInt),
+    Int<&F::FailAllocNth>("fault", "fail_alloc_nth", 0, kMaxInt),
+    Real<&F::FailAllocProb>("fault", "fail_alloc_prob", 0, 1),
+    Int<&F::DropEventNth>("fault", "drop_event_nth", 0, kMaxInt),
+    Real<&F::StreamDelaySeconds>("fault", "stream_delay", 0, kInf),
+    Int<&F::DelayNode>("fault", "delay_node", -1, kMaxInt32),
+    Int<&F::DelayDevice>("fault", "delay_device", -1, kMaxInt32),
+    Bool<&F::PrematureReuse>("fault", "premature_reuse"),
+    Int<&F::DropFrameNth>("fault", "drop_frame_nth", 0, kMaxInt),
+    Int<&F::CrashSendNth>("fault", "crash_send_nth", 0, kMaxInt),
+    Real<&F::FrameDelaySeconds>("fault", "frame_delay", 0, kInf),
+  });
+  return rows;
+}
+
 void Configure(const FaultConfig &cfg)
 {
   Injector &inj = Self();

@@ -18,6 +18,7 @@
 /// Enabling: the `<fault>` element of a SENSEI XML configuration or
 /// Configure(). All queries are cheap no-ops while disabled.
 
+#include "vpKnob.h"
 #include "vpTypes.h"
 
 #include <cstddef>
@@ -54,6 +55,9 @@ struct FaultStats
   std::uint64_t FramesDropped = 0; ///< service frames lost in transit
   std::uint64_t SendCrashes = 0;   ///< mid-frame client deaths fired
 };
+
+/// The `<fault>` rows (a bare element means enabled; no variables).
+const vp::knob::Table<FaultConfig> &ConfigRows();
 
 /// Install a fault plan and re-arm all counters.
 void Configure(const FaultConfig &cfg);

@@ -34,34 +34,24 @@ std::size_t DTypeSize(DType t)
   throw std::invalid_argument("cmp::DTypeSize: unknown dtype");
 }
 
+const vp::knob::Spellings &CodecNames()
+{
+  static const vp::knob::Spellings names = {
+    {"none", 0},         {"off", 0},          {"raw", 0},
+    {"shuffle-rle", 1},  {"shuffle_rle", 1},  {"shuffle", 1},
+    {"rle", 1},          {"delta-varint", 2}, {"delta_varint", 2},
+    {"delta", 2},        {"quantize", 3},     {"quantizer", 3}};
+  return names;
+}
+
 const char *CodecName(CodecId id)
 {
-  switch (id)
-  {
-    case CodecId::None:
-      return "none";
-    case CodecId::ShuffleRLE:
-      return "shuffle-rle";
-    case CodecId::DeltaVarint:
-      return "delta-varint";
-    case CodecId::Quantize:
-      return "quantize";
-  }
-  return "unknown";
+  return vp::knob::NameOf(CodecNames(), static_cast<int>(id));
 }
 
 CodecId CodecIdFromName(const std::string &name)
 {
-  if (name == "none" || name == "off" || name == "raw")
-    return CodecId::None;
-  if (name == "shuffle-rle" || name == "shuffle_rle" || name == "shuffle" ||
-      name == "rle")
-    return CodecId::ShuffleRLE;
-  if (name == "delta-varint" || name == "delta_varint" || name == "delta")
-    return CodecId::DeltaVarint;
-  if (name == "quantize" || name == "quantizer")
-    return CodecId::Quantize;
-  throw std::invalid_argument("cmp: unknown codec '" + name + "'");
+  return vp::knob::FromName<CodecId>(CodecNames(), name, "cmp: unknown codec");
 }
 
 // --- process-wide configuration and stats -----------------------------------
@@ -103,6 +93,19 @@ double CodecCostFactor(CodecId id)
   return 1.0;
 }
 } // namespace
+
+const vp::knob::Table<Config> &ConfigRows()
+{
+  using namespace vp::knob;
+  static const Table<Config> rows({
+    Bool<&Config::Enabled>("compress", "enabled").Implies("1"),
+    Enum<&Config::Default, &Params::Codec>("compress", "codec", CodecNames()),
+    Int<&Config::Default, &Params::Level>("compress", "level", 0, 9),
+    Real<&Config::Default, &Params::ErrorBound>("compress", "error_bound", 0,
+                                                kInf),
+  });
+  return rows;
+}
 
 void Configure(const Config &cfg)
 {

@@ -48,6 +48,7 @@
 /// Encode/decode charge virtual host-compute time and register their
 /// buffer touches with the race/lifetime checker (VP_CHECK=1).
 
+#include "vpKnob.h"
 #include "vpStream.h"
 
 #include <cstddef>
@@ -83,6 +84,9 @@ std::size_t DTypeSize(DType t);
 /// Stable lower-case codec name ("none", "shuffle-rle", ...).
 const char *CodecName(CodecId id);
 
+/// The spellings of CodecId.
+const vp::knob::Spellings &CodecNames();
+
 /// Parse a codec name ("none"/"off", "shuffle-rle"/"shuffle_rle"/"rle",
 /// "delta-varint"/"delta_varint", "quantize"). Throws
 /// std::invalid_argument on unknown names.
@@ -102,6 +106,9 @@ struct Config
   bool Enabled = false; ///< compress the integrated data paths by default
   Params Default;       ///< codec the integrated paths request when enabled
 };
+
+/// The `<compress>` rows (a bare element means enabled; no variables).
+const vp::knob::Table<Config> &ConfigRows();
 
 /// Replace the process-wide configuration (validated: a `quantize`
 /// default requires ErrorBound > 0).

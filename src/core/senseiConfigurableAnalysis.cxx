@@ -16,7 +16,7 @@
 #include "vpFaultInjector.h"
 #include "vpMemoryPool.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -40,7 +40,113 @@ std::vector<std::string> SplitList(const std::string &s)
   }
   return out;
 }
+
+/// What the <viz> rows cannot express: the fixed range and the viewers.
+void ApplyExtra(viz::VizConfig &cfg, const sxml::Element &root)
+{
+  const sxml::Element *ze = root.FirstChild("viz");
+  if (!ze)
+    return;
+  if (ze->HasAttribute("range"))
+  {
+    std::vector<std::string> r = SplitList(ze->Attribute("range"));
+    if (r.size() != 2)
+      throw std::runtime_error("<viz> range must be 'lo,hi'");
+    cfg.Lo = std::stod(r[0]);
+    cfg.Hi = std::stod(r[1]);
+    cfg.AutoRange = false;
+  }
+  cfg.Viewers.clear();
+  for (const sxml::Element *we : ze->ChildrenNamed("viewer"))
+  {
+    viz::ViewerOverride ov;
+    ov.Width = static_cast<std::uint32_t>(we->AttributeInt("width", 0));
+    ov.Height = static_cast<std::uint32_t>(we->AttributeInt("height", 0));
+    if (we->HasAttribute("codec"))
+    {
+      ov.HaveCodec = true;
+      ov.Codec.Codec = cmp::CodecIdFromName(we->Attribute("codec"));
+    }
+    cfg.Viewers.push_back(ov);
+  }
+}
+
+template <class Cfg>
+void ApplyExtra(Cfg &, const sxml::Element &)
+{
+}
+
+/// Visit every subsystem section, in the order Initialize applies them:
+/// f(element, rows, get, configure).
+template <class F>
+void ForEachSection(F &&f)
+{
+  f("pool", vp::PoolConfigRows(),
+    [] { return vp::PoolManager::Get().Config(); },
+    [](const vp::PoolConfig &c) { vp::PoolManager::Get().Configure(c); });
+  f("check", vp::check::ConfigRows(), vp::check::GetConfig,
+    vp::check::Configure);
+  f("sched", sched::ConfigRows(), sched::GetConfig, sched::Configure);
+  f("exec", vp::exec::ConfigRows(), vp::exec::GetConfig, vp::exec::Configure);
+  f("graph", vp::graph::ConfigRows(), vp::graph::GetConfig,
+    vp::graph::Configure);
+  f("layout", vp::layout::ConfigRows(), vp::layout::GetConfig,
+    vp::layout::Configure);
+  f("compress", cmp::ConfigRows(), cmp::GetConfig, cmp::Configure);
+  f("service", svc::ConfigRows(), svc::GetConfig, svc::Configure);
+  f("viz", viz::ConfigRows(), viz::GetConfig, viz::Configure);
+  f("fault", vp::fault::ConfigRows(), vp::fault::GetConfig,
+    vp::fault::Configure);
+}
 } // namespace
+
+const vp::knob::Table<AnalysisOverride> &AnalysisRows()
+{
+  using namespace vp::knob;
+  using O = AnalysisOverride;
+  static const Table<AnalysisOverride> rows({
+    Enum<&O::Policy>("analysis", "policy", sched::PolicyNames())
+      .When([](const O &o) { return o.Policy >= 0; }),
+    Enum<&O::Codec>("analysis", "compress", cmp::CodecNames())
+      .When([](const O &o) { return o.Codec >= 0; }),
+    Int<&O::Level>("analysis", "compress_level", 0, 9)
+      .When([](const O &o) { return o.Codec >= 0; }),
+    Real<&O::ErrorBound>("analysis", "compress_error_bound", 0, kInf)
+      .When([](const O &o) { return o.Codec >= 0; }),
+    Enum<&O::Layout>("analysis", "layout", vp::layout::KindNames())
+      .Parses([](O &o, const std::string &text)
+              {
+                o.Layout = static_cast<int>(
+                  vp::layout::KindFromName(text, &o.LayoutBlock));
+              })
+      .When([](const O &o) { return o.Layout >= 0; }),
+    Int<&O::LayoutBlock>("analysis", "layout_block", 0, 65536)
+      .When([](const O &o) { return o.Layout >= 0; }),
+  });
+  return rows;
+}
+
+const vp::knob::Attrs *AttrsOf::operator()(const char *element) const
+{
+  const sxml::Element *e = this->Root.FirstChild(element);
+  return e ? &e->Attributes() : nullptr;
+}
+
+void ResetConfig(std::initializer_list<std::string> sections)
+{
+  std::size_t named = 0;
+  ForEachSection(
+    [&](const char *name, const auto &rows, auto, auto configure)
+    {
+      const bool listed = std::find(sections.begin(), sections.end(),
+                                    name) != sections.end();
+      named += listed;
+      if (listed || sections.size() == 0)
+        configure(rows.Defaults());
+    });
+  if (named != sections.size())
+    throw std::invalid_argument("ResetConfig: unknown section name");
+}
 
 ConfigurableAnalysis::~ConfigurableAnalysis()
 {
@@ -66,362 +172,32 @@ void ConfigurableAnalysis::Initialize(const sxml::Element &root)
     throw std::runtime_error(
       "ConfigurableAnalysis: document element must be <sensei>");
 
-  // optional <pool> element configures the stream-ordered caching
-  // allocator shared by all analyses in this run
-  if (const sxml::Element *pe = root.FirstChild("pool"))
-  {
-    vp::PoolConfig cfg = vp::PoolManager::Get().Config();
-    cfg.Enabled = pe->AttributeBool("enabled", cfg.Enabled);
-    cfg.MaxCachedBytes = static_cast<std::size_t>(pe->AttributeInt(
-      "max_cached_bytes", static_cast<long long>(cfg.MaxCachedBytes)));
-    cfg.TrimThreshold = pe->AttributeDouble("trim_threshold",
-                                            cfg.TrimThreshold);
-    cfg.MinBlockBytes = static_cast<std::size_t>(pe->AttributeInt(
-      "min_block_bytes", static_cast<long long>(cfg.MinBlockBytes)));
-    if (cfg.TrimThreshold < 0.0 || cfg.TrimThreshold > 1.0)
-      throw std::runtime_error(
-        "ConfigurableAnalysis: <pool> trim_threshold must be in [0,1]");
-    vp::PoolManager::Get().Configure(cfg);
-  }
-
-  // optional <check> element turns the race/lifetime checker on (same
-  // switch as the VP_CHECK environment variable)
-  if (const sxml::Element *ce = root.FirstChild("check"))
-  {
-    vp::check::CheckConfig cfg = vp::check::GetConfig();
-    cfg.Enabled = ce->AttributeBool("enabled", true);
-    cfg.MaxReports = static_cast<std::size_t>(ce->AttributeInt(
-      "max_reports", static_cast<long long>(cfg.MaxReports)));
-    cfg.FailFast = ce->AttributeBool("fail_fast", cfg.FailFast);
-    vp::check::Configure(cfg);
-  }
-
-  // optional <sched> element configures the adaptive scheduler: the
-  // default placement policy for every analysis and the bounded async
-  // pipeline (queue depth + backpressure) shared by all async runners
-  if (const sxml::Element *se = root.FirstChild("sched"))
-  {
-    sched::SchedConfig cfg = sched::GetConfig();
-    try
+  // a subsystem is touched only when the document has one of its
+  // elements or the environment sets one of its variables
+  ForEachSection(
+    [&root](const char *name, const auto &rows, auto get, auto configure)
     {
-      cfg.Policy = sched::PolicyKindFromName(
-        se->Attribute("policy", sched::PolicyKindName(cfg.Policy)));
-      cfg.Pressure = sched::BackpressureFromName(se->Attribute(
-        "backpressure", sched::BackpressureName(cfg.Pressure)));
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(std::string("ConfigurableAnalysis: <sched> ") +
-                               e.what());
-    }
-    const long long depth = se->AttributeInt(
-      "queue_depth", static_cast<long long>(cfg.QueueDepth));
-    if (depth < 0)
-      throw std::runtime_error(
-        "ConfigurableAnalysis: <sched> queue_depth must be >= 0 "
-        "(0 means unbounded)");
-    cfg.QueueDepth = static_cast<long>(depth);
-    cfg.RealThreads = se->AttributeBool("real_threads", cfg.RealThreads);
-    sched::Configure(cfg);
-    this->SchedPolicy_ = cfg.Policy;
-    this->HaveSchedPolicy_ = true;
-  }
-
-  // optional <exec> element selects where kernel bodies really run: the
-  // bit-exact serial path or per-device worker threads with sharded
-  // host regions. VP_EXEC in the environment wins over the XML mode so
-  // a command line can force the deterministic serial path on a config
-  // written for threaded runs.
-  if (const sxml::Element *xe = root.FirstChild("exec"))
-  {
-    vp::exec::ExecConfig cfg = vp::exec::GetConfig();
-    if (!std::getenv("VP_EXEC"))
-    {
+      if (!rows.Touched(AttrsOf{root}))
+        return;
+      auto cfg = get();
+      rows.Merge(cfg, AttrsOf{root});
       try
       {
-        cfg.ExecMode = vp::exec::ModeFromName(
-          xe->Attribute("mode", vp::exec::ModeName(cfg.ExecMode)));
+        ApplyExtra(cfg, root);
+        configure(cfg);
       }
       catch (const std::invalid_argument &e)
       {
-        throw std::runtime_error(std::string("ConfigurableAnalysis: <exec> ") +
-                                 e.what());
+        throw std::runtime_error(std::string("ConfigurableAnalysis: <") +
+                                 name + "> " + e.what());
       }
-    }
-    const long long threads =
-      xe->AttributeInt("threads", static_cast<long long>(cfg.Threads));
-    if (threads < 0)
-      throw std::runtime_error(
-        "ConfigurableAnalysis: <exec> threads must be >= 0 (0 means auto)");
-    cfg.Threads = static_cast<int>(threads);
-    const long long grain = xe->AttributeInt(
-      "shard_grain", static_cast<long long>(cfg.ShardGrain));
-    if (grain < 1)
-      throw std::runtime_error(
-        "ConfigurableAnalysis: <exec> shard_grain must be >= 1");
-    cfg.ShardGrain = static_cast<std::size_t>(grain);
-    vp::exec::Configure(cfg);
-  }
+    });
 
-  // optional <graph> element turns on captured step-graph execution
-  // (capture a step's device DAG once, replay it with pointer rebinding
-  // on later steps). VP_GRAPH in the environment wins over the XML so
-  // command lines can force either mode.
-  if (const sxml::Element *ge = root.FirstChild("graph"))
+  // the <sched> policy is every analysis's default policy
+  if (root.FirstChild("sched"))
   {
-    vp::graph::GraphConfig cfg = vp::graph::GetConfig();
-    const vp::graph::GraphConfig env = vp::graph::DefaultConfig();
-    cfg.Enabled = std::getenv("VP_GRAPH") ? env.Enabled
-                                          : ge->AttributeBool("enabled", true);
-    const long long maxNodes = ge->AttributeInt(
-      "max_nodes", static_cast<long long>(cfg.MaxNodes));
-    if (maxNodes < 1)
-      throw std::runtime_error(
-        "ConfigurableAnalysis: <graph> max_nodes must be >= 1");
-    cfg.MaxNodes = static_cast<std::size_t>(maxNodes);
-    cfg.RepinThreshold =
-      ge->AttributeDouble("repin_threshold", cfg.RepinThreshold);
-    if (cfg.RepinThreshold < 0.0)
-      throw std::runtime_error(
-        "ConfigurableAnalysis: <graph> repin_threshold must be >= 0");
-    vp::graph::Configure(cfg);
-  }
-
-  // optional <layout> element selects the process-wide default array
-  // storage layout (aos | soa | aosoa, plus the AoSoA block size) and
-  // whether kernels may take their vectorized (floating-point
-  // reassociating) variants. VP_LAYOUT / VP_SIMD in the environment win
-  // over the XML, mirroring the VP_EXEC convention; per-analysis
-  // layout= attributes override the default per back end.
-  if (const sxml::Element *le = root.FirstChild("layout"))
-  {
-    vp::layout::LayoutConfig cfg = vp::layout::GetConfig();
-    try
-    {
-      if (!std::getenv("VP_LAYOUT"))
-      {
-        std::size_t block = cfg.Block;
-        cfg.Default = vp::layout::KindFromName(
-          le->Attribute("default",
-                        vp::layout::KindName(cfg.Default)), &block);
-        cfg.Block = block;
-        const long long blk = le->AttributeInt(
-          "block", static_cast<long long>(cfg.Block));
-        if (blk < 2 || blk > 65536)
-          throw std::invalid_argument("block must be in [2, 65536]");
-        cfg.Block = static_cast<std::size_t>(blk);
-      }
-      if (!std::getenv("VP_SIMD"))
-        cfg.Simd = le->AttributeBool("simd", cfg.Simd);
-      vp::layout::Configure(cfg);
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(std::string("ConfigurableAnalysis: <layout> ") +
-                               e.what());
-    }
-  }
-
-  // optional <compress> element configures the process-wide default
-  // codec for bulk payloads (in transit frames, binary snapshots);
-  // per-analysis compress= attributes override it
-  if (const sxml::Element *ke = root.FirstChild("compress"))
-  {
-    cmp::Config cfg = cmp::GetConfig();
-    cfg.Enabled = ke->AttributeBool("enabled", true);
-    try
-    {
-      cfg.Default.Codec = cmp::CodecIdFromName(
-        ke->Attribute("codec", cmp::CodecName(cfg.Default.Codec)));
-      cfg.Default.Level =
-        static_cast<int>(ke->AttributeInt("level", cfg.Default.Level));
-      cfg.Default.ErrorBound =
-        ke->AttributeDouble("error_bound", cfg.Default.ErrorBound);
-      cmp::Configure(cfg);
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(
-        std::string("ConfigurableAnalysis: <compress> ") + e.what());
-    }
-  }
-
-  // optional <service> element configures the multi-tenant in-transit
-  // service (pool size, per-session flow control, heartbeat budget,
-  // optional server-side codec override). VP_SVC_* environment
-  // variables win over the XML, mirroring the VP_EXEC convention.
-  if (const sxml::Element *ve = root.FirstChild("service"))
-  {
-    svc::ServiceConfig cfg = svc::GetConfig();
-    try
-    {
-      if (!std::getenv("VP_SVC_MAX_SESSIONS"))
-        cfg.MaxSessions = static_cast<int>(
-          ve->AttributeInt("max_sessions", cfg.MaxSessions));
-      if (!std::getenv("VP_SVC_WORKERS"))
-        cfg.Workers =
-          static_cast<int>(ve->AttributeInt("workers", cfg.Workers));
-      if (!std::getenv("VP_SVC_QUEUE_DEPTH"))
-        cfg.QueueDepth = static_cast<long>(
-          ve->AttributeInt("queue_depth", cfg.QueueDepth));
-      if (!std::getenv("VP_SVC_BACKPRESSURE"))
-        cfg.Pressure = sched::BackpressureFromName(ve->Attribute(
-          "backpressure", sched::BackpressureName(cfg.Pressure)));
-      if (!std::getenv("VP_SVC_POLICY"))
-        cfg.Policy = sched::PolicyKindFromName(
-          ve->Attribute("policy", sched::PolicyKindName(cfg.Policy)));
-      if (!std::getenv("VP_SVC_HEARTBEAT_MS"))
-        cfg.HeartbeatMs = static_cast<int>(
-          ve->AttributeInt("heartbeat_ms", cfg.HeartbeatMs));
-      cfg.MissedHeartbeats = static_cast<int>(
-        ve->AttributeInt("missed_heartbeats", cfg.MissedHeartbeats));
-      cfg.RingBytes = static_cast<std::size_t>(ve->AttributeInt(
-        "ring_bytes", static_cast<long long>(cfg.RingBytes)));
-      cfg.MaxChunkBytes = static_cast<std::size_t>(ve->AttributeInt(
-        "max_chunk_bytes", static_cast<long long>(cfg.MaxChunkBytes)));
-      if (const char *env = std::getenv("VP_SVC_CODEC"))
-      {
-        cfg.HaveCodecOverride = true;
-        cfg.CodecOverride.Codec = cmp::CodecIdFromName(env);
-      }
-      else if (ve->HasAttribute("codec"))
-      {
-        cfg.HaveCodecOverride = true;
-        cfg.CodecOverride.Codec =
-          cmp::CodecIdFromName(ve->Attribute("codec"));
-      }
-      if (cfg.HaveCodecOverride)
-      {
-        cfg.CodecOverride.Level = static_cast<int>(
-          ve->AttributeInt("codec_level", cfg.CodecOverride.Level));
-        cfg.CodecOverride.ErrorBound = ve->AttributeDouble(
-          "codec_error_bound", cfg.CodecOverride.ErrorBound);
-      }
-
-      // the env overrides proper
-      if (const char *env = std::getenv("VP_SVC_MAX_SESSIONS"))
-        cfg.MaxSessions = std::atoi(env);
-      if (const char *env = std::getenv("VP_SVC_WORKERS"))
-        cfg.Workers = std::atoi(env);
-      if (const char *env = std::getenv("VP_SVC_QUEUE_DEPTH"))
-        cfg.QueueDepth = std::atol(env);
-      if (const char *env = std::getenv("VP_SVC_BACKPRESSURE"))
-        cfg.Pressure = sched::BackpressureFromName(env);
-      if (const char *env = std::getenv("VP_SVC_POLICY"))
-        cfg.Policy = sched::PolicyKindFromName(env);
-      if (const char *env = std::getenv("VP_SVC_HEARTBEAT_MS"))
-        cfg.HeartbeatMs = std::atoi(env);
-
-      svc::Configure(cfg);
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(
-        std::string("ConfigurableAnalysis: <service> ") + e.what());
-    }
-  }
-
-  // optional <viz> element configures the steerable visualization
-  // endpoint: framebuffer resolution, transfer function defaults, the
-  // image-frame codec, the per-viewer push depth (a <service> knob the
-  // viz endpoint rides on), and per-viewer fidelity overrides as
-  // <viewer> children matched by admission order. VP_VIZ_* environment
-  // variables win over the XML, mirroring the VP_SVC_* convention.
-  if (const sxml::Element *ze = root.FirstChild("viz"))
-  {
-    viz::VizConfig cfg = viz::GetConfig();
-    try
-    {
-      if (!std::getenv("VP_VIZ_WIDTH"))
-        cfg.Width = static_cast<std::uint32_t>(
-          ze->AttributeInt("width", cfg.Width));
-      if (!std::getenv("VP_VIZ_HEIGHT"))
-        cfg.Height = static_cast<std::uint32_t>(
-          ze->AttributeInt("height", cfg.Height));
-      if (!std::getenv("VP_VIZ_COLORMAP"))
-        cfg.Map = viz::ColormapFromName(
-          ze->Attribute("colormap", viz::ColormapName(cfg.Map)));
-      if (!std::getenv("VP_VIZ_LOG"))
-        cfg.Log = ze->AttributeBool("log", cfg.Log);
-      if (ze->HasAttribute("range"))
-      {
-        std::vector<std::string> r = SplitList(ze->Attribute("range"));
-        if (r.size() != 2)
-          throw std::runtime_error("<viz> range must be 'lo,hi'");
-        cfg.Lo = std::stod(r[0]);
-        cfg.Hi = std::stod(r[1]);
-        cfg.AutoRange = false;
-      }
-      if (const char *env = std::getenv("VP_VIZ_CODEC"))
-        cfg.Codec.Codec = cmp::CodecIdFromName(env);
-      else if (ze->HasAttribute("codec"))
-        cfg.Codec.Codec = cmp::CodecIdFromName(ze->Attribute("codec"));
-      cfg.Codec.Level = static_cast<int>(
-        ze->AttributeInt("codec_level", cfg.Codec.Level));
-
-      cfg.Viewers.clear();
-      for (const sxml::Element *we : ze->ChildrenNamed("viewer"))
-      {
-        viz::ViewerOverride ov;
-        ov.Width = static_cast<std::uint32_t>(we->AttributeInt("width", 0));
-        ov.Height = static_cast<std::uint32_t>(we->AttributeInt("height", 0));
-        if (we->HasAttribute("codec"))
-        {
-          ov.HaveCodec = true;
-          ov.Codec.Codec = cmp::CodecIdFromName(we->Attribute("codec"));
-        }
-        cfg.Viewers.push_back(ov);
-      }
-
-      // the env overrides proper
-      if (const char *env = std::getenv("VP_VIZ_WIDTH"))
-        cfg.Width = static_cast<std::uint32_t>(std::atoi(env));
-      if (const char *env = std::getenv("VP_VIZ_HEIGHT"))
-        cfg.Height = static_cast<std::uint32_t>(std::atoi(env));
-      if (const char *env = std::getenv("VP_VIZ_COLORMAP"))
-        cfg.Map = viz::ColormapFromName(env);
-      if (const char *env = std::getenv("VP_VIZ_LOG"))
-        cfg.Log = std::atoi(env) != 0;
-
-      viz::Configure(cfg);
-
-      // the frame outbox rides the service layer
-      if (ze->HasAttribute("push_depth"))
-      {
-        svc::ServiceConfig scfg = svc::GetConfig();
-        scfg.PushDepth = static_cast<long>(ze->AttributeInt("push_depth",
-                                                            scfg.PushDepth));
-        svc::Configure(scfg);
-      }
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(std::string("ConfigurableAnalysis: <viz> ") +
-                               e.what());
-    }
-  }
-
-  // optional <fault> element arms the deterministic fault injector
-  if (const sxml::Element *fe = root.FirstChild("fault"))
-  {
-    vp::fault::FaultConfig cfg;
-    cfg.Enabled = fe->AttributeBool("enabled", true);
-    cfg.Seed = static_cast<std::uint64_t>(fe->AttributeInt("seed", 1));
-    cfg.FailAllocNth =
-      static_cast<std::uint64_t>(fe->AttributeInt("fail_alloc_nth", 0));
-    cfg.FailAllocProb = fe->AttributeDouble("fail_alloc_prob", 0.0);
-    cfg.DropEventNth =
-      static_cast<std::uint64_t>(fe->AttributeInt("drop_event_nth", 0));
-    cfg.StreamDelaySeconds = fe->AttributeDouble("stream_delay", 0.0);
-    cfg.DelayNode = static_cast<int>(fe->AttributeInt("delay_node", -1));
-    cfg.DelayDevice = static_cast<int>(fe->AttributeInt("delay_device", -1));
-    cfg.PrematureReuse = fe->AttributeBool("premature_reuse", false);
-    cfg.DropFrameNth =
-      static_cast<std::uint64_t>(fe->AttributeInt("drop_frame_nth", 0));
-    cfg.CrashSendNth =
-      static_cast<std::uint64_t>(fe->AttributeInt("crash_send_nth", 0));
-    cfg.FrameDelaySeconds = fe->AttributeDouble("frame_delay", 0.0);
-    vp::fault::Configure(cfg);
+    this->SchedPolicy_ = sched::GetConfig().Policy;
+    this->HaveSchedPolicy_ = true;
   }
 
   for (const sxml::Element *el : root.ChildrenNamed("analysis"))
@@ -462,69 +238,39 @@ void ConfigurableAnalysis::ApplyCommon(const sxml::Element &el,
   a->SetDeviceStride(static_cast<int>(el.AttributeInt("device_stride", 1)));
   a->SetVerbose(static_cast<int>(el.AttributeInt("verbose", 0)));
 
-  // placement policy: the <sched> element's default, overridable per
-  // analysis with policy="static|least-loaded|cost-model"
+  // the per-analysis overrides; a codec's level and bound default to the
+  // <compress> element's
+  AnalysisOverride ov;
+  const cmp::Params dflt = cmp::GetConfig().Default;
+  ov.Level = dflt.Level;
+  ov.ErrorBound = dflt.ErrorBound;
+  AnalysisRows().Merge(
+    ov, [&el](const char *) { return &el.Attributes(); }, false);
+
   if (this->HaveSchedPolicy_)
     a->SetPlacementPolicy(this->SchedPolicy_);
-  if (el.HasAttribute("policy"))
-  {
-    try
-    {
-      a->SetPlacementPolicy(sched::PolicyKindFromName(el.Attribute("policy")));
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(std::string("ConfigurableAnalysis: ") +
-                               e.what());
-    }
-  }
+  if (ov.Policy >= 0)
+    a->SetPlacementPolicy(static_cast<sched::PolicyKind>(ov.Policy));
 
-  // per-analysis codec override: compress="none|shuffle-rle|delta-varint|
-  // quantize" [+ compress_level, compress_error_bound]. Without the
-  // attribute the back end follows the <compress> element's default.
-  if (el.HasAttribute("compress"))
+  if (ov.Codec >= 0)
   {
-    cmp::Params p = cmp::GetConfig().Default;
-    try
-    {
-      p.Codec = cmp::CodecIdFromName(el.Attribute("compress"));
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(std::string("ConfigurableAnalysis: ") +
-                               e.what());
-    }
-    p.Level = static_cast<int>(el.AttributeInt("compress_level", p.Level));
-    p.ErrorBound = el.AttributeDouble("compress_error_bound", p.ErrorBound);
-    if (p.Codec == cmp::CodecId::Quantize && !(p.ErrorBound > 0.0))
+    if (ov.Codec == static_cast<int>(cmp::CodecId::Quantize) &&
+        !(ov.ErrorBound > 0.0))
       throw std::runtime_error(
         "ConfigurableAnalysis: compress=\"quantize\" needs a positive "
         "compress_error_bound");
-    a->SetCompression(p);
+    a->SetCompression(
+      {static_cast<cmp::CodecId>(ov.Codec), ov.Level, ov.ErrorBound});
   }
 
-  // per-analysis array layout override: layout="aos|soa|aosoa|aosoa<B>"
-  // [+ layout_block]. Without the attribute the back end follows the
-  // <layout> element's process-wide default.
-  if (el.HasAttribute("layout"))
+  if (ov.Layout >= 0)
   {
-    try
-    {
-      std::size_t block = 0;
-      const vp::layout::Kind k =
-        vp::layout::KindFromName(el.Attribute("layout"), &block);
-      const long long blk = el.AttributeInt(
-        "layout_block", static_cast<long long>(block));
-      if (blk < 0 || blk == 1 || blk > 65536)
-        throw std::invalid_argument(
-          "layout_block must be in [2, 65536] (or 0 for the default)");
-      a->SetArrayLayout(k, static_cast<std::size_t>(blk));
-    }
-    catch (const std::invalid_argument &e)
-    {
-      throw std::runtime_error(std::string("ConfigurableAnalysis: ") +
-                               e.what());
-    }
+    if (ov.LayoutBlock == 1)
+      throw std::runtime_error(
+        "ConfigurableAnalysis: layout_block must be in [2, 65536] (or 0 for "
+        "the default)");
+    a->SetArrayLayout(static_cast<vp::layout::Kind>(ov.Layout),
+                      ov.LayoutBlock);
   }
 }
 

@@ -34,9 +34,18 @@
 /// "cost-model"; overridable per analysis with a policy attribute) and
 /// the bounded asynchronous pipeline (queue_depth, 0 = unbounded;
 /// backpressure = "block" | "drop-oldest" | "coalesce"; real_threads).
+///
+/// Every subsystem element (<pool>, <check>, <sched>, <exec>, <graph>,
+/// <layout>, <compress>, <service>, <viz>, <fault>) is read through the
+/// rows its subsystem declares (vpKnob.h): the environment variable beats
+/// the attribute, the attribute beats the current value, and a value that
+/// does not parse or is out of range throws std::runtime_error.
 
 #include "senseiAnalysisAdaptor.h"
+#include "vpKnob.h"
 
+#include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -47,6 +56,44 @@ class Element;
 
 namespace sensei
 {
+
+/// The attributes an <analysis> element overrides the run-wide defaults
+/// with: policy= (the <sched> policy), compress= with compress_level and
+/// compress_error_bound (the <compress> codec), and layout= with
+/// layout_block (the <layout> default). -1 means "not set": the analysis
+/// follows the run-wide default.
+struct AnalysisOverride
+{
+  int Policy = -1;             ///< sched::PolicyKind when >= 0
+  int Codec = -1;              ///< cmp::CodecId when >= 0
+  int Level = 1;               ///< codec level when Codec >= 0
+  double ErrorBound = 0.0;     ///< quantize bound when Codec >= 0
+  int Layout = -1;             ///< vp::layout::Kind when >= 0
+  std::size_t LayoutBlock = 0; ///< AoSoA block when Layout >= 0; 0 = default
+
+  bool IsDefault() const
+  {
+    return this->Policy < 0 && this->Codec < 0 && this->Layout < 0;
+  }
+};
+
+/// The <analysis> override rows.
+const vp::knob::Table<AnalysisOverride> &AnalysisRows();
+
+/// The lookup the knob rows merge a document from: the attributes of the
+/// root's first child named `element`, or nullptr when it has none.
+struct AttrsOf
+{
+  const sxml::Element &Root;
+  const vp::knob::Attrs *operator()(const char *element) const;
+};
+
+/// Reset configuration sections to their defaults, each config struct's
+/// defaults with the environment applied. Sections are named by element
+/// ("pool", "check", "sched", "exec", "graph", "layout", "compress",
+/// "service", "viz", "fault"); no names resets every section. Throws
+/// std::invalid_argument on an unknown name.
+void ResetConfig(std::initializer_list<std::string> sections = {});
 
 class ConfigurableAnalysis : public AnalysisAdaptor
 {

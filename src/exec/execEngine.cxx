@@ -3,7 +3,6 @@
 #include "vpChecker.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -14,38 +13,36 @@ namespace exec
 
 // --- configuration -------------------------------------------------------
 
+const vp::knob::Spellings &ModeNames()
+{
+  static const vp::knob::Spellings names = {{"serial", 0}, {"threads", 1}};
+  return names;
+}
+
 Mode ModeFromName(const std::string &name)
 {
-  if (name == "serial")
-    return Mode::Serial;
-  if (name == "threads")
-    return Mode::Threads;
-  throw std::invalid_argument("unknown exec mode \"" + name +
-                              "\" (expected serial or threads)");
+  return vp::knob::FromName<Mode>(ModeNames(), name, "unknown exec mode");
 }
 
 const char *ModeName(Mode m)
 {
-  return m == Mode::Threads ? "threads" : "serial";
+  return vp::knob::NameOf(ModeNames(), static_cast<int>(m));
+}
+
+const vp::knob::Table<ExecConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  static const Table<ExecConfig> rows({
+    Enum<&ExecConfig::ExecMode>("exec", "mode", ModeNames(), "VP_EXEC"),
+    Int<&ExecConfig::Threads>("exec", "threads", 0, 1024, "VP_EXEC_THREADS"),
+    Int<&ExecConfig::ShardGrain>("exec", "shard_grain", 1, kMaxInt),
+  });
+  return rows;
 }
 
 ExecConfig DefaultConfig()
 {
-  ExecConfig cfg;
-  // lenient: an unrecognized VP_EXEC value falls back to the bit-exact
-  // serial path rather than aborting a whole campaign
-  if (const char *e = std::getenv("VP_EXEC"))
-  {
-    if (std::string(e) == "threads")
-      cfg.ExecMode = Mode::Threads;
-  }
-  if (const char *t = std::getenv("VP_EXEC_THREADS"))
-  {
-    const int n = std::atoi(t);
-    if (n > 0)
-      cfg.Threads = n;
-  }
-  return cfg;
+  return ConfigRows().Defaults();
 }
 
 namespace
@@ -102,10 +99,7 @@ int AutoPoolThreads()
 
 void Configure(const ExecConfig &cfg)
 {
-  if (cfg.Threads < 0)
-    throw std::invalid_argument("exec: Threads must be >= 0");
-  if (cfg.ShardGrain < 1)
-    throw std::invalid_argument("exec: ShardGrain must be >= 1");
+  ConfigRows().Validate(cfg);
 
   {
     std::lock_guard<std::mutex> lock(CfgMutex());

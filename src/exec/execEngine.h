@@ -30,6 +30,8 @@
 /// submission and publishes a join token consumed by whoever waits out
 /// its fence.
 
+#include "vpKnob.h"
+
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -58,6 +60,9 @@ enum class Mode : int
   Threads     ///< per-device worker queues + sharded host regions
 };
 
+/// The spellings of Mode ("serial", "threads").
+const vp::knob::Spellings &ModeNames();
+
 /// Parse "serial" / "threads"; throws std::invalid_argument otherwise.
 Mode ModeFromName(const std::string &name);
 
@@ -78,12 +83,16 @@ struct ExecConfig
   }
 };
 
-/// The configuration the environment selects: VP_EXEC picks the mode,
-/// VP_EXEC_THREADS the pool width (both optional; serial otherwise).
+/// The `<exec>` rows: mode (VP_EXEC), threads (VP_EXEC_THREADS) and
+/// shard_grain.
+const vp::knob::Table<ExecConfig> &ConfigRows();
+
+/// The defaults with the environment applied (serial unless VP_EXEC
+/// says threads); throws std::runtime_error on a malformed variable.
 ExecConfig DefaultConfig();
 
 /// Replace the process-wide configuration. Quiesces in-flight work
-/// first; validated (Threads >= 0, ShardGrain >= 1). A no-op when the
+/// first; validated against the rows' ranges. A no-op when the
 /// configuration is unchanged, so concurrent identical calls (e.g. the
 /// same XML parsed on every rank) are cheap and safe.
 void Configure(const ExecConfig &cfg);

@@ -29,26 +29,8 @@ std::mutex &ConfigMutex()
 
 GraphConfig &ConfigStorage()
 {
-  static GraphConfig cfg;
+  static GraphConfig cfg = DefaultConfig();
   return cfg;
-}
-
-bool &ConfigInitialized()
-{
-  static bool init = false;
-  return init;
-}
-
-/// Environment flag: unset -> dflt; "0"/"off"/"false"/"no" -> false;
-/// anything else -> true.
-bool EnvFlag(const char *name, bool dflt)
-{
-  const char *v = std::getenv(name);
-  if (!v || !*v)
-    return dflt;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "OFF") == 0 || std::strcmp(v, "false") == 0 ||
-           std::strcmp(v, "FALSE") == 0 || std::strcmp(v, "no") == 0);
 }
 
 struct AtomicStats
@@ -92,34 +74,32 @@ double ReplayCopyBandwidth(const CostModel &cost, CopyKind kind,
 
 } // namespace
 
+const vp::knob::Table<GraphConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  static const Table<GraphConfig> rows({
+    Bool<&GraphConfig::Enabled>("graph", "enabled", "VP_GRAPH").Implies("1"),
+    Int<&GraphConfig::MaxNodes>("graph", "max_nodes", 1, kMaxInt,
+                                "VP_GRAPH_MAX_NODES"),
+    Real<&GraphConfig::RepinThreshold>("graph", "repin_threshold", 0, kInf),
+  });
+  return rows;
+}
+
 GraphConfig DefaultConfig()
 {
-  GraphConfig cfg;
-  cfg.Enabled = EnvFlag("VP_GRAPH", cfg.Enabled);
-  if (const char *v = std::getenv("VP_GRAPH_MAX_NODES"))
-  {
-    const long n = std::atol(v);
-    if (n > 0)
-      cfg.MaxNodes = static_cast<std::size_t>(n);
-  }
-  return cfg;
+  return ConfigRows().Defaults();
 }
 
 void Configure(const GraphConfig &cfg)
 {
   std::lock_guard<std::mutex> lock(ConfigMutex());
   ConfigStorage() = cfg;
-  ConfigInitialized() = true;
 }
 
 GraphConfig GetConfig()
 {
   std::lock_guard<std::mutex> lock(ConfigMutex());
-  if (!ConfigInitialized())
-  {
-    ConfigStorage() = DefaultConfig();
-    ConfigInitialized() = true;
-  }
   return ConfigStorage();
 }
 

@@ -18,6 +18,7 @@
 /// with eager execution in all cases.
 
 #include "vpCaptureSink.h"
+#include "vpKnob.h"
 #include "vpPlatform.h"
 #include "vpStream.h"
 #include "vpTypes.h"
@@ -44,8 +45,11 @@ struct GraphConfig
   double RepinThreshold = 2.0e-3;
 };
 
-/// Configuration seeded from the environment: VP_GRAPH (1/on/true enables,
-/// 0/off/false disables), VP_GRAPH_MAX_NODES.
+/// The `<graph>` rows: enabled (VP_GRAPH; a bare element means enabled),
+/// max_nodes (VP_GRAPH_MAX_NODES) and repin_threshold.
+const vp::knob::Table<GraphConfig> &ConfigRows();
+
+/// The defaults with the environment applied.
 GraphConfig DefaultConfig();
 
 /// Install a configuration (tests, ConfigurableAnalysis <graph> element).

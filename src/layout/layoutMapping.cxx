@@ -13,17 +13,21 @@ namespace layout
 
 // --- names -------------------------------------------------------------------
 
+const vp::knob::Spellings &KindNames()
+{
+  static const vp::knob::Spellings names = {
+    {"aos", 0}, {"interleaved", 0}, {"soa", 1}, {"planar", 1}, {"aosoa", 2}};
+  return names;
+}
+
 Kind KindFromName(const std::string &name, std::size_t *block)
 {
-  if (name == "aos" || name == "interleaved")
-    return Kind::AoS;
-  if (name == "soa" || name == "planar")
-    return Kind::SoA;
+  const int v = vp::knob::Lookup(KindNames(), name);
+  if (v >= 0)
+    return static_cast<Kind>(v);
   if (name.rfind("aosoa", 0) == 0)
   {
     const std::string tail = name.substr(5);
-    if (tail.empty())
-      return Kind::AoSoA;
     for (char c : tail)
       if (!std::isdigit(static_cast<unsigned char>(c)))
         throw std::invalid_argument("vp::layout: bad layout name '" + name +
@@ -42,16 +46,7 @@ Kind KindFromName(const std::string &name, std::size_t *block)
 
 const char *KindName(Kind k)
 {
-  switch (k)
-  {
-    case Kind::AoS:
-      return "aos";
-    case Kind::SoA:
-      return "soa";
-    case Kind::AoSoA:
-      return "aosoa";
-  }
-  return "unknown";
+  return vp::knob::NameOf(KindNames(), static_cast<int>(k));
 }
 
 std::string KindName(Kind k, std::size_t block)
@@ -165,13 +160,6 @@ LayoutConfig &GlobalConfig()
   return cfg;
 }
 
-void Validate(const LayoutConfig &cfg)
-{
-  if (cfg.Block < 2 || cfg.Block > 65536)
-    throw std::invalid_argument(
-      "vp::layout::Configure: block must be in [2, 65536]");
-}
-
 struct AtomicStats
 {
   std::atomic<std::uint64_t> Conversions{0};
@@ -191,23 +179,27 @@ AtomicStats &GlobalStats()
 
 } // namespace
 
+const vp::knob::Table<LayoutConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  static const Table<LayoutConfig> rows({
+    Enum<&LayoutConfig::Default>("layout", "default", KindNames(), "VP_LAYOUT")
+      .Parses([](LayoutConfig &c, const std::string &text)
+              { c.Default = KindFromName(text, &c.Block); }),
+    Int<&LayoutConfig::Block>("layout", "block", 2, 65536),
+    Bool<&LayoutConfig::Simd>("layout", "simd", "VP_SIMD"),
+  });
+  return rows;
+}
+
 LayoutConfig DefaultConfig()
 {
-  LayoutConfig cfg;
-  if (const char *env = std::getenv("VP_LAYOUT"))
-  {
-    std::size_t block = cfg.Block;
-    cfg.Default = KindFromName(env, &block);
-    cfg.Block = block;
-  }
-  if (const char *env = std::getenv("VP_SIMD"))
-    cfg.Simd = env[0] && env[0] != '0';
-  return cfg;
+  return ConfigRows().Defaults();
 }
 
 void Configure(const LayoutConfig &cfg)
 {
-  Validate(cfg);
+  ConfigRows().Validate(cfg);
   std::lock_guard<std::mutex> lock(StateMutex());
   GlobalConfig() = cfg;
 }

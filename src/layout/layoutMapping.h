@@ -31,6 +31,8 @@
 /// bit-exact with the seed timeline; the SIMD variants reassociate
 /// floating-point accumulation and are therefore opt-in.
 
+#include "vpKnob.h"
+
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -47,6 +49,10 @@ enum class Kind : int
   SoA,     ///< one contiguous plane per component
   AoSoA    ///< blocks of `Block` tuples, component-contiguous per block
 };
+
+/// The plain spellings of Kind ("aos"/"interleaved", "soa"/"planar",
+/// "aosoa"); KindFromName also takes "aosoa<B>".
+const vp::knob::Spellings &KindNames();
 
 /// Parse "aos" / "soa" / "aosoa" / "aosoa<B>" (e.g. "aosoa16"). When a
 /// block size is embedded it is written to *block (left untouched
@@ -118,10 +124,12 @@ struct LayoutConfig
   }
 };
 
-/// The configuration the environment selects: VP_LAYOUT names the
-/// default Kind ("aos" | "soa" | "aosoa" | "aosoa<B>"), VP_SIMD enables
-/// the vectorized kernel variants (both optional; AoS + scalar
-/// otherwise).
+/// The `<layout>` rows: default (VP_LAYOUT, "aos" | "soa" | "aosoa" |
+/// "aosoa<B>"; an embedded block size sets Block), block, and simd
+/// (VP_SIMD).
+const vp::knob::Table<LayoutConfig> &ConfigRows();
+
+/// The defaults with the environment applied (AoS + scalar otherwise).
 LayoutConfig DefaultConfig();
 
 /// Replace the process-wide configuration. Validated: Block must be in

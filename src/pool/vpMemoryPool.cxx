@@ -259,6 +259,18 @@ PoolManager::PoolManager()
   Platform::AtInitialize([]() { PoolManager::Get().ReleaseAll(); });
 }
 
+const knob::Table<PoolConfig> &PoolConfigRows()
+{
+  using namespace knob;
+  static const Table<PoolConfig> rows({
+    Bool<&PoolConfig::Enabled>("pool", "enabled"),
+    Int<&PoolConfig::MaxCachedBytes>("pool", "max_cached_bytes", 0, kMaxInt),
+    Real<&PoolConfig::TrimThreshold>("pool", "trim_threshold", 0, 1),
+    Int<&PoolConfig::MinBlockBytes>("pool", "min_block_bytes", 1, 1 << 30),
+  });
+  return rows;
+}
+
 PoolManager &PoolManager::Get()
 {
   static PoolManager instance;

@@ -31,6 +31,7 @@
 /// peaks, and internal fragmentation; sensei::ExportPoolStats publishes
 /// the block through the profiler.
 
+#include "vpKnob.h"
 #include "vpMemory.h"
 #include "vpPlatform.h"
 #include "vpStream.h"
@@ -65,6 +66,9 @@ struct PoolConfig
   /// least this many bytes.
   std::size_t MinBlockBytes = 256;
 };
+
+/// The `<pool>` rows (no variables).
+const knob::Table<PoolConfig> &PoolConfigRows();
 
 /// Counter block for one pool (or an aggregate over pools).
 struct PoolStats

@@ -38,9 +38,7 @@ SchedConfig &ConfigStorage()
 
 void Configure(const SchedConfig &cfg)
 {
-  if (cfg.QueueDepth < 0)
-    throw std::invalid_argument("sched: queue_depth must be >= 0 (0 means "
-                                "unbounded)");
+  ConfigRows().Validate(cfg);
   std::lock_guard<std::mutex> lock(ConfigMutex());
   ConfigStorage() = cfg;
 }
@@ -51,26 +49,35 @@ SchedConfig GetConfig()
   return ConfigStorage();
 }
 
+const vp::knob::Spellings &BackpressureNames()
+{
+  static const vp::knob::Spellings names = {
+    {"block", 0}, {"drop-oldest", 1}, {"drop_oldest", 1}, {"coalesce", 2}};
+  return names;
+}
+
 Backpressure BackpressureFromName(const std::string &name)
 {
-  if (name == "block" || name.empty())
-    return Backpressure::Block;
-  if (name == "drop-oldest" || name == "drop_oldest")
-    return Backpressure::DropOldest;
-  if (name == "coalesce")
-    return Backpressure::Coalesce;
-  throw std::invalid_argument("unknown backpressure policy '" + name + "'");
+  return vp::knob::FromName<Backpressure>(BackpressureNames(), name,
+                                          "unknown backpressure policy");
 }
 
 const char *BackpressureName(Backpressure b)
 {
-  switch (b)
-  {
-    case Backpressure::Block: return "block";
-    case Backpressure::DropOldest: return "drop-oldest";
-    case Backpressure::Coalesce: return "coalesce";
-  }
-  return "unknown";
+  return vp::knob::NameOf(BackpressureNames(), static_cast<int>(b));
+}
+
+const vp::knob::Table<SchedConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  static const Table<SchedConfig> rows({
+    Enum<&SchedConfig::Policy>("sched", "policy", PolicyNames()),
+    Int<&SchedConfig::QueueDepth>("sched", "queue_depth", 0, kMaxInt),
+    Enum<&SchedConfig::Pressure>("sched", "backpressure",
+                                 BackpressureNames()),
+    Bool<&SchedConfig::RealThreads>("sched", "real_threads"),
+  });
+  return rows;
 }
 
 // --- stats ------------------------------------------------------------------

@@ -59,6 +59,9 @@ enum class Backpressure : int
   Coalesce    ///< the newest queued task is replaced by the incoming one
 };
 
+/// The spellings of Backpressure.
+const vp::knob::Spellings &BackpressureNames();
+
 /// Parse a backpressure name ("block", "drop-oldest"/"drop_oldest",
 /// "coalesce"). Throws std::invalid_argument on unknown names.
 Backpressure BackpressureFromName(const std::string &name);
@@ -75,7 +78,11 @@ struct SchedConfig
   bool RealThreads = false; ///< run consumers on real std::threads
 };
 
-/// Replace the process-wide configuration (validated: QueueDepth >= 0).
+/// The `<sched>` rows (no variables). The policy is also the default of
+/// every analysis's policy= attribute.
+const vp::knob::Table<SchedConfig> &ConfigRows();
+
+/// Replace the process-wide configuration (validated against the rows).
 void Configure(const SchedConfig &cfg);
 
 /// The active configuration.

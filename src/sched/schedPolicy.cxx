@@ -180,26 +180,23 @@ public:
 
 } // namespace
 
+const vp::knob::Spellings &PolicyNames()
+{
+  static const vp::knob::Spellings names = {
+    {"static", 0},     {"least-loaded", 1}, {"least_loaded", 1},
+    {"cost-model", 2}, {"cost_model", 2}};
+  return names;
+}
+
 PolicyKind PolicyKindFromName(const std::string &name)
 {
-  if (name == "static" || name.empty())
-    return PolicyKind::Static;
-  if (name == "least-loaded" || name == "least_loaded")
-    return PolicyKind::LeastLoaded;
-  if (name == "cost-model" || name == "cost_model")
-    return PolicyKind::CostModel;
-  throw std::invalid_argument("unknown placement policy '" + name + "'");
+  return vp::knob::FromName<PolicyKind>(PolicyNames(), name,
+                                        "unknown placement policy");
 }
 
 const char *PolicyKindName(PolicyKind k)
 {
-  switch (k)
-  {
-    case PolicyKind::Static: return "static";
-    case PolicyKind::LeastLoaded: return "least-loaded";
-    case PolicyKind::CostModel: return "cost-model";
-  }
-  return "unknown";
+  return vp::knob::NameOf(PolicyNames(), static_cast<int>(k));
 }
 
 PlacementPolicy &GetPolicy(PolicyKind k)

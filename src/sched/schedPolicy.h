@@ -27,6 +27,8 @@
 /// vp::DeviceLoadTracker, which every decision updates so that
 /// concurrent ranks see each other's assignments within a step.
 
+#include "vpKnob.h"
+
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -41,6 +43,9 @@ enum class PolicyKind : int
   LeastLoaded, ///< smallest backlog among the Eq. 1 candidate set
   CostModel    ///< earliest predicted completion via vpCostModel
 };
+
+/// The spellings of PolicyKind.
+const vp::knob::Spellings &PolicyNames();
 
 /// Parse a policy name ("static", "least-loaded"/"least_loaded",
 /// "cost-model"/"cost_model"). Throws std::invalid_argument on unknown

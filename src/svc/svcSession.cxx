@@ -7,12 +7,47 @@
 namespace svc
 {
 
+const vp::knob::Table<ServiceConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  using S = ServiceConfig;
+  using P = cmp::Params;
+  static const Table<ServiceConfig> rows({
+    Int<&S::MaxSessions>("service", "max_sessions", 1, 1024,
+                         "VP_SVC_MAX_SESSIONS"),
+    Int<&S::Workers>("service", "workers", 1, 1024, "VP_SVC_WORKERS"),
+    Int<&S::QueueDepth>("service", "queue_depth", 0, kMaxInt,
+                        "VP_SVC_QUEUE_DEPTH"),
+    Enum<&S::Pressure>("service", "backpressure", sched::BackpressureNames(),
+                       "VP_SVC_BACKPRESSURE"),
+    Enum<&S::Policy>("service", "policy", sched::PolicyNames(),
+                     "VP_SVC_POLICY"),
+    Int<&S::HeartbeatMs>("service", "heartbeat_ms", 1, kMaxInt32,
+                         "VP_SVC_HEARTBEAT_MS"),
+    Int<&S::MissedHeartbeats>("service", "missed_heartbeats", 1, kMaxInt32),
+    Int<&S::RingBytes>("service", "ring_bytes", 1, 1 << 30),
+    Int<&S::MaxChunkBytes>("service", "max_chunk_bytes", 1, 1 << 30),
+    Enum<&S::CodecOverride, &P::Codec>("service", "codec", cmp::CodecNames(),
+                                       "VP_SVC_CODEC")
+      .Parses([](S &c, const std::string &text)
+              {
+                c.CodecOverride.Codec = cmp::CodecIdFromName(text);
+                c.HaveCodecOverride = true;
+              }),
+    Int<&S::CodecOverride, &P::Level>("service", "codec_level", 0, 9),
+    Real<&S::CodecOverride, &P::ErrorBound>("service", "codec_error_bound", 0,
+                                            kInf),
+    Int<&S::PushDepth>("viz", "push_depth", 1, kMaxInt),
+  });
+  return rows;
+}
+
 namespace
 {
 struct Global
 {
   std::mutex Mutex;
-  ServiceConfig Config;
+  ServiceConfig Config = ConfigRows().Defaults();
   ServiceStats Counts;
 };
 
@@ -25,18 +60,7 @@ Global &Self()
 
 void Configure(const ServiceConfig &cfg)
 {
-  if (cfg.MaxSessions < 1)
-    throw std::invalid_argument("svc: max_sessions must be >= 1");
-  if (cfg.Workers < 1)
-    throw std::invalid_argument("svc: workers must be >= 1");
-  if (cfg.QueueDepth < 0)
-    throw std::invalid_argument("svc: queue_depth must be >= 0");
-  if (cfg.HeartbeatMs < 1)
-    throw std::invalid_argument("svc: heartbeat_ms must be >= 1");
-  if (cfg.MissedHeartbeats < 1)
-    throw std::invalid_argument("svc: missed_heartbeats must be >= 1");
-  if (cfg.PushDepth < 1)
-    throw std::invalid_argument("svc: push_depth must be >= 1");
+  ConfigRows().Validate(cfg);
   if (cfg.HaveCodecOverride &&
       cfg.CodecOverride.Codec == cmp::CodecId::Quantize &&
       cfg.CodecOverride.ErrorBound <= 0.0)

@@ -46,6 +46,12 @@ struct ServiceConfig
   cmp::Params CodecOverride;      ///< the forced codec when overridden
 };
 
+/// The `<service>` rows, VP_SVC_* variables included, plus the viewer
+/// push depth, which `<viz push_depth>` sets. A codec (attribute or
+/// VP_SVC_CODEC) turns the server-side codec override on. The initial
+/// configuration is the defaults with the variables applied.
+const vp::knob::Table<ServiceConfig> &ConfigRows();
+
 /// Replace the process-wide configuration (validated; throws
 /// std::invalid_argument on nonsense).
 void Configure(const ServiceConfig &cfg);

@@ -4,9 +4,9 @@
 #include "graphCapture.h"
 #include "newtonDriver.h"
 #include "schedPipeline.h"
-#include "schedPolicy.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 namespace tune
@@ -87,110 +87,69 @@ bool OnlineTuner::ProposeNext(double metric)
   const sched::SchedConfig sc = sched::GetConfig();
   const vp::exec::ExecConfig xc = vp::exec::GetConfig();
 
-  auto makeMove = [&](std::size_t kind) -> Move
+  // a move setting one row of config `cur` to `next` (named and spelled
+  // as the row spells it), reverting to `cur`; none when nothing changes
+  auto setRow = [](const auto &rows, const char *attribute, const auto &cur,
+                   double next, auto put)
   {
     Move m;
+    for (const auto &r : rows)
+      if (std::strcmp(r.Attribute, attribute) == 0 && r.Get(cur) != next)
+      {
+        auto c = cur;
+        r.Set(c, next);
+        m.Name = r.Name() + " " + r.Text(r.Get(cur)) + " -> " + r.Text(next);
+        m.Apply = [c, put]() { put(c); };
+        m.Revert = [cur, put]() { put(cur); };
+      }
+    return m;
+  };
+
+  auto makeMove = [&](std::size_t kind) -> Move
+  {
+    const long maxDepth = this->Cfg_.MaxQueueDepth;
     switch (kind)
     {
       case 0: // deepen the queue (more in-flight payloads)
-      {
-        const long next = DeeperDepth(sc.QueueDepth, this->Cfg_.MaxQueueDepth);
-        if (next == sc.QueueDepth)
-          break;
-        m.Name = "sched.queue_depth " + std::to_string(sc.QueueDepth) +
-                 " -> " + std::to_string(next);
-        m.Apply = [sc, next]()
-        {
-          sched::SchedConfig c = sc;
-          c.QueueDepth = next;
-          sched::Configure(c);
-        };
-        m.Revert = [sc]() { sched::Configure(sc); };
-        break;
-      }
+        return setRow(sched::ConfigRows(), "queue_depth", sc,
+                      DeeperDepth(sc.QueueDepth, maxDepth), sched::Configure);
       case 1: // shallow the queue (less buffered memory, earlier pressure)
-      {
-        const long next =
-          ShallowerDepth(sc.QueueDepth, this->Cfg_.MaxQueueDepth);
-        if (next == sc.QueueDepth)
-          break;
-        m.Name = "sched.queue_depth " + std::to_string(sc.QueueDepth) +
-                 " -> " + std::to_string(next);
-        m.Apply = [sc, next]()
-        {
-          sched::SchedConfig c = sc;
-          c.QueueDepth = next;
-          sched::Configure(c);
-        };
-        m.Revert = [sc]() { sched::Configure(sc); };
-        break;
-      }
+        return setRow(sched::ConfigRows(), "queue_depth", sc,
+                      ShallowerDepth(sc.QueueDepth, maxDepth),
+                      sched::Configure);
       case 2: // next backpressure mode: block -> drop-oldest -> coalesce
-      {
-        const auto next = static_cast<sched::Backpressure>(
-          (static_cast<int>(sc.Pressure) + 1) % 3);
-        m.Name = std::string("sched.backpressure ") +
-                 sched::BackpressureName(sc.Pressure) + " -> " +
-                 sched::BackpressureName(next);
-        m.Apply = [sc, next]()
-        {
-          sched::SchedConfig c = sc;
-          c.Pressure = next;
-          sched::Configure(c);
-        };
-        m.Revert = [sc]() { sched::Configure(sc); };
-        break;
-      }
+        return setRow(sched::ConfigRows(), "backpressure", sc,
+                      (static_cast<int>(sc.Pressure) + 1) % 3,
+                      sched::Configure);
       case 3: // next placement policy (frozen while graphs replay)
       {
         if (!this->Cfg_.AdaptPolicy)
-          break;
+          return Move();
         if (this->GraphActive_)
         {
           ++this->Stats_.PolicyFrozen;
-          break;
+          return Move();
         }
-        const auto next = static_cast<sched::PolicyKind>(
-          (static_cast<int>(sc.Policy) + 1) % 3);
-        m.Name = std::string("sched.policy ") +
-                 sched::PolicyKindName(sc.Policy) + " -> " +
-                 sched::PolicyKindName(next);
-        m.Apply = [sc, next]()
-        {
-          sched::SchedConfig c = sc;
-          c.Policy = next;
-          sched::Configure(c);
-        };
-        m.Revert = [sc]() { sched::Configure(sc); };
+        Move m = setRow(sched::ConfigRows(), "policy", sc,
+                        (static_cast<int>(sc.Policy) + 1) % 3,
+                        sched::Configure);
         m.IsPolicy = true;
-        break;
+        return m;
       }
       case 4: // widen the exec worker pool
       case 5: // narrow it
       {
         if (!this->Cfg_.AdaptExecThreads ||
             xc.ExecMode != vp::exec::Mode::Threads)
-          break;
+          return Move();
         const int cur = std::max(1, xc.Threads);
-        const int next =
-          kind == 4 ? std::min(8, cur * 2) : std::max(1, cur / 2);
-        if (next == cur && !(kind == 5 && xc.Threads == 0))
-          break;
-        m.Name = "exec.threads " + std::to_string(xc.Threads) + " -> " +
-                 std::to_string(next);
-        m.Apply = [xc, next]()
-        {
-          vp::exec::ExecConfig c = xc;
-          c.Threads = next;
-          vp::exec::Configure(c);
-        };
-        m.Revert = [xc]() { vp::exec::Configure(xc); };
-        break;
+        return setRow(vp::exec::ConfigRows(), "threads", xc,
+                      kind == 4 ? std::min(8, cur * 2) : std::max(1, cur / 2),
+                      vp::exec::Configure);
       }
       default:
-        break;
+        return Move();
     }
-    return m;
   };
 
   for (std::size_t tried = 0; tried < this->Cooldown_.size(); ++tried)

@@ -2,7 +2,6 @@
 
 #include "cmpCodec.h"
 #include "schedPipeline.h"
-#include "vpFaultInjector.h"
 #include "senseiProfiler.h"
 #include "sxml.h"
 #include "vpClock.h"
@@ -53,9 +52,7 @@ EvalResult Evaluator::Run(const ConfigPoint &p)
     // workload that armed the injector) can outlive its evaluation — the
     // candidate's XML then specifies every knob explicitly, and a
     // campaign that wants faults arms them through its own ConfigMutator
-    vp::PoolManager::Get().Configure(vp::PoolConfig());
-    cmp::Configure(cmp::Config());
-    vp::fault::Reset();
+    sensei::ResetConfig({"pool", "compress", "fault"});
 
     // score every case from virtual epoch 0: case durations are tiny
     // against an accumulated clock, so `end - start` picks up absolute-

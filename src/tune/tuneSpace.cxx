@@ -1,8 +1,6 @@
 #include "tuneSpace.h"
 
-#include "schedPolicy.h"
 #include "sxml.h"
-#include "vizTransfer.h"
 
 #include <algorithm>
 #include <cmath>
@@ -11,55 +9,6 @@
 
 namespace tune
 {
-
-// --------------------------------------------------------------- equality
-
-bool AnalysisOverride::operator==(const AnalysisOverride &o) const
-{
-  if (this->Policy != o.Policy || this->Codec != o.Codec)
-    return false;
-  // Level/ErrorBound only carry meaning when a codec override is set
-  if (this->Codec >= 0 &&
-      (this->Level != o.Level || this->ErrorBound != o.ErrorBound))
-    return false;
-  return true;
-}
-
-bool ConfigPoint::operator==(const ConfigPoint &o) const
-{
-  if (this->PoolEnabled != o.PoolEnabled ||
-      this->PoolMaxCachedBytes != o.PoolMaxCachedBytes ||
-      this->PoolTrimThreshold != o.PoolTrimThreshold ||
-      this->PoolMinBlockBytes != o.PoolMinBlockBytes ||
-      this->Policy != o.Policy || this->QueueDepth != o.QueueDepth ||
-      this->Pressure != o.Pressure ||
-      this->CompressEnabled != o.CompressEnabled ||
-      this->Codec != o.Codec || this->CompressLevel != o.CompressLevel ||
-      this->CompressErrorBound != o.CompressErrorBound ||
-      this->ExecMode != o.ExecMode || this->ExecThreads != o.ExecThreads ||
-      this->ExecShardGrain != o.ExecShardGrain ||
-      this->GraphEnabled != o.GraphEnabled ||
-      this->GraphMaxNodes != o.GraphMaxNodes ||
-      this->Layout != o.Layout || this->LayoutBlock != o.LayoutBlock ||
-      this->LayoutSimd != o.LayoutSimd ||
-      this->VizResolution != o.VizResolution ||
-      this->VizColormap != o.VizColormap || this->VizCodec != o.VizCodec)
-    return false;
-
-  // overrides compare padded with defaults: a short (or missing) vector is
-  // the same point as one extended with default entries
-  const std::size_t n = std::max(this->Overrides.size(), o.Overrides.size());
-  static const AnalysisOverride def;
-  for (std::size_t i = 0; i < n; ++i)
-  {
-    const AnalysisOverride &a = i < this->Overrides.size()
-                                  ? this->Overrides[i] : def;
-    const AnalysisOverride &b = i < o.Overrides.size() ? o.Overrides[i] : def;
-    if (a != b)
-      return false;
-  }
-  return true;
-}
 
 // ------------------------------------------------------------------ knobs
 
@@ -147,252 +96,140 @@ int OverridePolicy(const ConfigPoint &p, std::size_t i)
   return i < p.Overrides.size() ? p.Overrides[i].Policy : -1;
 }
 
+/// Visit the seven tunable sections: each subsystem's rows with the
+/// ConfigPoint member they set.
+template <class F>
+void ForEachSection(F &&f)
+{
+  f(vp::PoolConfigRows(), &ConfigPoint::Pool);
+  f(sched::ConfigRows(), &ConfigPoint::Sched);
+  f(cmp::ConfigRows(), &ConfigPoint::Compress);
+  f(vp::exec::ConfigRows(), &ConfigPoint::Exec);
+  f(vp::graph::ConfigRows(), &ConfigPoint::Graph);
+  f(vp::layout::ConfigRows(), &ConfigPoint::Layout);
+  f(viz::ConfigRows(), &ConfigPoint::Viz);
+}
+
+/// f(row, member) for the row named `name`.
+template <class F>
+void WithRow(const std::string &name, F &&f)
+{
+  ForEachSection(
+    [&](const auto &rows, auto member)
+    {
+      for (const auto &r : rows)
+        if (r.Name() == name)
+          f(r, member);
+    });
+}
+
+/// The tuner's domain of one knob, keyed by the row it moves.
+struct Domain
+{
+  const char *Row;
+  KnobKind Kind;
+  double Min;
+  double Max;
+  double Step = 2.0;          ///< LogDouble factor
+  const char *Name = nullptr; ///< knob name when it is not the row's
+  const char *Also = nullptr; ///< a second row set to the same value
+};
+
+/// Every knob of the campaign space, in search order. Enum domains are
+/// value indices into the row's spellings.
+const Domain kDomains[] = {
+  {"pool.enabled", KnobKind::Bool, 0, 1},
+  {"pool.max_cached_bytes", KnobKind::PowerOfTwo, 1 << 20, 1 << 30},
+  {"pool.trim_threshold", KnobKind::LogDouble, 0.125, 1.0},
+  {"pool.min_block_bytes", KnobKind::PowerOfTwo, 64, 65536},
+  {"sched.policy", KnobKind::Enum, 0, 2},
+  {"sched.queue_depth", KnobKind::Int, 0, 8}, // 0 = unbounded
+  {"sched.backpressure", KnobKind::Enum, 0, 2},
+  {"compress.enabled", KnobKind::Bool, 0, 1},
+  {"compress.codec", KnobKind::Enum, 0, 3},
+  {"compress.level", KnobKind::Int, 0, 3},
+  {"compress.error_bound", KnobKind::LogDouble, 1e-6, 1e-2, 10.0},
+  {"exec.mode", KnobKind::Enum, 0, 1},
+  {"exec.threads", KnobKind::Int, 0, 8}, // 0 = auto
+  {"exec.shard_grain", KnobKind::PowerOfTwo, 4096, 65536},
+  {"graph.enabled", KnobKind::Bool, 0, 1},
+  {"graph.max_nodes", KnobKind::PowerOfTwo, 1024, 8192},
+  {"layout.default", KnobKind::Enum, 0, 2},
+  {"layout.block", KnobKind::PowerOfTwo, 8, 128},
+  {"layout.simd", KnobKind::Bool, 0, 1},
+  // a square framebuffer ladder
+  {"viz.width", KnobKind::PowerOfTwo, 64, 1024, 2.0, "viz.resolution",
+   "viz.height"},
+  {"viz.colormap", KnobKind::Enum, 0, 2},
+  // image frames are RGBA bytes: only none / shuffle-rle apply (u8
+  // negotiation folds everything else onto shuffle-rle anyway)
+  {"viz.codec", KnobKind::Enum, 0, 1},
+};
+
+/// True for the rows a point carries: every domain's row (the <exec>
+/// ones too) and its companion.
+bool Tuned(const std::string &row)
+{
+  for (const Domain &d : kDomains)
+    if (row == d.Row || (d.Also && row == d.Also))
+      return true;
+  return false;
+}
+
+/// Write the set overrides of `ov` as attributes of `el`.
+void EmitOverride(const AnalysisOverride &ov, sxml::Element &el)
+{
+  sensei::AnalysisRows().Emit(
+    ov, [&el](const auto &row, const std::string &text)
+    { el.SetAttribute(row.Attribute, text); });
+}
+
+/// The overrides an <analysis> or <override> element sets.
+AnalysisOverride ParseOverride(const sxml::Element &el)
+{
+  AnalysisOverride ov;
+  sensei::AnalysisRows().Merge(
+    ov, [&el](const char *) { return &el.Attributes(); }, false);
+  return ov;
+}
+
 } // namespace
 
 KnobSpace KnobSpace::Campaign(int nAnalyses, bool includeExec)
 {
   KnobSpace s;
-  auto add = [&s](Knob k) { s.Knobs_.push_back(std::move(k)); };
-
-  // ---- <pool> ----
+  for (const Domain &d : kDomains)
   {
+    // virtual time is exec-mode independent: the <exec> knobs are optional
+    if (!includeExec && std::string(d.Row).rfind("exec.", 0) == 0)
+      continue;
     Knob k;
-    k.Name = "pool.enabled";
-    k.Kind = KnobKind::Bool;
-    k.Min = 0; k.Max = 1;
-    k.Choices = {"0", "1"};
-    k.Get = [](const ConfigPoint &p) { return p.PoolEnabled ? 1.0 : 0.0; };
-    k.Set = [](ConfigPoint &p, double v) { p.PoolEnabled = v >= 0.5; };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "pool.max_cached_bytes";
-    k.Kind = KnobKind::PowerOfTwo;
-    k.Min = double(std::size_t(1) << 20);  // 1 MiB
-    k.Max = double(std::size_t(1) << 30);  // 1 GiB
-    k.Get = [](const ConfigPoint &p) { return double(p.PoolMaxCachedBytes); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.PoolMaxCachedBytes = static_cast<std::size_t>(v); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "pool.trim_threshold";
-    k.Kind = KnobKind::LogDouble;
-    k.Min = 0.125; k.Max = 1.0; k.Step = 2.0;
-    k.Get = [](const ConfigPoint &p) { return p.PoolTrimThreshold; };
-    k.Set = [](ConfigPoint &p, double v) { p.PoolTrimThreshold = v; };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "pool.min_block_bytes";
-    k.Kind = KnobKind::PowerOfTwo;
-    k.Min = 64; k.Max = 65536;
-    k.Get = [](const ConfigPoint &p) { return double(p.PoolMinBlockBytes); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.PoolMinBlockBytes = static_cast<std::size_t>(v); };
-    add(std::move(k));
-  }
-
-  // ---- <sched> ----
-  {
-    Knob k;
-    k.Name = "sched.policy";
-    k.Kind = KnobKind::Enum;
-    k.Min = 0; k.Max = 2;
-    k.Choices = {"static", "least-loaded", "cost-model"};
-    k.Get = [](const ConfigPoint &p) { return double(int(p.Policy)); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.Policy = static_cast<sched::PolicyKind>(int(v)); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "sched.queue_depth"; // 0 = unbounded
-    k.Kind = KnobKind::Int;
-    k.Min = 0; k.Max = 8;
-    k.Get = [](const ConfigPoint &p) { return double(p.QueueDepth); };
-    k.Set = [](ConfigPoint &p, double v) { p.QueueDepth = long(v); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "sched.backpressure";
-    k.Kind = KnobKind::Enum;
-    k.Min = 0; k.Max = 2;
-    k.Choices = {"block", "drop-oldest", "coalesce"};
-    k.Get = [](const ConfigPoint &p) { return double(int(p.Pressure)); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.Pressure = static_cast<sched::Backpressure>(int(v)); };
-    add(std::move(k));
-  }
-
-  // ---- <compress> ----
-  {
-    Knob k;
-    k.Name = "compress.enabled";
-    k.Kind = KnobKind::Bool;
-    k.Choices = {"0", "1"};
-    k.Get = [](const ConfigPoint &p) { return p.CompressEnabled ? 1.0 : 0.0; };
-    k.Set = [](ConfigPoint &p, double v) { p.CompressEnabled = v >= 0.5; };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "compress.codec";
-    k.Kind = KnobKind::Enum;
-    k.Min = 0; k.Max = 3;
-    k.Choices = {"none", "shuffle-rle", "delta-varint", "quantize"};
-    k.Get = [](const ConfigPoint &p) { return double(int(p.Codec)); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.Codec = static_cast<cmp::CodecId>(int(v)); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "compress.level";
-    k.Kind = KnobKind::Int;
-    k.Min = 0; k.Max = 3;
-    k.Get = [](const ConfigPoint &p) { return double(p.CompressLevel); };
-    k.Set = [](ConfigPoint &p, double v) { p.CompressLevel = int(v); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "compress.error_bound";
-    k.Kind = KnobKind::LogDouble;
-    k.Min = 1e-6; k.Max = 1e-2; k.Step = 10.0;
-    k.Get = [](const ConfigPoint &p) { return p.CompressErrorBound; };
-    k.Set = [](ConfigPoint &p, double v) { p.CompressErrorBound = v; };
-    add(std::move(k));
-  }
-
-  // ---- <exec> ---- (virtual time is exec-mode independent: optional)
-  if (includeExec)
-  {
-    {
-      Knob k;
-      k.Name = "exec.mode";
-      k.Kind = KnobKind::Enum;
-      k.Min = 0; k.Max = 1;
-      k.Choices = {"serial", "threads"};
-      k.Get = [](const ConfigPoint &p) { return double(int(p.ExecMode)); };
-      k.Set = [](ConfigPoint &p, double v)
-      { p.ExecMode = static_cast<vp::exec::Mode>(int(v)); };
-      add(std::move(k));
-    }
-    {
-      Knob k;
-      k.Name = "exec.threads"; // 0 = auto
-      k.Kind = KnobKind::Int;
-      k.Min = 0; k.Max = 8;
-      k.Get = [](const ConfigPoint &p) { return double(p.ExecThreads); };
-      k.Set = [](ConfigPoint &p, double v) { p.ExecThreads = int(v); };
-      add(std::move(k));
-    }
-    {
-      Knob k;
-      k.Name = "exec.shard_grain";
-      k.Kind = KnobKind::PowerOfTwo;
-      k.Min = 4096; k.Max = 65536;
-      k.Get = [](const ConfigPoint &p) { return double(p.ExecShardGrain); };
-      k.Set = [](ConfigPoint &p, double v)
-      { p.ExecShardGrain = static_cast<std::size_t>(v); };
-      add(std::move(k));
-    }
-  }
-
-  // ---- <graph> ----
-  {
-    Knob k;
-    k.Name = "graph.enabled";
-    k.Kind = KnobKind::Bool;
-    k.Choices = {"0", "1"};
-    k.Get = [](const ConfigPoint &p) { return p.GraphEnabled ? 1.0 : 0.0; };
-    k.Set = [](ConfigPoint &p, double v) { p.GraphEnabled = v >= 0.5; };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "graph.max_nodes";
-    k.Kind = KnobKind::PowerOfTwo;
-    k.Min = 1024; k.Max = 8192;
-    k.Get = [](const ConfigPoint &p) { return double(p.GraphMaxNodes); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.GraphMaxNodes = static_cast<std::size_t>(v); };
-    add(std::move(k));
-  }
-
-  // ---- <layout> ----
-  {
-    Knob k;
-    k.Name = "layout.default";
-    k.Kind = KnobKind::Enum;
-    k.Min = 0; k.Max = 2;
-    k.Choices = {"aos", "soa", "aosoa"};
-    k.Get = [](const ConfigPoint &p) { return double(int(p.Layout)); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.Layout = static_cast<vp::layout::Kind>(int(v)); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "layout.block";
-    k.Kind = KnobKind::PowerOfTwo;
-    k.Min = 8; k.Max = 128;
-    k.Get = [](const ConfigPoint &p) { return double(p.LayoutBlock); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.LayoutBlock = static_cast<std::size_t>(v); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "layout.simd";
-    k.Kind = KnobKind::Bool;
-    k.Choices = {"0", "1"};
-    k.Get = [](const ConfigPoint &p) { return p.LayoutSimd ? 1.0 : 0.0; };
-    k.Set = [](ConfigPoint &p, double v) { p.LayoutSimd = v >= 0.5; };
-    add(std::move(k));
-  }
-
-  // ---- <viz> ----
-  {
-    Knob k;
-    k.Name = "viz.resolution";
-    k.Kind = KnobKind::PowerOfTwo;
-    k.Min = 64; k.Max = 1024;
-    k.Get = [](const ConfigPoint &p) { return double(p.VizResolution); };
-    k.Set = [](ConfigPoint &p, double v)
-    { p.VizResolution = static_cast<std::size_t>(v); };
-    add(std::move(k));
-  }
-  {
-    Knob k;
-    k.Name = "viz.colormap";
-    k.Kind = KnobKind::Enum;
-    k.Min = 0; k.Max = 2;
-    k.Choices = {"gray", "viridis", "heat"};
-    k.Get = [](const ConfigPoint &p) { return double(p.VizColormap); };
-    k.Set = [](ConfigPoint &p, double v) { p.VizColormap = int(v); };
-    add(std::move(k));
-  }
-  {
-    // image frames are RGBA bytes: only none / shuffle-rle apply (u8
-    // negotiation folds everything else onto shuffle-rle anyway)
-    Knob k;
-    k.Name = "viz.codec";
-    k.Kind = KnobKind::Enum;
-    k.Min = 0; k.Max = 1;
-    k.Choices = {"none", "shuffle-rle"};
-    k.Get = [](const ConfigPoint &p)
-    { return p.VizCodec == cmp::CodecId::None ? 0.0 : 1.0; };
-    k.Set = [](ConfigPoint &p, double v)
-    {
-      p.VizCodec = v >= 0.5 ? cmp::CodecId::ShuffleRLE : cmp::CodecId::None;
-    };
-    add(std::move(k));
+    k.Name = d.Name ? d.Name : d.Row;
+    k.Kind = d.Kind;
+    k.Min = d.Min;
+    k.Max = d.Max;
+    k.Step = d.Step;
+    if (d.Kind == KnobKind::Bool)
+      k.Choices = {"0", "1"};
+    WithRow(d.Row,
+            [&k](const auto &r, auto m)
+            {
+              k.Get = [&r, m](const ConfigPoint &p) { return r.Get(p.*m); };
+              k.Set = [&r, m](ConfigPoint &p, double v) { r.Set(p.*m, v); };
+              for (int v = 0; k.Kind == KnobKind::Enum && v <= k.Max; ++v)
+                k.Choices.push_back(r.Text(v));
+            });
+    if (d.Also)
+      WithRow(d.Also,
+              [&k](const auto &r, auto m)
+              {
+                k.Set = [&r, m, set = k.Set](ConfigPoint &p, double v)
+                {
+                  set(p, v);
+                  r.Set(p.*m, v);
+                };
+              });
+    s.Knobs_.push_back(std::move(k));
   }
 
   // ---- per-analysis placement-policy overrides ----
@@ -408,7 +245,7 @@ KnobSpace KnobSpace::Campaign(int nAnalyses, bool includeExec)
     { return double(OverridePolicy(p, idx) + 1); };
     k.Set = [idx](ConfigPoint &p, double v)
     { OverrideAt(p, idx).Policy = int(v) - 1; };
-    add(std::move(k));
+    s.Knobs_.push_back(std::move(k));
   }
 
   return s;
@@ -488,6 +325,12 @@ void KnobSpace::Clamp(ConfigPoint &p) const
   }
 }
 
+bool ConfigPoint::operator==(const ConfigPoint &o) const
+{
+  // the same document: every tuner row and every set override agree
+  return EmitXml(*this) == EmitXml(o);
+}
+
 // ------------------------------------------------------------ XML emitter
 
 void ApplyToDoc(const ConfigPoint &p, sxml::Element &root)
@@ -495,54 +338,17 @@ void ApplyToDoc(const ConfigPoint &p, sxml::Element &root)
   // every element is (re)written with every knob explicit, so loading the
   // document fully determines the subsystem configurations regardless of
   // what a previous candidate (or a hand-written config) left behind
-  sxml::Element *pe = root.FindOrAddChild("pool");
-  pe->ClearAttributes();
-  pe->SetAttributeBool("enabled", p.PoolEnabled);
-  pe->SetAttributeInt("max_cached_bytes",
-                      static_cast<long long>(p.PoolMaxCachedBytes));
-  pe->SetAttributeDouble("trim_threshold", p.PoolTrimThreshold);
-  pe->SetAttributeInt("min_block_bytes",
-                      static_cast<long long>(p.PoolMinBlockBytes));
-
-  sxml::Element *se = root.FindOrAddChild("sched");
-  se->ClearAttributes();
-  se->SetAttribute("policy", sched::PolicyKindName(p.Policy));
-  se->SetAttributeInt("queue_depth", p.QueueDepth);
-  se->SetAttribute("backpressure", sched::BackpressureName(p.Pressure));
-  se->SetAttributeBool("real_threads", false); // determinism: virtual ranks
-
-  sxml::Element *ke = root.FindOrAddChild("compress");
-  ke->ClearAttributes();
-  ke->SetAttributeBool("enabled", p.CompressEnabled);
-  ke->SetAttribute("codec", cmp::CodecName(p.Codec));
-  ke->SetAttributeInt("level", p.CompressLevel);
-  ke->SetAttributeDouble("error_bound", p.CompressErrorBound);
-
-  sxml::Element *xe = root.FindOrAddChild("exec");
-  xe->ClearAttributes();
-  xe->SetAttribute("mode", vp::exec::ModeName(p.ExecMode));
-  xe->SetAttributeInt("threads", p.ExecThreads);
-  xe->SetAttributeInt("shard_grain",
-                      static_cast<long long>(p.ExecShardGrain));
-
-  sxml::Element *ge = root.FindOrAddChild("graph");
-  ge->ClearAttributes();
-  ge->SetAttributeBool("enabled", p.GraphEnabled);
-  ge->SetAttributeInt("max_nodes", static_cast<long long>(p.GraphMaxNodes));
-
-  sxml::Element *le = root.FindOrAddChild("layout");
-  le->ClearAttributes();
-  le->SetAttribute("default", vp::layout::KindName(p.Layout));
-  le->SetAttributeInt("block", static_cast<long long>(p.LayoutBlock));
-  le->SetAttributeBool("simd", p.LayoutSimd);
-
-  sxml::Element *ze = root.FindOrAddChild("viz");
-  ze->ClearAttributes();
-  ze->SetAttributeInt("width", static_cast<long long>(p.VizResolution));
-  ze->SetAttributeInt("height", static_cast<long long>(p.VizResolution));
-  ze->SetAttribute("colormap",
-                   viz::ColormapName(viz::Colormap(p.VizColormap)));
-  ze->SetAttribute("codec", cmp::CodecName(p.VizCodec));
+  ForEachSection(
+    [&](const auto &rows, auto member)
+    {
+      sxml::Element *e = root.FindOrAddChild(rows.front().Element);
+      e->ClearAttributes();
+      for (const auto &r : rows)
+        if (Tuned(r.Name()))
+          e->SetAttribute(r.Attribute, r.Text(r.Get(p.*member)));
+    });
+  // determinism: virtual ranks
+  root.FindOrAddChild("sched")->SetAttributeBool("real_threads", false);
 
   // per-analysis overrides onto the i-th <analysis> element
   std::size_t i = 0;
@@ -552,17 +358,7 @@ void ApplyToDoc(const ConfigPoint &p, sxml::Element &root)
       continue;
     if (i >= p.Overrides.size())
       break;
-    const AnalysisOverride &ov = p.Overrides[i++];
-    if (ov.Policy >= 0)
-      child->SetAttribute(
-        "policy", sched::PolicyKindName(sched::PolicyKind(ov.Policy)));
-    if (ov.Codec >= 0)
-    {
-      child->SetAttribute("compress",
-                          cmp::CodecName(cmp::CodecId(ov.Codec)));
-      child->SetAttributeInt("compress_level", ov.Level);
-      child->SetAttributeDouble("compress_error_bound", ov.ErrorBound);
-    }
+    EmitOverride(p.Overrides[i++], *child);
   }
 }
 
@@ -575,54 +371,19 @@ std::string EmitXml(const ConfigPoint &p)
   // a standalone document has no <analysis> children to carry override
   // attributes: record them in a <tune> element ConfigurableAnalysis
   // ignores, so the document stays loadable and the point round-trips
-  bool any = false;
-  for (const AnalysisOverride &ov : p.Overrides)
-    if (!ov.IsDefault())
-      any = true;
-  if (any)
+  for (std::size_t i = 0; i < p.Overrides.size(); ++i)
   {
-    sxml::Element *te = root.FindOrAddChild("tune");
-    for (std::size_t i = 0; i < p.Overrides.size(); ++i)
-    {
-      const AnalysisOverride &ov = p.Overrides[i];
-      if (ov.IsDefault())
-        continue;
-      sxml::Element *oe = te->AddChild("override");
-      oe->SetAttributeInt("analysis", static_cast<long long>(i));
-      if (ov.Policy >= 0)
-        oe->SetAttribute(
-          "policy", sched::PolicyKindName(sched::PolicyKind(ov.Policy)));
-      if (ov.Codec >= 0)
-      {
-        oe->SetAttribute("compress",
-                         cmp::CodecName(cmp::CodecId(ov.Codec)));
-        oe->SetAttributeInt("compress_level", ov.Level);
-        oe->SetAttributeDouble("compress_error_bound", ov.ErrorBound);
-      }
-    }
+    if (p.Overrides[i].IsDefault())
+      continue;
+    sxml::Element *oe = root.FindOrAddChild("tune")->AddChild("override");
+    oe->SetAttributeInt("analysis", static_cast<long long>(i));
+    EmitOverride(p.Overrides[i], *oe);
   }
 
   return sxml::Serialize(root);
 }
 
 // ------------------------------------------------------------- XML parser
-
-namespace
-{
-
-void ParseOverrideAttrs(const sxml::Element &el, AnalysisOverride &ov)
-{
-  if (el.HasAttribute("policy"))
-    ov.Policy = int(sched::PolicyKindFromName(el.Attribute("policy")));
-  if (el.HasAttribute("compress"))
-  {
-    ov.Codec = int(cmp::CodecIdFromName(el.Attribute("compress")));
-    ov.Level = int(el.AttributeInt("compress_level", ov.Level));
-    ov.ErrorBound = el.AttributeDouble("compress_error_bound", ov.ErrorBound);
-  }
-}
-
-} // namespace
 
 ConfigPoint ParseDoc(const sxml::Element &root)
 {
@@ -633,108 +394,31 @@ ConfigPoint ParseDoc(const sxml::Element &root)
   ConfigPoint p;
   try
   {
-    if (const sxml::Element *pe = root.FirstChild("pool"))
-    {
-      p.PoolEnabled = pe->AttributeBool("enabled", p.PoolEnabled);
-      p.PoolMaxCachedBytes = static_cast<std::size_t>(pe->AttributeInt(
-        "max_cached_bytes", static_cast<long long>(p.PoolMaxCachedBytes)));
-      p.PoolTrimThreshold =
-        pe->AttributeDouble("trim_threshold", p.PoolTrimThreshold);
-      p.PoolMinBlockBytes = static_cast<std::size_t>(pe->AttributeInt(
-        "min_block_bytes", static_cast<long long>(p.PoolMinBlockBytes)));
-    }
-    if (const sxml::Element *se = root.FirstChild("sched"))
-    {
-      p.Policy = sched::PolicyKindFromName(
-        se->Attribute("policy", sched::PolicyKindName(p.Policy)));
-      p.QueueDepth = static_cast<long>(se->AttributeInt(
-        "queue_depth", static_cast<long long>(p.QueueDepth)));
-      p.Pressure = sched::BackpressureFromName(
-        se->Attribute("backpressure", sched::BackpressureName(p.Pressure)));
-    }
-    if (const sxml::Element *ke = root.FirstChild("compress"))
-    {
-      // mirror ConfigurableAnalysis: the element's presence means enabled
-      // unless it says otherwise
-      p.CompressEnabled = ke->AttributeBool("enabled", true);
-      p.Codec =
-        cmp::CodecIdFromName(ke->Attribute("codec", cmp::CodecName(p.Codec)));
-      p.CompressLevel =
-        static_cast<int>(ke->AttributeInt("level", p.CompressLevel));
-      p.CompressErrorBound =
-        ke->AttributeDouble("error_bound", p.CompressErrorBound);
-    }
-    if (const sxml::Element *xe = root.FirstChild("exec"))
-    {
-      p.ExecMode = vp::exec::ModeFromName(
-        xe->Attribute("mode", vp::exec::ModeName(p.ExecMode)));
-      p.ExecThreads =
-        static_cast<int>(xe->AttributeInt("threads", p.ExecThreads));
-      p.ExecShardGrain = static_cast<std::size_t>(xe->AttributeInt(
-        "shard_grain", static_cast<long long>(p.ExecShardGrain)));
-    }
-    if (const sxml::Element *ge = root.FirstChild("graph"))
-    {
-      p.GraphEnabled = ge->AttributeBool("enabled", true);
-      p.GraphMaxNodes = static_cast<std::size_t>(ge->AttributeInt(
-        "max_nodes", static_cast<long long>(p.GraphMaxNodes)));
-    }
-    if (const sxml::Element *le = root.FirstChild("layout"))
-    {
-      p.Layout = vp::layout::KindFromName(
-        le->Attribute("default", vp::layout::KindName(p.Layout)));
-      p.LayoutBlock = static_cast<std::size_t>(le->AttributeInt(
-        "block", static_cast<long long>(p.LayoutBlock)));
-      if (p.LayoutBlock < 2 || p.LayoutBlock > 65536)
-        throw std::runtime_error(
-          "tune::ParseDoc: <layout> block must be in [2, 65536]");
-      p.LayoutSimd = le->AttributeBool("simd", p.LayoutSimd);
-    }
-    if (const sxml::Element *ze = root.FirstChild("viz"))
-    {
-      p.VizResolution = static_cast<std::size_t>(ze->AttributeInt(
-        "width", static_cast<long long>(p.VizResolution)));
-      p.VizColormap = int(viz::ColormapFromName(ze->Attribute(
-        "colormap", viz::ColormapName(viz::Colormap(p.VizColormap)))));
-      p.VizCodec = cmp::CodecIdFromName(
-        ze->Attribute("codec", cmp::CodecName(p.VizCodec)));
-    }
+    ForEachSection([&](const auto &rows, auto member)
+                   { rows.Merge(p.*member, sensei::AttrsOf{root}, false); });
 
     // per-analysis overrides: from <analysis> elements when the document
     // has them (a campaign config), from <tune><override> records when it
     // does not (a standalone EmitXml document)
     std::size_t i = 0;
-    for (const auto &child : root.Children())
+    for (const sxml::Element *el : root.ChildrenNamed("analysis"))
     {
-      if (child->Name() != "analysis")
-        continue;
-      AnalysisOverride ov;
-      ParseOverrideAttrs(*child, ov);
+      const AnalysisOverride ov = ParseOverride(*el);
       if (!ov.IsDefault())
-      {
-        if (p.Overrides.size() <= i)
-          p.Overrides.resize(i + 1);
-        p.Overrides[i] = ov;
-      }
+        OverrideAt(p, i) = ov;
       ++i;
     }
     if (const sxml::Element *te = root.FirstChild("tune"))
-    {
       for (const sxml::Element *oe : te->ChildrenNamed("override"))
       {
         const long long idx = oe->AttributeInt("analysis", -1);
         if (idx < 0)
           throw std::runtime_error(
-            "tune::ParseDoc: <override> needs an analysis=\"i\" index");
-        AnalysisOverride ov;
-        ParseOverrideAttrs(*oe, ov);
-        if (p.Overrides.size() <= static_cast<std::size_t>(idx))
-          p.Overrides.resize(static_cast<std::size_t>(idx) + 1);
-        p.Overrides[static_cast<std::size_t>(idx)] = ov;
+            "<override> needs an analysis=\"i\" index");
+        OverrideAt(p, static_cast<std::size_t>(idx)) = ParseOverride(*oe);
       }
-    }
   }
-  catch (const std::invalid_argument &e)
+  catch (const std::runtime_error &e)
   {
     throw std::runtime_error(std::string("tune::ParseDoc: ") + e.what());
   }
@@ -753,31 +437,23 @@ ConfigPoint ParseFile(const std::string &path)
 
 std::string Describe(const ConfigPoint &p)
 {
+  // element=value/value/... over the rows a point carries
   std::ostringstream os;
-  os << "sched=" << sched::PolicyKindName(p.Policy) << "/d"
-     << p.QueueDepth << "/" << sched::BackpressureName(p.Pressure)
-     << " pool=" << (p.PoolEnabled ? "on" : "off");
-  if (p.PoolEnabled)
-    os << "(" << (p.PoolMaxCachedBytes >> 20) << "MiB,t"
-       << p.PoolTrimThreshold << ",b" << p.PoolMinBlockBytes << ")";
-  os << " cmp=" << (p.CompressEnabled ? cmp::CodecName(p.Codec) : "off");
-  if (p.CompressEnabled)
-    os << "/L" << p.CompressLevel;
-  os << " exec=" << vp::exec::ModeName(p.ExecMode);
-  if (p.ExecMode == vp::exec::Mode::Threads)
-    os << "/" << p.ExecThreads << "t/g" << p.ExecShardGrain;
-  os << " graph=" << (p.GraphEnabled ? "on" : "off");
-  os << " layout=" << vp::layout::KindName(p.Layout, p.LayoutBlock);
-  if (p.LayoutSimd)
-    os << "+simd";
-  os << " viz=" << p.VizResolution << "px/"
-     << viz::ColormapName(viz::Colormap(p.VizColormap));
-  if (p.VizCodec != cmp::CodecId::None)
-    os << "/" << cmp::CodecName(p.VizCodec);
+  ForEachSection(
+    [&](const auto &rows, auto member)
+    {
+      os << (os.tellp() > 0 ? " " : "") << rows.front().Element;
+      const char *sep = "=";
+      for (const auto &r : rows)
+        if (Tuned(r.Name()))
+        {
+          os << sep << r.Text(r.Get(p.*member));
+          sep = "/";
+        }
+    });
   int n = 0;
   for (const AnalysisOverride &ov : p.Overrides)
-    if (!ov.IsDefault())
-      ++n;
+    n += ov.IsDefault() ? 0 : 1;
   if (n)
     os << " overrides=" << n;
   return os.str();

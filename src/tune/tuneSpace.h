@@ -8,24 +8,29 @@
 /// x graph capture — far beyond what hand-written `configs/*.xml` can
 /// cover. This header makes that space a first-class object:
 ///
-///  * `ConfigPoint` — one point in the space, a typed struct mirroring
-///    the `<pool>`, `<sched>`, `<compress>`, `<exec>` and `<graph>` XML
-///    elements plus optional per-analysis overrides (placement policy
-///    and codec, the attributes ConfigurableAnalysis honours per
+///  * `ConfigPoint` — one point in the space: the tunable subsystems' own
+///    config structs (`<pool>`, `<sched>`, `<compress>`, `<exec>`,
+///    `<graph>`, `<layout>`, `<viz>`) plus optional per-analysis
+///    overrides (the attributes ConfigurableAnalysis honours per
 ///    `<analysis>` element).
-///  * `Knob` / `KnobSpace` — typed knob descriptors (bool, enum,
-///    power-of-two, linear int, log-scale double) with bounds and
-///    neighbourhood moves, so a search algorithm can mutate points
-///    generically without knowing what each knob means.
+///  * `Knob` / `KnobSpace` — typed knob domains (bool, enum, power-of-two,
+///    linear int, log-scale double) over the subsystems' knob rows
+///    (vpKnob.h), so a search algorithm can mutate points generically
+///    without knowing what each knob means.
 ///  * the XML emitter/parser — any point serializes to a loadable SENSEI
 ///    configuration (ApplyToDoc / EmitXml) and parses back field for
 ///    field (ParseDoc), which is what makes offline search results
-///    shippable as `configs/tuned_campaign.xml`.
+///    shippable as `configs/tuned_campaign.xml`. Both read and write
+///    through the same rows ConfigurableAnalysis parses with.
 
 #include "cmpCodec.h"
 #include "execEngine.h"
+#include "graphCapture.h"
 #include "layoutMapping.h"
 #include "schedPipeline.h"
+#include "senseiConfigurableAnalysis.h"
+#include "vizConfig.h"
+#include "vpMemoryPool.h"
 
 #include <cstddef>
 #include <functional>
@@ -42,67 +47,31 @@ namespace tune
 {
 
 /// Optional per-analysis overrides, index-aligned with the `<analysis>`
-/// children of the document a point is applied to. -1 means "follow the
-/// run-wide default" (no attribute emitted).
-struct AnalysisOverride
-{
-  int Policy = -1; ///< sched::PolicyKind when >= 0
-  int Codec = -1;  ///< cmp::CodecId when >= 0
-  int Level = 1;   ///< codec level when Codec >= 0
-  double ErrorBound = 0.0; ///< quantize bound when Codec >= 0
-
-  bool IsDefault() const { return this->Policy < 0 && this->Codec < 0; }
-  bool operator==(const AnalysisOverride &o) const;
-  bool operator!=(const AnalysisOverride &o) const { return !(*this == o); }
-};
+/// children of the document a point is applied to (unset fields emit no
+/// attribute).
+using AnalysisOverride = sensei::AnalysisOverride;
 
 /// One point in the scheduling space: every run-time knob the tuner may
 /// set, with the subsystem defaults as the origin.
 struct ConfigPoint
 {
-  // <pool>
-  bool PoolEnabled = false;
-  std::size_t PoolMaxCachedBytes = std::size_t(256) << 20;
-  double PoolTrimThreshold = 0.5;
-  std::size_t PoolMinBlockBytes = 256;
-
-  // <sched>
-  sched::PolicyKind Policy = sched::PolicyKind::Static;
-  long QueueDepth = 1;
-  sched::Backpressure Pressure = sched::Backpressure::Block;
-
-  // <compress>
-  bool CompressEnabled = false;
-  cmp::CodecId Codec = cmp::CodecId::ShuffleRLE;
-  int CompressLevel = 1;
-  double CompressErrorBound = 1e-4; ///< kept > 0 so quantize always validates
-
-  // <exec>
-  vp::exec::Mode ExecMode = vp::exec::Mode::Serial;
-  int ExecThreads = 0;
-  std::size_t ExecShardGrain = 16384;
-
-  // <graph>
-  bool GraphEnabled = false;
-  std::size_t GraphMaxNodes = 4096;
-
-  // <layout> — default array layout, AoSoA block size, and whether the
-  // vectorized (reassociating) kernel variants may run
-  vp::layout::Kind Layout = vp::layout::Kind::AoS;
-  std::size_t LayoutBlock = 32;
-  bool LayoutSimd = false;
-
-  // <viz> — the steerable render endpoint: square framebuffer ladder,
-  // colormap, and the image-frame codec (None = raw RGBA)
-  std::size_t VizResolution = 256;
-  int VizColormap = 1; ///< viz::Colormap index (1 = viridis)
-  cmp::CodecId VizCodec = cmp::CodecId::None;
+  vp::PoolConfig Pool;
+  sched::SchedConfig Sched;
+  /// The error bound starts at 1e-4 (cmp's own default is 0) so a
+  /// quantize move always validates.
+  cmp::Config Compress{false, {cmp::CodecId::ShuffleRLE, 1, 1e-4}};
+  vp::exec::ExecConfig Exec;
+  vp::graph::GraphConfig Graph;
+  vp::layout::LayoutConfig Layout;
+  viz::VizConfig Viz;
 
   /// Per-analysis overrides; entries beyond the vector (or default
   /// entries) mean "follow the run-wide configuration", so a missing
   /// vector and an all-default vector compare equal.
   std::vector<AnalysisOverride> Overrides;
 
+  /// Equal when both emit the same document (EmitXml): every knob, the
+  /// `<viz height>` and every set override agree.
   bool operator==(const ConfigPoint &o) const;
   bool operator!=(const ConfigPoint &o) const { return !(*this == o); }
 };
@@ -117,8 +86,9 @@ enum class KnobKind : int
   LogDouble   ///< x/÷ a step factor within [Min, Max]
 };
 
-/// One typed knob descriptor: bounds, choices, and accessors into a
-/// ConfigPoint. Values travel as double (enums/bools as their index).
+/// One typed knob: its domain, its choices, and accessors into a
+/// ConfigPoint (through the subsystem row it is keyed by). Values travel
+/// as double (enums/bools as their index).
 struct Knob
 {
   std::string Name; ///< "sched.queue_depth", "analysis3.policy", ...
@@ -166,7 +136,7 @@ private:
   std::vector<Knob> Knobs_;
 };
 
-/// Overlay `p` onto a parsed `<sensei>` document: the six subsystem
+/// Overlay `p` onto a parsed `<sensei>` document: the seven tunable
 /// elements are created (or taken over) with every knob explicitly set,
 /// and per-analysis override attributes are written onto the i-th
 /// `<analysis>` child. Fully explicit emission is what makes evaluations
@@ -179,17 +149,20 @@ void ApplyToDoc(const ConfigPoint &p, sxml::Element &root);
 /// cache key for the evaluator.
 std::string EmitXml(const ConfigPoint &p);
 
-/// Read a point back from a parsed `<sensei>` document. Attributes or
-/// elements that are absent keep the ConfigPoint defaults; elements the
-/// tuner does not model (`<check>`, `<fault>`, `<service>`, analyses)
-/// are ignored. Throws std::runtime_error on out-of-domain values.
+/// Read a point back from a parsed `<sensei>` document through the
+/// subsystems' rows (environment variables are not applied). Attributes
+/// or elements that are absent keep the ConfigPoint defaults; elements
+/// the tuner does not model (`<check>`, `<fault>`, `<service>`) are
+/// ignored. Throws std::runtime_error on out-of-domain values.
 ConfigPoint ParseDoc(const sxml::Element &root);
 
 /// ParseDoc over parsed text / a file on disk.
 ConfigPoint ParseXml(const std::string &xml);
 ConfigPoint ParseFile(const std::string &path);
 
-/// One-line human-readable description of a point (diagnostics, traces).
+/// One-line description of a point (diagnostics, traces): each tunable
+/// element with the values of its rows, "pool=0/268435456/0.5/256
+/// sched=static/1/block ...", then the number of set overrides.
 std::string Describe(const ConfigPoint &p);
 
 } // namespace tune

@@ -18,7 +18,7 @@ constexpr std::size_t kAgeReservoir = 4096;
 struct Global
 {
   std::mutex Mutex;
-  VizConfig Config;
+  VizConfig Config = ConfigRows().Defaults();
   VizStats Counts;
   std::vector<double> Ages;
   std::size_t AgeNext = 0;
@@ -32,10 +32,26 @@ Global &Self()
 
 } // namespace
 
+const vp::knob::Table<VizConfig> &ConfigRows()
+{
+  using namespace vp::knob;
+  using P = cmp::Params;
+  static const Table<VizConfig> rows({
+    Int<&VizConfig::Width>("viz", "width", 1, 16384, "VP_VIZ_WIDTH"),
+    Int<&VizConfig::Height>("viz", "height", 1, 16384, "VP_VIZ_HEIGHT"),
+    Enum<&VizConfig::Map>("viz", "colormap", ColormapNames(),
+                          "VP_VIZ_COLORMAP"),
+    Bool<&VizConfig::Log>("viz", "log", "VP_VIZ_LOG"),
+    Enum<&VizConfig::Codec, &P::Codec>("viz", "codec", cmp::CodecNames(),
+                                       "VP_VIZ_CODEC"),
+    Int<&VizConfig::Codec, &P::Level>("viz", "codec_level", 0, 9),
+  });
+  return rows;
+}
+
 void Configure(const VizConfig &cfg)
 {
-  if (!cfg.Width || !cfg.Height)
-    throw std::invalid_argument("viz: framebuffer size must be positive");
+  ConfigRows().Validate(cfg);
   if (!cfg.AutoRange && !(cfg.Lo < cfg.Hi))
     throw std::invalid_argument("viz: fixed range needs lo < hi");
   if (cfg.Codec.Codec == cmp::CodecId::Quantize)

@@ -42,6 +42,11 @@ struct VizConfig
   std::vector<ViewerOverride> Viewers;
 };
 
+/// The `<viz>` rows, VP_VIZ_* variables included. The fixed `range` and
+/// the `<viewer>` children are read by ConfigurableAnalysis itself. The
+/// initial configuration is the defaults with the variables applied.
+const vp::knob::Table<VizConfig> &ConfigRows();
+
 /// Replace the process-wide configuration (validated; throws
 /// std::invalid_argument on nonsense).
 void Configure(const VizConfig &cfg);

@@ -43,26 +43,22 @@ Lut GetLut(Colormap m)
 
 } // namespace
 
+const vp::knob::Spellings &ColormapNames()
+{
+  static const vp::knob::Spellings names = {
+    {"gray", 0}, {"grey", 0}, {"viridis", 1}, {"heat", 2}};
+  return names;
+}
+
 Colormap ColormapFromName(const std::string &name)
 {
-  if (name == "gray" || name == "grey")
-    return Colormap::Gray;
-  if (name == "viridis" || name.empty())
-    return Colormap::Viridis;
-  if (name == "heat")
-    return Colormap::Heat;
-  throw std::invalid_argument("viz: unknown colormap '" + name + "'");
+  return vp::knob::FromName<Colormap>(ColormapNames(), name,
+                                      "viz: unknown colormap");
 }
 
 const char *ColormapName(Colormap m)
 {
-  switch (m)
-  {
-    case Colormap::Gray: return "gray";
-    case Colormap::Viridis: return "viridis";
-    case Colormap::Heat: return "heat";
-  }
-  return "unknown";
+  return vp::knob::NameOf(ColormapNames(), static_cast<int>(m));
 }
 
 double Normalize(double v, const TransferFunction &tf)

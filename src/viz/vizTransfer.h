@@ -16,6 +16,8 @@
 ///  * Out-of-range values clamp to the range ends.
 ///  * Log scaling maps values <= 0 to the bottom of the range.
 
+#include "vpKnob.h"
+
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -30,6 +32,9 @@ enum class Colormap : int
   Viridis,  ///< perceptually uniform dark-blue -> yellow
   Heat      ///< black -> red -> yellow -> white
 };
+
+/// The spellings of Colormap.
+const vp::knob::Spellings &ColormapNames();
 
 /// Parse a colormap name ("gray"/"grey", "viridis", "heat"). Throws
 /// std::invalid_argument on unknown names.

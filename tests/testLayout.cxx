@@ -609,14 +609,14 @@ TEST_F(LayoutTest, TuneSpaceCarriesLayoutKnobs)
 TEST_F(LayoutTest, TunePointRoundTripsLayoutFields)
 {
   tune::ConfigPoint p;
-  p.Layout = Kind::AoSoA;
-  p.LayoutBlock = 16;
-  p.LayoutSimd = true;
+  p.Layout.Default = Kind::AoSoA;
+  p.Layout.Block = 16;
+  p.Layout.Simd = true;
   const tune::ConfigPoint q = tune::ParseXml(tune::EmitXml(p));
   EXPECT_EQ(q, p);
-  EXPECT_EQ(q.Layout, Kind::AoSoA);
-  EXPECT_EQ(q.LayoutBlock, 16u);
-  EXPECT_TRUE(q.LayoutSimd);
+  EXPECT_EQ(q.Layout.Default, Kind::AoSoA);
+  EXPECT_EQ(q.Layout.Block, 16u);
+  EXPECT_TRUE(q.Layout.Simd);
 }
 
 // --- profiler export ---------------------------------------------------------

@@ -136,8 +136,8 @@ TEST(TuneSpace, RoundTripRandomPoints)
 TEST(TuneSpace, RoundTripPerAnalysisOverrides)
 {
   tune::ConfigPoint p;
-  p.GraphEnabled = true;
-  p.QueueDepth = 4;
+  p.Graph.Enabled = true;
+  p.Sched.QueueDepth = 4;
   p.Overrides.resize(3);
   p.Overrides[0].Policy = static_cast<int>(sched::PolicyKind::LeastLoaded);
   p.Overrides[2].Codec = static_cast<int>(cmp::CodecId::Quantize);
@@ -175,18 +175,18 @@ TEST(TuneSpace, VizKnobsCoverTheRenderEndpointAndRoundTrip)
   EXPECT_EQ(names.count("viz.codec"), 1u);
 
   tune::ConfigPoint p;
-  p.VizResolution = 512;
-  p.VizColormap = static_cast<int>(viz::Colormap::Heat);
-  p.VizCodec = cmp::CodecId::ShuffleRLE;
+  p.Viz.Width = p.Viz.Height = 512;
+  p.Viz.Map = viz::Colormap::Heat;
+  p.Viz.Codec.Codec = cmp::CodecId::ShuffleRLE;
 
   const std::string xml = tune::EmitXml(p);
   EXPECT_NE(xml.find("<viz"), std::string::npos) << xml;
 
   const tune::ConfigPoint back = tune::ParseXml(xml);
   EXPECT_EQ(back, p);
-  EXPECT_EQ(back.VizResolution, 512u);
-  EXPECT_EQ(back.VizColormap, static_cast<int>(viz::Colormap::Heat));
-  EXPECT_EQ(back.VizCodec, cmp::CodecId::ShuffleRLE);
+  EXPECT_EQ(back.Viz.Width, 512u);
+  EXPECT_EQ(back.Viz.Map, viz::Colormap::Heat);
+  EXPECT_EQ(back.Viz.Codec.Codec, cmp::CodecId::ShuffleRLE);
 
   // and the one-line description mentions the render plan
   EXPECT_NE(tune::Describe(p).find("viz="), std::string::npos);
@@ -263,8 +263,8 @@ TEST(TuneProfiler, ToJsonCarriesSchemaVersion)
 TEST(TuneEval, BitDeterministicAcrossFreshEvaluators)
 {
   tune::ConfigPoint p;
-  p.GraphEnabled = true;
-  p.QueueDepth = 2;
+  p.Graph.Enabled = true;
+  p.Sched.QueueDepth = 2;
 
   tune::Evaluator a(TinyEvalConfig());
   tune::Evaluator b(TinyEvalConfig());
@@ -307,7 +307,7 @@ TEST(TuneSearch, AnnealFixedSeedReproducibleWithWarmStart)
   sc.Seed = 42;
   sc.Budget = 4;
   tune::ConfigPoint warm;
-  warm.GraphEnabled = true;
+  warm.Graph.Enabled = true;
   sc.Warm.push_back(warm);
 
   tune::Evaluator a(TinyEvalConfig());
