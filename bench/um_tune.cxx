@@ -1,7 +1,7 @@
 // Benchmark and acceptance gates for the campaign auto-tuner (src/tune):
-// offline annealed search over the <pool>/<sched>/<compress>/<exec>/<graph>
-// knob space, scored on the virtual platform, plus the online controller
-// that adapts bounded-risk knobs from profiler counters mid-run. Writes
+// offline annealed search over the <pool>/<sched>/<graph> knob space,
+// scored on the virtual platform, plus the online controller that adapts
+// bounded-risk knobs from profiler counters mid-run. Writes
 // BENCH_tune.json into the working directory (scripts/run_campaign.sh
 // collects it under results/).
 //
@@ -13,7 +13,8 @@
 //     Hand-written configs are scored through
 //     tune::Evaluator::EvaluateXml, i.e. on their scheduling-space knobs
 //     over the identical workload — elements outside the knob space
-//     (<fault>, <check>, <service>) do not participate.
+//     (<exec>, <layout>, <compress>, <viz>, <fault>, <check>, <service>)
+//     do not participate.
 //   - the annealer must beat random search at the same evaluation budget
 //     on the proxy campaign (fault-shaded so the sched knobs have graded
 //     effects), each algorithm on a fresh evaluator so equal budget means
@@ -382,10 +383,7 @@ int main(int argc, char **argv)
   benchmark::Shutdown();
 
   sensei::Profiler::Global().Clear();
-  // no exec knobs: the evaluator neutralizes the engine mode (virtual
-  // time does not depend on it), so searching them only burns budget
-  const tune::KnobSpace space =
-    tune::KnobSpace::Campaign(0, /*includeExec=*/false);
+  const tune::KnobSpace space = tune::KnobSpace::Campaign(0);
 
   // ---- 1. score the hand-written configurations on the comparison
   //         campaign, and search for a better point from the best of them

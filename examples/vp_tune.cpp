@@ -1,10 +1,11 @@
 // vp_tune: offline auto-tuning of the campaign scheduling space on the
-// virtual platform. Searches the <pool>/<sched>/<compress>/<exec>/<graph>
-// knob space with a seeded simulated annealer (random-search and greedy
-// hill-climb baselines available), scoring each candidate by running a
-// down-scaled proxy campaign and combining virtual time with peak payload
-// footprint as cost = t^k * p (k = 0 scores pure time). The winner is
-// emitted as a loadable SENSEI XML configuration.
+// virtual platform. Searches the <pool>/<sched>/<graph> knob space (the
+// knobs whose values move the virtual-time score) with a seeded simulated
+// annealer (random-search and greedy hill-climb baselines available),
+// scoring each candidate by running a down-scaled proxy campaign and
+// combining virtual time with peak payload footprint as cost = t^k * p
+// (k = 0 scores pure time). The winner is emitted as a loadable SENSEI
+// XML configuration.
 //
 // Usage:
 //   ./vp_tune [options]
@@ -13,9 +14,6 @@
 //     --k X          cost exponent in t^k * p             (default 0)
 //     --algo A       anneal|random|greedy|all             (default anneal)
 //     --analyses N   per-analysis override knobs          (default 0)
-//     --exec         include the <exec> knobs (excluded by default:
-//                    virtual-time scores do not depend on the engine
-//                    mode, so searching them only burns budget)
 //     --nodes N      proxy campaign nodes                 (default 1)
 //     --steps N      proxy campaign steps                 (default 2)
 //     --bodies N     proxy bodies per node                (default 30000)
@@ -80,7 +78,6 @@ int main(int argc, char **argv)
   std::string algo = "anneal";
   std::string outFile;
   int analyses = 0;
-  bool includeExec = false;
   bool full = false;
   bool trace = false;
 
@@ -107,10 +104,6 @@ int main(int argc, char **argv)
       algo = next();
     else if (arg == "--analyses")
       analyses = std::stoi(next());
-    else if (arg == "--exec")
-      includeExec = true;
-    else if (arg == "--no-exec")
-      includeExec = false;
     else if (arg == "--nodes")
       ec.Campaign.Nodes = std::stoi(next());
     else if (arg == "--steps")
@@ -134,8 +127,7 @@ int main(int argc, char **argv)
     }
   }
 
-  const tune::KnobSpace space = tune::KnobSpace::Campaign(analyses,
-                                                          includeExec);
+  const tune::KnobSpace space = tune::KnobSpace::Campaign(analyses);
   std::cout << "vp_tune: " << space.Knobs().size() << " knobs, ~"
             << space.Size() << " configurations; budget " << sc.Budget
             << " proxy-campaign evaluations (seed " << sc.Seed

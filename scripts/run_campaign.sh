@@ -1,7 +1,26 @@
 #!/usr/bin/env sh
 # Regenerate every table and figure of the paper from a clean tree.
 # Results land in ./results; see EXPERIMENTS.md for the expected shapes.
+# A bench that exits nonzero does not stop the run: every bench runs, and
+# the script then lists the failed ones and exits 1.
 set -eu
+
+failed=""
+
+# bench LOG CMD...: run CMD, showing its output and saving it to LOG, and
+# record a nonzero exit (sh has no pipefail, so `CMD | tee LOG` alone
+# would lose CMD's status)
+bench() {
+  log=$1
+  shift
+  rm -f "$log.status"
+  { "$@" || echo "$?" >"$log.status"; } | tee "$log"
+  if [ -f "$log.status" ]; then
+    failed="$failed
+  $log: exit $(cat "$log.status")"
+    rm -f "$log.status"
+  fi
+}
 
 cd "$(dirname "$0")/.."
 
@@ -13,22 +32,23 @@ mkdir -p results
 cd results
 
 echo "== Figure 1 =="
-../build/bench/fig1_binning | tee fig1.txt
+bench fig1.txt ../build/bench/fig1_binning
 
 echo "== Table 1 =="
-../build/bench/table1_runs | tee table1.txt
+bench table1.txt ../build/bench/table1_runs
 
 echo "== Figures 2 and 3 (scaled default) =="
-../build/bench/fig2_fig3_placement | tee fig2_fig3.txt
+bench fig2_fig3.txt ../build/bench/fig2_fig3_placement
 
 echo "== Figures 2 and 3 (paper-shape workload) =="
-SENSEI_PAPER_SCALE=1 ../build/bench/fig2_fig3_placement | tee fig2_fig3_paper_scale.txt
+bench fig2_fig3_paper_scale.txt \
+  env SENSEI_PAPER_SCALE=1 ../build/bench/fig2_fig3_placement
 
 echo "== microbenches / ablations =="
 for b in ../build/bench/um_*; do
   name=$(basename "$b")
   echo "-- $name"
-  "$b" --benchmark_min_time=0.05 | tee "$name.txt"
+  bench "$name.txt" "$b" --benchmark_min_time=0.05
 done
 
 # um_pool_reuse additionally writes the pooled-vs-unpooled campaign
@@ -105,63 +125,64 @@ fi
 echo "== checked pooled campaign (VP_CHECK=1) =="
 # the race/lifetime checker instruments the whole pooled campaign; any
 # violation (use-after-free, unsynced access, cross-stream race, double
-# free, leak) makes um_pool_reuse exit nonzero and aborts the script
-VP_CHECK=1 ../build/bench/um_pool_reuse --benchmark_min_time=0.05 \
-  | tee um_pool_reuse_checked.txt
+# free, leak) makes um_pool_reuse exit nonzero and fails the run
+bench um_pool_reuse_checked.txt env VP_CHECK=1 ../build/bench/um_pool_reuse \
+  --benchmark_min_time=0.05
 echo "== scheduler campaign (VP_CHECK=1) =="
 # the adaptive-scheduler campaign under the checker: placement policies,
 # the bounded pipeline (including real-thread mode in the labelled
 # tests), and the backpressure matrix must all be race/lifetime clean
-VP_CHECK=1 ../build/bench/um_sched --benchmark_min_time=0.05 \
-  | tee um_sched_checked.txt
+bench um_sched_checked.txt env VP_CHECK=1 ../build/bench/um_sched \
+  --benchmark_min_time=0.05
 echo "== compression campaign (VP_CHECK=1) =="
 # the codec sweep, the compressed in transit pipeline, and the on/off
 # campaign under the checker; the binary also gates on the 2x in transit
-# payload reduction, so a ratio regression aborts the script here
-VP_CHECK=1 ../build/bench/um_compress --benchmark_min_time=0.05 \
-  | tee um_compress_checked.txt
+# payload reduction, so a ratio regression fails the run
+bench um_compress_checked.txt env VP_CHECK=1 ../build/bench/um_compress \
+  --benchmark_min_time=0.05
 echo "== execution-engine campaign (VP_CHECK=1 VP_EXEC=threads) =="
 # the threaded execution engine under the checker: deferred kernel
 # bodies, sharded host regions, and real copy queues must be
 # race/lifetime clean; the binary also gates on the 2x wall-clock
 # speedup where the hardware has >= 4 threads
-VP_CHECK=1 VP_EXEC=threads ../build/bench/um_exec --benchmark_min_time=0.05 \
-  | tee um_exec_checked.txt
+bench um_exec_checked.txt \
+  env VP_CHECK=1 VP_EXEC=threads ../build/bench/um_exec \
+  --benchmark_min_time=0.05
 echo "== multi-tenant service campaign (VP_CHECK=1) =="
 # the service's dispatcher, worker pool, and heartbeat threads under the
 # checker: the scaling sweep and the mid-run tenant kill must be
 # race/lifetime clean; the binary also gates on the 2x client-scaling
 # and <10% survivor-loss targets where the hardware has >= 4 threads
-VP_CHECK=1 ../build/bench/um_service --benchmark_min_time=0.05 \
-  | tee um_service_checked.txt
+bench um_service_checked.txt env VP_CHECK=1 ../build/bench/um_service \
+  --benchmark_min_time=0.05
 echo "== auto-tuner smoke gate (VP_CHECK=1) =="
 # the tuner's campaigns under the checker: hand-config scoring, a
 # short warm-started comparison search (the committed tuned config keeps
 # the margin gate honest at the reduced budget), the annealer-vs-random
 # proxy searches, and both shifting-workload runs must be race/lifetime
 # clean; every acceptance gate still applies
-VP_CHECK=1 VP_TUNE_BUDGET=6 ../build/bench/um_tune \
-  --benchmark_min_time=0.05 | tee um_tune_checked.txt
+bench um_tune_checked.txt env VP_CHECK=1 VP_TUNE_BUDGET=6 \
+  ../build/bench/um_tune --benchmark_min_time=0.05
 echo "== steerable visualization campaign (VP_CHECK=1) =="
 # the streamer's fan-out, the viewer threads, the steer control path,
 # and the render kernels (host shards and the captured device graph)
 # under the checker; the steer and bit-exact gates still apply
-VP_CHECK=1 ../build/bench/um_viz --benchmark_min_time=0.05 \
-  | tee um_viz_checked.txt
+bench um_viz_checked.txt env VP_CHECK=1 ../build/bench/um_viz \
+  --benchmark_min_time=0.05
 echo "== step-graph campaign (VP_CHECK=1) =="
 # capture and replay under the checker: the validate-once capture
 # step plus every replayed step's summary edges must be race/lifetime
 # clean; the binary also gates on bit-exact replay and the 2.5x
-# tasks_enqueued drop, so a regression in either aborts the script here
-VP_CHECK=1 ../build/bench/um_graph --benchmark_min_time=0.05 \
-  | tee um_graph_checked.txt
+# tasks_enqueued drop, so a regression in either fails the run
+bench um_graph_checked.txt env VP_CHECK=1 ../build/bench/um_graph \
+  --benchmark_min_time=0.05
 echo "== layout-engine campaign (VP_CHECK=1) =="
 # layout conversions (the deferred reorder kernels), the lane-vectorized
 # force and tiled binning variants, and the blocked plane transpose
 # under the checker; the bit-exactness matrix still applies, so a layout
-# that perturbs the binning grids aborts the script here
-VP_CHECK=1 ../build/bench/um_layout --benchmark_min_time=0.05 \
-  | tee um_layout_checked.txt
+# that perturbs the binning grids fails the run
+bench um_layout_checked.txt env VP_CHECK=1 ../build/bench/um_layout \
+  --benchmark_min_time=0.05
 echo "== scheduler-labelled tests =="
 ctest --test-dir ../build -L sched --output-on-failure
 
@@ -198,11 +219,12 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
 cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testConfigs testKnob
-../build-sanitize/bench/um_sched --benchmark_min_time=0.05 \
-  | tee um_sched_sanitized.txt
+bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
+  --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
-VP_CHECK=1 ../build-sanitize/bench/um_compress --benchmark_min_time=0.05 \
-  | tee um_compress_sanitized.txt
+bench um_compress_sanitized.txt \
+  env VP_CHECK=1 ../build-sanitize/bench/um_compress \
+  --benchmark_min_time=0.05
 ../build-sanitize/tests/testCompress
 # the service's ring transfers, frame reassembly, and session teardown
 # paths under ASan+UBSan
@@ -211,8 +233,8 @@ VP_CHECK=1 ../build-sanitize/bench/um_compress --benchmark_min_time=0.05 \
 # ASan+UBSan; um_graph keeps its bit-exact and 2.5x gates in the
 # sanitized build too
 ctest --test-dir ../build-sanitize -L graph --output-on-failure
-VP_CHECK=1 ../build-sanitize/bench/um_graph --benchmark_min_time=0.05 \
-  | tee um_graph_sanitized.txt
+bench um_graph_sanitized.txt env VP_CHECK=1 ../build-sanitize/bench/um_graph \
+  --benchmark_min_time=0.05
 # the tuner's knob-space serialization, evaluator state resets, and the
 # online controller's apply/revert closures under ASan+UBSan
 ../build-sanitize/tests/testTune
@@ -224,8 +246,9 @@ VP_CHECK=1 ../build-sanitize/bench/um_graph --benchmark_min_time=0.05 \
 # kernel variants under ASan+UBSan; um_layout keeps its bit-exactness
 # matrix gate in the sanitized build too
 ../build-sanitize/tests/testLayout
-VP_CHECK=1 ../build-sanitize/bench/um_layout --benchmark_min_time=0.05 \
-  | tee um_layout_sanitized.txt
+bench um_layout_sanitized.txt \
+  env VP_CHECK=1 ../build-sanitize/bench/um_layout \
+  --benchmark_min_time=0.05
 # the packed binning record of a 4-rank mixed-op binning under ASan+UBSan
 ../build-sanitize/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
@@ -240,16 +263,16 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
 cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testConfigs testKnob
 ../build-tsan/tests/testExec
-VP_EXEC=threads ../build-tsan/bench/um_exec --benchmark_min_time=0.05 \
-  | tee um_exec_tsan.txt
+bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
+  --benchmark_min_time=0.05
 # the service's dispatcher/worker/heartbeat thread interplay under the
 # race detector
 ../build-tsan/tests/testService
 # graph flush vs worker threads: the armed session's inline replay bodies
 # and the threaded engine's queues share streams; both must be race clean
 ctest --test-dir ../build-tsan -L graph --output-on-failure
-VP_EXEC=threads ../build-tsan/bench/um_graph --benchmark_min_time=0.05 \
-  | tee um_graph_tsan.txt
+bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
+  --benchmark_min_time=0.05
 # lockstep evaluator campaigns (rank threads under the cooperative
 # scheduler) and the online controller under the race detector
 ../build-tsan/tests/testTune
@@ -274,3 +297,7 @@ if command -v gnuplot >/dev/null 2>&1; then
 fi
 
 echo "done; outputs in ./results"
+if [ -n "$failed" ]; then
+  echo "FAILED benches:$failed"
+  exit 1
+fi

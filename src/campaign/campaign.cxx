@@ -160,16 +160,13 @@ std::unique_ptr<sxml::Element> BuildDoc(const CaseConfig &c,
     if (!g.Backpressure.empty())
       se->SetAttribute("backpressure", g.Backpressure);
   }
-  if (!g.ExecMode.empty() || g.ExecThreads > 0 || g.ExecShardGrain > 0)
+  if (!g.ExecMode.empty() || g.ExecThreads > 0)
   {
     sxml::Element *xe = root->AddChild("exec");
     if (!g.ExecMode.empty())
       xe->SetAttribute("mode", g.ExecMode);
     if (g.ExecThreads > 0)
       xe->SetAttributeInt("threads", g.ExecThreads);
-    if (g.ExecShardGrain > 0)
-      xe->SetAttributeInt("shard_grain",
-                          static_cast<long long>(g.ExecShardGrain));
   }
 
   for (int s = 0; s < nsys; ++s)

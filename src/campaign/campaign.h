@@ -82,22 +82,20 @@ struct CampaignConfig
   long QueueDepth = -1;
   std::string Backpressure;
 
-  // execution-engine controls, emitted as an <exec> element when ExecMode
-  // is set: "serial" (bit-exact inline bodies) or "threads" (per-device
-  // workers + sharded host regions). Empty keeps whatever is active —
-  // the VP_EXEC environment default — so deterministic campaigns stay
-  // serial. ExecThreads 0 = auto pool width; ExecShardGrain 0 keeps the
-  // engine default.
+  // execution-engine controls, emitted as an <exec> element when either
+  // is set: ExecMode "serial" (bit-exact inline bodies) or "threads"
+  // (per-device workers + sharded host regions). Empty keeps whatever is
+  // active — the VP_EXEC environment default — so deterministic campaigns
+  // stay serial. ExecThreads 0 = auto pool width.
   std::string ExecMode;
   int ExecThreads = 0;
-  std::size_t ExecShardGrain = 0;
 
   // per-case configuration injection: when set, the built <sensei>
   // document is passed through this mutator before it is serialized and
   // handed to ConfigurableAnalysis. The campaign auto-tuner (src/tune)
-  // uses it to overlay candidate <pool>/<sched>/<compress>/<exec>/<graph>
-  // elements and per-analysis override attributes onto every case of a
-  // run without the campaign knowing about the tuner's knob space.
+  // uses it to overlay candidate <pool>/<sched>/<graph> elements and
+  // per-analysis override attributes onto every case of a run without
+  // the campaign knowing about the tuner's knob space.
   std::function<void(sxml::Element &)> ConfigMutator;
 };
 

@@ -33,7 +33,7 @@
 /// automatic-placement policy ("static" = Eq. 1, "least-loaded",
 /// "cost-model"; overridable per analysis with a policy attribute) and
 /// the bounded asynchronous pipeline (queue_depth, 0 = unbounded;
-/// backpressure = "block" | "drop-oldest" | "coalesce"; real_threads).
+/// backpressure = "block" | "drop-oldest" | "coalesce").
 ///
 /// Every subsystem element (<pool>, <check>, <sched>, <exec>, <graph>,
 /// <layout>, <compress>, <service>, <viz>, <fault>) is read through the

@@ -264,7 +264,7 @@ int DataBinning::PlaceForGraph(DataAdaptor *data, const sched::WorkHint &hint)
   req.Hint = hint;
   if (sched::PlacementDiverged(this->GetPlacementPolicy(), req,
                                this->GraphDevice_,
-                               vp::graph::GetConfig().RepinThreshold,
+                               vp::graph::kRepinThreshold,
                                vp::ThisClock().Now()))
   {
     this->GraphSession_->Drop();

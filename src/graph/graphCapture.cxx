@@ -79,9 +79,6 @@ const vp::knob::Table<GraphConfig> &ConfigRows()
   using namespace vp::knob;
   static const Table<GraphConfig> rows({
     Bool<&GraphConfig::Enabled>("graph", "enabled", "VP_GRAPH").Implies("1"),
-    Int<&GraphConfig::MaxNodes>("graph", "max_nodes", 1, kMaxInt,
-                                "VP_GRAPH_MAX_NODES"),
-    Real<&GraphConfig::RepinThreshold>("graph", "repin_threshold", 0, kInf),
   });
   return rows;
 }
@@ -309,7 +306,7 @@ bool Session::OnKernel(const Stream &stream, const KernelDesc &desc,
       // either; they stay uncaptured in both phases
       if (!desc.N)
         return false;
-      if (this->Nodes_.size() >= GetConfig().MaxNodes)
+      if (this->Nodes_.size() >= kMaxNodes)
       {
         this->AbortCapture();
         return false;
@@ -404,7 +401,7 @@ bool Session::OnCopy(const Stream &stream, void *dst, const void *src,
   {
     case State::Capturing:
     {
-      if (this->Nodes_.size() >= GetConfig().MaxNodes)
+      if (this->Nodes_.size() >= kMaxNodes)
       {
         this->AbortCapture();
         return false;
@@ -454,7 +451,7 @@ bool Session::OnEventRecord(const Stream &stream, std::uint64_t captureId)
   {
     case State::Capturing:
     {
-      if (this->Nodes_.size() >= GetConfig().MaxNodes)
+      if (this->Nodes_.size() >= kMaxNodes)
       {
         this->AbortCapture();
         return false;
@@ -507,7 +504,7 @@ bool Session::OnStreamWaitEvent(const Stream &stream, std::uint64_t captureId)
         this->AbortCapture();
         return false;
       }
-      if (this->Nodes_.size() >= GetConfig().MaxNodes)
+      if (this->Nodes_.size() >= kMaxNodes)
       {
         this->AbortCapture();
         return false;

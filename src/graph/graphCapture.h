@@ -34,19 +34,21 @@ namespace vp
 namespace graph
 {
 
-/// Runtime configuration, env-overridable (VP_GRAPH, VP_GRAPH_MAX_NODES).
+/// A capture aborts (the step runs eagerly) beyond this many nodes.
+constexpr std::size_t kMaxNodes = 4096;
+
+/// Backlog gap (virtual seconds) between the pinned replay device and the
+/// best adaptive candidate beyond which the placement is considered
+/// diverged and the armed graph is dropped for re-capture.
+constexpr double kRepinThreshold = 2.0e-3;
+
+/// Runtime configuration, env-overridable (VP_GRAPH).
 struct GraphConfig
 {
-  bool Enabled = false;   ///< capture/replay on (VP_GRAPH=1)
-  std::size_t MaxNodes = 4096; ///< capture aborts beyond this many nodes
-  /// Backlog gap (virtual seconds) between the pinned replay device and
-  /// the best adaptive candidate beyond which the placement is considered
-  /// diverged and the armed graph is dropped for re-capture.
-  double RepinThreshold = 2.0e-3;
+  bool Enabled = false; ///< capture/replay on (VP_GRAPH=1)
 };
 
-/// The `<graph>` rows: enabled (VP_GRAPH; a bare element means enabled),
-/// max_nodes (VP_GRAPH_MAX_NODES) and repin_threshold.
+/// The `<graph>` row: enabled (VP_GRAPH; a bare element means enabled).
 const vp::knob::Table<GraphConfig> &ConfigRows();
 
 /// The defaults with the environment applied.

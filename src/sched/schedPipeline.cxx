@@ -75,7 +75,6 @@ const vp::knob::Table<SchedConfig> &ConfigRows()
     Int<&SchedConfig::QueueDepth>("sched", "queue_depth", 0, kMaxInt),
     Enum<&SchedConfig::Pressure>("sched", "backpressure",
                                  BackpressureNames()),
-    Bool<&SchedConfig::RealThreads>("sched", "real_threads"),
   });
   return rows;
 }
@@ -377,11 +376,10 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
     std::lock_guard<std::mutex> lock(this->Mutex_);
     depth = this->EffectiveDepth();
     pressure = this->EffectivePressure();
-    // real consumer threads: per-pipeline opt-in, the process-wide sched
-    // config, or the exec engine's threads mode (the bounded pipeline
-    // rides the same wall-clock concurrency the engine provides)
-    realThreads = this->RealThreads_ || GetConfig().RealThreads ||
-                  vp::exec::ThreadsEnabled();
+    // real consumer threads: per-pipeline opt-in or the exec engine's
+    // threads mode (the bounded pipeline rides the same wall-clock
+    // concurrency the engine provides)
+    realThreads = this->RealThreads_ || vp::exec::ThreadsEnabled();
     if (realThreads && !this->Worker_)
     {
       this->Worker_ = std::make_unique<RealWorker>();

@@ -75,7 +75,6 @@ struct SchedConfig
   PolicyKind Policy = PolicyKind::Static; ///< default placement policy
   long QueueDepth = 1;                    ///< payloads in flight; 0 = unbounded
   Backpressure Pressure = Backpressure::Block;
-  bool RealThreads = false; ///< run consumers on real std::threads
 };
 
 /// The `<sched>` rows (no variables). The policy is also the default of

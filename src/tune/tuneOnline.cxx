@@ -1,6 +1,5 @@
 #include "tuneOnline.h"
 
-#include "execEngine.h"
 #include "graphCapture.h"
 #include "newtonDriver.h"
 #include "schedPipeline.h"
@@ -45,8 +44,8 @@ long ShallowerDepth(long d, long maxDepth)
 OnlineTuner::OnlineTuner(OnlineConfig cfg) : Cfg_(std::move(cfg))
 {
   // move kinds, round-robin order: 0 deepen queue, 1 shallow queue,
-  // 2 next backpressure, 3 next policy, 4 widen exec, 5 narrow exec
-  this->Cooldown_.assign(6, 0);
+  // 2 next backpressure, 3 next policy
+  this->Cooldown_.assign(4, 0);
 }
 
 void OnlineTuner::Attach(newton::Driver &driver)
@@ -85,7 +84,6 @@ double OnlineTuner::CloseWindow()
 bool OnlineTuner::ProposeNext(double metric)
 {
   const sched::SchedConfig sc = sched::GetConfig();
-  const vp::exec::ExecConfig xc = vp::exec::GetConfig();
 
   // a move setting one row of config `cur` to `next` (named and spelled
   // as the row spells it), reverting to `cur`; none when nothing changes
@@ -135,17 +133,6 @@ bool OnlineTuner::ProposeNext(double metric)
                         sched::Configure);
         m.IsPolicy = true;
         return m;
-      }
-      case 4: // widen the exec worker pool
-      case 5: // narrow it
-      {
-        if (!this->Cfg_.AdaptExecThreads ||
-            xc.ExecMode != vp::exec::Mode::Threads)
-          return Move();
-        const int cur = std::max(1, xc.Threads);
-        return setRow(vp::exec::ConfigRows(), "threads", xc,
-                      kind == 4 ? std::min(8, cur * 2) : std::max(1, cur / 2),
-                      vp::exec::Configure);
       }
       default:
         return Move();

@@ -9,10 +9,12 @@
 /// driver's step hook, it snapshots the global profiler between
 /// simulation steps, folds WindowSteps steps into one measurement window,
 /// and hill-climbs the *bounded-risk* knobs — the `<sched>` queue depth,
-/// backpressure mode and placement policy, and the `<exec>` worker-pool
-/// width — by trial: apply one change, measure one window, keep it only
-/// when the window's virtual time improves by at least the hysteresis
-/// margin, revert (with a cooldown on that move) otherwise.
+/// backpressure mode and placement policy — by trial: apply one change,
+/// measure one window, keep it only when the window's virtual time
+/// improves by at least the hysteresis margin, revert (with a cooldown on
+/// that move) otherwise. The window metric is virtual time, so knobs that
+/// only act on the wall clock (the `<exec>` worker-pool width) are not
+/// moved.
 ///
 /// Two guards keep it from thrashing state that is expensive to rebuild:
 /// the hysteresis margin means a kept change must earn its keep, and
@@ -52,9 +54,6 @@ struct OnlineConfig
   /// sessions replay).
   bool AdaptPolicy = true;
 
-  /// Propose exec worker-pool width changes (only in threads mode).
-  bool AdaptExecThreads = true;
-
   /// Windows a reverted move sits out before being proposed again.
   int CooldownWindows = 4;
 };
@@ -69,9 +68,9 @@ struct OnlineStats
   long PolicyFrozen = 0; ///< policy proposals skipped (graph replaying)
 };
 
-/// Between-steps hill climber over the live scheduler/executor
-/// configuration. Single-rank: attach one instance to one driver (the
-/// knobs it moves are process wide).
+/// Between-steps hill climber over the live scheduler configuration.
+/// Single-rank: attach one instance to one driver (the knobs it moves are
+/// process wide).
 class OnlineTuner
 {
 public:

@@ -25,9 +25,6 @@ std::size_t Knob::Cardinality() const
                std::lround(std::log2(this->Max / this->Min))) + 1;
     case KnobKind::Int:
       return static_cast<std::size_t>(this->Max - this->Min) + 1;
-    case KnobKind::LogDouble:
-      return static_cast<std::size_t>(std::lround(
-               std::log(this->Max / this->Min) / std::log(this->Step))) + 1;
   }
   return 1;
 }
@@ -47,9 +44,6 @@ double ValueAt(const Knob &k, std::size_t i)
       return k.Min * std::pow(2.0, static_cast<double>(i));
     case KnobKind::Int:
       return k.Min + static_cast<double>(i);
-    case KnobKind::LogDouble:
-      return std::min(k.Max,
-                      k.Min * std::pow(k.Step, static_cast<double>(i)));
   }
   return k.Min;
 }
@@ -57,20 +51,9 @@ double ValueAt(const Knob &k, std::size_t i)
 // index of the domain value closest to v
 std::size_t IndexOf(const Knob &k, double v)
 {
-  switch (k.Kind)
-  {
-    case KnobKind::Bool:
-    case KnobKind::Enum:
-    case KnobKind::Int:
-      break;
-    case KnobKind::PowerOfTwo:
-      return static_cast<std::size_t>(std::max(
-        0L, std::lround(std::log2(std::max(v, k.Min) / k.Min))));
-    case KnobKind::LogDouble:
-      return static_cast<std::size_t>(std::max(
-        0L, std::lround(std::log(std::max(v, k.Min) / k.Min) /
-                        std::log(k.Step))));
-  }
+  if (k.Kind == KnobKind::PowerOfTwo)
+    return static_cast<std::size_t>(std::max(
+      0L, std::lround(std::log2(std::max(v, k.Min) / k.Min))));
   return static_cast<std::size_t>(std::max(0.0, v - k.Min));
 }
 
@@ -96,18 +79,14 @@ int OverridePolicy(const ConfigPoint &p, std::size_t i)
   return i < p.Overrides.size() ? p.Overrides[i].Policy : -1;
 }
 
-/// Visit the seven tunable sections: each subsystem's rows with the
-/// ConfigPoint member they set.
+/// Visit the three tuned sections: each subsystem's rows with the
+/// ConfigPoint member they set. Every row of them is a knob.
 template <class F>
 void ForEachSection(F &&f)
 {
   f(vp::PoolConfigRows(), &ConfigPoint::Pool);
   f(sched::ConfigRows(), &ConfigPoint::Sched);
-  f(cmp::ConfigRows(), &ConfigPoint::Compress);
-  f(vp::exec::ConfigRows(), &ConfigPoint::Exec);
   f(vp::graph::ConfigRows(), &ConfigPoint::Graph);
-  f(vp::layout::ConfigRows(), &ConfigPoint::Layout);
-  f(viz::ConfigRows(), &ConfigPoint::Viz);
 }
 
 /// f(row, member) for the row named `name`.
@@ -130,9 +109,6 @@ struct Domain
   KnobKind Kind;
   double Min;
   double Max;
-  double Step = 2.0;          ///< LogDouble factor
-  const char *Name = nullptr; ///< knob name when it is not the row's
-  const char *Also = nullptr; ///< a second row set to the same value
 };
 
 /// Every knob of the campaign space, in search order. Enum domains are
@@ -140,41 +116,13 @@ struct Domain
 const Domain kDomains[] = {
   {"pool.enabled", KnobKind::Bool, 0, 1},
   {"pool.max_cached_bytes", KnobKind::PowerOfTwo, 1 << 20, 1 << 30},
-  {"pool.trim_threshold", KnobKind::LogDouble, 0.125, 1.0},
+  {"pool.trim_threshold", KnobKind::PowerOfTwo, 0.125, 1.0},
   {"pool.min_block_bytes", KnobKind::PowerOfTwo, 64, 65536},
   {"sched.policy", KnobKind::Enum, 0, 2},
   {"sched.queue_depth", KnobKind::Int, 0, 8}, // 0 = unbounded
   {"sched.backpressure", KnobKind::Enum, 0, 2},
-  {"compress.enabled", KnobKind::Bool, 0, 1},
-  {"compress.codec", KnobKind::Enum, 0, 3},
-  {"compress.level", KnobKind::Int, 0, 3},
-  {"compress.error_bound", KnobKind::LogDouble, 1e-6, 1e-2, 10.0},
-  {"exec.mode", KnobKind::Enum, 0, 1},
-  {"exec.threads", KnobKind::Int, 0, 8}, // 0 = auto
-  {"exec.shard_grain", KnobKind::PowerOfTwo, 4096, 65536},
   {"graph.enabled", KnobKind::Bool, 0, 1},
-  {"graph.max_nodes", KnobKind::PowerOfTwo, 1024, 8192},
-  {"layout.default", KnobKind::Enum, 0, 2},
-  {"layout.block", KnobKind::PowerOfTwo, 8, 128},
-  {"layout.simd", KnobKind::Bool, 0, 1},
-  // a square framebuffer ladder
-  {"viz.width", KnobKind::PowerOfTwo, 64, 1024, 2.0, "viz.resolution",
-   "viz.height"},
-  {"viz.colormap", KnobKind::Enum, 0, 2},
-  // image frames are RGBA bytes: only none / shuffle-rle apply (u8
-  // negotiation folds everything else onto shuffle-rle anyway)
-  {"viz.codec", KnobKind::Enum, 0, 1},
 };
-
-/// True for the rows a point carries: every domain's row (the <exec>
-/// ones too) and its companion.
-bool Tuned(const std::string &row)
-{
-  for (const Domain &d : kDomains)
-    if (row == d.Row || (d.Also && row == d.Also))
-      return true;
-  return false;
-}
 
 /// Write the set overrides of `ov` as attributes of `el`.
 void EmitOverride(const AnalysisOverride &ov, sxml::Element &el)
@@ -195,20 +143,16 @@ AnalysisOverride ParseOverride(const sxml::Element &el)
 
 } // namespace
 
-KnobSpace KnobSpace::Campaign(int nAnalyses, bool includeExec)
+KnobSpace KnobSpace::Campaign(int nAnalyses)
 {
   KnobSpace s;
   for (const Domain &d : kDomains)
   {
-    // virtual time is exec-mode independent: the <exec> knobs are optional
-    if (!includeExec && std::string(d.Row).rfind("exec.", 0) == 0)
-      continue;
     Knob k;
-    k.Name = d.Name ? d.Name : d.Row;
+    k.Name = d.Row;
     k.Kind = d.Kind;
     k.Min = d.Min;
     k.Max = d.Max;
-    k.Step = d.Step;
     if (d.Kind == KnobKind::Bool)
       k.Choices = {"0", "1"};
     WithRow(d.Row,
@@ -219,16 +163,6 @@ KnobSpace KnobSpace::Campaign(int nAnalyses, bool includeExec)
               for (int v = 0; k.Kind == KnobKind::Enum && v <= k.Max; ++v)
                 k.Choices.push_back(r.Text(v));
             });
-    if (d.Also)
-      WithRow(d.Also,
-              [&k](const auto &r, auto m)
-              {
-                k.Set = [&r, m, set = k.Set](ConfigPoint &p, double v)
-                {
-                  set(p, v);
-                  r.Set(p.*m, v);
-                };
-              });
     s.Knobs_.push_back(std::move(k));
   }
 
@@ -344,11 +278,8 @@ void ApplyToDoc(const ConfigPoint &p, sxml::Element &root)
       sxml::Element *e = root.FindOrAddChild(rows.front().Element);
       e->ClearAttributes();
       for (const auto &r : rows)
-        if (Tuned(r.Name()))
-          e->SetAttribute(r.Attribute, r.Text(r.Get(p.*member)));
+        e->SetAttribute(r.Attribute, r.Text(r.Get(p.*member)));
     });
-  // determinism: virtual ranks
-  root.FindOrAddChild("sched")->SetAttributeBool("real_threads", false);
 
   // per-analysis overrides onto the i-th <analysis> element
   std::size_t i = 0;
@@ -445,11 +376,10 @@ std::string Describe(const ConfigPoint &p)
       os << (os.tellp() > 0 ? " " : "") << rows.front().Element;
       const char *sep = "=";
       for (const auto &r : rows)
-        if (Tuned(r.Name()))
-        {
-          os << sep << r.Text(r.Get(p.*member));
-          sep = "/";
-        }
+      {
+        os << sep << r.Text(r.Get(p.*member));
+        sep = "/";
+      }
     });
   int n = 0;
   for (const AnalysisOverride &ov : p.Overrides)

@@ -2,34 +2,36 @@
 #define tuneSpace_h
 
 /// @file tuneSpace.h
-/// The campaign auto-tuner's configuration-space model. PRs 1-7 grew the
-/// run-time configuration surface to placement policy x queue depth x
-/// backpressure x codec/level/error-bound x pool knobs x exec mode/threads
-/// x graph capture — far beyond what hand-written `configs/*.xml` can
-/// cover. This header makes that space a first-class object:
+/// The campaign auto-tuner's configuration-space model: the run-time
+/// knobs whose values move the tuner's virtual-time score — pool knobs x
+/// placement policy x queue depth x backpressure x graph capture, plus
+/// per-analysis placement overrides. This header makes that space a
+/// first-class object:
 ///
-///  * `ConfigPoint` — one point in the space: the tunable subsystems' own
-///    config structs (`<pool>`, `<sched>`, `<compress>`, `<exec>`,
-///    `<graph>`, `<layout>`, `<viz>`) plus optional per-analysis
-///    overrides (the attributes ConfigurableAnalysis honours per
-///    `<analysis>` element).
+///  * `ConfigPoint` — one point in the space: the tuned subsystems' own
+///    config structs (`<pool>`, `<sched>`, `<graph>`) plus optional
+///    per-analysis overrides (the attributes ConfigurableAnalysis honours
+///    per `<analysis>` element).
 ///  * `Knob` / `KnobSpace` — typed knob domains (bool, enum, power-of-two,
-///    linear int, log-scale double) over the subsystems' knob rows
-///    (vpKnob.h), so a search algorithm can mutate points generically
-///    without knowing what each knob means.
+///    linear int) over the subsystems' knob rows (vpKnob.h), so a search
+///    algorithm can mutate points generically without knowing what each
+///    knob means.
 ///  * the XML emitter/parser — any point serializes to a loadable SENSEI
 ///    configuration (ApplyToDoc / EmitXml) and parses back field for
 ///    field (ParseDoc), which is what makes offline search results
 ///    shippable as `configs/tuned_campaign.xml`. Both read and write
 ///    through the same rows ConfigurableAnalysis parses with.
+///
+/// A knob enters the space only when some value of it moves the score.
+/// The `<exec>`, `<layout>`, `<viz>` and `<compress>` knobs never do: the
+/// evaluator pins serial exec, campaigns skip the kernel bodies of
+/// one-component columns, and campaign analyses never render or
+/// compress. Those subsystems keep their knobs; the tuner does not search
+/// them (tests/testTune.cxx, TuneSpace.EveryKnobMovesTheScore).
 
-#include "cmpCodec.h"
-#include "execEngine.h"
 #include "graphCapture.h"
-#include "layoutMapping.h"
 #include "schedPipeline.h"
 #include "senseiConfigurableAnalysis.h"
-#include "vizConfig.h"
 #include "vpMemoryPool.h"
 
 #include <cstddef>
@@ -57,21 +59,15 @@ struct ConfigPoint
 {
   vp::PoolConfig Pool;
   sched::SchedConfig Sched;
-  /// The error bound starts at 1e-4 (cmp's own default is 0) so a
-  /// quantize move always validates.
-  cmp::Config Compress{false, {cmp::CodecId::ShuffleRLE, 1, 1e-4}};
-  vp::exec::ExecConfig Exec;
   vp::graph::GraphConfig Graph;
-  vp::layout::LayoutConfig Layout;
-  viz::VizConfig Viz;
 
   /// Per-analysis overrides; entries beyond the vector (or default
   /// entries) mean "follow the run-wide configuration", so a missing
   /// vector and an all-default vector compare equal.
   std::vector<AnalysisOverride> Overrides;
 
-  /// Equal when both emit the same document (EmitXml): every knob, the
-  /// `<viz height>` and every set override agree.
+  /// Equal when both emit the same document (EmitXml): every knob and
+  /// every set override agree.
   bool operator==(const ConfigPoint &o) const;
   bool operator!=(const ConfigPoint &o) const { return !(*this == o); }
 };
@@ -82,8 +78,7 @@ enum class KnobKind : int
   Bool = 0,   ///< flip
   Enum,       ///< adjacent choice (wrapping)
   PowerOfTwo, ///< x2 / /2 within [Min, Max]
-  Int,        ///< +-1 within [Min, Max]
-  LogDouble   ///< x/÷ a step factor within [Min, Max]
+  Int         ///< +-1 within [Min, Max]
 };
 
 /// One typed knob: its domain, its choices, and accessors into a
@@ -95,7 +90,6 @@ struct Knob
   KnobKind Kind = KnobKind::Int;
   double Min = 0.0;
   double Max = 0.0;
-  double Step = 2.0; ///< LogDouble neighbour factor
   std::vector<std::string> Choices; ///< Enum labels (diagnostics)
   std::function<double(const ConfigPoint &)> Get;
   std::function<void(ConfigPoint &, double)> Set;
@@ -108,17 +102,14 @@ struct Knob
 class KnobSpace
 {
 public:
-  /// The campaign space: every `<pool>`, `<sched>`, `<compress>`,
-  /// `<exec>`, `<graph>` and `<viz>` knob, plus a per-analysis placement-policy
-  /// override knob for each of `nAnalyses` analyses (0 = no per-analysis
-  /// knobs). `includeExec` drops the `<exec>`/shard knobs for searches
-  /// that only score virtual time (exec mode cannot change it).
-  static KnobSpace Campaign(int nAnalyses = 0, bool includeExec = true);
+  /// The campaign space: every `<pool>`, `<sched>` and `<graph>` knob,
+  /// plus a per-analysis placement-policy override knob for each of
+  /// `nAnalyses` analyses (0 = no per-analysis knobs).
+  static KnobSpace Campaign(int nAnalyses = 0);
 
   const std::vector<Knob> &Knobs() const { return this->Knobs_; }
 
-  /// Product of knob cardinalities (size of the discrete space; may
-  /// saturate for log-double knobs, diagnostics only).
+  /// Product of knob cardinalities (size of the discrete space).
   double Size() const;
 
   /// A uniformly random point (each knob independently uniform over its
@@ -136,7 +127,7 @@ private:
   std::vector<Knob> Knobs_;
 };
 
-/// Overlay `p` onto a parsed `<sensei>` document: the seven tunable
+/// Overlay `p` onto a parsed `<sensei>` document: the three tuned
 /// elements are created (or taken over) with every knob explicitly set,
 /// and per-analysis override attributes are written onto the i-th
 /// `<analysis>` child. Fully explicit emission is what makes evaluations
@@ -152,17 +143,18 @@ std::string EmitXml(const ConfigPoint &p);
 /// Read a point back from a parsed `<sensei>` document through the
 /// subsystems' rows (environment variables are not applied). Attributes
 /// or elements that are absent keep the ConfigPoint defaults; elements
-/// the tuner does not model (`<check>`, `<fault>`, `<service>`) are
-/// ignored. Throws std::runtime_error on out-of-domain values.
+/// the tuner does not model (`<exec>`, `<layout>`, `<compress>`, `<viz>`,
+/// `<check>`, `<fault>`, `<service>`) are ignored. Throws
+/// std::runtime_error on out-of-domain values.
 ConfigPoint ParseDoc(const sxml::Element &root);
 
 /// ParseDoc over parsed text / a file on disk.
 ConfigPoint ParseXml(const std::string &xml);
 ConfigPoint ParseFile(const std::string &path);
 
-/// One-line description of a point (diagnostics, traces): each tunable
+/// One-line description of a point (diagnostics, traces): each tuned
 /// element with the values of its rows, "pool=0/268435456/0.5/256
-/// sched=static/1/block ...", then the number of set overrides.
+/// sched=static/1/block graph=0", then the number of set overrides.
 std::string Describe(const ConfigPoint &p);
 
 } // namespace tune

@@ -62,8 +62,7 @@ inline std::string Sections()
     os << "sched.policy = " << sched::PolicyKindName(c.Policy) << "\n"
        << "sched.queue_depth = " << c.QueueDepth << "\n"
        << "sched.backpressure = " << sched::BackpressureName(c.Pressure)
-       << "\n"
-       << "sched.real_threads = " << c.RealThreads << "\n";
+       << "\n";
   }
   {
     const vp::exec::ExecConfig c = vp::exec::GetConfig();
@@ -73,9 +72,7 @@ inline std::string Sections()
   }
   {
     const vp::graph::GraphConfig c = vp::graph::GetConfig();
-    os << "graph.enabled = " << c.Enabled << "\n"
-       << "graph.max_nodes = " << c.MaxNodes << "\n"
-       << "graph.repin_threshold = " << Real(c.RepinThreshold) << "\n";
+    os << "graph.enabled = " << c.Enabled << "\n";
   }
   {
     const vp::layout::LayoutConfig c = vp::layout::GetConfig();

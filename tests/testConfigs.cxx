@@ -55,8 +55,8 @@ std::vector<std::pair<std::string, std::string>> LoadAllConfigs()
 
 /// Every environment variable a config row reads.
 const char *const kConfigVariables[] = {
-  "VP_EXEC", "VP_EXEC_THREADS", "VP_GRAPH", "VP_GRAPH_MAX_NODES",
-  "VP_LAYOUT", "VP_SIMD", "VP_CHECK",
+  "VP_EXEC", "VP_EXEC_THREADS", "VP_GRAPH", "VP_LAYOUT", "VP_SIMD",
+  "VP_CHECK",
   "VP_SVC_MAX_SESSIONS", "VP_SVC_WORKERS", "VP_SVC_QUEUE_DEPTH",
   "VP_SVC_BACKPRESSURE", "VP_SVC_POLICY", "VP_SVC_HEARTBEAT_MS",
   "VP_SVC_CODEC", "VP_VIZ_WIDTH", "VP_VIZ_HEIGHT", "VP_VIZ_COLORMAP",
@@ -178,8 +178,6 @@ TEST(Configs, EveryVariableBeatsAConflictingAttribute)
     {"VP_EXEC", "threads", "<exec mode=\"serial\"/>", "exec.mode = threads"},
     {"VP_EXEC_THREADS", "3", "<exec threads=\"5\"/>", "exec.threads = 3"},
     {"VP_GRAPH", "0", "<graph enabled=\"1\"/>", "graph.enabled = 0"},
-    {"VP_GRAPH_MAX_NODES", "128", "<graph max_nodes=\"256\"/>",
-     "graph.max_nodes = 128"},
     {"VP_LAYOUT", "aosoa16", "<layout default=\"soa\" block=\"8\"/>",
      "layout.default = aosoa\nlayout.block = 16"},
     {"VP_SIMD", "0", "<layout simd=\"1\"/>", "layout.simd = 0"},

@@ -16,6 +16,7 @@
 #include "senseiDataAdaptor.h"
 #include "senseiDataBinning.h"
 #include "senseiProfiler.h"
+#include "sxml.h"
 #include "svtkAOSDataArray.h"
 #include "vcuda.h"
 #include "vomp.h"
@@ -406,7 +407,8 @@ TEST(ExecChecker, EightCaseCampaignIsCheckerCleanUnderThreads)
   g.TimingOnly = false; // kernels really execute
   g.ExecMode = "threads";
   g.ExecThreads = 3;
-  g.ExecShardGrain = 256;
+  g.ConfigMutator = [](sxml::Element &root)
+  { root.FindOrAddChild("exec")->SetAttributeInt("shard_grain", 256); };
 
   for (const campaign::CaseConfig &c : campaign::AllCases())
   {

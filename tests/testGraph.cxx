@@ -219,16 +219,11 @@ TEST(GraphXml, ElementConfiguresAndValidates)
     a->UnRegister();
   };
 
-  parse("<sensei><graph enabled=\"1\" max_nodes=\"128\" "
-        "repin_threshold=\"0.5\"/></sensei>");
+  parse("<sensei><graph enabled=\"1\"/></sensei>");
   vp::graph::GraphConfig cfg = vp::graph::GetConfig();
   EXPECT_TRUE(cfg.Enabled);
-  EXPECT_EQ(cfg.MaxNodes, 128u);
-  EXPECT_DOUBLE_EQ(cfg.RepinThreshold, 0.5);
 
-  EXPECT_THROW(parse("<sensei><graph max_nodes=\"0\"/></sensei>"),
-               std::runtime_error);
-  EXPECT_THROW(parse("<sensei><graph repin_threshold=\"-1\"/></sensei>"),
+  EXPECT_THROW(parse("<sensei><graph enabled=\"2\"/></sensei>"),
                std::runtime_error);
 
   // the environment wins over the XML so command lines can force a mode

@@ -166,7 +166,7 @@ TEST_F(KnobTest, EveryRowRejectsBadAttributesAndVariables)
       }
     });
   EXPECT_GE(rows, 56);
-  EXPECT_EQ(envRows, 19);
+  EXPECT_EQ(envRows, 18);
 }
 
 TEST_F(KnobTest, HandPickedBadValuesThrow)
@@ -309,7 +309,7 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
     <pool enabled="1" trim_threshold="0.25"/>
     <sched policy="least-loaded" queue_depth="3"/>
     <exec mode="serial" shard_grain="8192"/>
-    <graph enabled="0" max_nodes="512"/>
+    <graph enabled="1"/>
     <layout default="soa" simd="1"/>
     <compress codec="shuffle-rle" level="2"/>
     <service workers="3"/>
@@ -326,7 +326,7 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
   EXPECT_TRUE(vp::PoolManager::Get().Config().Enabled);
   EXPECT_EQ(sched::GetConfig().QueueDepth, 3);
   EXPECT_EQ(vp::exec::GetConfig().ShardGrain, 8192u);
-  EXPECT_EQ(vp::graph::GetConfig().MaxNodes, 512u);
+  EXPECT_TRUE(vp::graph::GetConfig().Enabled);
   EXPECT_EQ(vp::layout::GetConfig().Default, vp::layout::Kind::SoA);
   EXPECT_EQ(cmp::GetConfig().Default.Level, 2);
   EXPECT_EQ(svc::GetConfig().Workers, 3);

@@ -4,7 +4,7 @@
 // pattern round-trips bit-exact against an AoS reference), the
 // hamr::buffer / svtkHAMRDataArray conversion surface, the byte-plane
 // transpose behind the codec shuffle, XML / environment configuration,
-// the tune-space knobs, the profiler export — and equality of the three
+// the profiler export — and equality of the three
 // vectorized hot kernels (binning accumulate, codec shuffle, nbody
 // force) across serial / threads execution, eager / graph replay, and
 // the three layouts.
@@ -22,7 +22,6 @@
 #include "senseiProfiler.h"
 #include "svtkAOSDataArray.h"
 #include "svtkHAMRDataArray.h"
-#include "tuneSpace.h"
 #include "vcuda.h"
 #include "vomp.h"
 #include "vpClock.h"
@@ -584,39 +583,6 @@ TEST_F(LayoutTest, PerAnalysisLayoutOverride)
   EXPECT_EQ(b->GetEffectiveLayout(), Kind::AoSoA);
   EXPECT_EQ(b->GetEffectiveLayoutBlock(), 16u);
   b->Delete();
-}
-
-// --- tune-space knobs --------------------------------------------------------
-
-TEST_F(LayoutTest, TuneSpaceCarriesLayoutKnobs)
-{
-  const tune::KnobSpace s = tune::KnobSpace::Campaign();
-  bool def = false, blk = false, simd = false;
-  for (const tune::Knob &k : s.Knobs())
-  {
-    if (k.Name == "layout.default")
-      def = true;
-    if (k.Name == "layout.block")
-      blk = true;
-    if (k.Name == "layout.simd")
-      simd = true;
-  }
-  EXPECT_TRUE(def);
-  EXPECT_TRUE(blk);
-  EXPECT_TRUE(simd);
-}
-
-TEST_F(LayoutTest, TunePointRoundTripsLayoutFields)
-{
-  tune::ConfigPoint p;
-  p.Layout.Default = Kind::AoSoA;
-  p.Layout.Block = 16;
-  p.Layout.Simd = true;
-  const tune::ConfigPoint q = tune::ParseXml(tune::EmitXml(p));
-  EXPECT_EQ(q, p);
-  EXPECT_EQ(q.Layout.Default, Kind::AoSoA);
-  EXPECT_EQ(q.Layout.Block, 16u);
-  EXPECT_TRUE(q.Layout.Simd);
 }
 
 // --- profiler export ---------------------------------------------------------

@@ -378,7 +378,6 @@ TEST(SchedXml, ConfiguresPolicyDepthAndBackpressure)
   EXPECT_EQ(cfg.Policy, sched::PolicyKind::CostModel);
   EXPECT_EQ(cfg.QueueDepth, 4);
   EXPECT_EQ(cfg.Pressure, sched::Backpressure::DropOldest);
-  EXPECT_FALSE(cfg.RealThreads);
 
   // the <sched> policy is the default; a per-analysis attribute overrides
   ASSERT_EQ(ca->GetNumberOfAnalyses(), 2);

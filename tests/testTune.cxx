@@ -1,13 +1,14 @@
 // Tests for the campaign auto-tuner (src/tune): knob-space sanity
-// (bounds, cardinality, single-knob neighbourhood moves), a randomized
-// XML round-trip property over the full knob space including
-// per-analysis overrides (point -> EmitXml -> ParseXml -> equal, and the
-// campaign-document path through ApplyToDoc/ParseDoc), profiler
-// Snapshot/Delta composition (deltas across windows sum to the
-// cumulative counters), evaluator bit-determinism across fresh instances
-// of a lockstep proxy campaign, fixed-seed annealer reproducibility with
-// warm starts, and the online controller's keep/revert/cooldown
-// decisions driven by synthetic profiler counters.
+// (bounds, cardinality, single-knob neighbourhood moves), every knob
+// moving the evaluator's score, a randomized XML round-trip property
+// over the full knob space including per-analysis overrides (point ->
+// EmitXml -> ParseXml -> equal, and the campaign-document path through
+// ApplyToDoc/ParseDoc), profiler Snapshot/Delta composition (deltas
+// across windows sum to the cumulative counters), evaluator
+// bit-determinism across fresh instances of a lockstep proxy campaign,
+// fixed-seed annealer reproducibility with warm starts, and the online
+// controller's keep/revert/cooldown decisions driven by synthetic
+// profiler counters.
 
 #include "campaign.h"
 #include "schedPipeline.h"
@@ -16,7 +17,6 @@
 #include "tuneOnline.h"
 #include "tuneSearch.h"
 #include "tuneSpace.h"
-#include "vizTransfer.h"
 
 #include <gtest/gtest.h>
 
@@ -49,13 +49,53 @@ tune::EvalConfig TinyEvalConfig()
   return ec;
 }
 
+/// The four asynchronous placements in one campaign, with the dedicated
+/// in situ device (node 0, device 3) stalled 2 ms per submission as in
+/// bench/um_tune: the placement policies act only across several
+/// devices, the pool's cap and trim only where payloads are pooled.
+tune::EvalConfig StalledAsyncEvalConfig()
+{
+  tune::EvalConfig ec;
+  ec.Campaign.Nodes = 1;
+  ec.Campaign.Steps = 2;
+  ec.Campaign.BodiesPerNode = 10000;
+  ec.Campaign.CoordSystems = 2;
+  ec.Campaign.VariablesPerSystem = 2;
+  ec.Campaign.ConfigMutator = [](sxml::Element &root)
+  {
+    sxml::Element *fe = root.FindOrAddChild("fault");
+    fe->SetAttribute("enabled", "1");
+    fe->SetAttributeDouble("stream_delay", 2e-3);
+    fe->SetAttributeInt("delay_node", 0);
+    fe->SetAttributeInt("delay_device", 3);
+  };
+  for (campaign::Placement place :
+       {campaign::Placement::Host, campaign::Placement::SameDevice,
+        campaign::Placement::OneDedicated, campaign::Placement::TwoDedicated})
+  {
+    campaign::CaseConfig c;
+    c.Place = place;
+    c.Asynchronous = true;
+    ec.Cases.push_back(c);
+  }
+  return ec;
+}
+
+/// The i-th value of a knob's domain.
+double DomainValue(const tune::Knob &k, std::size_t i)
+{
+  return k.Kind == tune::KnobKind::PowerOfTwo
+           ? k.Min * std::pow(2.0, static_cast<double>(i))
+           : k.Min + static_cast<double>(i);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------- knob space
 
 TEST(TuneSpace, KnobSanity)
 {
-  const tune::KnobSpace space = tune::KnobSpace::Campaign(2, true);
+  const tune::KnobSpace space = tune::KnobSpace::Campaign(2);
   ASSERT_FALSE(space.Knobs().empty());
   EXPECT_GT(space.Size(), 1.0);
 
@@ -86,7 +126,7 @@ TEST(TuneSpace, KnobSanity)
 
 TEST(TuneSpace, NeighborMovesExactlyOneKnob)
 {
-  const tune::KnobSpace space = tune::KnobSpace::Campaign(2, true);
+  const tune::KnobSpace space = tune::KnobSpace::Campaign(2);
   std::mt19937_64 rng(11);
   for (int i = 0; i < 100; ++i)
   {
@@ -108,13 +148,50 @@ TEST(TuneSpace, NeighborMovesExactlyOneKnob)
   }
 }
 
+TEST(TuneSpace, EveryKnobMovesTheScore)
+{
+  // a knob belongs in the space only when some value of it, set alone,
+  // changes what the evaluator scores, to the bit (lockstep scoring is
+  // deterministic). Start from the default point, and from a busy one
+  // (the pool on at a 1 MiB cap, graph capture on, a depth-2 drop-oldest
+  // queue) where the pool's cap, trim and block knobs act
+  tune::ConfigPoint busy;
+  busy.Pool.Enabled = true;
+  busy.Pool.MaxCachedBytes = 1 << 20;
+  busy.Graph.Enabled = true;
+  busy.Sched.QueueDepth = 2;
+  busy.Sched.Pressure = sched::Backpressure::DropOldest;
+
+  const tune::KnobSpace space = tune::KnobSpace::Campaign(2);
+  tune::Evaluator ev(StalledAsyncEvalConfig());
+  for (const tune::Knob &k : space.Knobs())
+  {
+    bool moved = false;
+    for (const tune::ConfigPoint &start : {tune::ConfigPoint(), busy})
+    {
+      const tune::EvalResult base = ev.Evaluate(start);
+      ASSERT_TRUE(base.Valid) << base.Error;
+      for (std::size_t i = 0; i < k.Cardinality() && !moved; ++i)
+      {
+        tune::ConfigPoint p = start;
+        k.Set(p, DomainValue(k, i));
+        const tune::EvalResult r = ev.Evaluate(p);
+        ASSERT_TRUE(r.Valid) << k.Name << ": " << r.Error;
+        moved = r.TotalSeconds != base.TotalSeconds ||
+                r.PeakBytes != base.PeakBytes;
+      }
+    }
+    EXPECT_TRUE(moved) << k.Name << " never moves the score";
+  }
+}
+
 // ------------------------------------------------------------ XML round trip
 
 TEST(TuneSpace, RoundTripRandomPoints)
 {
   // the property satellite: any point in the space serializes to a
   // loadable document and parses back field for field
-  const tune::KnobSpace space = tune::KnobSpace::Campaign(3, true);
+  const tune::KnobSpace space = tune::KnobSpace::Campaign(3);
   std::mt19937_64 rng(12345);
   for (int i = 0; i < 200; ++i)
   {
@@ -162,44 +239,14 @@ TEST(TuneSpace, RoundTripPerAnalysisOverrides)
   EXPECT_EQ(tune::ParseXml(tune::EmitXml(q)), p);
 }
 
-TEST(TuneSpace, VizKnobsCoverTheRenderEndpointAndRoundTrip)
-{
-  // the steerable render endpoint is part of the campaign space:
-  // resolution ladder, colormap, and the image-frame codec
-  const tune::KnobSpace space = tune::KnobSpace::Campaign(0, true);
-  std::set<std::string> names;
-  for (const tune::Knob &k : space.Knobs())
-    names.insert(k.Name);
-  EXPECT_EQ(names.count("viz.resolution"), 1u);
-  EXPECT_EQ(names.count("viz.colormap"), 1u);
-  EXPECT_EQ(names.count("viz.codec"), 1u);
-
-  tune::ConfigPoint p;
-  p.Viz.Width = p.Viz.Height = 512;
-  p.Viz.Map = viz::Colormap::Heat;
-  p.Viz.Codec.Codec = cmp::CodecId::ShuffleRLE;
-
-  const std::string xml = tune::EmitXml(p);
-  EXPECT_NE(xml.find("<viz"), std::string::npos) << xml;
-
-  const tune::ConfigPoint back = tune::ParseXml(xml);
-  EXPECT_EQ(back, p);
-  EXPECT_EQ(back.Viz.Width, 512u);
-  EXPECT_EQ(back.Viz.Map, viz::Colormap::Heat);
-  EXPECT_EQ(back.Viz.Codec.Codec, cmp::CodecId::ShuffleRLE);
-
-  // and the one-line description mentions the render plan
-  EXPECT_NE(tune::Describe(p).find("viz="), std::string::npos);
-}
-
 TEST(TuneSpace, ParseRejectsOutOfDomainValues)
 {
   EXPECT_THROW(
     tune::ParseXml("<sensei><sched policy=\"warp-speed\"/></sensei>"),
     std::runtime_error);
-  EXPECT_THROW(
-    tune::ParseXml("<sensei><compress codec=\"no-such-codec\"/></sensei>"),
-    std::runtime_error);
+  EXPECT_THROW(tune::ParseXml("<sensei><analysis type=\"histogram\" "
+                               "compress=\"no-such-codec\"/></sensei>"),
+               std::runtime_error);
 }
 
 // ------------------------------------------------- profiler snapshot deltas
@@ -302,7 +349,7 @@ TEST(TuneEval, InvalidXmlScoresInvalid)
 
 TEST(TuneSearch, AnnealFixedSeedReproducibleWithWarmStart)
 {
-  const tune::KnobSpace space = tune::KnobSpace::Campaign(0, false);
+  const tune::KnobSpace space = tune::KnobSpace::Campaign(0);
   tune::SearchConfig sc;
   sc.Seed = 42;
   sc.Budget = 4;
