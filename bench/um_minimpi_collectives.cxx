@@ -1,12 +1,18 @@
 // Microbenchmark: minimpi collective costs in virtual time as a function
 // of rank count and payload — the cross-rank reduction of binning grids
 // is a first-order term in the in situ cost at scale (90 grids per step
-// are allreduced in the paper's campaign).
+// are reduced in the paper's campaign). BM_CompactVsDense prices one
+// binning record (128^2 bins x 11 grids) through the sparse allreduce at
+// 1/10/50/100% per-rank capacity against the dense Allreduce.
 
 #include "minimpi.h"
 #include "vpPlatform.h"
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 namespace
 {
@@ -48,6 +54,50 @@ BENCHMARK(BM_Allreduce)
   ->Args({16, 1 << 14})
   ->Args({8, 1 << 10})
   ->Args({8, 1 << 16})
+  ->UseManualTime()
+  ->Iterations(10);
+
+static void BM_CompactVsDense(benchmark::State &state)
+{
+  Reset();
+  const int ranks = static_cast<int>(state.range(0));
+  const std::size_t percent = static_cast<std::size_t>(state.range(1));
+  const bool compact = state.range(2) != 0;
+  const minimpi::CompactShape shape{
+    128 * 128, std::vector<minimpi::Op>(11, minimpi::Op::Sum)};
+  const std::size_t cap = shape.Bins * percent / 100;
+
+  for (auto _ : state)
+  {
+    double virtualSeconds = 0.0;
+    minimpi::Run(
+      ranks,
+      [&](minimpi::Communicator &comm)
+      {
+        // every rank occupies `cap` bins of its record
+        std::vector<double> rec(shape.Grids() * shape.Bins, 0.0);
+        for (std::size_t g = 0; g < shape.Grids(); ++g)
+          std::fill_n(rec.begin() + static_cast<long>(g * shape.Bins), cap,
+                      1.0);
+        std::vector<double> buf(shape.Bytes(cap) / sizeof(double));
+        if (compact)
+          minimpi::PackCompact(shape, rec.data(), cap, buf.data());
+        const double t0 = vp::ThisClock().Now();
+        if (compact)
+          comm.AllreduceCompact(shape, buf.data(), cap, rec.data());
+        else
+          comm.Allreduce(rec.data(), rec.size(), minimpi::Op::Sum);
+        if (comm.Rank() == 0)
+          virtualSeconds = vp::ThisClock().Now() - t0;
+      });
+    state.SetIterationTime(virtualSeconds);
+  }
+  state.SetLabel(std::string(compact ? "compact" : "dense") + ", " +
+                 std::to_string(ranks) + " ranks, capacity " +
+                 std::to_string(percent) + "%");
+}
+BENCHMARK(BM_CompactVsDense)
+  ->ArgsProduct({{2, 4, 8, 16}, {1, 10, 50, 100}, {0, 1}})
   ->UseManualTime()
   ->Iterations(10);
 

@@ -218,7 +218,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testConfigs testKnob
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
@@ -252,6 +252,10 @@ bench um_layout_sanitized.txt \
 # the packed binning record of a 4-rank mixed-op binning under ASan+UBSan
 ../build-sanitize/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
+# the compact record's pack, unpack and sparse allreduce (1-8 ranks,
+# partial bitmap words, capacity 0) and the hostile chunk headers
+../build-sanitize/tests/testMinimpi \
+  --gtest_filter='RankCounts/CompactRanks.*:CompactAllreduce.*:MinimpiChunked.*'
 # the knob rows: every shipped config, the golden effective config, the
 # env matrix, and every row's bad attribute/variable under ASan+UBSan
 ctest --test-dir ../build-sanitize -L config --output-on-failure
@@ -261,7 +265,7 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testConfigs testKnob
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob
 ../build-tsan/tests/testExec
 bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
   --benchmark_min_time=0.05
@@ -287,6 +291,10 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # 4 rank threads meeting in the packed binning record's collectives
 ../build-tsan/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
+# up to 16 rank threads meeting in the sparse allreduce: the last
+# arrival's merge reads every rank's compact record
+../build-tsan/tests/testMinimpi \
+  --gtest_filter='RankCounts/CompactRanks.*:CompactAllreduce.*'
 # 4 rank threads running Initialize at once against the one-time knob
 # rows (each test is its own process, so the first use races for real)
 ctest --test-dir ../build-tsan -L config --output-on-failure

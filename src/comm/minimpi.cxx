@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <thread>
 
 namespace minimpi
@@ -296,15 +299,14 @@ public:
 
   // --- collectives -------------------------------------------------------------
 
-  /// Generic two-phase collective. Every rank contributes (in, bytes);
-  /// the last arrival runs `combine` (with all input pointers valid) to
-  /// fill Scratch_ and must return the per-rank payload size; every rank
-  /// then copies `outBytes` from Scratch_ + outOffset(rank) into `out`.
-  void Collective(int rank, const void *in, std::size_t bytes, void *out,
-                  std::size_t outBytes,
-                  const std::function<void(const std::vector<const void *> &)>
-                    &combine,
-                  const std::function<std::size_t(int)> &outOffset)
+  /// Generic two-phase collective. Every rank contributes `in`; the last
+  /// arrival runs `combine` (with all input pointers valid), which fills
+  /// Scratch_ and returns the collective's virtual duration. Every rank
+  /// then copies the first `outBytes` of Scratch_ into `out` and leaves
+  /// at the latest entry time plus that duration.
+  void Collective(
+    int rank, const void *in, void *out, std::size_t outBytes,
+    const std::function<double(const std::vector<const void *> &)> &combine)
   {
     std::unique_lock<std::mutex> lock(this->CollMutex_);
     const std::uint64_t myGen = this->Generation_;
@@ -313,18 +315,9 @@ public:
 
     if (++this->Arrived_ == this->Size_)
     {
-      if (combine)
-        combine(this->InPtrs_);
-
-      // collective cost: tree fan-in/out over the participants
-      const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
       const double entry =
         *std::max_element(this->EntryTimes_.begin(), this->EntryTimes_.end());
-      const double steps =
-        std::ceil(std::log2(static_cast<double>(std::max(this->Size_, 2))));
-      this->ExitTime_ =
-        entry + steps * (cost.MessageLatency +
-                         static_cast<double>(bytes) / cost.MessageBandwidth);
+      this->ExitTime_ = entry + combine(this->InPtrs_);
 
       this->Arrived_ = 0;
       ++this->Generation_;
@@ -347,8 +340,19 @@ public:
     }
 
     if (out && outBytes)
-      std::memcpy(out, this->Scratch_.data() + outOffset(rank), outBytes);
+      std::memcpy(out, this->Scratch_.data(), outBytes);
     vp::ThisClock().AdvanceTo(this->ExitTime_);
+  }
+
+  /// Virtual duration of a dense collective moving `bytes` per rank: a
+  /// tree fan-in/out of ceil(log2(max(P, 2))) steps.
+  double TreeSeconds(std::size_t bytes) const
+  {
+    const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+    const double steps =
+      std::ceil(std::log2(static_cast<double>(std::max(this->Size_, 2))));
+    return steps * (cost.MessageLatency +
+                    static_cast<double>(bytes) / cost.MessageBandwidth);
   }
 
   std::vector<std::uint8_t> &Scratch() { return this->Scratch_; }
@@ -512,31 +516,8 @@ void Communicator::SendChunked(int dest, int tag, const void *data,
 
 std::vector<std::uint8_t> Communicator::RecvChunked(int src, int tag)
 {
-  const std::vector<std::uint8_t> header = this->Recv(src, tag);
-  if (header.size() != 16)
-    throw std::runtime_error(
-      "minimpi::RecvChunked: expected a 16 byte chunk header, got " +
-      std::to_string(header.size()) + " bytes");
-
-  const std::uint64_t total = LoadU64LE(header.data());
-  const std::uint64_t nChunks = LoadU64LE(header.data() + 8);
-  if ((total == 0) != (nChunks == 0))
-    throw std::runtime_error("minimpi::RecvChunked: malformed chunk header");
-
   std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(total));
-  for (std::uint64_t c = 0; c < nChunks; ++c)
-  {
-    std::vector<std::uint8_t> chunk = this->Recv(src, tag);
-    if (chunk.empty() || chunk.size() > total - out.size())
-      throw std::runtime_error(
-        "minimpi::RecvChunked: chunk stream does not match its header");
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  }
-  if (out.size() != total)
-    throw std::runtime_error(
-      "minimpi::RecvChunked: reassembled " + std::to_string(out.size()) +
-      " bytes, header promised " + std::to_string(total));
+  this->RecvChunked(src, tag, out, -1.0);
   return out;
 }
 
@@ -553,13 +534,20 @@ bool Communicator::RecvChunked(int src, int tag,
       "minimpi::RecvChunked: expected a 16 byte chunk header, got " +
       std::to_string(header.size()) + " bytes");
 
+  // bound the header before allocating: chunks are non-empty and at most
+  // the message limit, so a real transfer has chunks <= total <= chunks x
+  // limit (checked without overflow)
   const std::uint64_t total = LoadU64LE(header.data());
   const std::uint64_t nChunks = LoadU64LE(header.data() + 8);
-  if ((total == 0) != (nChunks == 0))
-    throw std::runtime_error("minimpi::RecvChunked: malformed chunk header");
+  const std::uint64_t limit = GetMaxMessageBytes();
+  if (nChunks > total || total / limit + (total % limit != 0) > nChunks)
+    throw std::runtime_error(
+      "minimpi::RecvChunked: malformed chunk header (" +
+      std::to_string(total) + " bytes in " + std::to_string(nChunks) +
+      " chunks of at most " + std::to_string(limit) + ")");
 
   out.clear();
-  out.reserve(static_cast<std::size_t>(total));
+  out.reserve(static_cast<std::size_t>(std::min(total, limit)));
   for (std::uint64_t c = 0; c < nChunks; ++c)
   {
     // once the header is consumed the stream is committed: a missing
@@ -584,23 +572,25 @@ bool Communicator::RecvChunked(int src, int tag,
 
 void Communicator::Barrier()
 {
-  this->Ctx_->Collective(this->Rank_, nullptr, 0, nullptr, 0, nullptr,
-                         [](int) { return std::size_t{0}; });
+  Context *ctx = this->Ctx_;
+  ctx->Collective(this->Rank_, nullptr, nullptr, 0,
+                  [ctx](const std::vector<const void *> &)
+                  { return ctx->TreeSeconds(0); });
 }
 
 void Communicator::BcastBytes(void *data, std::size_t bytes, int root)
 {
   Context *ctx = this->Ctx_;
   ctx->Collective(
-    this->Rank_, data, bytes, data, bytes,
+    this->Rank_, data, data, bytes,
     [ctx, bytes, root](const std::vector<const void *> &in)
     {
       ctx->Scratch().resize(bytes);
       if (bytes)
         std::memcpy(ctx->Scratch().data(), in[static_cast<std::size_t>(root)],
                     bytes);
-    },
-    [](int) { return std::size_t{0}; });
+      return ctx->TreeSeconds(bytes);
+    });
 }
 
 std::vector<std::uint8_t> Communicator::GatherBytes(const void *data,
@@ -619,7 +609,7 @@ std::vector<std::uint8_t> Communicator::AllgatherBytes(const void *data,
   const int size = ctx->Size();
   std::vector<std::uint8_t> out(bytes * static_cast<std::size_t>(size));
   ctx->Collective(
-    this->Rank_, data, bytes, out.data(), out.size(),
+    this->Rank_, data, out.data(), out.size(),
     [ctx, bytes, size](const std::vector<const void *> &in)
     {
       ctx->Scratch().resize(bytes * static_cast<std::size_t>(size));
@@ -628,8 +618,8 @@ std::vector<std::uint8_t> Communicator::AllgatherBytes(const void *data,
           std::memcpy(ctx->Scratch().data() +
                         bytes * static_cast<std::size_t>(r),
                       in[static_cast<std::size_t>(r)], bytes);
-    },
-    [](int) { return std::size_t{0}; });
+      return ctx->TreeSeconds(bytes);
+    });
   return out;
 }
 
@@ -660,7 +650,7 @@ void AllreduceImpl(Context *ctx, int rank, T *data, std::size_t n, Op op)
 {
   const std::size_t bytes = n * sizeof(T);
   ctx->Collective(
-    rank, data, bytes, data, bytes,
+    rank, data, data, bytes,
     [ctx, n, bytes, op](const std::vector<const void *> &in)
     {
       ctx->Scratch().resize(bytes);
@@ -668,8 +658,8 @@ void AllreduceImpl(Context *ctx, int rank, T *data, std::size_t n, Op op)
       std::memcpy(acc, in[0], bytes);
       for (std::size_t r = 1; r < in.size(); ++r)
         ReduceInto(acc, static_cast<const T *>(in[r]), n, op);
-    },
-    [](int) { return std::size_t{0}; });
+      return ctx->TreeSeconds(bytes);
+    });
 }
 } // namespace
 
@@ -696,6 +686,252 @@ void Communicator::AllreduceTyped(std::size_t *d, std::size_t n, Op op,
                                   TypeTag<std::size_t>)
 {
   AllreduceImpl(this->Ctx_, this->Rank_, d, n, op);
+}
+
+// ---------------------------------------------------------------------------
+// compact grid records
+namespace
+{
+double Identity(Op op)
+{
+  const double inf = std::numeric_limits<double>::infinity();
+  return op == Op::Min ? inf : (op == Op::Max ? -inf : 0.0);
+}
+
+/// The bits of word `w` that name bins of the record.
+std::uint64_t WordMask(const CompactShape &shape, std::size_t w)
+{
+  const std::size_t rest = shape.Bins - 64 * w;
+  return rest >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << rest) - 1;
+}
+
+/// One rank's compact record as the merge reads it.
+struct CompactPart
+{
+  std::vector<std::uint64_t> Bitmap; ///< bits past the last bin cleared
+  const double *Slots = nullptr;
+  std::size_t Cap = 0;
+};
+
+/// Read a compact record, checking that its bitmap fits its capacity.
+CompactPart PartOf(const CompactShape &shape, const void *compact,
+                   std::size_t cap)
+{
+  CompactPart part;
+  part.Bitmap.resize(shape.BitmapWords());
+  std::memcpy(part.Bitmap.data(), compact, 8 * part.Bitmap.size());
+  std::size_t held = 0;
+  for (std::size_t w = 0; w < part.Bitmap.size(); ++w)
+  {
+    part.Bitmap[w] &= WordMask(shape, w);
+    held += static_cast<std::size_t>(std::popcount(part.Bitmap[w]));
+  }
+  if (held > cap)
+    throw std::runtime_error("minimpi: compact record names " +
+                             std::to_string(held) + " bins but has " +
+                             std::to_string(cap) + " slots");
+  part.Slots = reinterpret_cast<const double *>(
+    static_cast<const std::byte *>(compact) + 8 * part.Bitmap.size());
+  part.Cap = cap;
+  return part;
+}
+
+/// Fold the parts into `dense` exactly as Allreduce folds dense records:
+/// the first part is copied (its values at the bins it holds, the
+/// identity elsewhere), and each later part is combined in part order by
+/// the same ReduceInto, over the union of the bitmaps gathered into
+/// contiguous runs (an absent bin contributes the identity). Bins no part
+/// holds stay the identity, which is also what the dense fold gives.
+void MergeCompact(const CompactShape &shape,
+                  const std::vector<CompactPart> &parts, double *dense)
+{
+  const std::size_t nBins = shape.Bins;
+  const std::size_t nGrids = shape.Grids();
+  const std::size_t nWords = shape.BitmapWords();
+  std::vector<double> id(nGrids);
+  for (std::size_t g = 0; g < nGrids; ++g)
+  {
+    id[g] = Identity(shape.Ops[g]);
+    std::fill(dense + g * nBins, dense + (g + 1) * nBins, id[g]);
+  }
+
+  // visit the bins of `bitmap` in order, with each one's nGrids values
+  // (the slots of a part that holds it, else the identities)
+  auto forEach = [&](const std::vector<std::uint64_t> &bitmap,
+                     const CompactPart *part, auto &&fn)
+  {
+    const double *slot = part ? part->Slots : nullptr;
+    for (std::size_t w = 0; w < nWords; ++w)
+      for (std::uint64_t bits = bitmap[w]; bits; bits &= bits - 1)
+      {
+        const int b = std::countr_zero(bits);
+        const bool mine = part && ((part->Bitmap[w] >> b) & 1u);
+        fn(64 * w + static_cast<std::size_t>(b), mine ? slot : id.data());
+        slot += mine ? nGrids : 0;
+      }
+  };
+
+  if (parts.empty())
+    return;
+  forEach(parts[0].Bitmap, &parts[0],
+          [&](std::size_t i, const double *v)
+          {
+            for (std::size_t g = 0; g < nGrids; ++g)
+              dense[g * nBins + i] = v[g];
+          });
+  if (parts.size() == 1)
+    return;
+
+  std::vector<std::uint64_t> any(nWords, 0);
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < nWords; ++w)
+  {
+    for (const CompactPart &p : parts)
+      any[w] |= p.Bitmap[w];
+    n += static_cast<std::size_t>(std::popcount(any[w]));
+  }
+
+  // acc and in are segment-major over the union: [g * n + j]
+  std::vector<double> acc(nGrids * n), in(nGrids * n);
+  std::size_t j = 0;
+  forEach(any, nullptr,
+          [&](std::size_t i, const double *)
+          {
+            for (std::size_t g = 0; g < nGrids; ++g)
+              acc[g * n + j] = dense[g * nBins + i];
+            ++j;
+          });
+  for (std::size_t r = 1; r < parts.size(); ++r)
+  {
+    j = 0;
+    forEach(any, &parts[r],
+            [&](std::size_t, const double *v)
+            {
+              for (std::size_t g = 0; g < nGrids; ++g)
+                in[g * n + j] = v[g];
+              ++j;
+            });
+    for (std::size_t g = 0; g < nGrids; ++g)
+      ReduceInto(acc.data() + g * n, in.data() + g * n, n, shape.Ops[g]);
+  }
+  j = 0;
+  forEach(any, nullptr,
+          [&](std::size_t i, const double *)
+          {
+            for (std::size_t g = 0; g < nGrids; ++g)
+              dense[g * nBins + i] = acc[g * n + j];
+            ++j;
+          });
+}
+
+/// Virtual duration of AllreduceCompact over ranks with capacities
+/// `caps`, in rank order (see Communicator::AllreduceCompact).
+double CompactAllreduceSeconds(const CompactShape &shape,
+                               const std::vector<std::size_t> &caps)
+{
+  const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+  const std::size_t nRanks = std::max<std::size_t>(caps.size(), 2);
+  const double bitmapBytes = 8.0 * static_cast<double>(shape.BitmapWords());
+  double seconds = 0.0;
+  // round k (group = 2^(k-1)) sends what an aligned group of ranks holds
+  for (std::size_t group = 1; group < nRanks; group *= 2)
+  {
+    std::size_t slots = 0;
+    for (std::size_t first = 0; first < caps.size(); first += group)
+    {
+      std::size_t sum = 0;
+      for (std::size_t r = first; r < std::min(caps.size(), first + group); ++r)
+        sum += caps[r];
+      slots = std::max(slots, std::min(shape.Bins, sum));
+    }
+    seconds += cost.MessageLatency +
+               (bitmapBytes + static_cast<double>(slots * shape.Grids()) *
+                                sizeof(double)) /
+                 cost.MessageBandwidth;
+  }
+  return seconds;
+}
+} // namespace
+
+void PackCompact(const CompactShape &shape, const double *dense,
+                 std::size_t cap, void *out)
+{
+  const std::size_t nBins = shape.Bins;
+  const std::size_t nGrids = shape.Grids();
+  const std::size_t nWords = shape.BitmapWords();
+
+  // occupancy, one segment at a time: a bin is held when any segment
+  // differs from its identity bit for bit
+  std::vector<std::uint64_t> bitmap(nWords, 0);
+  for (std::size_t g = 0; g < nGrids; ++g)
+  {
+    const auto id = std::bit_cast<std::uint64_t>(Identity(shape.Ops[g]));
+    const double *seg = dense + g * nBins;
+    for (std::size_t w = 0; w < nWords; ++w)
+    {
+      std::uint64_t word = 0;
+      const std::size_t n = std::min<std::size_t>(64, nBins - 64 * w);
+      for (std::size_t b = 0; b < n; ++b)
+        word |= std::uint64_t(std::bit_cast<std::uint64_t>(seg[64 * w + b]) !=
+                              id)
+                << b;
+      bitmap[w] |= word;
+    }
+  }
+
+  std::size_t held = 0;
+  for (std::uint64_t word : bitmap)
+    held += static_cast<std::size_t>(std::popcount(word));
+  if (held > cap)
+    throw std::length_error("minimpi::PackCompact: " + std::to_string(held) +
+                            " occupied bins exceed the capacity of " +
+                            std::to_string(cap));
+
+  auto *bytes = static_cast<std::byte *>(out);
+  std::memcpy(bytes, bitmap.data(), 8 * nWords);
+  auto *slot = reinterpret_cast<double *>(bytes + 8 * nWords);
+  for (std::size_t w = 0; w < nWords; ++w)
+    for (std::uint64_t bits = bitmap[w]; bits; bits &= bits - 1)
+    {
+      const std::size_t i =
+        64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      for (std::size_t g = 0; g < nGrids; ++g)
+        *slot++ = dense[g * nBins + i];
+    }
+  std::fill(slot, slot + (cap - held) * nGrids, 0.0);
+}
+
+void UnpackCompact(const CompactShape &shape, const void *compact,
+                   std::size_t cap, double *dense)
+{
+  MergeCompact(shape, {PartOf(shape, compact, cap)}, dense);
+}
+
+void Communicator::AllreduceCompact(const CompactShape &shape,
+                                    const void *compact, std::size_t cap,
+                                    double *dense)
+{
+  // each rank checks its own record before it enters, so a malformed one
+  // throws on its rank instead of inside the last arrival's merge
+  const CompactPart mine = PartOf(shape, compact, cap);
+  Context *ctx = this->Ctx_;
+  const std::size_t bytes = shape.Grids() * shape.Bins * sizeof(double);
+  ctx->Collective(
+    this->Rank_, &mine, dense, bytes,
+    [ctx, &shape, bytes](const std::vector<const void *> &in)
+    {
+      std::vector<CompactPart> parts;
+      std::vector<std::size_t> caps;
+      for (const void *p : in)
+      {
+        parts.push_back(*static_cast<const CompactPart *>(p));
+        caps.push_back(parts.back().Cap);
+      }
+      ctx->Scratch().resize(bytes);
+      MergeCompact(shape, parts,
+                   reinterpret_cast<double *>(ctx->Scratch().data()));
+      return CompactAllreduceSeconds(shape, caps);
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@
 /// of one process. This stands in for the MPI library used by Newton++ and
 /// SENSEI on Perlmutter: buffered point-to-point sends with (source, tag)
 /// matching, and the collectives the coupled codes need (barrier, bcast,
-/// reduce, allreduce, gather, allgather). Message volume and collective
-/// fan-in charge virtual time, and collectives align the participants'
-/// virtual clocks, so rank-parallel campaigns produce meaningful virtual
-/// timelines.
+/// reduce, allreduce, gather, allgather, and a sparse allreduce of grid
+/// records). Message volume and collective fan-in charge virtual time,
+/// and collectives align the participants' virtual clocks, so
+/// rank-parallel campaigns produce meaningful virtual timelines.
 ///
 /// Ranks are placed on virtual nodes round-robin in blocks of
 /// `ranksPerNode`; each rank thread is bound to its node
@@ -39,6 +39,43 @@ enum class Op : int
 };
 
 class Context;
+
+/// A grid record is `Ops.size()` segments of `Bins` doubles each, segment
+/// g reduced across ranks with Ops[g]. Its compact form, written by
+/// PackCompact, is an occupancy bitmap of BitmapWords() u64 words (bin i
+/// is bit i % 64 of word i / 64) followed by `cap` slots of
+/// Ops.size() doubles: the values of each occupied bin, in bin order,
+/// then zeros. A bin is unoccupied when every segment holds its
+/// operator's identity bit for bit (+0.0 for Sum, +inf for Min, -inf for
+/// Max), so leaving it out loses nothing.
+struct CompactShape
+{
+  std::size_t Bins = 0;
+  std::vector<Op> Ops; ///< one per segment
+
+  std::size_t Grids() const noexcept { return this->Ops.size(); }
+  std::size_t BitmapWords() const noexcept { return (this->Bins + 63) / 64; }
+
+  /// Size of a compact record with `cap` slots.
+  std::size_t Bytes(std::size_t cap) const noexcept
+  {
+    return 8 * this->BitmapWords() + cap * this->Grids() * sizeof(double);
+  }
+};
+
+/// Write the compact form of the dense record `dense` (Grids() x Bins
+/// doubles, segment-major) into `out` (shape.Bytes(cap) bytes, aligned
+/// for double, like every compact record). Throws std::length_error
+/// when more than `cap` bins are occupied.
+void PackCompact(const CompactShape &shape, const double *dense,
+                 std::size_t cap, void *out);
+
+/// Expand one compact record of capacity `cap` into the dense record
+/// (absent bins get the identities): what AllreduceCompact leaves on a
+/// single rank, without a communicator. Throws std::runtime_error when
+/// the bitmap names more than `cap` bins.
+void UnpackCompact(const CompactShape &shape, const void *compact,
+                   std::size_t cap, double *dense);
 
 /// Per-rank handle to the communicator. Valid only inside the function
 /// passed to Run. All methods are callable concurrently from their
@@ -107,7 +144,10 @@ public:
   void SendChunked(int dest, int tag, const void *data, std::size_t bytes);
 
   /// Receive a payload sent with SendChunked, reassembling the chunk
-  /// frames. Throws std::runtime_error on a malformed chunk stream.
+  /// frames. Throws std::runtime_error on a malformed chunk stream; a
+  /// header whose chunk count exceeds its total, or whose total exceeds
+  /// chunks x GetMaxMessageBytes(), is rejected before any allocation,
+  /// and the buffer grows with the chunks that arrive.
   std::vector<std::uint8_t> RecvChunked(int src, int tag);
 
   /// Timed chunked receive. Returns false when the 16-byte chunk
@@ -168,6 +208,20 @@ public:
     // simply not used off-root; semantics match MPI_Reduce for the root.
     (void)root;
   }
+
+  /// Sparse allreduce of a grid record. Every rank passes its compact
+  /// record (PackCompact with capacity `cap`; ranks may differ in `cap`)
+  /// and ends with the dense reduction in `dense` (Grids() x Bins
+  /// doubles). Each bin folds the ranks in rank order with its segment's
+  /// operator, an absent bin contributing the identity, so the result
+  /// is bit-identical to Allreduce over the dense records. Priced from
+  /// the capacities alone, never the contents, as a recursive-doubling
+  /// exchange of R = ceil(log2(max(P, 2))) rounds: round k moves the
+  /// bitmap plus min(Bins, the largest sum of caps over an aligned group
+  /// of 2^(k-1) ranks) slots, at MessageLatency + bytes /
+  /// MessageBandwidth.
+  void AllreduceCompact(const CompactShape &shape, const void *compact,
+                        std::size_t cap, double *dense);
 
   /// Gather n elements from every rank to root (root gets Size()*n
   /// elements in rank order; other ranks get an empty vector).

@@ -352,11 +352,12 @@ double InitValue(BinningOp op)
   }
 }
 
-/// The cross-rank collective a grid joins: 0 = Sum (count, sum, avg),
-/// 1 = Min, 2 = Max (reduced as a Min over the negated values).
-int CollectiveClass(BinningOp op)
+/// The cross-rank operator of a grid (count, sum and avg add up).
+minimpi::Op ReduceOp(BinningOp op)
 {
-  return op == BinningOp::Min ? 1 : (op == BinningOp::Max ? 2 : 0);
+  return op == BinningOp::Min
+           ? minimpi::Op::Min
+           : (op == BinningOp::Max ? minimpi::Op::Max : minimpi::Op::Sum);
 }
 } // namespace
 
@@ -379,23 +380,12 @@ void DataBinning::RunBinning(const Snapshot &snap)
   const std::size_t nRed = redOps.size();
 
   // --- the packed grid record: one buffer [count | seg 1 | ... | seg nRed]
-  // of nGrids x nBins doubles. Segments are grouped by collective class
-  // (sum/avg, then min, then max) so the cross-rank reduction of the whole
-  // record is at most two collectives; segOp[s] is the reduction held in
-  // segment 1 + s and kinds[g] the kind of segment g.
-  std::vector<std::size_t> segOp(nRed);
-  for (std::size_t k = 0; k < nRed; ++k)
-    segOp[k] = k;
-  std::stable_sort(segOp.begin(), segOp.end(),
-                   [&redOps](std::size_t a, std::size_t b)
-                   {
-                     return CollectiveClass(redOps[a].Kind) <
-                            CollectiveClass(redOps[b].Kind);
-                   });
+  // of nGrids x nBins doubles, segment 1 + k holding reduction k;
+  // kinds[g] is the kind of segment g
   const std::size_t nGrids = 1 + nRed;
   std::vector<BinningOp> kinds(nGrids, BinningOp::Count);
-  for (std::size_t s = 0; s < nRed; ++s)
-    kinds[1 + s] = redOps[segOp[s]].Kind;
+  for (std::size_t k = 0; k < nRed; ++k)
+    kinds[1 + k] = redOps[k].Kind;
 
   // --- inputs at the target location, acquired exactly once per column
   // (the access API moves a column at most once per execute; both the
@@ -425,8 +415,8 @@ void DataBinning::RunBinning(const Snapshot &snap)
     vals[b].resize(nRed);
     for (std::size_t a = 0; a < nAxes; ++a)
       ax[b][a] = acquire(blk.AxisCols[a].Get());
-    for (std::size_t s = 0; s < nRed; ++s)
-      vals[b][s] = acquire(blk.ValueCols[segOp[s]].Get());
+    for (std::size_t k = 0; k < nRed; ++k)
+      vals[b][k] = acquire(blk.ValueCols[k].Get());
     // make sure data in flight, if it was moved, has arrived
     for (const auto &c : blk.AxisCols)
       c->Synchronize();
@@ -590,6 +580,26 @@ void DataBinning::RunBinning(const Snapshot &snap)
   // the host-side packed record
   const std::size_t recLen = nGrids * nBins;
   std::vector<double> record(recLen);
+
+  // its compact form, the record as it leaves the device and crosses
+  // ranks: the occupancy bitmap plus the values of each occupied bin
+  // (src/comm). A rank cannot occupy more bins than it binned rows, so
+  // the capacity is known before any kernel runs and the readback has a
+  // fixed size.
+  minimpi::CompactShape shape{nBins, {}};
+  for (BinningOp k : kinds)
+    shape.Ops.push_back(ReduceOp(k));
+  std::size_t cap = 0;
+  for (std::size_t b = 0; b < nBlocks; ++b)
+    cap += rows[b];
+  cap = std::min(cap, nBins);
+  const std::size_t compactBytes = shape.Bytes(cap);
+  std::vector<double> compact(compactBytes / sizeof(double));
+  auto packInto = [&shape, cap](const double *rec, void *out)
+  {
+    return [&shape, cap, rec, out](std::size_t, std::size_t)
+    { minimpi::PackCompact(shape, rec, cap, out); };
+  };
 
   // fill [b, e) of back-to-back packed records with each segment's init
   // value, one std::fill per segment run (a sharded launch may hand any
@@ -845,14 +855,20 @@ void DataBinning::RunBinning(const Snapshot &snap)
                                          "binning_merge_privatized",
                                          /*Shardable=*/privMax > 1});
     }
-    // one stream-ordered readback on the private stream (the default
-    // stream is shared with the simulation and would splice foreign work
-    // into the captured graph)
-    vcuda::MemcpyAsync(record.data(), dRec, recBytes, strm);
+    // compact the record on the device, then one stream-ordered readback
+    // of the compact buffer on the private stream (the default stream is
+    // shared with the simulation and would splice foreign work into the
+    // captured graph)
+    void *dCompact = vcuda::MallocAsync(compactBytes, strm);
+    vcuda::LaunchN(strm, nBins, packInto(dRec, dCompact),
+                   vcuda::LaunchBounds{static_cast<double>(nGrids), 0.0,
+                                       "binning_compact"});
+    vcuda::MemcpyAsync(compact.data(), dCompact, compactBytes, strm);
     vcuda::StreamSynchronize(strm);
 
     if (dPriv)
       vcuda::Free(dPriv);
+    vcuda::Free(dCompact);
     vcuda::Free(dRec);
   }
   else
@@ -904,36 +920,22 @@ void DataBinning::RunBinning(const Snapshot &snap)
     }
   }
 
-  // --- cross-rank reduction: one Sum collective over count + sum/avg,
-  // one Min collective over the min segments plus the negated max
-  // segments (max(x) = -min(-x), exact in IEEE arithmetic), each reducing
-  // elementwise in rank order
+  // --- cross-rank reduction: each rank's compact record in, the dense
+  // record out, folded in rank order with each segment's operator. A
+  // host record is compacted here; without a communicator it is already
+  // final, and a device one only needs expanding.
   if (snap.Comm)
   {
-    std::size_t sumEnd = 0, maxBegin = 0;
-    for (BinningOp op : kinds)
-    {
-      sumEnd += CollectiveClass(op) == 0;
-      maxBegin += CollectiveClass(op) < 2;
-    }
-    double *const minSegs = record.data() + sumEnd * nBins;
-    double *const maxSegs = record.data() + maxBegin * nBins;
-    double *const end = record.data() + recLen;
-    auto negateMax = [maxSegs, end]()
-    {
-      for (double *p = maxSegs; p != end; ++p)
-        *p = -*p;
-    };
-    snap.Comm->Allreduce(record.data(),
-                         static_cast<std::size_t>(minSegs - record.data()),
-                         minimpi::Op::Sum);
-    if (minSegs != end)
-    {
-      negateMax();
-      snap.Comm->Allreduce(minSegs, static_cast<std::size_t>(end - minSegs),
-                           minimpi::Op::Min);
-      negateMax();
-    }
+    if (!onDevice)
+      vp::Platform::Get().HostParallelFor(
+        vp::KernelDesc{nBins, static_cast<double>(nGrids), 0.0,
+                       "binning_compact_host"},
+        packInto(record.data(), compact.data()));
+    snap.Comm->AllreduceCompact(shape, compact.data(), cap, record.data());
+  }
+  else if (onDevice)
+  {
+    minimpi::UnpackCompact(shape, compact.data(), cap, record.data());
   }
 
   // finalize averages, clean empty bins of min/max
@@ -968,15 +970,12 @@ void DataBinning::RunBinning(const Snapshot &snap)
               : 1.0);
 
   // arrays in the configured op order, each copied from its segment
-  std::vector<std::size_t> segOf(nGrids, 0);
-  for (std::size_t s = 0; s < nRed; ++s)
-    segOf[1 + segOp[s]] = 1 + s;
   for (std::size_t k = 0; k < nGrids; ++k)
   {
     svtkAOSDoubleArray *a = svtkAOSDoubleArray::New(
       k ? redOps[k - 1].Column + "_" + BinningOpName(redOps[k - 1].Kind)
         : std::string("count"));
-    const double *p = record.data() + segOf[k] * nBins;
+    const double *p = record.data() + k * nBins;
     a->GetVector().assign(p, p + nBins);
     image->GetPointData()->AddArray(a);
     a->Delete();

@@ -1,7 +1,11 @@
 #include "svcWire.h"
 
+#include "svcSession.h"
+
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace svc
 {
@@ -214,12 +218,21 @@ bool FrameAssembler::Feed(std::vector<std::uint8_t> &&msg,
       throw std::runtime_error(
         "svc: expected a 16 byte chunk header, got " +
         std::to_string(msg.size()) + " bytes");
-    this->TotalBytes_ = cmp::LoadLE64(msg.data());
-    this->ChunksLeft_ = cmp::LoadLE64(msg.data() + 8);
-    if ((this->TotalBytes_ == 0) != (this->ChunksLeft_ == 0))
-      throw std::runtime_error("svc: malformed chunk header");
+    // bound the header before allocating: chunks are non-empty and at
+    // most the chunk limit, so a real transfer has chunks <= total <=
+    // chunks x limit (checked without overflow)
+    const std::uint64_t total = cmp::LoadLE64(msg.data());
+    const std::uint64_t chunks = cmp::LoadLE64(msg.data() + 8);
+    const std::uint64_t limit = GetConfig().MaxChunkBytes;
+    if (chunks > total || total / limit + (total % limit != 0) > chunks)
+      throw std::runtime_error(
+        "svc: malformed chunk header (" + std::to_string(total) +
+        " bytes in " + std::to_string(chunks) + " chunks of at most " +
+        std::to_string(limit) + ")");
+    this->TotalBytes_ = total;
+    this->ChunksLeft_ = chunks;
     this->Buffer_.clear();
-    this->Buffer_.reserve(static_cast<std::size_t>(this->TotalBytes_));
+    this->Buffer_.reserve(static_cast<std::size_t>(std::min(total, limit)));
     if (this->ChunksLeft_ == 0)
     {
       out.clear(); // zero-byte transfer completes immediately

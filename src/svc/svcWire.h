@@ -135,7 +135,10 @@ class FrameAssembler
 public:
   /// Feed one ring message. Returns true when `out` now holds a
   /// complete frame image. Throws std::runtime_error on a malformed
-  /// stream (bad chunk header, chunk overrun).
+  /// stream (bad chunk header, chunk overrun). A chunk header whose
+  /// chunk count exceeds its total, or whose total exceeds chunks x
+  /// GetConfig().MaxChunkBytes, is rejected before any allocation, and
+  /// the buffer grows with the chunks that arrive.
   bool Feed(std::vector<std::uint8_t> &&msg, std::vector<std::uint8_t> &out);
 
   /// True while chunks of an announced transfer are still outstanding.

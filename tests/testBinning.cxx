@@ -2,8 +2,8 @@
 // reduction against a straightforward reference, host/device path
 // equivalence (parameterized), fixed and automatic ranges, 1D/2D/3D
 // meshes, bit-exact multi-rank reduction through minimpi, the launch and
-// readback counts of the packed grid record, asynchronous execution, and
-// file output.
+// readback counts of the packed grid record and the size of its compact
+// readback, asynchronous execution, and file output.
 
 #include "minimpi.h"
 #include "senseiDataBinning.h"
@@ -11,6 +11,7 @@
 #include "svtkAOSDataArray.h"
 #include "vcuda.h"
 #include "vomp.h"
+#include "vpClock.h"
 #include "vpPlatform.h"
 
 #include <gtest/gtest.h>
@@ -616,11 +617,12 @@ TEST(Binning, MultiRankReductionMatchesSerial)
     t->Delete();
 }
 
-TEST(BinningPacked, DeviceExecuteIsThreeLaunchesAndTwoReadbacks)
+TEST(BinningPacked, DeviceExecuteIsFourLaunchesAndTwoReadbacks)
 {
   // one device Execute of a 10-sum binning with auto ranges: the range
-  // scan, one packed init and one accumulation; the range readback and
-  // one packed grid readback
+  // scan, one packed init, one accumulation and one compaction; the
+  // range readback and one compact record readback. 2000 rows over 256
+  // bins fill the capacity, so every bin has a slot.
   ResetPlatform();
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
   svtkTable *t = MakeTable(2000, 12);
@@ -638,12 +640,98 @@ TEST(BinningPacked, DeviceExecuteIsThreeLaunchesAndTwoReadbacks)
   vp::PlatformStats &stats = vp::Platform::Get().Stats();
   stats.Reset();
   ASSERT_TRUE(b->Execute(da));
-  EXPECT_EQ(stats.KernelsLaunched.load(), 3u);
+  EXPECT_EQ(stats.KernelsLaunched.load(), 4u);
   EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 2u);
+  // [lo, hi] of 2 axes, then 4 bitmap words and 256 slots of 11 grids
+  EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToHost),
+            2u * 2 * 8 + 4 * 8 + 256 * 11 * 8);
 
   b->Delete();
   da->ReleaseData();
   da->Delete();
+}
+
+TEST(BinningPacked, FewRowsReadBackOnlyTheirSlots)
+{
+  // 40 rows over 128 x 128 bins: the device reads back the bitmap plus
+  // 40 slots of 5 grids (5.6 KB, not the 655 KB record), and its grids
+  // match the host path's bit for bit
+  ResetPlatform();
+  svtkTable *t = MakeTable(40, 5);
+  std::vector<std::vector<double>> grids[2];
+  for (int device : {AnalysisAdaptor::DEVICE_HOST, 0})
+  {
+    sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+    da->SetTable(t);
+    DataBinning *b = MakeBinning(device, 128);
+
+    vp::PlatformStats &stats = vp::Platform::Get().Stats();
+    stats.Reset();
+    ASSERT_TRUE(b->Execute(da));
+    if (device == 0)
+    {
+      EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 1u);
+      EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToHost),
+                128u * 128 / 8 + 40 * 5 * 8);
+    }
+
+    svtkImageData *img = b->GetLastResult();
+    for (const char *name : {"count", "v_sum", "v_min", "v_max", "v_avg"})
+      grids[device == 0].push_back(GridValues(img, name));
+    img->UnRegister();
+    b->Delete();
+    da->ReleaseData();
+    da->Delete();
+  }
+  EXPECT_EQ(grids[0], grids[1]);
+  t->Delete();
+}
+
+TEST(BinningPacked, TimingOnlyChargesWhatExecutingCharges)
+{
+  // the compact record's readback and exchange are sized from capacities
+  // (rows binned), never from contents, so a timing-only run (kernel
+  // bodies and copies skipped) charges every rank the same virtual time
+  // as an executing one
+  constexpr int Ranks = 4;
+  std::vector<svtkTable *> tables;
+  for (int r = 0; r < Ranks; ++r)
+    tables.push_back(MakeTable(30 + 200 * static_cast<std::size_t>(r),
+                               40u + static_cast<unsigned>(r)));
+  std::vector<double> spent[2];
+  for (bool execute : {false, true})
+  {
+    vp::PlatformConfig cfg;
+    cfg.DevicesPerNode = 4;
+    cfg.HostCoresPerNode = 8;
+    cfg.ExecuteKernels = execute;
+    vp::Platform::Initialize(cfg);
+    vp::ThisClock().Set(0.0);
+    spent[execute].assign(Ranks, 0.0);
+    minimpi::LaunchOptions lo;
+    lo.Ranks = Ranks;
+    lo.Lockstep = true;
+    minimpi::Run(lo,
+                 [&](minimpi::Communicator &comm)
+                 {
+                   const int r = comm.Rank();
+                   sensei::TableAdaptor *da =
+                     sensei::TableAdaptor::New("bodies");
+                   da->SetTable(tables[static_cast<std::size_t>(r)]);
+                   da->SetCommunicator(&comm);
+                   DataBinning *b = MakeBinning(r, 128);
+                   const double t0 = vp::ThisClock().Now();
+                   EXPECT_TRUE(b->Execute(da));
+                   spent[execute][static_cast<std::size_t>(r)] =
+                     vp::ThisClock().Now() - t0;
+                   b->Delete();
+                   da->ReleaseData();
+                   da->Delete();
+                 });
+  }
+  EXPECT_EQ(spent[0], spent[1]);
+  for (svtkTable *t : tables)
+    t->Delete();
 }
 
 // --- file output ---------------------------------------------------------------------------

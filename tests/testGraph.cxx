@@ -313,11 +313,12 @@ TEST(GraphBinning, PackedInitGraphOnOffHistogramsIdentical)
       EXPECT_TRUE(eager[i] == replayed[i])
         << "strategy " << static_cast<int>(strat) << " step " << i;
 
-    // fixed ranges: init, accumulate, (privatized: merge,) one readback
+    // fixed ranges: init, accumulate, (privatized: merge,) compaction,
+    // one readback
     const bool priv = strat == GpuBinningStrategy::Privatized;
     EXPECT_EQ(s.Captures, 1u);
     EXPECT_EQ(s.Replays, 3u);
-    EXPECT_EQ(s.NodesCaptured, priv ? 4u : 3u);
+    EXPECT_EQ(s.NodesCaptured, priv ? 5u : 4u);
     EXPECT_EQ(s.LaunchesFused, 0u);
   }
 }

@@ -1,7 +1,9 @@
 // Unit tests for the minimpi threads-as-ranks communicator: point to
 // point with tag matching, collectives (parameterized over rank counts),
-// communicator duplication, node placement, virtual-time semantics, and
-// error propagation out of rank functions.
+// communicator duplication, node placement, virtual-time semantics,
+// error propagation out of rank functions, hostile chunk headers, and
+// the compact grid record's sparse allreduce (bit-exact against the
+// dense fold, priced by capacities alone).
 
 #include "minimpi.h"
 #include "vpClock.h"
@@ -11,7 +13,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <thread>
 
 namespace
@@ -527,4 +534,333 @@ TEST(MinimpiTimeout, MidStreamShortReadThrows)
                    }
                  }
                });
+}
+
+namespace
+{
+/// A 16-byte chunk header (u64 total, u64 chunk count, little endian).
+std::vector<std::uint8_t> ChunkHeader(std::uint64_t total,
+                                      std::uint64_t nChunks)
+{
+  std::vector<std::uint8_t> h(16);
+  for (int i = 0; i < 8; ++i)
+  {
+    h[static_cast<std::size_t>(i)] =
+      static_cast<std::uint8_t>(total >> (8 * i));
+    h[static_cast<std::size_t>(8 + i)] =
+      static_cast<std::uint8_t>(nChunks >> (8 * i));
+  }
+  return h;
+}
+} // namespace
+
+TEST(MinimpiChunked, HostileHeadersAreRejectedBeforeAllocating)
+{
+  ResetPlatform();
+  // one-chunk headers promising 4 GiB (once reserved up front), 4 TiB
+  // (once std::bad_alloc) and 2^64 - 1 bytes (once std::length_error),
+  // and a header announcing more chunks than bytes: both receive
+  // overloads reject each with std::runtime_error and allocate nothing
+  const std::vector<std::vector<std::uint8_t>> headers = {
+    ChunkHeader(std::uint64_t(4) << 30, 1),
+    ChunkHeader(std::uint64_t(4) << 40, 1),
+    ChunkHeader(~std::uint64_t(0), 1), ChunkHeader(2, 3)};
+  minimpi::Run(2,
+               [&](minimpi::Communicator &comm)
+               {
+                 for (std::size_t k = 0; k < headers.size(); ++k)
+                 {
+                   const int tag = static_cast<int>(k);
+                   if (comm.Rank() == 0)
+                   {
+                     comm.Send(1, tag, headers[k].data(), 16);
+                     comm.Send(1, 100 + tag, headers[k].data(), 16);
+                     continue;
+                   }
+                   EXPECT_THROW(comm.RecvChunked(0, tag), std::runtime_error)
+                     << "header " << k;
+                   std::vector<std::uint8_t> out;
+                   EXPECT_THROW(comm.RecvChunked(0, 100 + tag, out, 5.0),
+                                std::runtime_error)
+                     << "header " << k;
+                   EXPECT_EQ(out.capacity(), 0u) << "header " << k;
+                 }
+               });
+}
+
+// --- the compact grid record and its sparse allreduce -------------------------
+
+namespace
+{
+/// A random grid record as a rank's binning leaves it: segment 0 counts,
+/// later segments are count, sum, avg (all Sum), min or max; a bin the
+/// rank did not fill holds each segment's identity. Filled bins draw
+/// from values that include NaN, +-inf, -0.0 and the identities
+/// themselves.
+struct RandomRecord
+{
+  std::vector<double> Dense;
+  std::size_t Cap = 0;
+};
+
+minimpi::CompactShape RandomShape(std::mt19937_64 &gen)
+{
+  // count, sum, avg, min, max
+  const minimpi::Op kinds[] = {minimpi::Op::Sum, minimpi::Op::Sum,
+                               minimpi::Op::Sum, minimpi::Op::Min,
+                               minimpi::Op::Max};
+  minimpi::CompactShape shape;
+  shape.Bins = 1 + gen() % 300; // several bitmap words, a partial last one
+  shape.Ops.push_back(minimpi::Op::Sum);
+  for (std::size_t g = 1 + gen() % 6; g > 1; --g)
+    shape.Ops.push_back(kinds[gen() % 5]);
+  return shape;
+}
+
+double Identity(minimpi::Op op)
+{
+  const double inf = std::numeric_limits<double>::infinity();
+  return op == minimpi::Op::Min ? inf : (op == minimpi::Op::Max ? -inf : 0.0);
+}
+
+RandomRecord MakeRecord(const minimpi::CompactShape &shape,
+                        std::mt19937_64 &gen)
+{
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pool[] = {std::numeric_limits<double>::quiet_NaN(),
+                         inf,
+                         -inf,
+                         -0.0,
+                         0.0,
+                         1.0,
+                         -2.5,
+                         1e300,
+                         -1e300,
+                         std::numeric_limits<double>::denorm_min()};
+  std::uniform_real_distribution<double> u(-4.0, 4.0);
+  RandomRecord rec;
+  rec.Dense.resize(shape.Grids() * shape.Bins);
+  for (std::size_t g = 0; g < shape.Grids(); ++g)
+    std::fill(rec.Dense.begin() + static_cast<long>(g * shape.Bins),
+              rec.Dense.begin() + static_cast<long>((g + 1) * shape.Bins),
+              Identity(shape.Ops[g]));
+
+  // empty (cap 0), full (every bin filled) or partial with empty bins
+  const int mode = static_cast<int>(gen() % 3);
+  rec.Cap = mode == 0 ? 0
+            : mode == 1
+              ? shape.Bins
+              : static_cast<std::size_t>(gen() % (shape.Bins + 1));
+  std::size_t filled = 0;
+  for (std::size_t i = 0; i < shape.Bins && filled < rec.Cap; ++i)
+  {
+    if (mode == 2 && gen() % 3 == 0)
+      continue;
+    ++filled;
+    rec.Dense[i] = static_cast<double>(1 + gen() % 9);
+    for (std::size_t g = 1; g < shape.Grids(); ++g)
+      rec.Dense[g * shape.Bins + i] =
+        gen() % 3 ? u(gen) : pool[gen() % (sizeof(pool) / sizeof(*pool))];
+  }
+  return rec;
+}
+
+class CompactRanks : public ::testing::TestWithParam<int>
+{
+protected:
+  void SetUp() override { ResetPlatform(); }
+};
+} // namespace
+
+TEST_P(CompactRanks, MatchesDenseFoldBitForBit)
+{
+  // every rank's dense result equals, byte for byte, the dense fold the
+  // binning used before: one Sum Allreduce over the Sum segments and a
+  // Min Allreduce over the Min segments and the negated Max segments
+  const int ranks = GetParam();
+  for (unsigned seed = 0; seed < 40; ++seed)
+  {
+    std::mt19937_64 gen(seed * 131u + static_cast<unsigned>(ranks));
+    const minimpi::CompactShape shape = RandomShape(gen);
+    std::vector<RandomRecord> recs;
+    for (int r = 0; r < ranks; ++r)
+      recs.push_back(MakeRecord(shape, gen));
+
+    minimpi::Run(
+      ranks,
+      [&](minimpi::Communicator &comm)
+      {
+        const RandomRecord &mine = recs[static_cast<std::size_t>(comm.Rank())];
+        const std::size_t nBins = shape.Bins;
+
+        std::vector<double> want = mine.Dense;
+        for (std::size_t g = 0; g < shape.Grids(); ++g)
+        {
+          double *seg = want.data() + g * nBins;
+          if (shape.Ops[g] == minimpi::Op::Sum)
+          {
+            comm.Allreduce(seg, nBins, minimpi::Op::Sum);
+            continue;
+          }
+          const bool max = shape.Ops[g] == minimpi::Op::Max;
+          for (std::size_t i = 0; max && i < nBins; ++i)
+            seg[i] = -seg[i];
+          comm.Allreduce(seg, nBins, minimpi::Op::Min);
+          for (std::size_t i = 0; max && i < nBins; ++i)
+            seg[i] = -seg[i];
+        }
+
+        std::vector<double> compact(shape.Bytes(mine.Cap) / sizeof(double));
+        minimpi::PackCompact(shape, mine.Dense.data(), mine.Cap,
+                             compact.data());
+
+        std::vector<double> own(mine.Dense.size());
+        minimpi::UnpackCompact(shape, compact.data(), mine.Cap, own.data());
+        EXPECT_EQ(std::memcmp(own.data(), mine.Dense.data(),
+                              own.size() * sizeof(double)),
+                  0)
+          << "seed " << seed << " rank " << comm.Rank() << " round trip";
+
+        std::vector<double> got(mine.Dense.size());
+        comm.AllreduceCompact(shape, compact.data(), mine.Cap, got.data());
+        EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+          0)
+          << "seed " << seed << " rank " << comm.Rank() << " bins " << nBins
+          << " grids " << shape.Grids();
+      });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, CompactRanks,
+                         ::testing::Values(1, 2, 3, 4, 5, 8));
+
+TEST(CompactAllreduce, CapacityIsEnforced)
+{
+  ResetPlatform();
+  minimpi::CompactShape shape{100, {minimpi::Op::Sum, minimpi::Op::Max}};
+  std::vector<double> dense(200, 0.0);
+  std::fill(dense.begin() + 100, dense.end(),
+            -std::numeric_limits<double>::infinity());
+  dense[3] = 1.0;
+  dense[100 + 70] = 5.0; // bin 70 is held through its max segment only
+  std::vector<double> compact(shape.Bytes(2) / sizeof(double));
+  EXPECT_THROW(minimpi::PackCompact(shape, dense.data(), 1, compact.data()),
+               std::length_error);
+  minimpi::PackCompact(shape, dense.data(), 2, compact.data());
+
+  // a bitmap naming more bins than slots is refused, not read past
+  std::vector<double> back(200);
+  EXPECT_THROW(minimpi::UnpackCompact(shape, compact.data(), 1, back.data()),
+               std::runtime_error);
+  minimpi::UnpackCompact(shape, compact.data(), 2, back.data());
+  EXPECT_EQ(std::memcmp(back.data(), dense.data(), sizeof(double) * 200), 0);
+}
+
+TEST(CompactAllreduce, PricedByCapacityRoundsNotContents)
+{
+  // round k of R = ceil(log2(max(P, 2))) charges MessageLatency plus the
+  // bitmap and min(bins, largest sum of caps over an aligned 2^(k-1)-rank
+  // group) slots over MessageBandwidth; contents never matter, and at
+  // full capacity the price is the dense Allreduce's plus one bitmap per
+  // round
+  ResetPlatform();
+  const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+  const minimpi::CompactShape shape{
+    16384, std::vector<minimpi::Op>(11, minimpi::Op::Sum)};
+  const double bitmap = 16384 / 8;
+  const double slotBytes = 11 * sizeof(double);
+
+  // virtual seconds every rank spends in one collective, per rank
+  auto measure = [](int ranks, const std::function<void(
+                                 minimpi::Communicator &)> &collective)
+  {
+    std::vector<double> spent(static_cast<std::size_t>(ranks));
+    vp::ThisClock().Set(0.0);
+    minimpi::Run(ranks,
+                 [&](minimpi::Communicator &comm)
+                 {
+                   comm.Barrier();
+                   const double t0 = vp::ThisClock().Now();
+                   collective(comm);
+                   spent[static_cast<std::size_t>(comm.Rank())] =
+                     vp::ThisClock().Now() - t0;
+                 });
+    return spent;
+  };
+
+  std::mt19937_64 gen(7);
+  for (int ranks : {1, 2, 3, 5, 8, 16})
+  {
+    std::vector<std::size_t> caps;
+    for (int r = 0; r < ranks; ++r)
+      caps.push_back(gen() % 6000);
+
+    double want = 0.0;
+    int rounds = 0;
+    for (int group = 1; group < std::max(ranks, 2); group *= 2, ++rounds)
+    {
+      std::size_t largest = 0;
+      for (int first = 0; first < ranks; first += group)
+      {
+        std::size_t sum = 0;
+        for (int r = first; r < std::min(ranks, first + group); ++r)
+          sum += caps[static_cast<std::size_t>(r)];
+        largest = std::max(largest, sum);
+      }
+      want += cost.MessageLatency +
+              (bitmap + static_cast<double>(std::min<std::size_t>(
+                          largest, shape.Bins)) *
+                          slotBytes) /
+                cost.MessageBandwidth;
+    }
+    EXPECT_EQ(rounds, static_cast<int>(std::ceil(
+                        std::log2(static_cast<double>(std::max(ranks, 2))))));
+
+    // identity-only records and records filled to capacity charge alike
+    auto run = [&](bool fill)
+    {
+      return measure(
+        ranks,
+        [&](minimpi::Communicator &comm)
+        {
+          const std::size_t cap = caps[static_cast<std::size_t>(comm.Rank())];
+          std::vector<double> dense(11 * shape.Bins, 0.0);
+          for (std::size_t i = 0; fill && i < cap; ++i)
+            for (std::size_t g = 0; g < 11; ++g)
+              dense[g * shape.Bins + i] = 1.0 + static_cast<double>((i + g) % 7);
+          std::vector<double> compact(shape.Bytes(cap) / sizeof(double));
+          minimpi::PackCompact(shape, dense.data(), cap, compact.data());
+          comm.AllreduceCompact(shape, compact.data(), cap, dense.data());
+        });
+    };
+    const std::vector<double> empty = run(false), full = run(true);
+    EXPECT_EQ(empty, full) << ranks << " ranks";
+    for (double s : full)
+      EXPECT_NEAR(s, want, 1e-12 * want) << ranks << " ranks";
+
+    // at full capacity: the dense Allreduce plus one bitmap per round
+    const std::vector<double> dense = measure(
+      ranks,
+      [&](minimpi::Communicator &comm)
+      {
+        std::vector<double> rec(11 * shape.Bins, 1.0);
+        comm.Allreduce(rec.data(), rec.size(), minimpi::Op::Sum);
+      });
+    const std::vector<double> sparse = measure(
+      ranks,
+      [&](minimpi::Communicator &comm)
+      {
+        std::vector<double> rec(11 * shape.Bins, 1.0);
+        std::vector<double> compact(shape.Bytes(shape.Bins) / sizeof(double));
+        minimpi::PackCompact(shape, rec.data(), shape.Bins, compact.data());
+        comm.AllreduceCompact(shape, compact.data(), shape.Bins, rec.data());
+      });
+    const double extra = rounds * bitmap / cost.MessageBandwidth;
+    for (int r = 0; r < ranks; ++r)
+      EXPECT_NEAR(sparse[static_cast<std::size_t>(r)],
+                  dense[static_cast<std::size_t>(r)] + extra,
+                  1e-12 * sparse[static_cast<std::size_t>(r)])
+        << ranks << " ranks";
+  }
 }

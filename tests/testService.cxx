@@ -186,6 +186,36 @@ TEST(SvcWire, AssemblerReassemblesChunkedStream)
   EXPECT_THROW(bad.Feed(Blob(7, 0), out), std::runtime_error);
 }
 
+TEST(SvcWire, AssemblerRejectsHostileChunkHeaders)
+{
+  ResetAll();
+  // one-chunk headers promising 4 GiB (once reserved up front), 4 TiB
+  // (once std::bad_alloc) and 2^64 - 1 bytes (once std::length_error),
+  // and a header announcing more chunks than bytes: each is rejected
+  // with std::runtime_error before anything is allocated
+  const std::pair<std::uint64_t, std::uint64_t> headers[] = {
+    {std::uint64_t(4) << 30, 1},
+    {std::uint64_t(4) << 40, 1},
+    {~std::uint64_t(0), 1},
+    {2, 3}};
+  for (const auto &[total, chunks] : headers)
+  {
+    std::vector<std::uint8_t> h(16);
+    for (int i = 0; i < 8; ++i)
+    {
+      h[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(total >> (8 * i));
+      h[static_cast<std::size_t>(8 + i)] =
+        static_cast<std::uint8_t>(chunks >> (8 * i));
+    }
+    svc::FrameAssembler asmr;
+    std::vector<std::uint8_t> out;
+    EXPECT_THROW(asmr.Feed(std::move(h), out), std::runtime_error)
+      << total << " bytes in " << chunks << " chunks";
+    EXPECT_FALSE(asmr.MidMessage());
+  }
+}
+
 // --- ring semantics ---------------------------------------------------------
 
 TEST(SvcRing, CapacityBlocksAndShutdownModesDiffer)
