@@ -249,13 +249,15 @@ bench um_graph_sanitized.txt env VP_CHECK=1 ../build-sanitize/bench/um_graph \
 bench um_layout_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_layout \
   --benchmark_min_time=0.05
-# the packed binning record of a 4-rank mixed-op binning under ASan+UBSan
+# the packed binning record of a 4-rank mixed-op binning, and the data
+# adaptor's shared per-step snapshot, under ASan+UBSan
 ../build-sanitize/tests/testBinning \
-  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
-# the compact record's pack, unpack and sparse allreduce (1-8 ranks,
-# partial bitmap words, capacity 0) and the hostile chunk headers
-../build-sanitize/tests/testMinimpi \
-  --gtest_filter='RankCounts/CompactRanks.*:CompactAllreduce.*:MinimpiChunked.*'
+  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*'
+# all of minimpi (point to point, collectives with empty messages on
+# Gather's non-root ranks, the compact record's pack, unpack and sparse
+# allreduce, the hostile chunk headers), stopping at the first UBSan
+# report
+UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testMinimpi
 # the knob rows: every shipped config, the golden effective config, the
 # env matrix, and every row's bad attribute/variable under ASan+UBSan
 ctest --test-dir ../build-sanitize -L config --output-on-failure
@@ -291,6 +293,12 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # 4 rank threads meeting in the packed binning record's collectives
 ../build-tsan/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
+# async binnings sharing one snapshot copy per column under
+# <exec mode="threads">: consumer threads drop the last references to
+# the shared copies while the simulation thread drops the snapshot's,
+# with the checker on
+VP_CHECK=1 ../build-tsan/tests/testBinning \
+  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads'
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
 ../build-tsan/tests/testMinimpi \

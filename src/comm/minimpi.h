@@ -168,7 +168,8 @@ public:
     if (raw.size() % sizeof(T))
       throw std::runtime_error("minimpi::RecvAs: size mismatch");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) // an empty vector's data() may be null
+      std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 
@@ -231,7 +232,8 @@ public:
     std::vector<std::uint8_t> raw =
       this->GatherBytes(data, n * sizeof(T), root);
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) // an empty vector's data() may be null
+      std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 
@@ -241,7 +243,8 @@ public:
   {
     std::vector<std::uint8_t> raw = this->AllgatherBytes(data, n * sizeof(T));
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) // an empty vector's data() may be null
+      std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

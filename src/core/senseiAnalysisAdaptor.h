@@ -59,8 +59,9 @@ public:
   static constexpr int DEVICE_HOST = -1; ///< run on the host CPU
 
   /// Process the current simulation state. Returns false on failure.
-  /// In asynchronous mode implementations deep copy what they need,
-  /// launch their thread, and return immediately.
+  /// In asynchronous mode implementations take the deep copies they need
+  /// from DataAdaptor::Snapshot, launch their thread, and return
+  /// immediately.
   virtual bool Execute(DataAdaptor *data) = 0;
 
   /// Complete outstanding asynchronous work and release resources.

@@ -3,6 +3,7 @@
 #include "svtkArrayUtils.h"
 #include "vcuda.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace sensei
@@ -29,28 +30,27 @@ bool Autocorrelation::Execute(DataAdaptor *data)
     return false;
   }
 
-  // snapshot the column: always a deep copy — the window must outlive the
-  // simulation's buffers
-  svtkHAMRDoubleArray *h = svtkAsHAMRDouble(raw);
-  this->History_.push_back(
-    svtkSmartPtr<svtkHAMRDoubleArray>::Take(h->NewDeepCopy()));
-  h->UnRegister();
+  // one dot product per lag over the newest column
+  const std::size_t n = static_cast<std::size_t>(raw->GetNumberOfTuples());
+  const std::size_t lags = std::min<std::size_t>(
+    this->History_.size() + 1, static_cast<std::size_t>(this->Window_));
+  sched::WorkHint hint;
+  hint.Elements = n;
+  hint.OpsPerElement = 2.0 * static_cast<double>(lags);
+  hint.MoveBytes = lags * n * sizeof(double);
+  const int device = this->GetPlacementDevice(data, hint);
+
+  // the window entry is the step's snapshot on the placement device:
+  // always a deep copy, since the window outlives the simulation's
+  // buffers
+  this->History_.push_back(data->Snapshot(raw, device));
   table->UnRegister();
 
   while (static_cast<long>(this->History_.size()) > this->Window_)
     this->History_.pop_front();
 
-  std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> window(
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> window(
     this->History_.begin(), this->History_.end());
-
-  // one dot product per lag over the newest column
-  const std::size_t n = static_cast<std::size_t>(
-    window.back()->GetNumberOfTuples());
-  sched::WorkHint hint;
-  hint.Elements = n;
-  hint.OpsPerElement = 2.0 * static_cast<double>(window.size());
-  hint.MoveBytes = window.size() * n * sizeof(double);
-  const int device = this->GetPlacementDevice(data, hint);
 
   if (this->GetAsynchronous())
   {
@@ -77,7 +77,7 @@ int Autocorrelation::Finalize()
 }
 
 void Autocorrelation::Run(
-  std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> window,
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> window,
   minimpi::Communicator *comm, int device)
 {
   const std::size_t lags = window.size();

@@ -60,7 +60,7 @@ protected:
   ~Autocorrelation() override { this->Runner_.Drain(); }
 
 private:
-  void Run(std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> window,
+  void Run(std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> window,
            minimpi::Communicator *comm, int device);
 
   std::string MeshName_ = "table";
@@ -68,7 +68,7 @@ private:
   long Window_ = 8;
 
   /// newest snapshot last
-  std::deque<svtkSmartPtr<svtkHAMRDoubleArray>> History_;
+  std::deque<svtkSmartPtr<const svtkHAMRDoubleArray>> History_;
 
   AsyncRunner Runner_;
   std::optional<minimpi::Communicator> AsyncComm_;

@@ -58,9 +58,8 @@ bool ColumnStatistics::Execute(DataAdaptor *data)
     for (int c = 0; c < table->GetNumberOfColumns(); ++c)
       names.push_back(table->GetColumn(c)->GetName());
 
-  const bool deepCopy = this->GetAsynchronous();
-  std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> cols;
-  cols.reserve(names.size());
+  std::vector<svtkDataArray *> raw;
+  raw.reserve(names.size());
   for (const std::string &name : names)
   {
     svtkDataArray *col = table->GetColumnByName(name);
@@ -69,30 +68,31 @@ bool ColumnStatistics::Execute(DataAdaptor *data)
       table->UnRegister();
       return false;
     }
-    svtkHAMRDoubleArray *h = svtkAsHAMRDouble(col);
-    if (deepCopy)
-    {
-      cols.push_back(svtkSmartPtr<svtkHAMRDoubleArray>::Take(h->NewDeepCopy()));
-      h->UnRegister();
-    }
-    else
-    {
-      cols.push_back(svtkSmartPtr<svtkHAMRDoubleArray>::Take(h));
-    }
+    raw.push_back(col);
   }
-  table->UnRegister();
 
   const long step = data->GetDataTimeStep();
 
   // one Welford pass per column
   std::size_t elements = 0;
-  for (const auto &c : cols)
+  for (const svtkDataArray *c : raw)
     elements += static_cast<std::size_t>(c->GetNumberOfTuples());
   sched::WorkHint hint;
   hint.Elements = elements;
   hint.OpsPerElement = 8.0;
   hint.MoveBytes = elements * sizeof(double);
   const int device = this->GetPlacementDevice(data, hint);
+
+  // the simulation's columns (lockstep) or the step's deep copies on the
+  // placement device (asynchronous)
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> cols;
+  cols.reserve(raw.size());
+  for (svtkDataArray *c : raw)
+    cols.push_back(this->GetAsynchronous()
+                     ? data->Snapshot(c, device)
+                     : svtkSmartPtr<const svtkHAMRDoubleArray>::Take(
+                         svtkAsHAMRDouble(c)));
+  table->UnRegister();
 
   if (this->GetAsynchronous())
   {
@@ -119,7 +119,7 @@ int ColumnStatistics::Finalize()
 
 void ColumnStatistics::Run(
   const std::vector<std::string> &names,
-  const std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> &cols,
+  const std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> &cols,
   minimpi::Communicator *comm, long step, int device)
 {
   std::map<std::string, ColumnMoments> result;

@@ -71,7 +71,7 @@ protected:
 
 private:
   void Run(const std::vector<std::string> &names,
-           const std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> &cols,
+           const std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> &cols,
            minimpi::Communicator *comm, long step, int device);
 
   std::string MeshName_ = "table";

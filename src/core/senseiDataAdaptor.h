@@ -12,9 +12,12 @@
 
 #include "minimpi.h"
 #include "svtkDataObject.h"
+#include "svtkHAMRDataArray.h"
 #include "svtkObjectBase.h"
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sensei
@@ -35,8 +38,25 @@ public:
   virtual svtkDataObject *GetMesh(const std::string &meshName) = 0;
 
   /// Invoked by the framework when analyses are done with the current
-  /// step's data; the simulation may reclaim buffers it shared.
-  virtual void ReleaseData() {}
+  /// step's data; the simulation may reclaim buffers it shared. Drops
+  /// the step's snapshot; overrides must call this base version.
+  virtual void ReleaseData();
+
+  /// The asynchronous execution method's deep copy: a shared, read-only
+  /// copy of `column` (a column of this step's mesh) resident on
+  /// `device` (a negative id, AnalysisAdaptor::DEVICE_HOST, for the
+  /// host). The first request for a (column, device) pair in a step
+  /// makes the copy, straight onto `device` on the stream a move there
+  /// would use; later requests share it. A non-HAMR column is converted
+  /// once, and the private conversion is adopted when it already lives
+  /// on `device`. The adaptor keeps its own reference only while
+  /// another request is expected: it drops it right after the request
+  /// that brings the count for (column name, device) to the previous
+  /// step's count, and keeps it until ReleaseData when there is no
+  /// count yet. A copy is never handed out again after ReleaseData or
+  /// once the step index changes. Returns null for a null column.
+  svtkSmartPtr<const svtkHAMRDoubleArray> Snapshot(svtkDataArray *column,
+                                                  int device);
 
   /// Simulated time of the current step.
   double GetDataTime() const { return this->Time_; }
@@ -56,9 +76,25 @@ protected:
   ~DataAdaptor() override = default;
 
 private:
+  /// Drop the snapshot's copies and make this step's request counts the
+  /// next step's expectation.
+  void EndSnapshotStep();
+
+  struct SnapshotEntry
+  {
+    svtkSmartPtr<const svtkDataArray> Source; ///< pins the key's address
+    svtkSmartPtr<const svtkHAMRDoubleArray> Copy;
+  };
+  using RequestKey = std::pair<std::string, int>; ///< (column name, device)
+
   double Time_ = 0.0;
   long TimeStep_ = 0;
   minimpi::Communicator *Comm_ = nullptr;
+
+  std::map<std::pair<const svtkDataArray *, int>, SnapshotEntry> Snapshots_;
+  long SnapshotStep_ = 0;                ///< step the entries belong to
+  std::map<RequestKey, long> Requests_;  ///< requests this step
+  std::map<RequestKey, long> Expected_;  ///< requests the step before
 };
 
 /// A concrete DataAdaptor presenting a single svtkTable, used by
@@ -88,6 +124,7 @@ public:
 
   void ReleaseData() override
   {
+    this->DataAdaptor::ReleaseData();
     if (this->Table_)
     {
       this->Table_->UnRegister();

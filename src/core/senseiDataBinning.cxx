@@ -15,6 +15,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -131,7 +132,7 @@ void DataBinning::SetOutput(const std::string &dir, const std::string &prefix,
 }
 
 // ---------------------------------------------------------------------------
-bool DataBinning::GatherInputs(DataAdaptor *data, bool deepCopy, Snapshot &snap)
+bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
 {
   svtkDataObject *obj = data->GetMesh(this->MeshName_);
   if (!obj)
@@ -166,80 +167,95 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool deepCopy, Snapshot &snap)
     return false;
   }
 
+  // each block's source columns. A reduction list often names the same
+  // column several times (e.g. min/max/avg of one variable); each
+  // distinct column counts toward the payload, and is typed (and, for
+  // async, snapshotted) once, so it also moves at most once.
+  struct BlockSources
+  {
+    std::vector<svtkDataArray *> Axis, Value;
+  };
+  std::vector<BlockSources> sources;
   bool ok = true;
   for (svtkTable *table : tables)
   {
-    // a reduction list often names the same column several times (e.g.
-    // min/max/avg of one variable); fetch, convert, and (for async) deep
-    // copy each distinct column exactly once so it also moves at most once
-    std::map<std::string, svtkSmartPtr<svtkHAMRDoubleArray>> cache;
-
+    BlockSources src;
+    std::set<const svtkDataArray *> distinct;
     auto grab = [&](const std::string &name,
-                    std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> &out) -> bool
+                    std::vector<svtkDataArray *> &out) -> bool
     {
-      auto it = cache.find(name);
-      if (it != cache.end())
-      {
-        out.push_back(it->second);
-        return true;
-      }
-
       svtkDataArray *col = table->GetColumnByName(name);
       if (!col)
         return false;
-      svtkHAMRDoubleArray *h = svtkAsHAMRDouble(col); // +1 ref
-      svtkSmartPtr<svtkHAMRDoubleArray> held;
-      if (deepCopy)
-      {
-        held = svtkSmartPtr<svtkHAMRDoubleArray>::Take(h->NewDeepCopy());
-        h->UnRegister();
-      }
-      else
-      {
-        held = svtkSmartPtr<svtkHAMRDoubleArray>::Take(h);
-      }
-      cache.emplace(name, held);
-      out.push_back(held);
+      if (distinct.insert(col).second)
+        in.Bytes +=
+          static_cast<std::size_t>(col->GetNumberOfTuples()) * sizeof(double);
+      out.push_back(col);
       return true;
     };
-
-    BlockInput block;
     for (const std::string &axis : this->Axes_)
-      ok = ok && grab(axis, block.AxisCols);
+      ok = ok && grab(axis, src.Axis);
     for (const Operation &op : this->Ops_)
       if (op.Kind != BinningOp::Count)
-        ok = ok && grab(op.Column, block.ValueCols);
+        ok = ok && grab(op.Column, src.Value);
 
-    if (!block.AxisCols.empty())
-      snap.Rows += static_cast<std::size_t>(
-        block.AxisCols[0]->GetNumberOfTuples());
-    for (const auto &kv : cache)
-      snap.Bytes += static_cast<std::size_t>(kv.second->GetNumberOfTuples()) *
-                    sizeof(double);
-
-    snap.Blocks.push_back(std::move(block));
+    if (!src.Axis.empty())
+      in.Rows += static_cast<std::size_t>(src.Axis[0]->GetNumberOfTuples());
+    sources.push_back(std::move(src));
   }
 
-  snap.Step = data->GetDataTimeStep();
-  snap.Time = data->GetDataTime();
+  in.Step = data->GetDataTimeStep();
+  in.Time = data->GetDataTime();
 
   // describe the accumulation so the cost-model policy can price it: the
-  // per-row cost and atomic fraction mirror the kernel launched below
+  // per-row cost and atomic fraction mirror the kernel launched below.
+  // Row counts and bytes come from the source columns, so placement
+  // precedes any copy and the snapshot lands where the work runs.
   std::size_t nRed = 0;
   for (const Operation &op : this->Ops_)
     if (op.Kind != BinningOp::Count)
       ++nRed;
   sched::WorkHint hint;
-  hint.Elements = snap.Rows;
+  hint.Elements = in.Rows;
   hint.OpsPerElement = 4.0 * static_cast<double>(this->Axes_.size()) +
                        3.0 * static_cast<double>(nRed + 1);
   hint.AtomicFraction =
     this->GpuStrategy_ == GpuBinningStrategy::GlobalAtomics ? 0.6 : 0.05;
-  hint.MoveBytes = snap.Bytes;
-  snap.Device = this->PlaceForGraph(data, hint);
+  hint.MoveBytes = in.Bytes;
+  in.Device = this->PlaceForGraph(data, hint);
+  if (!ok)
+  {
+    obj->UnRegister();
+    return false;
+  }
+
+  // the typed columns: the simulation's, shared zero-copy (lockstep), or
+  // the step's snapshot on the placement device (async)
+  for (const BlockSources &src : sources)
+  {
+    std::map<const svtkDataArray *, svtkSmartPtr<const svtkHAMRDoubleArray>>
+      typed;
+    auto type = [&](svtkDataArray *col)
+    {
+      auto it = typed.find(col);
+      if (it == typed.end())
+        it = typed
+               .emplace(col, async ? data->Snapshot(col, in.Device)
+                                   : svtkSmartPtr<const svtkHAMRDoubleArray>::
+                                       Take(svtkAsHAMRDouble(col)))
+               .first;
+      return it->second;
+    };
+    BlockInput block;
+    for (svtkDataArray *col : src.Axis)
+      block.AxisCols.push_back(type(col));
+    for (svtkDataArray *col : src.Value)
+      block.ValueCols.push_back(type(col));
+    in.Blocks.push_back(std::move(block));
+  }
 
   obj->UnRegister();
-  return ok;
+  return true;
 }
 
 int DataBinning::PlaceForGraph(DataAdaptor *data, const sched::WorkHint &hint)
@@ -286,22 +302,21 @@ bool DataBinning::Execute(DataAdaptor *data)
     if (!this->AsyncComm_ && data->GetCommunicator())
       this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
 
-    auto snap = std::make_shared<Snapshot>();
-    if (!this->GatherInputs(data, /*deepCopy=*/true, *snap))
+    auto in = std::make_shared<StepInputs>();
+    if (!this->GatherInputs(data, /*async=*/true, *in))
       return false;
-    snap->Comm = this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
+    in->Comm = this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
 
-    this->Runner_.Submit([this, snap]() { this->RunBinning(*snap); },
-                         snap->Bytes);
+    this->Runner_.Submit([this, in]() { this->RunBinning(*in); }, in->Bytes);
     return true;
   }
 
   ScopedEvent ev("binning::execute_lockstep");
-  Snapshot snap;
-  if (!this->GatherInputs(data, /*deepCopy=*/false, snap))
+  StepInputs in;
+  if (!this->GatherInputs(data, /*async=*/false, in))
     return false;
-  snap.Comm = data->GetCommunicator();
-  this->RunBinning(snap);
+  in.Comm = data->GetCommunicator();
+  this->RunBinning(in);
   return true;
 }
 
@@ -361,16 +376,16 @@ minimpi::Op ReduceOp(BinningOp op)
 }
 } // namespace
 
-void DataBinning::RunBinning(const Snapshot &snap)
+void DataBinning::RunBinning(const StepInputs &in)
 {
   ScopedEvent ev("binning::run");
 
   const std::size_t nAxes = this->Axes_.size();
-  const std::size_t nBlocks = snap.Blocks.size();
+  const std::size_t nBlocks = in.Blocks.size();
 
-  const bool onDevice = snap.Device >= 0;
+  const bool onDevice = in.Device >= 0;
   if (onDevice)
-    vcuda::SetDevice(snap.Device);
+    vcuda::SetDevice(in.Device);
 
   // reductions to perform (count is implicit)
   std::vector<Operation> redOps;
@@ -388,8 +403,10 @@ void DataBinning::RunBinning(const Snapshot &snap)
     kinds[1 + k] = redOps[k].Kind;
 
   // --- inputs at the target location, acquired exactly once per column
-  // (the access API moves a column at most once per execute; both the
-  // range scan and the accumulation use the same view)
+  // (the access API moves a lockstep column at most once per execute;
+  // an asynchronous snapshot already lives there, so its view is
+  // zero-copy; both the range scan and the accumulation use the same
+  // view)
   std::map<const svtkHAMRDoubleArray *, std::shared_ptr<const double>> views;
   auto acquire =
     [&](const svtkHAMRDoubleArray *col) -> const double *
@@ -398,7 +415,7 @@ void DataBinning::RunBinning(const Snapshot &snap)
     if (it == views.end())
       it = views
              .emplace(col, onDevice
-                             ? col->GetDeviceAccessible(snap.Device)
+                             ? col->GetDeviceAccessible(in.Device)
                              : col->GetHostAccessible())
              .first;
     return it->second.get();
@@ -409,7 +426,7 @@ void DataBinning::RunBinning(const Snapshot &snap)
   std::vector<std::vector<const double *>> vals(nBlocks);
   for (std::size_t b = 0; b < nBlocks; ++b)
   {
-    const BlockInput &blk = snap.Blocks[b];
+    const BlockInput &blk = in.Blocks[b];
     rows[b] = blk.AxisCols.empty() ? 0 : blk.AxisCols[0]->GetNumberOfTuples();
     ax[b].resize(nAxes);
     vals[b].resize(nRed);
@@ -538,7 +555,7 @@ void DataBinning::RunBinning(const Snapshot &snap)
   // one Min collective over [lo | -hi], since max(x) = -min(-x) exactly;
   // skipped when every axis has a fixed range (the config, and so the
   // decision, is the same on every rank)
-  if (snap.Comm && !autoAxes.empty())
+  if (in.Comm && !autoAxes.empty())
   {
     std::vector<double> ext(2 * nAxes);
     for (std::size_t a = 0; a < nAxes; ++a)
@@ -546,7 +563,7 @@ void DataBinning::RunBinning(const Snapshot &snap)
       ext[a] = lo[a];
       ext[nAxes + a] = -hi[a];
     }
-    snap.Comm->Allreduce(ext.data(), ext.size(), minimpi::Op::Min);
+    in.Comm->Allreduce(ext.data(), ext.size(), minimpi::Op::Min);
     for (std::size_t a = 0; a < nAxes; ++a)
     {
       lo[a] = ext[a];
@@ -924,14 +941,14 @@ void DataBinning::RunBinning(const Snapshot &snap)
   // record out, folded in rank order with each segment's operator. A
   // host record is compacted here; without a communicator it is already
   // final, and a device one only needs expanding.
-  if (snap.Comm)
+  if (in.Comm)
   {
     if (!onDevice)
       vp::Platform::Get().HostParallelFor(
         vp::KernelDesc{nBins, static_cast<double>(nGrids), 0.0,
                        "binning_compact_host"},
         packInto(record.data(), compact.data()));
-    snap.Comm->AllreduceCompact(shape, compact.data(), cap, record.data());
+    in.Comm->AllreduceCompact(shape, compact.data(), cap, record.data());
   }
   else if (onDevice)
   {
@@ -981,13 +998,13 @@ void DataBinning::RunBinning(const Snapshot &snap)
     a->Delete();
   }
 
-  const bool isRoot = !snap.Comm || snap.Comm->Rank() == 0;
+  const bool isRoot = !in.Comm || in.Comm->Rank() == 0;
   if (isRoot && this->OutputFrequency_ > 0 &&
-      snap.Step % this->OutputFrequency_ == 0 && !this->OutputDir_.empty())
+      in.Step % this->OutputFrequency_ == 0 && !this->OutputDir_.empty())
   {
     std::ostringstream path;
     path << this->OutputDir_ << '/' << this->OutputPrefix_ << '_'
-         << snap.Step << ".vti";
+         << in.Step << ".vti";
     sio::WriteVTI(path.str(), image);
   }
 

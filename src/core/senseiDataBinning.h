@@ -155,17 +155,18 @@ private:
     BinningOp Kind = BinningOp::Count;
   };
 
-  /// One block's typed columns, shared or deep-copied. A svtkTable mesh
-  /// yields one block; a svtkMultiBlockDataSet yields one per non-null
-  /// table block.
+  /// One block's typed columns: the simulation's, shared zero-copy
+  /// (lockstep), or the data adaptor's snapshot on the placement device
+  /// (asynchronous). A svtkTable mesh yields one block; a
+  /// svtkMultiBlockDataSet yields one per non-null table block.
   struct BlockInput
   {
-    std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> AxisCols;
-    std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> ValueCols;
+    std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> AxisCols;
+    std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> ValueCols;
   };
 
   /// A step's worth of inputs.
-  struct Snapshot
+  struct StepInputs
   {
     std::vector<BlockInput> Blocks;
     minimpi::Communicator *Comm = nullptr;
@@ -173,11 +174,11 @@ private:
     double Time = 0.0;
     int Device = DEVICE_HOST;
     std::size_t Rows = 0;  ///< total rows over the blocks
-    std::size_t Bytes = 0; ///< payload held by the deep copy
+    std::size_t Bytes = 0; ///< payload of the distinct columns
   };
 
-  bool GatherInputs(DataAdaptor *data, bool deepCopy, Snapshot &snap);
-  void RunBinning(const Snapshot &snap);
+  bool GatherInputs(DataAdaptor *data, bool async, StepInputs &in);
+  void RunBinning(const StepInputs &in);
 
   /// Placement with the captured-graph pin: while GraphSession_ holds an
   /// armed graph the capture-time device is kept (replay requires it),

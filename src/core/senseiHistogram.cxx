@@ -31,11 +31,9 @@ bool Histogram::Execute(DataAdaptor *data)
     return false;
   }
 
-  svtkHAMRDoubleArray *col = svtkAsHAMRDouble(raw); // +1 ref
-
   // describe the two passes (range scan + accumulation) for the
   // cost-model placement policy
-  const std::size_t n = static_cast<std::size_t>(col->GetNumberOfTuples());
+  const std::size_t n = static_cast<std::size_t>(raw->GetNumberOfTuples());
   const std::size_t bytes = n * sizeof(double);
   sched::WorkHint hint;
   hint.Elements = n;
@@ -49,10 +47,8 @@ bool Histogram::Execute(DataAdaptor *data)
     if (!this->AsyncComm_ && data->GetCommunicator())
       this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
 
-    // deep copy the relevant data, then run concurrently
-    auto snap =
-      svtkSmartPtr<svtkHAMRDoubleArray>::Take(col->NewDeepCopy());
-    col->UnRegister();
+    // the step's deep copy on the placement device, then run concurrently
+    svtkSmartPtr<const svtkHAMRDoubleArray> snap = data->Snapshot(raw, device);
     table->UnRegister();
 
     minimpi::Communicator *comm =
@@ -63,8 +59,9 @@ bool Histogram::Execute(DataAdaptor *data)
     return true;
   }
 
-  auto holder = svtkSmartPtr<svtkHAMRDoubleArray>::Take(col);
-  this->Run(holder, data->GetCommunicator(), device);
+  auto col =
+    svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(raw));
+  this->Run(col, data->GetCommunicator(), device);
   table->UnRegister();
   return true;
 }
@@ -75,7 +72,7 @@ int Histogram::Finalize()
   return 0;
 }
 
-void Histogram::Run(const svtkSmartPtr<svtkHAMRDoubleArray> &col,
+void Histogram::Run(const svtkSmartPtr<const svtkHAMRDoubleArray> &col,
                     minimpi::Communicator *comm, int device)
 {
   const std::size_t n = col->GetNumberOfTuples();

@@ -61,7 +61,7 @@ protected:
   ~Histogram() override { this->Runner_.Drain(); }
 
 private:
-  void Run(const svtkSmartPtr<svtkHAMRDoubleArray> &col,
+  void Run(const svtkSmartPtr<const svtkHAMRDoubleArray> &col,
            minimpi::Communicator *comm, int device);
 
   std::string MeshName_ = "table";

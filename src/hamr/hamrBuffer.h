@@ -152,6 +152,48 @@ public:
 
   buffer(buffer &&other) noexcept { this->Swap(other); }
 
+  /// A deep copy resident on `device` (HostDevice for the host). Where
+  /// the data is already accessible on `device` this is the plain deep
+  /// copy. Otherwise the storage is allocated there (a device allocator
+  /// keeps its PM, host data gets allocator::device, and a host copy
+  /// gets allocator::malloc_) and filled by one transfer on the stream
+  /// get_device_accessible would move the data on, which is the
+  /// source's. The copy is therefore ordered after the source's pending
+  /// work and claims the source device's copy engine, not the target's.
+  /// The result has the target's default stream and this buffer's mode;
+  /// in async mode its synchronize() covers the transfer.
+  buffer deep_copy(int device) const
+  {
+    const bool host = device == vp::HostDevice;
+    if (host ? this->host_accessible() : this->device_accessible(device))
+      return buffer(*this);
+
+    buffer out;
+    out.Alloc_ = host ? allocator::malloc_
+                      : (space_of(this->Alloc_) == vp::MemSpace::Device
+                           ? this->Alloc_
+                           : allocator::device);
+    out.Owner_ = device;
+    out.Mode_ = this->Mode_;
+    out.Size_ = this->Size_;
+    if (!this->Size_)
+      return out;
+
+    vp::Platform &plat = vp::Platform::Get();
+    const vp::MemSpace space = host ? vp::MemSpace::Host : vp::MemSpace::Device;
+    const vp::Stream strm = this->MoveStream(space, device);
+    out.Data_ = AllocateAt(space, device, this->Size_, pm_of(out.Alloc_),
+                           hamr::pooled(out.Alloc_), strm);
+    this->synchronize(); // the source's pending work, as CopyFrom
+    plat.CopyAsync(strm, out.Data_.get(), this->Data_.get(),
+                   this->Size_ * sizeof(T));
+    if (this->Mode_ == stream_mode::sync)
+      plat.StreamSynchronize(strm);
+    else
+      out.LastOp_ = strm;
+    return out;
+  }
+
   buffer &operator=(const buffer &other)
   {
     if (this != &other)
@@ -588,45 +630,47 @@ private:
                     other.Size_ * sizeof(T));
   }
 
+  /// The stream a move of the data into (space, device) is ordered on.
+  vp::Stream MoveStream(vp::MemSpace space, int device) const
+  {
+    return this->ResolveStream(space == vp::MemSpace::Device ? device
+                                                             : this->Owner_);
+  }
+
+  /// n elements of storage in (space, device) for data moved there on
+  /// `strm`: from the caching pool when it is enabled (or `pooled`),
+  /// from the platform otherwise.
+  static std::shared_ptr<T> AllocateAt(vp::MemSpace space, int device,
+                                       std::size_t n, vp::PmKind pm,
+                                       bool pooled, const vp::Stream &strm)
+  {
+    // the short-lived movement temporaries are the pool's primary
+    // customer: per-pass views in analysis codes allocate and free the
+    // same sizes every time step
+    if (vp::PoolManager::Enabled() || pooled)
+      return std::shared_ptr<T>(
+        static_cast<T *>(vp::PoolManager::Get().Allocate(
+          space, device, n * sizeof(T), pm, strm)),
+        [strm](T *p) { vp::PoolManager::Get().Deallocate(p, strm); });
+    return std::shared_ptr<T>(
+      static_cast<T *>(
+        vp::Platform::Get().Allocate(space, device, n * sizeof(T), pm)),
+      [](T *p) { vp::Platform::Get().Free(p); });
+  }
+
   /// Allocate a temporary in (space, device), move the data onto it on the
   /// buffer's stream, and return a self-cleaning view.
   std::shared_ptr<const T> MoveTo(vp::MemSpace space, int device) const
   {
-    vp::Platform &plat = vp::Platform::Get();
-    vp::Stream strm = this->ResolveStream(
-      space == vp::MemSpace::Device ? device : this->Owner_);
-
-    // the short-lived movement temporaries produced here are the pool's
-    // primary customer: per-pass views in analysis codes allocate and
-    // free the same sizes every time step
-    T *tmp;
-    if (vp::PoolManager::Enabled() || hamr::pooled(this->Alloc_))
-    {
-      tmp = static_cast<T *>(vp::PoolManager::Get().Allocate(
-        space, device, this->Size_ * sizeof(T), pm_of(this->Alloc_), strm));
-      this->LastOp_ = strm;
-      plat.CopyAsync(strm, tmp, this->Data_.get(), this->Size_ * sizeof(T));
-      this->MaybeSynchronize();
-      return std::shared_ptr<const T>(tmp,
-                                      [strm](const T *p)
-                                      {
-                                        vp::PoolManager::Get().Deallocate(
-                                          const_cast<T *>(p), strm);
-                                      });
-    }
-
-    tmp = static_cast<T *>(plat.Allocate(space, device,
-                                         this->Size_ * sizeof(T),
-                                         pm_of(this->Alloc_)));
+    const vp::Stream strm = this->MoveStream(space, device);
+    std::shared_ptr<T> tmp =
+      AllocateAt(space, device, this->Size_, pm_of(this->Alloc_),
+                 hamr::pooled(this->Alloc_), strm);
     this->LastOp_ = strm;
-    plat.CopyAsync(strm, tmp, this->Data_.get(), this->Size_ * sizeof(T));
+    vp::Platform::Get().CopyAsync(strm, tmp.get(), this->Data_.get(),
+                                  this->Size_ * sizeof(T));
     this->MaybeSynchronize();
-    return std::shared_ptr<const T>(tmp,
-                                    [](const T *p)
-                                    {
-                                      vp::Platform::Get().Free(
-                                        const_cast<T *>(p));
-                                    });
+    return tmp;
   }
 
   allocator Alloc_ = allocator::none;

@@ -84,6 +84,7 @@ svtkDataObject *DataAdaptor::GetMesh(const std::string &meshName)
 
 void DataAdaptor::ReleaseData()
 {
+  this->sensei::DataAdaptor::ReleaseData();
   if (this->Cached_)
   {
     this->Cached_->UnRegister();

@@ -193,15 +193,28 @@ public:
   }
 
   /// A deep copy with the same allocator, owner device, stream, and mode.
-  /// Used by the asynchronous execution method, which must deep copy the
-  /// relevant data before the simulation overwrites it. Caller owns the
-  /// returned reference.
+  /// Caller owns the returned reference.
   svtkHAMRDataArray *NewDeepCopy() const
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
     a->Map_ = this->Map_;
     a->Buffer_ = hamr::buffer<T>(this->Buffer_);
+    return a;
+  }
+
+  /// A deep copy resident on `device` (vp::HostDevice for the host),
+  /// made by one transfer on the stream a move there would use (see
+  /// hamr::buffer::deep_copy). The asynchronous execution method makes
+  /// its copies with it, through sensei::DataAdaptor::Snapshot, before
+  /// the simulation overwrites the data. Caller owns the returned
+  /// reference.
+  svtkHAMRDataArray *NewDeepCopy(int device) const
+  {
+    auto *a = New(this->GetName());
+    a->NumComps_ = this->NumComps_;
+    a->Map_ = this->Map_;
+    a->Buffer_ = this->Buffer_.deep_copy(device);
     return a;
   }
 

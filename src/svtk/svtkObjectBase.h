@@ -76,6 +76,12 @@ public:
 
   svtkSmartPtr(svtkSmartPtr &&o) noexcept : Ptr_(o.Ptr_) { o.Ptr_ = nullptr; }
 
+  /// Share another holder's object through a base or const pointer.
+  template <typename U>
+  svtkSmartPtr(const svtkSmartPtr<U> &o) : svtkSmartPtr(o.Get()) // NOLINT
+  {
+  }
+
   svtkSmartPtr &operator=(const svtkSmartPtr &o)
   {
     if (this != &o)

@@ -3,14 +3,19 @@
 // equivalence (parameterized), fixed and automatic ranges, 1D/2D/3D
 // meshes, bit-exact multi-rank reduction through minimpi, the launch and
 // readback counts of the packed grid record and the size of its compact
-// readback, asynchronous execution, and file output.
+// readback, asynchronous execution and the data adaptor's per-step
+// snapshot it copies through, and file output.
 
+#include "execEngine.h"
 #include "minimpi.h"
+#include "senseiConfigurableAnalysis.h"
 #include "senseiDataBinning.h"
 #include "senseiDataAdaptor.h"
 #include "svtkAOSDataArray.h"
+#include "svtkArrayUtils.h"
 #include "vcuda.h"
 #include "vomp.h"
+#include "vpChecker.h"
 #include "vpClock.h"
 #include "vpPlatform.h"
 
@@ -120,6 +125,56 @@ std::vector<double> GridValues(svtkImageData *img, const std::string &name)
   std::vector<double> out(a->GetNumberOfTuples());
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = a->GetVariantValue(i, 0);
+  return out;
+}
+
+/// MakeTable's columns as HAMR arrays resident on `device`.
+svtkTable *MakeDeviceTable(std::size_t n, unsigned seed, int device)
+{
+  svtkTable *host = MakeTable(n, seed);
+  svtkTable *t = svtkTable::New();
+  vcuda::SetDevice(device);
+  for (int c = 0; c < host->GetNumberOfColumns(); ++c)
+  {
+    const svtkDataArray *src = host->GetColumn(c);
+    const std::vector<double> v = svtkToDoubleVector(src);
+    svtkHAMRDoubleArray *a =
+      svtkHAMRDoubleArray::New(src->GetName(), n, 1, svtkAllocator::cuda);
+    a->GetBuffer().assign(v.data(), n);
+    t->AddColumn(a);
+    a->Delete();
+  }
+  vcuda::SetDevice(0);
+  host->Delete();
+  return t;
+}
+
+/// Overwrite a HAMR column in place (same array, same storage) with
+/// `scale` times its values plus `shift`.
+void Rescale(svtkTable *t, const char *name, double scale, double shift)
+{
+  auto *a = dynamic_cast<svtkHAMRDoubleArray *>(t->GetColumnByName(name));
+  ASSERT_NE(a, nullptr) << name;
+  std::vector<double> v = a->ToVector();
+  for (double &x : v)
+    x = scale * x + shift;
+  const double *before = a->GetData();
+  a->GetBuffer().assign(v.data(), v.size());
+  ASSERT_EQ(a->GetData(), before) << name;
+}
+
+/// Every point-data array of a binning's last result, in order.
+std::vector<std::vector<double>> AllGrids(DataBinning *b)
+{
+  std::vector<std::vector<double>> out;
+  svtkImageData *img = b->GetLastResult();
+  EXPECT_NE(img, nullptr);
+  if (!img)
+    return out;
+  svtkFieldData *pd = img->GetPointData();
+  for (int a = 0; a < pd->GetNumberOfArrays(); ++a)
+    out.push_back(GridValues(img, pd->GetArray(a)->GetName()));
+  img->UnRegister();
   return out;
 }
 
@@ -774,4 +829,314 @@ TEST(Binning, WritesVtiAtFrequency)
   b->Delete();
   da->ReleaseData();
   da->Delete();
+}
+
+// --- the data adaptor's per-step snapshot (asynchronous deep copies) ------------------
+
+namespace
+{
+/// Three binnings over overlapping columns: four distinct (x, y, v, m)
+/// between them, each binning naming three or four.
+std::vector<DataBinning *> OverlappingBinnings(int device, bool async)
+{
+  const std::vector<std::vector<std::string>> axes = {
+    {"x", "y"}, {"x", "v"}, {"y", "m"}};
+  const std::vector<std::vector<std::pair<std::string, BinningOp>>> ops = {
+    {{"v", BinningOp::Sum}, {"m", BinningOp::Min}},
+    {{"m", BinningOp::Sum}, {"y", BinningOp::Max}},
+    {{"x", BinningOp::Average}, {"v", BinningOp::Sum}}};
+  std::vector<DataBinning *> out;
+  for (std::size_t i = 0; i < axes.size(); ++i)
+  {
+    DataBinning *b = DataBinning::New();
+    b->SetMeshName("bodies");
+    b->SetAxes(axes[i]);
+    b->SetResolution({16});
+    for (const auto &[col, op] : ops[i])
+      b->AddOperation(col, op);
+    b->SetDeviceId(device);
+    b->SetAsynchronous(async);
+    out.push_back(b);
+  }
+  return out;
+}
+} // namespace
+
+TEST(BinningSnapshot, AsyncBinningsShareOneCopyPerColumn)
+{
+  // three async binnings on a dedicated device over columns resident on
+  // device 0: each step makes one peer copy per distinct column straight
+  // onto device 3, the tasks move nothing, and the grids match lockstep
+  // bit for bit, also after the source changes in place between steps
+  ResetPlatform();
+  constexpr std::size_t N = 3000;
+  svtkTable *t = MakeDeviceTable(N, 61, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  std::vector<DataBinning *> async = OverlappingBinnings(3, true);
+  std::vector<DataBinning *> lock = OverlappingBinnings(3, false);
+
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  for (long step = 0; step < 3; ++step)
+  {
+    if (step)
+    {
+      Rescale(t, "x", 0.5, 0.25);
+      Rescale(t, "v", -1.0, 0.0);
+    }
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    stats.Reset();
+    for (DataBinning *b : async)
+      ASSERT_TRUE(b->Execute(da));
+    for (DataBinning *b : async)
+      b->DrainAsync();
+    EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToDevice), 4u) << step;
+    EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToDevice), 4u * N * 8) << step;
+    EXPECT_EQ(stats.Copies(vp::CopyKind::OnDevice), 0u) << step;
+    EXPECT_EQ(stats.Copies(vp::CopyKind::HostToDevice), 0u) << step;
+
+    for (DataBinning *b : lock)
+      ASSERT_TRUE(b->Execute(da));
+    for (std::size_t i = 0; i < async.size(); ++i)
+      EXPECT_EQ(AllGrids(async[i]), AllGrids(lock[i]))
+        << "binning " << i << " step " << step;
+    da->ReleaseData();
+  }
+
+  for (DataBinning *b : async)
+    b->Delete();
+  for (DataBinning *b : lock)
+    b->Delete();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningSnapshot, HostPlacementCopiesStraightToHost)
+{
+  // an async binning on the host over device-resident columns makes one
+  // direct D2H copy per distinct column (x, y, v) and no device copy
+  ResetPlatform();
+  constexpr std::size_t N = 2000;
+  svtkTable *t = MakeDeviceTable(N, 62, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  da->SetTable(t);
+
+  DataBinning *async = MakeBinning(AnalysisAdaptor::DEVICE_HOST);
+  async->SetAsynchronous(true);
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  stats.Reset();
+  ASSERT_TRUE(async->Execute(da));
+  async->Finalize();
+  EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 3u);
+  EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToHost), 3u * N * 8);
+  EXPECT_EQ(stats.Copies(vp::CopyKind::OnDevice), 0u);
+  EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToDevice), 0u);
+
+  DataBinning *lock = MakeBinning(AnalysisAdaptor::DEVICE_HOST);
+  ASSERT_TRUE(lock->Execute(da));
+  EXPECT_EQ(AllGrids(async), AllGrids(lock));
+
+  async->Delete();
+  lock->Delete();
+  da->ReleaseData();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningSnapshot, DataChangedAfterReleaseReachesTheNextStep)
+{
+  // the step index stays put, so only ReleaseData separates the steps:
+  // two async binnings share the copies of step 1 (held to ReleaseData,
+  // no count yet); step 2 runs one of them (fewer requests than
+  // expected, so held to ReleaseData again); step 3 runs both. Each
+  // step's source changes in place after the previous ReleaseData, and a
+  // step-index change without ReleaseData invalidates the copies too.
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(1500, 63, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  da->SetTable(t);
+  std::vector<DataBinning *> async, lock;
+  for (bool a : {true, false})
+    for (int i = 0; i < 2; ++i)
+    {
+      DataBinning *b = MakeBinning(1);
+      b->SetAsynchronous(a);
+      (a ? async : lock).push_back(b);
+    }
+
+  const std::vector<std::size_t> running[] = {{0, 1}, {0}, {0, 1}, {1}};
+  for (std::size_t step = 0; step < 4; ++step)
+  {
+    if (step)
+      Rescale(t, "v", 1.5, -0.125 * static_cast<double>(step));
+    if (step == 3)
+      da->SetDataTimeStep(1); // no ReleaseData before this step
+    for (std::size_t i : running[step])
+    {
+      ASSERT_TRUE(async[i]->Execute(da));
+      async[i]->DrainAsync();
+      ASSERT_TRUE(lock[i]->Execute(da));
+      EXPECT_EQ(AllGrids(async[i]), AllGrids(lock[i]))
+        << "binning " << i << " step " << step;
+    }
+    if (step < 2)
+    {
+      da->ReleaseData();
+      da->SetTable(t);
+    }
+  }
+
+  for (DataBinning *b : async)
+    b->Delete();
+  for (DataBinning *b : lock)
+    b->Delete();
+  da->ReleaseData();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningSnapshot, HoldsACopyOnlyWhileAnotherRequestIsExpected)
+{
+  // requests in one step share one copy per (column, device); the
+  // adaptor keeps its own reference until ReleaseData while it has no
+  // count, and afterwards drops it at the request that reaches the
+  // previous step's count
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(500, 64, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  svtkDataArray *x = t->GetColumnByName("x");
+  const std::vector<double> xs = svtkToDoubleVector(x);
+
+  // step 1: two requests on device 2 share, one on device 1 does not
+  da->SetTable(t);
+  auto a = da->Snapshot(x, 2);
+  auto b = da->Snapshot(x, 2);
+  auto c = da->Snapshot(x, 1);
+  EXPECT_EQ(a.Get(), b.Get());
+  EXPECT_NE(a.Get(), c.Get());
+  EXPECT_TRUE(a->DeviceAccessible(2));
+  EXPECT_TRUE(c->DeviceAccessible(1));
+  EXPECT_EQ(a->GetReferenceCount(), 3); // a, b and the adaptor
+  EXPECT_EQ(c->GetReferenceCount(), 2);
+  EXPECT_EQ(a->ToVector(), xs);
+  EXPECT_EQ(c->ToVector(), xs);
+  da->ReleaseData();
+  EXPECT_EQ(a->GetReferenceCount(), 2);
+  EXPECT_EQ(c->GetReferenceCount(), 1);
+
+  // step 2: two requests expected on device 2; one on device 1
+  da->SetTable(t);
+  auto d = da->Snapshot(x, 2);
+  EXPECT_NE(d.Get(), a.Get()); // never reused after ReleaseData
+  EXPECT_EQ(d->GetReferenceCount(), 2);
+  auto e = da->Snapshot(x, 2);
+  EXPECT_EQ(e.Get(), d.Get());
+  EXPECT_EQ(d->GetReferenceCount(), 2); // d and e: the adaptor let go
+  EXPECT_EQ(da->Snapshot(x, 1)->GetReferenceCount(), 1);
+  da->ReleaseData();
+
+  // step 3: one request where two were expected: held to ReleaseData
+  da->SetTable(t);
+  auto f = da->Snapshot(x, 2);
+  EXPECT_EQ(f->GetReferenceCount(), 2);
+  da->ReleaseData();
+  EXPECT_EQ(f->GetReferenceCount(), 1);
+
+  // step 4 on: one consumer, and the adaptor holds nothing after it
+  for (int step = 0; step < 2; ++step)
+  {
+    da->SetTable(t);
+    auto g = da->Snapshot(x, 2);
+    EXPECT_EQ(g->GetReferenceCount(), 1);
+    EXPECT_EQ(g->ToVector(), xs);
+    da->ReleaseData();
+  }
+
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningSnapshot, ConvertedColumnIsAdoptedNotCopiedAgain)
+{
+  // a non-HAMR column is a private array once converted: on the host the
+  // snapshot is that conversion (one host copy in all), on a device it
+  // is one H2D copy of it
+  ResetPlatform();
+  svtkTable *t = MakeTable(1000, 65);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  da->SetTable(t);
+  svtkDataArray *v = t->GetColumnByName("v");
+  const std::vector<double> vs = svtkToDoubleVector(v);
+
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  stats.Reset();
+  auto host = da->Snapshot(v, AnalysisAdaptor::DEVICE_HOST);
+  EXPECT_EQ(stats.Copies(vp::CopyKind::HostToHost), 1u);
+  EXPECT_EQ(stats.Copies(vp::CopyKind::HostToDevice), 0u);
+  EXPECT_TRUE(host->HostAccessible());
+
+  stats.Reset();
+  auto dev = da->Snapshot(v, 1);
+  EXPECT_EQ(stats.Copies(vp::CopyKind::HostToHost), 1u);
+  EXPECT_EQ(stats.Copies(vp::CopyKind::HostToDevice), 1u);
+  EXPECT_TRUE(dev->DeviceAccessible(1));
+
+  EXPECT_EQ(host->ToVector(), vs);
+  EXPECT_EQ(dev->ToVector(), vs);
+  da->ReleaseData();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningSnapshot, SharedCopiesAreCheckerCleanUnderExecThreads)
+{
+  // the sharing case on real threads: with <exec mode="threads"> every
+  // async binning has its own consumer thread, and the last reference to
+  // a shared copy drops on whichever finishes last while the simulation
+  // thread drops the snapshot's; the checker sees no violation and the
+  // grids match lockstep. scripts/run_campaign.sh runs this under
+  // VP_CHECK=1 in the tsan section.
+  ResetPlatform();
+  vp::check::Reset();
+  vp::check::Enable(true);
+  const char *binnings[] = {
+    R"(axes="x,y" ops="sum,min" values="v,m")",
+    R"(axes="x,v" ops="sum,max" values="m,y")",
+    R"(axes="y,m" ops="avg,sum" values="x,v")"};
+  std::string xml = "<sensei>\n  <exec mode=\"threads\" threads=\"2\"/>\n";
+  for (const char *async : {"1", "0"})
+    for (const char *b : binnings)
+      xml += std::string("  <analysis type=\"data_binning\" mesh=\"bodies\" ") +
+             b + " resolution=\"16\" device=\"3\" async=\"" + async +
+             "\"/>\n";
+  xml += "</sensei>";
+
+  sensei::ConfigurableAnalysis *chain = sensei::ConfigurableAnalysis::New();
+  chain->InitializeString(xml);
+  ASSERT_TRUE(vp::exec::ThreadsEnabled());
+  svtkTable *t = MakeDeviceTable(2500, 66, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  for (long step = 0; step < 4; ++step)
+  {
+    if (step)
+      Rescale(t, "m", 2.0, 0.5);
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    ASSERT_TRUE(chain->Execute(da));
+    da->ReleaseData();
+  }
+  EXPECT_EQ(chain->Finalize(), 0);
+
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(AllGrids(dynamic_cast<DataBinning *>(chain->GetAnalysis(i))),
+              AllGrids(dynamic_cast<DataBinning *>(chain->GetAnalysis(i + 3))))
+      << "binning " << i;
+  chain->Delete();
+  t->Delete();
+  da->Delete();
+
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+  vp::exec::Configure(vp::exec::ExecConfig());
 }

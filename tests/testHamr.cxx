@@ -202,6 +202,26 @@ TEST_P(BufferAllocators, DeviceAccessIsCorrectEverywhere)
     ASSERT_DOUBLE_EQ(view.get()[i], src[i]);
 }
 
+TEST_P(BufferAllocators, DeepCopyOntoANamedDevice)
+{
+  // wherever the data lives, the copy is accessible on the named target
+  // without movement, holds the same values and aliases nothing
+  std::vector<double> src(32);
+  std::iota(src.begin(), src.end(), 5.0);
+  buffer<double> a(GetParam());
+  a.assign(src.data(), src.size());
+
+  for (int target : {vp::HostDevice, 2})
+  {
+    buffer<double> c = a.deep_copy(target);
+    EXPECT_TRUE(target == vp::HostDevice ? c.host_accessible()
+                                         : c.device_accessible(target))
+      << "target " << target;
+    EXPECT_NE(c.data(), a.data());
+    EXPECT_EQ(c.to_vector(), src) << "target " << target;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAllocators, BufferAllocators,
                          ::testing::ValuesIn(AllAllocators), AllocatorName);
 
@@ -409,6 +429,33 @@ TEST_F(BufferFixture, AsyncModeDefersCompletion)
   b.synchronize();
   EXPECT_GE(vp::ThisClock().Now(), before);
   EXPECT_EQ(b.to_vector(), std::vector<double>(1u << 18, 1.0));
+}
+
+TEST_F(BufferFixture, DeepCopyTransfersOnTheSourceStream)
+{
+  // a peer deep copy is one D2D transfer on the source's stream: it
+  // claims the source device's copy engine, not the target's, and in
+  // async mode the copy's synchronize() covers it
+  vcuda::SetDevice(0);
+  vcuda::stream_t strm = vcuda::StreamCreate();
+  buffer<double> a(allocator::device_async, hamr::stream(strm),
+                   stream_mode::async, 1u << 16, 3.0);
+  a.synchronize();
+
+  vp::Platform &plat = vp::Platform::Get();
+  const double target = plat.GetDevice(0, 3).CopyEngine.Available();
+  plat.Stats().Reset();
+  buffer<double> c = a.deep_copy(3);
+  EXPECT_EQ(plat.Stats().Copies(vp::CopyKind::DeviceToDevice), 1u);
+  EXPECT_EQ(plat.GetDevice(0, 3).CopyEngine.Available(), target);
+  EXPECT_EQ(c.owner(), 3);
+  EXPECT_EQ(c.mode(), stream_mode::async);
+
+  const double copied = plat.GetDevice(0, 0).CopyEngine.Available();
+  EXPECT_LT(vp::ThisClock().Now(), copied);
+  c.synchronize();
+  EXPECT_GE(vp::ThisClock().Now(), copied);
+  EXPECT_EQ(c.to_vector(), std::vector<double>(1u << 16, 3.0));
 }
 
 TEST_F(BufferFixture, ConvertingCopyChangesLocation)
