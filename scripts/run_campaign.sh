@@ -249,10 +249,11 @@ bench um_graph_sanitized.txt env VP_CHECK=1 ../build-sanitize/bench/um_graph \
 bench um_layout_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_layout \
   --benchmark_min_time=0.05
-# the packed binning record of a 4-rank mixed-op binning, and the data
-# adaptor's shared per-step snapshot, under ASan+UBSan
+# the packed binning record of a 4-rank mixed-op binning, the data
+# adaptor's shared per-step snapshot, and its per-step axis-range table
+# (fills, hits and peers scanned where they live) under ASan+UBSan
 ../build-sanitize/tests/testBinning \
-  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*'
+  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*'
 # all of minimpi (point to point, collectives with empty messages on
 # Gather's non-root ranks, the compact record's pack, unpack and sparse
 # allreduce, the hostile chunk headers), stopping at the first UBSan
@@ -299,6 +300,11 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # with the checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
   --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads'
+# lockstep binnings of two rank threads filling and hitting their
+# adaptors' axis-range tables under <exec mode="threads">, with the
+# checker on
+VP_CHECK=1 ../build-tsan/tests/testBinning \
+  --gtest_filter='BinningSharedRange.CheckerCleanUnderExecThreads'
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
 ../build-tsan/tests/testMinimpi \

@@ -16,6 +16,8 @@
 #include "svtkObjectBase.h"
 
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +41,8 @@ public:
 
   /// Invoked by the framework when analyses are done with the current
   /// step's data; the simulation may reclaim buffers it shared. Drops
-  /// the step's snapshot; overrides must call this base version.
+  /// the step's snapshot and axis ranges; overrides must call this base
+  /// version.
   virtual void ReleaseData();
 
   /// The asynchronous execution method's deep copy: a shared, read-only
@@ -57,6 +60,35 @@ public:
   /// once the step index changes. Returns null for a null column.
   svtkSmartPtr<const svtkHAMRDoubleArray> Snapshot(svtkDataArray *column,
                                                   int device);
+
+  /// The lockstep axis-range table: the global [lo, hi] of columns of
+  /// this step's meshes, shared by lockstep DataBinning executes so that
+  /// a column is scanned, read back and reduced across ranks once per
+  /// step however many binnings bin along it. An entry is stored per
+  /// (mesh, column name) with the identity of the arrays it was computed
+  /// from (one per block), and serves only those arrays. The table is
+  /// dropped at ReleaseData and once the step index changes.
+  using AxisRange = std::pair<double, double>; ///< global [lo, hi]
+  using ColumnSet = std::vector<svtkSmartPtr<const svtkDataArray>>;
+
+  /// The step's range of axis `name` of `mesh`, whose arrays are
+  /// `columns`, or nothing when no fill stored it for these arrays.
+  /// Notes the request: this step's requested names are the next step's
+  /// expectation, kept as Snapshot keeps its counts (a ReleaseData with
+  /// no request since the last one keeps the expectation).
+  std::optional<AxisRange> FindAxisRange(const std::string &mesh,
+                                         const std::string &name,
+                                         const ColumnSet &columns);
+
+  /// The names of `mesh` the previous step requested that no fill has
+  /// stored this step, in name order: what a fill covers besides the
+  /// missed axes of its own execute.
+  std::vector<std::string> PendingAxisRanges(const std::string &mesh);
+
+  /// Store a fill's global range of column `name` of `mesh`, whose
+  /// arrays on this rank are `columns` (none when the rank lacks it).
+  void StoreAxisRange(const std::string &mesh, const std::string &name,
+                      const ColumnSet &columns, AxisRange range);
 
   /// Simulated time of the current step.
   double GetDataTime() const { return this->Time_; }
@@ -76,9 +108,12 @@ protected:
   ~DataAdaptor() override = default;
 
 private:
-  /// Drop the snapshot's copies and make this step's request counts the
-  /// next step's expectation.
-  void EndSnapshotStep();
+  /// Drop the snapshot's copies and the axis ranges, and make this
+  /// step's requests the next step's expectation.
+  void EndStep();
+
+  /// EndStep when the step index moved since the entries were made.
+  void FollowStep();
 
   struct SnapshotEntry
   {
@@ -87,14 +122,26 @@ private:
   };
   using RequestKey = std::pair<std::string, int>; ///< (column name, device)
 
+  struct AxisRangeEntry
+  {
+    ColumnSet Columns; ///< pins the arrays' addresses
+    AxisRange Range;
+  };
+  using AxisKey = std::pair<std::string, std::string>; ///< (mesh, column)
+
   double Time_ = 0.0;
   long TimeStep_ = 0;
   minimpi::Communicator *Comm_ = nullptr;
 
+  long Step_ = 0; ///< step the snapshot and axis-range entries belong to
+
   std::map<std::pair<const svtkDataArray *, int>, SnapshotEntry> Snapshots_;
-  long SnapshotStep_ = 0;                ///< step the entries belong to
   std::map<RequestKey, long> Requests_;  ///< requests this step
   std::map<RequestKey, long> Expected_;  ///< requests the step before
+
+  std::map<AxisKey, AxisRangeEntry> AxisRanges_;
+  std::set<AxisKey> AxisRequests_; ///< names requested this step
+  std::set<AxisKey> AxisExpected_; ///< names requested the step before
 };
 
 /// A concrete DataAdaptor presenting a single svtkTable, used by

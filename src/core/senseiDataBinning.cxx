@@ -254,6 +254,52 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
     in.Blocks.push_back(std::move(block));
   }
 
+  // lockstep: the auto-ranged axes' global ranges from the adaptor's
+  // per-step table. On a miss the fill covers the missed axes and every
+  // column the previous step's lockstep executes requested on this mesh
+  // that no fill has stored yet. The set follows from the names alone,
+  // never from placement or residency, so every rank issues the same
+  // collectives.
+  if (!async)
+  {
+    in.Table = data;
+    in.Ranges.assign(this->Axes_.size(),
+                     {std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()});
+    std::map<std::string, FillColumn> fill; // name order
+    for (std::size_t a = 0; a < this->Axes_.size(); ++a)
+    {
+      if (this->HasFixedRange_[a] || !this->AutoRange_)
+        continue;
+      DataAdaptor::ColumnSet cols;
+      for (const BlockSources &src : sources)
+        cols.emplace_back(src.Axis[a]);
+      const std::string &name = this->Axes_[a];
+      if (auto range = data->FindAxisRange(this->MeshName_, name, cols))
+        in.Ranges[a] = *range;
+      else if (!fill.count(name))
+        fill[name] = FillColumn{name, static_cast<int>(a), cols, {}};
+    }
+    if (!fill.empty())
+      for (const std::string &name : data->PendingAxisRanges(this->MeshName_))
+      {
+        if (fill.count(name))
+          continue;
+        FillColumn &peer = fill[name];
+        peer.Name = name;
+        for (svtkTable *table : tables)
+          if (svtkDataArray *col = table->GetColumnByName(name))
+          {
+            peer.Sources.emplace_back(col);
+            peer.Peer.push_back(
+              svtkSmartPtr<const svtkHAMRDoubleArray>::Take(
+                svtkAsHAMRDouble(col)));
+          }
+      }
+    for (auto &kv : fill)
+      in.Fill.push_back(std::move(kv.second));
+  }
+
   obj->UnRegister();
   return true;
 }
@@ -329,10 +375,7 @@ int DataBinning::Finalize()
 // ---------------------------------------------------------------------------
 namespace
 {
-/// Compute the min/max of host-resident data (p is a view the caller
-/// acquired and synchronized; views are acquired once per execute so no
-/// column moves twice). The device path scans every (axis, block) pair in
-/// one multi-output kernel inside RunBinning instead.
+/// The min/max of host-resident data.
 void PointerRangeHost(const double *p, std::size_t n, double &lo, double &hi)
 {
   lo = std::numeric_limits<double>::infinity();
@@ -356,6 +399,100 @@ void PointerRangeHost(const double *p, std::size_t n, double &lo, double &hi)
   hi = mx;
 }
 
+/// `N` values at `P`, readable where they are scanned, whose min and max
+/// fold into slot `Slot`.
+struct RangeUnit
+{
+  const double *P;
+  std::size_t N;
+  std::size_t Slot;
+};
+
+/// Fold the min and max of each unit (N > 0) into lo[Slot] and hi[Slot].
+/// On a device, one multi-unit kernel and one stream-ordered readback on
+/// `strm`; on the host (device < 0), a parallel loop per unit. Both the
+/// asynchronous task and the lockstep fill scan through here.
+void ScanRanges(const std::vector<RangeUnit> &scan, int device,
+                const vcuda::stream_t &strm, std::vector<double> &lo,
+                std::vector<double> &hi)
+{
+  if (scan.empty())
+    return;
+  if (device < 0)
+  {
+    for (const RangeUnit &unit : scan)
+    {
+      double ulo = 0, uhi = 0;
+      PointerRangeHost(unit.P, unit.N, ulo, uhi);
+      lo[unit.Slot] = std::min(lo[unit.Slot], ulo);
+      hi[unit.Slot] = std::max(hi[unit.Slot], uhi);
+    }
+    return;
+  }
+
+  auto units = std::make_shared<const std::vector<RangeUnit>>(scan);
+  const std::size_t nUnits = units->size();
+  std::size_t totalRows = 0;
+  for (const RangeUnit &unit : *units)
+    totalRows += unit.N;
+  auto *scratch = static_cast<double *>(
+    vcuda::MallocAsync(2 * nUnits * sizeof(double), strm));
+  std::vector<double> out(2 * nUnits, 0.0);
+  const double opsPerUnit =
+    2.0 * static_cast<double>(totalRows) / static_cast<double>(nUnits);
+  vcuda::LaunchN(
+    strm, nUnits,
+    [units, scratch](std::size_t ub, std::size_t ue)
+    {
+      for (std::size_t u = ub; u < ue; ++u)
+      {
+        const RangeUnit &unit = (*units)[u];
+        double mn = std::numeric_limits<double>::infinity();
+        double mx = -mn;
+        for (std::size_t i = 0; i < unit.N; ++i)
+        {
+          mn = std::min(mn, unit.P[i]);
+          mx = std::max(mx, unit.P[i]);
+        }
+        scratch[2 * u] = mn;
+        scratch[2 * u + 1] = mx;
+      }
+    },
+    vcuda::LaunchBounds{opsPerUnit, 0.05, "binning_range_multi"});
+  vcuda::MemcpyAsync(out.data(), scratch, 2 * nUnits * sizeof(double), strm);
+  vcuda::StreamSynchronize(strm);
+  vcuda::FreeAsync(scratch, strm);
+  for (std::size_t u = 0; u < nUnits; ++u)
+  {
+    const std::size_t slot = (*units)[u].Slot;
+    lo[slot] = std::min(lo[slot], out[2 * u]);
+    hi[slot] = std::max(hi[slot], out[2 * u + 1]);
+  }
+}
+
+/// Reduce per-slot ranges across ranks: one Min collective over
+/// [lo | -hi], since max(x) = -min(-x) exactly. Nothing without a
+/// communicator.
+void ReduceRanges(minimpi::Communicator *comm, std::vector<double> &lo,
+                  std::vector<double> &hi)
+{
+  if (!comm)
+    return;
+  const std::size_t n = lo.size();
+  std::vector<double> ext(2 * n);
+  for (std::size_t i = 0; i < n; ++i)
+  {
+    ext[i] = lo[i];
+    ext[n + i] = -hi[i];
+  }
+  comm->Allreduce(ext.data(), ext.size(), minimpi::Op::Min);
+  for (std::size_t i = 0; i < n; ++i)
+  {
+    lo[i] = ext[i];
+    hi[i] = -ext[n + i];
+  }
+}
+
 /// Initial grid value of a reduction kind (count and sums start at 0).
 double InitValue(BinningOp op)
 {
@@ -375,6 +512,67 @@ minimpi::Op ReduceOp(BinningOp op)
            : (op == BinningOp::Max ? minimpi::Op::Max : minimpi::Op::Sum);
 }
 } // namespace
+
+void DataBinning::FillRanges(
+  const StepInputs &in, const std::vector<std::vector<const double *>> &ax,
+  const std::vector<std::size_t> &rows, const vcuda::stream_t &strm,
+  std::vector<double> &lo, std::vector<double> &hi)
+{
+  const std::size_t nFill = in.Fill.size();
+  std::vector<double> flo(nFill, std::numeric_limits<double>::infinity());
+  std::vector<double> fhi(nFill, -std::numeric_limits<double>::infinity());
+
+  // units by where they are scanned: the axes through the views, and the
+  // peers resident with them, where the execute runs; every other peer
+  // in place, on the host or its owner device. A peer this rank lacks
+  // has no unit and contributes the identity.
+  const int here = in.Device;
+  std::map<int, std::vector<RangeUnit>> units;
+  for (std::size_t f = 0; f < nFill; ++f)
+  {
+    const FillColumn &col = in.Fill[f];
+    if (col.Axis >= 0)
+    {
+      for (std::size_t b = 0; b < rows.size(); ++b)
+        if (rows[b])
+          units[here].push_back(
+            RangeUnit{ax[b][static_cast<std::size_t>(col.Axis)], rows[b], f});
+      continue;
+    }
+    for (const auto &peer : col.Peer)
+    {
+      const std::size_t n = peer->GetNumberOfTuples();
+      if (!n)
+        continue;
+      int at = here;
+      if (here >= 0 ? !peer->DeviceAccessible(here) : !peer->HostAccessible())
+        at = peer->HostAccessible() ? DEVICE_HOST : peer->GetOwner();
+      peer->Synchronize();
+      units[at].push_back(RangeUnit{peer->GetData(), n, f});
+    }
+  }
+  for (const auto &[at, scan] : units)
+    ScanRanges(scan, at,
+               at >= 0 && at != here
+                 ? vp::Stream::New(vp::Platform::GetThisNode(), at)
+                 : strm,
+               flo, fhi);
+  ReduceRanges(in.Comm, flo, fhi);
+
+  for (std::size_t f = 0; f < nFill; ++f)
+  {
+    const FillColumn &col = in.Fill[f];
+    in.Table->StoreAxisRange(this->MeshName_, col.Name, col.Sources,
+                             {flo[f], fhi[f]});
+    for (std::size_t a = 0; a < this->Axes_.size(); ++a)
+      if (col.Axis >= 0 && this->Axes_[a] == col.Name &&
+          !this->HasFixedRange_[a] && this->AutoRange_)
+      {
+        lo[a] = flo[f];
+        hi[a] = fhi[f];
+      }
+  }
+}
 
 void DataBinning::RunBinning(const StepInputs &in)
 {
@@ -441,26 +639,8 @@ void DataBinning::RunBinning(const StepInputs &in)
       c->Synchronize();
   }
 
-  // --- captured step-graph session: the whole device DAG below runs on
-  // one private stream; capture it once, then replay it with pointer
-  // rebinding on later steps (see src/graph). The scope opens after the
-  // input views settle (their movement is data-dependent, not part of
-  // the recurring step shape) and closes when this function returns.
-  vcuda::stream_t strm;
-  std::optional<vp::graph::StepScope> graphScope;
-  if (onDevice)
-  {
-    strm = vcuda::StreamCreate();
-    if (vp::graph::Enabled())
-    {
-      if (!this->GraphSession_)
-        this->GraphSession_ = std::make_unique<vp::graph::Session>();
-      graphScope.emplace(*this->GraphSession_);
-    }
-  }
-
-  // --- axis bounds: fixed, or computed on the fly (over every block) and
-  // reduced across ranks ---
+  // --- axis bounds: fixed, or the global range of the data over every
+  // block and rank ---
   std::vector<double> lo(nAxes), hi(nAxes);
   std::vector<std::size_t> autoAxes;
   for (std::size_t a = 0; a < nAxes; ++a)
@@ -481,94 +661,50 @@ void DataBinning::RunBinning(const StepInputs &in)
     autoAxes.push_back(a);
   }
 
-  if (!autoAxes.empty() && onDevice)
+  vcuda::stream_t strm;
+  if (onDevice)
+    strm = vcuda::StreamCreate();
+
+  // lockstep: the adaptor's table, filled on a miss before the step-graph
+  // scope opens, so the captured graph has one shape whether this
+  // execute fills the table or hits it
+  if (in.Table && !autoAxes.empty())
   {
-    // one multi-output kernel scans every (axis, block) pair: a single
-    // launch and a single stream-ordered readback replace the former
-    // per-pair round trips, and give the step graph a fixed shape
-    struct Unit
+    for (std::size_t a : autoAxes)
     {
-      const double *P;
-      std::size_t N;
-      std::size_t Axis;
-    };
-    auto units = std::make_shared<std::vector<Unit>>();
-    std::size_t totalRows = 0;
+      lo[a] = in.Ranges[a].first;
+      hi[a] = in.Ranges[a].second;
+    }
+    if (!in.Fill.empty())
+      this->FillRanges(in, ax, rows, strm, lo, hi);
+  }
+
+  // --- captured step-graph session: the whole device DAG below runs on
+  // one private stream; capture it once, then replay it with pointer
+  // rebinding on later steps (see src/graph). The scope opens after the
+  // input views settle (their movement is data-dependent, not part of
+  // the recurring step shape) and closes when this function returns.
+  std::optional<vp::graph::StepScope> graphScope;
+  if (onDevice && vp::graph::Enabled())
+  {
+    if (!this->GraphSession_)
+      this->GraphSession_ = std::make_unique<vp::graph::Session>();
+    graphScope.emplace(*this->GraphSession_);
+  }
+
+  // asynchronous: the task scans its own axes, every (axis, block) pair
+  // in one pass, then one collective; skipped when every axis has a
+  // fixed range (the config, and so the decision, is the same on every
+  // rank)
+  if (!in.Table && !autoAxes.empty())
+  {
+    std::vector<RangeUnit> units;
     for (std::size_t a : autoAxes)
       for (std::size_t b = 0; b < nBlocks; ++b)
         if (rows[b])
-        {
-          units->push_back(Unit{ax[b][a], rows[b], a});
-          totalRows += rows[b];
-        }
-    if (!units->empty())
-    {
-      const std::size_t nUnits = units->size();
-      auto *scratch = static_cast<double *>(
-        vcuda::MallocAsync(2 * nUnits * sizeof(double), strm));
-      std::vector<double> out(2 * nUnits, 0.0);
-      const double opsPerUnit =
-        2.0 * static_cast<double>(totalRows) / static_cast<double>(nUnits);
-      vcuda::LaunchN(
-        strm, nUnits,
-        [units, scratch](std::size_t ub, std::size_t ue)
-        {
-          for (std::size_t u = ub; u < ue; ++u)
-          {
-            const Unit &unit = (*units)[u];
-            double mn = std::numeric_limits<double>::infinity();
-            double mx = -mn;
-            for (std::size_t i = 0; i < unit.N; ++i)
-            {
-              mn = std::min(mn, unit.P[i]);
-              mx = std::max(mx, unit.P[i]);
-            }
-            scratch[2 * u] = mn;
-            scratch[2 * u + 1] = mx;
-          }
-        },
-        vcuda::LaunchBounds{opsPerUnit, 0.05, "binning_range_multi"});
-      vcuda::MemcpyAsync(out.data(), scratch, 2 * nUnits * sizeof(double),
-                         strm);
-      vcuda::StreamSynchronize(strm);
-      vcuda::FreeAsync(scratch, strm);
-      for (std::size_t u = 0; u < nUnits; ++u)
-      {
-        const std::size_t a = (*units)[u].Axis;
-        lo[a] = std::min(lo[a], out[2 * u]);
-        hi[a] = std::max(hi[a], out[2 * u + 1]);
-      }
-    }
-  }
-  else
-  {
-    for (std::size_t a : autoAxes)
-      for (std::size_t b = 0; b < nBlocks; ++b)
-      {
-        double blo = 0, bhi = 0;
-        PointerRangeHost(ax[b][a], rows[b], blo, bhi);
-        lo[a] = std::min(lo[a], blo);
-        hi[a] = std::max(hi[a], bhi);
-      }
-  }
-
-  // one Min collective over [lo | -hi], since max(x) = -min(-x) exactly;
-  // skipped when every axis has a fixed range (the config, and so the
-  // decision, is the same on every rank)
-  if (in.Comm && !autoAxes.empty())
-  {
-    std::vector<double> ext(2 * nAxes);
-    for (std::size_t a = 0; a < nAxes; ++a)
-    {
-      ext[a] = lo[a];
-      ext[nAxes + a] = -hi[a];
-    }
-    in.Comm->Allreduce(ext.data(), ext.size(), minimpi::Op::Min);
-    for (std::size_t a = 0; a < nAxes; ++a)
-    {
-      lo[a] = ext[a];
-      hi[a] = -ext[nAxes + a];
-    }
+          units.push_back(RangeUnit{ax[b][a], rows[b], a});
+    ScanRanges(units, in.Device, strm, lo, hi);
+    ReduceRanges(in.Comm, lo, hi);
   }
 
   for (std::size_t a = 0; a < nAxes; ++a)

@@ -25,6 +25,7 @@
 #include "senseiAsyncRunner.h"
 #include "svtkDataObject.h"
 #include "svtkHAMRDataArray.h"
+#include "vpStream.h"
 
 #include <memory>
 #include <mutex>
@@ -165,6 +166,19 @@ private:
     std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> ValueCols;
   };
 
+  /// A column a lockstep range fill covers: one of the execute's axes
+  /// the table missed (Axis >= 0, scanned through the execute's views),
+  /// or a peer, a column the previous step's lockstep executes requested
+  /// on the mesh (typed per block that holds it). Sources, per block that
+  /// holds it, key the table.
+  struct FillColumn
+  {
+    std::string Name;
+    int Axis = -1;
+    DataAdaptor::ColumnSet Sources;
+    std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> Peer;
+  };
+
   /// A step's worth of inputs.
   struct StepInputs
   {
@@ -175,10 +189,29 @@ private:
     int Device = DEVICE_HOST;
     std::size_t Rows = 0;  ///< total rows over the blocks
     std::size_t Bytes = 0; ///< payload of the distinct columns
+
+    /// Lockstep: the adaptor whose axis-range table holds the global
+    /// range of the auto-ranged axes (null for an asynchronous execute,
+    /// whose task scans its own axes), the ranges it had, per axis, and
+    /// on a miss what the fill covers, in name order.
+    DataAdaptor *Table = nullptr;
+    std::vector<DataAdaptor::AxisRange> Ranges;
+    std::vector<FillColumn> Fill;
   };
 
   bool GatherInputs(DataAdaptor *data, bool async, StepInputs &in);
   void RunBinning(const StepInputs &in);
+
+  /// The lockstep fill: scan every column of in.Fill in one pass (the
+  /// axes through the execute's views `ax`, the peers resident on the
+  /// execute's device in the same kernel, other peers where they live),
+  /// reduce them in one collective, store them in in.Table, and set `lo`
+  /// and `hi` of the axes it covered.
+  void FillRanges(const StepInputs &in,
+                  const std::vector<std::vector<const double *>> &ax,
+                  const std::vector<std::size_t> &rows,
+                  const vp::Stream &strm, std::vector<double> &lo,
+                  std::vector<double> &hi);
 
   /// Placement with the captured-graph pin: while GraphSession_ holds an
   /// armed graph the capture-time device is kept (replay requires it),

@@ -4,7 +4,8 @@
 // meshes, bit-exact multi-rank reduction through minimpi, the launch and
 // readback counts of the packed grid record and the size of its compact
 // readback, asynchronous execution and the data adaptor's per-step
-// snapshot it copies through, and file output.
+// snapshot it copies through, the per-step axis-range table lockstep
+// binnings share, and file output.
 
 #include "execEngine.h"
 #include "minimpi.h"
@@ -23,7 +24,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <random>
 
 using sensei::AnalysisAdaptor;
@@ -1134,6 +1137,713 @@ TEST(BinningSnapshot, SharedCopiesAreCheckerCleanUnderExecThreads)
   chain->Delete();
   t->Delete();
   da->Delete();
+
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+  vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+// --- the data adaptor's per-step axis-range table (lockstep binnings) -----------------
+
+namespace
+{
+/// The paper's nine coordinate systems over six axis columns, and the ten
+/// variables every system sums.
+const std::vector<std::pair<std::string, std::string>> kSystems = {
+  {"x", "y"},   {"x", "z"},   {"y", "z"},   {"vx", "vy"}, {"vx", "vz"},
+  {"vy", "vz"}, {"x", "vx"},  {"y", "vy"},  {"z", "vz"}};
+const std::vector<std::string> kVariables = {
+  "x", "y", "z", "vx", "vy", "vz", "m", "speed", "ke", "r"};
+
+/// A column placement for MakeColumns: a device id, DEVICE_HOST for a
+/// host HAMR array, or PlainHost for a plain (non-HAMR) host array.
+constexpr int PlainHost = -100;
+
+/// kVariables as columns of n rows placed by `where(name)`. Column k
+/// holds `scale` times uniform [-1, 1] values plus 0.25 k, so every column
+/// has its own range.
+svtkTable *MakeColumns(std::size_t n, unsigned seed, double scale,
+                       const std::function<int(const std::string &)> &where)
+{
+  std::mt19937_64 gen(seed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  svtkTable *t = svtkTable::New();
+  for (std::size_t k = 0; k < kVariables.size(); ++k)
+  {
+    std::vector<double> v(n);
+    for (double &x : v)
+      x = scale * u(gen) + 0.25 * static_cast<double>(k);
+    const int at = where(kVariables[k]);
+    if (at == PlainHost)
+    {
+      svtkAOSDoubleArray *c = svtkAOSDoubleArray::New(kVariables[k], n, 1);
+      c->GetVector() = v;
+      t->AddColumn(c);
+      c->Delete();
+      continue;
+    }
+    if (at >= 0)
+      vcuda::SetDevice(at);
+    svtkHAMRDoubleArray *c = svtkHAMRDoubleArray::New(
+      kVariables[k], n, 1,
+      at >= 0 ? svtkAllocator::cuda : svtkAllocator::malloc_);
+    c->GetBuffer().assign(v.data(), n);
+    t->AddColumn(c);
+    c->Delete();
+  }
+  vcuda::SetDevice(0);
+  return t;
+}
+
+/// Change every column of `t` in place (same arrays, same storage).
+void ChangeInPlace(svtkTable *t, double scale, double shift)
+{
+  for (int c = 0; c < t->GetNumberOfColumns(); ++c)
+  {
+    svtkDataArray *col = t->GetColumn(c);
+    if (auto *aos = dynamic_cast<svtkAOSDoubleArray *>(col))
+    {
+      for (double &x : aos->GetVector())
+        x = scale * x + shift;
+      continue;
+    }
+    Rescale(t, col->GetName().c_str(), scale, shift);
+  }
+}
+
+/// A lockstep binning of coordinate system `s` summing every variable.
+DataBinning *SystemBinning(std::size_t s, int device)
+{
+  DataBinning *b = DataBinning::New();
+  b->SetMeshName("bodies");
+  b->SetAxes({kSystems[s].first, kSystems[s].second});
+  b->SetResolution({16});
+  for (const std::string &v : kVariables)
+    b->AddOperation(v, BinningOp::Sum);
+  b->SetDeviceId(device);
+  return b;
+}
+
+/// A binning's last result bit for bit: origin, spacing, then every grid.
+std::vector<std::uint64_t> ResultBits(DataBinning *b)
+{
+  std::vector<double> v(6, 0.0);
+  svtkImageData *img = b->GetLastResult();
+  EXPECT_NE(img, nullptr);
+  if (!img)
+    return {};
+  img->GetOrigin(v.data());
+  img->GetSpacing(v.data() + 3);
+  img->UnRegister();
+  for (const std::vector<double> &g : AllGrids(b))
+    v.insert(v.end(), g.begin(), g.end());
+  std::vector<std::uint64_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), 8 * v.size());
+  return bits;
+}
+
+/// Presents any mesh object (a table or a multi-block set) as "bodies".
+class MeshAdaptor : public sensei::DataAdaptor
+{
+public:
+  static MeshAdaptor *New() { return new MeshAdaptor; }
+
+  std::vector<std::string> GetMeshNames() override { return {"bodies"}; }
+
+  svtkDataObject *GetMesh(const std::string &name) override
+  {
+    if (name != "bodies" || !this->Mesh_)
+      return nullptr;
+    this->Mesh_->Register();
+    return this->Mesh_;
+  }
+
+  void ReleaseData() override
+  {
+    this->DataAdaptor::ReleaseData();
+    this->SetMesh(nullptr);
+  }
+
+  /// Share `mesh` as this step's data (takes a reference).
+  void SetMesh(svtkDataObject *mesh)
+  {
+    if (mesh)
+      mesh->Register();
+    if (this->Mesh_)
+      this->Mesh_->UnRegister();
+    this->Mesh_ = mesh;
+  }
+
+protected:
+  ~MeshAdaptor() override { this->SetMesh(nullptr); }
+
+private:
+  svtkDataObject *Mesh_ = nullptr;
+};
+
+/// A binning of one rank.
+using BinningFactory = std::function<DataBinning *(int rank)>;
+
+/// Run lockstep binnings on `ranks` lockstep ranks for `steps` steps, all
+/// of a rank's executes on one adaptor, and expect every result to equal,
+/// bit for bit, the same binning run on a fresh adaptor. `mesh(rank,
+/// step)` is the step's mesh (a new reference); step s runs the binnings
+/// `running[s]`, in that order.
+void ExpectSharedMatchesFresh(int ranks,
+                              const std::vector<BinningFactory> &binnings,
+                              const std::function<svtkDataObject *(int, long)> &mesh,
+                              const std::vector<std::vector<std::size_t>> &running)
+{
+  minimpi::LaunchOptions lo;
+  lo.Ranks = ranks;
+  lo.Lockstep = true;
+  minimpi::Run(
+    lo,
+    [&](minimpi::Communicator &comm)
+    {
+      const int r = comm.Rank();
+      std::vector<DataBinning *> shared;
+      for (const BinningFactory &make : binnings)
+        shared.push_back(make(r));
+      MeshAdaptor *da = MeshAdaptor::New();
+      da->SetCommunicator(&comm);
+      for (long step = 0; step < static_cast<long>(running.size()); ++step)
+      {
+        svtkDataObject *m = mesh(r, step);
+        da->SetMesh(m);
+        da->SetDataTimeStep(step);
+        for (std::size_t i : running[static_cast<std::size_t>(step)])
+        {
+          EXPECT_TRUE(shared[i]->Execute(da));
+          MeshAdaptor *fresh = MeshAdaptor::New();
+          fresh->SetMesh(m);
+          fresh->SetCommunicator(&comm);
+          fresh->SetDataTimeStep(step);
+          DataBinning *ref = binnings[i](r);
+          EXPECT_TRUE(ref->Execute(fresh));
+          EXPECT_EQ(ResultBits(shared[i]), ResultBits(ref))
+            << "rank " << r << " step " << step << " binning " << i;
+          ref->Delete();
+          fresh->ReleaseData();
+          fresh->Delete();
+        }
+        da->ReleaseData();
+        m->UnRegister();
+      }
+      for (DataBinning *b : shared)
+        b->Delete();
+      da->Delete();
+    });
+}
+
+/// The nine-system campaign chain on `device(rank)`.
+std::vector<BinningFactory> CampaignChain(const std::function<int(int)> &device)
+{
+  std::vector<BinningFactory> chain;
+  for (std::size_t s = 0; s < kSystems.size(); ++s)
+    chain.push_back([s, device](int r) { return SystemBinning(s, device(r)); });
+  return chain;
+}
+
+/// One table per rank, made at step 0 by `make(rank)` and changed in
+/// place at every later step.
+std::function<svtkDataObject *(int, long)>
+InPlaceTables(int ranks, std::vector<svtkTable *> &tables,
+              const std::function<svtkTable *(int)> &make)
+{
+  tables.assign(static_cast<std::size_t>(ranks), nullptr);
+  return [&tables, make](int r, long step) -> svtkDataObject *
+  {
+    svtkTable *&t = tables[static_cast<std::size_t>(r)];
+    if (!t)
+      t = make(r);
+    else
+      ChangeInPlace(t, 1.25, -0.125 * static_cast<double>(step));
+    t->Register();
+    return t;
+  };
+}
+
+void DeleteAll(std::vector<svtkTable *> &tables)
+{
+  for (svtkTable *t : tables)
+    if (t)
+      t->Delete();
+  tables.clear();
+}
+
+/// Three binnings over x, y, z and vx on `device(rank)`: A (x, y),
+/// B (x, z), C (vx, y).
+std::vector<BinningFactory> ThreeBinnings(const std::function<int(int)> &device)
+{
+  const std::vector<std::pair<std::string, std::string>> axes = {
+    {"x", "y"}, {"x", "z"}, {"vx", "y"}};
+  std::vector<BinningFactory> out;
+  for (const auto &[a0, a1] : axes)
+    out.push_back(
+      [a0, a1, device](int r)
+      {
+        DataBinning *b = DataBinning::New();
+        b->SetMeshName("bodies");
+        b->SetAxes({a0, a1});
+        b->SetResolution({16});
+        b->AddOperation("m", BinningOp::Sum);
+        b->AddOperation("ke", BinningOp::Max);
+        b->SetDeviceId(device(r));
+        return b;
+      });
+  return out;
+}
+
+int RankDevice(int r) { return r; }
+
+/// Every column of a rank on the rank's device; rank r's data spans
+/// 1 + r times the range of rank 0's.
+std::function<svtkTable *(int)> OnRankDevice(std::size_t rows)
+{
+  return [rows](int r)
+  {
+    return MakeColumns(rows + 37 * static_cast<std::size_t>(r),
+                       300u + static_cast<unsigned>(r), 1.0 + r,
+                       [r](const std::string &) { return r; });
+  };
+}
+
+/// A placement where the columns a fill covers besides its own axes are
+/// resident on rank 0's binning device only: rank 1 keeps x and y on its
+/// binning device and the rest on another, rank 2 bins on the host over
+/// device columns, rank 3 bins on a device over plain host columns.
+int MixedBinningDevice(int r)
+{
+  return r == 2 ? AnalysisAdaptor::DEVICE_HOST : r;
+}
+
+/// The mixed placement's columns; rank 3 holds the widest data, so a
+/// range that missed its columns would show in every grid.
+std::function<svtkTable *(int)> MixedTables(std::size_t rows)
+{
+  return [rows](int r)
+  {
+    auto where = [r](const std::string &name)
+    {
+      switch (r)
+      {
+        case 0: return 0;
+        case 1: return name == "x" || name == "y" ? 1 : 2;
+        case 2: return 2;
+        default: return PlainHost;
+      }
+    };
+    return MakeColumns(rows + 50 * static_cast<std::size_t>(r),
+                       310u + static_cast<unsigned>(r), 1.0 + r, where);
+  };
+}
+} // namespace
+
+TEST(BinningSharedRange, CampaignChainMatchesFreshAdaptors)
+{
+  // 4 lockstep ranks run the nine-system chain on the data's device for
+  // 4 steps, the columns changed in place between steps: every grid,
+  // origin and spacing equals the same binning run on a fresh adaptor
+  ResetPlatform();
+  std::vector<svtkTable *> tables;
+  ExpectSharedMatchesFresh(4, CampaignChain(RankDevice),
+                           InPlaceTables(4, tables, OnRankDevice(600)),
+                           {{0, 1, 2, 3, 4, 5, 6, 7, 8},
+                            {0, 1, 2, 3, 4, 5, 6, 7, 8},
+                            {0, 1, 2, 3, 4, 5, 6, 7, 8},
+                            {0, 1, 2, 3, 4, 5, 6, 7, 8}});
+  DeleteAll(tables);
+}
+
+TEST(BinningSharedRange, SteadyStateIsOneRangeKernelAndReadbackPerRank)
+{
+  // 9 device binnings per rank over columns resident on the binning
+  // device. The first step has no expectation: the fills of (x, y),
+  // (x, z), (vx, vy) and (vx, vz) scan 2, 1, 2 and 1 columns. From then
+  // on the first execute scans all six axis columns and the other eight
+  // hit: per rank and step 9 x (init, accumulate, compact) + 1 range
+  // kernel = 28 kernels, and 9 compact readbacks + 1 range readback = 10
+  // device-to-host copies
+  ResetPlatform();
+  constexpr int Ranks = 4;
+  constexpr long Steps = 4;
+  std::vector<svtkTable *> tables;
+  auto mesh = InPlaceTables(Ranks, tables, OnRankDevice(500));
+  std::vector<std::uint64_t> kernels(Steps), d2h(Steps), others(Steps);
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+
+  minimpi::LaunchOptions lo;
+  lo.Ranks = Ranks;
+  lo.Lockstep = true;
+  minimpi::Run(
+    lo,
+    [&](minimpi::Communicator &comm)
+    {
+      const int r = comm.Rank();
+      std::vector<DataBinning *> chain;
+      for (std::size_t s = 0; s < kSystems.size(); ++s)
+        chain.push_back(SystemBinning(s, r));
+      MeshAdaptor *da = MeshAdaptor::New();
+      da->SetCommunicator(&comm);
+      for (long step = 0; step < Steps; ++step)
+      {
+        svtkDataObject *m = mesh(r, step);
+        da->SetMesh(m);
+        m->UnRegister();
+        da->SetDataTimeStep(step);
+        comm.Barrier();
+        if (r == 0)
+          stats.Reset();
+        comm.Barrier();
+        for (DataBinning *b : chain)
+          EXPECT_TRUE(b->Execute(da));
+        comm.Barrier();
+        if (r == 0)
+        {
+          const auto s = static_cast<std::size_t>(step);
+          kernels[s] = stats.KernelsLaunched.load();
+          d2h[s] = stats.Copies(vp::CopyKind::DeviceToHost);
+          others[s] = stats.Copies(vp::CopyKind::HostToDevice) +
+                      stats.Copies(vp::CopyKind::DeviceToDevice) +
+                      stats.Copies(vp::CopyKind::OnDevice);
+        }
+        comm.Barrier();
+        da->ReleaseData();
+      }
+      for (DataBinning *b : chain)
+        b->Delete();
+      da->Delete();
+    });
+
+  EXPECT_EQ(kernels[0], Ranks * (27u + 4u));
+  EXPECT_EQ(d2h[0], Ranks * (9u + 4u));
+  for (long step = 1; step < Steps; ++step)
+  {
+    const auto s = static_cast<std::size_t>(step);
+    EXPECT_EQ(kernels[s], Ranks * 28u) << "step " << step;
+    EXPECT_EQ(d2h[s], Ranks * 10u) << "step " << step;
+  }
+  for (long step = 0; step < Steps; ++step)
+    EXPECT_EQ(others[static_cast<std::size_t>(step)], 0u) << "step " << step;
+  DeleteAll(tables);
+}
+
+TEST(BinningSharedRange, PeersResidentOnOneRanksDeviceOnly)
+{
+  // the nine-system chain over the mixed placement: every rank covers
+  // the same names in its fill wherever the columns live, so the
+  // collectives match and the hits read the global range
+  ResetPlatform();
+  std::vector<svtkTable *> tables;
+  ExpectSharedMatchesFresh(4, CampaignChain(MixedBinningDevice),
+                           InPlaceTables(4, tables, MixedTables(400)),
+                           {{0, 1, 2, 3, 4, 5, 6, 7, 8},
+                            {0, 1, 2, 3, 4, 5, 6, 7, 8},
+                            {0, 1, 2, 3, 4, 5, 6, 7, 8}});
+  DeleteAll(tables);
+}
+
+TEST(BinningSharedRange, NewAxisAppearingMidRun)
+{
+  // C (vx, y) joins at step 2: its vx misses, and the fill covers vx only
+  ResetPlatform();
+  std::vector<svtkTable *> tables;
+  ExpectSharedMatchesFresh(4, ThreeBinnings(RankDevice),
+                           InPlaceTables(4, tables, OnRankDevice(300)),
+                           {{0, 1}, {0, 1}, {0, 1, 2}, {2, 0, 1}});
+  DeleteAll(tables);
+}
+
+TEST(BinningSharedRange, StepWithFewerRequests)
+{
+  // a step that runs fewer binnings still covers the previous step's
+  // names in its one fill, over the mixed placement: A alone at step 1
+  // covers z and vx too, C alone at step 3 covers x and z; the step
+  // after expects only what it requested
+  ResetPlatform();
+  std::vector<svtkTable *> tables;
+  ExpectSharedMatchesFresh(4, ThreeBinnings(MixedBinningDevice),
+                           InPlaceTables(4, tables, MixedTables(300)),
+                           {{0, 1, 2}, {0}, {0, 1, 2}, {2}});
+  DeleteAll(tables);
+}
+
+TEST(BinningSharedRange, FixedAndAutoAxesMixed)
+{
+  // a fixed axis never reads or fills the table; the auto axis beside it
+  // does
+  ResetPlatform();
+  auto binning = [](std::vector<std::string> axes, int fixedAxis)
+  {
+    return [axes, fixedAxis](int r)
+    {
+      DataBinning *b = DataBinning::New();
+      b->SetMeshName("bodies");
+      b->SetAxes(axes);
+      b->SetResolution({8});
+      if (fixedAxis >= 0)
+        b->SetRange(fixedAxis, -2.0, 3.0);
+      b->AddOperation("speed", BinningOp::Average);
+      b->SetDeviceId(r % 2 ? r : AnalysisAdaptor::DEVICE_HOST);
+      return b;
+    };
+  };
+  std::vector<svtkTable *> tables;
+  ExpectSharedMatchesFresh(
+    4,
+    {binning({"x", "y"}, 0), binning({"x", "z"}, -1), binning({"y", "x"}, 1),
+     binning({"z", "x", "vz"}, 2)},
+    InPlaceTables(4, tables, OnRankDevice(250)),
+    {{0, 1, 2, 3}, {0, 1, 2, 3}, {3, 2, 1, 0}});
+  DeleteAll(tables);
+}
+
+TEST(BinningSharedRange, MultiBlockMeshWithAnEmptyBlock)
+{
+  // each rank's mesh is three table blocks, the middle one with no rows,
+  // and a null slot: every block's columns key the table, and the empty
+  // one adds nothing to the scan
+  ResetPlatform();
+  constexpr int Ranks = 4;
+  std::vector<std::vector<svtkTable *>> blocks(Ranks);
+  auto mesh = [&blocks](int r, long step) -> svtkDataObject *
+  {
+    std::vector<svtkTable *> &bl = blocks[static_cast<std::size_t>(r)];
+    if (bl.empty())
+      for (std::size_t n : {200u, 0u, 150u})
+        bl.push_back(MakeColumns(n, 320u + 7 * bl.size() + r, 1.0 + r,
+                                 [r](const std::string &) { return r; }));
+    else
+      for (svtkTable *t : bl)
+        ChangeInPlace(t, 0.75, 0.0625 * static_cast<double>(step));
+    svtkMultiBlockDataSet *mb = svtkMultiBlockDataSet::New();
+    mb->SetBlock(0, bl[0]);
+    mb->SetBlock(1, bl[1]);
+    mb->SetBlock(3, bl[2]); // slot 2 stays null
+    return mb;
+  };
+  ExpectSharedMatchesFresh(Ranks, CampaignChain(RankDevice), mesh,
+                           {{0, 1, 2, 3, 4, 5, 6, 7, 8},
+                            {0, 1, 2, 3, 4, 5, 6, 7, 8},
+                            {8, 7, 6, 5, 4, 3, 2, 1, 0}});
+  for (auto &bl : blocks)
+    for (svtkTable *t : bl)
+      t->Delete();
+}
+
+TEST(BinningSharedRange, ColumnMissingOnOneRank)
+{
+  // step 0 runs A (x, y) and B (x, z), so step 1's fill by A also covers
+  // z, which rank 2 no longer has from step 1 on: it contributes the
+  // identity, and every rank issues the same collective
+  ResetPlatform();
+  constexpr int Ranks = 4;
+  std::vector<svtkTable *> full(Ranks), partial(Ranks);
+  auto mesh = [&](int r, long step) -> svtkDataObject *
+  {
+    svtkTable *&t = full[static_cast<std::size_t>(r)];
+    if (!t)
+    {
+      t = MakeColumns(300 + 20 * static_cast<std::size_t>(r),
+                      330u + static_cast<unsigned>(r), 1.0 + r,
+                      [r](const std::string &) { return r; });
+      svtkTable *&p = partial[static_cast<std::size_t>(r)];
+      p = svtkTable::New();
+      for (int c = 0; c < t->GetNumberOfColumns(); ++c)
+        if (std::string(t->GetColumn(c)->GetName()) != "z")
+          p->AddColumn(t->GetColumn(c));
+    }
+    else
+    {
+      ChangeInPlace(t, 1.5, 0.25);
+    }
+    svtkTable *m = step && r == 2 ? partial[2] : t;
+    m->Register();
+    return m;
+  };
+  auto binning = [](const char *a0, const char *a1)
+  {
+    return [a0, a1](int r)
+    {
+      DataBinning *b = DataBinning::New();
+      b->SetMeshName("bodies");
+      b->SetAxes({a0, a1});
+      b->SetResolution({16});
+      b->AddOperation("m", BinningOp::Sum);
+      b->SetDeviceId(r);
+      return b;
+    };
+  };
+  ExpectSharedMatchesFresh(Ranks, {binning("x", "y"), binning("x", "z")},
+                           mesh, {{0, 1}, {0}, {0}, {0}});
+  for (svtkTable *t : full)
+    t->Delete();
+  for (svtkTable *t : partial)
+    t->Delete();
+}
+
+TEST(BinningSharedRange, ReleaseDataEndsTheStepWithoutAStepChange)
+{
+  // the step index never changes: ReleaseData alone ends the step, so x
+  // scaled in place after it reaches the next execute's origin and
+  // spacing
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(800, 67, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  auto make = []()
+  {
+    DataBinning *b = DataBinning::New();
+    b->SetMeshName("bodies");
+    b->SetAxes({"x", "y"});
+    b->SetResolution({16});
+    b->AddOperation("v", BinningOp::Sum);
+    b->SetDeviceId(0);
+    return b;
+  };
+  DataBinning *shared = make();
+  for (int k = 0; k < 3; ++k)
+  {
+    if (k)
+      Rescale(t, "x", 3.0, 1.0);
+    da->SetTable(t);
+    ASSERT_TRUE(shared->Execute(da));
+
+    sensei::TableAdaptor *fresh = sensei::TableAdaptor::New("bodies");
+    fresh->SetTable(t);
+    DataBinning *ref = make();
+    ASSERT_TRUE(ref->Execute(fresh));
+    EXPECT_EQ(ResultBits(shared), ResultBits(ref)) << "release " << k;
+    ref->Delete();
+    fresh->ReleaseData();
+    fresh->Delete();
+
+    const std::vector<double> xs =
+      svtkToDoubleVector(t->GetColumnByName("x"));
+    svtkImageData *img = shared->GetLastResult();
+    double origin[3];
+    img->GetOrigin(origin);
+    img->UnRegister();
+    EXPECT_EQ(origin[0], *std::min_element(xs.begin(), xs.end()));
+    da->ReleaseData();
+  }
+  shared->Delete();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningSharedRange, AsyncBinningNeitherFillsNorReadsTheTable)
+{
+  // an asynchronous binning scans its own axes inside its task: run
+  // before a lockstep one it leaves the table empty (the lockstep execute
+  // still fills: 4 kernels), and run after it, it still launches its own
+  // range kernel (4 kernels), while a second lockstep execute hits (3)
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(900, 68, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  auto make = [](bool async)
+  {
+    DataBinning *b = DataBinning::New();
+    b->SetMeshName("bodies");
+    b->SetAxes({"x", "y"});
+    b->SetResolution({16});
+    b->AddOperation("v", BinningOp::Sum);
+    b->SetDeviceId(0);
+    b->SetAsynchronous(async);
+    return b;
+  };
+  DataBinning *chain[] = {make(true), make(false), make(true), make(false)};
+  const std::uint64_t kernels[] = {4, 4, 4, 3};
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  for (long step = 0; step < 3; ++step)
+  {
+    if (step)
+      Rescale(t, "y", -2.0, 0.5);
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    for (int i = 0; i < 4; ++i)
+    {
+      stats.Reset();
+      ASSERT_TRUE(chain[i]->Execute(da));
+      chain[i]->DrainAsync();
+      EXPECT_EQ(stats.KernelsLaunched.load(), kernels[i])
+        << "binning " << i << " step " << step;
+    }
+    for (int i = 1; i < 4; ++i)
+      EXPECT_EQ(ResultBits(chain[i]), ResultBits(chain[0]))
+        << "binning " << i << " step " << step;
+    da->ReleaseData();
+  }
+  for (DataBinning *b : chain)
+    b->Delete();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningSharedRange, CheckerCleanUnderExecThreads)
+{
+  // the fill and the hits on real threads: with <exec mode="threads"> two
+  // free-running ranks each run the nine-system chain on their rank's
+  // device over the mixed placement (rank 1 scans its peers in place on
+  // another device), sharing one table per step; the checker sees no
+  // violation and the grids match a chain run on a fresh adaptor every
+  // step. scripts/run_campaign.sh runs this under VP_CHECK=1 in the tsan
+  // section.
+  ResetPlatform();
+  vp::check::Reset();
+  vp::check::Enable(true);
+  std::string xml = "<sensei>\n  <exec mode=\"threads\" threads=\"2\"/>\n";
+  for (const auto &[a0, a1] : kSystems)
+  {
+    xml += "  <analysis type=\"data_binning\" mesh=\"bodies\" axes=\"" + a0 +
+           "," + a1 + "\" resolution=\"16\" ops=\"sum,max\" values=\"m,ke\"/>\n";
+  }
+  xml += "</sensei>";
+
+  constexpr int Ranks = 2;
+  std::vector<svtkTable *> tables;
+  auto mesh = InPlaceTables(Ranks, tables, MixedTables(700));
+  minimpi::Run(
+    Ranks,
+    [&](minimpi::Communicator &comm)
+    {
+      sensei::ConfigurableAnalysis *shared =
+        sensei::ConfigurableAnalysis::New();
+      shared->InitializeString(xml);
+      sensei::ConfigurableAnalysis *fresh =
+        sensei::ConfigurableAnalysis::New();
+      fresh->InitializeString(xml);
+      MeshAdaptor *da = MeshAdaptor::New();
+      da->SetCommunicator(&comm);
+      for (long step = 0; step < 3; ++step)
+      {
+        svtkDataObject *m = mesh(comm.Rank(), step);
+        da->SetMesh(m);
+        da->SetDataTimeStep(step);
+        EXPECT_TRUE(shared->Execute(da));
+        da->ReleaseData();
+
+        MeshAdaptor *once = MeshAdaptor::New();
+        once->SetMesh(m);
+        once->SetCommunicator(&comm);
+        EXPECT_TRUE(fresh->Execute(once));
+        once->ReleaseData();
+        once->Delete();
+        m->UnRegister();
+        for (int i = 0; i < shared->GetNumberOfAnalyses(); ++i)
+          EXPECT_EQ(
+            ResultBits(dynamic_cast<DataBinning *>(shared->GetAnalysis(i))),
+            ResultBits(dynamic_cast<DataBinning *>(fresh->GetAnalysis(i))))
+            << "rank " << comm.Rank() << " step " << step << " binning " << i;
+      }
+      EXPECT_EQ(shared->Finalize(), 0);
+      EXPECT_EQ(fresh->Finalize(), 0);
+      shared->Delete();
+      fresh->Delete();
+      da->Delete();
+    });
+  DeleteAll(tables);
 
   const vp::check::Report r = vp::check::Snapshot();
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
