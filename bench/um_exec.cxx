@@ -67,10 +67,10 @@ double Now()
 
 // ---- the binning-shaped sharded host region ------------------------------
 
-/// The privatized accumulation kernel of senseiDataBinning, reduced to
-/// its computational shape: bin 2D coordinates, fold a value into a
-/// per-lane histogram slab (exec::ShardIndex picks the slab), with a
-/// little transcendental work per row so the region is compute bound.
+/// A binning-shaped sharded kernel of its own: bin 2D coordinates, fold
+/// a value into a per-lane histogram slab (exec::ShardIndex picks the
+/// slab), with a little transcendental work per row so the region is
+/// compute bound.
 struct BinningRegion
 {
   std::vector<double> X, Y, V;
@@ -149,9 +149,10 @@ struct CampaignPair
   std::string Label;
   double SerialWall = 0.0; ///< real seconds
   double ThreadedWall = 0.0;
-  // virtual completion times. These may differ slightly: under threads
-  // the binning analysis submits privatized kernels + a tree merge
-  // instead of shared-atomic accumulation, so it prices different work
+  // virtual completion times. Both modes submit the same kernels, but
+  // they may still differ: the campaign's rank threads run free, so
+  // their claims on shared timelines land in real-time order (ROADMAP
+  // item 2)
   double SerialVirtual = 0.0;
   double ThreadedVirtual = 0.0;
 };

@@ -1,21 +1,16 @@
 // Microbenchmark for the layout-polymorphic array engine (src/layout):
-// the SoA + SIMD nbody force path vs the seed's scalar AoS loop, and the
-// codec's cache-blocked byte-plane transpose vs the seed's per-plane
-// strided gather — both on REAL wall-clock, since layout and
-// vectorization change host work, not virtual-time accounting. Writes
-// BENCH_layout.json into the working directory
+// the SoA + SIMD nbody force path vs the seed's scalar loop, on REAL
+// wall-clock, since vectorization changes host work, not virtual-time
+// accounting. Writes BENCH_layout.json into the working directory
 // (scripts/run_campaign.sh collects it under results/).
 //
 // Exit-code gates:
-//   - the SoA-vectorized force kernel must beat the seed's scalar AoS
-//     loop by >= 1.5x wall clock (enforced only with >= 4 hardware
-//     threads — auto-vectorization gains are swamped by timer noise on
-//     small boxes; recorded and skipped there; exit 3).
-//   - the blocked byte-plane transpose must beat the strided per-plane
-//     gather by >= 1.2x wall clock (same >= 4-thread guard; exit 3).
+//   - the SoA-vectorized force kernel must beat the seed's scalar loop
+//     by >= 1.5x wall clock (enforced only with >= 4 hardware threads —
+//     auto-vectorization gains are swamped by timer noise on small
+//     boxes; recorded and skipped there; exit 3).
 //   - a direct binning pipeline must produce bit-exact grids across
-//     serial/threads x eager/graph-replay x aos/soa/aosoa (always
-//     enforced; exit 4).
+//     serial/threads x eager/graph-replay (always enforced; exit 4).
 //   - under VP_CHECK=1 any checker violation exits 2.
 
 #include "execEngine.h"
@@ -36,7 +31,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -67,7 +61,7 @@ double Now()
     .count();
 }
 
-// ---- nbody force: scalar AoS vs the SoA + SIMD lane loop -------------------
+// ---- nbody force: the scalar loop vs the SIMD lane loop ---------------------
 
 newton::Config ForceConfig(std::size_t bodies)
 {
@@ -86,7 +80,6 @@ double TimeForce(bool simd, std::size_t bodies, int steps)
   Reset();
   vp::exec::Configure(vp::exec::ExecConfig());
   vp::layout::LayoutConfig lc;
-  lc.Default = simd ? vp::layout::Kind::SoA : vp::layout::Kind::AoS;
   lc.Simd = simd;
   vp::layout::Configure(lc);
 
@@ -102,39 +95,6 @@ double TimeForce(bool simd, std::size_t bodies, int steps)
 
   vp::layout::Configure(vp::layout::LayoutConfig());
   return wall;
-}
-
-// ---- codec shuffle: strided per-plane gather vs blocked transpose ----------
-
-/// The seed's shuffle: one strided pass over the whole array per byte
-/// plane (esize cache-hostile walks).
-void NaiveGather(const std::uint8_t *src, std::size_t esize, std::size_t n,
-                 std::uint8_t *dst)
-{
-  for (std::size_t b = 0; b < esize; ++b)
-  {
-    const std::uint8_t *__restrict s = src + b;
-    std::uint8_t *__restrict d = dst + b * n;
-    for (std::size_t i = 0; i < n; ++i)
-      d[i] = s[i * esize];
-  }
-}
-
-double TimeShuffle(bool blocked, std::size_t esize, std::size_t n,
-                   int rounds, const std::vector<std::uint8_t> &src,
-                   std::vector<std::uint8_t> &dst)
-{
-  const double t0 = Now();
-  for (int r = 0; r < rounds; ++r)
-  {
-    if (blocked)
-      vp::layout::GatherPlanes(src.data(), esize, n, dst.data());
-    else
-      NaiveGather(src.data(), esize, n, dst.data());
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  return Now() - t0;
 }
 
 // ---- the bit-exactness matrix ----------------------------------------------
@@ -175,9 +135,8 @@ std::vector<double> GridValues(svtkImageData *img, const char *name)
 }
 
 /// Four direct binning steps on device 0 under the given execution
-/// mode, graph setting, and layout hint; returns every grid.
-std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
-                                            vp::layout::Kind layout)
+/// mode and graph setting; returns every grid.
+std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn)
 {
   Reset();
   vp::exec::ExecConfig ec;
@@ -199,8 +158,6 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
   b->AddOperation("v", sensei::BinningOp::Min);
   b->AddOperation("v", sensei::BinningOp::Max);
   b->SetDeviceId(0);
-  if (layout != vp::layout::Kind::AoS)
-    b->SetArrayLayout(layout, 16);
 
   std::vector<std::vector<double>> out;
   for (int s = 0; s < 4; ++s)
@@ -232,9 +189,8 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
 const char *GateName(bool ok) { return ok ? "passed" : "FAILED"; }
 
 void WriteJson(unsigned hw, double scalarWall, double simdWall,
-               double forceRatio, double naiveWall, double blockedWall,
-               double shuffleRatio, bool gatesEnforced, bool forceOk,
-               bool shuffleOk, bool exact, const char *path)
+               double forceRatio, bool gatesEnforced, bool forceOk,
+               bool exact, const char *path)
 {
   const vp::layout::LayoutStats s = vp::layout::Stats();
   std::ofstream os(path);
@@ -246,25 +202,14 @@ void WriteJson(unsigned hw, double scalarWall, double simdWall,
      << "    \"scalar_aos_wall_seconds\": " << scalarWall << ",\n"
      << "    \"simd_soa_wall_seconds\": " << simdWall << ",\n"
      << "    \"speedup\": " << forceRatio << "\n  },\n"
-     << "  \"codec_shuffle\": {\n"
-     << "    \"strided_wall_seconds\": " << naiveWall << ",\n"
-     << "    \"blocked_wall_seconds\": " << blockedWall << ",\n"
-     << "    \"speedup\": " << shuffleRatio << "\n  },\n"
      << "  \"layout_stats\": {\n"
      << "    \"conversions\": " << s.Conversions << ",\n"
      << "    \"bytes_reordered\": " << s.BytesReordered << ",\n"
      << "    \"simd_kernels\": " << s.SimdKernels << ",\n"
-     << "    \"scalar_kernels\": " << s.ScalarKernels << ",\n"
-     << "    \"runs_iterated\": " << s.RunsIterated << ",\n"
-     << "    \"plane_transposes\": " << s.PlaneTransposes << ",\n"
-     << "    \"plane_bytes\": " << s.PlaneBytes << "\n  },\n"
+     << "    \"scalar_kernels\": " << s.ScalarKernels << "\n  },\n"
      << "  \"gates\": {\n"
      << "    \"force_speedup_1p5x\": \""
      << (gatesEnforced ? GateName(forceOk) : "skipped (insufficient cores)")
-     << "\",\n"
-     << "    \"shuffle_speedup_1p2x\": \""
-     << (gatesEnforced ? GateName(shuffleOk)
-                       : "skipped (insufficient cores)")
      << "\",\n"
      << "    \"matrix_bit_exact\": \"" << GateName(exact) << "\"\n  },\n"
      << "  \"profiler\": " << sensei::Profiler::Global().ToJson() << "\n"
@@ -279,7 +224,6 @@ static void BM_NbodyForce(benchmark::State &state)
   const bool simd = state.range(0) != 0;
   Reset();
   vp::layout::LayoutConfig lc;
-  lc.Default = simd ? vp::layout::Kind::SoA : vp::layout::Kind::AoS;
   lc.Simd = simd;
   vp::layout::Configure(lc);
   newton::Solver solver(nullptr, ForceConfig(1024));
@@ -290,28 +234,6 @@ static void BM_NbodyForce(benchmark::State &state)
   vp::layout::Configure(vp::layout::LayoutConfig());
 }
 BENCHMARK(BM_NbodyForce)->Arg(0)->Arg(1)->UseRealTime();
-
-// One full byte-plane shuffle of a 32 MiB double array per iteration.
-static void BM_PlaneShuffle(benchmark::State &state)
-{
-  const bool blocked = state.range(0) != 0;
-  const std::size_t esize = 8, n = 1 << 22;
-  std::vector<std::uint8_t> src(esize * n), dst(esize * n);
-  std::mt19937_64 rng(3);
-  for (auto &b : src)
-    b = static_cast<std::uint8_t>(rng());
-  for (auto _ : state)
-  {
-    if (blocked)
-      vp::layout::GatherPlanes(src.data(), esize, n, dst.data());
-    else
-      NaiveGather(src.data(), esize, n, dst.data());
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetLabel(blocked ? "blocked transpose" : "strided gather (seed)");
-}
-BENCHMARK(BM_PlaneShuffle)->Arg(0)->Arg(1)->UseRealTime();
 
 int main(int argc, char **argv)
 {
@@ -324,29 +246,23 @@ int main(int argc, char **argv)
   sensei::Profiler::Global().Clear();
   vp::layout::ResetStats();
 
-  // the bit-exactness matrix first: every layout and execution mode must
-  // reproduce the serial eager AoS grids exactly
-  const std::vector<std::vector<double>> baseline =
-    RunBinning(false, false, vp::layout::Kind::AoS);
+  // the bit-exactness matrix first: every execution mode must
+  // reproduce the serial eager grids exactly
+  const std::vector<std::vector<double>> baseline = RunBinning(false, false);
   bool exact = !baseline.empty();
   for (bool threads : {false, true})
     for (bool graphOn : {false, true})
-      for (vp::layout::Kind k : {vp::layout::Kind::AoS,
-                                 vp::layout::Kind::SoA,
-                                 vp::layout::Kind::AoSoA})
+    {
+      if (!threads && !graphOn)
+        continue;
+      if (RunBinning(threads, graphOn) != baseline)
       {
-        if (!threads && !graphOn && k == vp::layout::Kind::AoS)
-          continue;
-        if (RunBinning(threads, graphOn, k) != baseline)
-        {
-          std::fprintf(stderr,
-                       "um_layout: binning diverged (threads=%d graph=%d "
-                       "layout=%s)\n",
-                       threads ? 1 : 0, graphOn ? 1 : 0,
-                       vp::layout::KindName(k));
-          exact = false;
-        }
+        std::fprintf(stderr,
+                     "um_layout: binning diverged (threads=%d graph=%d)\n",
+                     threads ? 1 : 0, graphOn ? 1 : 0);
+        exact = false;
       }
+    }
 
   // wall-clock probes: best of 3 trials each to shed scheduler noise
   const std::size_t bodies = 1024;
@@ -358,28 +274,10 @@ int main(int argc, char **argv)
     simdWall = std::min(simdWall, TimeForce(true, bodies, steps));
   }
 
-  const std::size_t esize = 8, n = 1 << 22;
-  const int rounds = 8;
-  std::vector<std::uint8_t> src(esize * n), dst(esize * n);
-  std::mt19937_64 rng(3);
-  for (auto &b : src)
-    b = static_cast<std::uint8_t>(rng());
-  double naiveWall = 1e30, blockedWall = 1e30;
-  for (int t = 0; t < 3; ++t)
-  {
-    naiveWall = std::min(naiveWall,
-                         TimeShuffle(false, esize, n, rounds, src, dst));
-    blockedWall = std::min(blockedWall,
-                           TimeShuffle(true, esize, n, rounds, src, dst));
-  }
-
   const double forceRatio = simdWall > 0.0 ? scalarWall / simdWall : 0.0;
-  const double shuffleRatio =
-    blockedWall > 0.0 ? naiveWall / blockedWall : 0.0;
   const unsigned hw = std::thread::hardware_concurrency();
   const bool gatesEnforced = hw >= 4;
   const bool forceOk = forceRatio >= 1.5;
-  const bool shuffleOk = shuffleRatio >= 1.2;
 
   sensei::ExportLayoutStats(sensei::Profiler::Global());
   sensei::ExportExecStats(sensei::Profiler::Global());
@@ -398,24 +296,21 @@ int main(int argc, char **argv)
     std::printf("VP_CHECK: 0 violations across the layout matrix\n");
   }
 
-  WriteJson(hw, scalarWall, simdWall, forceRatio, naiveWall, blockedWall,
-            shuffleRatio, gatesEnforced, forceOk, shuffleOk, exact,
-            "BENCH_layout.json");
+  WriteJson(hw, scalarWall, simdWall, forceRatio, gatesEnforced, forceOk,
+            exact, "BENCH_layout.json");
 
   std::printf("nbody force:   scalar aos %.3f s, soa+simd %.3f s "
               "(%.2fx)\n",
               scalarWall, simdWall, forceRatio);
-  std::printf("codec shuffle: strided %.3f s, blocked %.3f s (%.2fx)\n",
-              naiveWall, blockedWall, shuffleRatio);
 
   if (!exact)
   {
-    std::fprintf(stderr, "um_layout: the layout/exec/graph matrix "
-                         "diverged from the serial AoS grids\n");
+    std::fprintf(stderr, "um_layout: the exec/graph matrix diverged from "
+                         "the serial eager grids\n");
     return 4;
   }
   std::printf("binning grids bit-exact across serial/threads x "
-              "eager/replay x aos/soa/aosoa\n");
+              "eager/replay\n");
 
   if (!gatesEnforced)
   {
@@ -432,16 +327,6 @@ int main(int argc, char **argv)
                  forceRatio);
     return 3;
   }
-  if (!shuffleOk)
-  {
-    std::fprintf(stderr,
-                 "um_layout: blocked shuffle speedup %.2fx below the 1.2x "
-                 "gate\n",
-                 shuffleRatio);
-    return 3;
-  }
-  std::printf("BENCH_layout.json: force %.2fx (gate 1.5x), shuffle %.2fx "
-              "(gate 1.2x)\n",
-              forceRatio, shuffleRatio);
+  std::printf("BENCH_layout.json: force %.2fx (gate 1.5x)\n", forceRatio);
   return 0;
 }

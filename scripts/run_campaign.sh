@@ -91,12 +91,10 @@ if [ -f BENCH_graph.json ]; then
   echo "wrote results/BENCH_graph.json"
 fi
 # um_layout writes the layout-engine campaign: real wall-clock for the
-# SoA+SIMD nbody force kernel vs the seed's scalar AoS loop and for the
-# codec's blocked byte-plane transpose vs the strided per-plane gather,
-# plus the binning bit-exactness matrix across serial/threads x
-# eager/graph-replay x aos/soa/aosoa; the binary exits nonzero when the
-# matrix diverges, and on machines with >= 4 hardware threads it also
-# gates on the 1.5x force and 1.2x shuffle speedups
+# SoA+SIMD nbody force kernel vs the seed's scalar loop, plus the binning
+# bit-exactness matrix across serial/threads x eager/graph-replay; the
+# binary exits nonzero when the matrix diverges, and on machines with
+# >= 4 hardware threads it also gates on the 1.5x force speedup
 if [ -f BENCH_layout.json ]; then
   echo "wrote results/BENCH_layout.json"
 fi
@@ -177,10 +175,10 @@ echo "== step-graph campaign (VP_CHECK=1) =="
 bench um_graph_checked.txt env VP_CHECK=1 ../build/bench/um_graph \
   --benchmark_min_time=0.05
 echo "== layout-engine campaign (VP_CHECK=1) =="
-# layout conversions (the deferred reorder kernels), the lane-vectorized
-# force and tiled binning variants, and the blocked plane transpose
-# under the checker; the bit-exactness matrix still applies, so a layout
-# that perturbs the binning grids fails the run
+# layout conversions (the deferred reorder kernels) and the
+# lane-vectorized force kernel under the checker; the bit-exactness
+# matrix still applies, so an exec mode or graph replay that perturbs
+# the binning grids fails the run
 bench um_layout_checked.txt env VP_CHECK=1 ../build/bench/um_layout \
   --benchmark_min_time=0.05
 echo "== scheduler-labelled tests =="
@@ -218,7 +216,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
@@ -241,10 +239,11 @@ bench um_graph_sanitized.txt env VP_CHECK=1 ../build-sanitize/bench/um_graph \
 # framebuffer fills, per-viewer downsample/codec paths, the steer wire
 # encodings, and the streamer's session teardown under ASan+UBSan
 ../build-sanitize/tests/testViz
-# the layout engine's reorder kernels (padded AoSoA tails, the 1000-seed
-# round-trip sweep), the blocked plane transpose, and the lane-vectorized
-# kernel variants under ASan+UBSan; um_layout keeps its bit-exactness
-# matrix gate in the sanitized build too
+# the layout engine's reorder kernels (AoS <-> SoA, the 1000-seed
+# round-trip sweep split at random tuple ranges), the codec's per-plane
+# shuffle, and the lane-vectorized force kernel under ASan+UBSan;
+# um_layout keeps its bit-exactness matrix gate in the sanitized build
+# too
 ../build-sanitize/tests/testLayout
 bench um_layout_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_layout \
@@ -254,6 +253,10 @@ bench um_layout_sanitized.txt \
 # (fills, hits and peers scanned where they live) under ASan+UBSan
 ../build-sanitize/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*'
+# serial vs threads: bit-exact binning grids and virtual time on the
+# host and under both device strategies, and a host campaign's virtual
+# timings independent of the pool width, under ASan+UBSan
+../build-sanitize/tests/testExec --gtest_filter='ExecEquality.*'
 # all of minimpi (point to point, collectives with empty messages on
 # Gather's non-root ranks, the compact record's pack, unpack and sparse
 # allreduce, the hostile chunk headers), stopping at the first UBSan

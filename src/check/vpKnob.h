@@ -149,8 +149,8 @@ struct Row
   /// The text a present element without the attribute means (a bare
   /// `<graph/>` is enabled="1").
   const char *Implied = nullptr;
-  /// A hand parser for what the type cannot spell ("aosoa16" carries a
-  /// block size); throws std::invalid_argument.
+  /// A hand parser for what the type cannot spell (a service codec also
+  /// marks its override set); throws std::invalid_argument.
   void (*Parse)(Cfg &, const std::string &) = nullptr;
   /// Emit the row only while this holds (an unset override has no value).
   bool (*Present)(const Cfg &) = nullptr;

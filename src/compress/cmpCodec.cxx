@@ -1,6 +1,5 @@
 #include "cmpCodec.h"
 
-#include "layoutMapping.h"
 #include "vpChecker.h"
 #include "vpMemoryPool.h"
 #include "vpPlatform.h"
@@ -420,13 +419,15 @@ public:
       return true;
     }
 
-    // one pooled temporary holding all esize byte planes, gathered in a
-    // single cache-blocked transpose; the bitstream is unchanged
-    Scratch planes;
-    planes.Resize(esize * n);
-    vp::layout::GatherPlanes(bytes, esize, n, planes.Data());
+    Scratch plane; // pooled temporary for one gathered byte plane
+    plane.Resize(n);
     for (std::size_t b = 0; b < esize; ++b)
-      RleEncode(planes.Data() + b * n, n, dst);
+    {
+      std::uint8_t *pl = plane.Data();
+      for (std::size_t i = 0; i < n; ++i)
+        pl[i] = bytes[i * esize + b];
+      RleEncode(pl, n, dst);
+    }
     return true;
   }
 
@@ -446,11 +447,15 @@ public:
     }
     else
     {
-      Scratch planes;
-      planes.Resize(esize * n);
+      Scratch plane;
+      plane.Resize(n);
       for (std::size_t b = 0; b < esize; ++b)
-        RleDecodeSegment(payload, size, pos, planes.Data() + b * n, n);
-      vp::layout::ScatterPlanes(planes.Data(), esize, n, dst);
+      {
+        RleDecodeSegment(payload, size, pos, plane.Data(), n);
+        const std::uint8_t *pl = plane.Data();
+        for (std::size_t i = 0; i < n; ++i)
+          dst[i * esize + b] = pl[i];
+      }
     }
     if (pos != size)
       throw std::runtime_error("cmp: trailing bytes in RLE stream");

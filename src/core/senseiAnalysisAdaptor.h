@@ -30,7 +30,6 @@
 /// cost-model policy can price it.
 
 #include "cmpCodec.h"
-#include "layoutMapping.h"
 #include "schedPolicy.h"
 #include "senseiDataAdaptor.h"
 #include "svtkObjectBase.h"
@@ -157,38 +156,6 @@ public:
     return off;
   }
 
-  // --- array layout -----------------------------------------------------------
-
-  /// Request a storage layout for the arrays this back end touches
-  /// (vp::layout). Overrides the process-wide default (<layout> XML /
-  /// VP_LAYOUT); `block` is the AoSoA block size (0 = configured
-  /// default). Results are layout independent — the hint selects the
-  /// memory-access strategy (contiguous-run kernels), not the math.
-  void SetArrayLayout(vp::layout::Kind k, std::size_t block = 0)
-  {
-    this->Layout_ = k;
-    this->LayoutBlock_ = block;
-    this->HaveLayout_ = true;
-  }
-  bool GetArrayLayoutSet() const { return this->HaveLayout_; }
-  vp::layout::Kind GetArrayLayout() const { return this->Layout_; }
-  std::size_t GetArrayLayoutBlock() const { return this->LayoutBlock_; }
-
-  /// The layout this back end should use: the per-analysis override when
-  /// one was set, else the process-wide default.
-  vp::layout::Kind GetEffectiveLayout() const
-  {
-    return this->HaveLayout_ ? this->Layout_ : vp::layout::DefaultKind();
-  }
-
-  /// The AoSoA block size to pair with GetEffectiveLayout().
-  std::size_t GetEffectiveLayoutBlock() const
-  {
-    if (this->HaveLayout_ && this->LayoutBlock_)
-      return this->LayoutBlock_;
-    return vp::layout::DefaultBlock();
-  }
-
   // --- diagnostics ------------------------------------------------------------
 
   void SetVerbose(int v) { this->Verbose_ = v; }
@@ -203,9 +170,6 @@ private:
   sched::PolicyKind Policy_ = sched::PolicyKind::Static;
   cmp::Params Compress_;
   bool HaveCompress_ = false;
-  vp::layout::Kind Layout_ = vp::layout::Kind::AoS;
-  std::size_t LayoutBlock_ = 0;
-  bool HaveLayout_ = false;
   int DeviceId_ = DEVICE_AUTO;
   int DevicesToUse_ = 0; ///< 0 = n_a
   int DeviceStart_ = 0;

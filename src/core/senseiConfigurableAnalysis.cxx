@@ -7,6 +7,7 @@
 #include "senseiPosthocIO.h"
 #include "execEngine.h"
 #include "graphCapture.h"
+#include "layoutMapping.h"
 #include "schedPipeline.h"
 #include "svcSession.h"
 #include "sxml.h"
@@ -113,15 +114,6 @@ const vp::knob::Table<AnalysisOverride> &AnalysisRows()
       .When([](const O &o) { return o.Codec >= 0; }),
     Real<&O::ErrorBound>("analysis", "compress_error_bound", 0, kInf)
       .When([](const O &o) { return o.Codec >= 0; }),
-    Enum<&O::Layout>("analysis", "layout", vp::layout::KindNames())
-      .Parses([](O &o, const std::string &text)
-              {
-                o.Layout = static_cast<int>(
-                  vp::layout::KindFromName(text, &o.LayoutBlock));
-              })
-      .When([](const O &o) { return o.Layout >= 0; }),
-    Int<&O::LayoutBlock>("analysis", "layout_block", 0, 65536)
-      .When([](const O &o) { return o.Layout >= 0; }),
   });
   return rows;
 }
@@ -261,16 +253,6 @@ void ConfigurableAnalysis::ApplyCommon(const sxml::Element &el,
         "compress_error_bound");
     a->SetCompression(
       {static_cast<cmp::CodecId>(ov.Codec), ov.Level, ov.ErrorBound});
-  }
-
-  if (ov.Layout >= 0)
-  {
-    if (ov.LayoutBlock == 1)
-      throw std::runtime_error(
-        "ConfigurableAnalysis: layout_block must be in [2, 65536] (or 0 for "
-        "the default)");
-    a->SetArrayLayout(static_cast<vp::layout::Kind>(ov.Layout),
-                      ov.LayoutBlock);
   }
 }
 

@@ -58,23 +58,17 @@ namespace sensei
 {
 
 /// The attributes an <analysis> element overrides the run-wide defaults
-/// with: policy= (the <sched> policy), compress= with compress_level and
-/// compress_error_bound (the <compress> codec), and layout= with
-/// layout_block (the <layout> default). -1 means "not set": the analysis
-/// follows the run-wide default.
+/// with: policy= (the <sched> policy), and compress= with compress_level
+/// and compress_error_bound (the <compress> codec). -1 means "not set":
+/// the analysis follows the run-wide default.
 struct AnalysisOverride
 {
-  int Policy = -1;             ///< sched::PolicyKind when >= 0
-  int Codec = -1;              ///< cmp::CodecId when >= 0
-  int Level = 1;               ///< codec level when Codec >= 0
-  double ErrorBound = 0.0;     ///< quantize bound when Codec >= 0
-  int Layout = -1;             ///< vp::layout::Kind when >= 0
-  std::size_t LayoutBlock = 0; ///< AoSoA block when Layout >= 0; 0 = default
+  int Policy = -1;         ///< sched::PolicyKind when >= 0
+  int Codec = -1;          ///< cmp::CodecId when >= 0
+  int Level = 1;           ///< codec level when Codec >= 0
+  double ErrorBound = 0.0; ///< quantize bound when Codec >= 0
 
-  bool IsDefault() const
-  {
-    return this->Policy < 0 && this->Codec < 0 && this->Layout < 0;
-  }
+  bool IsDefault() const { return this->Policy < 0 && this->Codec < 0; }
 };
 
 /// The <analysis> override rows.

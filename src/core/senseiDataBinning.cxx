@@ -1,7 +1,5 @@
 #include "senseiDataBinning.h"
 
-#include "execEngine.h"
-#include "layoutMapping.h"
 #include "graphCapture.h"
 #include "senseiProfiler.h"
 #include "sio.h"
@@ -754,17 +752,16 @@ void DataBinning::RunBinning(const StepInputs &in)
     { minimpi::PackCompact(shape, rec, cap, out); };
   };
 
-  // fill [b, e) of back-to-back packed records with each segment's init
-  // value, one std::fill per segment run (a sharded launch may hand any
-  // sub-range to a chunk)
+  // fill [b, e) of the packed record with each segment's init value,
+  // one std::fill per segment run
   const BinningOp *kn = kinds.data();
-  auto fillInit = [kn, nGrids, nBins](double *p, std::size_t b, std::size_t e)
+  auto fillInit = [kn, nBins](double *p, std::size_t b, std::size_t e)
   {
     while (b < e)
     {
       const std::size_t seg = b / nBins;
       const std::size_t end = std::min(e, (seg + 1) * nBins);
-      std::fill(p + b, p + end, InitValue(kn[seg % nGrids]));
+      std::fill(p + b, p + end, InitValue(kn[seg]));
       b = end;
     }
   };
@@ -775,47 +772,34 @@ void DataBinning::RunBinning(const StepInputs &in)
   const double *scalePtr = scale.data();
   const double *shiftPtr = shift.data();
 
-  // When this analysis is layout hinted (SoA / AoSoA, per analysis or
-  // via the process <layout> default) the accumulate bodies take the
-  // tiled variant: the per-row bin indices are precomputed a column
-  // (axis) at a time over small tiles — contiguous, branch-light loops
-  // the compiler vectorizes — and the grid scatter then replays in the
-  // identical row order with the identical index math, so the results
-  // are bit-exact with the interleaved path.
-  const bool tiled = this->GetEffectiveLayout() != vp::layout::Kind::AoS;
-  if (tiled)
-    vp::layout::NoteSimdKernel();
-  else
-    vp::layout::NoteScalarKernel();
-
-  // the accumulation body over a packed record at `rec`: bin index from
+  // the accumulation body over the packed record at `rec`: bin index from
   // the coordinate columns, then a counter increment plus each reduction
   // (segment 1 + k takes valp[k]) — the updates that need atomics on a
-  // real GPU. With slabStride > 0 the body is privatized: each exec shard
-  // accumulates into its own packed record (rec + slab*slabStride),
-  // removing the shared-atomic contention so the sharded kernel scales; a
-  // tree merge folds the records afterwards. slabStride == 0 is the
-  // shared path, bit-exact with the pre-engine implementation.
-  auto makeBody = [&](double *rec, const double *const *axp,
-                      const double *const *valp, std::size_t slabStride = 0,
-                      std::size_t maxSlab = 0)
+  // real GPU. Every placement, strategy and exec mode runs this body
+  // over the same rows in the same order, so the grids are bit-exact
+  // across all of them.
+  auto makeBody = [=](double *rec, const double *const *axp,
+                      const double *const *valp)
   {
     return [=](std::size_t b, std::size_t e)
     {
-      double *const cnt =
-        rec + (slabStride
-                 ? std::min<std::size_t>(
-                     static_cast<std::size_t>(vp::exec::ShardIndex()),
-                     maxSlab) *
-                     slabStride
-                 : 0);
-      const auto addRow = [&](std::size_t idx, std::size_t row)
+      for (std::size_t i = b; i < e; ++i)
       {
-        cnt[idx] += 1.0;
+        std::size_t idx = 0;
+        std::size_t strideAcc = 1;
+        for (std::size_t a = 0; a < nAxesC; ++a)
+        {
+          long bi =
+            static_cast<long>((axp[a][i] - shiftPtr[a]) * scalePtr[a]);
+          bi = std::clamp(bi, 0L, resPtr[a] - 1);
+          idx += static_cast<std::size_t>(bi) * strideAcc;
+          strideAcc *= static_cast<std::size_t>(resPtr[a]);
+        }
+        rec[idx] += 1.0;
         for (std::size_t k = 0; k < nRedC; ++k)
         {
-          double &cell = cnt[(1 + k) * nBins + idx];
-          const double v = valp[k][row];
+          double &cell = rec[(1 + k) * nBins + idx];
+          const double v = valp[k][i];
           switch (kn[1 + k])
           {
             case BinningOp::Sum:
@@ -832,80 +816,8 @@ void DataBinning::RunBinning(const StepInputs &in)
               break;
           }
         }
-      };
-      if (tiled)
-      {
-        constexpr std::size_t Tile = 256; // rows per index-precompute tile
-        std::size_t idxBuf[Tile];
-        for (std::size_t t0 = b; t0 < e; t0 += Tile)
-        {
-          const std::size_t m = std::min<std::size_t>(Tile, e - t0);
-          for (std::size_t i = 0; i < m; ++i)
-            idxBuf[i] = 0;
-          std::size_t strideAcc = 1;
-          for (std::size_t a = 0; a < nAxesC; ++a)
-          {
-            const double sh = shiftPtr[a];
-            const double sc = scalePtr[a];
-            const long rmax = resPtr[a] - 1;
-            const double *__restrict col = axp[a] + t0;
-            std::size_t *__restrict ib = idxBuf;
-            for (std::size_t i = 0; i < m; ++i)
-            {
-              long bi = static_cast<long>((col[i] - sh) * sc);
-              bi = std::clamp(bi, 0L, rmax);
-              ib[i] += static_cast<std::size_t>(bi) * strideAcc;
-            }
-            strideAcc *= static_cast<std::size_t>(resPtr[a]);
-          }
-          for (std::size_t i = 0; i < m; ++i)
-            addRow(idxBuf[i], t0 + i);
-        }
-        return;
-      }
-      for (std::size_t i = b; i < e; ++i)
-      {
-        std::size_t idx = 0;
-        std::size_t strideAcc = 1;
-        for (std::size_t a = 0; a < nAxesC; ++a)
-        {
-          long bi =
-            static_cast<long>((axp[a][i] - shiftPtr[a]) * scalePtr[a]);
-          bi = std::clamp(bi, 0L, resPtr[a] - 1);
-          idx += static_cast<std::size_t>(bi) * strideAcc;
-          strideAcc *= static_cast<std::size_t>(resPtr[a]);
-        }
-        addRow(idx, i);
       }
     };
-  };
-
-  // per-bin pairwise tree over `np` slab copies, then a fold of slab 0
-  // into the final grid. The combine order depends only on the slab
-  // indices, so the merged result is deterministic for a given shard
-  // plan; min/max and counts are exact, sums can differ from the serial
-  // order by rounding only.
-  auto treeMerge = [](double *slabs, double *final, std::size_t np,
-                      std::size_t stride, std::size_t i, BinningOp kind)
-  {
-    for (std::size_t step = 1; step < np; step *= 2)
-      for (std::size_t s = 0; s + step < np; s += 2 * step)
-      {
-        double &dst = slabs[s * stride + i];
-        const double v = slabs[(s + step) * stride + i];
-        if (kind == BinningOp::Min)
-          dst = std::min(dst, v);
-        else if (kind == BinningOp::Max)
-          dst = std::max(dst, v);
-        else
-          dst += v;
-      }
-    if (kind == BinningOp::Min)
-      final[i] = std::min(final[i], slabs[i]);
-    else if (kind == BinningOp::Max)
-      final[i] = std::max(final[i], slabs[i]);
-    else
-      final[i] += slabs[i];
   };
 
   // cost of one row: index math per axis plus one atomic-ish update per grid
@@ -924,89 +836,35 @@ void DataBinning::RunBinning(const StepInputs &in)
       [fillInit, dRec](std::size_t b, std::size_t e) { fillInit(dRec, b, e); },
       vcuda::LaunchBounds{1.0, 0.0, "binning_init"});
 
-    // privatized strategy under VP_EXEC=threads: real per-shard record
-    // copies on the device so the deferred, sharded accumulation kernels
-    // scale instead of contending on one record. Serial mode keeps the
-    // pre-engine behaviour exactly (no slabs, body-less merge kernel).
-    vp::exec::Engine &eng = vp::exec::Engine::Get();
-    const bool privStrategy =
+    const bool privatized =
       this->GpuStrategy_ == GpuBinningStrategy::Privatized;
-    int privMax = 1;
-    if (privStrategy)
-      for (std::size_t b = 0; b < nBlocks; ++b)
-        privMax = std::max(privMax, eng.PlanShards(rows[b], 0));
-    const std::size_t np = static_cast<std::size_t>(privMax);
-
-    double *dPriv = nullptr;
-    if (privMax > 1)
-    {
-      dPriv =
-        static_cast<double *>(vcuda::MallocAsync(np * recBytes, strm));
-      vcuda::LaunchN(
-        strm, np * recLen,
-        [fillInit, dPriv](std::size_t b, std::size_t e)
-        { fillInit(dPriv, b, e); },
-        vcuda::LaunchBounds{1.0, 0.0, "binning_init", /*Shardable=*/true});
-    }
-
     bool accumulated = false;
     for (std::size_t b = 0; b < nBlocks; ++b)
     {
       if (!rows[b])
         continue;
       accumulated = true;
-      if (this->GpuStrategy_ == GpuBinningStrategy::GlobalAtomics)
-      {
-        // the implementation the paper evaluated: every bin update is a
-        // global atomic, so contention throttles the device — never
-        // sharded, that contention is the point
-        vcuda::LaunchN(strm, rows[b],
-                       makeBody(dRec, ax[b].data(), vals[b].data()),
-                       vcuda::LaunchBounds{opsPerRow, 0.6, "binning_accum"});
-      }
-      else if (privMax > 1)
-      {
-        // privatized with real slabs: each shard accumulates into its
-        // own record; the tree merge below folds them into the final one
-        vcuda::LaunchN(
-          strm, rows[b],
-          makeBody(dPriv, ax[b].data(), vals[b].data(),
-                   /*slabStride=*/recLen, /*maxSlab=*/np - 1),
-          vcuda::LaunchBounds{opsPerRow, 0.05, "binning_accum_privatized",
-                              /*Shardable=*/true});
-      }
-      else
-      {
-        // privatized: per-thread-block shared-memory histograms make the
-        // accumulation nearly streaming (the real result is identical —
-        // on physical hardware the privatization changes scheduling, not
-        // arithmetic); the merge of private copies follows below
-        vcuda::LaunchN(
-          strm, rows[b], makeBody(dRec, ax[b].data(), vals[b].data()),
-          vcuda::LaunchBounds{opsPerRow, 0.05, "binning_accum_privatized"});
-      }
+      // global atomics is the implementation the paper evaluated: every
+      // bin update is a global atomic, so contention throttles the
+      // device. Privatized uses per-thread-block shared-memory
+      // histograms, making the accumulation nearly streaming; on real
+      // hardware that changes scheduling, not arithmetic, so the body
+      // is the same and only the atomic fraction differs.
+      vcuda::LaunchN(
+        strm, rows[b], makeBody(dRec, ax[b].data(), vals[b].data()),
+        privatized
+          ? vcuda::LaunchBounds{opsPerRow, 0.05, "binning_accum_privatized"}
+          : vcuda::LaunchBounds{opsPerRow, 0.6, "binning_accum"});
     }
-    if (accumulated &&
-        this->GpuStrategy_ == GpuBinningStrategy::Privatized)
+    if (accumulated && privatized)
     {
-      // merge kernel: each bin gathers its privatized copies. With real
-      // slabs the body does the per-bin tree reduction; in serial mode
-      // the accumulation already wrote the final record and the kernel
-      // only charges the virtual merge cost, as before.
+      // the merge of the private copies: each bin gathers them. The
+      // accumulation already wrote the final record, so this body-less
+      // kernel only charges the merge's virtual cost.
       constexpr double PrivateCopies = 64.0;
-      vp::KernelFn mergeFn;
-      if (privMax > 1)
-      {
-        mergeFn = [=](std::size_t jb, std::size_t je)
-        {
-          for (std::size_t j = jb; j < je; ++j)
-            treeMerge(dPriv, dRec, np, recLen, j, kn[j / nBins]);
-        };
-      }
-      vcuda::LaunchN(strm, recLen, mergeFn,
+      vcuda::LaunchN(strm, recLen, vp::KernelFn(),
                      vcuda::LaunchBounds{PrivateCopies, 0.0,
-                                         "binning_merge_privatized",
-                                         /*Shardable=*/privMax > 1});
+                                         "binning_merge_privatized"});
     }
     // compact the record on the device, then one stream-ordered readback
     // of the compact buffer on the private stream (the default stream is
@@ -1019,58 +877,17 @@ void DataBinning::RunBinning(const StepInputs &in)
     vcuda::MemcpyAsync(compact.data(), dCompact, compactBytes, strm);
     vcuda::StreamSynchronize(strm);
 
-    if (dPriv)
-      vcuda::Free(dPriv);
     vcuda::Free(dCompact);
     vcuda::Free(dRec);
   }
   else
   {
     fillInit(record.data(), 0, recLen);
-
-    vp::exec::Engine &eng = vp::exec::Engine::Get();
     for (std::size_t b = 0; b < nBlocks; ++b)
-    {
-      if (!rows[b])
-        continue;
-
-      const int priv = eng.PlanShards(rows[b], 0);
-      if (priv <= 1)
-      {
-        // VP_EXEC=serial (and blocks below the shard grain): the shared
-        // record path, bit-exact with the pre-engine implementation
+      if (rows[b])
         vp::Platform::Get().HostParallelFor(
           vp::KernelDesc{rows[b], opsPerRow, 0.15, "binning_accum_host"},
           makeBody(record.data(), ax[b].data(), vals[b].data()));
-        continue;
-      }
-
-      // threads mode: privatize per-shard record copies so the sharded
-      // accumulation scales, then tree-reduce them into the final record
-      const std::size_t np = static_cast<std::size_t>(priv);
-      std::vector<double> slabs(np * recLen);
-      fillInit(slabs.data(), 0, slabs.size());
-
-      vp::Platform::Get().HostParallelFor(
-        vp::KernelDesc{rows[b], opsPerRow, 0.15,
-                       "binning_accum_host_privatized", /*Shardable=*/true},
-        makeBody(slabs.data(), ax[b].data(), vals[b].data(),
-                 /*slabStride=*/recLen, /*maxSlab=*/np - 1));
-
-      double *pv = slabs.data();
-      double *rf = record.data();
-      const double mergeOps =
-        static_cast<double>(np) * static_cast<double>(nGrids);
-      vp::Platform::Get().HostParallelFor(
-        vp::KernelDesc{nBins, mergeOps, 0.0, "binning_merge_host",
-                       /*Shardable=*/true},
-        [=](std::size_t mb, std::size_t me)
-        {
-          for (std::size_t i = mb; i < me; ++i)
-            for (std::size_t g = 0; g < nGrids; ++g)
-              treeMerge(pv, rf, np, recLen, g * nBins + i, kn[g]);
-        });
-    }
   }
 
   // --- cross-rank reduction: each rank's compact record in, the dense

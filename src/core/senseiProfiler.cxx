@@ -219,10 +219,6 @@ void ExportLayoutStats(Profiler &prof)
              static_cast<double>(s.BytesReordered));
   prof.Event("layout::simd_kernels", static_cast<double>(s.SimdKernels));
   prof.Event("layout::scalar_kernels", static_cast<double>(s.ScalarKernels));
-  prof.Event("layout::runs_iterated", static_cast<double>(s.RunsIterated));
-  prof.Event("layout::plane_transposes",
-             static_cast<double>(s.PlaneTransposes));
-  prof.Event("layout::plane_bytes", static_cast<double>(s.PlaneBytes));
 }
 
 void ExportServiceStats(Profiler &prof)

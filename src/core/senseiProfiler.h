@@ -219,8 +219,7 @@ void ExportGraphStats(Profiler &prof);
 
 /// Record the layout-engine counters (vp::layout::Stats) as profiler
 /// events: layout::conversions, layout::bytes_reordered,
-/// layout::simd_kernels, layout::scalar_kernels, layout::runs_iterated,
-/// layout::plane_transposes, layout::plane_bytes — how often arrays were
+/// layout::simd_kernels, layout::scalar_kernels — how often arrays were
 /// re-laid-out and which kernel variants (vectorized vs scalar) ran.
 void ExportLayoutStats(Profiler &prof);
 

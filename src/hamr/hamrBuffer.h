@@ -22,7 +22,7 @@
 
 #include "hamrAllocator.h"
 #include "hamrStream.h"
-#include "layoutView.h"
+#include "layoutMapping.h"
 #include "vcuda.h"
 #include "vhip.h"
 #include "vomp.h"

@@ -15,21 +15,18 @@
 ///             Component scans are fully contiguous — the vectorizable
 ///             layout for per-lane SIMD kernels and coalesced device
 ///             access.
-///  * AoSoA  — blocked hybrid: blocks of B tuples, components
-///             contiguous within a block: [x0..xB-1 y0..yB-1 ... |
-///             xB..x2B-1 ...]. Runs of B elements keep SIMD width while
-///             a whole record stays within one block (cache locality).
 ///
-/// One-component arrays are layout-invariant: every Kind maps to the
-/// identity and Slots() == Tuples, so the bulk of the repo's columns
-/// (separate x/y/z/... arrays) pay nothing for the abstraction.
+/// An array declares its layout when it is created, and can convert at
+/// any time (svtkHAMRDataArray::ConvertLayout). One-component arrays are
+/// layout-invariant: both Kinds map to the identity, so the bulk of the
+/// repo's columns (separate x/y/z/... arrays) pay nothing for the
+/// abstraction.
 ///
-/// The process-wide LayoutConfig (VP_LAYOUT / VP_SIMD environment, the
-/// <layout> SENSEI XML element, per-analysis overrides) selects the
-/// default Kind for newly declared arrays and whether kernels may take
-/// their vectorized (SIMD lane) variants. The scalar paths are
-/// bit-exact with the seed timeline; the SIMD variants reassociate
-/// floating-point accumulation and are therefore opt-in.
+/// The process-wide LayoutConfig (the VP_SIMD environment variable, the
+/// <layout simd> SENSEI XML attribute) decides whether kernels may take
+/// their vectorized (SIMD lane) variants. The scalar paths are bit-exact
+/// with the seed timeline; the SIMD variants reassociate floating-point
+/// accumulation and are therefore opt-in.
 
 #include "vpKnob.h"
 
@@ -46,31 +43,17 @@ namespace layout
 enum class Kind : int
 {
   AoS = 0, ///< interleaved records (the historical layout)
-  SoA,     ///< one contiguous plane per component
-  AoSoA    ///< blocks of `Block` tuples, component-contiguous per block
+  SoA      ///< one contiguous plane per component
 };
 
-/// The plain spellings of Kind ("aos"/"interleaved", "soa"/"planar",
-/// "aosoa"); KindFromName also takes "aosoa<B>".
+/// The spellings of Kind ("aos"/"interleaved", "soa"/"planar").
 const vp::knob::Spellings &KindNames();
 
-/// Parse "aos" / "soa" / "aosoa" / "aosoa<B>" (e.g. "aosoa16"). When a
-/// block size is embedded it is written to *block (left untouched
-/// otherwise). Throws std::invalid_argument on anything else.
-Kind KindFromName(const std::string &name, std::size_t *block = nullptr);
+/// Parse a Kind spelling. Throws std::invalid_argument on anything else.
+Kind KindFromName(const std::string &name);
 
-/// Stable lower-case base name ("aos", "soa", "aosoa").
+/// Stable lower-case name ("aos", "soa").
 const char *KindName(Kind k);
-
-/// Display name carrying the block size for AoSoA ("aosoa32").
-std::string KindName(Kind k, std::size_t block);
-
-/// A contiguous run of one component's values in the flat allocation.
-struct Run
-{
-  std::size_t Offset = 0; ///< first flat slot of the run
-  std::size_t Count = 0;  ///< elements in the run (tuples covered)
-};
 
 /// Where each (tuple, component) scalar lives in the flat allocation.
 struct Mapping
@@ -78,70 +61,68 @@ struct Mapping
   Kind Layout = Kind::AoS;
   std::size_t Tuples = 0;
   std::size_t Comps = 1;
-  std::size_t Block = 32; ///< tuples per AoSoA block
 
   static Mapping AoS(std::size_t tuples, std::size_t comps);
   static Mapping SoA(std::size_t tuples, std::size_t comps);
-  static Mapping AoSoA(std::size_t tuples, std::size_t comps,
-                       std::size_t block);
-  static Mapping Make(Kind k, std::size_t tuples, std::size_t comps,
-                      std::size_t block);
+  static Mapping Make(Kind k, std::size_t tuples, std::size_t comps);
 
-  /// Total scalar slots the flat allocation needs. AoS/SoA pack exactly
-  /// Tuples*Comps; AoSoA pads the final partial block so every block's
-  /// component runs stay `Block` apart (padding slots are zero filled
-  /// by the allocation and never addressed by Offset).
-  std::size_t Slots() const noexcept;
+  /// Total scalar slots the flat allocation needs (Tuples * Comps).
+  std::size_t Slots() const noexcept { return this->Tuples * this->Comps; }
 
   /// Flat slot of (tuple, component). No bounds checking.
-  std::size_t Offset(std::size_t tuple, std::size_t comp) const noexcept;
-
-  /// The longest contiguous run of component `comp` starting at `tuple`
-  /// (AoS: 1; SoA: Tuples - tuple; AoSoA: to the end of the block).
-  Run RunAt(std::size_t tuple, std::size_t comp) const noexcept;
+  std::size_t Offset(std::size_t tuple, std::size_t comp) const noexcept
+  {
+    if (this->Comps == 1)
+      return tuple;
+    return this->Layout == Kind::SoA ? comp * this->Tuples + tuple
+                                     : tuple * this->Comps + comp;
+  }
 
   bool operator==(const Mapping &o) const noexcept
   {
     return this->Layout == o.Layout && this->Tuples == o.Tuples &&
-           this->Comps == o.Comps &&
-           (this->Layout != Kind::AoSoA || this->Block == o.Block);
+           this->Comps == o.Comps;
   }
   bool operator!=(const Mapping &o) const noexcept { return !(*this == o); }
 };
 
+/// Element-wise reorder between two mappings of the same logical shape:
+/// dst[to.Offset(t, c)] = src[from.Offset(t, c)] over tuples [tupleBegin,
+/// tupleEnd). Values are moved, never recomputed, so round trips are
+/// bit-exact. `src` and `dst` must not alias.
+template <typename T>
+void ReorderRange(const T *src, const Mapping &from, T *dst,
+                  const Mapping &to, std::size_t tupleBegin,
+                  std::size_t tupleEnd)
+{
+  for (std::size_t c = 0; c < to.Comps; ++c)
+    for (std::size_t t = tupleBegin; t < tupleEnd; ++t)
+      dst[to.Offset(t, c)] = src[from.Offset(t, c)];
+}
+
 // --- process-wide configuration ---------------------------------------------
 
-/// The `<layout>` XML element / VP_LAYOUT, VP_SIMD environment.
+/// The `<layout>` XML element / VP_SIMD environment.
 struct LayoutConfig
 {
-  Kind Default = Kind::AoS; ///< layout for newly declared arrays
-  std::size_t Block = 32;   ///< AoSoA block size
-  bool Simd = false;        ///< allow vectorized (reassociating) kernels
+  bool Simd = false; ///< allow vectorized (reassociating) kernels
 
-  bool operator==(const LayoutConfig &o) const
-  {
-    return Default == o.Default && Block == o.Block && Simd == o.Simd;
-  }
+  bool operator==(const LayoutConfig &o) const { return Simd == o.Simd; }
 };
 
-/// The `<layout>` rows: default (VP_LAYOUT, "aos" | "soa" | "aosoa" |
-/// "aosoa<B>"; an embedded block size sets Block), block, and simd
-/// (VP_SIMD).
+/// The `<layout>` rows: simd (VP_SIMD).
 const vp::knob::Table<LayoutConfig> &ConfigRows();
 
-/// The defaults with the environment applied (AoS + scalar otherwise).
+/// The defaults with the environment applied (scalar otherwise).
 LayoutConfig DefaultConfig();
 
-/// Replace the process-wide configuration. Validated: Block must be in
-/// [2, 65536]. Throws std::invalid_argument otherwise.
+/// Replace the process-wide configuration.
 void Configure(const LayoutConfig &cfg);
 
 /// The active configuration.
 LayoutConfig GetConfig();
 
-/// Shorthands for the hot paths.
-Kind DefaultKind();
-std::size_t DefaultBlock();
+/// Shorthand for the hot paths.
 bool SimdEnabled();
 
 // --- counters ----------------------------------------------------------------
@@ -153,9 +134,6 @@ struct LayoutStats
   std::uint64_t BytesReordered = 0; ///< bytes moved by those reorders
   std::uint64_t SimdKernels = 0;    ///< vectorized kernel bodies taken
   std::uint64_t ScalarKernels = 0;  ///< scalar fallback bodies taken
-  std::uint64_t RunsIterated = 0;   ///< contiguous runs handed to callers
-  std::uint64_t PlaneTransposes = 0; ///< blocked byte-plane transposes
-  std::uint64_t PlaneBytes = 0;      ///< bytes moved by those transposes
 };
 
 LayoutStats Stats();
@@ -164,21 +142,6 @@ void ResetStats();
 void NoteConversion(std::size_t bytes);
 void NoteSimdKernel();
 void NoteScalarKernel();
-void NoteRuns(std::size_t n);
-void NotePlaneTranspose(std::size_t bytes);
-
-// --- byte-plane transpose ----------------------------------------------------
-
-/// Gather the `esize` byte planes of `n` interleaved elements:
-/// dst[b*n + i] = src[i*esize + b]. One cache-blocked pass replaces the
-/// per-plane strided sweeps of the naive shuffle (the codec's measured
-/// hot loop); the output bytes are identical.
-void GatherPlanes(const std::uint8_t *src, std::size_t esize, std::size_t n,
-                  std::uint8_t *dst);
-
-/// Inverse of GatherPlanes: dst[i*esize + b] = src[b*n + i].
-void ScatterPlanes(const std::uint8_t *src, std::size_t esize, std::size_t n,
-                   std::uint8_t *dst);
 
 } // namespace layout
 } // namespace vp

@@ -213,8 +213,8 @@ void *Platform::Allocate(MemSpace space, DeviceId device, std::size_t bytes,
 
   // device memory is backed by host heap storage, zero initialized so that
   // timing-only mode reads defined values. Blocks are 64-byte aligned —
-  // the vector-register / cache-line alignment the layout engine's
-  // contiguous-run kernels assume — and the pool's power-of-two size
+  // the vector-register / cache-line alignment the SIMD lane kernels
+  // assume — and the pool's power-of-two size
   // classes (>= 256) keep sub-allocations on that boundary too.
   // posix_memalign storage is std::free compatible, which Free relies on.
   void *p = nullptr;

@@ -18,11 +18,10 @@
 ///    when possible, via an automatically cleaned up temporary otherwise
 ///    (paper Listings 2-4);
 ///  * GetData gives direct pointer access when location and PM are known;
-///  * the storage is layout polymorphic (vp::layout): an array can be
-///    declared AoS / SoA / AoSoA or converted between layouts at any
+///  * the storage is layout polymorphic (vp::layout): an array is
+///    declared AoS or SoA and can be converted between layouts at any
 ///    time without touching consumer code — element accessors map
-///    (tuple, component) through the active layout::Mapping, and
-///    GetView() hands kernels contiguous runs for vectorization.
+///    (tuple, component) through the active layout::Mapping.
 ///    Conversions move bits, never recompute values, so results are
 ///    layout independent. One-component arrays are layout invariant.
 
@@ -61,21 +60,15 @@ public:
     return a;
   }
 
-  /// As above with an explicit storage layout (instead of the process
-  /// default). `block` selects the AoSoA block size (0 = configured
-  /// default). AoSoA padding slots are zero initialized.
+  /// As above with an explicit storage layout (instead of AoS).
   static svtkHAMRDataArray *New(const std::string &name, std::size_t nElem,
                                int nComp, svtkAllocator alloc,
-                               vp::layout::Kind layout, std::size_t block = 0,
+                               vp::layout::Kind layout,
                                const svtkStream &strm = svtkStream(),
                                svtkStreamMode mode = svtkStreamMode::sync)
   {
-    auto *a = New(name);
-    a->NumComps_ = nComp > 0 ? nComp : 1;
-    a->Map_ = vp::layout::Mapping::Make(
-      layout, nElem, static_cast<std::size_t>(a->NumComps_), block);
-    a->Buffer_ = hamr::buffer<T>(svtkToHamr(alloc), strm, svtkToHamr(mode),
-                                 a->Map_.Slots());
+    auto *a = New(name, nElem, nComp, alloc, strm, mode);
+    a->Layout_ = layout;
     return a;
   }
 
@@ -133,11 +126,8 @@ public:
 
   std::size_t GetNumberOfTuples() const override
   {
-    // non-AoS multi-component storage may carry AoSoA padding, so the
-    // mapping is authoritative there; otherwise derive from the buffer
-    // so direct GetBuffer() resizes (the zero-copy idiom) stay visible
-    if (this->NumComps_ > 1 && this->Map_.Layout != vp::layout::Kind::AoS)
-      return this->Map_.Tuples;
+    // derived from the buffer so direct GetBuffer() resizes (the
+    // zero-copy idiom) stay visible
     return this->Buffer_.size() / static_cast<std::size_t>(this->NumComps_);
   }
 
@@ -167,25 +157,17 @@ public:
       this->Buffer_.set_allocator(hamr::allocator::malloc_);
     // resize is defined on packed interleaved storage; round-trip
     // through AoS so a non-AoS array keeps its declared layout
-    const vp::layout::Kind declared = this->Map_.Layout;
-    const std::size_t block = this->Map_.Block;
-    if (this->NumComps_ > 1 && declared != vp::layout::Kind::AoS)
-      this->ConvertLayout(vp::layout::Kind::AoS);
+    const vp::layout::Kind declared = this->Layout_;
+    this->ConvertLayout(vp::layout::Kind::AoS);
     this->Buffer_.resize(n * static_cast<std::size_t>(this->NumComps_));
-    this->Map_.Tuples = n;
-    if (this->NumComps_ > 1 && declared != vp::layout::Kind::AoS)
-      this->ConvertLayout(declared, block);
-    else
-      this->Map_.Layout = declared;
+    this->ConvertLayout(declared);
   }
 
   svtkDataArray *NewInstance() const override
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
-    a->Map_ = vp::layout::Mapping::Make(
-      this->Map_.Layout, 0, static_cast<std::size_t>(this->NumComps_),
-      this->Map_.Block);
+    a->Layout_ = this->Layout_;
     a->Buffer_ = hamr::buffer<T>(this->Buffer_.get_allocator());
     a->Buffer_.set_stream(this->Buffer_.get_stream());
     a->Buffer_.set_mode(this->Buffer_.mode());
@@ -198,7 +180,7 @@ public:
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
-    a->Map_ = this->Map_;
+    a->Layout_ = this->Layout_;
     a->Buffer_ = hamr::buffer<T>(this->Buffer_);
     return a;
   }
@@ -213,7 +195,7 @@ public:
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
-    a->Map_ = this->Map_;
+    a->Layout_ = this->Layout_;
     a->Buffer_ = this->Buffer_.deep_copy(device);
     return a;
   }
@@ -221,53 +203,29 @@ public:
   // --- layout polymorphism ----------------------------------------------------
 
   /// The storage layout of this array.
-  vp::layout::Kind GetLayout() const { return this->Map_.Layout; }
+  vp::layout::Kind GetLayout() const { return this->Layout_; }
 
-  /// The AoSoA block size (meaningful when GetLayout() == AoSoA).
-  std::size_t GetLayoutBlock() const { return this->Map_.Block; }
-
-  /// The mapping describing the current storage. For AoS (and all
-  /// one-component arrays) the tuple count is derived from the buffer,
-  /// so the mapping tracks direct GetBuffer() resizes too.
+  /// The mapping describing the current storage. The tuple count is
+  /// derived from the buffer, so the mapping tracks direct GetBuffer()
+  /// resizes too.
   vp::layout::Mapping GetMapping() const
   {
-    if (this->NumComps_ > 1 && this->Map_.Layout != vp::layout::Kind::AoS)
-      return this->Map_;
-    vp::layout::Mapping m = this->Map_;
-    m.Comps = static_cast<std::size_t>(this->NumComps_);
-    m.Tuples = this->Buffer_.size() / m.Comps;
-    return m;
+    const auto comps = static_cast<std::size_t>(this->NumComps_);
+    return vp::layout::Mapping::Make(this->Layout_,
+                                     this->Buffer_.size() / comps, comps);
   }
 
-  /// Convert the storage to layout `k` in place (block: AoSoA block
-  /// size, 0 = keep/configured default). Values are moved bit-exactly;
-  /// outstanding pointers and views are invalidated. One-component
+  /// Convert the storage to layout `k` in place. Values are moved
+  /// bit-exactly; outstanding pointers are invalidated. One-component
   /// arrays switch the label without touching memory.
-  void ConvertLayout(vp::layout::Kind k, std::size_t block = 0)
+  void ConvertLayout(vp::layout::Kind k)
   {
     const vp::layout::Mapping from = this->GetMapping();
-    const vp::layout::Mapping to = vp::layout::Mapping::Make(
-      k, from.Tuples, from.Comps,
-      block ? block : (k == vp::layout::Kind::AoSoA &&
-                           this->Map_.Layout == vp::layout::Kind::AoSoA
-                         ? this->Map_.Block
-                         : 0));
+    const vp::layout::Mapping to =
+      vp::layout::Mapping::Make(k, from.Tuples, from.Comps);
     if (this->NumComps_ > 1 && to != from)
       this->Buffer_.reorder(from, to);
-    this->Map_ = to;
-  }
-
-  /// A zero-copy typed view for kernels: contiguous-run iteration over
-  /// the active layout. Valid only where the data resides; invalidated
-  /// by resize or conversion.
-  vp::layout::View<T> GetView()
-  {
-    return vp::layout::View<T>(this->Buffer_.data(), this->GetMapping());
-  }
-
-  vp::layout::View<const T> GetView() const
-  {
-    return vp::layout::View<const T>(this->Buffer_.data(), this->GetMapping());
+    this->Layout_ = k;
   }
 
   // --- heterogeneous extensions ---------------------------------------------
@@ -355,7 +313,7 @@ protected:
 
 private:
   hamr::buffer<T> Buffer_;
-  vp::layout::Mapping Map_;
+  vp::layout::Kind Layout_ = vp::layout::Kind::AoS;
   int NumComps_ = 1;
 };
 

@@ -76,9 +76,7 @@ inline std::string Sections()
   }
   {
     const vp::layout::LayoutConfig c = vp::layout::GetConfig();
-    os << "layout.default = " << vp::layout::KindName(c.Default) << "\n"
-       << "layout.block = " << c.Block << "\n"
-       << "layout.simd = " << c.Simd << "\n";
+    os << "layout.simd = " << c.Simd << "\n";
   }
   {
     const cmp::Config c = cmp::GetConfig();
@@ -151,10 +149,7 @@ inline std::string Analyses(const sensei::ConfigurableAnalysis &ca)
        << p << "policy = " << sched::PolicyKindName(a->GetPlacementPolicy())
        << "\n"
        << p << "compress = " << a->GetCompressionSet() << " "
-       << Codec(a->GetEffectiveCompression()) << "\n"
-       << p << "layout = " << a->GetArrayLayoutSet() << " "
-       << vp::layout::KindName(a->GetEffectiveLayout()) << "/"
-       << a->GetEffectiveLayoutBlock() << "\n";
+       << Codec(a->GetEffectiveCompression()) << "\n";
   }
   return os.str();
 }

@@ -1,7 +1,9 @@
 // Tests for the real parallel execution engine (src/exec): stream-order
 // preservation under concurrency (FIFO per stream, event edges across
 // streams, compute/copy queue ordering), serial-vs-threads result
-// equality for the nbody, binning, and compression kernels, a
+// equality for the nbody, binning, and compression kernels (binning
+// grids and virtual time bit-exact on every placement and strategy, and
+// a host campaign's virtual timings independent of the pool width), a
 // checker-clean 8-case campaign under VP_EXEC=threads, a shard-boundary
 // property sweep (seeded N/grain/width combinations, every index covered
 // exactly once), host-region charging by the lanes actually claimed, and
@@ -21,6 +23,7 @@
 #include "vcuda.h"
 #include "vomp.h"
 #include "vpChecker.h"
+#include "vpClock.h"
 #include "vpPlatform.h"
 
 #include <gtest/gtest.h>
@@ -31,7 +34,9 @@
 #include <map>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using sensei::AnalysisAdaptor;
@@ -121,10 +126,14 @@ std::vector<double> GridValues(svtkImageData *img, const std::string &name)
 struct BinningGrids
 {
   std::vector<double> Count, Sum, Min, Max;
+  double Seconds = 0.0; ///< virtual-clock advance of the execute
 };
 
-/// One binning run (count + sum/min/max of v) on the given placement.
-BinningGrids RunBinning(int deviceId)
+/// One binning run (count + sum/min/max of v) on the given placement
+/// and device strategy.
+BinningGrids RunBinning(int deviceId,
+                        sensei::GpuBinningStrategy strategy =
+                          sensei::GpuBinningStrategy::GlobalAtomics)
 {
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
   svtkTable *t = MakeTable(5000, 11);
@@ -140,14 +149,20 @@ BinningGrids RunBinning(int deviceId)
   b->AddOperation("v", BinningOp::Min);
   b->AddOperation("v", BinningOp::Max);
   b->SetDeviceId(deviceId);
+  b->SetGpuStrategy(strategy);
 
-  EXPECT_TRUE(b->Execute(da));
-  EXPECT_EQ(b->Finalize(), 0);
+  // from the same clock value every run, so the advance rounds alike
+  BinningGrids out;
+  {
+    vp::ClockScope zero(0.0);
+    EXPECT_TRUE(b->Execute(da));
+    EXPECT_EQ(b->Finalize(), 0);
+    out.Seconds = vp::ThisClock().Now();
+  }
 
   svtkImageData *img = b->GetLastResult();
   EXPECT_NE(img, nullptr);
 
-  BinningGrids out;
   out.Count = GridValues(img, "count");
   out.Sum = GridValues(img, "v_sum");
   out.Min = GridValues(img, "v_min");
@@ -338,27 +353,69 @@ TEST(ExecEquality, NbodyStatesMatchBitExactly)
 
 TEST(ExecEquality, BinningGridsMatchOnHostAndDevice)
 {
-  for (int device : {AnalysisAdaptor::DEVICE_HOST, 0})
+  // 5000 rows, well above two shard grains: VP_EXEC only decides where
+  // the body runs, so grids and virtual time match bit for bit
+  const std::pair<int, sensei::GpuBinningStrategy> cases[] = {
+    {AnalysisAdaptor::DEVICE_HOST, sensei::GpuBinningStrategy::GlobalAtomics},
+    {0, sensei::GpuBinningStrategy::GlobalAtomics},
+    {0, sensei::GpuBinningStrategy::Privatized}};
+  for (const auto &[device, strategy] : cases)
   {
     ResetPlatform();
     ConfigureSerial();
-    const BinningGrids serial = RunBinning(device);
+    const BinningGrids serial = RunBinning(device, strategy);
 
     ResetPlatform();
     ConfigureThreads(256);
-    const BinningGrids threaded = RunBinning(device);
+    const BinningGrids threaded = RunBinning(device, strategy);
     ConfigureSerial();
 
-    // counts, minima and maxima reduce exactly in any association;
-    // privatized sums may differ by rounding only
-    EXPECT_EQ(serial.Count, threaded.Count) << "device " << device;
-    EXPECT_EQ(serial.Min, threaded.Min) << "device " << device;
-    EXPECT_EQ(serial.Max, threaded.Max) << "device " << device;
-    ASSERT_EQ(serial.Sum.size(), threaded.Sum.size());
-    for (std::size_t i = 0; i < serial.Sum.size(); ++i)
-      EXPECT_NEAR(serial.Sum[i], threaded.Sum[i],
-                  1e-12 * (1.0 + std::abs(serial.Sum[i])))
-        << "device " << device << " bin " << i;
+    const std::string where = "device " + std::to_string(device) +
+                              " strategy " +
+                              std::to_string(static_cast<int>(strategy));
+    EXPECT_EQ(serial.Count, threaded.Count) << where;
+    EXPECT_EQ(serial.Sum, threaded.Sum) << where;
+    EXPECT_EQ(serial.Min, threaded.Min) << where;
+    EXPECT_EQ(serial.Max, threaded.Max) << where;
+    EXPECT_EQ(serial.Seconds, threaded.Seconds) << where;
+  }
+}
+
+TEST(ExecEquality, HostLockstepCampaignTimingIsPoolWidthIndependent)
+{
+  // a timing-only Host/lockstep case under the deterministic rank
+  // scheduler, 65536 rows per rank (four default shard grains): the
+  // virtual timings must not depend on the exec mode or the pool width
+  campaign::CampaignConfig g;
+  g.Nodes = 1;
+  g.BodiesPerNode = 4 * 65536;
+  g.Steps = 1;
+  g.Resolution = 64;
+  g.CoordSystems = 2;
+  g.VariablesPerSystem = 2;
+  g.TimingOnly = true;
+  g.Lockstep = true;
+  const campaign::CaseConfig hostLockstep{campaign::Placement::Host, false};
+
+  auto run = [&](const char *mode, int threads)
+  {
+    // the rank threads start from this thread's clock, so every run
+    // starts from the same value
+    vp::ClockScope zero(0.0);
+    g.ExecMode = mode;
+    g.ExecThreads = threads;
+    const campaign::CaseResult r = campaign::RunCase(hostLockstep, g);
+    ConfigureSerial();
+    return r;
+  };
+  const campaign::CaseResult serial = run("serial", 0);
+  EXPECT_GT(serial.MeanInSituSeconds, 0.0);
+  for (int threads : {1, 3})
+  {
+    const campaign::CaseResult threaded = run("threads", threads);
+    EXPECT_EQ(serial.TotalSeconds, threaded.TotalSeconds) << threads;
+    EXPECT_EQ(serial.MeanInSituSeconds, threaded.MeanInSituSeconds)
+      << threads;
   }
 }
 

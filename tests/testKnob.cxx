@@ -165,8 +165,8 @@ TEST_F(KnobTest, EveryRowRejectsBadAttributesAndVariables)
         envRows += r.Env ? 1 : 0;
       }
     });
-  EXPECT_GE(rows, 56);
-  EXPECT_EQ(envRows, 18);
+  EXPECT_EQ(rows, 54);
+  EXPECT_EQ(envRows, 17);
 }
 
 TEST_F(KnobTest, HandPickedBadValuesThrow)
@@ -178,7 +178,7 @@ TEST_F(KnobTest, HandPickedBadValuesThrow)
   EXPECT_THROW(Load("<sensei><sched queue_depth=\"-3\"/></sensei>"),
                std::runtime_error);
   EXPECT_THROW(Load("<sensei><analysis type=\"histogram\" column=\"x\" "
-                    "layout=\"aos\" layout_block=\"1\"/></sensei>"),
+                    "compress=\"quantize\"/></sensei>"),
                std::runtime_error);
 
   // an unknown VP_EXEC is an error, not a silent serial fallback
@@ -310,12 +310,12 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
     <sched policy="least-loaded" queue_depth="3"/>
     <exec mode="serial" shard_grain="8192"/>
     <graph enabled="1"/>
-    <layout default="soa" simd="1"/>
+    <layout simd="1"/>
     <compress codec="shuffle-rle" level="2"/>
     <service workers="3"/>
     <viz width="64" height="32" colormap="heat"/>
     <analysis type="histogram" column="x" policy="cost-model"
-              compress="delta-varint" layout="aosoa16"/>
+              compress="delta-varint"/>
   </sensei>)";
   std::vector<std::thread> ranks;
   for (int r = 0; r < 4; ++r)
@@ -327,7 +327,7 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
   EXPECT_EQ(sched::GetConfig().QueueDepth, 3);
   EXPECT_EQ(vp::exec::GetConfig().ShardGrain, 8192u);
   EXPECT_TRUE(vp::graph::GetConfig().Enabled);
-  EXPECT_EQ(vp::layout::GetConfig().Default, vp::layout::Kind::SoA);
+  EXPECT_TRUE(vp::layout::GetConfig().Simd);
   EXPECT_EQ(cmp::GetConfig().Default.Level, 2);
   EXPECT_EQ(svc::GetConfig().Workers, 3);
   EXPECT_EQ(viz::GetConfig().Height, 32u);

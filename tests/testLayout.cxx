@@ -1,20 +1,17 @@
 // Tests for the layout-polymorphic array engine (src/layout): mapping
-// math for AoS / SoA / AoSoA (padding, runs, one-component identity), a
-// 1000-seed property test (random layout x dtype x count x access
-// pattern round-trips bit-exact against an AoS reference), the
-// hamr::buffer / svtkHAMRDataArray conversion surface, the byte-plane
-// transpose behind the codec shuffle, XML / environment configuration,
-// the profiler export — and equality of the three
-// vectorized hot kernels (binning accumulate, codec shuffle, nbody
-// force) across serial / threads execution, eager / graph replay, and
-// the three layouts.
+// math for AoS / SoA (plane and record strides, one-component
+// identity), a 1000-seed property test (random layout x dtype x count x
+// reorder range round-trips bit-exact against an AoS reference), the
+// hamr::buffer / svtkHAMRDataArray conversion surface, the codec
+// shuffle round trip, XML / environment configuration of <layout simd>,
+// the profiler export — and equality of the binning grids and the nbody
+// force across serial / threads execution and eager / graph replay.
 
 #include "cmpCodec.h"
 #include "execEngine.h"
 #include "graphCapture.h"
 #include "hamrBuffer.h"
 #include "layoutMapping.h"
-#include "layoutView.h"
 #include "newtonSolver.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataAdaptor.h"
@@ -58,7 +55,6 @@ class LayoutTest : public ::testing::Test
 protected:
   void SetUp() override
   {
-    unsetenv("VP_LAYOUT");
     unsetenv("VP_SIMD");
     vp::layout::Configure(vp::layout::LayoutConfig());
     vp::exec::Configure(vp::exec::ExecConfig());
@@ -68,7 +64,6 @@ protected:
 
   void TearDown() override
   {
-    unsetenv("VP_LAYOUT");
     unsetenv("VP_SIMD");
     vp::layout::Configure(vp::layout::LayoutConfig());
     vp::exec::Configure(vp::exec::ExecConfig());
@@ -86,20 +81,13 @@ TEST(LayoutNames, ParseAndPrint)
   EXPECT_EQ(vp::layout::KindFromName("interleaved"), Kind::AoS);
   EXPECT_EQ(vp::layout::KindFromName("soa"), Kind::SoA);
   EXPECT_EQ(vp::layout::KindFromName("planar"), Kind::SoA);
-  EXPECT_EQ(vp::layout::KindFromName("aosoa"), Kind::AoSoA);
-
-  std::size_t block = 0;
-  EXPECT_EQ(vp::layout::KindFromName("aosoa16", &block), Kind::AoSoA);
-  EXPECT_EQ(block, 16u);
 
   EXPECT_THROW(vp::layout::KindFromName("bogus"), std::invalid_argument);
-  EXPECT_THROW(vp::layout::KindFromName("aosoa1"), std::invalid_argument);
-  EXPECT_THROW(vp::layout::KindFromName("aosoaXY"), std::invalid_argument);
+  EXPECT_THROW(vp::layout::KindFromName("aosoa"), std::invalid_argument);
   EXPECT_THROW(vp::layout::KindFromName(""), std::invalid_argument);
 
   EXPECT_STREQ(vp::layout::KindName(Kind::SoA), "soa");
-  EXPECT_EQ(vp::layout::KindName(Kind::AoSoA, 8), "aosoa8");
-  EXPECT_EQ(vp::layout::KindName(Kind::AoS, 8), "aos");
+  EXPECT_STREQ(vp::layout::KindName(Kind::AoS), "aos");
 }
 
 // --- mapping math ------------------------------------------------------------
@@ -111,7 +99,8 @@ TEST(LayoutMapping, AoSOffsetsAndRuns)
   EXPECT_EQ(m.Offset(0, 0), 0u);
   EXPECT_EQ(m.Offset(2, 1), 7u);
   EXPECT_EQ(m.Offset(4, 2), 14u);
-  EXPECT_EQ(m.RunAt(2, 1).Count, 1u); // interleaved: single-element runs
+  // interleaved: a component's consecutive tuples are one record apart
+  EXPECT_EQ(m.Offset(3, 1) - m.Offset(2, 1), 3u);
 }
 
 TEST(LayoutMapping, SoAOffsetsAndRuns)
@@ -121,87 +110,28 @@ TEST(LayoutMapping, SoAOffsetsAndRuns)
   EXPECT_EQ(m.Offset(0, 0), 0u);
   EXPECT_EQ(m.Offset(2, 1), 7u);  // 1*5 + 2
   EXPECT_EQ(m.Offset(4, 2), 14u); // 2*5 + 4
-  const vp::layout::Run r = m.RunAt(1, 2);
-  EXPECT_EQ(r.Offset, 11u);
-  EXPECT_EQ(r.Count, 4u); // to the end of the plane
-}
-
-TEST(LayoutMapping, AoSoAOffsetsPaddingAndRuns)
-{
-  const Mapping m = Mapping::AoSoA(10, 2, 4);
-  // 3 blocks of 4 tuples x 2 comps, final block padded: 24 slots
-  EXPECT_EQ(m.Slots(), 24u);
-  EXPECT_EQ(m.Offset(0, 0), 0u);
-  EXPECT_EQ(m.Offset(3, 1), 7u);  // block 0, comp 1, row 3
-  EXPECT_EQ(m.Offset(4, 0), 8u);  // block 1 starts
-  EXPECT_EQ(m.Offset(9, 1), 21u); // block 2, comp 1, row 1
-
-  EXPECT_EQ(m.RunAt(0, 0).Count, 4u); // a full block
-  EXPECT_EQ(m.RunAt(6, 0).Count, 2u); // to the end of block 1
-  EXPECT_EQ(m.RunAt(8, 1).Count, 2u); // final block clamps to Tuples
+  // planar: a component's tuples are contiguous to the end of the plane
+  for (std::size_t t = 1; t < 5; ++t)
+    EXPECT_EQ(m.Offset(t, 2), m.Offset(t - 1, 2) + 1);
 }
 
 TEST(LayoutMapping, OneComponentIsLayoutInvariant)
 {
-  for (Kind k : {Kind::AoS, Kind::SoA, Kind::AoSoA})
+  for (Kind k : {Kind::AoS, Kind::SoA})
   {
-    const Mapping m = Mapping::Make(k, 7, 1, 4);
+    const Mapping m = Mapping::Make(k, 7, 1);
     EXPECT_EQ(m.Slots(), 7u) << vp::layout::KindName(k);
     for (std::size_t t = 0; t < 7; ++t)
       EXPECT_EQ(m.Offset(t, 0), t);
-    EXPECT_EQ(m.RunAt(2, 0).Count, 5u); // identity: one run to the end
   }
 }
 
-TEST(LayoutMapping, EqualityComparesBlockOnlyForAoSoA)
+TEST(LayoutMapping, EqualityComparesLayoutAndShape)
 {
   EXPECT_EQ(Mapping::AoS(5, 3), Mapping::AoS(5, 3));
   EXPECT_NE(Mapping::AoS(5, 3), Mapping::SoA(5, 3));
-  EXPECT_NE(Mapping::AoSoA(8, 2, 4), Mapping::AoSoA(8, 2, 8));
-  Mapping a = Mapping::AoS(5, 3), b = Mapping::AoS(5, 3);
-  a.Block = 4;
-  b.Block = 8; // irrelevant for AoS
-  EXPECT_EQ(a, b);
-}
-
-// --- views -------------------------------------------------------------------
-
-TEST(LayoutView, ForEachRunCoversEveryTupleOnce)
-{
-  for (Kind k : {Kind::AoS, Kind::SoA, Kind::AoSoA})
-  {
-    const Mapping m = Mapping::Make(k, 11, 3, 4);
-    std::vector<double> store(m.Slots(), 0.0);
-    vp::layout::View<double> v(store.data(), m);
-    for (std::size_t c = 0; c < 3; ++c)
-      v.ForEachRun(c, [&](double *run, std::size_t t0, std::size_t count)
-                   {
-                     for (std::size_t i = 0; i < count; ++i)
-                       run[i] += 1.0 + static_cast<double>(t0 + i);
-                   });
-    for (std::size_t c = 0; c < 3; ++c)
-      for (std::size_t t = 0; t < 11; ++t)
-        EXPECT_EQ(v(t, c), 1.0 + static_cast<double>(t));
-  }
-}
-
-TEST(LayoutView, PartialRangeAndRunPtr)
-{
-  const Mapping m = Mapping::SoA(10, 2);
-  std::vector<int> store(m.Slots(), 0);
-  vp::layout::View<int> v(store.data(), m);
-  v.ForEachRun(1, 3, 7, [](int *run, std::size_t, std::size_t count)
-               {
-                 for (std::size_t i = 0; i < count; ++i)
-                   run[i] = 9;
-               });
-  for (std::size_t t = 0; t < 10; ++t)
-    EXPECT_EQ(v(t, 1), (t >= 3 && t < 7) ? 9 : 0) << t;
-
-  std::size_t count = 0;
-  int *p = v.RunPtr(3, 1, &count);
-  EXPECT_EQ(count, 7u); // SoA: to the end of the plane
-  EXPECT_EQ(*p, 9);
+  EXPECT_NE(Mapping::SoA(5, 3), Mapping::SoA(6, 3));
+  EXPECT_NE(Mapping::SoA(6, 3), Mapping::SoA(6, 2));
 }
 
 // --- the 1000-seed property test --------------------------------------------
@@ -222,10 +152,10 @@ void PropertyRoundTrip(unsigned seed)
   std::mt19937_64 rng(seed);
   const std::size_t tuples = rng() % 300;
   const std::size_t comps = 1 + rng() % 5;
-  const std::size_t block = std::size_t(2) << (rng() % 6); // 2..64
-  const Kind kinds[3] = {Kind::AoS, Kind::SoA, Kind::AoSoA};
-  const Kind k1 = kinds[rng() % 3];
-  const Kind k2 = kinds[rng() % 3];
+  const Kind kinds[2] = {Kind::AoS, Kind::SoA};
+  const Kind k1 = kinds[rng() % 2];
+  const Kind k2 = kinds[rng() % 2];
+  const std::size_t split = tuples ? rng() % (tuples + 1) : 0;
 
   // the AoS reference
   const Mapping ref = Mapping::AoS(tuples, comps);
@@ -235,9 +165,9 @@ void PropertyRoundTrip(unsigned seed)
       refStore[ref.Offset(t, c)] = PropValue<T>(t, c, seed);
 
   // AoS -> k1 -> k2 -> AoS, verifying by three access patterns
-  const Mapping m1 = Mapping::Make(k1, tuples, comps, block);
+  const Mapping m1 = Mapping::Make(k1, tuples, comps);
   std::vector<T> s1(m1.Slots(), T(0));
-  vp::layout::Reorder(refStore.data(), ref, s1.data(), m1);
+  vp::layout::ReorderRange(refStore.data(), ref, s1.data(), m1, 0, tuples);
 
   // pattern 1: direct Offset addressing
   for (std::size_t t = 0; t < tuples; ++t)
@@ -245,23 +175,20 @@ void PropertyRoundTrip(unsigned seed)
       ASSERT_EQ(s1[m1.Offset(t, c)], PropValue<T>(t, c, seed))
         << "seed " << seed << " t " << t << " c " << c;
 
-  const Mapping m2 = Mapping::Make(k2, tuples, comps, block);
+  // pattern 2: two tuple ranges split at a random point, as a sharded
+  // reorder kernel hands them out
+  const Mapping m2 = Mapping::Make(k2, tuples, comps);
   std::vector<T> s2(m2.Slots(), T(0));
-  vp::layout::Reorder(s1.data(), m1, s2.data(), m2);
-
-  // pattern 2: run iteration
-  vp::layout::View<const T> v2(s2.data(), m2);
-  for (std::size_t c = 0; c < comps; ++c)
-    v2.ForEachRun(c, [&](const T *run, std::size_t t0, std::size_t count)
-                  {
-                    for (std::size_t i = 0; i < count; ++i)
-                      ASSERT_EQ(run[i], PropValue<T>(t0 + i, c, seed))
-                        << "seed " << seed;
-                  });
+  vp::layout::ReorderRange(s1.data(), m1, s2.data(), m2, 0, split);
+  vp::layout::ReorderRange(s1.data(), m1, s2.data(), m2, split, tuples);
+  for (std::size_t t = 0; t < tuples; ++t)
+    for (std::size_t c = 0; c < comps; ++c)
+      ASSERT_EQ(s2[m2.Offset(t, c)], PropValue<T>(t, c, seed))
+        << "seed " << seed << " t " << t << " c " << c;
 
   // pattern 3: back to AoS must be bit-identical to the reference
   std::vector<T> back(ref.Slots(), T(0));
-  vp::layout::Reorder(s2.data(), m2, back.data(), ref);
+  vp::layout::ReorderRange(s2.data(), m2, back.data(), ref, 0, tuples);
   ASSERT_EQ(back, refStore) << "seed " << seed;
 }
 
@@ -300,12 +227,11 @@ TEST_F(LayoutTest, BufferReorderMovesValuesAcrossLayouts)
     for (std::size_t c = 0; c < comps; ++c)
       EXPECT_EQ(buf.data()[soa.Offset(t, c)], static_cast<double>(t * 10 + c));
 
-  const Mapping blk = Mapping::AoSoA(n, comps, 8);
-  buf.reorder(soa, blk);
-  EXPECT_EQ(buf.size(), blk.Slots());
+  buf.reorder(soa, aos);
+  EXPECT_EQ(buf.size(), aos.Slots());
   for (std::size_t t = 0; t < n; ++t)
     for (std::size_t c = 0; c < comps; ++c)
-      EXPECT_EQ(buf.data()[blk.Offset(t, c)], static_cast<double>(t * 10 + c));
+      EXPECT_EQ(buf.data()[aos.Offset(t, c)], static_cast<double>(t * 10 + c));
 }
 
 TEST_F(LayoutTest, BufferReorderRejectsShapeMismatch)
@@ -359,16 +285,6 @@ TEST_F(LayoutTest, HdaDeclaredSoAMapsAccessors)
   a->UnRegister();
 }
 
-TEST_F(LayoutTest, HdaAoSoAPaddingDoesNotInflateTupleCount)
-{
-  auto *a = svtkHAMRDoubleArray::New("v", 10, 2, svtkAllocator::malloc_,
-                                    Kind::AoSoA, 4);
-  EXPECT_EQ(a->GetNumberOfTuples(), 10u); // Slots() is 24, tuples stay 10
-  EXPECT_EQ(a->GetBuffer().size(), 24u);
-  EXPECT_EQ(a->GetLayoutBlock(), 4u);
-  a->UnRegister();
-}
-
 TEST_F(LayoutTest, HdaConvertLayoutRoundTripsBitExact)
 {
   auto *a = svtkHAMRDoubleArray::New("v", 33, 3, svtkAllocator::malloc_);
@@ -377,9 +293,9 @@ TEST_F(LayoutTest, HdaConvertLayoutRoundTripsBitExact)
       a->SetVariantValue(t, c, std::sin(static_cast<double>(t * 3 + c)));
   const std::vector<double> ref = a->ToVector();
 
-  for (Kind k : {Kind::SoA, Kind::AoSoA, Kind::AoS})
+  for (Kind k : {Kind::SoA, Kind::AoS})
   {
-    a->ConvertLayout(k, 8);
+    a->ConvertLayout(k);
     EXPECT_EQ(a->GetLayout(), k);
     EXPECT_EQ(a->GetNumberOfTuples(), 33u);
     std::size_t i = 0;
@@ -425,57 +341,20 @@ TEST_F(LayoutTest, HdaResizePreservesDeclaredLayout)
 TEST_F(LayoutTest, HdaDeepCopyAndNewInstancePropagateLayout)
 {
   auto *a = svtkHAMRDoubleArray::New("v", 12, 2, svtkAllocator::malloc_,
-                                    Kind::AoSoA, 4);
+                                    Kind::SoA);
   a->SetVariantValue(11, 1, 42.0);
 
   svtkHAMRDoubleArray *d = a->NewDeepCopy();
-  EXPECT_EQ(d->GetLayout(), Kind::AoSoA);
-  EXPECT_EQ(d->GetLayoutBlock(), 4u);
+  EXPECT_EQ(d->GetLayout(), Kind::SoA);
   EXPECT_EQ(d->GetNumberOfTuples(), 12u);
   EXPECT_EQ(d->GetVariantValue(11, 1), 42.0);
   d->UnRegister();
 
   auto *i = static_cast<svtkHAMRDoubleArray *>(a->NewInstance());
-  EXPECT_EQ(i->GetLayout(), Kind::AoSoA);
+  EXPECT_EQ(i->GetLayout(), Kind::SoA);
   EXPECT_EQ(i->GetNumberOfTuples(), 0u);
   i->UnRegister();
   a->UnRegister();
-}
-
-TEST_F(LayoutTest, HdaViewIteratesDeclaredLayoutRuns)
-{
-  auto *a = svtkHAMRDoubleArray::New("v", 9, 2, svtkAllocator::malloc_,
-                                    Kind::AoSoA, 4);
-  vp::layout::View<double> v = a->GetView();
-  std::size_t runs = 0;
-  v.ForEachRun(0, [&](double *, std::size_t, std::size_t) { ++runs; });
-  EXPECT_EQ(runs, 3u); // 4 + 4 + 1
-  a->UnRegister();
-}
-
-// --- byte-plane transpose ----------------------------------------------------
-
-TEST(LayoutPlanes, MatchesNaiveShuffleAndRoundTrips)
-{
-  std::mt19937_64 rng(7);
-  for (std::size_t esize : {2u, 4u, 8u})
-    for (std::size_t n : {1u, 7u, 255u, 256u, 257u, 5000u})
-    {
-      std::vector<std::uint8_t> src(esize * n);
-      for (auto &b : src)
-        b = static_cast<std::uint8_t>(rng());
-
-      std::vector<std::uint8_t> naive(esize * n), blocked(esize * n);
-      for (std::size_t b = 0; b < esize; ++b)
-        for (std::size_t i = 0; i < n; ++i)
-          naive[b * n + i] = src[i * esize + b];
-      vp::layout::GatherPlanes(src.data(), esize, n, blocked.data());
-      ASSERT_EQ(blocked, naive) << esize << "x" << n;
-
-      std::vector<std::uint8_t> back(esize * n);
-      vp::layout::ScatterPlanes(blocked.data(), esize, n, back.data());
-      ASSERT_EQ(back, src) << esize << "x" << n;
-    }
 }
 
 TEST_F(LayoutTest, CodecShuffleRoundTripsEveryDtype)
@@ -500,89 +379,47 @@ TEST_F(LayoutTest, CodecShuffleRoundTripsEveryDtype)
                      out.size() * sizeof(double));
     ASSERT_EQ(out, vals) << n;
   }
-  EXPECT_GT(vp::layout::Stats().PlaneTransposes, 0u);
 }
 
 // --- configuration: env, XML, per-analysis ----------------------------------
 
 TEST_F(LayoutTest, DefaultConfigReadsEnvironment)
 {
-  setenv("VP_LAYOUT", "aosoa16", 1);
   setenv("VP_SIMD", "1", 1);
-  const vp::layout::LayoutConfig cfg = vp::layout::DefaultConfig();
-  EXPECT_EQ(cfg.Default, Kind::AoSoA);
-  EXPECT_EQ(cfg.Block, 16u);
-  EXPECT_TRUE(cfg.Simd);
-  unsetenv("VP_LAYOUT");
+  EXPECT_TRUE(vp::layout::DefaultConfig().Simd);
   unsetenv("VP_SIMD");
-}
-
-TEST_F(LayoutTest, ConfigureValidatesBlock)
-{
-  vp::layout::LayoutConfig cfg;
-  cfg.Block = 1;
-  EXPECT_THROW(vp::layout::Configure(cfg), std::invalid_argument);
-  cfg.Block = 1 << 20;
-  EXPECT_THROW(vp::layout::Configure(cfg), std::invalid_argument);
+  EXPECT_FALSE(vp::layout::DefaultConfig().Simd);
 }
 
 TEST_F(LayoutTest, ConfigurableAnalysisParsesLayoutElement)
 {
   sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
-  ca->InitializeString(
-    "<sensei><layout default=\"soa\" block=\"8\" simd=\"1\"/></sensei>");
-  const vp::layout::LayoutConfig cfg = vp::layout::GetConfig();
-  EXPECT_EQ(cfg.Default, Kind::SoA);
-  EXPECT_EQ(cfg.Block, 8u);
-  EXPECT_TRUE(cfg.Simd);
+  ca->InitializeString("<sensei><layout simd=\"1\"/></sensei>");
+  EXPECT_TRUE(vp::layout::GetConfig().Simd);
   ca->UnRegister();
 }
 
 TEST_F(LayoutTest, EnvironmentWinsOverLayoutElement)
 {
-  setenv("VP_LAYOUT", "aos", 1);
   setenv("VP_SIMD", "0", 1);
   vp::layout::Configure(vp::layout::DefaultConfig());
   sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
-  ca->InitializeString(
-    "<sensei><layout default=\"soa\" simd=\"1\"/></sensei>");
-  const vp::layout::LayoutConfig cfg = vp::layout::GetConfig();
-  EXPECT_EQ(cfg.Default, Kind::AoS);
-  EXPECT_FALSE(cfg.Simd);
+  ca->InitializeString("<sensei><layout simd=\"1\"/></sensei>");
+  EXPECT_FALSE(vp::layout::GetConfig().Simd);
   ca->UnRegister();
 }
 
 TEST_F(LayoutTest, ConfigurableAnalysisRejectsBadLayout)
 {
-  sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
-  EXPECT_THROW(
-    ca->InitializeString("<sensei><layout default=\"zigzag\"/></sensei>"),
-    std::runtime_error);
-  ca->UnRegister();
-  ca = sensei::ConfigurableAnalysis::New();
-  EXPECT_THROW(
-    ca->InitializeString(
-      "<sensei><layout default=\"soa\" block=\"1\"/></sensei>"),
-    std::runtime_error);
-  ca->UnRegister();
-}
-
-TEST_F(LayoutTest, PerAnalysisLayoutOverride)
-{
-  sensei::DataBinning *b = sensei::DataBinning::New();
-  EXPECT_FALSE(b->GetArrayLayoutSet());
-  EXPECT_EQ(b->GetEffectiveLayout(), Kind::AoS); // process default
-
-  vp::layout::LayoutConfig cfg;
-  cfg.Default = Kind::SoA;
-  vp::layout::Configure(cfg);
-  EXPECT_EQ(b->GetEffectiveLayout(), Kind::SoA); // follows the default
-
-  b->SetArrayLayout(Kind::AoSoA, 16);
-  EXPECT_TRUE(b->GetArrayLayoutSet());
-  EXPECT_EQ(b->GetEffectiveLayout(), Kind::AoSoA);
-  EXPECT_EQ(b->GetEffectiveLayoutBlock(), 16u);
-  b->Delete();
+  for (const char *bad : {"maybe", "2"})
+  {
+    sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
+    EXPECT_THROW(ca->InitializeString(std::string("<sensei><layout simd=\"") +
+                                      bad + "\"/></sensei>"),
+                 std::runtime_error)
+      << bad;
+    ca->UnRegister();
+  }
 }
 
 // --- profiler export ---------------------------------------------------------
@@ -614,8 +451,8 @@ svtkTable *MakeTable(std::size_t n, unsigned seed)
   {
     xs[i] = u(gen);
     ys[i] = u(gen);
-    // integer-valued: sums stay exact under any accumulation order
-    vs[i] = std::floor(8.0 * (xs[i] + 2.0 * ys[i]));
+    // not integer valued: a sum taken in another order rounds apart
+    vs[i] = xs[i] + 2.0 * ys[i];
   }
   svtkTable *t = svtkTable::New();
   auto add = [t](const char *name, const std::vector<double> &v)
@@ -640,15 +477,28 @@ std::vector<double> GridValues(svtkImageData *img, const char *name)
   return out;
 }
 
-/// Two direct DataBinning steps on device 0 under the given execution
-/// mode, graph setting, and layout hint; returns all grids concatenated.
+/// Where and how a matrix binning accumulates.
+struct BinningCase
+{
+  int Device;
+  sensei::GpuBinningStrategy Strategy;
+};
+
+/// Rows per binning step: above two shard grains of the threaded runs,
+/// so a sharded accumulation would split them across the pool.
+constexpr std::size_t kMatrixRows = 3000;
+constexpr std::size_t kMatrixGrain = 1024;
+
+/// Two direct DataBinning steps under the given execution mode and
+/// graph setting; returns all grids concatenated.
 std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
-                                            Kind layout)
+                                            const BinningCase &c)
 {
   ResetPlatform();
   vp::exec::ExecConfig ec;
   ec.ExecMode = threads ? vp::exec::Mode::Threads : vp::exec::Mode::Serial;
   ec.Threads = threads ? 2 : 0;
+  ec.ShardGrain = kMatrixGrain;
   vp::exec::Configure(ec);
   vp::graph::GraphConfig gc;
   gc.Enabled = graphOn;
@@ -664,14 +514,13 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
   b->AddOperation("v", sensei::BinningOp::Sum);
   b->AddOperation("v", sensei::BinningOp::Min);
   b->AddOperation("v", sensei::BinningOp::Max);
-  b->SetDeviceId(0);
-  if (layout != Kind::AoS)
-    b->SetArrayLayout(layout, 16);
+  b->SetDeviceId(c.Device);
+  b->SetGpuStrategy(c.Strategy);
 
   std::vector<std::vector<double>> out;
   for (int s = 0; s < 2; ++s)
   {
-    svtkTable *t = MakeTable(3000, 90u + static_cast<unsigned>(s));
+    svtkTable *t = MakeTable(kMatrixRows, 90u + static_cast<unsigned>(s));
     da->SetTable(t);
     t->Delete();
     da->SetDataTimeStep(s);
@@ -697,23 +546,33 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
 
 } // namespace
 
-TEST_F(LayoutTest, BinningBitExactAcrossExecGraphAndLayoutMatrix)
+TEST_F(LayoutTest, BinningBitExactAcrossExecAndGraphMatrix)
 {
-  const auto baseline = RunBinning(false, false, Kind::AoS);
-  ASSERT_FALSE(baseline.empty());
-  for (bool threads : {false, true})
-    for (bool graphOn : {false, true})
-      for (Kind k : {Kind::AoS, Kind::SoA, Kind::AoSoA})
+  // device 0 under both strategies, and the host (where graph capture
+  // does not apply, so its graph runs are eager too)
+  const BinningCase cases[] = {
+    {0, sensei::GpuBinningStrategy::GlobalAtomics},
+    {0, sensei::GpuBinningStrategy::Privatized},
+    {sensei::AnalysisAdaptor::DEVICE_HOST,
+     sensei::GpuBinningStrategy::GlobalAtomics}};
+  for (const BinningCase &c : cases)
+  {
+    const auto baseline = RunBinning(false, false, c);
+    ASSERT_FALSE(baseline.empty());
+    for (bool threads : {false, true})
+      for (bool graphOn : {false, true})
       {
-        if (!threads && !graphOn && k == Kind::AoS)
+        if (!threads && !graphOn)
           continue;
-        const auto got = RunBinning(threads, graphOn, k);
+        const auto got = RunBinning(threads, graphOn, c);
         ASSERT_EQ(got.size(), baseline.size());
         for (std::size_t g = 0; g < got.size(); ++g)
           ASSERT_EQ(got[g], baseline[g])
-            << "threads=" << threads << " graph=" << graphOn << " layout="
-            << vp::layout::KindName(k) << " grid " << g;
+            << "device=" << c.Device << " strategy="
+            << static_cast<int>(c.Strategy) << " threads=" << threads
+            << " graph=" << graphOn << " grid " << g;
       }
+  }
 }
 
 // --- kernel equality: nbody force -------------------------------------------
