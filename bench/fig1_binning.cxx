@@ -10,6 +10,7 @@
 // scale. Outputs fig1_xy.vti and fig1_xz.vti (ParaView/VisIt loadable)
 // and prints grid statistics for a quick shape check.
 
+#include "cliArgs.h"
 #include "minimpi.h"
 #include "newtonDriver.h"
 #include "senseiConfigurableAnalysis.h"
@@ -57,10 +58,13 @@ void GridStats(svtkImageData *img, const char *name, const char *label)
 }
 } // namespace
 
+// a malformed argument is one line and exit 2
 int main(int argc, char **argv)
+try
 {
-  const std::size_t bodies = argc > 1 ? std::stoul(argv[1]) : 8192;
-  const long steps = argc > 2 ? std::stol(argv[2]) : 5;
+  const std::size_t bodies =
+    cli::Arg<std::size_t>(argc, argv, 1, "bodies", 8192);
+  const long steps = cli::Arg<long>(argc, argv, 2, "steps", 5);
 
   std::cout << "FIG1 | n-body + in situ data binning of sum(m) on 256x256 "
                "meshes (x-y and x-z)\n"
@@ -125,4 +129,9 @@ int main(int argc, char **argv)
                });
 
   return 0;
+}
+catch (const cli::BadArgument &e)
+{
+  std::cerr << "fig1_binning: " << e.what() << "\n";
+  return 2;
 }

@@ -11,6 +11,7 @@
 //
 // Usage: ./binning_pipeline [rows]     (default 50000)
 
+#include "cliArgs.h"
 #include "senseiDataAdaptor.h"
 #include "senseiDataBinning.h"
 #include "sio.h"
@@ -72,9 +73,12 @@ std::vector<double> Grid(svtkImageData *img, const char *name)
 }
 } // namespace
 
+// a malformed argument is one line and exit 2
 int main(int argc, char **argv)
+try
 {
-  const std::size_t rows = argc > 1 ? std::stoul(argv[1]) : 50000;
+  const std::size_t rows =
+    cli::Arg<std::size_t>(argc, argv, 1, "rows", 50000);
 
   vp::PlatformConfig plat;
   plat.DevicesPerNode = 4;
@@ -151,4 +155,9 @@ int main(int argc, char **argv)
   table->Delete();
 
   return mismatches == 0 ? 0 : 1;
+}
+catch (const cli::BadArgument &e)
+{
+  std::cerr << "binning_pipeline: " << e.what() << "\n";
+  return 2;
 }

@@ -13,6 +13,7 @@
 // summary contrasting the sender-visible transport cost with the
 // endpoint's analysis time.
 
+#include "cliArgs.h"
 #include "minimpi.h"
 #include "newtonDataAdaptor.h"
 #include "newtonSolver.h"
@@ -24,12 +25,15 @@
 
 #include <iostream>
 
+// a malformed argument is one line and exit 2
 int main(int argc, char **argv)
+try
 {
-  const std::size_t bodies = argc > 1 ? std::stoul(argv[1]) : 2048;
-  const long steps = argc > 2 ? std::stol(argv[2]) : 8;
-  const int senders = argc > 3 ? std::stoi(argv[3]) : 3;
-  const int endpoints = argc > 4 ? std::stoi(argv[4]) : 1;
+  const std::size_t bodies =
+    cli::Arg<std::size_t>(argc, argv, 1, "bodies", 2048);
+  const long steps = cli::Arg<long>(argc, argv, 2, "steps", 8);
+  const int senders = cli::Arg(argc, argv, 3, "senders", 3);
+  const int endpoints = cli::Arg(argc, argv, 4, "endpoints", 1);
 
   vp::PlatformConfig plat;
   plat.DevicesPerNode = 4;
@@ -119,4 +123,9 @@ int main(int argc, char **argv)
             << " s/step (receive + assemble + bin)\n"
             << "wrote intransit_mass_xy.vti\n";
   return processed == steps ? 0 : 1;
+}
+catch (const cli::BadArgument &e)
+{
+  std::cerr << "intransit_pipeline: " << e.what() << "\n";
+  return 2;
 }

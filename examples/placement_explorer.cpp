@@ -10,6 +10,7 @@
 //
 // Usage: ./placement_explorer [ranks] [n_a] [n_u s d0]
 
+#include "cliArgs.h"
 #include "senseiAnalysisAdaptor.h"
 
 #include <iomanip>
@@ -48,10 +49,16 @@ void PrintMap(const std::string &label, int ranks, int na, int nu, int s,
 }
 } // namespace
 
+// a malformed argument is one line and exit 2
 int main(int argc, char **argv)
+try
 {
-  const int ranks = argc > 1 ? std::stoi(argv[1]) : 8;
-  const int na = argc > 2 ? std::stoi(argv[2]) : 4;
+  const int ranks = cli::Arg(argc, argv, 1, "ranks", 8);
+  const int na = cli::Arg(argc, argv, 2, "n_a", 4);
+  const bool custom = argc > 5;
+  const int nu = custom ? cli::Number<int>("n_u", argv[3]) : 0;
+  const int s = custom ? cli::Number<int>("s", argv[4]) : 0;
+  const int d0 = custom ? cli::Number<int>("d0", argv[5]) : 0;
 
   std::cout << "device assigned per MPI rank (" << ranks << " ranks, n_a="
             << na << " devices/node)\n"
@@ -64,11 +71,8 @@ int main(int argc, char **argv)
   PrintMap("strided (n_u=2, s=2)", ranks, na, 2, 2, 0);
   PrintMap("offset round robin (d0=1)", ranks, na, 0, 1, 1);
 
-  if (argc > 5)
+  if (custom)
   {
-    const int nu = std::stoi(argv[3]);
-    const int s = std::stoi(argv[4]);
-    const int d0 = std::stoi(argv[5]);
     std::cout << "\ncustom:\n";
     PrintMap("custom (n_u=" + std::to_string(nu) + ", s=" + std::to_string(s) +
                ", d0=" + std::to_string(d0) + ")",
@@ -86,4 +90,9 @@ int main(int argc, char **argv)
   p->Delete();
 
   return 0;
+}
+catch (const cli::BadArgument &e)
+{
+  std::cerr << "placement_explorer: " << e.what() << "\n";
+  return 2;
 }

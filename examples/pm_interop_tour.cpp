@@ -11,6 +11,7 @@
 //
 // Usage: ./pm_interop_tour [n]     (default 100000)
 
+#include "cliArgs.h"
 #include "svtkHAMRDataArray.h"
 #include "vcuda.h"
 #include "vhip.h"
@@ -22,9 +23,12 @@
 #include <cmath>
 #include <iostream>
 
+// a malformed argument is one line and exit 2
 int main(int argc, char **argv)
+try
 {
-  const std::size_t n = argc > 1 ? std::stoul(argv[1]) : 100000;
+  const std::size_t n =
+    cli::Arg<std::size_t>(argc, argv, 1, "n", 100000);
 
   vp::PlatformConfig cfg;
   cfg.DevicesPerNode = 4;
@@ -152,4 +156,9 @@ int main(int argc, char **argv)
   s1->Delete();
   data->Delete();
   return ok ? 0 : 1;
+}
+catch (const cli::BadArgument &e)
+{
+  std::cerr << "pm_interop_tour: " << e.what() << "\n";
+  return 2;
 }

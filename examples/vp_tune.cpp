@@ -29,6 +29,7 @@
 // winner of bench/um_tune's stall-shaded search instead):
 //   ./vp_tune --budget 48 --steps 3 --systems 9 --vars 10 --out FILE
 
+#include "cliArgs.h"
 #include "senseiProfiler.h"
 #include "tuneOnline.h"
 #include "tuneSearch.h"
@@ -63,7 +64,9 @@ void PrintTrace(const tune::SearchResult &r)
 
 } // namespace
 
+// a malformed option value is one line and exit 2, like an unknown option
 int main(int argc, char **argv)
+try
 {
   tune::SearchConfig sc;
   sc.Budget = 24;
@@ -95,25 +98,25 @@ int main(int argc, char **argv)
     };
 
     if (arg == "--budget")
-      sc.Budget = std::stoi(next());
+      sc.Budget = cli::Number<int>(arg, next());
     else if (arg == "--seed")
-      sc.Seed = std::stoull(next());
+      sc.Seed = cli::Number<std::uint64_t>(arg, next());
     else if (arg == "--k")
-      ec.K = std::stod(next());
+      ec.K = cli::Number<double>(arg, next());
     else if (arg == "--algo")
       algo = next();
     else if (arg == "--analyses")
-      analyses = std::stoi(next());
+      analyses = cli::Number<int>(arg, next());
     else if (arg == "--nodes")
-      ec.Campaign.Nodes = std::stoi(next());
+      ec.Campaign.Nodes = cli::Number<int>(arg, next());
     else if (arg == "--steps")
-      ec.Campaign.Steps = std::stol(next());
+      ec.Campaign.Steps = cli::Number<long>(arg, next());
     else if (arg == "--bodies")
-      ec.Campaign.BodiesPerNode = std::stoul(next());
+      ec.Campaign.BodiesPerNode = cli::Number<std::size_t>(arg, next());
     else if (arg == "--systems")
-      ec.Campaign.CoordSystems = std::stoi(next());
+      ec.Campaign.CoordSystems = cli::Number<int>(arg, next());
     else if (arg == "--vars")
-      ec.Campaign.VariablesPerSystem = std::stoi(next());
+      ec.Campaign.VariablesPerSystem = cli::Number<int>(arg, next());
     else if (arg == "--full")
       full = true;
     else if (arg == "--out")
@@ -204,4 +207,9 @@ int main(int argc, char **argv)
     std::cout << "winning configuration written to " << outFile << "\n";
   }
   return 0;
+}
+catch (const cli::BadArgument &e)
+{
+  std::cerr << "vp_tune: " << e.what() << "\n";
+  return 2;
 }

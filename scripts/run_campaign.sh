@@ -216,7 +216,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
@@ -249,10 +249,12 @@ bench um_layout_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_layout \
   --benchmark_min_time=0.05
 # the packed binning record of a 4-rank mixed-op binning, the data
-# adaptor's shared per-step snapshot, and its per-step axis-range table
-# (fills, hits and peers scanned where they live) under ASan+UBSan
+# adaptor's shared per-step snapshot, its per-step axis-range table
+# (fills, hits and peers scanned where they live), and the resident
+# record reset by its compaction and reallocated on a new shape, under
+# ASan+UBSan
 ../build-sanitize/tests/testBinning \
-  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*'
+  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*'
 # serial vs threads: bit-exact binning grids and virtual time on the
 # host and under both device strategies, and a host campaign's virtual
 # timings independent of the pool width, under ASan+UBSan
@@ -263,7 +265,8 @@ bench um_layout_sanitized.txt \
 # report
 UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testMinimpi
 # the knob rows: every shipped config, the golden effective config, the
-# env matrix, and every row's bad attribute/variable under ASan+UBSan
+# env matrix, every row's bad attribute/variable and vp_tune's malformed
+# --budget under ASan+UBSan
 ctest --test-dir ../build-sanitize -L config --output-on-failure
 
 echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
@@ -271,7 +274,7 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune
 ../build-tsan/tests/testExec
 bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
   --benchmark_min_time=0.05
@@ -308,6 +311,11 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 # checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
   --gtest_filter='BinningSharedRange.CheckerCleanUnderExecThreads'
+# async and lockstep binnings reusing their resident records across
+# steps under <exec mode="threads">: consumer threads and the caller
+# take turns on each record, with the checker on
+VP_CHECK=1 ../build-tsan/tests/testBinning \
+  --gtest_filter='BinningResident.CheckerCleanUnderExecThreads'
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
 ../build-tsan/tests/testMinimpi \

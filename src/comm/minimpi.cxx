@@ -901,6 +901,28 @@ void PackCompact(const CompactShape &shape, const double *dense,
   std::fill(slot, slot + (cap - held) * nGrids, 0.0);
 }
 
+void ResetCompacted(const CompactShape &shape, const void *compact,
+                    double *dense)
+{
+  const std::size_t nBins = shape.Bins;
+  const std::size_t nGrids = shape.Grids();
+  std::vector<double> id(nGrids);
+  for (std::size_t g = 0; g < nGrids; ++g)
+    id[g] = Identity(shape.Ops[g]);
+  for (std::size_t w = 0; w < shape.BitmapWords(); ++w)
+  {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, static_cast<const std::byte *>(compact) + 8 * w, 8);
+    for (bits &= WordMask(shape, w); bits; bits &= bits - 1)
+    {
+      const std::size_t i =
+        64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      for (std::size_t g = 0; g < nGrids; ++g)
+        dense[g * nBins + i] = id[g];
+    }
+  }
+}
+
 void UnpackCompact(const CompactShape &shape, const void *compact,
                    std::size_t cap, double *dense)
 {

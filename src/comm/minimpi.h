@@ -70,6 +70,13 @@ struct CompactShape
 void PackCompact(const CompactShape &shape, const double *dense,
                  std::size_t cap, void *out);
 
+/// Write every bin the bitmap of `compact` names back to its segment's
+/// identity in `dense`. Run after PackCompact from `dense` into
+/// `compact`, it leaves `dense` holding the identity in every bin, bit
+/// for bit, since the bins the bitmap leaves out already did.
+void ResetCompacted(const CompactShape &shape, const void *compact,
+                    double *dense);
+
 /// Expand one compact record of capacity `cap` into the dense record
 /// (absent bins get the identities): what AllreduceCompact leaves on a
 /// single rank, without a communicator. Throws std::runtime_error when

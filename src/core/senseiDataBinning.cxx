@@ -63,6 +63,7 @@ DataBinning::DataBinning() = default;
 DataBinning::~DataBinning()
 {
   this->Runner_.Drain();
+  this->ReleaseRecord();
   if (this->LastResult_)
     this->LastResult_->UnRegister();
 }
@@ -356,6 +357,8 @@ bool DataBinning::Execute(DataAdaptor *data)
   }
 
   ScopedEvent ev("binning::execute_lockstep");
+  // a task left in flight by an asynchronous execute shares the record
+  this->Runner_.Drain();
   StepInputs in;
   if (!this->GatherInputs(data, /*async=*/false, in))
     return false;
@@ -367,6 +370,7 @@ bool DataBinning::Execute(DataAdaptor *data)
 int DataBinning::Finalize()
 {
   this->Runner_.Drain();
+  this->ReleaseRecord();
   return 0;
 }
 
@@ -509,7 +513,67 @@ minimpi::Op ReduceOp(BinningOp op)
            ? minimpi::Op::Min
            : (op == BinningOp::Max ? minimpi::Op::Max : minimpi::Op::Sum);
 }
+
+/// Fill [b, e) of the packed record `p` (segment g of kinds[g], nBins
+/// each) with each segment's init value, one std::fill per segment run.
+void FillInit(const BinningOp *kinds, std::size_t nBins, double *p,
+              std::size_t b, std::size_t e)
+{
+  while (b < e)
+  {
+    const std::size_t seg = b / nBins;
+    const std::size_t end = std::min(e, (seg + 1) * nBins);
+    std::fill(p + b, p + end, InitValue(kinds[seg]));
+    b = end;
+  }
+}
 } // namespace
+
+void DataBinning::PrepareRecord(int device, std::size_t nBins,
+                                const std::vector<BinningOp> &kinds,
+                                std::size_t compactBytes,
+                                const vp::Stream &strm)
+{
+  Record &r = this->Record_;
+  const std::size_t recLen = kinds.size() * nBins;
+  r.Host.resize(recLen);
+  if (r.Compact.size() * sizeof(double) < compactBytes)
+    r.Compact.resize(compactBytes / sizeof(double));
+  if (device < 0)
+    return;
+
+  if (!r.DeviceRec || r.Device != device || r.Bins != nBins ||
+      r.Kinds != kinds)
+  {
+    vcuda::Free(r.DeviceRec);
+    vcuda::Free(r.DeviceCompact);
+    r.DeviceCompact = nullptr;
+    r.DeviceCompactBytes = 0;
+    r.Device = device;
+    r.Bins = nBins;
+    r.Kinds = kinds;
+    r.DeviceRec =
+      static_cast<double *>(vcuda::Malloc(recLen * sizeof(double)));
+    vcuda::LaunchN(
+      strm, recLen,
+      [kn = r.Kinds, nBins, rec = r.DeviceRec](std::size_t b, std::size_t e)
+      { FillInit(kn.data(), nBins, rec, b, e); },
+      vcuda::LaunchBounds{1.0, 0.0, "binning_init"});
+  }
+  if (r.DeviceCompactBytes < compactBytes)
+  {
+    vcuda::Free(r.DeviceCompact);
+    r.DeviceCompact = vcuda::Malloc(compactBytes);
+    r.DeviceCompactBytes = compactBytes;
+  }
+}
+
+void DataBinning::ReleaseRecord()
+{
+  vcuda::Free(this->Record_.DeviceRec);
+  vcuda::Free(this->Record_.DeviceCompact);
+  this->Record_ = Record();
+}
 
 void DataBinning::FillRanges(
   const StepInputs &in, const std::vector<std::vector<const double *>> &ax,
@@ -677,6 +741,27 @@ void DataBinning::RunBinning(const StepInputs &in)
       this->FillRanges(in, ax, rows, strm, lo, hi);
   }
 
+  // --- the record's compact form, in which it leaves the device and
+  // crosses ranks: the occupancy bitmap plus the values of each occupied
+  // bin (src/comm). A rank cannot occupy more bins than it binned rows,
+  // so the capacity is known before any kernel runs and the readback has
+  // a fixed size. The record's buffers are sized here, before the
+  // step-graph scope opens, so every captured step has one shape.
+  std::size_t nBins = 1;
+  for (std::size_t a = 0; a < nAxes; ++a)
+    nBins *= static_cast<std::size_t>(this->Resolution_[a]);
+  minimpi::CompactShape shape{nBins, {}};
+  for (BinningOp k : kinds)
+    shape.Ops.push_back(ReduceOp(k));
+  std::size_t cap = 0;
+  for (std::size_t b = 0; b < nBlocks; ++b)
+    cap += rows[b];
+  cap = std::min(cap, nBins);
+  const std::size_t compactBytes = shape.Bytes(cap);
+  this->PrepareRecord(in.Device, nBins, kinds, compactBytes, strm);
+  std::vector<double> &record = this->Record_.Host;
+  std::vector<double> &compact = this->Record_.Compact;
+
   // --- captured step-graph session: the whole device DAG below runs on
   // one private stream; capture it once, then replay it with pointer
   // rebinding on later steps (see src/graph). The scope opens after the
@@ -717,10 +802,6 @@ void DataBinning::RunBinning(const StepInputs &in)
   }
 
   // --- bin geometry ----------------------------------------------------------
-  std::size_t nBins = 1;
-  for (std::size_t a = 0; a < nAxes; ++a)
-    nBins *= static_cast<std::size_t>(this->Resolution_[a]);
-
   std::vector<double> scale(nAxes), shift(nAxes);
   for (std::size_t a = 0; a < nAxes; ++a)
   {
@@ -728,44 +809,8 @@ void DataBinning::RunBinning(const StepInputs &in)
     shift[a] = lo[a];
   }
 
-  // the host-side packed record
   const std::size_t recLen = nGrids * nBins;
-  std::vector<double> record(recLen);
-
-  // its compact form, the record as it leaves the device and crosses
-  // ranks: the occupancy bitmap plus the values of each occupied bin
-  // (src/comm). A rank cannot occupy more bins than it binned rows, so
-  // the capacity is known before any kernel runs and the readback has a
-  // fixed size.
-  minimpi::CompactShape shape{nBins, {}};
-  for (BinningOp k : kinds)
-    shape.Ops.push_back(ReduceOp(k));
-  std::size_t cap = 0;
-  for (std::size_t b = 0; b < nBlocks; ++b)
-    cap += rows[b];
-  cap = std::min(cap, nBins);
-  const std::size_t compactBytes = shape.Bytes(cap);
-  std::vector<double> compact(compactBytes / sizeof(double));
-  auto packInto = [&shape, cap](const double *rec, void *out)
-  {
-    return [&shape, cap, rec, out](std::size_t, std::size_t)
-    { minimpi::PackCompact(shape, rec, cap, out); };
-  };
-
-  // fill [b, e) of the packed record with each segment's init value,
-  // one std::fill per segment run
   const BinningOp *kn = kinds.data();
-  auto fillInit = [kn, nBins](double *p, std::size_t b, std::size_t e)
-  {
-    while (b < e)
-    {
-      const std::size_t seg = b / nBins;
-      const std::size_t end = std::min(e, (seg + 1) * nBins);
-      std::fill(p + b, p + end, InitValue(kn[seg]));
-      b = end;
-    }
-  };
-
   const std::size_t nAxesC = nAxes;
   const std::size_t nRedC = nRed;
   const long *resPtr = this->Resolution_.data();
@@ -823,19 +868,13 @@ void DataBinning::RunBinning(const StepInputs &in)
   // cost of one row: index math per axis plus one atomic-ish update per grid
   const double opsPerRow = 4.0 * static_cast<double>(nAxes) +
                            3.0 * static_cast<double>(nRed + 1);
-  const std::size_t recBytes = recLen * sizeof(double);
-
   if (onDevice)
   {
-    // the device record, accumulated with atomics (AtomicFraction models
-    // the contention the paper identifies as binning's GPU weakness):
-    // one allocation, one init launch, one readback
-    auto *dRec = static_cast<double *>(vcuda::MallocAsync(recBytes, strm));
-    vcuda::LaunchN(
-      strm, recLen,
-      [fillInit, dRec](std::size_t b, std::size_t e) { fillInit(dRec, b, e); },
-      vcuda::LaunchBounds{1.0, 0.0, "binning_init"});
-
+    // the resident device record, accumulated with atomics
+    // (AtomicFraction models the contention the paper identifies as
+    // binning's GPU weakness), then compacted and read back once
+    double *dRec = this->Record_.DeviceRec;
+    void *dCompact = this->Record_.DeviceCompact;
     const bool privatized =
       this->GpuStrategy_ == GpuBinningStrategy::Privatized;
     bool accumulated = false;
@@ -866,23 +905,30 @@ void DataBinning::RunBinning(const StepInputs &in)
                      vcuda::LaunchBounds{PrivateCopies, 0.0,
                                          "binning_merge_privatized"});
     }
-    // compact the record on the device, then one stream-ordered readback
+    // compact the record on the device and write the bins it packed back
+    // to their identities, leaving the record as it was initialized; the
+    // pack reads every bin and the reset writes at most cap of them, so
+    // both are priced from capacities. Then one stream-ordered readback
     // of the compact buffer on the private stream (the default stream is
     // shared with the simulation and would splice foreign work into the
-    // captured graph)
-    void *dCompact = vcuda::MallocAsync(compactBytes, strm);
-    vcuda::LaunchN(strm, nBins, packInto(dRec, dCompact),
-                   vcuda::LaunchBounds{static_cast<double>(nGrids), 0.0,
-                                       "binning_compact"});
+    // captured graph).
+    vcuda::LaunchN(
+      strm, nBins,
+      [&shape, cap, dRec, dCompact](std::size_t, std::size_t)
+      {
+        minimpi::PackCompact(shape, dRec, cap, dCompact);
+        minimpi::ResetCompacted(shape, dCompact, dRec);
+      },
+      vcuda::LaunchBounds{static_cast<double>(nGrids) *
+                            static_cast<double>(nBins + cap) /
+                            static_cast<double>(nBins),
+                          0.0, "binning_compact"});
     vcuda::MemcpyAsync(compact.data(), dCompact, compactBytes, strm);
     vcuda::StreamSynchronize(strm);
-
-    vcuda::Free(dCompact);
-    vcuda::Free(dRec);
   }
   else
   {
-    fillInit(record.data(), 0, recLen);
+    FillInit(kn, nBins, record.data(), 0, recLen);
     for (std::size_t b = 0; b < nBlocks; ++b)
       if (rows[b])
         vp::Platform::Get().HostParallelFor(
@@ -900,7 +946,8 @@ void DataBinning::RunBinning(const StepInputs &in)
       vp::Platform::Get().HostParallelFor(
         vp::KernelDesc{nBins, static_cast<double>(nGrids), 0.0,
                        "binning_compact_host"},
-        packInto(record.data(), compact.data()));
+        [&shape, cap, &record, &compact](std::size_t, std::size_t)
+        { minimpi::PackCompact(shape, record.data(), cap, compact.data()); });
     in.Comm->AllreduceCompact(shape, compact.data(), cap, record.data());
   }
   else if (onDevice)

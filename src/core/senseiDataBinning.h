@@ -133,6 +133,8 @@ public:
 
   bool Execute(DataAdaptor *data) override;
   void DrainAsync() override { this->Runner_.Drain(); }
+  /// Drain, then free the record's device buffers (an execute after
+  /// Finalize allocates them again).
   int Finalize() override;
 
   /// The most recent result: a uniform mesh whose point data holds one
@@ -213,6 +215,37 @@ private:
                   const vp::Stream &strm, std::vector<double> &lo,
                   std::vector<double> &hi);
 
+  /// The packed grid record [count | seg 1 | ... | seg nRed] and its
+  /// compact form, kept across executes. On a device the record is
+  /// allocated and initialized once per (device, bins, kinds), and
+  /// compaction writes every bin it packs back to its identity, so each
+  /// execute leaves the record as it was initialized. The compact
+  /// buffers grow to the largest capacity seen. Nothing locks them: two
+  /// RunBinning calls of one instance never overlap (one consumer per
+  /// pipeline, lockstep on the caller's thread after a drain), and
+  /// Finalize and the destructor drain before they free.
+  struct Record
+  {
+    int Device = DEVICE_HOST;     ///< where DeviceRec and DeviceCompact live
+    std::size_t Bins = 0;         ///< bins per segment
+    std::vector<BinningOp> Kinds; ///< one per segment
+    double *DeviceRec = nullptr;  ///< Kinds.size() x Bins, at identities
+    void *DeviceCompact = nullptr;
+    std::size_t DeviceCompactBytes = 0;
+    std::vector<double> Host;    ///< the dense record on the host
+    std::vector<double> Compact; ///< the compact record on the host
+  };
+
+  /// Size the record for (device, bins, kinds) and a compact record of
+  /// `compactBytes`, allocating and initializing on `strm` only what a
+  /// change of device, bins or kinds, or a larger capacity, requires.
+  void PrepareRecord(int device, std::size_t nBins,
+                     const std::vector<BinningOp> &kinds,
+                     std::size_t compactBytes, const vp::Stream &strm);
+
+  /// Free the device buffers and drop the host ones.
+  void ReleaseRecord();
+
   /// Placement with the captured-graph pin: while GraphSession_ holds an
   /// armed graph the capture-time device is kept (replay requires it),
   /// unless the policy has genuinely diverged from the pin — then the
@@ -233,6 +266,8 @@ private:
   std::string OutputPrefix_ = "binning";
   long OutputFrequency_ = 0;
   GpuBinningStrategy GpuStrategy_ = GpuBinningStrategy::GlobalAtomics;
+
+  Record Record_;
 
   AsyncRunner Runner_;
   /// communicator duplicated for the in situ thread, so its collectives

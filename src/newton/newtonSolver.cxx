@@ -206,9 +206,9 @@ void Solver::PairwiseAccumulate(const double *sx, const double *sy,
             tfy += s * dy;
             tfz += s * dz;
           }
-          ax[i] += tfx;
-          ay[i] += tfy;
-          az[i] += tfz;
+          ax[i] = (self ? 0.0 : ax[i]) + tfx;
+          ay[i] = (self ? 0.0 : ay[i]) + tfy;
+          az[i] = (self ? 0.0 : az[i]) + tfz;
         }
         return;
       }
@@ -230,9 +230,9 @@ void Solver::PairwiseAccumulate(const double *sx, const double *sy,
           fy += s * dy;
           fz += s * dz;
         }
-        ax[i] += fx;
-        ay[i] += fy;
-        az[i] += fz;
+        ax[i] = (self ? 0.0 : ax[i]) + fx;
+        ay[i] = (self ? 0.0 : ay[i]) + fy;
+        az[i] = (self ? 0.0 : az[i]) + fz;
       }
     },
     vomp::TargetBounds{OpsPerInteraction * static_cast<double>(nSrc), 0.0,
@@ -244,27 +244,7 @@ void Solver::ComputeAccelerations()
   const std::size_t n = this->LocalBodies();
   vomp::SetDefaultDevice(this->OmpDevice_);
 
-  // zero the accumulators
-  if (n)
-  {
-    double *ax = this->AX_->GetData();
-    double *ay = this->AY_->GetData();
-    double *az = this->AZ_->GetData();
-    vomp::TargetParallelFor(
-      this->OmpDevice_, n,
-      [=](std::size_t b, std::size_t e)
-      {
-        for (std::size_t i = b; i < e; ++i)
-        {
-          ax[i] = 0.0;
-          ay[i] = 0.0;
-          az[i] = 0.0;
-        }
-      },
-      vomp::TargetBounds{3.0, 0.0, "newton_zero", /*Shardable=*/true});
-  }
-
-  // local-local interactions
+  // local-local interactions, which start the sums
   if (n)
     this->PairwiseAccumulate(this->X_->GetData(), this->Y_->GetData(),
                              this->Z_->GetData(), this->M_->GetData(), n,
@@ -343,7 +323,7 @@ void Solver::Kick(double dt)
     vomp::TargetBounds{6.0, 0.0, "newton_kick", /*Shardable=*/true});
 }
 
-void Solver::Drift(double dt)
+void Solver::KickDrift(double kick, double drift)
 {
   const std::size_t n = this->LocalBodies();
   if (!n)
@@ -352,9 +332,12 @@ void Solver::Drift(double dt)
   double *x = this->X_->GetData();
   double *y = this->Y_->GetData();
   double *z = this->Z_->GetData();
-  const double *vx = this->VX_->GetData();
-  const double *vy = this->VY_->GetData();
-  const double *vz = this->VZ_->GetData();
+  double *vx = this->VX_->GetData();
+  double *vy = this->VY_->GetData();
+  double *vz = this->VZ_->GetData();
+  const double *ax = this->AX_->GetData();
+  const double *ay = this->AY_->GetData();
+  const double *az = this->AZ_->GetData();
 
   vomp::TargetParallelFor(
     this->OmpDevice_, n,
@@ -362,12 +345,15 @@ void Solver::Drift(double dt)
     {
       for (std::size_t i = b; i < e; ++i)
       {
-        x[i] += dt * vx[i];
-        y[i] += dt * vy[i];
-        z[i] += dt * vz[i];
+        vx[i] += kick * ax[i];
+        vy[i] += kick * ay[i];
+        vz[i] += kick * az[i];
+        x[i] += drift * vx[i];
+        y[i] += drift * vy[i];
+        z[i] += drift * vz[i];
       }
     },
-    vomp::TargetBounds{6.0, 0.0, "newton_drift", /*Shardable=*/true});
+    vomp::TargetBounds{12.0, 0.0, "newton_kick_drift", /*Shardable=*/true});
 }
 
 void Solver::Step()
@@ -375,9 +361,9 @@ void Solver::Step()
   vomp::SetDefaultDevice(this->OmpDevice_);
   const double dt = this->Config_.Dt;
 
-  // KDK: half kick with the cached accelerations, drift, recompute, half kick
-  this->Kick(0.5 * dt);
-  this->Drift(dt);
+  // KDK: half kick with the cached accelerations and drift (one pass),
+  // recompute, half kick
+  this->KickDrift(0.5 * dt, dt);
 
   if (this->Config_.Repartition && this->Comm_ && this->Comm_->Size() > 1 &&
       (this->Step_ + 1) % this->Config_.RepartitionInterval == 0)

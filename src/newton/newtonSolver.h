@@ -87,11 +87,15 @@ private:
   void UploadBodies(const BodySet &bodies);
   void ComputeAccelerations();
   void Kick(double dt);
-  void Drift(double dt);
+
+  /// Per body, v += kick * a, then x += drift * v: Kick(kick) followed by
+  /// a drift, in one kernel.
+  void KickDrift(double kick, double drift);
 
   /// Accumulate accelerations on the local bodies from nSrc source bodies
   /// whose coordinate/mass arrays are dereferenceable on the solver's
-  /// device. `self` skips the i==j self interaction.
+  /// device. `self` skips the i==j self interaction and starts the sums
+  /// (writes 0.0 + f, what zeroing and then adding gave).
   void PairwiseAccumulate(const double *sx, const double *sy,
                           const double *sz, const double *sm,
                           std::size_t nSrc, bool self);

@@ -115,8 +115,6 @@ struct Domain
 /// value indices into the row's spellings.
 const Domain kDomains[] = {
   {"pool.enabled", KnobKind::Bool, 0, 1},
-  {"pool.max_cached_bytes", KnobKind::PowerOfTwo, 1 << 20, 1 << 30},
-  {"pool.trim_threshold", KnobKind::PowerOfTwo, 0.125, 1.0},
   {"pool.min_block_bytes", KnobKind::PowerOfTwo, 64, 65536},
   {"sched.policy", KnobKind::Enum, 0, 2},
   {"sched.queue_depth", KnobKind::Int, 0, 8}, // 0 = unbounded

@@ -5,9 +5,11 @@
 // readback counts of the packed grid record and the size of its compact
 // readback, asynchronous execution and the data adaptor's per-step
 // snapshot it copies through, the per-step axis-range table lockstep
-// binnings share, and file output.
+// binnings share, the record each binning keeps across steps (reset by
+// its compaction, reallocated on a new shape), and file output.
 
 #include "execEngine.h"
+#include "graphCapture.h"
 #include "minimpi.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataBinning.h"
@@ -1460,12 +1462,12 @@ TEST(BinningSharedRange, CampaignChainMatchesFreshAdaptors)
 TEST(BinningSharedRange, SteadyStateIsOneRangeKernelAndReadbackPerRank)
 {
   // 9 device binnings per rank over columns resident on the binning
-  // device. The first step has no expectation: the fills of (x, y),
-  // (x, z), (vx, vy) and (vx, vz) scan 2, 1, 2 and 1 columns. From then
-  // on the first execute scans all six axis columns and the other eight
-  // hit: per rank and step 9 x (init, accumulate, compact) + 1 range
-  // kernel = 28 kernels, and 9 compact readbacks + 1 range readback = 10
-  // device-to-host copies
+  // device. The first step initializes each binning's record; its fills
+  // of (x, y), (x, z), (vx, vy) and (vx, vz) scan 2, 1, 2 and 1 columns.
+  // From then on the records are resident, the first execute scans all
+  // six axis columns and the other eight hit: per rank and step
+  // 9 x (accumulate, compact) + 1 range kernel = 19 kernels, and 9
+  // compact readbacks + 1 range readback = 10 device-to-host copies
   ResetPlatform();
   constexpr int Ranks = 4;
   constexpr long Steps = 4;
@@ -1522,7 +1524,7 @@ TEST(BinningSharedRange, SteadyStateIsOneRangeKernelAndReadbackPerRank)
   for (long step = 1; step < Steps; ++step)
   {
     const auto s = static_cast<std::size_t>(step);
-    EXPECT_EQ(kernels[s], Ranks * 28u) << "step " << step;
+    EXPECT_EQ(kernels[s], Ranks * 19u) << "step " << step;
     EXPECT_EQ(d2h[s], Ranks * 10u) << "step " << step;
   }
   for (long step = 0; step < Steps; ++step)
@@ -1738,7 +1740,8 @@ TEST(BinningSharedRange, AsyncBinningNeitherFillsNorReadsTheTable)
   // an asynchronous binning scans its own axes inside its task: run
   // before a lockstep one it leaves the table empty (the lockstep execute
   // still fills: 4 kernels), and run after it, it still launches its own
-  // range kernel (4 kernels), while a second lockstep execute hits (3)
+  // range kernel (4 kernels), while a second lockstep execute hits (3).
+  // Each count includes the record's init at step 0 only.
   ResetPlatform();
   svtkTable *t = MakeDeviceTable(900, 68, 0);
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
@@ -1767,7 +1770,7 @@ TEST(BinningSharedRange, AsyncBinningNeitherFillsNorReadsTheTable)
       stats.Reset();
       ASSERT_TRUE(chain[i]->Execute(da));
       chain[i]->DrainAsync();
-      EXPECT_EQ(stats.KernelsLaunched.load(), kernels[i])
+      EXPECT_EQ(stats.KernelsLaunched.load(), kernels[i] - (step ? 1 : 0))
         << "binning " << i << " step " << step;
     }
     for (int i = 1; i < 4; ++i)
@@ -1844,6 +1847,371 @@ TEST(BinningSharedRange, CheckerCleanUnderExecThreads)
       da->Delete();
     });
   DeleteAll(tables);
+
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+  vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+// --- the resident record: allocated once, reset by its compaction ------------------------
+
+namespace
+{
+/// Plant NaN, +inf, -inf and -0.0 in place among ke's values, at rows
+/// that move with `step`, so every step's special values land in other
+/// bins than the last step's.
+void PlantSpecials(svtkTable *t, long step)
+{
+  auto *a = dynamic_cast<svtkHAMRDoubleArray *>(t->GetColumnByName("ke"));
+  ASSERT_NE(a, nullptr);
+  std::vector<double> v = a->ToVector();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::nan(""), inf, -inf, -0.0};
+  for (std::size_t i = static_cast<std::size_t>(step) % 5; i < v.size();
+       i += 5)
+    v[i] = specials[(i / 5 + static_cast<std::size_t>(step)) % 4];
+  a->GetBuffer().assign(v.data(), v.size());
+}
+
+/// ke's sum, min, max and average and m's sum over auto-ranged (x, y)
+/// in 32 x 32 bins: fewer rows than bins, so each compaction packs a
+/// part of the record.
+DataBinning *ResidentBinning(int device, sensei::GpuBinningStrategy strat,
+                             bool async)
+{
+  DataBinning *b = DataBinning::New();
+  b->SetMeshName("bodies");
+  b->SetAxes({"x", "y"});
+  b->SetResolution({32});
+  b->AddOperation("ke", BinningOp::Sum);
+  b->AddOperation("ke", BinningOp::Min);
+  b->AddOperation("ke", BinningOp::Max);
+  b->AddOperation("ke", BinningOp::Average);
+  b->AddOperation("m", BinningOp::Sum);
+  b->SetDeviceId(device);
+  b->SetGpuStrategy(strat);
+  b->SetAsynchronous(async);
+  return b;
+}
+
+/// Six steps of one `make(rank)` binning per rank on 4 ranks (scheduled
+/// in lockstep unless exec threads are on), over each rank's table
+/// changed in place every step, specials planted: after every execute
+/// the grids equal, bit for bit, a fresh binning's on a fresh adaptor.
+void ExpectResidentMatchesFresh(const BinningFactory &make,
+                                const std::string &what)
+{
+  constexpr int Ranks = 4;
+  std::vector<svtkTable *> tables;
+  auto mesh = InPlaceTables(Ranks, tables, OnRankDevice(300));
+  minimpi::LaunchOptions lo;
+  lo.Ranks = Ranks;
+  lo.Lockstep = !vp::exec::ThreadsEnabled();
+  minimpi::Run(
+    lo,
+    [&](minimpi::Communicator &comm)
+    {
+      const int r = comm.Rank();
+      DataBinning *shared = make(r);
+      MeshAdaptor *da = MeshAdaptor::New();
+      da->SetCommunicator(&comm);
+      for (long step = 0; step < 6; ++step)
+      {
+        svtkDataObject *m = mesh(r, step);
+        PlantSpecials(static_cast<svtkTable *>(m), step);
+        da->SetMesh(m);
+        da->SetDataTimeStep(step);
+        EXPECT_TRUE(shared->Execute(da));
+        shared->DrainAsync();
+
+        MeshAdaptor *fresh = MeshAdaptor::New();
+        fresh->SetMesh(m);
+        fresh->SetCommunicator(&comm);
+        fresh->SetDataTimeStep(step);
+        DataBinning *ref = make(r);
+        EXPECT_TRUE(ref->Execute(fresh));
+        ref->DrainAsync();
+        EXPECT_EQ(ResultBits(shared), ResultBits(ref))
+          << what << " rank " << r << " step " << step;
+        ref->Delete();
+        fresh->ReleaseData();
+        fresh->Delete();
+        da->ReleaseData();
+        m->UnRegister();
+      }
+      EXPECT_EQ(shared->Finalize(), 0);
+      shared->Delete();
+      da->Delete();
+    });
+  DeleteAll(tables);
+}
+
+/// Run `body(what)` in every exec mode x graph setting for both GPU
+/// strategies, restoring serial eager execution afterwards.
+void ForEachExecGraphStrategy(
+  const std::function<void(sensei::GpuBinningStrategy, const std::string &)>
+    &body)
+{
+  for (bool threads : {false, true})
+    for (bool graph : {false, true})
+      for (auto strat : {sensei::GpuBinningStrategy::GlobalAtomics,
+                         sensei::GpuBinningStrategy::Privatized})
+      {
+        ResetPlatform();
+        vp::exec::ExecConfig ec;
+        if (threads)
+        {
+          ec.ExecMode = vp::exec::Mode::Threads;
+          ec.Threads = 2;
+        }
+        vp::exec::Configure(ec);
+        vp::graph::GraphConfig gc;
+        gc.Enabled = graph;
+        vp::graph::Configure(gc);
+        body(strat, std::string(threads ? "threads" : "serial") +
+                      (graph ? " graph" : " eager") + " strategy " +
+                      std::to_string(static_cast<int>(strat)));
+      }
+  vp::graph::Configure(vp::graph::GraphConfig());
+  vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+std::size_t DeviceBytes(int device)
+{
+  return vp::Platform::Get().Registry().BytesIn(vp::MemSpace::Device, device);
+}
+} // namespace
+
+TEST(BinningResident, NextStepIsThreeLaunchesAndNoAllocation)
+{
+  // the binning of BinningPacked.DeviceExecuteIsFourLaunchesAndTwoReadbacks
+  // over device-resident columns: the first execute initializes the
+  // record (4 launches); the next step's is the range scan, the
+  // accumulation and the compaction, and leaves the device's allocated
+  // bytes as they were
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(2000, 12, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  DataBinning *b = DataBinning::New();
+  b->SetMeshName("bodies");
+  b->SetAxes({"x", "y"});
+  b->SetResolution({16});
+  for (int k = 0; k < 10; ++k)
+    b->AddOperation(k % 2 ? "v" : "m", BinningOp::Sum);
+  b->SetDeviceId(0);
+
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  for (long step = 0; step < 3; ++step)
+  {
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    stats.Reset();
+    const std::size_t before = DeviceBytes(0);
+    ASSERT_TRUE(b->Execute(da));
+    EXPECT_EQ(stats.KernelsLaunched.load(), step ? 3u : 4u) << step;
+    EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 2u) << step;
+    if (step)
+      EXPECT_EQ(DeviceBytes(0), before) << step;
+    else
+      EXPECT_GT(DeviceBytes(0), before);
+    da->ReleaseData();
+  }
+
+  b->Delete();
+  da->Delete();
+  t->Delete();
+}
+
+TEST(BinningResident, LockstepMatchesFreshEveryStep)
+{
+  ForEachExecGraphStrategy(
+    [](sensei::GpuBinningStrategy strat, const std::string &what)
+    {
+      ExpectResidentMatchesFresh(
+        [strat](int r) { return ResidentBinning(r, strat, false); },
+        "lockstep " + what);
+    });
+}
+
+TEST(BinningResident, AsyncMatchesFreshEveryStep)
+{
+  ForEachExecGraphStrategy(
+    [](sensei::GpuBinningStrategy strat, const std::string &what)
+    {
+      ExpectResidentMatchesFresh(
+        [strat](int r) { return ResidentBinning(r, strat, true); },
+        "async " + what);
+    });
+}
+
+TEST(BinningResident, ChangesReallocateOnlyWhatTheyMust)
+{
+  // fixed ranges, so a steady execute is the accumulation and the
+  // compaction: a new resolution, new segment kinds and a new device
+  // each reallocate and initialize (one more launch), new columns of the
+  // same kinds do not, and every step equals a fresh binning
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(700, 21, 0);
+  struct Config
+  {
+    long Res;
+    std::vector<std::pair<std::string, BinningOp>> Ops;
+    int Device;
+    bool Init;
+  };
+  const std::vector<Config> steps = {
+    {16, {{"v", BinningOp::Sum}, {"v", BinningOp::Max}}, 0, true},
+    {16, {{"v", BinningOp::Sum}, {"v", BinningOp::Max}}, 0, false},
+    {24, {{"v", BinningOp::Sum}, {"v", BinningOp::Max}}, 0, true},
+    {24, {{"m", BinningOp::Sum}, {"x", BinningOp::Max}}, 0, false},
+    {24, {{"v", BinningOp::Min}, {"v", BinningOp::Average}}, 0, true},
+    {24, {{"v", BinningOp::Min}, {"v", BinningOp::Average}}, 2, true},
+    {8, {{"v", BinningOp::Min}, {"v", BinningOp::Average}}, 2, true},
+    {8, {{"v", BinningOp::Min}, {"v", BinningOp::Average}}, 2, false}};
+  auto configure = [](DataBinning *b, const Config &c)
+  {
+    b->SetResolution({c.Res});
+    b->ClearOperations();
+    for (const auto &[col, op] : c.Ops)
+      b->AddOperation(col, op);
+    b->SetDeviceId(c.Device);
+  };
+  auto make = [&configure](const Config &c)
+  {
+    DataBinning *b = DataBinning::New();
+    b->SetMeshName("bodies");
+    b->SetAxes({"x", "y"});
+    b->SetRange(0, -1.0, 1.0);
+    b->SetRange(1, -1.0, 1.0);
+    configure(b, c);
+    return b;
+  };
+
+  const std::size_t idle = DeviceBytes(0);
+  DataBinning *shared = make(steps[0]);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  for (std::size_t s = 0; s < steps.size(); ++s)
+  {
+    Rescale(t, "v", 1.5, -0.25);
+    configure(shared, steps[s]);
+    da->SetTable(t);
+    da->SetDataTimeStep(static_cast<long>(s));
+    stats.Reset();
+    ASSERT_TRUE(shared->Execute(da));
+    EXPECT_EQ(stats.KernelsLaunched.load(), steps[s].Init ? 3u : 2u)
+      << "step " << s;
+
+    sensei::TableAdaptor *fresh = sensei::TableAdaptor::New("bodies");
+    fresh->SetTable(t);
+    DataBinning *ref = make(steps[s]);
+    ASSERT_TRUE(ref->Execute(fresh));
+    EXPECT_EQ(ResultBits(shared), ResultBits(ref)) << "step " << s;
+    ref->Delete();
+    fresh->ReleaseData();
+    fresh->Delete();
+    da->ReleaseData();
+    if (steps[s].Device != 0)
+    {
+      EXPECT_EQ(DeviceBytes(0), idle) << "device 0 still holds a record";
+    }
+  }
+  shared->Delete();
+  da->Delete();
+  t->Delete();
+}
+
+TEST(BinningResident, FinalizeReleasesTheRecord)
+{
+  // a lockstep and an asynchronous binning hold their records between
+  // steps; Finalize gives the device its bytes back, so the platform can
+  // be initialized again while both objects live
+  ResetPlatform();
+  svtkTable *t = MakeTable(900, 33);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  DataBinning *binnings[] = {MakeBinning(1), MakeBinning(1)};
+  binnings[1]->SetAsynchronous(true);
+
+  const std::size_t idle = DeviceBytes(1);
+  for (long step = 0; step < 2; ++step)
+  {
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    for (DataBinning *b : binnings)
+      ASSERT_TRUE(b->Execute(da));
+    for (DataBinning *b : binnings)
+      b->DrainAsync();
+    da->ReleaseData();
+    EXPECT_GT(DeviceBytes(1), idle) << "step " << step;
+  }
+  for (DataBinning *b : binnings)
+    EXPECT_EQ(b->Finalize(), 0);
+  EXPECT_EQ(DeviceBytes(1), idle);
+
+  da->Delete();
+  t->Delete();
+  EXPECT_NO_THROW(ResetPlatform());
+  for (DataBinning *b : binnings)
+  {
+    EXPECT_EQ(b->GetExecuteCount(), 2);
+    b->Delete();
+  }
+}
+
+TEST(BinningResident, CheckerCleanUnderExecThreads)
+{
+  // asynchronous and lockstep binnings of both strategies reuse their
+  // records for 5 steps on real threads, the (x, y) pair reallocating
+  // for a new resolution at step 3: the checker sees no violation, and
+  // the grids of each asynchronous binning equal its lockstep twin's.
+  // scripts/run_campaign.sh runs this under VP_CHECK=1 in the tsan
+  // section.
+  ResetPlatform();
+  vp::check::Reset();
+  vp::check::Enable(true);
+  const char *binnings[] = {
+    R"(axes="x,y" ops="sum,min,max" values="v,v,m" resolution="32")",
+    R"(axes="x,v" ops="avg,sum" values="m,y" resolution="16")"
+    R"( gpu_strategy="privatized")"};
+  std::string xml = "<sensei>\n  <exec mode=\"threads\" threads=\"2\"/>\n";
+  for (const char *async : {"1", "0"})
+    for (const char *b : binnings)
+      xml += std::string("  <analysis type=\"data_binning\" mesh=\"bodies\" ") +
+             b + " device=\"2\" async=\"" + async + "\"/>\n";
+  xml += "</sensei>";
+
+  sensei::ConfigurableAnalysis *chain = sensei::ConfigurableAnalysis::New();
+  chain->InitializeString(xml);
+  ASSERT_TRUE(vp::exec::ThreadsEnabled());
+  auto binning = [chain](int i)
+  { return dynamic_cast<DataBinning *>(chain->GetAnalysis(i)); };
+  svtkTable *t = MakeDeviceTable(1500, 70, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  for (long step = 0; step < 5; ++step)
+  {
+    if (step)
+      Rescale(t, "v", -1.5, 0.25);
+    if (step == 3)
+      for (int i : {0, 2})
+      {
+        binning(i)->DrainAsync();
+        binning(i)->SetResolution({20});
+      }
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    ASSERT_TRUE(chain->Execute(da));
+    for (int i = 0; i < 2; ++i)
+      binning(i)->DrainAsync();
+    for (int i = 0; i < 2; ++i)
+      EXPECT_EQ(ResultBits(binning(i)), ResultBits(binning(i + 2)))
+        << "binning " << i << " step " << step;
+    da->ReleaseData();
+  }
+  EXPECT_EQ(chain->Finalize(), 0);
+  chain->Delete();
+  t->Delete();
+  da->Delete();
 
   const vp::check::Report r = vp::check::Snapshot();
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
