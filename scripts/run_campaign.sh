@@ -216,7 +216,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
@@ -255,6 +255,12 @@ bench um_layout_sanitized.txt \
 # ASan+UBSan
 ../build-sanitize/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*'
+# the solver's ring pass (one packed block per hop, staged through the
+# resident device buffer) against its host reference on 1 to 5 ranks,
+# and a host view of a deep copy still in flight on another stream,
+# under ASan+UBSan
+../build-sanitize/tests/testNewton --gtest_filter='NewtonRing.*'
+../build-sanitize/tests/testHamrAccess --gtest_filter='HamrMoveOrdering.*'
 # serial vs threads: bit-exact binning grids and virtual time on the
 # host and under both device strategies, and a host campaign's virtual
 # timings independent of the pool width, under ASan+UBSan
@@ -274,7 +280,7 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess
 ../build-tsan/tests/testExec
 bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
   --benchmark_min_time=0.05
@@ -316,6 +322,15 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 # take turns on each record, with the checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
   --gtest_filter='BinningResident.CheckerCleanUnderExecThreads'
+# rank threads passing packed blocks around the ring, and under
+# <exec mode="threads"> the staged uploads and force kernels on worker
+# queues, with the checker on for the threaded ring case; then a host
+# view moved out of a deep copy still in flight on another device
+../build-tsan/tests/testNewton --gtest_filter='NewtonRing.*'
+VP_CHECK=1 ../build-tsan/tests/testNewton \
+  --gtest_filter='NewtonRing.CheckerCleanUnderExecThreads'
+VP_CHECK=1 ../build-tsan/tests/testHamrAccess \
+  --gtest_filter='HamrMoveOrdering.*'
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
 ../build-tsan/tests/testMinimpi \

@@ -411,12 +411,13 @@ struct RangeUnit
 };
 
 /// Fold the min and max of each unit (N > 0) into lo[Slot] and hi[Slot].
-/// On a device, one multi-unit kernel and one stream-ordered readback on
-/// `strm`; on the host (device < 0), a parallel loop per unit. Both the
-/// asynchronous task and the lockstep fill scan through here.
+/// On a device, one multi-unit kernel into `scratch` (2 doubles per unit,
+/// on `device`) and one stream-ordered readback on `strm`; on the host
+/// (device < 0), a parallel loop per unit. Both the asynchronous task and
+/// the lockstep fill scan through here.
 void ScanRanges(const std::vector<RangeUnit> &scan, int device,
-                const vcuda::stream_t &strm, std::vector<double> &lo,
-                std::vector<double> &hi)
+                const vcuda::stream_t &strm, double *scratch,
+                std::vector<double> &lo, std::vector<double> &hi)
 {
   if (scan.empty())
     return;
@@ -437,8 +438,6 @@ void ScanRanges(const std::vector<RangeUnit> &scan, int device,
   std::size_t totalRows = 0;
   for (const RangeUnit &unit : *units)
     totalRows += unit.N;
-  auto *scratch = static_cast<double *>(
-    vcuda::MallocAsync(2 * nUnits * sizeof(double), strm));
   std::vector<double> out(2 * nUnits, 0.0);
   const double opsPerUnit =
     2.0 * static_cast<double>(totalRows) / static_cast<double>(nUnits);
@@ -463,7 +462,6 @@ void ScanRanges(const std::vector<RangeUnit> &scan, int device,
     vcuda::LaunchBounds{opsPerUnit, 0.05, "binning_range_multi"});
   vcuda::MemcpyAsync(out.data(), scratch, 2 * nUnits * sizeof(double), strm);
   vcuda::StreamSynchronize(strm);
-  vcuda::FreeAsync(scratch, strm);
   for (std::size_t u = 0; u < nUnits; ++u)
   {
     const std::size_t slot = (*units)[u].Slot;
@@ -568,10 +566,26 @@ void DataBinning::PrepareRecord(int device, std::size_t nBins,
   }
 }
 
+double *DataBinning::ScanScratch(int device, std::size_t nUnits)
+{
+  Record::Scratch &s = this->Record_.Scan[device];
+  if (s.Units < nUnits)
+  {
+    vcuda::Free(s.P);
+    s.P = static_cast<double *>(vp::Platform::Get().Allocate(
+      vp::MemSpace::Device, device, 2 * nUnits * sizeof(double),
+      vp::PmKind::Cuda));
+    s.Units = nUnits;
+  }
+  return s.P;
+}
+
 void DataBinning::ReleaseRecord()
 {
   vcuda::Free(this->Record_.DeviceRec);
   vcuda::Free(this->Record_.DeviceCompact);
+  for (const auto &entry : this->Record_.Scan)
+    vcuda::Free(entry.second.P);
   this->Record_ = Record();
 }
 
@@ -618,7 +632,8 @@ void DataBinning::FillRanges(
                at >= 0 && at != here
                  ? vp::Stream::New(vp::Platform::GetThisNode(), at)
                  : strm,
-               flo, fhi);
+               at >= 0 ? this->ScanScratch(at, scan.size()) : nullptr, flo,
+               fhi);
   ReduceRanges(in.Comm, flo, fhi);
 
   for (std::size_t f = 0; f < nFill; ++f)
@@ -759,6 +774,21 @@ void DataBinning::RunBinning(const StepInputs &in)
   cap = std::min(cap, nBins);
   const std::size_t compactBytes = shape.Bytes(cap);
   this->PrepareRecord(in.Device, nBins, kinds, compactBytes, strm);
+
+  // asynchronous: the task scans its own axes, every (axis, block) pair
+  // in one pass, then one collective; skipped when every axis has a
+  // fixed range (the config, and so the decision, is the same on every
+  // rank). Its scratch, like the record, is sized before the scope opens
+  const bool scanHere = !in.Table && !autoAxes.empty();
+  std::vector<RangeUnit> units;
+  if (scanHere)
+    for (std::size_t a : autoAxes)
+      for (std::size_t b = 0; b < nBlocks; ++b)
+        if (rows[b])
+          units.push_back(RangeUnit{ax[b][a], rows[b], a});
+  double *scratch = onDevice && !units.empty()
+                      ? this->ScanScratch(in.Device, units.size())
+                      : nullptr;
   std::vector<double> &record = this->Record_.Host;
   std::vector<double> &compact = this->Record_.Compact;
 
@@ -775,18 +805,9 @@ void DataBinning::RunBinning(const StepInputs &in)
     graphScope.emplace(*this->GraphSession_);
   }
 
-  // asynchronous: the task scans its own axes, every (axis, block) pair
-  // in one pass, then one collective; skipped when every axis has a
-  // fixed range (the config, and so the decision, is the same on every
-  // rank)
-  if (!in.Table && !autoAxes.empty())
+  if (scanHere)
   {
-    std::vector<RangeUnit> units;
-    for (std::size_t a : autoAxes)
-      for (std::size_t b = 0; b < nBlocks; ++b)
-        if (rows[b])
-          units.push_back(RangeUnit{ax[b][a], rows[b], a});
-    ScanRanges(units, in.Device, strm, lo, hi);
+    ScanRanges(units, in.Device, strm, scratch, lo, hi);
     ReduceRanges(in.Comm, lo, hi);
   }
 

@@ -27,6 +27,7 @@
 #include "svtkHAMRDataArray.h"
 #include "vpStream.h"
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -234,6 +235,16 @@ private:
     std::size_t DeviceCompactBytes = 0;
     std::vector<double> Host;    ///< the dense record on the host
     std::vector<double> Compact; ///< the compact record on the host
+    /// The range scan's device scratch, 2 doubles per unit, keyed by
+    /// the scanned device (a lockstep fill may scan peers that live on
+    /// another device); allocated outside the pool and grown to the
+    /// largest scan seen.
+    struct Scratch
+    {
+      double *P = nullptr;
+      std::size_t Units = 0;
+    };
+    std::map<int, Scratch> Scan;
   };
 
   /// Size the record for (device, bins, kinds) and a compact record of
@@ -242,6 +253,9 @@ private:
   void PrepareRecord(int device, std::size_t nBins,
                      const std::vector<BinningOp> &kinds,
                      std::size_t compactBytes, const vp::Stream &strm);
+
+  /// The range scan's scratch on `device`, room for `nUnits` units.
+  double *ScanScratch(int device, std::size_t nUnits);
 
   /// Free the device buffers and drop the host ones.
   void ReleaseRecord();

@@ -226,8 +226,14 @@ public:
   /// Device id where the data resides; HostDevice for host memory.
   int owner() const noexcept { return this->Owner_; }
 
-  /// True when the data can be dereferenced on the host without movement.
-  bool host_accessible() const { return hamr::host_accessible(this->Alloc_); }
+  /// True when the data can be dereferenced on the host without movement:
+  /// host allocators, and a device allocator whose PM placed the storage
+  /// on the host (OpenMP with the initial device as its default).
+  bool host_accessible() const
+  {
+    return hamr::host_accessible(this->Alloc_) ||
+           this->Owner_ == vp::HostDevice;
+  }
 
   /// True when the data can be dereferenced on `device` without movement.
   bool device_accessible(int device) const
@@ -659,10 +665,16 @@ private:
   }
 
   /// Allocate a temporary in (space, device), move the data onto it on the
-  /// buffer's stream, and return a self-cleaning view.
+  /// buffer's stream, and return a self-cleaning view. A transfer into
+  /// this buffer still in flight on another stream (a deep_copy onto
+  /// another device is queued on its source's stream) is ordered before
+  /// the move by an event edge, so the move reads what it wrote, and
+  /// synchronize() on the move's stream covers both.
   std::shared_ptr<const T> MoveTo(vp::MemSpace space, int device) const
   {
     const vp::Stream strm = this->MoveStream(space, device);
+    if (this->LastOp_ && !(this->LastOp_ == strm))
+      vcuda::StreamWaitEvent(strm, vcuda::EventRecord(this->LastOp_));
     std::shared_ptr<T> tmp =
       AllocateAt(space, device, this->Size_, pm_of(this->Alloc_),
                  hamr::pooled(this->Alloc_), strm);

@@ -78,13 +78,35 @@ void Solver::UploadBodies(const BodySet &bodies)
     return svtkSmartPtr<svtkHAMRDoubleArray>::Take(a);
   };
 
-  this->X_ = make("x", bodies.X);
-  this->Y_ = make("y", bodies.Y);
-  this->Z_ = make("z", bodies.Z);
+  // the packed block [x | y | z | m], placed by one upload; the x, y, z
+  // and m columns are zero-copy views into it, so the kernels that move
+  // the bodies keep it current for the ring pass
+  std::vector<double> packed;
+  packed.reserve(4 * n);
+  for (const std::vector<double> *c :
+       {&bodies.X, &bodies.Y, &bodies.Z, &bodies.M})
+    packed.insert(packed.end(), c->begin(), c->end());
+  this->Block_ = hamr::buffer<double>(hamr::allocator::openmp);
+  this->Block_.assign(packed.data(), packed.size());
+
+  auto view = [&](const char *name,
+                  std::size_t k) -> svtkSmartPtr<svtkHAMRDoubleArray>
+  {
+    return svtkSmartPtr<svtkHAMRDoubleArray>::Take(svtkHAMRDoubleArray::New(
+      name,
+      std::shared_ptr<double>(this->Block_.pointer(),
+                              this->Block_.data() + k * n),
+      n, 1, svtkAllocator::openmp, svtkStream(), svtkStreamMode::sync,
+      this->Block_.owner()));
+  };
+
+  this->X_ = view("x", 0);
+  this->Y_ = view("y", 1);
+  this->Z_ = view("z", 2);
+  this->M_ = view("m", 3);
   this->VX_ = make("vx", bodies.VX);
   this->VY_ = make("vy", bodies.VY);
   this->VZ_ = make("vz", bodies.VZ);
-  this->M_ = make("m", bodies.M);
   this->Id_ = make("id", bodies.Id);
 
   const std::vector<double> zeros(n, 0.0);
@@ -105,6 +127,12 @@ BodySet Solver::DownloadBodies() const
   out.M = this->M_->ToVector();
   out.Id = this->Id_->ToVector();
   return out;
+}
+
+std::array<std::vector<double>, 3> Solver::DownloadAccelerations() const
+{
+  return {this->AX_->ToVector(), this->AY_->ToVector(),
+          this->AZ_->ToVector()};
 }
 
 std::size_t Solver::LocalBodies() const
@@ -244,55 +272,63 @@ void Solver::ComputeAccelerations()
   const std::size_t n = this->LocalBodies();
   vomp::SetDefaultDevice(this->OmpDevice_);
 
+  const int size = this->Comm_ ? this->Comm_->Size() : 1;
+  const int rank = this->Comm_ ? this->Comm_->Rank() : 0;
+  const int right = (rank + 1) % size;
+  const int left = (rank - 1 + size) % size;
+  const bool host = this->Device_ == vp::HostDevice;
+  vp::Platform &plat = vp::Platform::Get();
+
+  // ring pass, one message per hop. This rank's block leaves first, read
+  // back once, so the next rank's first hop waits on that readback and
+  // not on the local interactions below
+  if (size > 1)
+  {
+    const double *own = this->Block_.data();
+    if (!host && n)
+    {
+      this->Outbox_.resize(4 * n);
+      plat.Copy(this->Outbox_.data(), own, 4 * n * sizeof(double));
+      own = this->Outbox_.data();
+    }
+    this->Comm_->Send(right, TagRing, own, 4 * n * sizeof(double));
+  }
+
   // local-local interactions, which start the sums
   if (n)
     this->PairwiseAccumulate(this->X_->GetData(), this->Y_->GetData(),
                              this->Z_->GetData(), this->M_->GetData(), n,
                              /*self=*/true);
 
-  // ring pass: circulate every other rank's bodies through this one
-  const int size = this->Comm_ ? this->Comm_->Size() : 1;
-  if (size > 1)
+  // then the blocks of ranks rank-1, rank-2, ... as they arrive
+  for (int s = 1; s < size; ++s)
   {
-    const int rank = this->Comm_->Rank();
-    const int right = (rank + 1) % size;
-    const int left = (rank - 1 + size) % size;
-
-    // the circulating block starts as a host copy of the local bodies
-    std::vector<double> cx = this->X_->ToVector();
-    std::vector<double> cy = this->Y_->ToVector();
-    std::vector<double> cz = this->Z_->ToVector();
-    std::vector<double> cm = this->M_->ToVector();
-
-    for (int s = 1; s < size; ++s)
+    const std::vector<double> block =
+      this->Comm_->RecvAs<double>(left, TagRing);
+    const std::size_t nr = block.size() / 4;
+    if (nr && n)
     {
-      const int tag = TagRing + 4 * s;
-      this->Comm_->SendVec(right, tag + 0, cx);
-      this->Comm_->SendVec(right, tag + 1, cy);
-      this->Comm_->SendVec(right, tag + 2, cz);
-      this->Comm_->SendVec(right, tag + 3, cm);
-      cx = this->Comm_->RecvAs<double>(left, tag + 0);
-      cy = this->Comm_->RecvAs<double>(left, tag + 1);
-      cz = this->Comm_->RecvAs<double>(left, tag + 2);
-      cm = this->Comm_->RecvAs<double>(left, tag + 3);
-
-      const std::size_t nr = cx.size();
-      if (!nr || !n)
-        continue;
-
-      // stage the remote block on the solver's device
-      hamr::buffer<double> rx(hamr::allocator::openmp);
-      hamr::buffer<double> ry(hamr::allocator::openmp);
-      hamr::buffer<double> rz(hamr::allocator::openmp);
-      hamr::buffer<double> rm(hamr::allocator::openmp);
-      rx.assign(cx.data(), nr);
-      ry.assign(cy.data(), nr);
-      rz.assign(cz.data(), nr);
-      rm.assign(cm.data(), nr);
-
-      this->PairwiseAccumulate(rx.data(), ry.data(), rz.data(), rm.data(), nr,
+      // a device solver stages the block with one stream-ordered upload;
+      // the force kernel on the same stream runs after it, so the host
+      // never waits on the copy itself
+      const double *src = block.data();
+      if (!host)
+      {
+        if (this->Stage_.size() < block.size())
+          this->Stage_ =
+            hamr::buffer<double>(hamr::allocator::openmp, block.size());
+        plat.CopyAsync(plat.DefaultStream(this->Device_), this->Stage_.data(),
+                       block.data(), block.size() * sizeof(double));
+        src = this->Stage_.data();
+      }
+      this->PairwiseAccumulate(src, src + nr, src + 2 * nr, src + 3 * nr, nr,
                                /*self=*/false);
     }
+    // forwarded only once computed on: forwarding on arrival would let
+    // the light slabs finish their ring early and only wait longer in
+    // the in situ's first collective
+    if (s + 1 < size)
+      this->Comm_->SendVec(right, TagRing, block);
   }
 }
 

@@ -9,7 +9,9 @@
 /// ring pass circulating remote bodies for the force sum — and with
 /// OpenMP device offload (the vomp PM) within a rank. Body state lives in
 /// svtkHAMRDataArray columns in OpenMP target memory, so SENSEI analyses
-/// receive it zero-copy through the data model.
+/// receive it zero-copy through the data model. The x, y, z and m columns
+/// are views into one packed block [x | y | z | m], which each ring hop
+/// moves as one message.
 
 #include "minimpi.h"
 #include "newtonConfig.h"
@@ -83,6 +85,9 @@ public:
   /// Host copy of the full local body state (tests, repartitioning).
   BodySet DownloadBodies() const;
 
+  /// Host copy of the accelerations of the last force pass (tests).
+  std::array<std::vector<double>, 3> DownloadAccelerations() const;
+
 private:
   void UploadBodies(const BodySet &bodies);
   void ComputeAccelerations();
@@ -110,6 +115,15 @@ private:
 
   svtkSmartPtr<svtkHAMRDoubleArray> X_, Y_, Z_, VX_, VY_, VZ_, M_, Id_;
   svtkSmartPtr<svtkHAMRDoubleArray> AX_, AY_, AZ_;
+
+  /// This rank's bodies packed [x | y | z | m] where the solver runs;
+  /// X_, Y_, Z_ and M_ view it.
+  hamr::buffer<double> Block_;
+  /// Host copy of Block_ the ring pass sends (device solvers only).
+  std::vector<double> Outbox_;
+  /// Where a device solver stages each received block; grown to the
+  /// largest block seen.
+  hamr::buffer<double> Stage_;
 };
 
 } // namespace newton

@@ -234,6 +234,7 @@ void *Platform::Allocate(MemSpace space, DeviceId device, std::size_t bytes,
 
   if (space == MemSpace::Device)
     this->GetDevice(node, device).BytesAllocated += bytes;
+  this->Stats_.AllocCount[static_cast<int>(space)]++;
 
   // charge allocation latency; stream-ordered allocations charge the stream
   const CostModel &cost = this->Config_.Cost;

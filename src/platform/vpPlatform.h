@@ -87,6 +87,7 @@ struct PlatformStats
   std::atomic<std::uint64_t> HostRegions{0};
   std::atomic<std::uint64_t> CopyCount[5] = {};  ///< indexed by CopyKind
   std::atomic<std::uint64_t> CopyBytes[5] = {};  ///< indexed by CopyKind
+  std::atomic<std::uint64_t> AllocCount[4] = {}; ///< indexed by MemSpace
 
   std::uint64_t Copies(CopyKind k) const
   {
@@ -96,12 +97,18 @@ struct PlatformStats
   {
     return this->CopyBytes[static_cast<int>(k)].load();
   }
+  /// Platform allocations in `s` (a pool hit allocates nothing here).
+  std::uint64_t Allocations(MemSpace s) const
+  {
+    return this->AllocCount[static_cast<int>(s)].load();
+  }
   void Reset()
   {
     this->KernelsLaunched = 0;
     this->HostRegions = 0;
     for (auto &c : this->CopyCount) c = 0;
     for (auto &b : this->CopyBytes) b = 0;
+    for (auto &a : this->AllocCount) a = 0;
   }
 };
 

@@ -2023,6 +2023,68 @@ TEST(BinningResident, NextStepIsThreeLaunchesAndNoAllocation)
   t->Delete();
 }
 
+TEST(BinningResident, RangeScanAllocatesOnlyOnTheFirstStep)
+{
+  // the range scan's device scratch stays with the record: from step 1
+  // on a lockstep fill allocates no device memory, and an asynchronous
+  // execute allocates only the step's snapshot (one copy of each of x, y
+  // and v), while the ranges still follow the data
+  for (bool async : {false, true})
+  {
+    ResetPlatform();
+    svtkTable *t = MakeDeviceTable(1200, 31, 0);
+    sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+    DataBinning *b = DataBinning::New();
+    b->SetMeshName("bodies");
+    b->SetAxes({"x", "y"});
+    b->SetResolution({16});
+    b->AddOperation("v", BinningOp::Sum);
+    b->SetDeviceId(0);
+    b->SetAsynchronous(async);
+
+    const std::size_t idle = DeviceBytes(0);
+    const std::uint64_t snapshot = async ? 3 : 0;
+    vp::PlatformStats &stats = vp::Platform::Get().Stats();
+    for (long step = 0; step < 4; ++step)
+    {
+      if (step)
+        Rescale(t, "y", -2.0, 0.5);
+      da->SetTable(t);
+      da->SetDataTimeStep(step);
+      stats.Reset();
+      ASSERT_TRUE(b->Execute(da));
+      b->DrainAsync();
+      const std::uint64_t allocs = stats.Allocations(vp::MemSpace::Device);
+      if (step)
+        EXPECT_EQ(allocs, snapshot) << "async " << async << " step " << step;
+      else
+        EXPECT_GT(allocs, snapshot) << "async " << async;
+
+      DataBinning *ref = DataBinning::New();
+      ref->SetMeshName("bodies");
+      ref->SetAxes({"x", "y"});
+      ref->SetResolution({16});
+      ref->AddOperation("v", BinningOp::Sum);
+      ref->SetDeviceId(0);
+      sensei::TableAdaptor *fresh = sensei::TableAdaptor::New("bodies");
+      fresh->SetTable(t);
+      fresh->SetDataTimeStep(step);
+      ASSERT_TRUE(ref->Execute(fresh));
+      EXPECT_EQ(ResultBits(b), ResultBits(ref))
+        << "async " << async << " step " << step;
+      ref->Delete();
+      fresh->ReleaseData();
+      fresh->Delete();
+      da->ReleaseData();
+    }
+    EXPECT_EQ(b->Finalize(), 0);
+    EXPECT_EQ(DeviceBytes(0), idle) << "async " << async;
+    b->Delete();
+    da->Delete();
+    t->Delete();
+  }
+}
+
 TEST(BinningResident, LockstepMatchesFreshEveryStep)
 {
   ForEachExecGraphStrategy(

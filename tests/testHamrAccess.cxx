@@ -10,6 +10,7 @@
 //    race/lifetime checker — the accessor discipline really provides
 //    "no unsynchronized access".
 
+#include "execEngine.h"
 #include "svtkHAMRDataArray.h"
 #include "vcuda.h"
 #include "vomp.h"
@@ -244,4 +245,48 @@ TEST_F(HamrAccessTest, ToVectorIsCheckerCleanEverywhere)
   }
   const vp::check::Report r = vp::check::Snapshot();
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
+}
+
+TEST(HamrMoveOrdering, HostViewOfAnInFlightDeepCopyWaitsForIt)
+{
+  // an async-mode deep copy onto device 3 is queued on device 0's stream,
+  // and the host view of the copy is moved on device 3's stream: the move
+  // must be ordered after the copy and synchronize() must cover both.
+  // Under real threads with the checker on, the view holds the source's
+  // values and no access is unordered. scripts/run_campaign.sh runs this
+  // under VP_CHECK=1 in the tsan section.
+  vp::PlatformConfig cfg;
+  cfg.NumNodes = 1;
+  cfg.DevicesPerNode = 4;
+  cfg.HostCoresPerNode = 8;
+  vp::Platform::Initialize(cfg);
+  vcuda::SetDevice(0);
+  vp::check::Reset();
+  vp::check::Configure(vp::check::CheckConfig{true, 256, false});
+  vp::exec::ExecConfig ec;
+  ec.ExecMode = vp::exec::Mode::Threads;
+  ec.Threads = 2;
+  vp::exec::Configure(ec);
+  {
+    constexpr std::size_t n = 65536;
+    std::vector<double> want(n);
+    for (std::size_t i = 0; i < n; ++i)
+      want[i] = 0.5 * static_cast<double>(i) - 7.0;
+    hamr::buffer<double> a(hamr::allocator::device, hamr::stream(),
+                           hamr::stream_mode::async, n);
+    a.assign(want.data(), n);
+    a.synchronize();
+
+    const hamr::buffer<double> c = a.deep_copy(3);
+    ASSERT_EQ(c.owner(), 3);
+    const std::shared_ptr<const double> view = c.get_host_accessible();
+    c.synchronize();
+    vp::check::HostRead(view.get(), n * sizeof(double),
+                        "HamrMoveOrdering readback");
+    EXPECT_EQ(std::memcmp(view.get(), want.data(), n * sizeof(double)), 0);
+  }
+  vp::exec::Configure(vp::exec::ExecConfig());
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
 }

@@ -1,19 +1,25 @@
 // Unit tests for the Newton++ reproduction: initial conditions, domain
 // decomposition, the symplectic integrator's physical invariants (energy,
 // momentum, time reversibility), repartitioning, serial/parallel
-// agreement, and the SENSEI bridge.
+// agreement, the ring pass against a host reference, and the SENSEI
+// bridge.
 
+#include "execEngine.h"
+#include "layoutMapping.h"
 #include "minimpi.h"
 #include "newtonDataAdaptor.h"
 #include "newtonDriver.h"
 #include "newtonSolver.h"
 #include "vomp.h"
+#include "vpChecker.h"
 #include "vpPlatform.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <map>
 
 using newton::Config;
@@ -465,4 +471,418 @@ TEST(NewtonDriver, RunsCoupledLoop)
   EXPECT_EQ(driver.GetSolver().GetStepIndex(), 5);
   EXPECT_GT(driver.MeanSolverSeconds(), 0.0);
   EXPECT_DOUBLE_EQ(driver.MeanInSituSeconds(), 0.0); // no analysis attached
+}
+
+// --- ring pass ---------------------------------------------------------------------------
+
+namespace
+{
+
+/// One rank as the host reference steps it.
+struct RefRank
+{
+  newton::BodySet B;
+  std::array<std::vector<double>, 3> A;
+};
+
+/// The force pass in the solver's order and arithmetic: rank r's sums
+/// start with its own block (self interaction skipped, 0.0 + f), then
+/// take the blocks of ranks r-1, r-2, ... in ring order, adding one
+/// block's partial sums at a time; an empty block adds nothing.
+void RefAccelerations(std::vector<RefRank> &ranks, const Config &c)
+{
+  const int nRanks = static_cast<int>(ranks.size());
+  const double eps2 = c.Softening * c.Softening;
+  for (int r = 0; r < nRanks; ++r)
+  {
+    RefRank &me = ranks[static_cast<std::size_t>(r)];
+    const std::size_t n = me.B.Size();
+    for (auto &a : me.A)
+      a.assign(n, 0.0);
+    for (int s = 0; s < nRanks; ++s)
+    {
+      const newton::BodySet &src =
+        ranks[static_cast<std::size_t>((r - s + nRanks) % nRanks)].B;
+      const bool self = s == 0;
+      if (!src.Size())
+        continue;
+      for (std::size_t i = 0; i < n; ++i)
+      {
+        double fx = 0.0, fy = 0.0, fz = 0.0;
+        for (std::size_t j = 0; j < src.Size(); ++j)
+        {
+          if (self && j == i)
+            continue;
+          const double dx = src.X[j] - me.B.X[i];
+          const double dy = src.Y[j] - me.B.Y[i];
+          const double dz = src.Z[j] - me.B.Z[i];
+          const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+          const double inv = 1.0 / (r2 * std::sqrt(r2));
+          const double sc = c.G * src.M[j] * inv;
+          fx += sc * dx;
+          fy += sc * dy;
+          fz += sc * dz;
+        }
+        me.A[0][i] = (self ? 0.0 : me.A[0][i]) + fx;
+        me.A[1][i] = (self ? 0.0 : me.A[1][i]) + fy;
+        me.A[2][i] = (self ? 0.0 : me.A[2][i]) + fz;
+      }
+    }
+  }
+}
+
+/// Solver::Repartition on every rank at once: each rank keeps its own
+/// bodies in order, then appends what ranks 0, 1, ... sent it.
+void RefRepartition(std::vector<RefRank> &ranks, const Config &c)
+{
+  const int nRanks = static_cast<int>(ranks.size());
+  std::vector<std::vector<newton::BodySet>> out(
+    ranks.size(), std::vector<newton::BodySet>(ranks.size()));
+  std::vector<newton::BodySet> keep(ranks.size());
+  for (int r = 0; r < nRanks; ++r)
+  {
+    const newton::BodySet &b = ranks[static_cast<std::size_t>(r)].B;
+    for (std::size_t i = 0; i < b.Size(); ++i)
+    {
+      const int owner = newton::SlabOwner(c.BoxSize, nRanks, b.X[i]);
+      newton::BodySet &to = owner == r
+                              ? keep[static_cast<std::size_t>(r)]
+                              : out[static_cast<std::size_t>(r)]
+                                   [static_cast<std::size_t>(owner)];
+      to.Append(b.X[i], b.Y[i], b.Z[i], b.VX[i], b.VY[i], b.VZ[i], b.M[i],
+                b.Id[i]);
+    }
+  }
+  for (int r = 0; r < nRanks; ++r)
+  {
+    newton::BodySet &k = keep[static_cast<std::size_t>(r)];
+    for (int q = 0; q < nRanks; ++q)
+    {
+      const newton::BodySet &in =
+        out[static_cast<std::size_t>(q)][static_cast<std::size_t>(r)];
+      for (std::size_t i = 0; i < in.Size(); ++i)
+        k.Append(in.X[i], in.Y[i], in.Z[i], in.VX[i], in.VY[i], in.VZ[i],
+                 in.M[i], in.Id[i]);
+    }
+    ranks[static_cast<std::size_t>(r)].B = k;
+  }
+}
+
+/// Solver::Step on every rank at once (kick-drift, repartition when due,
+/// force pass, kick).
+void RefStep(std::vector<RefRank> &ranks, const Config &c, long step)
+{
+  const double kick = 0.5 * c.Dt;
+  for (RefRank &r : ranks)
+    for (std::size_t i = 0; i < r.B.Size(); ++i)
+    {
+      r.B.VX[i] += kick * r.A[0][i];
+      r.B.VY[i] += kick * r.A[1][i];
+      r.B.VZ[i] += kick * r.A[2][i];
+      r.B.X[i] += c.Dt * r.B.VX[i];
+      r.B.Y[i] += c.Dt * r.B.VY[i];
+      r.B.Z[i] += c.Dt * r.B.VZ[i];
+    }
+  if (c.Repartition && ranks.size() > 1 &&
+      (step + 1) % c.RepartitionInterval == 0)
+    RefRepartition(ranks, c);
+  RefAccelerations(ranks, c);
+  for (RefRank &r : ranks)
+    for (std::size_t i = 0; i < r.B.Size(); ++i)
+    {
+      r.B.VX[i] += kick * r.A[0][i];
+      r.B.VY[i] += kick * r.A[1][i];
+      r.B.VZ[i] += kick * r.A[2][i];
+    }
+}
+
+/// The bit patterns of `v`, so that comparisons are byte for byte.
+std::vector<std::uint64_t> Bits(const std::vector<double> &v)
+{
+  std::vector<std::uint64_t> out(v.size());
+  if (!v.empty())
+    std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+/// Step `nRanks` solvers `steps` times and compare every rank's state and
+/// accelerations byte for byte against the host reference after
+/// Initialize and after each step. Returns each rank's body counts after
+/// Initialize and at the end.
+std::vector<std::pair<std::size_t, std::size_t>>
+ExpectRingMatchesReference(const Config &c, int nRanks, int steps,
+                           const std::string &what)
+{
+  const vp::layout::LayoutConfig layout = vp::layout::GetConfig();
+  vp::layout::Configure(vp::layout::LayoutConfig{}); // the scalar kernel
+  std::vector<RefRank> ref(static_cast<std::size_t>(nRanks));
+  for (int r = 0; r < nRanks; ++r)
+    ref[static_cast<std::size_t>(r)].B =
+      newton::GenerateInitialCondition(c, r, nRanks);
+  RefAccelerations(ref, c);
+
+  // per step, per rank: the solver's state and accelerations
+  std::vector<std::vector<RefRank>> got(
+    static_cast<std::size_t>(steps + 1),
+    std::vector<RefRank>(static_cast<std::size_t>(nRanks)));
+  minimpi::Run(nRanks,
+               [&](minimpi::Communicator &comm)
+               {
+                 Solver s(&comm, c);
+                 s.Initialize();
+                 const auto r = static_cast<std::size_t>(comm.Rank());
+                 for (int k = 0; k <= steps; ++k)
+                 {
+                   if (k)
+                     s.Step();
+                   got[static_cast<std::size_t>(k)][r] = {
+                     s.DownloadBodies(), s.DownloadAccelerations()};
+                 }
+               });
+
+  vp::layout::Configure(layout);
+
+  std::vector<std::pair<std::size_t, std::size_t>> counts;
+  for (int k = 0; k <= steps; ++k)
+  {
+    if (k)
+      RefStep(ref, c, k - 1);
+    for (int r = 0; r < nRanks; ++r)
+    {
+      const RefRank &want = ref[static_cast<std::size_t>(r)];
+      const RefRank &have =
+        got[static_cast<std::size_t>(k)][static_cast<std::size_t>(r)];
+      const std::string where = what + ": P=" + std::to_string(nRanks) +
+                                " rank " + std::to_string(r) + " step " +
+                                std::to_string(k);
+      EXPECT_EQ(Bits(have.B.X), Bits(want.B.X)) << where;
+      EXPECT_EQ(Bits(have.B.Y), Bits(want.B.Y)) << where;
+      EXPECT_EQ(Bits(have.B.Z), Bits(want.B.Z)) << where;
+      EXPECT_EQ(Bits(have.B.VX), Bits(want.B.VX)) << where;
+      EXPECT_EQ(Bits(have.B.VY), Bits(want.B.VY)) << where;
+      EXPECT_EQ(Bits(have.B.VZ), Bits(want.B.VZ)) << where;
+      EXPECT_EQ(Bits(have.B.M), Bits(want.B.M)) << where;
+      EXPECT_EQ(Bits(have.B.Id), Bits(want.B.Id)) << where;
+      for (int d = 0; d < 3; ++d)
+        EXPECT_EQ(Bits(have.A[static_cast<std::size_t>(d)]),
+                  Bits(want.A[static_cast<std::size_t>(d)]))
+          << where << " a" << "xyz"[d];
+    }
+  }
+  for (int r = 0; r < nRanks; ++r)
+    counts.emplace_back(got[0][static_cast<std::size_t>(r)].B.Size(),
+                        got.back()[static_cast<std::size_t>(r)].B.Size());
+  return counts;
+}
+
+Config RingConfig()
+{
+  Config c = SmallConfig();
+  c.TotalBodies = 150;
+  c.Repartition = false;
+  return c;
+}
+
+/// The galaxy set-up of the e2e workloads, small: slabs of very unequal
+/// size (the bulge sits in the middle ones).
+Config GalaxyRingConfig()
+{
+  Config c = RingConfig();
+  c.Ic = InitialCondition::Galaxy;
+  c.TotalBodies = 300;
+  c.CentralMass = 200.0;
+  c.Dt = 5e-4;
+  return c;
+}
+
+/// Run `body` under exec mode `mode`, restoring the default after.
+void WithExec(vp::exec::Mode mode, const std::function<void()> &body)
+{
+  vp::exec::ExecConfig cfg;
+  cfg.ExecMode = mode;
+  cfg.Threads = 2;
+  vp::exec::Configure(cfg);
+  body();
+  vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+} // namespace
+
+TEST(NewtonRing, EveryRankCountMatchesTheHostReference)
+{
+  for (vp::exec::Mode mode : {vp::exec::Mode::Serial, vp::exec::Mode::Threads})
+    WithExec(mode,
+             [mode]
+             {
+               const std::string what =
+                 mode == vp::exec::Mode::Serial ? "serial" : "threads";
+               for (int p = 1; p <= 5; ++p)
+               {
+                 ResetPlatform();
+                 ExpectRingMatchesReference(RingConfig(), p, 3, what);
+               }
+             });
+}
+
+TEST(NewtonRing, UnequalGalaxySlabsMatchTheHostReference)
+{
+  ResetPlatform();
+  const auto counts =
+    ExpectRingMatchesReference(GalaxyRingConfig(), 4, 3, "galaxy");
+  // the outer slabs hold a few bodies, the middle ones most of them
+  const auto [lo, hi] = std::minmax_element(
+    counts.begin(), counts.end(),
+    [](const auto &a, const auto &b) { return a.first < b.first; });
+  EXPECT_GT(hi->first, 5 * lo->first);
+}
+
+TEST(NewtonRing, EmptyRanksPassTheRingOn)
+{
+  // 2 bodies and the central mass over 5 ranks: ranks 3 and 4 own
+  // nothing, yet every block still travels through them
+  for (vp::exec::Mode mode : {vp::exec::Mode::Serial, vp::exec::Mode::Threads})
+    WithExec(mode,
+             [mode]
+             {
+               ResetPlatform();
+               Config c = RingConfig();
+               c.TotalBodies = 2;
+               const auto counts = ExpectRingMatchesReference(
+                 c, 5, 3,
+                 mode == vp::exec::Mode::Serial ? "serial" : "threads");
+               EXPECT_EQ(counts[3].first, 0u);
+               EXPECT_EQ(counts[4].first, 0u);
+             });
+}
+
+TEST(NewtonRing, HostSolverMatchesTheHostReference)
+{
+  for (vp::exec::Mode mode : {vp::exec::Mode::Serial, vp::exec::Mode::Threads})
+    WithExec(mode,
+             [mode]
+             {
+               const std::string what =
+                 mode == vp::exec::Mode::Serial ? "host serial"
+                                                : "host threads";
+               for (int p : {1, 3, 4})
+               {
+                 ResetPlatform();
+                 Config c = GalaxyRingConfig();
+                 c.SimDevices = -1;
+                 ExpectRingMatchesReference(c, p, 3, what);
+               }
+             });
+}
+
+TEST(NewtonRing, BlockFollowsRepartition)
+{
+  // fast bodies, repartitioned every second step: the packed block each
+  // rank sends is the one UploadBodies placed after the migration
+  for (int simDevices : {0, -1})
+  {
+    ResetPlatform();
+    Config c = RingConfig();
+    c.TotalBodies = 200;
+    c.VelocityScale = 2.0;
+    c.Dt = 5e-3;
+    c.Repartition = true;
+    c.RepartitionInterval = 2;
+    c.SimDevices = simDevices;
+    const auto counts = ExpectRingMatchesReference(
+      c, 4, 6, simDevices ? "host repartition" : "device repartition");
+    EXPECT_TRUE(std::any_of(counts.begin(), counts.end(),
+                            [](const auto &n) { return n.first != n.second; }))
+      << "no body changed rank";
+  }
+}
+
+TEST(NewtonRing, SteadyStepIsOneReadbackAndOneUploadPerHop)
+{
+  // per rank and step, from the second step on: one readback of the
+  // rank's own block, one upload per received block, no allocation, and
+  // the kernels newton_kick_drift, P force launches and newton_kick
+  for (int p = 1; p <= 5; ++p)
+  {
+    ResetPlatform();
+    const Config c = RingConfig();
+    std::size_t total = 0;
+    for (int r = 0; r < p; ++r)
+      total += newton::GenerateInitialCondition(c, r, p).Size();
+    vp::PlatformStats &stats = vp::Platform::Get().Stats();
+    minimpi::Run(p,
+                 [&](minimpi::Communicator &comm)
+                 {
+                   Solver s(&comm, c);
+                   s.Initialize();
+                   ASSERT_GT(s.LocalBodies(), 0u);
+                   s.Step();
+                   for (int k = 0; k < 3; ++k)
+                   {
+                     comm.Barrier();
+                     if (comm.Rank() == 0)
+                     {
+                       stats.Reset();
+                       vp::layout::ResetStats();
+                     }
+                     comm.Barrier();
+                     s.Step();
+                     comm.Barrier();
+                     if (comm.Rank() == 0)
+                     {
+                       const auto P = static_cast<std::uint64_t>(p);
+                       const std::string at = "P=" + std::to_string(p) +
+                                              " step " + std::to_string(k);
+                       EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost),
+                                 p > 1 ? P : 0u)
+                         << at;
+                       EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToHost),
+                                 p > 1 ? 4 * sizeof(double) * total : 0u)
+                         << at;
+                       EXPECT_EQ(stats.Copies(vp::CopyKind::HostToDevice),
+                                 P * (P - 1))
+                         << at;
+                       EXPECT_EQ(stats.Bytes(vp::CopyKind::HostToDevice),
+                                 (P - 1) * 4 * sizeof(double) * total)
+                         << at;
+                       EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToDevice) +
+                                   stats.Copies(vp::CopyKind::OnDevice) +
+                                   stats.Copies(vp::CopyKind::HostToHost),
+                                 0u)
+                         << at;
+                       EXPECT_EQ(stats.Allocations(vp::MemSpace::Device), 0u)
+                         << at;
+                       EXPECT_EQ(stats.Allocations(vp::MemSpace::Host), 0u)
+                         << at;
+                       EXPECT_EQ(stats.KernelsLaunched.load(), P * (P + 2))
+                         << at;
+                       const vp::layout::LayoutStats ls =
+                         vp::layout::Stats();
+                       EXPECT_EQ(ls.ScalarKernels + ls.SimdKernels, P * P)
+                         << at; // the force launches
+                     }
+                     comm.Barrier();
+                   }
+                 });
+  }
+}
+
+TEST(NewtonRing, CheckerCleanUnderExecThreads)
+{
+  // four device ranks, two of them sharing a device, with real threads:
+  // the readback, the staged uploads and the force kernels are ordered.
+  // scripts/run_campaign.sh runs this under VP_CHECK=1 in the tsan
+  // section.
+  ResetPlatform();
+  vp::check::Reset();
+  vp::check::Enable(true);
+  WithExec(vp::exec::Mode::Threads,
+           []
+           {
+             Config c = GalaxyRingConfig();
+             c.SimDevices = 3;
+             ExpectRingMatchesReference(c, 4, 3, "checked threads");
+           });
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
 }
