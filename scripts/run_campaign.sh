@@ -257,10 +257,12 @@ bench um_layout_sanitized.txt \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*'
 # the solver's ring pass (one packed block per hop, staged through the
 # resident device buffer) against its host reference on 1 to 5 ranks,
-# and a host view of a deep copy still in flight on another stream,
-# under ASan+UBSan
+# a host view of a deep copy still in flight on another stream, and a
+# deep copy's synchronize() waiting on its transfer's event only, under
+# ASan+UBSan
 ../build-sanitize/tests/testNewton --gtest_filter='NewtonRing.*'
-../build-sanitize/tests/testHamrAccess --gtest_filter='HamrMoveOrdering.*'
+../build-sanitize/tests/testHamrAccess \
+  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*'
 # serial vs threads: bit-exact binning grids and virtual time on the
 # host and under both device strategies, and a host campaign's virtual
 # timings independent of the pool width, under ASan+UBSan
@@ -325,12 +327,13 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 # rank threads passing packed blocks around the ring, and under
 # <exec mode="threads"> the staged uploads and force kernels on worker
 # queues, with the checker on for the threaded ring case; then a host
-# view moved out of a deep copy still in flight on another device
+# view moved out of a deep copy still in flight on another device, and
+# two threads synchronizing one shared copy on its transfer's event
 ../build-tsan/tests/testNewton --gtest_filter='NewtonRing.*'
 VP_CHECK=1 ../build-tsan/tests/testNewton \
   --gtest_filter='NewtonRing.CheckerCleanUnderExecThreads'
 VP_CHECK=1 ../build-tsan/tests/testHamrAccess \
-  --gtest_filter='HamrMoveOrdering.*'
+  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*'
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
 ../build-tsan/tests/testMinimpi \

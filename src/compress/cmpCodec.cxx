@@ -612,7 +612,13 @@ ChunkInfo EncodeChunk(const void *data, DType t, std::uint64_t count,
                         "cmp encode source");
 
   const Params negotiated = Negotiate(p, t);
+  // sized once from the raw bytes: an encoding worth keeping is smaller,
+  // and the raw fallback is exactly that size, so a chunk takes one host
+  // allocation instead of a doubling ladder from 256 B (only an
+  // encoding that outgrows the data, and is then dropped, grows it)
   Scratch scratch;
+  if (rawBytes)
+    scratch.Reserve(static_cast<std::size_t>(rawBytes));
   std::uint8_t flags = 0;
   CodecId used = negotiated.Codec;
 

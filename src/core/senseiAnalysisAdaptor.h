@@ -34,6 +34,10 @@
 #include "senseiDataAdaptor.h"
 #include "svtkObjectBase.h"
 
+#include <optional>
+#include <string>
+#include <vector>
+
 namespace sensei
 {
 
@@ -154,6 +158,19 @@ public:
     cmp::Params off;
     off.Codec = cmp::CodecId::None;
     return off;
+  }
+
+  // --- data requirements ------------------------------------------------------
+
+  /// The columns of mesh `mesh` this back end reads: a list (empty when
+  /// it reads nothing of that mesh), or std::nullopt for any column, the
+  /// answer of a back end that does not say. The in transit service
+  /// grants a tenant the union over its chain, and the tenant ships only
+  /// those columns.
+  virtual std::optional<std::vector<std::string>>
+  GetColumnsRead(const std::string & /*mesh*/) const
+  {
+    return std::nullopt;
   }
 
   // --- diagnostics ------------------------------------------------------------

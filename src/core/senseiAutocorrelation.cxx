@@ -70,6 +70,14 @@ bool Autocorrelation::Execute(DataAdaptor *data)
   return true;
 }
 
+std::optional<std::vector<std::string>>
+Autocorrelation::GetColumnsRead(const std::string &mesh) const
+{
+  if (mesh != this->MeshName_ || this->Column_.empty())
+    return std::vector<std::string>();
+  return std::vector<std::string>{this->Column_};
+}
+
 int Autocorrelation::Finalize()
 {
   this->Runner_.Drain();

@@ -47,6 +47,9 @@ public:
   long GetWindow() const { return this->Window_; }
 
   bool Execute(DataAdaptor *data) override;
+  /// Its column.
+  std::optional<std::vector<std::string>>
+  GetColumnsRead(const std::string &mesh) const override;
   void DrainAsync() override { this->Runner_.Drain(); }
   int Finalize() override;
 

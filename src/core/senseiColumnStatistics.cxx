@@ -111,6 +111,16 @@ bool ColumnStatistics::Execute(DataAdaptor *data)
   return true;
 }
 
+std::optional<std::vector<std::string>>
+ColumnStatistics::GetColumnsRead(const std::string &mesh) const
+{
+  if (mesh != this->MeshName_)
+    return std::vector<std::string>();
+  if (this->Columns_.empty())
+    return std::nullopt; // every column of the mesh
+  return this->Columns_;
+}
+
 int ColumnStatistics::Finalize()
 {
   this->Runner_.Drain();

@@ -58,6 +58,9 @@ public:
   void SetOutputFile(const std::string &path) { this->OutputFile_ = path; }
 
   bool Execute(DataAdaptor *data) override;
+  /// Its column list; any column when the list is empty.
+  std::optional<std::vector<std::string>>
+  GetColumnsRead(const std::string &mesh) const override;
   void DrainAsync() override { this->Runner_.Drain(); }
   int Finalize() override;
 

@@ -18,6 +18,7 @@
 #include "vpMemoryPool.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -462,6 +463,21 @@ void ConfigurableAnalysis::DrainAsync()
 {
   for (AnalysisAdaptor *a : this->Analyses_)
     a->DrainAsync();
+}
+
+std::optional<std::vector<std::string>>
+ConfigurableAnalysis::GetColumnsRead(const std::string &mesh) const
+{
+  std::set<std::string> cols;
+  for (const AnalysisAdaptor *a : this->Analyses_)
+  {
+    const std::optional<std::vector<std::string>> read =
+      a->GetColumnsRead(mesh);
+    if (!read)
+      return std::nullopt;
+    cols.insert(read->begin(), read->end());
+  }
+  return std::vector<std::string>(cols.begin(), cols.end());
 }
 
 int ConfigurableAnalysis::Finalize()

@@ -116,6 +116,11 @@ public:
   /// Wait for every back end's in-flight asynchronous work.
   void DrainAsync() override;
 
+  /// The union over the chain, sorted: any column when some back end
+  /// reads any column of `mesh`.
+  std::optional<std::vector<std::string>>
+  GetColumnsRead(const std::string &mesh) const override;
+
   /// Drain every back end, then finalize each; returns the first
   /// nonzero status.
   int Finalize() override;

@@ -367,6 +367,19 @@ bool DataBinning::Execute(DataAdaptor *data)
   return true;
 }
 
+std::optional<std::vector<std::string>>
+DataBinning::GetColumnsRead(const std::string &mesh) const
+{
+  std::vector<std::string> cols;
+  if (mesh != this->MeshName_)
+    return cols;
+  cols = this->Axes_;
+  for (const Operation &op : this->Ops_)
+    if (!op.Column.empty())
+      cols.push_back(op.Column);
+  return cols;
+}
+
 int DataBinning::Finalize()
 {
   this->Runner_.Drain();

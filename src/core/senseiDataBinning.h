@@ -133,6 +133,9 @@ public:
   // --- framework interface -----------------------------------------------------
 
   bool Execute(DataAdaptor *data) override;
+  /// Its axes and the columns of its reductions.
+  std::optional<std::vector<std::string>>
+  GetColumnsRead(const std::string &mesh) const override;
   void DrainAsync() override { this->Runner_.Drain(); }
   /// Drain, then free the record's device buffers (an execute after
   /// Finalize allocates them again).

@@ -66,6 +66,14 @@ bool Histogram::Execute(DataAdaptor *data)
   return true;
 }
 
+std::optional<std::vector<std::string>>
+Histogram::GetColumnsRead(const std::string &mesh) const
+{
+  if (mesh != this->MeshName_ || this->Column_.empty())
+    return std::vector<std::string>();
+  return std::vector<std::string>{this->Column_};
+}
+
 int Histogram::Finalize()
 {
   this->Runner_.Drain();

@@ -48,6 +48,9 @@ public:
   void SetUseRealThreads(bool on) { this->Runner_.SetUseRealThreads(on); }
 
   bool Execute(DataAdaptor *data) override;
+  /// Its column.
+  std::optional<std::vector<std::string>>
+  GetColumnsRead(const std::string &mesh) const override;
   void DrainAsync() override { this->Runner_.Drain(); }
   int Finalize() override;
 

@@ -4,10 +4,29 @@
 #include "sxml.h"
 #include "vpPlatform.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sensei
 {
+
+namespace
+{
+/// The columns of `table` named in `keep`, in table order. The columns
+/// are shared by reference: no values are copied.
+svtkTable *ProjectColumns(const svtkTable *table,
+                          const std::vector<std::string> &keep)
+{
+  svtkTable *out = svtkTable::New();
+  for (int c = 0; c < table->GetNumberOfColumns(); ++c)
+  {
+    svtkDataArray *col = table->GetColumn(c);
+    if (std::find(keep.begin(), keep.end(), col->GetName()) != keep.end())
+      out->AddColumn(col);
+  }
+  return out;
+}
+} // namespace
 
 // ---------------------------------------------------------------------------
 ServiceClient::ServiceClient(std::shared_ptr<svc::Port> port,
@@ -36,13 +55,22 @@ bool ServiceClient::Send(DataAdaptor *data)
     return false;
   }
 
+  // ship only the columns the service's chain reads, when the Welcome
+  // named them
   const svc::WelcomeInfo &grant = this->Client_.Negotiated();
+  if (grant.Columns)
+  {
+    svtkTable *shipped = ProjectColumns(table, *grant.Columns);
+    table->UnRegister();
+    table = shipped;
+  }
+
   const std::vector<std::uint8_t> payload =
     grant.UseCompression ? SerializeTableCompressed(table, grant.Codec)
                          : SerializeTable(table);
 
   // the raw volume the frame stands for; compressed columns serialize
-  // the same logical data, so size it from the table itself
+  // the same logical data, so size it from the shipped table itself
   const std::size_t rawBytes =
     grant.UseCompression
       ? static_cast<std::size_t>(table->GetNumberOfRows()) *
@@ -102,6 +130,10 @@ ServiceHost::ServiceHost(const sxml::Element &root)
            std::vector<std::uint8_t> &&payload)
     { this->HandleFrame(worker, h, std::move(payload)); },
     cfg);
+  // every chain is built from the one document, so the first answers
+  // for all
+  this->Server_->SetColumnGrant([first](const std::string &mesh)
+                                { return first->GetColumnsRead(mesh); });
 }
 
 std::unique_ptr<ServiceHost> ServiceHost::FromString(const std::string &xml)
@@ -132,6 +164,13 @@ void ServiceHost::Stop()
   for (ConfigurableAnalysis *a : this->Analyses_)
     a->Finalize();
   this->Stopped_ = true;
+}
+
+ConfigurableAnalysis *ServiceHost::GetChain(int worker) const
+{
+  if (worker < 0 || worker >= static_cast<int>(this->Analyses_.size()))
+    return nullptr;
+  return this->Analyses_[static_cast<std::size_t>(worker)];
 }
 
 void ServiceHost::HandleFrame(int worker, const svc::FrameHeader &h,

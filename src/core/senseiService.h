@@ -9,6 +9,12 @@
 /// chain per worker, so N independent simulations share one analysis
 /// deployment. The service layer itself never sees sensei types — only
 /// serialized frame payloads cross the transport boundary.
+///
+/// Data requirements: each tenant's Welcome carries the columns of its
+/// mesh that the chain reads (the union of the analyses'
+/// GetColumnsRead answers, asked when the Hello is admitted), and the
+/// tenant serializes only those. A chain with a back end that reads any
+/// column grants every column.
 
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataAdaptor.h"
@@ -18,6 +24,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace sxml
 {
@@ -42,8 +49,10 @@ public:
   bool Connect(double timeoutSeconds = 5.0);
 
   /// Serialize the named mesh from `data` with the negotiated codec and
-  /// ship it as one frame. Returns false when the mesh is unavailable
-  /// or the session is down.
+  /// ship it as one frame. When the Welcome named the columns the
+  /// service reads, only those are serialized, in table order, from a
+  /// projection that shares the table's columns. Returns false when the
+  /// mesh is unavailable or the session is down.
   bool Send(DataAdaptor *data);
 
   /// Graceful leave.
@@ -93,6 +102,10 @@ public:
   long FramesExecuted() const { return this->Frames_.load(); }
 
   svc::Server &GetServer() { return *this->Server_; }
+
+  /// Worker `worker`'s analysis chain (borrowed; nullptr when out of
+  /// range). Read its results only while no frame executes.
+  ConfigurableAnalysis *GetChain(int worker) const;
 
 private:
   void HandleFrame(int worker, const svc::FrameHeader &h,

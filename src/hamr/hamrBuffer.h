@@ -190,7 +190,7 @@ public:
     if (this->Mode_ == stream_mode::sync)
       plat.StreamSynchronize(strm);
     else
-      out.LastOp_ = strm;
+      out.Moved_ = vcuda::EventRecord(strm); // before anyone shares `out`
     return out;
   }
 
@@ -316,14 +316,15 @@ public:
   /// Block the calling thread until operations issued on the buffer's
   /// behalf (allocation, movement, fills) have completed — including
   /// movement the access APIs enqueued on another device's stream (e.g.
-  /// a host-owned buffer viewed on a device).
+  /// a host-owned buffer viewed on a device). That movement is waited
+  /// for through the event recorded when it was issued, so work queued
+  /// on its stream afterwards does not hold the caller up.
   void synchronize() const
   {
     vp::Stream s = this->ResolveStream(this->Owner_);
     if (s)
       vp::Platform::Get().StreamSynchronize(s);
-    if (this->LastOp_ && !(this->LastOp_ == s))
-      vp::Platform::Get().StreamSynchronize(this->LastOp_);
+    vcuda::EventSynchronize(this->Moved_);
   }
 
   // --- modifiers ------------------------------------------------------------
@@ -504,7 +505,7 @@ public:
     std::swap(this->Size_, other.Size_);
     std::swap(this->Stream_, other.Stream_);
     std::swap(this->Mode_, other.Mode_);
-    std::swap(this->LastOp_, other.LastOp_);
+    std::swap(this->Moved_, other.Moved_);
   }
 
 private:
@@ -618,10 +619,12 @@ private:
         plat.Copy(dst, src, bytes); // pure host copy
         return;
       }
-      this->LastOp_ = plat.DefaultStream(si.Device);
-      plat.CopyAsync(this->LastOp_, dst, src, bytes);
+      const vp::Stream strm = plat.DefaultStream(si.Device);
+      plat.CopyAsync(strm, dst, src, bytes);
       if (this->Mode_ == stream_mode::sync)
-        plat.StreamSynchronize(this->LastOp_);
+        plat.StreamSynchronize(strm);
+      else
+        this->Moved_ = vcuda::EventRecord(strm);
       return;
     }
     plat.CopyAsync(this->ResolveStream(this->Owner_), dst, src, bytes);
@@ -668,20 +671,23 @@ private:
   /// buffer's stream, and return a self-cleaning view. A transfer into
   /// this buffer still in flight on another stream (a deep_copy onto
   /// another device is queued on its source's stream) is ordered before
-  /// the move by an event edge, so the move reads what it wrote, and
-  /// synchronize() on the move's stream covers both.
+  /// the move by its event, so the move reads what it wrote; in async
+  /// mode the move's own event, which synchronize() waits on, covers
+  /// both.
   std::shared_ptr<const T> MoveTo(vp::MemSpace space, int device) const
   {
     const vp::Stream strm = this->MoveStream(space, device);
-    if (this->LastOp_ && !(this->LastOp_ == strm))
-      vcuda::StreamWaitEvent(strm, vcuda::EventRecord(this->LastOp_));
+    vcuda::StreamWaitEvent(strm, this->Moved_);
     std::shared_ptr<T> tmp =
       AllocateAt(space, device, this->Size_, pm_of(this->Alloc_),
                  hamr::pooled(this->Alloc_), strm);
-    this->LastOp_ = strm;
-    vp::Platform::Get().CopyAsync(strm, tmp.get(), this->Data_.get(),
-                                  this->Size_ * sizeof(T));
-    this->MaybeSynchronize();
+    vp::Platform &plat = vp::Platform::Get();
+    plat.CopyAsync(strm, tmp.get(), this->Data_.get(),
+                   this->Size_ * sizeof(T));
+    if (this->Mode_ == stream_mode::sync)
+      plat.StreamSynchronize(strm);
+    else
+      this->Moved_ = vcuda::EventRecord(strm);
     return tmp;
   }
 
@@ -691,9 +697,11 @@ private:
   std::size_t Size_ = 0;
   stream Stream_;
   stream_mode Mode_ = stream_mode::sync;
-  /// stream of the most recent access-API movement not covered by the
-  /// buffer's own stream (host-owned data viewed on a device)
-  mutable vp::Stream LastOp_;
+  /// recorded when the most recent access-API transfer was issued
+  /// (deep_copy, a copy out of a device, MoveTo): synchronize() waits on
+  /// it rather than on the transfer's whole stream. deep_copy writes it
+  /// before the copy is shared, so concurrent consumers only read it.
+  mutable vcuda::event_t Moved_;
 };
 
 } // namespace hamr

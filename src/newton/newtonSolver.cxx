@@ -109,10 +109,16 @@ void Solver::UploadBodies(const BodySet &bodies)
   this->VZ_ = make("vz", bodies.VZ);
   this->Id_ = make("id", bodies.Id);
 
-  const std::vector<double> zeros(n, 0.0);
-  this->AX_ = make("ax", zeros);
-  this->AY_ = make("ay", zeros);
-  this->AZ_ = make("az", zeros);
+  // the accelerations need no upload: the self pass writes every element
+  // before anything reads one
+  auto accel = [&](const char *name) -> svtkSmartPtr<svtkHAMRDoubleArray>
+  {
+    return svtkSmartPtr<svtkHAMRDoubleArray>::Take(
+      svtkHAMRDoubleArray::New(name, n, 1, svtkAllocator::openmp));
+  };
+  this->AX_ = accel("ax");
+  this->AY_ = accel("ay");
+  this->AZ_ = accel("az");
 }
 
 BodySet Solver::DownloadBodies() const

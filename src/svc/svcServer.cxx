@@ -63,6 +63,11 @@ void Server::SetSteerHandler(SteerHandler onSteer)
   this->OnSteer_ = std::move(onSteer);
 }
 
+void Server::SetColumnGrant(ColumnGrant grant)
+{
+  this->Grant_ = std::move(grant);
+}
+
 bool Server::Publish(std::uint32_t session, std::uint64_t step,
                      const void *payload, std::size_t bytes,
                      std::size_t rawBytes, bool compressed)
@@ -258,12 +263,17 @@ void Server::HandleWire(Session &s, std::vector<std::uint8_t> &&wire)
         return;
       }
 
+      // asked before the session opens: a grant that throws ends the
+      // connection like any other malformed Hello
+      WelcomeInfo w;
+      if (this->Grant_)
+        w.Columns = this->Grant_(hello.MeshName);
+
       s.Hello = hello;
       s.Id = this->NextSession_++;
       s.Welcomed = true;
       this->Active_.fetch_add(1);
 
-      WelcomeInfo w;
       w.Session = s.Id;
       if (this->Config_.HaveCodecOverride)
       {

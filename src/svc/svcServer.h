@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,6 +83,13 @@ public:
     std::uint32_t session, const FrameHeader &header,
     std::vector<std::uint8_t> &&payload)>;
 
+  /// Called on the dispatcher thread for each admitted Hello: the
+  /// columns of the Hello's mesh the frame handler reads, std::nullopt
+  /// for every column. The Welcome carries the answer; a server without
+  /// one grants every column.
+  using ColumnGrant = std::function<std::optional<std::vector<std::string>>(
+    const std::string &mesh)>;
+
   explicit Server(FrameHandler handler, ServiceConfig cfg = GetConfig());
   ~Server();
 
@@ -93,6 +101,9 @@ public:
 
   /// Install the steering callback (before Start).
   void SetSteerHandler(SteerHandler onSteer);
+
+  /// Install the column grant (before Start).
+  void SetColumnGrant(ColumnGrant grant);
 
   /// Queue one server->client Push frame for `session`. Thread-safe and
   /// never blocking: the frame lands in the session's bounded outbox
@@ -198,6 +209,7 @@ private:
   OpenHandler OnOpen_;
   CloseHandler OnClose_;
   SteerHandler OnSteer_;
+  ColumnGrant Grant_;
 
   mutable std::mutex RemoteMutex_;
   std::map<std::uint32_t, std::shared_ptr<Remote>> Remotes_;

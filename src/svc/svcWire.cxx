@@ -61,6 +61,13 @@ std::string GetString(const std::uint8_t *&p, const std::uint8_t *end)
   p += n;
   return s;
 }
+
+cmp::CodecId GetCodec(std::uint8_t b)
+{
+  if (b > static_cast<std::uint8_t>(cmp::CodecId::Quantize))
+    throw std::runtime_error("svc: unknown codec id " + std::to_string(b));
+  return static_cast<cmp::CodecId>(b);
+}
 } // namespace
 
 const char *FrameKindName(FrameKind k)
@@ -138,7 +145,7 @@ HelloInfo DecodeHello(const std::uint8_t *bytes, std::size_t size)
     throw std::runtime_error("svc: truncated hello payload");
   HelloInfo h;
   h.Protocol = bytes[0];
-  h.Codec.Codec = static_cast<cmp::CodecId>(bytes[1]);
+  h.Codec.Codec = GetCodec(bytes[1]);
   h.WantCompression = bytes[2] != 0;
   h.Codec.Level = static_cast<int>(GetU32(bytes + 4));
   h.Codec.ErrorBound = GetF64(bytes + 8);
@@ -159,6 +166,12 @@ std::vector<std::uint8_t> EncodeWelcome(const WelcomeInfo &w)
   PutF64(out, w.Codec.ErrorBound);
   cmp::PutLE64(out, static_cast<std::uint64_t>(w.QueueDepth));
   PutU32(out, static_cast<std::uint32_t>(w.HeartbeatMs));
+  if (w.Columns)
+  {
+    PutU32(out, static_cast<std::uint32_t>(w.Columns->size()));
+    for (const std::string &c : *w.Columns)
+      PutString(out, c);
+  }
   return out;
 }
 
@@ -168,13 +181,34 @@ WelcomeInfo DecodeWelcome(const std::uint8_t *bytes, std::size_t size)
     throw std::runtime_error("svc: truncated welcome payload");
   WelcomeInfo w;
   w.Session = GetU32(bytes);
-  w.Codec.Codec = static_cast<cmp::CodecId>(bytes[4]);
+  w.Codec.Codec = GetCodec(bytes[4]);
   w.UseCompression = bytes[5] != 0;
+  if (bytes[6] > static_cast<std::uint8_t>(sched::Backpressure::Coalesce))
+    throw std::runtime_error("svc: unknown backpressure " +
+                             std::to_string(bytes[6]));
   w.Pressure = static_cast<sched::Backpressure>(bytes[6]);
   w.Codec.Level = static_cast<int>(GetU32(bytes + 8));
   w.Codec.ErrorBound = GetF64(bytes + 12);
   w.QueueDepth = static_cast<long>(cmp::LoadLE64(bytes + 20));
   w.HeartbeatMs = static_cast<int>(GetU32(bytes + 28));
+  if (size == 32)
+    return w; // no list: every column
+
+  const std::uint8_t *p = bytes + 32;
+  const std::uint8_t *end = bytes + size;
+  if (end - p < 4)
+    throw std::runtime_error("svc: truncated welcome column count");
+  const std::uint32_t n = GetU32(p);
+  p += 4;
+  // every name takes at least its 4-byte length
+  if (n > static_cast<std::size_t>(end - p) / 4)
+    throw std::runtime_error("svc: welcome names " + std::to_string(n) +
+                             " columns in " + std::to_string(end - p) +
+                             " bytes");
+  w.Columns.emplace();
+  w.Columns->reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i)
+    w.Columns->push_back(GetString(p, end));
   return w;
 }
 

@@ -25,12 +25,29 @@
 /// Control payloads (Hello/Welcome) are themselves little-endian
 /// structs defined here; Data payloads are opaque to the service (the
 /// sensei glue puts serialized tables in them).
+///
+/// Welcome payload, little endian:
+///
+///     off  0  u32    session id
+///     off  4  u8     codec id (cmp::CodecId)
+///     off  5  u8     use compression (0/1)
+///     off  6  u8     backpressure (sched::Backpressure)
+///     off  7  u8     reserved (0)
+///     off  8  u32    codec level
+///     off 12  f64    codec error bound
+///     off 20  u64    queue depth
+///     off 28  u32    heartbeat interval (ms)
+///     off 32  u32    granted column count, then per column a u32
+///                    length and the name bytes (optional)
+///
+/// A Welcome that ends at byte 32 grants every column.
 
 #include "cmpCodec.h"
 #include "schedPipeline.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,8 +118,14 @@ struct WelcomeInfo
   long QueueDepth = 0;
   sched::Backpressure Pressure = sched::Backpressure::Block;
   int HeartbeatMs = 0; ///< interval the client should beat at
+  /// The columns of the Hello's mesh the service reads, the only ones a
+  /// data frame needs to carry; std::nullopt grants every column.
+  std::optional<std::vector<std::string>> Columns;
 };
 
+/// The decoders throw std::runtime_error on a truncated payload, an
+/// out-of-range codec id or backpressure value, or a column count the
+/// remaining bytes cannot hold (checked before anything is reserved).
 std::vector<std::uint8_t> EncodeHello(const HelloInfo &h);
 HelloInfo DecodeHello(const std::uint8_t *bytes, std::size_t size);
 

@@ -136,7 +136,6 @@ void RenderAnalysis::ApplySteer(const SteerCommand &cmd)
     if (cmd.Have & kSteerDevice)
     {
       this->SetDeviceId(cmd.Device);
-      this->Binning_->SetDeviceId(cmd.Device);
       reshape = true; // placement moves: the pinned graph is stale
     }
   }
@@ -260,6 +259,9 @@ bool RenderAnalysis::Execute(sensei::DataAdaptor *data)
 
   const double renderBegin = RealNow();
 
+  // one placement for the render and its binning: an explicit device
+  // (SetDeviceId, the XML device attribute or a steer) places both
+  this->Binning_->SetDeviceId(this->GetDeviceId());
   if (!this->Binning_->Execute(data))
     return false;
 

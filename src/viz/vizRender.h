@@ -19,6 +19,9 @@
 /// resolution drops the armed render graph (counted as a recapture);
 /// the next step captures the new shape instead of dying on a replay
 /// mismatch.
+///
+/// The binning runs where the render does: the render's device id
+/// (explicit, host or auto) is the binning's at every execute.
 
 #include "senseiAnalysisAdaptor.h"
 #include "senseiDataBinning.h"

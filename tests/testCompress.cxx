@@ -18,6 +18,7 @@
 #include "sio.h"
 #include "svtkAOSDataArray.h"
 #include "vpChecker.h"
+#include "vpMemoryPool.h"
 #include "vpPlatform.h"
 
 #include <gtest/gtest.h>
@@ -354,6 +355,44 @@ TEST(Chunk, CorruptionIsDetected)
   EXPECT_THROW(cmp::DecodeChunk(buf.data(), buf.size(), out.data(),
                                 outBytes - 8),
                std::invalid_argument);
+}
+
+TEST(Chunk, OneHostAllocationPerEncodeWithThePoolOff)
+{
+  // the scratch is sized once from the chunk's raw bytes: from an empty
+  // pool a 64 Ki-value chunk takes one host allocation per encode, where
+  // growing from 256 B by doubling took about ten
+  ResetAll();
+  vp::PoolManager::Get().Configure(vp::PoolConfig{});
+  const std::vector<double> reals = RandomDoubles(65536, 21u);
+  const std::vector<std::int64_t> ints = RandomInts<std::int64_t>(65536, 22u);
+  cmp::Params quantize;
+  quantize.Codec = cmp::CodecId::Quantize;
+  quantize.ErrorBound = 1e-3;
+  cmp::Params varint;
+  varint.Codec = cmp::CodecId::DeltaVarint;
+  cmp::Params raw;
+  raw.Codec = cmp::CodecId::None;
+  const struct
+  {
+    const void *Data;
+    cmp::DType Type;
+    cmp::Params Codec;
+  } cases[] = {{reals.data(), cmp::DType::F64, quantize},
+               {ints.data(), cmp::DType::I64, varint},
+               {reals.data(), cmp::DType::F64, raw}};
+  for (const auto &c : cases)
+  {
+    vp::PoolManager::Get().ReleaseAll();
+    vp::Platform::Get().Stats().Reset();
+    std::vector<std::uint8_t> out;
+    const cmp::ChunkInfo info =
+      cmp::EncodeChunk(c.Data, c.Type, 65536, c.Codec, out);
+    EXPECT_EQ(info.Codec, c.Codec.Codec);
+    EXPECT_LE(vp::Platform::Get().Stats().Allocations(vp::MemSpace::Host), 1u)
+      << cmp::CodecName(c.Codec.Codec);
+  }
+  vp::PoolManager::Get().ReleaseAll();
 }
 
 TEST(Chunk, StatsAccumulate)

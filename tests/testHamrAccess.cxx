@@ -22,6 +22,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace
@@ -284,6 +285,73 @@ TEST(HamrMoveOrdering, HostViewOfAnInFlightDeepCopyWaitsForIt)
     vp::check::HostRead(view.get(), n * sizeof(double),
                         "HamrMoveOrdering readback");
     EXPECT_EQ(std::memcmp(view.get(), want.data(), n * sizeof(double)), 0);
+  }
+  vp::exec::Configure(vp::exec::ExecConfig());
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+}
+
+TEST(HamrSyncEvent, SynchronizeDoesNotWaitForLaterWorkOnTheCopysStream)
+{
+  // an async-mode deep copy onto device 3 is queued on device 0's
+  // default stream. Once synchronized, a second synchronize() of the
+  // copy must not wait for an unrelated kernel queued on that stream
+  // later: the copy waits on the event recorded with its transfer, not
+  // on the stream. The source, whose own stream that is, still waits.
+  // Two threads then synchronize the shared copy at once, which only
+  // reads the event. scripts/run_campaign.sh runs this under VP_CHECK=1
+  // in the tsan section.
+  vp::PlatformConfig cfg;
+  cfg.NumNodes = 1;
+  cfg.DevicesPerNode = 4;
+  cfg.HostCoresPerNode = 8;
+  vp::Platform::Initialize(cfg);
+  vcuda::SetDevice(0);
+  vp::check::Reset();
+  vp::check::Configure(vp::check::CheckConfig{true, 256, false});
+  vp::exec::ExecConfig ec;
+  ec.ExecMode = vp::exec::Mode::Threads;
+  ec.Threads = 2;
+  vp::exec::Configure(ec);
+  {
+    constexpr std::size_t n = 65536;
+    std::vector<double> want(n);
+    for (std::size_t i = 0; i < n; ++i)
+      want[i] = 0.25 * static_cast<double>(i) + 3.0;
+    hamr::buffer<double> a(hamr::allocator::device, hamr::stream(),
+                           hamr::stream_mode::async, n);
+    a.assign(want.data(), n);
+    a.synchronize();
+
+    const hamr::buffer<double> c = a.deep_copy(3);
+    ASSERT_EQ(c.owner(), 3);
+    c.synchronize();
+
+    // a long kernel on device 0's default stream, unrelated to the copy
+    vp::Platform &plat = vp::Platform::Get();
+    double *src = a.data();
+    vcuda::LaunchN(plat.DefaultStream(0), n,
+                   [src](std::size_t b, std::size_t e)
+                   {
+                     for (std::size_t i = b; i < e; ++i)
+                       src[i] += 1.0;
+                   },
+                   {1.0e5, 0.0, "hamr_sync_probe", false});
+    const double t0 = vp::ThisClock().Now();
+    c.synchronize();
+    EXPECT_EQ(vp::ThisClock().Now(), t0);
+    a.synchronize();
+    EXPECT_GT(vp::ThisClock().Now(), t0);
+
+    std::vector<std::thread> consumers;
+    for (int k = 0; k < 2; ++k)
+      consumers.emplace_back([&c] { c.synchronize(); });
+    for (std::thread &t : consumers)
+      t.join();
+
+    const std::vector<double> got = c.to_vector();
+    EXPECT_EQ(got, want);
   }
   vp::exec::Configure(vp::exec::ExecConfig());
   const vp::check::Report r = vp::check::Snapshot();

@@ -160,6 +160,24 @@ TEST(NewtonSolver, InitializePlacesBodiesOnDevice)
   EXPECT_EQ(solver.GetColumn("bogus"), nullptr);
 }
 
+TEST(NewtonSolver, InitializeUploadsOnlyWhatItReads)
+{
+  // one upload of the packed x, y, z, m block and one each for vx, vy, vz
+  // and id; the accelerations are written by the self pass before
+  // anything reads them, so no zeros are uploaded into them
+  ResetPlatform();
+  Config c = SmallConfig();
+  c.TotalBodies = 1000;
+  c.CentralMass = 0.0;
+  vp::Platform &plat = vp::Platform::Get();
+  plat.Stats().Reset();
+  Solver solver(nullptr, c);
+  solver.Initialize();
+  ASSERT_EQ(solver.LocalBodies(), 1000u);
+  EXPECT_EQ(plat.Stats().Copies(vp::CopyKind::HostToDevice), 5u);
+  EXPECT_EQ(plat.Stats().Bytes(vp::CopyKind::HostToDevice), 64000u);
+}
+
 TEST(NewtonSolver, SimDevicesRestrictsPlacement)
 {
   // the dedicated-device campaign configs give the simulation a subset of

@@ -7,6 +7,8 @@
 // (ServiceHost/ServiceClient over a ConfigurableAnalysis pool), and
 // the <service> XML element with its env-var overrides.
 
+#include "senseiDataBinning.h"
+#include "senseiHistogram.h"
 #include "senseiProfiler.h"
 #include "senseiSerialization.h"
 #include "senseiService.h"
@@ -214,6 +216,58 @@ TEST(SvcWire, AssemblerRejectsHostileChunkHeaders)
       << total << " bytes in " << chunks << " chunks";
     EXPECT_FALSE(asmr.MidMessage());
   }
+}
+
+TEST(SvcWire, HandshakeDecodersRejectHostilePayloads)
+{
+  ResetAll();
+  svc::HelloInfo h;
+  h.MeshName = "bodies";
+  svc::WelcomeInfo w;
+  w.Session = 5;
+  w.Columns = std::vector<std::string>{"m", "x"};
+  const std::vector<std::uint8_t> hello = svc::EncodeHello(h);
+  const std::vector<std::uint8_t> welcome = svc::EncodeWelcome(w);
+  ASSERT_EQ(welcome.size(), 32u + 4u + 5u + 5u);
+
+  // an out-of-range codec id or backpressure value: once a Welcome with
+  // codec byte 9 decoded, and the tenant's next Send threw
+  // std::invalid_argument from cmp::FindCodec
+  std::vector<std::uint8_t> bad = hello;
+  bad[1] = 9;
+  EXPECT_THROW(svc::DecodeHello(bad.data(), bad.size()), std::runtime_error);
+  bad = welcome;
+  bad[4] = 9;
+  EXPECT_THROW(svc::DecodeWelcome(bad.data(), bad.size()),
+               std::runtime_error);
+  bad = welcome;
+  bad[6] = 3;
+  EXPECT_THROW(svc::DecodeWelcome(bad.data(), bad.size()),
+               std::runtime_error);
+
+  // a column count of 2^32 - 1 is rejected before anything is reserved
+  bad = welcome;
+  for (std::size_t i = 32; i < 36; ++i)
+    bad[i] = 0xFF;
+  EXPECT_THROW(svc::DecodeWelcome(bad.data(), bad.size()),
+               std::runtime_error);
+
+  // a truncated name, a truncated count, and a name length past the end
+  EXPECT_THROW(svc::DecodeWelcome(welcome.data(), welcome.size() - 1),
+               std::runtime_error);
+  EXPECT_THROW(svc::DecodeWelcome(welcome.data(), 34), std::runtime_error);
+  bad = welcome;
+  bad[36] = 0xFF;
+  EXPECT_THROW(svc::DecodeWelcome(bad.data(), bad.size()),
+               std::runtime_error);
+  EXPECT_THROW(svc::DecodeHello(hello.data(), hello.size() - 1),
+               std::runtime_error);
+
+  // the intact payloads still decode
+  const svc::WelcomeInfo d = svc::DecodeWelcome(welcome.data(), welcome.size());
+  ASSERT_TRUE(d.Columns.has_value());
+  EXPECT_EQ(*d.Columns, (std::vector<std::string>{"m", "x"}));
+  EXPECT_EQ(svc::DecodeHello(hello.data(), hello.size()).MeshName, "bodies");
 }
 
 // --- ring semantics ---------------------------------------------------------
@@ -1024,6 +1078,239 @@ TEST(SvcSensei, ServiceHostRunsAnalysesForEveryTenant)
   const std::string json = prof.ToJson();
   EXPECT_NE(json.find("svc::frames_accepted"), std::string::npos);
   EXPECT_NE(json.find("svc::sessions_opened"), std::string::npos);
+}
+
+// --- data requirements ------------------------------------------------------
+
+namespace
+{
+/// Eight columns, of which the service chain below reads four.
+svtkTable *MakeWideTable(std::size_t n, unsigned seed)
+{
+  std::mt19937_64 gen(seed);
+  std::normal_distribution<double> u(0.0, 0.4);
+  svtkTable *t = svtkTable::New();
+  for (const char *name : {"x", "y", "z", "vx", "vy", "vz", "m", "speed"})
+  {
+    svtkAOSDoubleArray *c = svtkAOSDoubleArray::New(name, n, 1);
+    for (std::size_t i = 0; i < n; ++i)
+      c->SetVariantValue(i, 0, name[0] == 'm' ? 0.5 + 0.001 * i : u(gen));
+    t->AddColumn(c);
+    c->Delete();
+  }
+  return t;
+}
+
+std::string ProjectionXml(const std::string &extra = "")
+{
+  return R"(<sensei>
+  <service workers="1" heartbeat_ms="200"/>
+  <compress codec="quantize" error_bound="0.001"/>
+  <analysis type="data_binning" mesh="bodies" axes="x,y"
+            resolution="16,16" ops="sum,sum" values="m,speed"
+            device="host"/>
+  <analysis type="histogram" mesh="bodies" column="speed" bins="16"
+            device="host"/>
+  )" + extra + R"(
+</sensei>)";
+}
+
+/// Every value the chain's binning and histogram hold, as raw bytes.
+std::vector<std::uint8_t> ChainResults(sensei::ServiceHost &host)
+{
+  std::vector<std::uint8_t> out;
+  auto put = [&out](const double *v, std::size_t n)
+  {
+    const auto *b = reinterpret_cast<const std::uint8_t *>(v);
+    out.insert(out.end(), b, b + n * sizeof(double));
+  };
+  sensei::ConfigurableAnalysis *chain = host.GetChain(0);
+  auto *bin = dynamic_cast<sensei::DataBinning *>(chain->GetAnalysis(0));
+  auto *hist = dynamic_cast<sensei::Histogram *>(chain->GetAnalysis(1));
+  EXPECT_TRUE(bin && hist);
+  if (!bin || !hist)
+    return out;
+
+  svtkImageData *img = bin->GetLastResult();
+  EXPECT_NE(img, nullptr);
+  if (img)
+  {
+    for (int a = 0; a < img->GetPointData()->GetNumberOfArrays(); ++a)
+    {
+      const svtkDataArray *arr = img->GetPointData()->GetArray(a);
+      const std::string &name = arr->GetName();
+      out.insert(out.end(), name.begin(), name.end());
+      for (std::size_t i = 0; i < arr->GetNumberOfTuples(); ++i)
+      {
+        const double v = arr->GetVariantValue(i, 0);
+        put(&v, 1);
+      }
+    }
+    img->UnRegister();
+  }
+  std::vector<double> counts;
+  double lo = 0.0, hi = 0.0;
+  EXPECT_TRUE(hist->GetLastResult(counts, lo, hi));
+  put(counts.data(), counts.size());
+  put(&lo, 1);
+  put(&hi, 1);
+  return out;
+}
+
+/// The chain's results after each of `steps` frames: projected frames
+/// from a sensei::ServiceClient, or full-table frames serialized by hand
+/// and sent through a raw svc::Client.
+std::vector<std::vector<std::uint8_t>> RunFrames(bool projected, int steps,
+                                                 std::uint64_t &wireBytes)
+{
+  ResetAll();
+  sensei::ResetConfig();
+  auto host = sensei::ServiceHost::FromString(ProjectionXml());
+  host->Start();
+
+  std::unique_ptr<sensei::ServiceClient> tenant;
+  std::unique_ptr<svc::Client> raw;
+  if (projected)
+  {
+    tenant = std::make_unique<sensei::ServiceClient>(host->Connect(), "bodies");
+    EXPECT_TRUE(tenant->Connect());
+  }
+  else
+  {
+    raw = std::make_unique<svc::Client>(host->Connect(), "bodies");
+    EXPECT_TRUE(raw->Connect(cmp::GetConfig().Default, true));
+  }
+
+  std::vector<std::vector<std::uint8_t>> results;
+  for (int s = 0; s < steps; ++s)
+  {
+    svtkTable *t = MakeWideTable(3000, 400u + static_cast<unsigned>(s));
+    if (projected)
+    {
+      sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+      da->SetTable(t);
+      da->SetDataTimeStep(s);
+      EXPECT_TRUE(tenant->Send(da));
+      da->ReleaseData();
+      da->Delete();
+    }
+    else
+    {
+      const std::vector<std::uint8_t> payload =
+        sensei::SerializeTableCompressed(t, raw->Negotiated().Codec);
+      EXPECT_TRUE(raw->SendFrame(static_cast<std::uint64_t>(s),
+                                 payload.data(), payload.size(),
+                                 3000 * 8 * sizeof(double), true));
+    }
+    t->UnRegister();
+    EXPECT_TRUE(Eventually([&] { return host->FramesExecuted() == s + 1; }));
+    results.push_back(ChainResults(*host));
+  }
+
+  if (tenant)
+    tenant->Close();
+  if (raw)
+    raw->Close();
+  host->Stop();
+  wireBytes = svc::Stats().BytesWire;
+  return results;
+}
+} // namespace
+
+TEST(ServiceProjection, GridsAndHistogramMatchFullTableFrames)
+{
+  // the chain reads x, y, m and speed: a tenant granted those four ships
+  // half the table, and the service computes byte-equal grids and
+  // histograms from it
+  std::uint64_t fullBytes = 0, projectedBytes = 0;
+  const auto full = RunFrames(false, 3, fullBytes);
+  const auto projected = RunFrames(true, 3, projectedBytes);
+  ASSERT_EQ(full.size(), 3u);
+  ASSERT_EQ(projected.size(), 3u);
+  for (std::size_t s = 0; s < full.size(); ++s)
+  {
+    EXPECT_FALSE(full[s].empty());
+    EXPECT_EQ(projected[s], full[s]) << "step " << s;
+  }
+  EXPECT_LT(projectedBytes, fullBytes * 3 / 4);
+}
+
+TEST(ServiceProjection, WelcomeGrantsTheChainsColumns)
+{
+  ResetAll();
+  sensei::ResetConfig();
+  auto host = sensei::ServiceHost::FromString(ProjectionXml(
+    R"(<analysis type="column_statistics" mesh="bodies" columns="vz,x"/>
+       <analysis type="autocorrelation" mesh="bodies" column="vy"/>)"));
+  host->Start();
+
+  sensei::ServiceClient bodies(host->Connect(), "bodies");
+  ASSERT_TRUE(bodies.Connect());
+  const auto &cols = bodies.Raw().Negotiated().Columns;
+  ASSERT_TRUE(cols.has_value());
+  EXPECT_EQ(*cols,
+            (std::vector<std::string>{"m", "speed", "vy", "vz", "x", "y"}));
+
+  // a mesh no analysis reads is granted no column, and its frames carry
+  // an empty table
+  sensei::ServiceClient other(host->Connect(), "other");
+  ASSERT_TRUE(other.Connect());
+  ASSERT_TRUE(other.Raw().Negotiated().Columns.has_value());
+  EXPECT_TRUE(other.Raw().Negotiated().Columns->empty());
+  svtkTable *t = MakeWideTable(100, 3u);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("other");
+  da->SetTable(t);
+  t->UnRegister();
+  EXPECT_TRUE(other.Send(da));
+  da->ReleaseData();
+  da->Delete();
+  EXPECT_TRUE(Eventually([&] { return host->FramesExecuted() == 1; }));
+  EXPECT_LT(svc::Stats().BytesWire, 200u);
+
+  bodies.Close();
+  other.Close();
+  host->Stop();
+}
+
+TEST(ServiceProjection, AnyColumnBackEndsAreGrantedEveryColumn)
+{
+  // back ends that read whatever the mesh holds (or may be steered to)
+  // answer "any column", and one of them in the chain grants everything
+  const char *anyColumn[] = {
+    R"(<analysis type="posthoc_io" mesh="bodies" frequency="0"/>)",
+    R"(<analysis type="render" mesh="bodies" device="host"/>)",
+    R"(<analysis type="column_statistics" mesh="bodies"/>)"};
+  for (const char *extra : anyColumn)
+  {
+    ResetAll();
+    sensei::ResetConfig();
+    auto host = sensei::ServiceHost::FromString(ProjectionXml(extra));
+    host->Start();
+    sensei::ServiceClient tenant(host->Connect(), "bodies");
+    ASSERT_TRUE(tenant.Connect()) << extra;
+    EXPECT_FALSE(tenant.Raw().Negotiated().Columns.has_value()) << extra;
+    tenant.Close();
+    host->Stop();
+  }
+}
+
+TEST(ServiceProjection, ShortWelcomeGrantsEveryColumn)
+{
+  // a Welcome without the list (a server with no grant, or an older
+  // one) ends at byte 32 and means every column
+  svc::WelcomeInfo w;
+  w.Session = 9;
+  std::vector<std::uint8_t> b = svc::EncodeWelcome(w);
+  ASSERT_EQ(b.size(), 32u);
+  EXPECT_FALSE(svc::DecodeWelcome(b.data(), b.size()).Columns.has_value());
+
+  // an empty list is not "every column"
+  w.Columns.emplace();
+  b = svc::EncodeWelcome(w);
+  ASSERT_EQ(b.size(), 36u);
+  const svc::WelcomeInfo d = svc::DecodeWelcome(b.data(), b.size());
+  ASSERT_TRUE(d.Columns.has_value());
+  EXPECT_TRUE(d.Columns->empty());
 }
 
 // --- XML configuration ------------------------------------------------------

@@ -868,6 +868,71 @@ TEST(VizRender, FramebufferMatchesDirectFillOfTheBinningGrid)
   da->Delete();
 }
 
+TEST(VizRender, HostPlacementAlsoPlacesTheBinning)
+{
+  // an explicit host placement, by SetDeviceId or by the XML device
+  // attribute, places the render's binning too: the execute launches no
+  // kernel anywhere, and the framebuffer is the direct fill of its grid
+  for (const bool fromXml : {false, true})
+  {
+    ResetViz();
+    ConfigureSerial();
+
+    sensei::ConfigurableAnalysis *ca = nullptr;
+    viz::RenderAnalysis *r = nullptr;
+    if (fromXml)
+    {
+      ca = sensei::ConfigurableAnalysis::New();
+      ca->InitializeString(R"(
+        <sensei>
+          <analysis type="render" mesh="bodies" axes="x,y" resolution="8"
+                    variable="v" op="sum" width="16" height="16"
+                    colormap="viridis" device="host"/>
+        </sensei>)");
+      r = dynamic_cast<viz::RenderAnalysis *>(ca->GetAnalysis(0));
+      ASSERT_NE(r, nullptr);
+    }
+    else
+    {
+      r = MakeRender(8, 16, 16);
+      r->SetDeviceId(sensei::AnalysisAdaptor::DEVICE_HOST);
+    }
+
+    sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+    svtkTable *t = MakeTable(2000, 11u);
+    da->SetTable(t);
+    t->Delete();
+    da->SetDataTimeStep(0);
+
+    vp::Platform::Get().Stats().Reset();
+    ASSERT_TRUE(r->Execute(da)) << "xml " << fromXml;
+    EXPECT_EQ(vp::Platform::Get().Stats().KernelsLaunched.load(), 0u)
+      << "xml " << fromXml;
+    EXPECT_EQ(r->GetBinning()->GetDeviceId(),
+              sensei::AnalysisAdaptor::DEVICE_HOST);
+
+    svtkImageData *img = r->GetBinning()->GetLastResult();
+    ASSERT_NE(img, nullptr);
+    const std::vector<double> grid = GridValues(img, "v_sum");
+    img->UnRegister();
+    ASSERT_EQ(grid.size(), std::size_t(8 * 8));
+    viz::TransferFunction tf = r->GetTransfer();
+    viz::GridRange(grid.data(), grid.size(), tf.Lo, tf.Hi);
+    tf.AutoRange = false;
+    std::vector<std::uint8_t> want(16 * 16 * 4);
+    viz::FillPixels(want.data(), 0, 16 * 16, 16, 16, grid.data(), 8, 8, tf);
+    EXPECT_EQ(r->GetFramebuffer(), want) << "xml " << fromXml;
+
+    EXPECT_EQ(r->Finalize(), 0);
+    if (ca)
+      ca->UnRegister();
+    else
+      r->Delete();
+    da->ReleaseData();
+    da->Delete();
+  }
+}
+
 TEST(VizRender, BitIdenticalAcrossExecAndGraphModes)
 {
   const auto serialEager = RunRenderSteps(false, false);
