@@ -1,5 +1,5 @@
-// Microbenchmark for the layout-polymorphic array engine (src/layout):
-// the SoA + SIMD nbody force path vs the seed's scalar loop, on REAL
+// Microbenchmark for the SIMD force switch (src/layout): the SoA +
+// SIMD nbody force path vs the seed's scalar loop, on REAL
 // wall-clock, since vectorization changes host work, not virtual-time
 // accounting. Writes BENCH_layout.json into the working directory
 // (scripts/run_campaign.sh collects it under results/).
@@ -203,8 +203,6 @@ void WriteJson(unsigned hw, double scalarWall, double simdWall,
      << "    \"simd_soa_wall_seconds\": " << simdWall << ",\n"
      << "    \"speedup\": " << forceRatio << "\n  },\n"
      << "  \"layout_stats\": {\n"
-     << "    \"conversions\": " << s.Conversions << ",\n"
-     << "    \"bytes_reordered\": " << s.BytesReordered << ",\n"
      << "    \"simd_kernels\": " << s.SimdKernels << ",\n"
      << "    \"scalar_kernels\": " << s.ScalarKernels << "\n  },\n"
      << "  \"gates\": {\n"

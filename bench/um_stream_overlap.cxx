@@ -2,9 +2,9 @@
 // asynchronous (stream-ordered) operation, overlap of allocation, data
 // movement and computation on independent streams/devices, and the cost
 // of the lockstep vs asynchronous in situ execution methods at the
-// AsyncRunner level. Virtual time (UseManualTime).
+// sched::BoundedPipeline level. Virtual time (UseManualTime).
 
-#include "senseiAsyncRunner.h"
+#include "schedPipeline.h"
 #include "vcuda.h"
 #include "vpPlatform.h"
 
@@ -158,7 +158,7 @@ BENCHMARK(BM_ExecutionMethod_Lockstep)->UseManualTime();
 static void BM_ExecutionMethod_Asynchronous(benchmark::State &state)
 {
   Reset();
-  sensei::AsyncRunner runner;
+  sched::BoundedPipeline runner;
   for (auto _ : state)
   {
     const double t0 = vp::ThisClock().Now();

@@ -90,7 +90,7 @@ fi
 if [ -f BENCH_graph.json ]; then
   echo "wrote results/BENCH_graph.json"
 fi
-# um_layout writes the layout-engine campaign: real wall-clock for the
+# um_layout writes the SIMD-switch campaign: real wall-clock for the
 # SoA+SIMD nbody force kernel vs the seed's scalar loop, plus the binning
 # bit-exactness matrix across serial/threads x eager/graph-replay; the
 # binary exits nonzero when the matrix diverges, and on machines with
@@ -175,10 +175,9 @@ echo "== step-graph campaign (VP_CHECK=1) =="
 bench um_graph_checked.txt env VP_CHECK=1 ../build/bench/um_graph \
   --benchmark_min_time=0.05
 echo "== layout-engine campaign (VP_CHECK=1) =="
-# layout conversions (the deferred reorder kernels) and the
-# lane-vectorized force kernel under the checker; the bit-exactness
-# matrix still applies, so an exec mode or graph replay that perturbs
-# the binning grids fails the run
+# the binning matrix and the lane-vectorized force kernel under the
+# checker; the bit-exactness matrix still applies, so an exec mode or
+# graph replay that perturbs the binning grids fails the run
 bench um_layout_checked.txt env VP_CHECK=1 ../build/bench/um_layout \
   --benchmark_min_time=0.05
 echo "== scheduler-labelled tests =="
@@ -239,9 +238,8 @@ bench um_graph_sanitized.txt env VP_CHECK=1 ../build-sanitize/bench/um_graph \
 # framebuffer fills, per-viewer downsample/codec paths, the steer wire
 # encodings, and the streamer's session teardown under ASan+UBSan
 ../build-sanitize/tests/testViz
-# the layout engine's reorder kernels (AoS <-> SoA, the 1000-seed
-# round-trip sweep split at random tuple ranges), the codec's per-plane
-# shuffle, and the lane-vectorized force kernel under ASan+UBSan;
+# the codec's per-plane shuffle, the <layout simd> configuration, the
+# binning matrix and the lane-vectorized force kernel under ASan+UBSan;
 # um_layout keeps its bit-exactness matrix gate in the sanitized build
 # too
 ../build-sanitize/tests/testLayout
@@ -301,9 +299,9 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # path: the streamer's pending-slot and fan-out locking under the race
 # detector
 ../build-tsan/tests/testViz
-# layout reorders and the lane-vectorized kernels under the threaded
-# engine: deferred reorder bodies retain the old storage while worker
-# queues drain; the serial-vs-threads equality tests must be race clean
+# the binning matrix and the lane-vectorized force kernel under the
+# threaded engine: the serial-vs-threads equality tests must be race
+# clean
 ../build-tsan/tests/testLayout
 # 4 rank threads meeting in the packed binning record's collectives
 ../build-tsan/tests/testBinning \

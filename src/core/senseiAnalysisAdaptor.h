@@ -194,6 +194,11 @@ private:
   int Verbose_ = 0;
 };
 
+// back ends pass their placement straight to the HDA access API, where
+// GetDeviceAccessible(vp::HostDevice) is the host view
+static_assert(AnalysisAdaptor::DEVICE_HOST == vp::HostDevice,
+              "a host placement must name the host device");
+
 } // namespace sensei
 
 #endif

@@ -94,16 +94,14 @@ void Autocorrelation::Run(
   const svtkHAMRDoubleArray *newest = window.back().Get();
   const std::size_t n = newest->GetNumberOfTuples();
 
-  auto newestView = device >= 0 ? newest->GetDeviceAccessible(device)
-                                : newest->GetHostAccessible();
+  auto newestView = newest->GetDeviceAccessible(device);
   newest->Synchronize();
   const double *vT = newestView.get();
 
   for (std::size_t tau = 0; tau < lags; ++tau)
   {
     const svtkHAMRDoubleArray *past = window[lags - 1 - tau].Get();
-    auto pastView = device >= 0 ? past->GetDeviceAccessible(device)
-                                : past->GetHostAccessible();
+    auto pastView = past->GetDeviceAccessible(device);
     past->Synchronize();
     const double *vP = pastView.get();
 

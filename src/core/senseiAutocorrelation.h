@@ -16,8 +16,8 @@
 /// method extensions from the AnalysisAdaptor base class (the lag dot
 /// products run on the assigned device or the host).
 
+#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
-#include "senseiAsyncRunner.h"
 #include "svtkHAMRDataArray.h"
 
 #include <deque>
@@ -73,7 +73,7 @@ private:
   /// newest snapshot last
   std::deque<svtkSmartPtr<const svtkHAMRDoubleArray>> History_;
 
-  AsyncRunner Runner_;
+  sched::BoundedPipeline Runner_;
   std::optional<minimpi::Communicator> AsyncComm_;
 
   mutable std::mutex ResultMutex_;

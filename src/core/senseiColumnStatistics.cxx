@@ -138,8 +138,7 @@ void ColumnStatistics::Run(
   {
     const std::size_t n = cols[c]->GetNumberOfTuples();
 
-    auto view = device >= 0 ? cols[c]->GetDeviceAccessible(device)
-                            : cols[c]->GetHostAccessible();
+    auto view = cols[c]->GetDeviceAccessible(device);
     const double *p = view.get();
     cols[c]->Synchronize();
 

@@ -9,8 +9,8 @@
 /// paper's placement and execution-method extensions, being defined in
 /// the AnalysisAdaptor base class, apply to every back end unchanged.
 
+#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
-#include "senseiAsyncRunner.h"
 #include "svtkHAMRDataArray.h"
 
 #include <map>
@@ -81,7 +81,7 @@ private:
   std::vector<std::string> Columns_;
   std::string OutputFile_;
 
-  AsyncRunner Runner_;
+  sched::BoundedPipeline Runner_;
   std::optional<minimpi::Communicator> AsyncComm_;
 
   mutable std::mutex ResultMutex_;

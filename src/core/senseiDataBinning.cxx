@@ -701,11 +701,7 @@ void DataBinning::RunBinning(const StepInputs &in)
   {
     auto it = views.find(col);
     if (it == views.end())
-      it = views
-             .emplace(col, onDevice
-                             ? col->GetDeviceAccessible(in.Device)
-                             : col->GetHostAccessible())
-             .first;
+      it = views.emplace(col, col->GetDeviceAccessible(in.Device)).first;
     return it->second.get();
   };
 

@@ -21,8 +21,8 @@
 /// same bin — which is why, as the paper observes, binning is not an ideal
 /// GPU algorithm.
 
+#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
-#include "senseiAsyncRunner.h"
 #include "svtkDataObject.h"
 #include "svtkHAMRDataArray.h"
 #include "vpStream.h"
@@ -127,7 +127,7 @@ public:
 
   /// Run asynchronous executions on real std::threads instead of the
   /// default deterministic virtual-time accounting (see
-  /// senseiAsyncRunner.h for the trade-off).
+  /// schedPipeline.h for the trade-off).
   void SetUseRealThreads(bool on) { this->Runner_.SetUseRealThreads(on); }
 
   // --- framework interface -----------------------------------------------------
@@ -286,7 +286,7 @@ private:
 
   Record Record_;
 
-  AsyncRunner Runner_;
+  sched::BoundedPipeline Runner_;
   /// communicator duplicated for the in situ thread, so its collectives
   /// never interleave with the simulation's
   std::optional<minimpi::Communicator> AsyncComm_;

@@ -93,8 +93,7 @@ void Histogram::Run(const svtkSmartPtr<const svtkHAMRDoubleArray> &col,
     lo = std::numeric_limits<double>::infinity();
     hi = -lo;
     // range scan at the placement target via the agnostic access API
-    auto view = device >= 0 ? col->GetDeviceAccessible(device)
-                            : col->GetHostAccessible();
+    auto view = col->GetDeviceAccessible(device);
     const double *p = view.get();
     col->Synchronize();
     const vp::KernelDesc desc{n, 2.0, 0.0, "histogram_range"};
@@ -137,8 +136,7 @@ void Histogram::Run(const svtkSmartPtr<const svtkHAMRDoubleArray> &col,
 
   std::vector<double> counts(bins, 0.0);
   {
-    auto view = device >= 0 ? col->GetDeviceAccessible(device)
-                            : col->GetHostAccessible();
+    auto view = col->GetDeviceAccessible(device);
     const double *p = view.get();
     col->Synchronize();
 

@@ -8,8 +8,8 @@
 /// placement and execution-method extensions defined in the
 /// AnalysisAdaptor base class are available to every back end.
 
+#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
-#include "senseiAsyncRunner.h"
 #include "svtkHAMRDataArray.h"
 
 #include <mutex>
@@ -73,7 +73,7 @@ private:
   bool AutoRange_ = true;
   double Lo_ = 0.0, Hi_ = 1.0;
 
-  AsyncRunner Runner_;
+  sched::BoundedPipeline Runner_;
   std::optional<minimpi::Communicator> AsyncComm_;
 
   mutable std::mutex ResultMutex_;

@@ -8,8 +8,8 @@
 /// processing and visualization". Supports asynchronous execution (deep
 /// copies to host, writes in a thread).
 
+#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
-#include "senseiAsyncRunner.h"
 
 #include <string>
 
@@ -62,7 +62,7 @@ private:
   long Frequency_ = 1;
   long WriteCount_ = 0;
 
-  AsyncRunner Runner_;
+  sched::BoundedPipeline Runner_;
 };
 
 } // namespace sensei

@@ -214,9 +214,6 @@ void ExportGraphStats(Profiler &prof)
 void ExportLayoutStats(Profiler &prof)
 {
   const vp::layout::LayoutStats s = vp::layout::Stats();
-  prof.Event("layout::conversions", static_cast<double>(s.Conversions));
-  prof.Event("layout::bytes_reordered",
-             static_cast<double>(s.BytesReordered));
   prof.Event("layout::simd_kernels", static_cast<double>(s.SimdKernels));
   prof.Event("layout::scalar_kernels", static_cast<double>(s.ScalarKernels));
 }

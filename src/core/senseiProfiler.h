@@ -34,7 +34,7 @@ public:
   /// consumers can detect incompatible exports. Bumped only when an
   /// existing key is renamed/removed or the JSON shape changes; counter
   /// additions do not bump it.
-  static constexpr const char *SchemaVersion = "sensei-profiler/1";
+  static constexpr const char *SchemaVersion = "sensei-profiler/2";
 
   /// One counter's accumulated state, as captured by Snapshot().
   struct Counter
@@ -123,7 +123,7 @@ public:
                                const CounterSnapshot &older);
 
   /// Serialize every event as JSON:
-  /// {"schema":"sensei-profiler/1",
+  /// {"schema":"sensei-profiler/2",
   ///  "events":{"name":{"count":N,"total":T,"mean":M,"max":X},...}}
   std::string ToJson() const;
 
@@ -217,10 +217,9 @@ void ExportExecStats(Profiler &prof);
 /// of the campaign's submission work the replay path absorbed.
 void ExportGraphStats(Profiler &prof);
 
-/// Record the layout-engine counters (vp::layout::Stats) as profiler
-/// events: layout::conversions, layout::bytes_reordered,
-/// layout::simd_kernels, layout::scalar_kernels — how often arrays were
-/// re-laid-out and which kernel variants (vectorized vs scalar) ran.
+/// Record the SIMD switch's counters (vp::layout::Stats) as profiler
+/// events: layout::simd_kernels, layout::scalar_kernels — which kernel
+/// variants (vectorized vs scalar) ran.
 void ExportLayoutStats(Profiler &prof);
 
 /// Record the in-transit service counters (svc::Stats) as profiler

@@ -22,7 +22,6 @@
 
 #include "hamrAllocator.h"
 #include "hamrStream.h"
-#include "layoutMapping.h"
 #include "vcuda.h"
 #include "vhip.h"
 #include "vomp.h"
@@ -384,52 +383,6 @@ public:
     else
       plat.LaunchKernel(this->ResolveStream(this->Owner_), desc, body,
                         this->Mode_ == stream_mode::sync);
-  }
-
-  /// Reorder the contents in place from layout mapping `from` to `to`
-  /// (same Tuples and Comps; `from` must describe the current storage).
-  /// Fresh storage of to.Slots() elements is allocated and the
-  /// conversion kernel runs where the data lives, so every outstanding
-  /// pointer or view into the old storage is invalidated. Values are
-  /// moved, never recomputed: a round trip through any layout is
-  /// bit-exact.
-  void reorder(const vp::layout::Mapping &from, const vp::layout::Mapping &to)
-  {
-    if (from.Tuples != to.Tuples || from.Comps != to.Comps)
-      throw std::invalid_argument("hamr::buffer::reorder: shape mismatch");
-    if (from.Slots() > this->Size_)
-      throw std::invalid_argument(
-        "hamr::buffer::reorder: mapping larger than the buffer");
-    if (from == to)
-      return;
-
-    std::shared_ptr<T> old = this->Data_;
-    this->AllocateStorage(to.Slots());
-    if (!this->Size_ || !old)
-      return;
-
-    T *dst = this->Data_.get();
-    vp::Platform &plat = vp::Platform::Get();
-    // disjoint per-tuple moves: safe to run as concurrent shards
-    vp::KernelDesc desc{to.Tuples, static_cast<double>(to.Comps), 0.0,
-                        "layout_reorder", /*Shardable=*/true};
-    // the body holds the old storage alive until it has run (the
-    // deferred-execution engine may run it after this call returns)
-    const auto body = [old, from, dst, to](std::size_t b, std::size_t e)
-    { vp::layout::ReorderRange(old.get(), from, dst, to, b, e); };
-    if (this->Owner_ == vp::HostDevice)
-    {
-      vp::check::HostRead(old.get(), from.Slots() * sizeof(T),
-                          "hamr::buffer::reorder");
-      vp::check::HostWrite(dst, to.Slots() * sizeof(T),
-                           "hamr::buffer::reorder");
-      plat.HostParallelFor(desc, body);
-    }
-    else
-      plat.LaunchKernel(this->ResolveStream(this->Owner_), desc, body,
-                        this->Mode_ == stream_mode::sync);
-    vp::layout::NoteConversion(to.Tuples * to.Comps * sizeof(T));
-    this->MaybeSynchronize();
   }
 
   /// Copy n elements of host data into the buffer (resizing to n).

@@ -8,47 +8,6 @@ namespace vp
 namespace layout
 {
 
-// --- names -------------------------------------------------------------------
-
-const vp::knob::Spellings &KindNames()
-{
-  static const vp::knob::Spellings names = {
-    {"aos", 0}, {"interleaved", 0}, {"soa", 1}, {"planar", 1}};
-  return names;
-}
-
-Kind KindFromName(const std::string &name)
-{
-  return vp::knob::FromName<Kind>(KindNames(), name,
-                                  "vp::layout: unknown layout");
-}
-
-const char *KindName(Kind k)
-{
-  return vp::knob::NameOf(KindNames(), static_cast<int>(k));
-}
-
-// --- mapping -----------------------------------------------------------------
-
-Mapping Mapping::AoS(std::size_t tuples, std::size_t comps)
-{
-  return Make(Kind::AoS, tuples, comps);
-}
-
-Mapping Mapping::SoA(std::size_t tuples, std::size_t comps)
-{
-  return Make(Kind::SoA, tuples, comps);
-}
-
-Mapping Mapping::Make(Kind k, std::size_t tuples, std::size_t comps)
-{
-  Mapping m;
-  m.Layout = k;
-  m.Tuples = tuples;
-  m.Comps = comps ? comps : 1;
-  return m;
-}
-
 // --- configuration -----------------------------------------------------------
 
 namespace
@@ -68,8 +27,6 @@ LayoutConfig &GlobalConfig()
 
 struct AtomicStats
 {
-  std::atomic<std::uint64_t> Conversions{0};
-  std::atomic<std::uint64_t> BytesReordered{0};
   std::atomic<std::uint64_t> SimdKernels{0};
   std::atomic<std::uint64_t> ScalarKernels{0};
 };
@@ -120,8 +77,6 @@ LayoutStats Stats()
 {
   const AtomicStats &a = GlobalStats();
   LayoutStats s;
-  s.Conversions = a.Conversions.load(std::memory_order_relaxed);
-  s.BytesReordered = a.BytesReordered.load(std::memory_order_relaxed);
   s.SimdKernels = a.SimdKernels.load(std::memory_order_relaxed);
   s.ScalarKernels = a.ScalarKernels.load(std::memory_order_relaxed);
   return s;
@@ -130,17 +85,8 @@ LayoutStats Stats()
 void ResetStats()
 {
   AtomicStats &a = GlobalStats();
-  a.Conversions.store(0, std::memory_order_relaxed);
-  a.BytesReordered.store(0, std::memory_order_relaxed);
   a.SimdKernels.store(0, std::memory_order_relaxed);
   a.ScalarKernels.store(0, std::memory_order_relaxed);
-}
-
-void NoteConversion(std::size_t bytes)
-{
-  AtomicStats &a = GlobalStats();
-  a.Conversions.fetch_add(1, std::memory_order_relaxed);
-  a.BytesReordered.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void NoteSimdKernel()

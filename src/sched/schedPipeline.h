@@ -6,16 +6,17 @@
 /// asynchronous execution method deep-copies what the analysis needs and
 /// runs it in a thread; unbounded, that pattern lets queued deep copies
 /// grow without limit whenever the analysis falls behind the solver —
-/// the classic in situ OOM. sched::BoundedPipeline is a bounded MPSC
-/// work queue replacing the fire-and-forget sensei::AsyncRunner thread:
+/// the classic in situ OOM. sched::BoundedPipeline is the bounded MPSC
+/// work queue each asynchronous analysis adaptor runs its tasks on:
 /// one consumer drains submitted analysis tasks in FIFO order, at most
 /// `queue_depth` task payloads are alive at once, and when the queue is
 /// full one of three backpressure policies applies:
 ///
 ///  * `block`        — the submitter (the solver) waits for a slot; no
 ///                     step is lost (total accuracy, bounded memory,
-///                     solver stalls). Depth 1 reproduces the original
-///                     AsyncRunner timeline bit for bit.
+///                     solver stalls). Depth 1 (the default) keeps one
+///                     task in flight: a new submission first waits
+///                     out the previous one.
 ///  * `drop-oldest`  — the oldest not-yet-started step is discarded; the
 ///                     solver never stalls and memory stays bounded, at
 ///                     the cost of temporal gaps in the analysis.
@@ -25,10 +26,23 @@
 ///                     intermediates under pressure.
 ///
 /// A depth of 0 means unbounded (the degenerate baseline the benchmarks
-/// compare against). Two execution modes mirror sensei::AsyncRunner:
-/// deterministic (default; tasks run inline under detached virtual
-/// clocks, bit-reproducible timelines) and real-thread (one persistent
-/// consumer std::thread with checker-visible fork/join edges per task).
+/// compare against). The `<sched>` XML element (or sched::Configure)
+/// sets the depth and the policy for every pipeline in the process.
+///
+/// Two accounting modes are provided:
+///
+///  * **deterministic** (the default) — the task body runs inline under a
+///    detached virtual clock seeded at the consumer's start time. Its
+///    resource claims (device engines, host pool, collectives) land
+///    exactly as a perfectly-fair concurrent thread's would, and the
+///    submitter's clock advances only by the thread-spawn cost, so
+///    virtual timelines are bit-identical run to run;
+///  * **real-thread** — tasks run on one persistent consumer std::thread
+///    with checker-visible fork/join edges per task. The virtual
+///    semantics are the same, but claim interleaving follows the host OS
+///    scheduler, so timelines vary run to run. Useful to demonstrate
+///    that the code is genuinely thread safe (the unit tests exercise
+///    both modes).
 ///
 /// Dropped or coalesced tasks are destroyed without running; their deep
 /// copies (pool-backed when the memory pool is enabled) are released at

@@ -18,12 +18,8 @@
 ///    when possible, via an automatically cleaned up temporary otherwise
 ///    (paper Listings 2-4);
 ///  * GetData gives direct pointer access when location and PM are known;
-///  * the storage is layout polymorphic (vp::layout): an array is
-///    declared AoS or SoA and can be converted between layouts at any
-///    time without touching consumer code — element accessors map
-///    (tuple, component) through the active layout::Mapping.
-///    Conversions move bits, never recompute values, so results are
-///    layout independent. One-component arrays are layout invariant.
+///  * tuples are stored interleaved (AoS): component c of tuple t is
+///    element t * comps + c.
 
 #include "hamrBuffer.h"
 #include "svtkDataArray.h"
@@ -57,18 +53,6 @@ public:
     a->NumComps_ = nComp > 0 ? nComp : 1;
     a->Buffer_ = hamr::buffer<T>(svtkToHamr(alloc), strm, svtkToHamr(mode),
                                  nElem * static_cast<std::size_t>(a->NumComps_));
-    return a;
-  }
-
-  /// As above with an explicit storage layout (instead of AoS).
-  static svtkHAMRDataArray *New(const std::string &name, std::size_t nElem,
-                               int nComp, svtkAllocator alloc,
-                               vp::layout::Kind layout,
-                               const svtkStream &strm = svtkStream(),
-                               svtkStreamMode mode = svtkStreamMode::sync)
-  {
-    auto *a = New(name, nElem, nComp, alloc, strm, mode);
-    a->Layout_ = layout;
     return a;
   }
 
@@ -140,34 +124,29 @@ public:
 
   double GetVariantValue(std::size_t tuple, int component) const override
   {
-    return static_cast<double>(this->Buffer_.get(
-      this->GetMapping().Offset(tuple, static_cast<std::size_t>(component))));
+    return static_cast<double>(
+      this->Buffer_.get(tuple * static_cast<std::size_t>(this->NumComps_) +
+                        static_cast<std::size_t>(component)));
   }
 
   void SetVariantValue(std::size_t tuple, int component, double v) override
   {
-    this->Buffer_.set(
-      this->GetMapping().Offset(tuple, static_cast<std::size_t>(component)),
-      static_cast<T>(v));
+    this->Buffer_.set(tuple * static_cast<std::size_t>(this->NumComps_) +
+                        static_cast<std::size_t>(component),
+                      static_cast<T>(v));
   }
 
   void SetNumberOfTuples(std::size_t n) override
   {
     if (this->Buffer_.get_allocator() == hamr::allocator::none)
       this->Buffer_.set_allocator(hamr::allocator::malloc_);
-    // resize is defined on packed interleaved storage; round-trip
-    // through AoS so a non-AoS array keeps its declared layout
-    const vp::layout::Kind declared = this->Layout_;
-    this->ConvertLayout(vp::layout::Kind::AoS);
     this->Buffer_.resize(n * static_cast<std::size_t>(this->NumComps_));
-    this->ConvertLayout(declared);
   }
 
   svtkDataArray *NewInstance() const override
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
-    a->Layout_ = this->Layout_;
     a->Buffer_ = hamr::buffer<T>(this->Buffer_.get_allocator());
     a->Buffer_.set_stream(this->Buffer_.get_stream());
     a->Buffer_.set_mode(this->Buffer_.mode());
@@ -180,7 +159,6 @@ public:
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
-    a->Layout_ = this->Layout_;
     a->Buffer_ = hamr::buffer<T>(this->Buffer_);
     return a;
   }
@@ -195,37 +173,8 @@ public:
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
-    a->Layout_ = this->Layout_;
     a->Buffer_ = this->Buffer_.deep_copy(device);
     return a;
-  }
-
-  // --- layout polymorphism ----------------------------------------------------
-
-  /// The storage layout of this array.
-  vp::layout::Kind GetLayout() const { return this->Layout_; }
-
-  /// The mapping describing the current storage. The tuple count is
-  /// derived from the buffer, so the mapping tracks direct GetBuffer()
-  /// resizes too.
-  vp::layout::Mapping GetMapping() const
-  {
-    const auto comps = static_cast<std::size_t>(this->NumComps_);
-    return vp::layout::Mapping::Make(this->Layout_,
-                                     this->Buffer_.size() / comps, comps);
-  }
-
-  /// Convert the storage to layout `k` in place. Values are moved
-  /// bit-exactly; outstanding pointers are invalidated. One-component
-  /// arrays switch the label without touching memory.
-  void ConvertLayout(vp::layout::Kind k)
-  {
-    const vp::layout::Mapping from = this->GetMapping();
-    const vp::layout::Mapping to =
-      vp::layout::Mapping::Make(k, from.Tuples, from.Comps);
-    if (this->NumComps_ > 1 && to != from)
-      this->Buffer_.reorder(from, to);
-    this->Layout_ = k;
   }
 
   // --- heterogeneous extensions ---------------------------------------------
@@ -313,7 +262,6 @@ protected:
 
 private:
   hamr::buffer<T> Buffer_;
-  vp::layout::Kind Layout_ = vp::layout::Kind::AoS;
   int NumComps_ = 1;
 };
 

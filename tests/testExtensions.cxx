@@ -4,7 +4,7 @@
 // memory exhaustion surfacing through the analysis stack).
 
 #include "minimpi.h"
-#include "senseiAsyncRunner.h"
+#include "schedPipeline.h"
 #include "senseiColumnStatistics.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataBinning.h"
@@ -322,7 +322,7 @@ TEST(ColumnStatistics, AsyncAndXmlConfigured)
 TEST(AsyncRunner, RealThreadModeProducesSameResults)
 {
   ResetPlatform();
-  sensei::AsyncRunner runner;
+  sched::BoundedPipeline runner;
   runner.SetUseRealThreads(true);
   EXPECT_TRUE(runner.GetUseRealThreads());
 
@@ -340,7 +340,7 @@ TEST(AsyncRunner, DeterministicModeIsBitReproducible)
   {
     vp::Platform::Initialize(vp::PlatformConfig{});
     vp::ClockScope scope(0.0);
-    sensei::AsyncRunner runner;
+    sched::BoundedPipeline runner;
     for (int i = 0; i < 3; ++i)
       runner.Submit(
         []()
@@ -363,7 +363,7 @@ TEST(AsyncRunner, DeterministicModeIsBitReproducible)
 TEST(AsyncRunner, BackpressureWaitsForInFlightTask)
 {
   ResetPlatform();
-  sensei::AsyncRunner runner;
+  sched::BoundedPipeline runner;
 
   // a long task...
   runner.Submit([]() { vp::ThisClock().Advance(1.0); });

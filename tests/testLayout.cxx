@@ -1,16 +1,11 @@
-// Tests for the layout-polymorphic array engine (src/layout): mapping
-// math for AoS / SoA (plane and record strides, one-component
-// identity), a 1000-seed property test (random layout x dtype x count x
-// reorder range round-trips bit-exact against an AoS reference), the
-// hamr::buffer / svtkHAMRDataArray conversion surface, the codec
-// shuffle round trip, XML / environment configuration of <layout simd>,
-// the profiler export — and equality of the binning grids and the nbody
+// Tests for the SIMD force switch (src/layout): the codec shuffle
+// round trip, XML / environment configuration of <layout simd>, the
+// profiler export — and equality of the binning grids and the nbody
 // force across serial / threads execution and eager / graph replay.
 
 #include "cmpCodec.h"
 #include "execEngine.h"
 #include "graphCapture.h"
-#include "hamrBuffer.h"
 #include "layoutMapping.h"
 #include "newtonSolver.h"
 #include "senseiConfigurableAnalysis.h"
@@ -18,7 +13,6 @@
 #include "senseiDataBinning.h"
 #include "senseiProfiler.h"
 #include "svtkAOSDataArray.h"
-#include "svtkHAMRDataArray.h"
 #include "vcuda.h"
 #include "vomp.h"
 #include "vpClock.h"
@@ -31,9 +25,6 @@
 #include <cstdlib>
 #include <random>
 #include <vector>
-
-using vp::layout::Kind;
-using vp::layout::Mapping;
 
 namespace
 {
@@ -73,289 +64,7 @@ protected:
 
 } // namespace
 
-// --- names -------------------------------------------------------------------
-
-TEST(LayoutNames, ParseAndPrint)
-{
-  EXPECT_EQ(vp::layout::KindFromName("aos"), Kind::AoS);
-  EXPECT_EQ(vp::layout::KindFromName("interleaved"), Kind::AoS);
-  EXPECT_EQ(vp::layout::KindFromName("soa"), Kind::SoA);
-  EXPECT_EQ(vp::layout::KindFromName("planar"), Kind::SoA);
-
-  EXPECT_THROW(vp::layout::KindFromName("bogus"), std::invalid_argument);
-  EXPECT_THROW(vp::layout::KindFromName("aosoa"), std::invalid_argument);
-  EXPECT_THROW(vp::layout::KindFromName(""), std::invalid_argument);
-
-  EXPECT_STREQ(vp::layout::KindName(Kind::SoA), "soa");
-  EXPECT_STREQ(vp::layout::KindName(Kind::AoS), "aos");
-}
-
-// --- mapping math ------------------------------------------------------------
-
-TEST(LayoutMapping, AoSOffsetsAndRuns)
-{
-  const Mapping m = Mapping::AoS(5, 3);
-  EXPECT_EQ(m.Slots(), 15u);
-  EXPECT_EQ(m.Offset(0, 0), 0u);
-  EXPECT_EQ(m.Offset(2, 1), 7u);
-  EXPECT_EQ(m.Offset(4, 2), 14u);
-  // interleaved: a component's consecutive tuples are one record apart
-  EXPECT_EQ(m.Offset(3, 1) - m.Offset(2, 1), 3u);
-}
-
-TEST(LayoutMapping, SoAOffsetsAndRuns)
-{
-  const Mapping m = Mapping::SoA(5, 3);
-  EXPECT_EQ(m.Slots(), 15u);
-  EXPECT_EQ(m.Offset(0, 0), 0u);
-  EXPECT_EQ(m.Offset(2, 1), 7u);  // 1*5 + 2
-  EXPECT_EQ(m.Offset(4, 2), 14u); // 2*5 + 4
-  // planar: a component's tuples are contiguous to the end of the plane
-  for (std::size_t t = 1; t < 5; ++t)
-    EXPECT_EQ(m.Offset(t, 2), m.Offset(t - 1, 2) + 1);
-}
-
-TEST(LayoutMapping, OneComponentIsLayoutInvariant)
-{
-  for (Kind k : {Kind::AoS, Kind::SoA})
-  {
-    const Mapping m = Mapping::Make(k, 7, 1);
-    EXPECT_EQ(m.Slots(), 7u) << vp::layout::KindName(k);
-    for (std::size_t t = 0; t < 7; ++t)
-      EXPECT_EQ(m.Offset(t, 0), t);
-  }
-}
-
-TEST(LayoutMapping, EqualityComparesLayoutAndShape)
-{
-  EXPECT_EQ(Mapping::AoS(5, 3), Mapping::AoS(5, 3));
-  EXPECT_NE(Mapping::AoS(5, 3), Mapping::SoA(5, 3));
-  EXPECT_NE(Mapping::SoA(5, 3), Mapping::SoA(6, 3));
-  EXPECT_NE(Mapping::SoA(6, 3), Mapping::SoA(6, 2));
-}
-
-// --- the 1000-seed property test --------------------------------------------
-
-namespace
-{
-
-// a value that is exact in every tested dtype (small integers)
-template <typename T>
-T PropValue(std::size_t t, std::size_t c, unsigned seed)
-{
-  return static_cast<T>((t * 7 + c * 131 + seed) % 251);
-}
-
-template <typename T>
-void PropertyRoundTrip(unsigned seed)
-{
-  std::mt19937_64 rng(seed);
-  const std::size_t tuples = rng() % 300;
-  const std::size_t comps = 1 + rng() % 5;
-  const Kind kinds[2] = {Kind::AoS, Kind::SoA};
-  const Kind k1 = kinds[rng() % 2];
-  const Kind k2 = kinds[rng() % 2];
-  const std::size_t split = tuples ? rng() % (tuples + 1) : 0;
-
-  // the AoS reference
-  const Mapping ref = Mapping::AoS(tuples, comps);
-  std::vector<T> refStore(ref.Slots());
-  for (std::size_t t = 0; t < tuples; ++t)
-    for (std::size_t c = 0; c < comps; ++c)
-      refStore[ref.Offset(t, c)] = PropValue<T>(t, c, seed);
-
-  // AoS -> k1 -> k2 -> AoS, verifying by three access patterns
-  const Mapping m1 = Mapping::Make(k1, tuples, comps);
-  std::vector<T> s1(m1.Slots(), T(0));
-  vp::layout::ReorderRange(refStore.data(), ref, s1.data(), m1, 0, tuples);
-
-  // pattern 1: direct Offset addressing
-  for (std::size_t t = 0; t < tuples; ++t)
-    for (std::size_t c = 0; c < comps; ++c)
-      ASSERT_EQ(s1[m1.Offset(t, c)], PropValue<T>(t, c, seed))
-        << "seed " << seed << " t " << t << " c " << c;
-
-  // pattern 2: two tuple ranges split at a random point, as a sharded
-  // reorder kernel hands them out
-  const Mapping m2 = Mapping::Make(k2, tuples, comps);
-  std::vector<T> s2(m2.Slots(), T(0));
-  vp::layout::ReorderRange(s1.data(), m1, s2.data(), m2, 0, split);
-  vp::layout::ReorderRange(s1.data(), m1, s2.data(), m2, split, tuples);
-  for (std::size_t t = 0; t < tuples; ++t)
-    for (std::size_t c = 0; c < comps; ++c)
-      ASSERT_EQ(s2[m2.Offset(t, c)], PropValue<T>(t, c, seed))
-        << "seed " << seed << " t " << t << " c " << c;
-
-  // pattern 3: back to AoS must be bit-identical to the reference
-  std::vector<T> back(ref.Slots(), T(0));
-  vp::layout::ReorderRange(s2.data(), m2, back.data(), ref, 0, tuples);
-  ASSERT_EQ(back, refStore) << "seed " << seed;
-}
-
-} // namespace
-
-TEST(LayoutProperty, RandomLayoutDtypeCountAccessRoundTripsBitExact)
-{
-  // 1000 seeds spread over four dtypes
-  for (unsigned seed = 0; seed < 1000; ++seed)
-  {
-    switch (seed % 4)
-    {
-      case 0: PropertyRoundTrip<double>(seed); break;
-      case 1: PropertyRoundTrip<float>(seed); break;
-      case 2: PropertyRoundTrip<int>(seed); break;
-      default: PropertyRoundTrip<long long>(seed); break;
-    }
-  }
-}
-
-// --- hamr::buffer::reorder ---------------------------------------------------
-
-TEST_F(LayoutTest, BufferReorderMovesValuesAcrossLayouts)
-{
-  const std::size_t n = 100, comps = 3;
-  const Mapping aos = Mapping::AoS(n, comps);
-  hamr::buffer<double> buf(hamr::allocator::malloc_, aos.Slots());
-  for (std::size_t t = 0; t < n; ++t)
-    for (std::size_t c = 0; c < comps; ++c)
-      buf.data()[aos.Offset(t, c)] = static_cast<double>(t * 10 + c);
-
-  const Mapping soa = Mapping::SoA(n, comps);
-  buf.reorder(aos, soa);
-  EXPECT_EQ(buf.size(), soa.Slots());
-  for (std::size_t t = 0; t < n; ++t)
-    for (std::size_t c = 0; c < comps; ++c)
-      EXPECT_EQ(buf.data()[soa.Offset(t, c)], static_cast<double>(t * 10 + c));
-
-  buf.reorder(soa, aos);
-  EXPECT_EQ(buf.size(), aos.Slots());
-  for (std::size_t t = 0; t < n; ++t)
-    for (std::size_t c = 0; c < comps; ++c)
-      EXPECT_EQ(buf.data()[aos.Offset(t, c)], static_cast<double>(t * 10 + c));
-}
-
-TEST_F(LayoutTest, BufferReorderRejectsShapeMismatch)
-{
-  hamr::buffer<double> buf(hamr::allocator::malloc_, 30);
-  EXPECT_THROW(buf.reorder(Mapping::AoS(10, 3), Mapping::SoA(10, 2)),
-               std::invalid_argument);
-  EXPECT_THROW(buf.reorder(Mapping::AoS(20, 3), Mapping::SoA(20, 3)),
-               std::invalid_argument); // source mapping larger than storage
-}
-
-TEST_F(LayoutTest, BufferReorderOnDeviceStorage)
-{
-  const std::size_t n = 64, comps = 2;
-  const Mapping aos = Mapping::AoS(n, comps);
-  hamr::buffer<double> buf(hamr::allocator::device_async, vp::Stream(),
-                           hamr::stream_mode::sync, aos.Slots());
-  for (std::size_t i = 0; i < aos.Slots(); ++i)
-    buf.data()[i] = static_cast<double>(i); // host-heap backed device memory
-
-  const Mapping soa = Mapping::SoA(n, comps);
-  buf.reorder(aos, soa);
-  buf.synchronize();
-  for (std::size_t t = 0; t < n; ++t)
-    for (std::size_t c = 0; c < comps; ++c)
-      EXPECT_EQ(buf.data()[soa.Offset(t, c)],
-                static_cast<double>(aos.Offset(t, c)));
-}
-
-// --- svtkHAMRDataArray layout surface ----------------------------------------
-
-TEST_F(LayoutTest, HdaDeclaredSoAMapsAccessors)
-{
-  auto *a = svtkHAMRDoubleArray::New("v", 10, 3, svtkAllocator::malloc_,
-                                    Kind::SoA);
-  EXPECT_EQ(a->GetLayout(), Kind::SoA);
-  EXPECT_EQ(a->GetNumberOfTuples(), 10u);
-  for (std::size_t t = 0; t < 10; ++t)
-    for (int c = 0; c < 3; ++c)
-      a->SetVariantValue(t, c, static_cast<double>(t * 100 + c));
-
-  // the storage really is planar
-  const double *d = a->GetData();
-  EXPECT_EQ(d[0], 0.0);
-  EXPECT_EQ(d[1], 100.0); // (1,0) is adjacent to (0,0) in SoA
-  EXPECT_EQ(d[10], 1.0);  // comp 1 plane starts at slot 10
-
-  for (std::size_t t = 0; t < 10; ++t)
-    for (int c = 0; c < 3; ++c)
-      EXPECT_EQ(a->GetVariantValue(t, c), static_cast<double>(t * 100 + c));
-  a->UnRegister();
-}
-
-TEST_F(LayoutTest, HdaConvertLayoutRoundTripsBitExact)
-{
-  auto *a = svtkHAMRDoubleArray::New("v", 33, 3, svtkAllocator::malloc_);
-  for (std::size_t t = 0; t < 33; ++t)
-    for (int c = 0; c < 3; ++c)
-      a->SetVariantValue(t, c, std::sin(static_cast<double>(t * 3 + c)));
-  const std::vector<double> ref = a->ToVector();
-
-  for (Kind k : {Kind::SoA, Kind::AoS})
-  {
-    a->ConvertLayout(k);
-    EXPECT_EQ(a->GetLayout(), k);
-    EXPECT_EQ(a->GetNumberOfTuples(), 33u);
-    std::size_t i = 0;
-    for (std::size_t t = 0; t < 33; ++t)
-      for (int c = 0; c < 3; ++c, ++i)
-        EXPECT_EQ(a->GetVariantValue(t, c), ref[i])
-          << vp::layout::KindName(k);
-  }
-  // back at AoS: storage bit-identical to the original
-  EXPECT_EQ(a->ToVector(), ref);
-  a->UnRegister();
-}
-
-TEST_F(LayoutTest, HdaOneComponentConversionIsFree)
-{
-  auto *a = svtkHAMRDoubleArray::New("v", 100, 1, svtkAllocator::malloc_);
-  const double *before = a->GetData();
-  vp::layout::ResetStats();
-  a->ConvertLayout(Kind::SoA);
-  EXPECT_EQ(a->GetData(), before); // no reallocation, just the label
-  EXPECT_EQ(vp::layout::Stats().Conversions, 0u);
-  EXPECT_EQ(a->GetNumberOfTuples(), 100u);
-  a->UnRegister();
-}
-
-TEST_F(LayoutTest, HdaResizePreservesDeclaredLayout)
-{
-  auto *a = svtkHAMRDoubleArray::New("v", 10, 3, svtkAllocator::malloc_,
-                                    Kind::SoA);
-  for (std::size_t t = 0; t < 10; ++t)
-    for (int c = 0; c < 3; ++c)
-      a->SetVariantValue(t, c, static_cast<double>(t + 10 * c));
-
-  a->SetNumberOfTuples(20);
-  EXPECT_EQ(a->GetLayout(), Kind::SoA);
-  EXPECT_EQ(a->GetNumberOfTuples(), 20u);
-  for (std::size_t t = 0; t < 10; ++t)
-    for (int c = 0; c < 3; ++c)
-      EXPECT_EQ(a->GetVariantValue(t, c), static_cast<double>(t + 10 * c));
-  a->UnRegister();
-}
-
-TEST_F(LayoutTest, HdaDeepCopyAndNewInstancePropagateLayout)
-{
-  auto *a = svtkHAMRDoubleArray::New("v", 12, 2, svtkAllocator::malloc_,
-                                    Kind::SoA);
-  a->SetVariantValue(11, 1, 42.0);
-
-  svtkHAMRDoubleArray *d = a->NewDeepCopy();
-  EXPECT_EQ(d->GetLayout(), Kind::SoA);
-  EXPECT_EQ(d->GetNumberOfTuples(), 12u);
-  EXPECT_EQ(d->GetVariantValue(11, 1), 42.0);
-  d->UnRegister();
-
-  auto *i = static_cast<svtkHAMRDoubleArray *>(a->NewInstance());
-  EXPECT_EQ(i->GetLayout(), Kind::SoA);
-  EXPECT_EQ(i->GetNumberOfTuples(), 0u);
-  i->UnRegister();
-  a->UnRegister();
-}
+// --- codec shuffle -----------------------------------------------------------
 
 TEST_F(LayoutTest, CodecShuffleRoundTripsEveryDtype)
 {
@@ -427,14 +136,17 @@ TEST_F(LayoutTest, ConfigurableAnalysisRejectsBadLayout)
 TEST_F(LayoutTest, ProfilerExportsLayoutCounters)
 {
   vp::layout::ResetStats();
-  vp::layout::NoteConversion(128);
   vp::layout::NoteSimdKernel();
   sensei::Profiler prof;
   sensei::ExportLayoutStats(prof);
   const std::string json = prof.ToJson();
-  EXPECT_NE(json.find("layout::conversions"), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"sensei-profiler/2\""),
+            std::string::npos);
   EXPECT_NE(json.find("layout::simd_kernels"), std::string::npos);
-  EXPECT_NE(json.find("layout::bytes_reordered"), std::string::npos);
+  EXPECT_NE(json.find("layout::scalar_kernels"), std::string::npos);
+  // removed with the AoS/SoA conversions they counted
+  EXPECT_EQ(json.find("layout::conversions"), std::string::npos);
+  EXPECT_EQ(json.find("layout::bytes_reordered"), std::string::npos);
 }
 
 // --- kernel equality: binning across the execution matrix --------------------

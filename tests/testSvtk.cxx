@@ -284,6 +284,51 @@ TEST_F(SvtkTest, HDADeepCopyPreservesLocation)
   b->Delete();
 }
 
+TEST_F(SvtkTest, HDAMultiComponentTuplesSurviveResizeAndDeepCopies)
+{
+  // tuples are interleaved (component c of tuple t is element t*3 + c),
+  // so a resize and every deep copy keep each tuple whole
+  vcuda::SetDevice(2);
+  svtkHAMRDoubleArray *a = svtkHAMRDoubleArray::New(
+    "xyz", 40, 3, svtkAllocator::cuda, svtkStream(), svtkStreamMode::sync);
+  vcuda::SetDevice(0);
+  auto value = [](std::size_t t, int c)
+  { return static_cast<double>(t * 10 + static_cast<std::size_t>(c)) + 0.25; };
+  for (std::size_t t = 0; t < 40; ++t)
+    for (int c = 0; c < 3; ++c)
+      a->SetVariantValue(t, c, value(t, c));
+
+  a->SetNumberOfTuples(25); // shrinking keeps the leading tuples
+
+  auto expectTuples = [&value](const svtkHAMRDoubleArray *b, int owner)
+  {
+    EXPECT_EQ(b->GetOwner(), owner);
+    EXPECT_EQ(b->GetNumberOfComponents(), 3);
+    ASSERT_EQ(b->GetNumberOfTuples(), 25u);
+    const std::vector<double> flat = b->ToVector();
+    for (std::size_t t = 0; t < 25; ++t)
+      for (int c = 0; c < 3; ++c)
+      {
+        EXPECT_EQ(b->GetVariantValue(t, c), value(t, c))
+          << "owner " << owner << " tuple " << t << " component " << c;
+        EXPECT_EQ(flat[t * 3 + static_cast<std::size_t>(c)], value(t, c));
+      }
+  };
+  expectTuples(a, 2);
+
+  svtkHAMRDoubleArray *same = a->NewDeepCopy();
+  svtkHAMRDoubleArray *dev1 = a->NewDeepCopy(1);
+  svtkHAMRDoubleArray *host = a->NewDeepCopy(vp::HostDevice);
+  expectTuples(same, 2);
+  expectTuples(dev1, 1);
+  expectTuples(host, vp::HostDevice);
+
+  same->Delete();
+  dev1->Delete();
+  host->Delete();
+  a->Delete();
+}
+
 TEST_F(SvtkTest, HDANewInstanceIsEmptySameConfig)
 {
   svtkHAMRDoubleArray *a = svtkHAMRDoubleArray::New(
