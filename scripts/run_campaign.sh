@@ -255,12 +255,14 @@ bench um_layout_sanitized.txt \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*'
 # the solver's ring pass (one packed block per hop, staged through the
 # resident device buffer) against its host reference on 1 to 5 ranks,
-# a host view of a deep copy still in flight on another stream, and a
-# deep copy's synchronize() waiting on its transfer's event only, under
+# the bridge's resident derived columns, a host view of a deep copy
+# still in flight on another stream, a deep copy's synchronize() waiting
+# on its transfer's event only, and what a deep copy guarantees when it
+# returns (sync, in flight from a device, complete from the host), under
 # ASan+UBSan
-../build-sanitize/tests/testNewton --gtest_filter='NewtonRing.*'
+../build-sanitize/tests/testNewton --gtest_filter='NewtonRing.*:NewtonBridge.*'
 ../build-sanitize/tests/testHamrAccess \
-  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*'
+  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*'
 # serial vs threads: bit-exact binning grids and virtual time on the
 # host and under both device strategies, and a host campaign's virtual
 # timings independent of the pool width, under ASan+UBSan
@@ -308,10 +310,11 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
 # async binnings sharing one snapshot copy per column under
 # <exec mode="threads">: consumer threads drop the last references to
-# the shared copies while the simulation thread drops the snapshot's,
-# with the checker on
+# the shared copies while the simulation thread drops the snapshot's;
+# then snapshot copies still in flight while the simulation rewrites
+# the columns on their stream, with the checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
-  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads'
+  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads:BinningSnapshot.SimulationWritesAfterTheSnapshotDoNotReachIt'
 # lockstep binnings of two rank threads filling and hitting their
 # adaptors' axis-range tables under <exec mode="threads">, with the
 # checker on
@@ -322,16 +325,18 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 # take turns on each record, with the checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
   --gtest_filter='BinningResident.CheckerCleanUnderExecThreads'
-# rank threads passing packed blocks around the ring, and under
+# rank threads passing packed blocks around the ring and repartitioning
+# under the bridge's resident derived columns, and under
 # <exec mode="threads"> the staged uploads and force kernels on worker
 # queues, with the checker on for the threaded ring case; then a host
-# view moved out of a deep copy still in flight on another device, and
-# two threads synchronizing one shared copy on its transfer's event
-../build-tsan/tests/testNewton --gtest_filter='NewtonRing.*'
+# view moved out of a deep copy still in flight on another device, two
+# threads synchronizing one shared copy on its transfer's event, and
+# deep copies left in flight behind a pending kernel
+../build-tsan/tests/testNewton --gtest_filter='NewtonRing.*:NewtonBridge.*'
 VP_CHECK=1 ../build-tsan/tests/testNewton \
   --gtest_filter='NewtonRing.CheckerCleanUnderExecThreads'
 VP_CHECK=1 ../build-tsan/tests/testHamrAccess \
-  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*'
+  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*'
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
 ../build-tsan/tests/testMinimpi \

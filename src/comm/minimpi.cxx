@@ -308,6 +308,16 @@ public:
     int rank, const void *in, void *out, std::size_t outBytes,
     const std::function<double(const std::vector<const void *> &)> &combine)
   {
+    this->Collective(rank, in, &out, 1, outBytes, combine);
+  }
+
+  /// As above, copying the first nOut * outBytes of Scratch_ out in
+  /// pieces of `outBytes`: piece k into out[k].
+  void Collective(
+    int rank, const void *in, void *const *out, std::size_t nOut,
+    std::size_t outBytes,
+    const std::function<double(const std::vector<const void *> &)> &combine)
+  {
     std::unique_lock<std::mutex> lock(this->CollMutex_);
     const std::uint64_t myGen = this->Generation_;
     this->InPtrs_[static_cast<std::size_t>(rank)] = in;
@@ -339,8 +349,10 @@ public:
       this->CollCv_.wait(lock, [&] { return this->Generation_ != myGen; });
     }
 
-    if (out && outBytes)
-      std::memcpy(out, this->Scratch_.data(), outBytes);
+    if (outBytes)
+      for (std::size_t k = 0; k < nOut; ++k)
+        if (out[k])
+          std::memcpy(out[k], this->Scratch_.data() + k * outBytes, outBytes);
     vp::ThisClock().AdvanceTo(this->ExitTime_);
   }
 
@@ -736,14 +748,15 @@ CompactPart PartOf(const CompactShape &shape, const void *compact,
   return part;
 }
 
-/// Fold the parts into `dense` exactly as Allreduce folds dense records:
-/// the first part is copied (its values at the bins it holds, the
-/// identity elsewhere), and each later part is combined in part order by
-/// the same ReduceInto, over the union of the bitmaps gathered into
-/// contiguous runs (an absent bin contributes the identity). Bins no part
-/// holds stay the identity, which is also what the dense fold gives.
+/// Fold the parts into the record whose segment g is seg[g] (Bins
+/// doubles) exactly as Allreduce folds dense records: the first part is
+/// copied (its values at the bins it holds, the identity elsewhere), and
+/// each later part is combined in part order by the same ReduceInto,
+/// over the union of the bitmaps gathered into contiguous runs (an
+/// absent bin contributes the identity). Bins no part holds stay the
+/// identity, which is also what the dense fold gives.
 void MergeCompact(const CompactShape &shape,
-                  const std::vector<CompactPart> &parts, double *dense)
+                  const std::vector<CompactPart> &parts, double *const *seg)
 {
   const std::size_t nBins = shape.Bins;
   const std::size_t nGrids = shape.Grids();
@@ -752,7 +765,7 @@ void MergeCompact(const CompactShape &shape,
   for (std::size_t g = 0; g < nGrids; ++g)
   {
     id[g] = Identity(shape.Ops[g]);
-    std::fill(dense + g * nBins, dense + (g + 1) * nBins, id[g]);
+    std::fill(seg[g], seg[g] + nBins, id[g]);
   }
 
   // visit the bins of `bitmap` in order, with each one's nGrids values
@@ -777,7 +790,7 @@ void MergeCompact(const CompactShape &shape,
           [&](std::size_t i, const double *v)
           {
             for (std::size_t g = 0; g < nGrids; ++g)
-              dense[g * nBins + i] = v[g];
+              seg[g][i] = v[g];
           });
   if (parts.size() == 1)
     return;
@@ -798,7 +811,7 @@ void MergeCompact(const CompactShape &shape,
           [&](std::size_t i, const double *)
           {
             for (std::size_t g = 0; g < nGrids; ++g)
-              acc[g * n + j] = dense[g * nBins + i];
+              acc[g * n + j] = seg[g][i];
             ++j;
           });
   for (std::size_t r = 1; r < parts.size(); ++r)
@@ -819,7 +832,7 @@ void MergeCompact(const CompactShape &shape,
           [&](std::size_t i, const double *)
           {
             for (std::size_t g = 0; g < nGrids; ++g)
-              dense[g * nBins + i] = acc[g * n + j];
+              seg[g][i] = acc[g * n + j];
             ++j;
           });
 }
@@ -923,23 +936,51 @@ void ResetCompacted(const CompactShape &shape, const void *compact,
   }
 }
 
+namespace
+{
+/// The segments of the dense record `dense`.
+std::vector<double *> SegmentsOf(const CompactShape &shape, double *dense)
+{
+  std::vector<double *> seg(shape.Grids());
+  for (std::size_t g = 0; g < seg.size(); ++g)
+    seg[g] = dense + g * shape.Bins;
+  return seg;
+}
+} // namespace
+
 void UnpackCompact(const CompactShape &shape, const void *compact,
                    std::size_t cap, double *dense)
 {
-  MergeCompact(shape, {PartOf(shape, compact, cap)}, dense);
+  UnpackCompact(shape, compact, cap, SegmentsOf(shape, dense).data());
+}
+
+void UnpackCompact(const CompactShape &shape, const void *compact,
+                   std::size_t cap, double *const *segments)
+{
+  MergeCompact(shape, {PartOf(shape, compact, cap)}, segments);
 }
 
 void Communicator::AllreduceCompact(const CompactShape &shape,
                                     const void *compact, std::size_t cap,
                                     double *dense)
 {
+  this->AllreduceCompact(shape, compact, cap,
+                         SegmentsOf(shape, dense).data());
+}
+
+void Communicator::AllreduceCompact(const CompactShape &shape,
+                                    const void *compact, std::size_t cap,
+                                    double *const *segments)
+{
   // each rank checks its own record before it enters, so a malformed one
   // throws on its rank instead of inside the last arrival's merge
   const CompactPart mine = PartOf(shape, compact, cap);
   Context *ctx = this->Ctx_;
-  const std::size_t bytes = shape.Grids() * shape.Bins * sizeof(double);
+  const std::size_t segBytes = shape.Bins * sizeof(double);
+  const std::size_t bytes = shape.Grids() * segBytes;
   ctx->Collective(
-    this->Rank_, &mine, dense, bytes,
+    this->Rank_, &mine, reinterpret_cast<void *const *>(segments),
+    shape.Grids(), segBytes,
     [ctx, &shape, bytes](const std::vector<const void *> &in)
     {
       std::vector<CompactPart> parts;
@@ -951,7 +992,9 @@ void Communicator::AllreduceCompact(const CompactShape &shape,
       }
       ctx->Scratch().resize(bytes);
       MergeCompact(shape, parts,
-                   reinterpret_cast<double *>(ctx->Scratch().data()));
+                   SegmentsOf(shape, reinterpret_cast<double *>(
+                                       ctx->Scratch().data()))
+                     .data());
       return CompactAllreduceSeconds(shape, caps);
     });
 }

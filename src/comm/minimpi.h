@@ -84,6 +84,11 @@ void ResetCompacted(const CompactShape &shape, const void *compact,
 void UnpackCompact(const CompactShape &shape, const void *compact,
                    std::size_t cap, double *dense);
 
+/// As above, with segment g written to `segments[g]` (Bins doubles each)
+/// instead of a dense record.
+void UnpackCompact(const CompactShape &shape, const void *compact,
+                   std::size_t cap, double *const *segments);
+
 /// Per-rank handle to the communicator. Valid only inside the function
 /// passed to Run. All methods are callable concurrently from their
 /// respective rank threads.
@@ -230,6 +235,11 @@ public:
   /// MessageBandwidth.
   void AllreduceCompact(const CompactShape &shape, const void *compact,
                         std::size_t cap, double *dense);
+
+  /// As above, with segment g of the reduction copied out to
+  /// `segments[g]` (Bins doubles each) instead of a dense record.
+  void AllreduceCompact(const CompactShape &shape, const void *compact,
+                        std::size_t cap, double *const *segments);
 
   /// Gather n elements from every rank to root (root gets Size()*n
   /// elements in rank order; other ranks get an empty vector).

@@ -67,7 +67,7 @@ DataAdaptor::Snapshot(svtkDataArray *column, int device)
     e.Source = svtkSmartPtr<const svtkDataArray>(column);
     e.Copy = adopt ? h
                    : svtkSmartPtr<svtkHAMRDoubleArray>::Take(
-                       h->NewDeepCopy(device));
+                       h->NewDeepCopy(device, svtkStreamMode::async));
     it = this->Snapshots_.emplace(std::make_pair(column, device), std::move(e))
            .first;
   }

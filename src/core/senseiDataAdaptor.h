@@ -50,7 +50,11 @@ public:
   /// `device` (a negative id, AnalysisAdaptor::DEVICE_HOST, for the
   /// host). The first request for a (column, device) pair in a step
   /// makes the copy, straight onto `device` on the stream a move there
-  /// would use; later requests share it. A non-HAMR column is converted
+  /// would use; later requests share it. The copy is async-mode: a copy
+  /// of device-resident data may still be in flight when it is handed
+  /// out, ordered after the column's pending work and before the
+  /// simulation's later work on the column's stream, so a consumer must
+  /// Synchronize() it before reading. A non-HAMR column is converted
   /// once, and the private conversion is adopted when it already lives
   /// on `device`. The adaptor keeps its own reference only while
   /// another request is expected: it drops it right after the request

@@ -547,11 +547,14 @@ void DataBinning::PrepareRecord(int device, std::size_t nBins,
 {
   Record &r = this->Record_;
   const std::size_t recLen = kinds.size() * nBins;
-  r.Host.resize(recLen);
   if (r.Compact.size() * sizeof(double) < compactBytes)
     r.Compact.resize(compactBytes / sizeof(double));
   if (device < 0)
+  {
+    r.Host.resize(recLen);
     return;
+  }
+  std::vector<double>().swap(r.Host);
 
   if (!r.DeviceRec || r.Device != device || r.Bins != nBins ||
       r.Kinds != kinds)
@@ -966,10 +969,21 @@ void DataBinning::RunBinning(const StepInputs &in)
           makeBody(record.data(), ax[b].data(), vals[b].data()));
   }
 
-  // --- cross-rank reduction: each rank's compact record in, the dense
-  // record out, folded in rank order with each segment's operator. A
-  // host record is compacted here; without a communicator it is already
-  // final, and a device one only needs expanding.
+  // --- the result arrays, in the configured op order: the cross-rank
+  // reduction of the compact records writes each segment straight into
+  // its array, folded in rank order with the segment's operator. A host
+  // record is compacted here; without a communicator it is already final
+  // and is copied, and a device one only needs expanding.
+  std::vector<svtkSmartPtr<svtkAOSDoubleArray>> arrays(nGrids);
+  std::vector<double *> segs(nGrids);
+  for (std::size_t k = 0; k < nGrids; ++k)
+  {
+    arrays[k] = svtkSmartPtr<svtkAOSDoubleArray>::Take(svtkAOSDoubleArray::New(
+      k ? redOps[k - 1].Column + "_" + BinningOpName(redOps[k - 1].Kind)
+        : std::string("count")));
+    arrays[k]->GetVector().resize(nBins);
+    segs[k] = arrays[k]->GetVector().data();
+  }
   if (in.Comm)
   {
     if (!onDevice)
@@ -978,18 +992,23 @@ void DataBinning::RunBinning(const StepInputs &in)
                        "binning_compact_host"},
         [&shape, cap, &record, &compact](std::size_t, std::size_t)
         { minimpi::PackCompact(shape, record.data(), cap, compact.data()); });
-    in.Comm->AllreduceCompact(shape, compact.data(), cap, record.data());
+    in.Comm->AllreduceCompact(shape, compact.data(), cap, segs.data());
   }
   else if (onDevice)
   {
-    minimpi::UnpackCompact(shape, compact.data(), cap, record.data());
+    minimpi::UnpackCompact(shape, compact.data(), cap, segs.data());
+  }
+  else
+  {
+    for (std::size_t k = 0; k < nGrids; ++k)
+      std::copy_n(record.data() + k * nBins, nBins, segs[k]);
   }
 
   // finalize averages, clean empty bins of min/max
-  const double *cnt = record.data();
+  const double *cnt = segs[0];
   for (std::size_t g = 1; g < nGrids; ++g)
   {
-    double *seg = record.data() + g * nBins;
+    double *seg = segs[g];
     if (kinds[g] == BinningOp::Average)
     {
       for (std::size_t i = 0; i < nBins; ++i)
@@ -1015,18 +1034,8 @@ void DataBinning::RunBinning(const StepInputs &in)
               : 1.0,
     nAxes > 2 ? (hi[2] - lo[2]) / static_cast<double>(this->Resolution_[2])
               : 1.0);
-
-  // arrays in the configured op order, each copied from its segment
-  for (std::size_t k = 0; k < nGrids; ++k)
-  {
-    svtkAOSDoubleArray *a = svtkAOSDoubleArray::New(
-      k ? redOps[k - 1].Column + "_" + BinningOpName(redOps[k - 1].Kind)
-        : std::string("count"));
-    const double *p = record.data() + k * nBins;
-    a->GetVector().assign(p, p + nBins);
-    image->GetPointData()->AddArray(a);
-    a->Delete();
-  }
+  for (const auto &a : arrays)
+    image->GetPointData()->AddArray(a.Get());
 
   const bool isRoot = !in.Comm || in.Comm->Rank() == 0;
   if (isRoot && this->OutputFrequency_ > 0 &&

@@ -223,11 +223,14 @@ private:
   /// compact form, kept across executes. On a device the record is
   /// allocated and initialized once per (device, bins, kinds), and
   /// compaction writes every bin it packs back to its identity, so each
-  /// execute leaves the record as it was initialized. The compact
-  /// buffers grow to the largest capacity seen. Nothing locks them: two
-  /// RunBinning calls of one instance never overlap (one consumer per
-  /// pipeline, lockstep on the caller's thread after a drain), and
-  /// Finalize and the destructor drain before they free.
+  /// execute leaves the record as it was initialized; the cross-rank
+  /// reduction (or, alone, the unpack) of the compact record writes each
+  /// segment straight into its result array, so a device placement has
+  /// no dense record on the host. The compact buffers grow to the
+  /// largest capacity seen. Nothing locks them: two RunBinning calls of
+  /// one instance never overlap (one consumer per pipeline, lockstep on
+  /// the caller's thread after a drain), and Finalize and the destructor
+  /// drain before they free.
   struct Record
   {
     int Device = DEVICE_HOST;     ///< where DeviceRec and DeviceCompact live
@@ -236,7 +239,7 @@ private:
     double *DeviceRec = nullptr;  ///< Kinds.size() x Bins, at identities
     void *DeviceCompact = nullptr;
     std::size_t DeviceCompactBytes = 0;
-    std::vector<double> Host;    ///< the dense record on the host
+    std::vector<double> Host;    ///< a host placement's dense record
     std::vector<double> Compact; ///< the compact record on the host
     /// The range scan's device scratch, 2 doubles per unit, keyed by
     /// the scanned device (a lockstep fill may scan peers that live on

@@ -151,21 +151,43 @@ public:
 
   buffer(buffer &&other) noexcept { this->Swap(other); }
 
-  /// A deep copy resident on `device` (HostDevice for the host). Where
-  /// the data is already accessible on `device` this is the plain deep
-  /// copy. Otherwise the storage is allocated there (a device allocator
-  /// keeps its PM, host data gets allocator::device, and a host copy
-  /// gets allocator::malloc_) and filled by one transfer on the stream
-  /// get_device_accessible would move the data on, which is the
-  /// source's. The copy is therefore ordered after the source's pending
-  /// work and claims the source device's copy engine, not the target's.
-  /// The result has the target's default stream and this buffer's mode;
-  /// in async mode its synchronize() covers the transfer.
+  /// A deep copy resident on `device` (HostDevice for the host), in this
+  /// buffer's mode.
   buffer deep_copy(int device) const
   {
+    return this->deep_copy(device, this->Mode_);
+  }
+
+  /// A deep copy resident on `device` (HostDevice for the host), in mode
+  /// `mode`. Host-accessible data already accessible on `device` gets
+  /// the plain deep copy. Otherwise the storage is allocated there (a
+  /// device allocator keeps its PM, host data gets allocator::device,
+  /// and a host copy gets allocator::malloc_) and filled by one transfer
+  /// on the stream get_device_accessible would move the data on, which
+  /// for device-resident data is the source's own, also when `device`
+  /// is the source's device. The copy claims the source device's copy
+  /// engine, not the target's. The result has the target's default
+  /// stream.
+  ///
+  /// Device-resident data is copied without a host wait before the
+  /// transfer: its stream already orders it after the source's pending
+  /// work, and a transfer still in flight into the source is ordered by
+  /// its event. In async mode the copy is in flight when the call
+  /// returns: device storage is allocated on that stream, synchronize()
+  /// covers the transfer, and the storage is not freed before the
+  /// transfer has run. A sync-mode copy is complete on return, and so
+  /// is every copy of host-resident data, which the caller may
+  /// overwrite as soon as the call returns.
+  buffer deep_copy(int device, stream_mode mode) const
+  {
     const bool host = device == vp::HostDevice;
-    if (host ? this->host_accessible() : this->device_accessible(device))
-      return buffer(*this);
+    const bool resident = !this->host_accessible(); // device-resident
+    if (!resident && (host || this->device_accessible(device)))
+    {
+      buffer out(*this);
+      out.Mode_ = mode;
+      return out;
+    }
 
     buffer out;
     out.Alloc_ = host ? allocator::malloc_
@@ -173,7 +195,7 @@ public:
                            ? this->Alloc_
                            : allocator::device);
     out.Owner_ = device;
-    out.Mode_ = this->Mode_;
+    out.Mode_ = mode;
     out.Size_ = this->Size_;
     if (!this->Size_)
       return out;
@@ -181,15 +203,19 @@ public:
     vp::Platform &plat = vp::Platform::Get();
     const vp::MemSpace space = host ? vp::MemSpace::Host : vp::MemSpace::Device;
     const vp::Stream strm = this->MoveStream(space, device);
+    const bool inFlight = resident && mode == stream_mode::async;
     out.Data_ = AllocateAt(space, device, this->Size_, pm_of(out.Alloc_),
-                           hamr::pooled(out.Alloc_), strm);
-    this->synchronize(); // the source's pending work, as CopyFrom
+                           hamr::pooled(out.Alloc_), strm, inFlight);
+    if (resident)
+      vcuda::StreamWaitEvent(strm, this->Moved_);
+    else
+      this->synchronize(); // the source's pending work, as CopyFrom
     plat.CopyAsync(strm, out.Data_.get(), this->Data_.get(),
                    this->Size_ * sizeof(T));
-    if (this->Mode_ == stream_mode::sync)
-      plat.StreamSynchronize(strm);
-    else
+    if (inFlight)
       out.Moved_ = vcuda::EventRecord(strm); // before anyone shares `out`
+    else
+      plat.StreamSynchronize(strm);
     return out;
   }
 
@@ -601,10 +627,13 @@ private:
 
   /// n elements of storage in (space, device) for data moved there on
   /// `strm`: from the caching pool when it is enabled (or `pooled`),
-  /// from the platform otherwise.
+  /// from the platform otherwise. Platform storage for a transfer left
+  /// `inFlight` is allocated on `strm` when it is device memory, and is
+  /// freed only once the work queued on `strm` has run.
   static std::shared_ptr<T> AllocateAt(vp::MemSpace space, int device,
                                        std::size_t n, vp::PmKind pm,
-                                       bool pooled, const vp::Stream &strm)
+                                       bool pooled, const vp::Stream &strm,
+                                       bool inFlight = false)
   {
     // the short-lived movement temporaries are the pool's primary
     // customer: per-pass views in analysis codes allocate and free the
@@ -614,10 +643,17 @@ private:
         static_cast<T *>(vp::PoolManager::Get().Allocate(
           space, device, n * sizeof(T), pm, strm)),
         [strm](T *p) { vp::PoolManager::Get().Deallocate(p, strm); });
+    vp::Platform &plat = vp::Platform::Get();
+    if (!inFlight)
+      return std::shared_ptr<T>(
+        static_cast<T *>(plat.Allocate(space, device, n * sizeof(T), pm)),
+        [](T *p) { vp::Platform::Get().Free(p); });
+    const vp::Stream ordered =
+      space == vp::MemSpace::Device ? strm : vp::Stream();
     return std::shared_ptr<T>(
       static_cast<T *>(
-        vp::Platform::Get().Allocate(space, device, n * sizeof(T), pm)),
-      [](T *p) { vp::Platform::Get().Free(p); });
+        plat.Allocate(space, device, n * sizeof(T), pm, ordered)),
+      [strm](T *p) { vp::Platform::Get().Free(p, strm); });
   }
 
   /// Allocate a temporary in (space, device), move the data onto it on the

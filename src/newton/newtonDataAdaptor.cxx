@@ -29,17 +29,12 @@ svtkDataObject *DataAdaptor::GetMesh(const std::string &meshName)
   for (const std::string &name : Solver::ColumnNames())
     table->AddColumn(this->Solver_->GetColumn(name));
 
-  // derived variables, computed on the solver's device
+  // derived variables, recomputed in place on the solver's device
   const std::size_t n = this->Solver_->LocalBodies();
   const int dev = this->Solver_->GetDevice();
   const int ompDev = dev < 0 ? vomp::GetInitialDevice() : dev;
-
   vomp::SetDefaultDevice(ompDev);
-  const svtkAllocator alloc = svtkAllocator::openmp;
-
-  svtkHAMRDoubleArray *speed = svtkHAMRDoubleArray::New("speed", n, 1, alloc);
-  svtkHAMRDoubleArray *ke = svtkHAMRDoubleArray::New("ke", n, 1, alloc);
-  svtkHAMRDoubleArray *rad = svtkHAMRDoubleArray::New("r", n, 1, alloc);
+  this->PrepareDerived(n, ompDev);
 
   if (n)
   {
@@ -50,9 +45,9 @@ svtkDataObject *DataAdaptor::GetMesh(const std::string &meshName)
     const double *vy = this->Solver_->GetColumn("vy")->GetData();
     const double *vz = this->Solver_->GetColumn("vz")->GetData();
     const double *m = this->Solver_->GetColumn("m")->GetData();
-    double *ps = speed->GetData();
-    double *pk = ke->GetData();
-    double *pr = rad->GetData();
+    double *ps = this->Speed_->GetData();
+    double *pk = this->Ke_->GetData();
+    double *pr = this->R_->GetData();
 
     vomp::TargetParallelFor(
       ompDev, n,
@@ -70,16 +65,28 @@ svtkDataObject *DataAdaptor::GetMesh(const std::string &meshName)
       vomp::TargetBounds{12.0, 0.0, "newton_derived", /*Shardable=*/true});
   }
 
-  table->AddColumn(speed);
-  table->AddColumn(ke);
-  table->AddColumn(rad);
-  speed->Delete();
-  ke->Delete();
-  rad->Delete();
+  table->AddColumn(this->Speed_.Get());
+  table->AddColumn(this->Ke_.Get());
+  table->AddColumn(this->R_.Get());
 
   this->Cached_ = table;
   this->Cached_->Register();
   return table;
+}
+
+void DataAdaptor::PrepareDerived(std::size_t n, int ompDev)
+{
+  if (this->Speed_ && this->DerivedDevice_ == ompDev &&
+      this->Speed_->GetNumberOfTuples() == n)
+    return;
+  const svtkAllocator alloc = svtkAllocator::openmp;
+  this->Speed_ = svtkSmartPtr<svtkHAMRDoubleArray>::Take(
+    svtkHAMRDoubleArray::New("speed", n, 1, alloc));
+  this->Ke_ = svtkSmartPtr<svtkHAMRDoubleArray>::Take(
+    svtkHAMRDoubleArray::New("ke", n, 1, alloc));
+  this->R_ = svtkSmartPtr<svtkHAMRDoubleArray>::Take(
+    svtkHAMRDoubleArray::New("r", n, 1, alloc));
+  this->DerivedDevice_ = ompDev;
 }
 
 void DataAdaptor::ReleaseData()

@@ -8,6 +8,9 @@
 /// very device pointers the solver integrates — and three derived
 /// variables (speed, ke, r) are computed on the solver's device each step,
 /// giving the ten variables the paper bins over nine coordinate systems.
+/// The derived columns are resident: the adaptor keeps them across steps
+/// and recomputes them in place, reallocating only when the solver's body
+/// count or device changes.
 
 #include "newtonSolver.h"
 #include "senseiDataAdaptor.h"
@@ -38,7 +41,8 @@ public:
   void ReleaseData() override;
 
   /// Refresh the adaptor after a solver step (sets time and step index,
-  /// invalidates cached derived arrays).
+  /// drops the cached mesh, so the next GetMesh recomputes the derived
+  /// columns).
   void Update();
 
 protected:
@@ -46,8 +50,18 @@ protected:
   ~DataAdaptor() override { this->ReleaseData(); }
 
 private:
+  /// Size the derived columns for `n` bodies on vomp device `ompDev`
+  /// (the default device), allocating them only when either changed.
+  void PrepareDerived(std::size_t n, int ompDev);
+
   Solver *Solver_ = nullptr;
   svtkTable *Cached_ = nullptr;
+
+  /// The derived columns, kept across steps. Their recompute runs on the
+  /// solver device's default stream, which orders it after an in-flight
+  /// snapshot of the previous step's values.
+  svtkSmartPtr<svtkHAMRDoubleArray> Speed_, Ke_, R_;
+  int DerivedDevice_ = 0; ///< the vomp device they live on
 };
 
 } // namespace newton

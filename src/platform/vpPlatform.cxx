@@ -289,6 +289,22 @@ void Platform::Free(void *p)
   ThisClock().Advance(this->Config_.Cost.AllocLatency);
 }
 
+void Platform::Free(void *p, const Stream &stream)
+{
+  if (p && stream)
+  {
+    std::vector<exec::FencePtr> frontier;
+    {
+      std::lock_guard<std::mutex> lock(stream.Get()->Mutex);
+      frontier = stream.Get()->RealFrontier;
+    }
+    for (const exec::FencePtr &f : frontier)
+      if (f)
+        f->Wait();
+  }
+  this->Free(p);
+}
+
 // ---------------------------------------------------------------------------
 Stream Platform::DefaultStream(DeviceId device)
 {

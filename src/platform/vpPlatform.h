@@ -168,6 +168,12 @@ public:
   /// pointers; freeing nullptr is a no-op.
   void Free(void *p);
 
+  /// Free memory a transfer queued on `stream` may still be writing (a
+  /// copy left in flight): as Free, once the work queued on `stream` so
+  /// far has really run. Joins real time only (VP_EXEC=threads); the
+  /// virtual clock is charged as by Free.
+  void Free(void *p, const Stream &stream);
+
   /// Look up allocation metadata; false for untracked (raw host) pointers.
   bool Query(const void *p, AllocInfo &info) const
   {

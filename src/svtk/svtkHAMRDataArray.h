@@ -163,17 +163,28 @@ public:
     return a;
   }
 
-  /// A deep copy resident on `device` (vp::HostDevice for the host),
-  /// made by one transfer on the stream a move there would use (see
-  /// hamr::buffer::deep_copy). The asynchronous execution method makes
-  /// its copies with it, through sensei::DataAdaptor::Snapshot, before
-  /// the simulation overwrites the data. Caller owns the returned
+  /// A deep copy resident on `device` (vp::HostDevice for the host) in
+  /// this array's mode, made by one transfer on the stream a move there
+  /// would use (see hamr::buffer::deep_copy). Caller owns the returned
   /// reference.
   svtkHAMRDataArray *NewDeepCopy(int device) const
   {
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
     a->Buffer_ = this->Buffer_.deep_copy(device);
+    return a;
+  }
+
+  /// As above in mode `mode`. The asynchronous execution method makes
+  /// its copies with it, in async mode, through
+  /// sensei::DataAdaptor::Snapshot: a copy of device-resident data is
+  /// then still in flight on return, ordered before the simulation's
+  /// later work on the data's stream, and Synchronize() covers it.
+  svtkHAMRDataArray *NewDeepCopy(int device, svtkStreamMode mode) const
+  {
+    auto *a = New(this->GetName());
+    a->NumComps_ = this->NumComps_;
+    a->Buffer_ = this->Buffer_.deep_copy(device, svtkToHamr(mode));
     return a;
   }
 

@@ -24,12 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <random>
+#include <thread>
 
 using sensei::AnalysisAdaptor;
 using sensei::BinningOp;
@@ -1144,6 +1146,173 @@ TEST(BinningSnapshot, SharedCopiesAreCheckerCleanUnderExecThreads)
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
   vp::check::Enable(false);
   vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+TEST(BinningSnapshot, SimulationWritesAfterTheSnapshotDoNotReachIt)
+{
+  // under threaded execution (<exec mode="threads">) the snapshot's
+  // copies of device-0 columns are queued on the columns' stream (device
+  // 0's default) behind the simulation's step, a kernel still running
+  // on its worker when Execute is called, and are still in flight when
+  // Execute returns. A kernel the simulation queues there right after
+  // Execute, rewriting every column, runs after them. Async binnings on
+  // a dedicated device and on the data's device must bin exactly the
+  // step's data: they match lockstep binnings of a host table holding
+  // it, and the checker sees no unordered access. scripts/run_campaign.sh
+  // runs this under VP_CHECK=1 in the tsan section.
+  ResetPlatform();
+  vp::check::Reset();
+  vp::check::Enable(true);
+  vp::exec::ExecConfig ec;
+  ec.ExecMode = vp::exec::Mode::Threads;
+  ec.Threads = 2;
+  vp::exec::Configure(ec);
+
+  constexpr std::size_t N = 2500;
+  svtkTable *t = MakeDeviceTable(N, 67, 0);
+  std::vector<double *> cols;
+  std::vector<std::vector<double>> mirror; // the columns' values, on the host
+  for (int c = 0; c < t->GetNumberOfColumns(); ++c)
+  {
+    auto *a = dynamic_cast<svtkHAMRDoubleArray *>(t->GetColumn(c));
+    cols.push_back(a->GetData());
+    mirror.push_back(a->ToVector());
+  }
+  // x -> scale * x + shift over every column, on device 0's default
+  // stream; the simulation's step also takes real time on its worker
+  const vp::Stream strm = vp::Platform::Get().DefaultStream(0);
+  auto rewrite = [&](double scale, double shift, bool slow)
+  {
+    vcuda::LaunchN(strm, N,
+                   [cols, scale, shift, slow](std::size_t b, std::size_t e)
+                   {
+                     if (slow)
+                       std::this_thread::sleep_for(
+                         std::chrono::milliseconds(20));
+                     for (double *p : cols)
+                       for (std::size_t i = b; i < e; ++i)
+                         p[i] = scale * p[i] + shift;
+                   },
+                   {50.0, 0.0, "simulation_rewrite", false});
+    for (std::vector<double> &m : mirror)
+      for (double &x : m)
+        x = scale * x + shift;
+  };
+
+  std::vector<DataBinning *> async = OverlappingBinnings(3, true);
+  for (DataBinning *b : OverlappingBinnings(0, true))
+    async.push_back(b);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  for (long step = 0; step < 3; ++step)
+  {
+    const double shift = 0.125 * static_cast<double>(step + 1);
+    rewrite(0.75, shift, true); // the step, still running
+    svtkTable *host = svtkTable::New();
+    for (std::size_t c = 0; c < cols.size(); ++c)
+    {
+      svtkAOSDoubleArray *a = svtkAOSDoubleArray::New(
+        t->GetColumn(static_cast<int>(c))->GetName(), N, 1);
+      a->GetVector() = mirror[c];
+      host->AddColumn(a);
+      a->Delete();
+    }
+
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    for (DataBinning *b : async)
+      ASSERT_TRUE(b->Execute(da));
+    rewrite(-0.5, shift, false); // right after Execute
+
+    sensei::TableAdaptor *ref = sensei::TableAdaptor::New("bodies");
+    ref->SetTable(host);
+    std::vector<DataBinning *> lock =
+      OverlappingBinnings(AnalysisAdaptor::DEVICE_HOST, false);
+    for (std::size_t i = 0; i < async.size(); ++i)
+    {
+      DataBinning *want = lock[i % lock.size()];
+      if (i < lock.size())
+        ASSERT_TRUE(want->Execute(ref));
+      async[i]->DrainAsync();
+      EXPECT_EQ(AllGrids(async[i]), AllGrids(want))
+        << "binning " << i << " step " << step;
+    }
+    for (DataBinning *b : lock)
+      b->Delete();
+    ref->ReleaseData();
+    ref->Delete();
+    host->Delete();
+    da->ReleaseData();
+  }
+  for (DataBinning *b : async)
+  {
+    EXPECT_EQ(b->Finalize(), 0);
+    b->Delete();
+  }
+  t->Delete();
+  da->Delete();
+
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+  vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+TEST(BinningSnapshot, FirstExecuteCostsTheSpawnAndTheSubmissions)
+{
+  // what the simulation sees of an async binning's first execute over
+  // ten device-0 columns placed on device 3, with a long kernel pending
+  // on the columns' stream: one thread spawn plus, per column, its
+  // copy's stream-ordered allocation and submission. Nothing waits for
+  // the kernel or for a transfer.
+  ResetPlatform();
+  constexpr std::size_t N = 4096;
+  std::mt19937_64 gen(68);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  svtkTable *t = svtkTable::New();
+  std::vector<std::string> names;
+  for (int c = 0; c < 10; ++c)
+  {
+    names.push_back("c" + std::to_string(c));
+    std::vector<double> v(N);
+    for (double &x : v)
+      x = u(gen);
+    svtkHAMRDoubleArray *a =
+      svtkHAMRDoubleArray::New(names.back(), N, 1, svtkAllocator::cuda);
+    a->GetBuffer().assign(v.data(), N);
+    t->AddColumn(a);
+    a->Delete();
+  }
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  da->SetTable(t);
+
+  DataBinning *b = DataBinning::New();
+  b->SetMeshName("bodies");
+  b->SetAxes({names[0], names[1]});
+  b->SetResolution({32});
+  for (int c = 2; c < 10; ++c)
+    b->AddOperation(names[static_cast<std::size_t>(c)], BinningOp::Sum);
+  b->SetDeviceId(3);
+  b->SetAsynchronous(true);
+
+  vp::Platform &plat = vp::Platform::Get();
+  vcuda::LaunchN(plat.DefaultStream(0), N, vp::KernelFn(),
+                 {1.0e5, 0.0, "simulation_pending", false});
+  const double kernelEnd = plat.DefaultStream(0).Get()->Completion();
+  const vp::CostModel &cost = plat.Config().Cost;
+  const double t0 = vp::ThisClock().Now();
+  ASSERT_TRUE(b->Execute(da));
+  EXPECT_NEAR(vp::ThisClock().Now() - t0,
+              cost.ThreadSpawnCost +
+                10.0 * (cost.AsyncAllocLatency + cost.KernelSubmitOverhead),
+              1e-12);
+  EXPECT_LT(vp::ThisClock().Now(), kernelEnd);
+  EXPECT_EQ(b->Finalize(), 0);
+  EXPECT_EQ(b->GetExecuteCount(), 1);
+
+  b->Delete();
+  da->ReleaseData();
+  t->Delete();
+  da->Delete();
 }
 
 // --- the data adaptor's per-step axis-range table (lockstep binnings) -----------------

@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -357,4 +360,188 @@ TEST(HamrSyncEvent, SynchronizeDoesNotWaitForLaterWorkOnTheCopysStream)
   const vp::check::Report r = vp::check::Snapshot();
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
   vp::check::Enable(false);
+}
+
+// --- the deep copy's contract: what a caller may rely on when it returns ------------------
+
+namespace
+{
+/// A 4-device node, the checker on, and <exec mode="threads">, so a
+/// transfer or kernel left in flight really runs later on a worker.
+void StartCheckedThreads()
+{
+  vp::PlatformConfig cfg;
+  cfg.NumNodes = 1;
+  cfg.DevicesPerNode = 4;
+  cfg.HostCoresPerNode = 8;
+  vp::Platform::Initialize(cfg);
+  vcuda::SetDevice(0);
+  vp::check::Reset();
+  vp::check::Configure(vp::check::CheckConfig{true, 256, false});
+  vp::exec::ExecConfig ec;
+  ec.ExecMode = vp::exec::Mode::Threads;
+  ec.Threads = 2;
+  vp::exec::Configure(ec);
+}
+
+/// Back to serial; the checker must have seen nothing.
+void StopCheckedThreads()
+{
+  vp::exec::Configure(vp::exec::ExecConfig());
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+}
+
+constexpr std::size_t kCopyN = 65536;
+
+std::vector<double> Ramp(double scale, double shift)
+{
+  std::vector<double> v(kCopyN);
+  for (std::size_t i = 0; i < kCopyN; ++i)
+    v[i] = scale * static_cast<double>(i) + shift;
+  return v;
+}
+
+/// A device-0 buffer in mode `mode` holding Ramp(0.5, -7) when its long
+/// pending kernel on its own stream (device 0's default) is done, which
+/// rewrites every element as 2 * x + 1. Returns the kernel's virtual
+/// completion time.
+double DeviceSourceWithPendingKernel(hamr::buffer<double> &a,
+                                     hamr::stream_mode mode)
+{
+  const std::vector<double> before = Ramp(0.5, -7.0);
+  a = hamr::buffer<double>(hamr::allocator::device, hamr::stream(), mode,
+                           kCopyN);
+  a.assign(before.data(), kCopyN);
+  a.synchronize();
+  vp::Platform &plat = vp::Platform::Get();
+  double *p = a.data();
+  vcuda::LaunchN(plat.DefaultStream(0), kCopyN,
+                 [p](std::size_t b, std::size_t e)
+                 {
+                   for (std::size_t i = b; i < e; ++i)
+                     p[i] = 2.0 * p[i] + 1.0;
+                 },
+                 {1.0e5, 0.0, "hamr_copy_probe", false});
+  return plat.DefaultStream(0).Get()->Completion();
+}
+} // namespace
+
+TEST(HamrDeepCopy, SyncCopyIsCompleteOnReturn)
+{
+  // a sync-mode copy, of a sync-mode source or asked for explicitly of
+  // an async one, returns after its transfer, which lands after the
+  // source's pending kernel: its synchronize() has nothing left to wait
+  // for. Onto a peer device and onto the source's own.
+  StartCheckedThreads();
+  {
+    const std::vector<double> after = Ramp(1.0, -13.0);
+    for (hamr::stream_mode mode :
+         {hamr::stream_mode::sync, hamr::stream_mode::async})
+      for (int target : {3, 0})
+      {
+        hamr::buffer<double> a;
+        const double kernelEnd = DeviceSourceWithPendingKernel(a, mode);
+        const hamr::buffer<double> c =
+          mode == hamr::stream_mode::sync
+            ? a.deep_copy(target)
+            : a.deep_copy(target, hamr::stream_mode::sync);
+        EXPECT_EQ(c.mode(), hamr::stream_mode::sync);
+        EXPECT_EQ(c.owner(), target);
+        EXPECT_GT(vp::ThisClock().Now(), kernelEnd) << target;
+        const double t = vp::ThisClock().Now();
+        c.synchronize();
+        EXPECT_EQ(vp::ThisClock().Now(), t) << target;
+        EXPECT_EQ(c.to_vector(), after) << target;
+      }
+  }
+  StopCheckedThreads();
+}
+
+TEST(HamrDeepCopy, AsyncCopyOfADeviceSourceReturnsAfterItsSubmission)
+{
+  // an async-mode copy of device-resident data costs the caller its
+  // stream-ordered allocation and one submission, even with a long
+  // kernel pending on the source's stream; the transfer lands after that
+  // kernel, and the copy's synchronize() covers it. Onto a peer device
+  // (the transfer's event) and onto the source's own (its stream).
+  StartCheckedThreads();
+  {
+    const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+    const std::vector<double> after = Ramp(1.0, -13.0);
+    for (int target : {3, 0})
+    {
+      hamr::buffer<double> a;
+      const double kernelEnd =
+        DeviceSourceWithPendingKernel(a, hamr::stream_mode::sync);
+      const double t0 = vp::ThisClock().Now();
+      const hamr::buffer<double> c =
+        a.deep_copy(target, hamr::stream_mode::async);
+      EXPECT_NEAR(vp::ThisClock().Now() - t0,
+                  cost.AsyncAllocLatency + cost.KernelSubmitOverhead, 1e-12)
+        << target;
+      EXPECT_LT(vp::ThisClock().Now(), kernelEnd) << target;
+      EXPECT_EQ(c.mode(), hamr::stream_mode::async);
+      EXPECT_EQ(c.owner(), target);
+      EXPECT_NE(c.data(), a.data());
+      c.synchronize();
+      EXPECT_GT(vp::ThisClock().Now(), kernelEnd) << target;
+      EXPECT_EQ(c.to_vector(), after) << target;
+    }
+  }
+  StopCheckedThreads();
+}
+
+TEST(HamrDeepCopy, AsyncRequestOfAHostSourceCompletesBeforeItReturns)
+{
+  // the caller may overwrite pageable host data as soon as the call
+  // returns, so an async-mode copy of a host buffer onto a device is
+  // complete on return: the write right after it does not reach the
+  // copy, and the copy's synchronize() waits for nothing
+  StartCheckedThreads();
+  {
+    const std::vector<double> before = Ramp(0.25, 3.0);
+    hamr::buffer<double> h(hamr::allocator::malloc_, hamr::stream(),
+                           hamr::stream_mode::async, kCopyN);
+    h.assign(before.data(), kCopyN);
+    const hamr::buffer<double> c = h.deep_copy(2, hamr::stream_mode::async);
+    EXPECT_EQ(c.owner(), 2);
+    EXPECT_EQ(c.mode(), hamr::stream_mode::async);
+    EXPECT_GE(vp::ThisClock().Now(),
+              vp::Platform::Get().GetDevice(0, 2).CopyEngine.Available());
+    vp::check::HostWrite(h.data(), kCopyN * sizeof(double),
+                         "HamrDeepCopy source overwrite");
+    std::fill(h.data(), h.data() + kCopyN, -1.0);
+    const double t = vp::ThisClock().Now();
+    c.synchronize();
+    EXPECT_EQ(vp::ThisClock().Now(), t);
+    EXPECT_EQ(c.to_vector(), before);
+  }
+  StopCheckedThreads();
+}
+
+TEST(HamrDeepCopy, AnInFlightCopyDroppedUnreadOutlivesItsTransfer)
+{
+  // a copy whose last reference drops before anyone synchronized it (a
+  // dropped pipeline task's snapshot) is not freed under its transfer:
+  // its storage goes only once the work queued on the transfer's stream
+  // has run, here a kernel that sleeps on its worker before the copy
+  StartCheckedThreads();
+  {
+    hamr::buffer<double> a;
+    DeviceSourceWithPendingKernel(a, hamr::stream_mode::sync);
+    auto ran = std::make_shared<std::atomic<bool>>(false);
+    vcuda::LaunchN(vp::Platform::Get().DefaultStream(0), 1,
+                   [ran](std::size_t, std::size_t)
+                   {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     ran->store(true);
+                   },
+                   {1.0, 0.0, "hamr_slow_probe", false});
+    a.deep_copy(3, hamr::stream_mode::async); // dropped at once, unread
+    EXPECT_TRUE(ran->load());
+    a.synchronize();
+  }
+  StopCheckedThreads();
 }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -471,6 +472,116 @@ TEST(NewtonBridge, ExposesTenVariablesZeroCopy)
 
   bridge->ReleaseData();
   bridge->Delete();
+}
+
+TEST(NewtonBridge, DerivedColumnsAreResident)
+{
+  // the bridge keeps speed, ke and r across steps: from the second step
+  // on its mesh allocates nothing and its release frees nothing, the
+  // arrays are the same objects, recomputed in place, and they equal a
+  // fresh bridge's
+  ResetPlatform();
+  Config c = SmallConfig();
+  Solver solver(nullptr, c);
+  solver.Initialize();
+  newton::DataAdaptor *bridge = newton::DataAdaptor::New(&solver);
+
+  const char *derived[] = {"speed", "ke", "r"};
+  std::vector<const svtkDataArray *> first;
+  vp::PlatformStats &stats = vp::Platform::Get().Stats();
+  for (int step = 0; step < 4; ++step)
+  {
+    if (step)
+      solver.Step();
+    stats.Reset();
+    bridge->Update();
+    auto *table = dynamic_cast<svtkTable *>(bridge->GetMesh("bodies"));
+    ASSERT_NE(table, nullptr);
+    if (step)
+    {
+      EXPECT_EQ(stats.Allocations(vp::MemSpace::Device), 0u) << step;
+      EXPECT_EQ(stats.Allocations(vp::MemSpace::Host), 0u) << step;
+    }
+
+    newton::DataAdaptor *fresh = newton::DataAdaptor::New(&solver);
+    fresh->Update();
+    auto *want = dynamic_cast<svtkTable *>(fresh->GetMesh("bodies"));
+    ASSERT_NE(want, nullptr);
+    for (std::size_t k = 0; k < 3; ++k)
+    {
+      auto *got = dynamic_cast<svtkHAMRDoubleArray *>(
+        table->GetColumnByName(derived[k]));
+      auto *ref = dynamic_cast<svtkHAMRDoubleArray *>(
+        want->GetColumnByName(derived[k]));
+      ASSERT_NE(got, nullptr) << derived[k];
+      ASSERT_NE(ref, nullptr) << derived[k];
+      EXPECT_EQ(got->GetOwner(), solver.GetDevice()) << derived[k];
+      EXPECT_EQ(got->ToVector(), ref->ToVector())
+        << derived[k] << " step " << step;
+      if (!step)
+        first.push_back(got);
+      else
+        EXPECT_EQ(got, first[k]) << derived[k] << " step " << step;
+    }
+    want->UnRegister();
+    fresh->Delete();
+    table->UnRegister();
+
+    const double t0 = vp::ThisClock().Now();
+    bridge->ReleaseData();
+    EXPECT_EQ(vp::ThisClock().Now(), t0) << step;
+  }
+  bridge->Delete();
+}
+
+TEST(NewtonBridge, ChangedBodyCountReallocatesTheDerivedColumns)
+{
+  // repartitioning moves bodies between ranks: a rank whose body count
+  // changed gets new derived arrays of the new length, and a rank whose
+  // count held keeps its arrays
+  ResetPlatform();
+  Config c = SmallConfig();
+  c.TotalBodies = 200;
+  c.VelocityScale = 2.0; // fast bodies cross slab boundaries quickly
+  c.Repartition = true;
+
+  std::atomic<int> changes{0};
+  minimpi::Run(
+    4,
+    [&](minimpi::Communicator &comm)
+    {
+      Solver solver(&comm, c);
+      solver.Initialize();
+      newton::DataAdaptor *bridge = newton::DataAdaptor::New(&solver);
+      bridge->SetCommunicator(&comm);
+      const svtkDataArray *last = nullptr;
+      std::size_t lastN = 0;
+      for (int step = 0; step < 8; ++step)
+      {
+        if (step)
+          solver.Step();
+        bridge->Update();
+        svtkDataObject *obj = bridge->GetMesh("bodies");
+        auto *table = dynamic_cast<svtkTable *>(obj);
+        ASSERT_NE(table, nullptr);
+        const svtkDataArray *speed = table->GetColumnByName("speed");
+        const std::size_t n = solver.LocalBodies();
+        EXPECT_EQ(speed->GetNumberOfTuples(), n);
+        if (step && n == lastN)
+          EXPECT_EQ(speed, last) << "rank " << comm.Rank() << " step " << step;
+        if (step && n != lastN)
+        {
+          EXPECT_NE(speed, last) << "rank " << comm.Rank() << " step " << step;
+          ++changes;
+        }
+        last = speed;
+        lastN = n;
+        obj->UnRegister();
+      }
+      bridge->ReleaseData();
+      bridge->Delete();
+    });
+  EXPECT_GT(changes.load(), 0);
 }
 
 // --- driver --------------------------------------------------------------------------------
