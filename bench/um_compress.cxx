@@ -93,12 +93,14 @@ CodecResult RunCodec(cmp::CodecId id)
 {
   Reset();
   svtkTable *t = MakeTable(kRows, 21);
-  const std::size_t raw = sensei::SerializeTable(t).size();
+  const std::size_t raw =
+    sensei::SerializeTableCompressed(t, CodecParams(cmp::CodecId::None))
+      .size();
 
   cmp::ResetStats();
   const std::vector<std::uint8_t> wire =
     sensei::SerializeTableCompressed(t, CodecParams(id));
-  svtkTable *back = sensei::DeserializeTableAuto(wire);
+  svtkTable *back = sensei::DeserializeTableCompressed(wire);
   back->UnRegister();
   t->Delete();
 
@@ -137,11 +139,10 @@ InTransitResult RunInTransit(bool compressed)
   {
     svtkTable *t = MakeTable(kRows, 30 + s);
     const std::size_t perStep =
-      compressed
-        ? sensei::SerializeTableCompressed(
-            t, CodecParams(cmp::CodecId::Quantize))
-            .size()
-        : sensei::SerializeTable(t).size();
+      sensei::SerializeTableCompressed(
+        t, CodecParams(compressed ? cmp::CodecId::Quantize
+                                  : cmp::CodecId::None))
+        .size();
     wire += static_cast<std::size_t>(steps) * perStep;
     t->Delete();
   }

@@ -41,14 +41,14 @@ svtkTable *MakeTable(std::size_t n)
 }
 } // namespace
 
-static void BM_SerializeTable(benchmark::State &state)
+static void BM_SerializePlainTable(benchmark::State &state)
 {
   Reset();
   svtkTable *t = MakeTable(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
   {
     const double t0 = vp::ThisClock().Now();
-    auto bytes = sensei::SerializeTable(t);
+    auto bytes = sensei::SerializeTableCompressed(t, {cmp::CodecId::None});
     benchmark::DoNotOptimize(bytes);
     vp::ThisClock().Advance(
       static_cast<double>(bytes.size()) /
@@ -56,9 +56,9 @@ static void BM_SerializeTable(benchmark::State &state)
     state.SetIterationTime(vp::ThisClock().Now() - t0);
   }
   t->Delete();
-  state.SetLabel("3 columns -> bytes");
+  state.SetLabel("3 columns -> bytes, codec none");
 }
-BENCHMARK(BM_SerializeTable)->Arg(1 << 12)->Arg(1 << 16)->UseManualTime();
+BENCHMARK(BM_SerializePlainTable)->Arg(1 << 12)->Arg(1 << 16)->UseManualTime();
 
 static void BM_InTransit_SenderVisibleCost(benchmark::State &state)
 {

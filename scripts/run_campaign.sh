@@ -215,7 +215,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testInTransit testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
@@ -226,6 +226,10 @@ bench um_compress_sanitized.txt \
 # the service's ring transfers, frame reassembly, and session teardown
 # paths under ASan+UBSan
 ../build-sanitize/tests/testService
+# the in transit endpoint's table decoding and its per-frame failure
+# contract (a corrupt table, a hostile chunk header, a short read, a
+# missed deadline) under ASan+UBSan
+../build-sanitize/tests/testInTransit
 # capture-node lifetimes and the replay rebinding paths under
 # ASan+UBSan; um_graph keeps its bit-exact and 2.5x gates in the
 # sanitized build too

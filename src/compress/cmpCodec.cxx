@@ -99,7 +99,6 @@ const vp::knob::Table<Config> &ConfigRows()
   static const Table<Config> rows({
     Bool<&Config::Enabled>("compress", "enabled").Implies("1"),
     Enum<&Config::Default, &Params::Codec>("compress", "codec", CodecNames()),
-    Int<&Config::Default, &Params::Level>("compress", "level", 0, 9),
     Real<&Config::Default, &Params::ErrorBound>("compress", "error_bound", 0,
                                                 kInf),
   });
@@ -119,6 +118,12 @@ Config GetConfig()
 {
   std::lock_guard<std::mutex> lock(StateMutex());
   return GlobalConfig();
+}
+
+Params DefaultRequest()
+{
+  const Config cfg = GetConfig();
+  return cfg.Enabled ? cfg.Default : Params{CodecId::None};
 }
 
 CodecStats &CodecStats::operator+=(const CodecStats &o)
@@ -391,8 +396,6 @@ public:
   void Decode(const std::uint8_t *payload, const ChunkInfo &info,
               void *dst) const override
   {
-    if (info.EncodedBytes != info.RawBytes)
-      throw std::runtime_error("cmp: raw chunk size mismatch");
     if (info.RawBytes)
       std::memcpy(dst, payload, static_cast<std::size_t>(info.RawBytes));
   }
@@ -403,7 +406,7 @@ class ShuffleRleCodec : public Codec
 public:
   CodecId Id() const override { return CodecId::ShuffleRLE; }
 
-  bool Encode(const void *src, DType t, std::uint64_t count, const Params &p,
+  bool Encode(const void *src, DType t, std::uint64_t count, const Params &,
               Scratch &dst, std::uint8_t &flags) const override
   {
     const std::size_t esize = DTypeSize(t);
@@ -411,7 +414,7 @@ public:
     const auto *bytes = static_cast<const std::uint8_t *>(src);
     dst.Clear();
 
-    const bool shuffle = p.Level > 0 && esize > 1 && n > 1;
+    const bool shuffle = esize > 1 && n > 1;
     flags = shuffle ? 1 : 0;
     if (!shuffle)
     {
@@ -722,6 +725,16 @@ ChunkInfo PeekHeader(const std::uint8_t *bytes, std::size_t size)
     throw std::runtime_error("cmp: chunk raw size does not match its count");
   if (info.EncodedBytes > size - kChunkHeaderBytes)
     throw std::runtime_error("cmp: chunk payload extends past the buffer");
+  // the most raw bytes the payload can decode to, so a decoder may size
+  // its destination from the header (RawBytes < 2^59, no overflow)
+  const bool producible =
+    info.Codec == CodecId::None         ? info.RawBytes == info.EncodedBytes
+    : info.Codec == CodecId::ShuffleRLE ? (info.RawBytes + 64) / 65 <=
+                                            info.EncodedBytes
+                                        : info.Count <= info.EncodedBytes;
+  if (!producible)
+    throw std::runtime_error(
+      "cmp: chunk raw size exceeds what its payload can decode to");
   return info;
 }
 

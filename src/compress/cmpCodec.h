@@ -96,7 +96,6 @@ CodecId CodecIdFromName(const std::string &name);
 struct Params
 {
   CodecId Codec = CodecId::ShuffleRLE;
-  int Level = 1;           ///< shuffle-rle: 0 = RLE only, >=1 = shuffle first
   double ErrorBound = 0.0; ///< quantize: max absolute reconstruction error
 };
 
@@ -116,6 +115,11 @@ void Configure(const Config &cfg);
 
 /// The active configuration.
 Config GetConfig();
+
+/// The codec the integrated paths (posthoc sbin snapshots, in transit
+/// frames) request: the configured default when compression is enabled,
+/// otherwise `none`.
+Params DefaultRequest();
 
 /// Pick the codec actually attempted for an array of dtype `t`: the
 /// request when applicable, otherwise the nearest applicable codec
@@ -202,8 +206,8 @@ public:
                       std::uint8_t &flags) const = 0;
 
   /// Decode `info.EncodedBytes` payload bytes at `payload` into `dst`
-  /// (exactly info.RawBytes bytes). Throws std::runtime_error on corrupt
-  /// streams.
+  /// (exactly info.RawBytes bytes), for a header PeekHeader accepted.
+  /// Throws std::runtime_error on corrupt streams.
   virtual void Decode(const std::uint8_t *payload, const ChunkInfo &info,
                       void *dst) const = 0;
 };
@@ -221,7 +225,12 @@ ChunkInfo EncodeChunk(const void *data, DType t, std::uint64_t count,
 
 /// Validate and read a chunk header at `bytes` without decoding. Throws
 /// std::runtime_error on truncated or malformed headers (bad magic,
-/// unknown codec/dtype, size mismatches, payload past `size`).
+/// unknown codec/dtype, size mismatches, payload past `size`), and on a
+/// raw size the codec cannot produce from the payload (`none`: raw ==
+/// encoded; delta-varint and quantize: count <= encoded, a value takes
+/// at least one varint byte; shuffle-rle: raw <= 65 x encoded, a 2-byte
+/// run token yields at most 130 bytes), so a decoder may size its
+/// destination from an accepted header.
 ChunkInfo PeekHeader(const std::uint8_t *bytes, std::size_t size);
 
 /// Decode the chunk at `bytes` into `dst` (which must hold exactly the

@@ -29,7 +29,6 @@
 /// describe the work being placed with a sched::WorkHint so the
 /// cost-model policy can price it.
 
-#include "cmpCodec.h"
 #include "schedPolicy.h"
 #include "senseiDataAdaptor.h"
 #include "svtkObjectBase.h"
@@ -132,34 +131,6 @@ public:
   int GetPlacementDevice(DataAdaptor *data,
                          const sched::WorkHint &hint = {}) const;
 
-  // --- compression ------------------------------------------------------------
-
-  /// Request a codec for this back end's bulk payloads (in transit
-  /// frames, binary snapshots, async write buffers). Overrides the
-  /// process-wide cmp::Configure default; CodecId::None forces
-  /// uncompressed payloads even when the global default is on.
-  void SetCompression(const cmp::Params &p)
-  {
-    this->Compress_ = p;
-    this->HaveCompress_ = true;
-  }
-  bool GetCompressionSet() const { return this->HaveCompress_; }
-
-  /// The codec this back end should use: the per-analysis override when
-  /// one was set, else the process-wide default when compression is
-  /// enabled globally, else CodecId::None.
-  cmp::Params GetEffectiveCompression() const
-  {
-    if (this->HaveCompress_)
-      return this->Compress_;
-    const cmp::Config &cfg = cmp::GetConfig();
-    if (cfg.Enabled)
-      return cfg.Default;
-    cmp::Params off;
-    off.Codec = cmp::CodecId::None;
-    return off;
-  }
-
   // --- data requirements ------------------------------------------------------
 
   /// The columns of mesh `mesh` this back end reads: a list (empty when
@@ -185,8 +156,6 @@ protected:
 private:
   ExecutionMethod Method_ = ExecutionMethod::Lockstep;
   sched::PolicyKind Policy_ = sched::PolicyKind::Static;
-  cmp::Params Compress_;
-  bool HaveCompress_ = false;
   int DeviceId_ = DEVICE_AUTO;
   int DevicesToUse_ = 0; ///< 0 = n_a
   int DeviceStart_ = 0;

@@ -109,12 +109,6 @@ const vp::knob::Table<AnalysisOverride> &AnalysisRows()
   static const Table<AnalysisOverride> rows({
     Enum<&O::Policy>("analysis", "policy", sched::PolicyNames())
       .When([](const O &o) { return o.Policy >= 0; }),
-    Enum<&O::Codec>("analysis", "compress", cmp::CodecNames())
-      .When([](const O &o) { return o.Codec >= 0; }),
-    Int<&O::Level>("analysis", "compress_level", 0, 9)
-      .When([](const O &o) { return o.Codec >= 0; }),
-    Real<&O::ErrorBound>("analysis", "compress_error_bound", 0, kInf)
-      .When([](const O &o) { return o.Codec >= 0; }),
   });
   return rows;
 }
@@ -231,12 +225,7 @@ void ConfigurableAnalysis::ApplyCommon(const sxml::Element &el,
   a->SetDeviceStride(static_cast<int>(el.AttributeInt("device_stride", 1)));
   a->SetVerbose(static_cast<int>(el.AttributeInt("verbose", 0)));
 
-  // the per-analysis overrides; a codec's level and bound default to the
-  // <compress> element's
   AnalysisOverride ov;
-  const cmp::Params dflt = cmp::GetConfig().Default;
-  ov.Level = dflt.Level;
-  ov.ErrorBound = dflt.ErrorBound;
   AnalysisRows().Merge(
     ov, [&el](const char *) { return &el.Attributes(); }, false);
 
@@ -244,17 +233,6 @@ void ConfigurableAnalysis::ApplyCommon(const sxml::Element &el,
     a->SetPlacementPolicy(this->SchedPolicy_);
   if (ov.Policy >= 0)
     a->SetPlacementPolicy(static_cast<sched::PolicyKind>(ov.Policy));
-
-  if (ov.Codec >= 0)
-  {
-    if (ov.Codec == static_cast<int>(cmp::CodecId::Quantize) &&
-        !(ov.ErrorBound > 0.0))
-      throw std::runtime_error(
-        "ConfigurableAnalysis: compress=\"quantize\" needs a positive "
-        "compress_error_bound");
-    a->SetCompression(
-      {static_cast<cmp::CodecId>(ov.Codec), ov.Level, ov.ErrorBound});
-  }
 }
 
 AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)

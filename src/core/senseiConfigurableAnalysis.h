@@ -57,18 +57,14 @@ class Element;
 namespace sensei
 {
 
-/// The attributes an <analysis> element overrides the run-wide defaults
-/// with: policy= (the <sched> policy), and compress= with compress_level
-/// and compress_error_bound (the <compress> codec). -1 means "not set":
-/// the analysis follows the run-wide default.
+/// The attribute an <analysis> element overrides the run-wide defaults
+/// with: policy= (the <sched> policy). -1 means "not set": the analysis
+/// follows the run-wide default.
 struct AnalysisOverride
 {
-  int Policy = -1;         ///< sched::PolicyKind when >= 0
-  int Codec = -1;          ///< cmp::CodecId when >= 0
-  int Level = 1;           ///< codec level when Codec >= 0
-  double ErrorBound = 0.0; ///< quantize bound when Codec >= 0
+  int Policy = -1; ///< sched::PolicyKind when >= 0
 
-  bool IsDefault() const { return this->Policy < 0 && this->Codec < 0; }
+  bool IsDefault() const { return this->Policy < 0; }
 };
 
 /// The <analysis> override rows.

@@ -15,7 +15,6 @@ namespace
 constexpr int TagTransport = 7000;
 constexpr std::uint8_t FrameData = 0;
 constexpr std::uint8_t FrameClose = 1;
-constexpr std::uint8_t FrameDataCompressed = 2;
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -28,16 +27,6 @@ InTransitSender::InTransitSender(minimpi::Communicator *world,
     throw std::invalid_argument("InTransitSender: null communicator");
   if (this->Layout_.IsEndpoint(world->Rank()))
     throw std::logic_error("InTransitSender: this rank is an endpoint");
-
-  const cmp::Config &cfg = cmp::GetConfig();
-  this->UseCompression_ = cfg.Enabled;
-  this->Compress_ = cfg.Default;
-}
-
-void InTransitSender::SetCompression(const cmp::Params &params)
-{
-  this->Compress_ = params;
-  this->UseCompression_ = params.Codec != cmp::CodecId::None;
 }
 
 bool InTransitSender::Send(DataAdaptor *data)
@@ -56,12 +45,11 @@ bool InTransitSender::Send(DataAdaptor *data)
 
   // frame: kind byte, step (u64 LE), serialized table
   std::vector<std::uint8_t> frame;
-  frame.push_back(this->UseCompression_ ? FrameDataCompressed : FrameData);
+  frame.push_back(FrameData);
   cmp::PutLE64(frame, static_cast<std::uint64_t>(data->GetDataTimeStep()));
 
   const std::vector<std::uint8_t> payload =
-    this->UseCompression_ ? SerializeTableCompressed(table, this->Compress_)
-                          : SerializeTable(table);
+    SerializeTableCompressed(table, this->Compress_);
   frame.insert(frame.end(), payload.begin(), payload.end());
   table->UnRegister();
 
@@ -152,14 +140,14 @@ long InTransitEndpoint::Run(AnalysisAdaptor *analysis)
         try
         {
           if (frame.size() < 1 + sizeof(std::uint64_t) ||
-              (frame[0] != FrameData && frame[0] != FrameDataCompressed))
+              frame[0] != FrameData)
             throw std::runtime_error("InTransitEndpoint: malformed frame");
           step = cmp::LoadLE64(frame.data() + 1);
-          // dispatch on the payload's own magic: compressed senders and
-          // legacy senders can share an endpoint
-          blocks.push_back(
-            DeserializeTableAuto(frame.data() + 1 + sizeof(std::uint64_t),
-                                 frame.size() - 1 - sizeof(std::uint64_t)));
+          // the table's chunk headers name their codecs, so senders
+          // with different codecs can share an endpoint
+          blocks.push_back(DeserializeTableCompressed(
+            frame.data() + 1 + sizeof(std::uint64_t),
+            frame.size() - 1 - sizeof(std::uint64_t)));
         }
         catch (const std::runtime_error &)
         {

@@ -74,15 +74,15 @@ class InTransitSender
 {
 public:
   /// `world` must outlive the sender; the calling rank must be a sender.
-  /// Compression defaults from the process-wide cmp::GetConfig(): when
-  /// enabled there, shipped tables travel in the compressed wire format.
+  /// Shipped tables request the run-wide codec (cmp::DefaultRequest:
+  /// `none` unless <compress> is enabled).
   InTransitSender(minimpi::Communicator *world, const InTransitLayout &layout,
                   std::string meshName = "table");
 
   /// Request a specific codec for shipped tables (negotiated per column
-  /// dtype). Passing CodecId::None disables compression. Overrides the
-  /// process-wide default for this sender.
-  void SetCompression(const cmp::Params &params);
+  /// dtype); CodecId::None ships the raw values. Overrides the run-wide
+  /// request for this sender.
+  void SetCompression(const cmp::Params &params) { this->Compress_ = params; }
 
   /// Serialize the named mesh from `data` and ship it to the assigned
   /// endpoint, tagged with the adaptor's time step. Returns false when
@@ -97,8 +97,7 @@ private:
   minimpi::Communicator *World_;
   InTransitLayout Layout_;
   std::string MeshName_;
-  cmp::Params Compress_;
-  bool UseCompression_ = false;
+  cmp::Params Compress_ = cmp::DefaultRequest();
   bool Closed_ = false;
 };
 

@@ -45,16 +45,9 @@ bool PosthocIO::Execute(DataAdaptor *data)
     // serialize + compress now (the encoder charges the caller's clock,
     // like the in transit sender); the closure owns only the encoded
     // bytes, so the async queue meters the compressed size
-    std::size_t raw = 0;
-    for (int c = 0; c < table->GetNumberOfColumns(); ++c)
-    {
-      const svtkDataArray *col = table->GetColumn(c);
-      raw += static_cast<std::size_t>(col->GetNumberOfTuples()) *
-             static_cast<std::size_t>(col->GetNumberOfComponents()) *
-             svtkScalarSize(col->GetScalarType());
-    }
+    const std::size_t raw = TableValueBytes(table);
     auto blob = std::make_shared<std::vector<std::uint8_t>>(
-      SerializeTableCompressed(table, this->GetEffectiveCompression()));
+      SerializeTableCompressed(table, cmp::DefaultRequest()));
     table->UnRegister();
 
     auto write = [blob, file]() { sio::WriteBlob(file, *blob); };

@@ -3,10 +3,11 @@
 
 /// @file senseiPosthocIO.h
 /// I/O analysis back end: writes the simulation's table mesh to disk for
-/// post hoc visualization, in CSV or legacy-VTK particle format, every k
-/// steps. Stands in for Newton++'s "VTK compatible output format for post
-/// processing and visualization". Supports asynchronous execution (deep
-/// copies to host, writes in a thread).
+/// post hoc visualization, in CSV, legacy-VTK particle or SBIN (the table
+/// stream every process boundary uses) format, every k steps. Stands in
+/// for Newton++'s "VTK compatible output format for post processing and
+/// visualization". Supports asynchronous execution (deep copies to host,
+/// writes in a thread).
 
 #include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
@@ -23,11 +24,12 @@ public:
 
   const char *GetClassName() const override { return "sensei::PosthocIO"; }
 
-  /// File format to write. SBIN is a self-describing compressed binary
-  /// snapshot: a sio blob (length + checksum validated header) holding a
-  /// compressed table stream; the codec follows the analysis's effective
-  /// compression (SetCompression / the global <compress> default). Read
-  /// it back with sio::ReadBlob + sensei::DeserializeTableAuto.
+  /// File format to write. SBIN is a self-describing binary snapshot: a
+  /// sio blob (length + checksum validated header) holding a table
+  /// stream (senseiSerialization.h) whose codec is the run-wide request
+  /// (cmp::DefaultRequest: the <compress> default when enabled, else
+  /// `none`). Read it back with sio::ReadBlob +
+  /// sensei::DeserializeTableCompressed.
   enum class Format
   {
     CSV,

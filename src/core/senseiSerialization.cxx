@@ -3,7 +3,6 @@
 #include "svtkAOSDataArray.h"
 #include "svtkArrayUtils.h"
 
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -12,61 +11,14 @@ namespace sensei
 
 namespace
 {
-void PutU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-  cmp::PutLE64(out, v);
-}
-
 std::uint64_t GetU64(const std::uint8_t *bytes, std::size_t size,
                      std::size_t &pos)
 {
   if (size - pos < sizeof(std::uint64_t) || pos > size)
-    throw std::runtime_error("DeserializeTable: truncated input");
+    throw std::runtime_error("DeserializeTableCompressed: truncated input");
   const std::uint64_t v = cmp::LoadLE64(bytes + pos);
   pos += sizeof(std::uint64_t);
   return v;
-}
-
-/// Append `n` doubles as little-endian f64 bit patterns.
-void PutF64Array(std::vector<std::uint8_t> &out, const double *v,
-                 std::size_t n)
-{
-  const std::size_t at = out.size();
-  out.resize(at + n * sizeof(double));
-  if (!n)
-    return;
-  if constexpr (std::endian::native == std::endian::little)
-  {
-    std::memcpy(out.data() + at, v, n * sizeof(double));
-  }
-  else
-  {
-    for (std::size_t i = 0; i < n; ++i)
-    {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, v + i, sizeof(bits));
-      cmp::StoreLE64(out.data() + at + i * sizeof(double), bits);
-    }
-  }
-}
-
-/// Read `n` little-endian f64 bit patterns.
-void GetF64Array(const std::uint8_t *bytes, double *v, std::size_t n)
-{
-  if (!n)
-    return;
-  if constexpr (std::endian::native == std::endian::little)
-  {
-    std::memcpy(v, bytes, n * sizeof(double));
-  }
-  else
-  {
-    for (std::size_t i = 0; i < n; ++i)
-    {
-      const std::uint64_t bits = cmp::LoadLE64(bytes + i * sizeof(double));
-      std::memcpy(v + i, &bits, sizeof(bits));
-    }
-  }
 }
 
 cmp::DType DTypeOf(svtkScalarType t)
@@ -113,76 +65,6 @@ constexpr std::uint8_t kTableMagic[4] = {'S', 'T', 'B', 'C'};
 constexpr std::uint8_t kTableVersion = 1;
 } // namespace
 
-std::vector<std::uint8_t> SerializeTable(const svtkTable *table)
-{
-  if (!table)
-    throw std::invalid_argument("SerializeTable: null table");
-
-  std::vector<std::uint8_t> out;
-  const int nCols = table->GetNumberOfColumns();
-  PutU64(out, static_cast<std::uint64_t>(nCols));
-
-  for (int c = 0; c < nCols; ++c)
-  {
-    const svtkDataArray *col = table->GetColumn(c);
-    const std::string &name = col->GetName();
-
-    PutU64(out, name.size());
-    out.insert(out.end(), name.begin(), name.end());
-
-    PutU64(out, col->GetNumberOfTuples());
-    PutU64(out, static_cast<std::uint64_t>(col->GetNumberOfComponents()));
-
-    const std::vector<double> values = svtkToDoubleVector(col);
-    PutF64Array(out, values.data(), values.size());
-  }
-  return out;
-}
-
-svtkTable *DeserializeTable(const std::uint8_t *bytes, std::size_t size)
-{
-  std::size_t pos = 0;
-  const std::uint64_t nCols = GetU64(bytes, size, pos);
-
-  svtkTable *table = svtkTable::New();
-  try
-  {
-    for (std::uint64_t c = 0; c < nCols; ++c)
-    {
-      const std::uint64_t nameLen = GetU64(bytes, size, pos);
-      if (nameLen > size - pos)
-        throw std::runtime_error("DeserializeTable: truncated name");
-      std::string name(reinterpret_cast<const char *>(bytes + pos),
-                       static_cast<std::size_t>(nameLen));
-      pos += nameLen;
-
-      const std::uint64_t tuples = GetU64(bytes, size, pos);
-      const std::uint64_t comps = GetU64(bytes, size, pos);
-      if (comps && tuples > UINT64_MAX / comps)
-        throw std::runtime_error("DeserializeTable: implausible column size");
-      const std::uint64_t count = tuples * comps;
-      if (count > (size - pos) / sizeof(double))
-        throw std::runtime_error("DeserializeTable: truncated values");
-
-      svtkAOSDoubleArray *col = svtkAOSDoubleArray::New(name);
-      col->SetNumberOfComponents(static_cast<int>(comps));
-      col->GetVector().resize(static_cast<std::size_t>(count));
-      GetF64Array(bytes + pos, col->GetVector().data(),
-                  static_cast<std::size_t>(count));
-      pos += static_cast<std::size_t>(count) * sizeof(double);
-
-      table->AddColumn(col);
-      col->Delete();
-    }
-  }
-  catch (...)
-  {
-    table->UnRegister();
-    throw;
-  }
-  return table;
-}
-
 std::vector<std::uint8_t> SerializeTableCompressed(const svtkTable *table,
                                                    const cmp::Params &params)
 {
@@ -197,18 +79,19 @@ std::vector<std::uint8_t> SerializeTableCompressed(const svtkTable *table,
   out.push_back(0);
 
   const int nCols = table->GetNumberOfColumns();
-  PutU64(out, static_cast<std::uint64_t>(nCols));
+  cmp::PutLE64(out, static_cast<std::uint64_t>(nCols));
 
   for (int c = 0; c < nCols; ++c)
   {
     const svtkDataArray *col = table->GetColumn(c);
     const std::string &name = col->GetName();
 
-    PutU64(out, name.size());
+    cmp::PutLE64(out, name.size());
     out.insert(out.end(), name.begin(), name.end());
 
-    PutU64(out, col->GetNumberOfTuples());
-    PutU64(out, static_cast<std::uint64_t>(col->GetNumberOfComponents()));
+    cmp::PutLE64(out, col->GetNumberOfTuples());
+    cmp::PutLE64(out,
+                 static_cast<std::uint64_t>(col->GetNumberOfComponents()));
 
     svtkWithHostValues(
       col, [&](const void *data, svtkScalarType st, std::size_t count)
@@ -297,11 +180,17 @@ svtkTable *DeserializeTableCompressed(const std::uint8_t *bytes,
   return table;
 }
 
-svtkTable *DeserializeTableAuto(const std::uint8_t *bytes, std::size_t size)
+std::size_t TableValueBytes(const svtkTable *table)
 {
-  if (bytes && size >= 4 && std::memcmp(bytes, kTableMagic, 4) == 0)
-    return DeserializeTableCompressed(bytes, size);
-  return DeserializeTable(bytes, size);
+  std::size_t bytes = 0;
+  for (int c = 0; c < table->GetNumberOfColumns(); ++c)
+  {
+    const svtkDataArray *col = table->GetColumn(c);
+    bytes += static_cast<std::size_t>(col->GetNumberOfTuples()) *
+             static_cast<std::size_t>(col->GetNumberOfComponents()) *
+             svtkScalarSize(col->GetScalarType());
+  }
+  return bytes;
 }
 
 svtkTable *ConcatenateTables(const std::vector<svtkTable *> &parts)

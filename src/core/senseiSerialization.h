@@ -2,21 +2,13 @@
 #define senseiSerialization_h
 
 /// @file senseiSerialization.h
-/// Byte-level serialization of data-model objects for the in transit
-/// transport and the binary file writers. Two wire formats exist, both
-/// with fixed-width little-endian integer fields (the stream is decodable
-/// regardless of either end's size_t width or byte order):
-///
-/// Legacy (uncompressed, values widened to f64):
-///
-///   u64 columnCount
-///   per column: u64 nameLength, name bytes,
-///               u64 tupleCount, u64 componentCount,
-///               f64 values [tupleCount * componentCount] (LE bit patterns)
-///
-/// Compressed ("STBC"): columns keep their native scalar type and each
-/// column's values travel as one self-describing cmp chunk (codec id,
-/// dtype, counts, checksum in the chunk header — see cmpCodec.h):
+/// Byte-level serialization of data-model tables for the in transit
+/// transport, the analysis service and the binary file writers. One
+/// format ("STBC") crosses every boundary, with fixed-width little-endian
+/// integer fields (the stream is decodable regardless of either end's
+/// size_t width or byte order). Columns keep their native scalar type and
+/// each column's values travel as one self-describing cmp chunk (codec
+/// id, dtype, counts, checksum in the chunk header — see cmpCodec.h):
 ///
 ///   u8[4] magic "STBC", u8 version (1), u8 flags, u16 reserved
 ///   u64 columnCount
@@ -26,8 +18,9 @@
 ///
 /// The codec is negotiated per array from the requested parameters and
 /// the column dtype (integers -> delta-varint, floats -> quantize or
-/// shuffle-rle, see cmp::Negotiate); the chunk header records what was
-/// actually used, so decoding needs no out-of-band information.
+/// shuffle-rle, see cmp::Negotiate); an uncompressed table requests
+/// codec `none`, whose chunk is the raw values. The chunk header records
+/// what was actually used, so decoding needs no out-of-band information.
 
 #include "cmpCodec.h"
 #include "svtkDataObject.h"
@@ -38,25 +31,10 @@
 namespace sensei
 {
 
-/// Serialize a table to bytes (legacy format). Device-resident columns
-/// are pulled through the data model's host access path (one D2H move
-/// per column).
-std::vector<std::uint8_t> SerializeTable(const svtkTable *table);
-
-/// Rebuild a table from SerializeTable bytes; columns come back as
-/// host-resident double arrays. The caller owns the returned reference.
-/// Throws std::runtime_error on malformed input.
-svtkTable *DeserializeTable(const std::uint8_t *bytes, std::size_t size);
-
-/// Convenience overload.
-inline svtkTable *DeserializeTable(const std::vector<std::uint8_t> &bytes)
-{
-  return DeserializeTable(bytes.data(), bytes.size());
-}
-
-/// Serialize a table in the compressed format, requesting `params` for
-/// every column (negotiated per column dtype; lossy codecs never apply
-/// to integer columns). Columns keep their native scalar type.
+/// Serialize a table, requesting `params` for every column (negotiated
+/// per column dtype; lossy codecs never apply to integer columns).
+/// Columns keep their native scalar type; device-resident columns are
+/// pulled through the data model's host access path.
 std::vector<std::uint8_t> SerializeTableCompressed(const svtkTable *table,
                                                    const cmp::Params &params);
 
@@ -74,14 +52,9 @@ DeserializeTableCompressed(const std::vector<std::uint8_t> &bytes)
   return DeserializeTableCompressed(bytes.data(), bytes.size());
 }
 
-/// Detect the format by magic and dispatch to the matching deserializer.
-svtkTable *DeserializeTableAuto(const std::uint8_t *bytes, std::size_t size);
-
-/// Convenience overload.
-inline svtkTable *DeserializeTableAuto(const std::vector<std::uint8_t> &bytes)
-{
-  return DeserializeTableAuto(bytes.data(), bytes.size());
-}
+/// The bytes of `table`'s values: per column, tuples x components x the
+/// size of its scalar type. The raw volume a serialized table stands for.
+std::size_t TableValueBytes(const svtkTable *table);
 
 /// Merge rows of several tables with identical schemas (same column
 /// names, components, order) into one host-resident table. Used by the

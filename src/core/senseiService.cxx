@@ -65,18 +65,11 @@ bool ServiceClient::Send(DataAdaptor *data)
     table = shipped;
   }
 
+  const cmp::Params codec =
+    grant.UseCompression ? grant.Codec : cmp::Params{cmp::CodecId::None};
   const std::vector<std::uint8_t> payload =
-    grant.UseCompression ? SerializeTableCompressed(table, grant.Codec)
-                         : SerializeTable(table);
-
-  // the raw volume the frame stands for; compressed columns serialize
-  // the same logical data, so size it from the shipped table itself
-  const std::size_t rawBytes =
-    grant.UseCompression
-      ? static_cast<std::size_t>(table->GetNumberOfRows()) *
-          static_cast<std::size_t>(table->GetNumberOfColumns()) *
-          sizeof(double)
-      : payload.size();
+    SerializeTableCompressed(table, codec);
+  const std::size_t rawBytes = TableValueBytes(table);
   table->UnRegister();
 
   // serialization is host memory-bandwidth work the tenant pays for
@@ -180,8 +173,8 @@ void ServiceHost::HandleFrame(int worker, const svc::FrameHeader &h,
   // frame, so a tenant that has since closed still lands on its own mesh
   const std::string mesh = h.Mesh.empty() ? "table" : h.Mesh;
 
-  // compressed and raw payloads share the self-describing table formats
-  svtkTable *table = DeserializeTableAuto(payload.data(), payload.size());
+  svtkTable *table =
+    DeserializeTableCompressed(payload.data(), payload.size());
   payload.clear();
 
   TableAdaptor *adaptor = TableAdaptor::New(mesh);

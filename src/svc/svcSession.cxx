@@ -34,7 +34,6 @@ const vp::knob::Table<ServiceConfig> &ConfigRows()
                 c.CodecOverride.Codec = cmp::CodecIdFromName(text);
                 c.HaveCodecOverride = true;
               }),
-    Int<&S::CodecOverride, &P::Level>("service", "codec_level", 0, 9),
     Real<&S::CodecOverride, &P::ErrorBound>("service", "codec_error_bound", 0,
                                             kInf),
     Int<&S::PushDepth>("viz", "push_depth", 1, kMaxInt),

@@ -132,8 +132,7 @@ std::vector<std::uint8_t> EncodeHello(const HelloInfo &h)
   out.push_back(h.Protocol);
   out.push_back(static_cast<std::uint8_t>(h.Codec.Codec));
   out.push_back(h.WantCompression ? 1 : 0);
-  out.push_back(0);
-  PutU32(out, static_cast<std::uint32_t>(h.Codec.Level));
+  out.insert(out.end(), 5, 0); // reserved
   PutF64(out, h.Codec.ErrorBound);
   PutString(out, h.MeshName);
   return out;
@@ -147,7 +146,6 @@ HelloInfo DecodeHello(const std::uint8_t *bytes, std::size_t size)
   h.Protocol = bytes[0];
   h.Codec.Codec = GetCodec(bytes[1]);
   h.WantCompression = bytes[2] != 0;
-  h.Codec.Level = static_cast<int>(GetU32(bytes + 4));
   h.Codec.ErrorBound = GetF64(bytes + 8);
   const std::uint8_t *p = bytes + 16;
   h.MeshName = GetString(p, bytes + size);
@@ -161,8 +159,7 @@ std::vector<std::uint8_t> EncodeWelcome(const WelcomeInfo &w)
   out.push_back(static_cast<std::uint8_t>(w.Codec.Codec));
   out.push_back(w.UseCompression ? 1 : 0);
   out.push_back(static_cast<std::uint8_t>(w.Pressure));
-  out.push_back(0);
-  PutU32(out, static_cast<std::uint32_t>(w.Codec.Level));
+  out.insert(out.end(), 5, 0); // reserved
   PutF64(out, w.Codec.ErrorBound);
   cmp::PutLE64(out, static_cast<std::uint64_t>(w.QueueDepth));
   PutU32(out, static_cast<std::uint32_t>(w.HeartbeatMs));
@@ -187,7 +184,6 @@ WelcomeInfo DecodeWelcome(const std::uint8_t *bytes, std::size_t size)
     throw std::runtime_error("svc: unknown backpressure " +
                              std::to_string(bytes[6]));
   w.Pressure = static_cast<sched::Backpressure>(bytes[6]);
-  w.Codec.Level = static_cast<int>(GetU32(bytes + 8));
   w.Codec.ErrorBound = GetF64(bytes + 12);
   w.QueueDepth = static_cast<long>(cmp::LoadLE64(bytes + 20));
   w.HeartbeatMs = static_cast<int>(GetU32(bytes + 28));

@@ -32,8 +32,7 @@
 ///     off  4  u8     codec id (cmp::CodecId)
 ///     off  5  u8     use compression (0/1)
 ///     off  6  u8     backpressure (sched::Backpressure)
-///     off  7  u8     reserved (0)
-///     off  8  u32    codec level
+///     off  7  u8[5]  reserved (0)
 ///     off 12  f64    codec error bound
 ///     off 20  u64    queue depth
 ///     off 28  u32    heartbeat interval (ms)

@@ -44,7 +44,6 @@ const vp::knob::Table<VizConfig> &ConfigRows()
     Bool<&VizConfig::Log>("viz", "log", "VP_VIZ_LOG"),
     Enum<&VizConfig::Codec, &P::Codec>("viz", "codec", cmp::CodecNames(),
                                        "VP_VIZ_CODEC"),
-    Int<&VizConfig::Codec, &P::Level>("viz", "codec_level", 0, 9),
   });
   return rows;
 }

@@ -38,7 +38,7 @@ struct VizConfig
   double Lo = 0.0, Hi = 1.0;
   /// Default image-frame codec; raw pixels unless a codec is asked for
   /// (cmp::Params defaults to ShuffleRLE, which is wrong for frames).
-  cmp::Params Codec{cmp::CodecId::None, 1, 0.0};
+  cmp::Params Codec{cmp::CodecId::None};
   std::vector<ViewerOverride> Viewers;
 };
 

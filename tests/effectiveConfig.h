@@ -36,8 +36,7 @@ inline std::string Real(double v)
 
 inline std::string Codec(const cmp::Params &p)
 {
-  return std::string(cmp::CodecName(p.Codec)) + "/L" +
-         std::to_string(p.Level) + "/e" + Real(p.ErrorBound);
+  return std::string(cmp::CodecName(p.Codec)) + "/e" + Real(p.ErrorBound);
 }
 
 /// Every subsystem section, in document order.
@@ -147,9 +146,7 @@ inline std::string Analyses(const sensei::ConfigurableAnalysis &ca)
        << a->GetDevicesToUse() << " start " << a->GetDeviceStart()
        << " stride " << a->GetDeviceStride() << "\n"
        << p << "policy = " << sched::PolicyKindName(a->GetPlacementPolicy())
-       << "\n"
-       << p << "compress = " << a->GetCompressionSet() << " "
-       << Codec(a->GetEffectiveCompression()) << "\n";
+       << "\n";
   }
   return os.str();
 }

@@ -357,6 +357,45 @@ TEST(Chunk, CorruptionIsDetected)
                std::invalid_argument);
 }
 
+TEST(Chunk, HeaderRejectsRawSizesThePayloadCannotProduce)
+{
+  // the most raw bytes each codec decodes from its payload: none exactly
+  // the payload, delta-varint and quantize one value per byte, and
+  // shuffle-rle 65 bytes per byte (a 2-byte run token yields 130)
+  ResetAll();
+  auto check = [](const auto &values, cmp::DType dt, const cmp::Params &p,
+                  cmp::CodecId expect, std::uint64_t maxCount)
+  {
+    SCOPED_TRACE(cmp::CodecName(expect));
+    std::vector<std::uint8_t> buf;
+    const cmp::ChunkInfo info =
+      cmp::EncodeChunk(values.data(), dt, values.size(), p, buf);
+    ASSERT_EQ(info.Codec, expect);
+    const std::uint64_t most = maxCount ? maxCount : info.EncodedBytes;
+    for (const std::uint64_t count : {most, most + 1})
+    {
+      cmp::StoreLE64(buf.data() + 8, count);
+      cmp::StoreLE64(buf.data() + 16, count * cmp::DTypeSize(dt));
+      if (count == most)
+        EXPECT_NO_THROW(cmp::PeekHeader(buf.data(), buf.size()));
+      else
+        EXPECT_THROW(cmp::PeekHeader(buf.data(), buf.size()),
+                     std::runtime_error);
+    }
+  };
+
+  const std::vector<double> doubles = RandomDoubles(64, 3);
+  check(doubles, cmp::DType::F64, {cmp::CodecId::None}, cmp::CodecId::None,
+        doubles.size());
+  check(doubles, cmp::DType::F64, {cmp::CodecId::Quantize, 1e-3},
+        cmp::CodecId::Quantize, 0);
+  check(std::vector<std::int64_t>(64, 1000), cmp::DType::I64,
+        {cmp::CodecId::DeltaVarint}, cmp::CodecId::DeltaVarint, 0);
+  // 1000 zero bytes: seven 130-byte runs and one of 90, 16 payload bytes
+  check(std::vector<std::uint8_t>(1000, 0), cmp::DType::U8,
+        {cmp::CodecId::ShuffleRLE}, cmp::CodecId::ShuffleRLE, 65 * 16);
+}
+
 TEST(Chunk, OneHostAllocationPerEncodeWithThePoolOff)
 {
   // the scratch is sized once from the chunk's raw bytes: from an empty
@@ -464,7 +503,7 @@ TEST(TableWire, CompressedRoundTripPreservesTypes)
   cmp::Params p; // lossless default
   const std::vector<std::uint8_t> wire =
     sensei::SerializeTableCompressed(t, p);
-  svtkTable *back = sensei::DeserializeTableAuto(wire);
+  svtkTable *back = sensei::DeserializeTableCompressed(wire);
 
   ASSERT_EQ(back->GetNumberOfColumns(), 2);
   EXPECT_EQ(back->GetColumn(0)->GetScalarType(), svtkScalarType::Float64);
@@ -486,7 +525,8 @@ TEST(TableWire, CompressedShrinksBinningPayload)
 {
   ResetAll();
   svtkTable *t = MakeTable(20000, 11);
-  const std::size_t rawWire = sensei::SerializeTable(t).size();
+  const std::size_t rawWire =
+    sensei::SerializeTableCompressed(t, {cmp::CodecId::None}).size();
 
   cmp::Params p;
   p.Codec = cmp::CodecId::Quantize;
@@ -526,29 +566,87 @@ TEST(TableWire, MalformedCompressedStreamThrows)
 
 TEST(TableWire, HandcraftedLittleEndianStreamDecodes)
 {
-  // a legacy stream built field by field, the way a writer with 32-bit
-  // size_t on a little-endian machine would produce it; decoding must
-  // not depend on this host's widths
+  // an uncompressed stream (codec none) built field by field, the way a
+  // writer with 32-bit size_t on a little-endian machine would produce
+  // it; decoding must not depend on this host's widths
   ResetAll();
-  std::vector<std::uint8_t> wire;
+  std::vector<std::uint8_t> values;
+  for (const double v : {1.5, -2.25})
+  {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    cmp::PutLE64(values, bits);
+  }
+  std::vector<std::uint8_t> wire = {'S', 'T', 'B', 'C', 1, 0, 0, 0};
   cmp::PutLE64(wire, 1); // one column
   cmp::PutLE64(wire, 3); // name length
   wire.insert(wire.end(), {'a', 'b', 'c'});
   cmp::PutLE64(wire, 2); // tuples
   cmp::PutLE64(wire, 1); // components
-  for (const double v : {1.5, -2.25})
-  {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    cmp::PutLE64(wire, bits);
-  }
+  wire.insert(wire.end(), {'S', 'C', 'M', 'P', 1,
+                           static_cast<std::uint8_t>(cmp::CodecId::None),
+                           static_cast<std::uint8_t>(cmp::DType::F64), 0});
+  cmp::PutLE64(wire, 2);             // element count
+  cmp::PutLE64(wire, values.size()); // raw bytes
+  cmp::PutLE64(wire, values.size()); // encoded bytes
+  cmp::PutLE64(wire, cmp::Fnv1a(values.data(), values.size()));
+  cmp::PutLE64(wire, 0); // error bound
+  wire.insert(wire.end(), values.begin(), values.end());
 
-  svtkTable *back = sensei::DeserializeTableAuto(wire);
+  svtkTable *back = sensei::DeserializeTableCompressed(wire);
   ASSERT_EQ(back->GetNumberOfColumns(), 1);
   EXPECT_EQ(back->GetColumn(0)->GetName(), "abc");
+  EXPECT_EQ(back->GetColumn(0)->GetScalarType(), svtkScalarType::Float64);
   EXPECT_DOUBLE_EQ(back->GetColumn(0)->GetVariantValue(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(back->GetColumn(0)->GetVariantValue(1, 0), -2.25);
+
+  // and this host's writer produces exactly these bytes
+  EXPECT_EQ(sensei::SerializeTableCompressed(back, {cmp::CodecId::None}),
+            wire);
   back->UnRegister();
+}
+
+TEST(TableWire, HostileChunkCountsAreRejectedBeforeAllocating)
+{
+  // 91-byte streams whose one column claims 2^27 doubles (1 GiB) or 2^40
+  // (8 TiB) behind a 2-byte shuffle-rle payload with a valid checksum:
+  // the chunk header check rejects both before any column is allocated
+  ResetAll();
+  for (const int log2Count : {27, 40})
+  {
+    SCOPED_TRACE(log2Count);
+    const std::uint64_t count = std::uint64_t(1) << log2Count;
+    const std::uint8_t payload[2] = {0xFF, 0}; // a run of 130 zeros
+    std::vector<std::uint8_t> wire = {'S', 'T', 'B', 'C', 1, 0, 0, 0};
+    cmp::PutLE64(wire, 1); // columns
+    cmp::PutLE64(wire, 1); // name length
+    wire.push_back('x');
+    cmp::PutLE64(wire, count); // tuples
+    cmp::PutLE64(wire, 1);     // components
+    wire.insert(wire.end(),
+                {'S', 'C', 'M', 'P', 1,
+                 static_cast<std::uint8_t>(cmp::CodecId::ShuffleRLE),
+                 static_cast<std::uint8_t>(cmp::DType::F64), 1});
+    cmp::PutLE64(wire, count);
+    cmp::PutLE64(wire, count * sizeof(double));
+    cmp::PutLE64(wire, sizeof(payload));
+    cmp::PutLE64(wire, cmp::Fnv1a(payload, sizeof(payload)));
+    cmp::PutLE64(wire, 0); // error bound
+    wire.insert(wire.end(), payload, payload + sizeof(payload));
+    ASSERT_EQ(wire.size(), 91u);
+
+    try
+    {
+      sensei::DeserializeTableCompressed(wire)->UnRegister();
+      ADD_FAILURE() << "a hostile stream decoded";
+    }
+    catch (const std::runtime_error &e)
+    {
+      EXPECT_NE(std::string(e.what()).find("exceeds what its payload"),
+                std::string::npos)
+        << e.what();
+    }
+  }
 }
 
 // --- quantized binning -------------------------------------------------------
@@ -609,7 +707,7 @@ TEST(QuantizedBinning, HistogramMatchesWhenBoundBelowHalfBinWidth)
   p.Codec = cmp::CodecId::Quantize;
   p.ErrorBound = eb;
   svtkTable *quantized =
-    sensei::DeserializeTableAuto(sensei::SerializeTableCompressed(t, p));
+    sensei::DeserializeTableCompressed(sensei::SerializeTableCompressed(t, p));
   const std::vector<double> got = binIt(quantized);
   quantized->UnRegister();
   t->Delete();
@@ -678,10 +776,11 @@ TEST(PosthocSBIN, WritesReadableCompressedSnapshots)
   io->SetOutputDir(testing::TempDir());
   io->SetPrefix("cmp_sbin");
   io->SetFormat(sensei::PosthocIO::Format::SBIN);
-  cmp::Params p;
-  p.Codec = cmp::CodecId::Quantize;
-  p.ErrorBound = 1.0e-5;
-  io->SetCompression(p);
+  cmp::Config on;
+  on.Enabled = true;
+  on.Default.Codec = cmp::CodecId::Quantize;
+  on.Default.ErrorBound = 1.0e-5;
+  cmp::Configure(on);
   io->SetAsynchronous(true);
 
   da->SetDataTimeStep(0);
@@ -691,7 +790,7 @@ TEST(PosthocSBIN, WritesReadableCompressedSnapshots)
   io->Delete();
 
   const std::string path = testing::TempDir() + "/cmp_sbin_r0_s0.sbin";
-  svtkTable *back = sensei::DeserializeTableAuto(sio::ReadBlob(path));
+  svtkTable *back = sensei::DeserializeTableCompressed(sio::ReadBlob(path));
   ASSERT_EQ(back->GetNumberOfColumns(), 3);
   ASSERT_EQ(back->GetNumberOfRows(), 400u);
   for (std::size_t i = 0; i < 400; ++i)
@@ -699,6 +798,7 @@ TEST(PosthocSBIN, WritesReadableCompressedSnapshots)
                 t->GetColumn(0)->GetVariantValue(i, 0), 1.0e-5);
   back->UnRegister();
   std::remove(path.c_str());
+  cmp::Configure(cmp::Config());
 
   t->Delete();
   da->ReleaseData();
@@ -857,7 +957,7 @@ TEST(CompressXml, GlobalElementConfiguresDefaults)
   sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
   ca->InitializeString(
     "<sensei>"
-    "  <compress codec=\"quantize\" error_bound=\"0.001\" level=\"1\"/>"
+    "  <compress codec=\"quantize\" error_bound=\"0.001\"/>"
     "  <analysis type=\"histogram\" column=\"x\" bins=\"8\"/>"
     "</sensei>");
 
@@ -866,35 +966,14 @@ TEST(CompressXml, GlobalElementConfiguresDefaults)
   EXPECT_EQ(cfg.Default.Codec, cmp::CodecId::Quantize);
   EXPECT_DOUBLE_EQ(cfg.Default.ErrorBound, 0.001);
 
-  // the analysis inherits the global default
-  ASSERT_NE(ca->GetAnalysis(0), nullptr);
-  EXPECT_FALSE(ca->GetAnalysis(0)->GetCompressionSet());
-  EXPECT_EQ(ca->GetAnalysis(0)->GetEffectiveCompression().Codec,
-            cmp::CodecId::Quantize);
+  // the integrated paths request the global default
+  EXPECT_EQ(cmp::DefaultRequest().Codec, cmp::CodecId::Quantize);
+  EXPECT_DOUBLE_EQ(cmp::DefaultRequest().ErrorBound, 0.001);
   ca->UnRegister();
-  cmp::Configure(cmp::Config());
-}
 
-TEST(CompressXml, PerAnalysisOverrideWins)
-{
-  ResetAll();
-  sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
-  ca->InitializeString(
-    "<sensei>"
-    "  <compress codec=\"shuffle-rle\"/>"
-    "  <analysis type=\"histogram\" column=\"x\" compress=\"delta-varint\"/>"
-    "  <analysis type=\"histogram\" column=\"y\" compress=\"none\"/>"
-    "</sensei>");
-
-  ASSERT_NE(ca->GetAnalysis(1), nullptr);
-  EXPECT_TRUE(ca->GetAnalysis(0)->GetCompressionSet());
-  EXPECT_EQ(ca->GetAnalysis(0)->GetEffectiveCompression().Codec,
-            cmp::CodecId::DeltaVarint);
-  // "none" forces uncompressed even though the global default is on
-  EXPECT_EQ(ca->GetAnalysis(1)->GetEffectiveCompression().Codec,
-            cmp::CodecId::None);
-  ca->UnRegister();
+  // and `none` while compression is off
   cmp::Configure(cmp::Config());
+  EXPECT_EQ(cmp::DefaultRequest().Codec, cmp::CodecId::None);
 }
 
 TEST(CompressXml, InvalidConfigurationsThrow)
@@ -911,11 +990,11 @@ TEST(CompressXml, InvalidConfigurationsThrow)
     std::runtime_error);
   b->UnRegister();
   sensei::ConfigurableAnalysis *c = sensei::ConfigurableAnalysis::New();
-  EXPECT_THROW(c->InitializeString(
-                 "<sensei><analysis type=\"histogram\" column=\"x\" "
-                 "compress=\"quantize\"/></sensei>"),
-               std::runtime_error);
+  EXPECT_THROW(
+    c->InitializeString("<sensei><service codec=\"quantize\"/></sensei>"),
+    std::runtime_error);
   c->UnRegister();
+  sensei::ResetConfig({"service"});
   cmp::Configure(cmp::Config());
 }
 

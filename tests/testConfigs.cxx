@@ -194,14 +194,14 @@ TEST(Configs, EveryVariableBeatsAConflictingAttribute)
     {"VP_SVC_HEARTBEAT_MS", "20", "<service heartbeat_ms=\"80\"/>",
      "service.heartbeat_ms = 20"},
     {"VP_SVC_CODEC", "delta-varint", "<service codec=\"none\"/>",
-     "service.codec_override = 1 delta-varint/L1/e0"},
+     "service.codec_override = 1 delta-varint/e0"},
     {"VP_VIZ_WIDTH", "96", "<viz width=\"128\"/>", "viz.width = 96"},
     {"VP_VIZ_HEIGHT", "48", "<viz height=\"64\"/>", "viz.height = 48"},
     {"VP_VIZ_COLORMAP", "gray", "<viz colormap=\"heat\"/>",
      "viz.colormap = gray"},
     {"VP_VIZ_LOG", "1", "<viz log=\"0\"/>", "viz.log = 1"},
     {"VP_VIZ_CODEC", "shuffle-rle", "<viz codec=\"none\"/>",
-     "viz.codec = shuffle-rle/L1/e0"},
+     "viz.codec = shuffle-rle/e0"},
   };
   ASSERT_EQ(std::size(cases), std::size(kConfigVariables));
 

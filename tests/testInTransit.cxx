@@ -1,7 +1,7 @@
 // Tests for the in transit substrate: communicator splitting, table
-// serialization round trips, the M-to-N layout map, and the full
+// serialization round trips, the M-to-N layout map, the full
 // sender/endpoint pipeline — whose binning result must equal an in situ
-// run over the same data.
+// run over the same data — and its per-frame failure contract.
 
 #include "minimpi.h"
 #include "senseiDataBinning.h"
@@ -101,18 +101,27 @@ TEST(CommSplit, UnevenGroups)
 
 // --- serialization ------------------------------------------------------------------
 
+namespace
+{
+/// Serialize `t` uncompressed (codec `none`) and decode it again.
+svtkTable *PlainRoundTrip(const svtkTable *t)
+{
+  return sensei::DeserializeTableCompressed(
+    sensei::SerializeTableCompressed(t, {cmp::CodecId::None}));
+}
+} // namespace
+
 TEST(Serialization, TableRoundTrip)
 {
   ResetPlatform();
   svtkTable *t = MakeTable(37, 5);
-  const std::vector<std::uint8_t> bytes = sensei::SerializeTable(t);
-
-  svtkTable *back = sensei::DeserializeTable(bytes);
+  svtkTable *back = PlainRoundTrip(t);
   ASSERT_EQ(back->GetNumberOfColumns(), 3);
   ASSERT_EQ(back->GetNumberOfRows(), 37u);
   for (int c = 0; c < 3; ++c)
   {
     EXPECT_EQ(back->GetColumn(c)->GetName(), t->GetColumn(c)->GetName());
+    EXPECT_EQ(back->GetColumn(c)->GetScalarType(), svtkScalarType::Float64);
     for (std::size_t r = 0; r < 37; ++r)
       EXPECT_DOUBLE_EQ(back->GetColumn(c)->GetVariantValue(r, 0),
                        t->GetColumn(c)->GetVariantValue(r, 0));
@@ -130,7 +139,7 @@ TEST(Serialization, DeviceColumnsSerializeViaHostPath)
   t->AddColumn(d);
   d->Delete();
 
-  svtkTable *back = sensei::DeserializeTable(sensei::SerializeTable(t));
+  svtkTable *back = PlainRoundTrip(t);
   for (std::size_t r = 0; r < 8; ++r)
     EXPECT_DOUBLE_EQ(back->GetColumn(0)->GetVariantValue(r, 0), 2.5);
   back->UnRegister();
@@ -147,16 +156,35 @@ TEST(Serialization, MultiComponentAndEmpty)
       v->SetVariantValue(i, j, 10.0 * i + j);
   t->AddColumn(v);
   v->Delete();
+  svtkAOSFloatArray *f = svtkAOSFloatArray::New("f32", 4, 1);
+  svtkAOSLongArray *l = svtkAOSLongArray::New("i64", 4, 1);
+  for (std::size_t i = 0; i < 4; ++i)
+  {
+    f->SetVariantValue(i, 0, 0.25 * static_cast<double>(i));
+    l->SetVariantValue(i, 0, static_cast<double>(1 << 20) * i);
+  }
+  t->AddColumn(f);
+  t->AddColumn(l);
+  f->Delete();
+  l->Delete();
 
-  svtkTable *back = sensei::DeserializeTable(sensei::SerializeTable(t));
+  // every column keeps its native type and shape
+  svtkTable *back = PlainRoundTrip(t);
+  ASSERT_EQ(back->GetNumberOfColumns(), 3);
+  EXPECT_EQ(back->GetColumn(0)->GetScalarType(), svtkScalarType::Float64);
   EXPECT_EQ(back->GetColumn(0)->GetNumberOfComponents(), 3);
   EXPECT_DOUBLE_EQ(back->GetColumn(0)->GetVariantValue(2, 1), 21.0);
+  EXPECT_EQ(back->GetColumn(1)->GetScalarType(), svtkScalarType::Float32);
+  EXPECT_DOUBLE_EQ(back->GetColumn(1)->GetVariantValue(3, 0), 0.75);
+  EXPECT_EQ(back->GetColumn(2)->GetScalarType(), svtkScalarType::Int64);
+  EXPECT_DOUBLE_EQ(back->GetColumn(2)->GetVariantValue(3, 0),
+                   3.0 * (1 << 20));
   back->UnRegister();
   t->Delete();
 
   // empty table
   svtkTable *empty = svtkTable::New();
-  svtkTable *back2 = sensei::DeserializeTable(sensei::SerializeTable(empty));
+  svtkTable *back2 = PlainRoundTrip(empty);
   EXPECT_EQ(back2->GetNumberOfColumns(), 0);
   back2->UnRegister();
   empty->Delete();
@@ -166,13 +194,14 @@ TEST(Serialization, MalformedInputThrows)
 {
   ResetPlatform();
   const std::uint8_t junk[4] = {1, 2, 3, 4};
-  EXPECT_THROW(sensei::DeserializeTable(junk, sizeof(junk)),
+  EXPECT_THROW(sensei::DeserializeTableCompressed(junk, sizeof(junk)),
                std::runtime_error);
 
   svtkTable *t = MakeTable(5, 1);
-  std::vector<std::uint8_t> bytes = sensei::SerializeTable(t);
+  std::vector<std::uint8_t> bytes =
+    sensei::SerializeTableCompressed(t, {cmp::CodecId::None});
   bytes.resize(bytes.size() / 2); // truncate mid-column
-  EXPECT_THROW(sensei::DeserializeTable(bytes), std::runtime_error);
+  EXPECT_THROW(sensei::DeserializeTableCompressed(bytes), std::runtime_error);
   t->Delete();
 }
 
@@ -378,6 +407,29 @@ namespace
 constexpr int kTransportTag = 7000;
 constexpr std::uint8_t kFrameData = 0;
 
+/// A 91-byte table stream whose one column claims `count` doubles behind
+/// a 2-byte shuffle-rle payload (one run token) with a valid checksum.
+std::vector<std::uint8_t> HostileTableStream(std::uint64_t count)
+{
+  std::vector<std::uint8_t> s = {'S', 'T', 'B', 'C', 1, 0, 0, 0};
+  cmp::PutLE64(s, 1); // columns
+  cmp::PutLE64(s, 1); // name length
+  s.push_back('x');
+  cmp::PutLE64(s, count); // tuples
+  cmp::PutLE64(s, 1);     // components
+  const std::uint8_t payload[2] = {0xFF, 0}; // a run of 130 zeros
+  s.insert(s.end(), {'S', 'C', 'M', 'P', 1,
+                     static_cast<std::uint8_t>(cmp::CodecId::ShuffleRLE),
+                     static_cast<std::uint8_t>(cmp::DType::F64), 1});
+  cmp::PutLE64(s, count);
+  cmp::PutLE64(s, count * sizeof(double));
+  cmp::PutLE64(s, sizeof(payload));
+  cmp::PutLE64(s, cmp::Fnv1a(payload, sizeof(payload)));
+  cmp::PutLE64(s, 0); // error bound
+  s.insert(s.end(), payload, payload + sizeof(payload));
+  return s;
+}
+
 /// A freshly constructed binning analysis on the "bodies" mesh.
 sensei::DataBinning *MakeBinning()
 {
@@ -446,6 +498,63 @@ TEST(InTransitFault, CorruptFrameIsACleanPerFrameFailure)
 
   // the corrupt frame was skipped and counted; both good frames around
   // it were analyzed and the sender was never written off
+  EXPECT_EQ(steps, 2);
+  EXPECT_EQ(frameErrors, 1);
+  EXPECT_EQ(deadSenders, 0);
+}
+
+TEST(InTransitFault, HostileChunkHeaderStrikesItsSender)
+{
+  ResetPlatform();
+  long steps = -1, frameErrors = -1, deadSenders = -1;
+  minimpi::Run(2,
+               [&](minimpi::Communicator &world)
+               {
+                 const InTransitLayout layout(2, 1);
+                 minimpi::Communicator group =
+                   world.Split(layout.IsEndpoint(world.Rank()) ? 1 : 0);
+
+                 if (!layout.IsEndpoint(world.Rank()))
+                 {
+                   InTransitSender sender(&world, layout, "bodies");
+                   sensei::TableAdaptor *da =
+                     sensei::TableAdaptor::New("bodies");
+                   svtkTable *mine = MakeTable(200, 12);
+                   da->SetTable(mine);
+                   mine->Delete();
+
+                   da->SetDataTimeStep(0);
+                   EXPECT_TRUE(sender.Send(da));
+
+                   // a frame whose table claims 2^40 doubles (8 TiB) in
+                   // 91 bytes: the chunk header check must reject it
+                   // before anything is allocated
+                   std::vector<std::uint8_t> hostile;
+                   hostile.push_back(kFrameData);
+                   cmp::PutLE64(hostile, 1);
+                   const std::vector<std::uint8_t> table =
+                     HostileTableStream(std::uint64_t(1) << 40);
+                   hostile.insert(hostile.end(), table.begin(), table.end());
+                   world.SendChunked(layout.EndpointOf(world.Rank()),
+                                     kTransportTag, hostile.data(),
+                                     hostile.size());
+
+                   da->SetDataTimeStep(2);
+                   EXPECT_TRUE(sender.Send(da));
+                   sender.Close();
+                   da->ReleaseData();
+                   da->Delete();
+                   return;
+                 }
+
+                 sensei::DataBinning *b = MakeBinning();
+                 InTransitEndpoint ep(&world, &group, layout, "bodies");
+                 steps = ep.Run(b);
+                 frameErrors = ep.FrameErrors();
+                 deadSenders = ep.DeadSenders();
+                 b->Delete();
+               });
+
   EXPECT_EQ(steps, 2);
   EXPECT_EQ(frameErrors, 1);
   EXPECT_EQ(deadSenders, 0);

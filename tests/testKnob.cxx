@@ -165,7 +165,7 @@ TEST_F(KnobTest, EveryRowRejectsBadAttributesAndVariables)
         envRows += r.Env ? 1 : 0;
       }
     });
-  EXPECT_EQ(rows, 54);
+  EXPECT_EQ(rows, 48);
   EXPECT_EQ(envRows, 17);
 }
 
@@ -177,8 +177,7 @@ TEST_F(KnobTest, HandPickedBadValuesThrow)
                std::runtime_error);
   EXPECT_THROW(Load("<sensei><sched queue_depth=\"-3\"/></sensei>"),
                std::runtime_error);
-  EXPECT_THROW(Load("<sensei><analysis type=\"histogram\" column=\"x\" "
-                    "compress=\"quantize\"/></sensei>"),
+  EXPECT_THROW(Load("<sensei><compress codec=\"quantize\"/></sensei>"),
                std::runtime_error);
 
   // an unknown VP_EXEC is an error, not a silent serial fallback
@@ -311,11 +310,10 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
     <exec mode="serial" shard_grain="8192"/>
     <graph enabled="1"/>
     <layout simd="1"/>
-    <compress codec="shuffle-rle" level="2"/>
+    <compress codec="delta-varint"/>
     <service workers="3"/>
     <viz width="64" height="32" colormap="heat"/>
-    <analysis type="histogram" column="x" policy="cost-model"
-              compress="delta-varint"/>
+    <analysis type="histogram" column="x" policy="cost-model"/>
   </sensei>)";
   std::vector<std::thread> ranks;
   for (int r = 0; r < 4; ++r)
@@ -328,7 +326,7 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
   EXPECT_EQ(vp::exec::GetConfig().ShardGrain, 8192u);
   EXPECT_TRUE(vp::graph::GetConfig().Enabled);
   EXPECT_TRUE(vp::layout::GetConfig().Simd);
-  EXPECT_EQ(cmp::GetConfig().Default.Level, 2);
+  EXPECT_EQ(cmp::GetConfig().Default.Codec, cmp::CodecId::DeltaVarint);
   EXPECT_EQ(svc::GetConfig().Workers, 3);
   EXPECT_EQ(viz::GetConfig().Height, 32u);
   sensei::ResetConfig();

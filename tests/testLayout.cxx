@@ -71,7 +71,6 @@ TEST_F(LayoutTest, CodecShuffleRoundTripsEveryDtype)
   std::mt19937_64 rng(11);
   cmp::Params p;
   p.Codec = cmp::CodecId::ShuffleRLE;
-  p.Level = 1;
 
   for (std::size_t n : {1u, 63u, 4096u, 10001u})
   {

@@ -126,7 +126,6 @@ TEST(SvcWire, HelloWelcomeRoundTrip)
   ResetAll();
   svc::HelloInfo h;
   h.Codec.Codec = cmp::CodecId::Quantize;
-  h.Codec.Level = 2;
   h.Codec.ErrorBound = 1e-3;
   h.WantCompression = true;
   h.MeshName = "bodies";
@@ -1078,6 +1077,53 @@ TEST(SvcSensei, ServiceHostRunsAnalysesForEveryTenant)
   const std::string json = prof.ToJson();
   EXPECT_NE(json.find("svc::frames_accepted"), std::string::npos);
   EXPECT_NE(json.find("svc::sessions_opened"), std::string::npos);
+}
+
+TEST(SvcSensei, RawBytesAreTheShippedValueBytes)
+{
+  // a 3-component double column and an int column: a frame stands for
+  // their value bytes, 100 x (3 x 8 + 4), compressed or not
+  for (const bool compressed : {false, true})
+  {
+    SCOPED_TRACE(compressed);
+    ResetAll();
+    sensei::ResetConfig();
+    auto host = sensei::ServiceHost::FromString(
+      std::string("<sensei><service workers=\"1\" heartbeat_ms=\"200\"/>") +
+      (compressed ? "<compress codec=\"shuffle-rle\"/>" : "") +
+      "<analysis type=\"column_statistics\" mesh=\"bodies\" "
+      "device=\"host\"/></sensei>");
+    host->Start();
+    sensei::ServiceClient tenant(host->Connect(), "bodies");
+    ASSERT_TRUE(tenant.Connect());
+    EXPECT_EQ(tenant.Raw().Negotiated().UseCompression, compressed);
+
+    svtkTable *t = svtkTable::New();
+    svtkAOSDoubleArray *v = svtkAOSDoubleArray::New("v", 100, 3);
+    svtkAOSIntArray *id = svtkAOSIntArray::New("id", 100, 1);
+    for (std::size_t i = 0; i < 100; ++i)
+    {
+      for (int j = 0; j < 3; ++j)
+        v->SetVariantValue(i, j, 0.5 * static_cast<double>(i) + j);
+      id->SetVariantValue(i, 0, static_cast<double>(i));
+    }
+    t->AddColumn(v);
+    t->AddColumn(id);
+    v->Delete();
+    id->Delete();
+    sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+    da->SetTable(t);
+    t->UnRegister();
+    EXPECT_TRUE(tenant.Send(da));
+    da->ReleaseData();
+    da->Delete();
+
+    EXPECT_TRUE(Eventually([&] { return host->FramesExecuted() == 1; }));
+    tenant.Close();
+    host->Stop();
+    EXPECT_EQ(svc::Stats().BytesRaw, 100u * (3 * sizeof(double) + sizeof(int)));
+  }
+  sensei::ResetConfig();
 }
 
 // --- data requirements ------------------------------------------------------
