@@ -261,12 +261,13 @@ bench um_layout_sanitized.txt \
 # resident device buffer) against its host reference on 1 to 5 ranks,
 # the bridge's resident derived columns, a host view of a deep copy
 # still in flight on another stream, a deep copy's synchronize() waiting
-# on its transfer's event only, and what a deep copy guarantees when it
-# returns (sync, in flight from a device, complete from the host), under
-# ASan+UBSan
+# on its transfer's event only, what a deep copy guarantees when it
+# returns (sync, in flight from a device, complete from the host), and
+# packed deep copies (slices of one gathered block that outlive their
+# siblings, a block dropped unread, pooled staging), under ASan+UBSan
 ../build-sanitize/tests/testNewton --gtest_filter='NewtonRing.*:NewtonBridge.*'
 ../build-sanitize/tests/testHamrAccess \
-  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*'
+  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*:HamrPackedCopy.*'
 # serial vs threads: bit-exact binning grids and virtual time on the
 # host and under both device strategies, and a host campaign's virtual
 # timings independent of the pool width, under ASan+UBSan
@@ -286,8 +287,11 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess testSched
 ../build-tsan/tests/testExec
+# the bounded pipeline's resident consumer thread: submitters handing it
+# tasks, blocking for a slot and draining it, under the race detector
+../build-tsan/tests/testSched
 bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
   --benchmark_min_time=0.05
 # the service's dispatcher/worker/heartbeat thread interplay under the
@@ -316,9 +320,10 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # <exec mode="threads">: consumer threads drop the last references to
 # the shared copies while the simulation thread drops the snapshot's;
 # then snapshot copies still in flight while the simulation rewrites
-# the columns on their stream, with the checker on
+# the columns on their stream, and ten columns gathered into one block
+# whose slices outlive their siblings, with the checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
-  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads:BinningSnapshot.SimulationWritesAfterTheSnapshotDoNotReachIt'
+  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads:BinningSnapshot.SimulationWritesAfterTheSnapshotDoNotReachIt:BinningSnapshot.OneTransferPerColumnSet'
 # lockstep binnings of two rank threads filling and hitting their
 # adaptors' axis-range tables under <exec mode="threads">, with the
 # checker on
@@ -340,7 +345,7 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 VP_CHECK=1 ../build-tsan/tests/testNewton \
   --gtest_filter='NewtonRing.CheckerCleanUnderExecThreads'
 VP_CHECK=1 ../build-tsan/tests/testHamrAccess \
-  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*'
+  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*:HamrPackedCopy.*'
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
 ../build-tsan/tests/testMinimpi \

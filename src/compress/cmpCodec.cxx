@@ -384,13 +384,13 @@ class NoneCodec : public Codec
 public:
   CodecId Id() const override { return CodecId::None; }
 
-  bool Encode(const void *src, DType t, std::uint64_t count, const Params &,
-              Scratch &dst, std::uint8_t &flags) const override
+  /// Nothing to encode: EncodeChunk stores the values itself, straight
+  /// into the stream.
+  bool Encode(const void *, DType, std::uint64_t, const Params &, Scratch &,
+              std::uint8_t &flags) const override
   {
     flags = 0;
-    dst.Clear();
-    dst.Append(src, static_cast<std::size_t>(count) * DTypeSize(t));
-    return true;
+    return false;
   }
 
   void Decode(const std::uint8_t *payload, const ChunkInfo &info,
@@ -616,31 +616,31 @@ ChunkInfo EncodeChunk(const void *data, DType t, std::uint64_t count,
 
   const Params negotiated = Negotiate(p, t);
   // sized once from the raw bytes: an encoding worth keeping is smaller,
-  // and the raw fallback is exactly that size, so a chunk takes one host
-  // allocation instead of a doubling ladder from 256 B (only an
-  // encoding that outgrows the data, and is then dropped, grows it)
+  // and an encoding that outgrows the data is dropped, so a chunk takes
+  // one host allocation instead of a doubling ladder from 256 B
   Scratch scratch;
-  if (rawBytes)
-    scratch.Reserve(static_cast<std::size_t>(rawBytes));
   std::uint8_t flags = 0;
   CodecId used = negotiated.Codec;
-
-  bool ok = used != CodecId::None &&
-            FindCodec(used).Encode(data, t, count, negotiated, scratch, flags);
-  if (ok && rawBytes && scratch.Size() >= rawBytes)
-    ok = false; // the codec applied but did not shrink the data
-  if (!ok && used != CodecId::None && used != CodecId::ShuffleRLE)
+  bool ok = false;
+  if (used != CodecId::None)
   {
-    used = CodecId::ShuffleRLE;
+    if (rawBytes)
+      scratch.Reserve(static_cast<std::size_t>(rawBytes));
     ok = FindCodec(used).Encode(data, t, count, negotiated, scratch, flags);
     if (ok && rawBytes && scratch.Size() >= rawBytes)
-      ok = false;
+      ok = false; // the codec applied but did not shrink the data
+    if (!ok && used != CodecId::ShuffleRLE)
+    {
+      used = CodecId::ShuffleRLE;
+      ok = FindCodec(used).Encode(data, t, count, negotiated, scratch, flags);
+      if (ok && rawBytes && scratch.Size() >= rawBytes)
+        ok = false;
+    }
   }
   if (!ok)
   {
     used = CodecId::None;
     flags = 0;
-    FindCodec(used).Encode(data, t, count, negotiated, scratch, flags);
   }
 
   ChunkInfo info;
@@ -649,13 +649,20 @@ ChunkInfo EncodeChunk(const void *data, DType t, std::uint64_t count,
   info.Flags = flags;
   info.Count = count;
   info.RawBytes = rawBytes;
-  info.EncodedBytes = scratch.Size();
-  info.Checksum = Fnv1a(scratch.Data(), scratch.Size());
+  info.EncodedBytes = ok ? scratch.Size() : rawBytes;
   info.ErrorBound =
     used == CodecId::Quantize ? negotiated.ErrorBound : 0.0;
 
   const std::size_t at = out.size();
-  out.resize(at + kChunkHeaderBytes + scratch.Size());
+  out.resize(at + kChunkHeaderBytes +
+             static_cast<std::size_t>(info.EncodedBytes));
+  // codec none stores the values straight into the stream
+  std::uint8_t *payload = out.data() + at + kChunkHeaderBytes;
+  const std::size_t payloadBytes = static_cast<std::size_t>(info.EncodedBytes);
+  if (payloadBytes)
+    std::memcpy(payload, ok ? scratch.Data() : data, payloadBytes);
+  info.Checksum = Fnv1a(payload, payloadBytes);
+
   std::uint8_t *h = out.data() + at;
   h[0] = 'S';
   h[1] = 'C';
@@ -672,12 +679,12 @@ ChunkInfo EncodeChunk(const void *data, DType t, std::uint64_t count,
   std::uint64_t ebBits = 0;
   std::memcpy(&ebBits, &info.ErrorBound, sizeof(ebBits));
   StoreLE64(h + 40, ebBits);
-  if (scratch.Size())
-    std::memcpy(h + kChunkHeaderBytes, scratch.Data(), scratch.Size());
 
+  // a stored chunk is one pass over the raw bytes; an encoded one reads
+  // them and writes its encoding
   vp::Platform &plat = vp::Platform::Get();
   const double seconds =
-    static_cast<double>(rawBytes + info.EncodedBytes) /
+    static_cast<double>(ok ? rawBytes + info.EncodedBytes : rawBytes) /
     plat.Config().Cost.H2HBandwidth * CodecCostFactor(used);
   plat.HostCompute(seconds);
 

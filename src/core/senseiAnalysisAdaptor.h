@@ -62,8 +62,8 @@ public:
 
   /// Process the current simulation state. Returns false on failure.
   /// In asynchronous mode implementations take the deep copies they need
-  /// from DataAdaptor::Snapshot, launch their thread, and return
-  /// immediately.
+  /// from DataAdaptor::Snapshot, hand their task to their bounded
+  /// pipeline's resident consumer, and return immediately.
   virtual bool Execute(DataAdaptor *data) = 0;
 
   /// Complete outstanding asynchronous work and release resources.

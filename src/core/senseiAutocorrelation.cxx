@@ -42,8 +42,16 @@ bool Autocorrelation::Execute(DataAdaptor *data)
 
   // the window entry is the step's snapshot on the placement device:
   // always a deep copy, since the window outlives the simulation's
-  // buffers
-  this->History_.push_back(data->Snapshot(raw, device));
+  // buffers, and one of this column alone, since a slice of a snapshot
+  // packed with other analyses' columns would keep their bytes alive too
+  svtkSmartPtr<const svtkHAMRDoubleArray> snap =
+    data->Snapshot({raw}, device).front();
+  if (snap->GetBuffer().is_slice())
+    snap = svtkSmartPtr<const svtkHAMRDoubleArray>::Take(
+      svtkHAMRDoubleArray::New(snap->GetName(),
+                              snap->GetBuffer().deep_copy(device),
+                              snap->GetNumberOfComponents()));
+  this->History_.push_back(std::move(snap));
   table->UnRegister();
 
   while (static_cast<long>(this->History_.size()) > this->Window_)

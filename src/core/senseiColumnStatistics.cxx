@@ -86,12 +86,12 @@ bool ColumnStatistics::Execute(DataAdaptor *data)
   // the simulation's columns (lockstep) or the step's deep copies on the
   // placement device (asynchronous)
   std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> cols;
-  cols.reserve(raw.size());
-  for (svtkDataArray *c : raw)
-    cols.push_back(this->GetAsynchronous()
-                     ? data->Snapshot(c, device)
-                     : svtkSmartPtr<const svtkHAMRDoubleArray>::Take(
-                         svtkAsHAMRDouble(c)));
+  if (this->GetAsynchronous())
+    cols = data->Snapshot(raw, device);
+  else
+    for (svtkDataArray *c : raw)
+      cols.push_back(
+        svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(c)));
   table->UnRegister();
 
   if (this->GetAsynchronous())

@@ -43,40 +43,62 @@ void DataAdaptor::FollowStep()
   this->Step_ = this->TimeStep_;
 }
 
-svtkSmartPtr<const svtkHAMRDoubleArray>
-DataAdaptor::Snapshot(svtkDataArray *column, int device)
+std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>>
+DataAdaptor::Snapshot(const std::vector<svtkDataArray *> &columns, int device)
 {
-  if (!column)
-    return {};
   if (device < 0)
     device = vp::HostDevice;
   this->FollowStep();
 
-  const RequestKey name(column->GetName(), device);
-  const long seen = ++this->Requests_[name];
-
-  auto it = this->Snapshots_.find({column, device});
-  if (it == this->Snapshots_.end())
+  // the columns not held for this step: a private conversion already on
+  // `device` is adopted, the rest are copied by one packed deep copy
+  std::vector<SnapshotEntry *> copied;
+  std::vector<svtkSmartPtr<svtkHAMRDoubleArray>> typed;
+  std::vector<const hamr::buffer<double> *> parts;
+  for (svtkDataArray *column : columns)
   {
-    auto h = svtkSmartPtr<svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(column));
-    const bool adopt =
-      h.Get() != column &&
-      (device == vp::HostDevice ? h->HostAccessible()
-                                : h->DeviceAccessible(device));
-    SnapshotEntry e;
+    if (!column)
+      continue;
+    auto [it, fresh] = this->Snapshots_.try_emplace({column, device});
+    if (!fresh)
+      continue;
+    SnapshotEntry &e = it->second;
     e.Source = svtkSmartPtr<const svtkDataArray>(column);
-    e.Copy = adopt ? h
-                   : svtkSmartPtr<svtkHAMRDoubleArray>::Take(
-                       h->NewDeepCopy(device, svtkStreamMode::async));
-    it = this->Snapshots_.emplace(std::make_pair(column, device), std::move(e))
-           .first;
+    auto h = svtkSmartPtr<svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(column));
+    if (h.Get() != column && (device == vp::HostDevice
+                                ? h->HostAccessible()
+                                : h->DeviceAccessible(device)))
+    {
+      e.Copy = h;
+      continue;
+    }
+    copied.push_back(&e);
+    parts.push_back(&h->GetBuffer());
+    typed.push_back(std::move(h));
   }
-  svtkSmartPtr<const svtkHAMRDoubleArray> copy = it->second.Copy;
+  std::vector<hamr::buffer<double>> copies =
+    hamr::buffer<double>::packed_deep_copy(parts, device,
+                                           hamr::stream_mode::async);
+  for (std::size_t k = 0; k < copies.size(); ++k)
+    copied[k]->Copy = svtkSmartPtr<svtkHAMRDoubleArray>::Take(
+      svtkHAMRDoubleArray::New(typed[k]->GetName(), std::move(copies[k]),
+                              typed[k]->GetNumberOfComponents()));
 
-  auto expected = this->Expected_.find(name);
-  if (expected != this->Expected_.end() && expected->second == seen)
-    this->Snapshots_.erase(it);
-  return copy;
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> out;
+  for (svtkDataArray *column : columns)
+    out.push_back(column ? this->Snapshots_.at({column, device}).Copy
+                         : svtkSmartPtr<const svtkHAMRDoubleArray>());
+  for (svtkDataArray *column : columns)
+  {
+    if (!column)
+      continue;
+    const RequestKey name(column->GetName(), device);
+    const long seen = ++this->Requests_[name];
+    auto expected = this->Expected_.find(name);
+    if (expected != this->Expected_.end() && expected->second == seen)
+      this->Snapshots_.erase({column, device});
+  }
+  return out;
 }
 
 std::optional<DataAdaptor::AxisRange>

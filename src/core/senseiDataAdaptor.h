@@ -45,25 +45,31 @@ public:
   /// version.
   virtual void ReleaseData();
 
-  /// The asynchronous execution method's deep copy: a shared, read-only
-  /// copy of `column` (a column of this step's mesh) resident on
-  /// `device` (a negative id, AnalysisAdaptor::DEVICE_HOST, for the
-  /// host). The first request for a (column, device) pair in a step
-  /// makes the copy, straight onto `device` on the stream a move there
-  /// would use; later requests share it. The copy is async-mode: a copy
-  /// of device-resident data may still be in flight when it is handed
-  /// out, ordered after the column's pending work and before the
-  /// simulation's later work on the column's stream, so a consumer must
-  /// Synchronize() it before reading. A non-HAMR column is converted
-  /// once, and the private conversion is adopted when it already lives
-  /// on `device`. The adaptor keeps its own reference only while
-  /// another request is expected: it drops it right after the request
-  /// that brings the count for (column name, device) to the previous
-  /// step's count, and keeps it until ReleaseData when there is no
-  /// count yet. A copy is never handed out again after ReleaseData or
-  /// once the step index changes. Returns null for a null column.
-  svtkSmartPtr<const svtkHAMRDoubleArray> Snapshot(svtkDataArray *column,
-                                                  int device);
+  /// The asynchronous execution method's deep copy: shared, read-only
+  /// copies of `columns` (distinct columns of this step's mesh), in
+  /// order, resident on `device` (a negative id,
+  /// AnalysisAdaptor::DEVICE_HOST, for the host); null for a null
+  /// column. The first request for a (column, device) pair in a step
+  /// makes the copy, and later requests share it. The copies one call
+  /// makes are one hamr::buffer::packed_deep_copy: device-resident
+  /// columns moved on one stream are gathered into one block by one
+  /// kernel on that stream (the stream a move to `device` would use),
+  /// the block moves to `device` in one transfer when it is not already
+  /// there, and each copy is a zero-copy slice of it; a column alone on
+  /// its stream, or host-resident, gets its own deep copy. The copies
+  /// are async-mode: a copy of device-resident data may still be in
+  /// flight when it is handed out, ordered after the column's pending
+  /// work and before the simulation's later work on the column's
+  /// stream, so a consumer must Synchronize() it before reading. A
+  /// non-HAMR column is converted once, and the private conversion is
+  /// adopted when it already lives on `device`. The adaptor keeps its
+  /// own reference to a copy only while another request is expected: it
+  /// drops it right after the request that brings the count for
+  /// (column name, device) to the previous step's count, and keeps it
+  /// until ReleaseData when there is no count yet. A copy is never
+  /// handed out again after ReleaseData or once the step index changes.
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>>
+  Snapshot(const std::vector<svtkDataArray *> &columns, int device);
 
   /// The lockstep axis-range table: the global [lo, hi] of columns of
   /// this step's meshes, shared by lockstep DataBinning executes so that

@@ -229,21 +229,26 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
   }
 
   // the typed columns: the simulation's, shared zero-copy (lockstep), or
-  // the step's snapshot on the placement device (async)
+  // the step's snapshot on the placement device (async), taken for all
+  // of a block's distinct columns at once
   for (const BlockSources &src : sources)
   {
-    std::map<const svtkDataArray *, svtkSmartPtr<const svtkHAMRDoubleArray>>
-      typed;
+    std::vector<svtkDataArray *> distinct;
+    for (const auto *cols : {&src.Axis, &src.Value})
+      for (svtkDataArray *col : *cols)
+        if (std::find(distinct.begin(), distinct.end(), col) == distinct.end())
+          distinct.push_back(col);
+    std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> snapshots;
+    if (async)
+      snapshots = data->Snapshot(distinct, in.Device);
+    else
+      for (svtkDataArray *col : distinct)
+        snapshots.push_back(
+          svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(col)));
     auto type = [&](svtkDataArray *col)
     {
-      auto it = typed.find(col);
-      if (it == typed.end())
-        it = typed
-               .emplace(col, async ? data->Snapshot(col, in.Device)
-                                   : svtkSmartPtr<const svtkHAMRDoubleArray>::
-                                       Take(svtkAsHAMRDouble(col)))
-               .first;
-      return it->second;
+      return snapshots[static_cast<std::size_t>(
+        std::find(distinct.begin(), distinct.end(), col) - distinct.begin())];
     };
     BlockInput block;
     for (svtkDataArray *col : src.Axis)

@@ -48,7 +48,8 @@ bool Histogram::Execute(DataAdaptor *data)
       this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
 
     // the step's deep copy on the placement device, then run concurrently
-    svtkSmartPtr<const svtkHAMRDoubleArray> snap = data->Snapshot(raw, device);
+    svtkSmartPtr<const svtkHAMRDoubleArray> snap =
+      data->Snapshot({raw}, device).front();
     table->UnRegister();
 
     minimpi::Communicator *comm =

@@ -30,9 +30,12 @@
 #include "vpPlatform.h"
 #include "vsycl.h"
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace hamr
@@ -218,6 +221,80 @@ public:
       plat.StreamSynchronize(strm);
     return out;
   }
+
+  /// Deep copies of `parts` resident on `device` (HostDevice for the
+  /// host) in mode `mode`, returned in the order of `parts`, with
+  /// deep_copy's guarantees but as few transfers as possible. The
+  /// device-resident parts whose copies deep_copy would order on one
+  /// stream, when there are two or more, are packed into one block by
+  /// one gather kernel on that stream, and each copy is a slice() of the
+  /// block. On the parts' own device the kernel writes the block;
+  /// elsewhere it writes a staging block there, allocated on the stream
+  /// and released with the block, and one transfer on the stream moves
+  /// it to `device`. Every other part (host-resident, empty, or alone on
+  /// its stream) gets deep_copy(device, mode).
+  static std::vector<buffer> packed_deep_copy(
+    const std::vector<const buffer *> &parts, int device, stream_mode mode)
+  {
+    const vp::MemSpace space =
+      device == vp::HostDevice ? vp::MemSpace::Host : vp::MemSpace::Device;
+    std::vector<vp::Stream> streams(parts.size());
+    std::map<const vp::StreamState *, std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      if (parts[i]->Size_ && !parts[i]->host_accessible())
+      {
+        streams[i] = parts[i]->MoveStream(space, device);
+        groups[streams[i].Get()].push_back(i);
+      }
+
+    std::vector<buffer> out(parts.size());
+    for (std::size_t i = 0; i < parts.size(); ++i)
+    {
+      const std::vector<std::size_t> *group =
+        streams[i] ? &groups[streams[i].Get()] : nullptr;
+      if (!group || group->size() < 2)
+        out[i] = parts[i]->deep_copy(device, mode);
+      else if (group->front() == i)
+      {
+        std::vector<const buffer *> members;
+        for (std::size_t k : *group)
+          members.push_back(parts[k]);
+        const buffer block = Gather(members, streams[i], device, mode);
+        std::size_t at = 0;
+        for (std::size_t k : *group)
+        {
+          out[k] = block.slice(at, parts[k]->Size_);
+          at += parts[k]->Size_;
+        }
+      }
+    }
+    return out;
+  }
+
+  /// A zero-copy view of elements [offset, offset + n). It shares this
+  /// buffer's storage, which it keeps alive, its allocator, owner,
+  /// stream and mode, and the event of the transfer that filled it, so
+  /// the slice's synchronize() covers that transfer as the buffer's does.
+  buffer slice(std::size_t offset, std::size_t n) const
+  {
+    if (offset > this->Size_ || n > this->Size_ - offset)
+      throw std::out_of_range("hamr::buffer::slice");
+    buffer out;
+    out.Alloc_ = this->Alloc_;
+    out.Owner_ = this->Owner_;
+    out.Data_ = std::shared_ptr<T>(this->Data_, this->Data_.get() + offset);
+    out.Size_ = n;
+    out.Stream_ = this->Stream_;
+    out.Mode_ = this->Mode_;
+    out.Moved_ = this->Moved_;
+    out.Slice_ = this->Slice_ || n < this->Size_;
+    return out;
+  }
+
+  /// True for a slice() narrower than the storage it shares. It keeps
+  /// that whole storage alive, so a holder that outlives the other
+  /// slices keeps a deep_copy() of it instead.
+  bool is_slice() const noexcept { return this->Slice_; }
 
   buffer &operator=(const buffer &other)
   {
@@ -485,6 +562,7 @@ public:
     std::swap(this->Stream_, other.Stream_);
     std::swap(this->Mode_, other.Mode_);
     std::swap(this->Moved_, other.Moved_);
+    std::swap(this->Slice_, other.Slice_);
   }
 
 private:
@@ -656,6 +734,86 @@ private:
       [strm](T *p) { vp::Platform::Get().Free(p, strm); });
   }
 
+  /// The block packed_deep_copy slices: `parts`, device-resident on one
+  /// device and moved on `strm`, gathered in order into one block
+  /// resident on `device`.
+  static buffer Gather(const std::vector<const buffer *> &parts,
+                       const vp::Stream &strm, int device, stream_mode mode)
+  {
+    const buffer &first = *parts.front();
+    const bool host = device == vp::HostDevice;
+    buffer out;
+    out.Alloc_ = host ? allocator::malloc_
+                      : (space_of(first.Alloc_) == vp::MemSpace::Device
+                           ? first.Alloc_
+                           : allocator::device);
+    out.Owner_ = device;
+    out.Mode_ = mode;
+    std::vector<std::pair<const T *, std::size_t>> from;
+    for (const buffer *p : parts)
+    {
+      vcuda::StreamWaitEvent(strm, p->Moved_);
+      from.emplace_back(p->Data_.get(), p->Size_);
+      out.Size_ += p->Size_;
+    }
+
+    // the kernel writes the block itself on the parts' device, a staging
+    // block elsewhere; either is allocated on the stream
+    const bool inFlight = mode == stream_mode::async;
+    const bool local = device == first.Owner_;
+    const allocator packAlloc = local ? out.Alloc_ : first.Alloc_;
+    std::shared_ptr<T> packed = AllocateAt(
+      vp::MemSpace::Device, first.Owner_, out.Size_, pm_of(packAlloc),
+      hamr::pooled(packAlloc), strm, inFlight || !local);
+    T *to = packed.get();
+    vp::Platform &plat = vp::Platform::Get();
+    // the kernel moves its bytes at the rate an on-device copy of them
+    // is priced at (D2DBandwidth), with a launch instead of CopyLatency
+    const vp::CostModel &cost = plat.Config().Cost;
+    const double opsPerElement =
+      static_cast<double>(sizeof(T)) * cost.DeviceOpRate / cost.D2DBandwidth;
+    plat.LaunchKernel(strm,
+                      vp::KernelDesc{out.Size_, opsPerElement, 0.0,
+                                     "hamr_gather", /*Shardable=*/true},
+                      [from, to](std::size_t b, std::size_t e)
+                      {
+                        std::size_t at = 0;
+                        for (const auto &[src, n] : from)
+                        {
+                          const std::size_t lo = std::max(b, at);
+                          const std::size_t hi = std::min(e, at + n);
+                          if (lo < hi)
+                            std::memcpy(to + lo, src + (lo - at),
+                                        (hi - lo) * sizeof(T));
+                          at += n;
+                        }
+                      },
+                      /*synchronous=*/false);
+
+    if (local)
+      out.Data_ = std::move(packed);
+    else
+    {
+      const vp::MemSpace space =
+        host ? vp::MemSpace::Host : vp::MemSpace::Device;
+      std::shared_ptr<T> target =
+        AllocateAt(space, device, out.Size_, pm_of(out.Alloc_),
+                   hamr::pooled(out.Alloc_), strm, inFlight);
+      plat.CopyAsync(strm, target.get(), to, out.Size_ * sizeof(T));
+      // the staging block is released with the block, stream ordered,
+      // so the caller pays no free and the transfer never outlives it
+      auto both = std::make_shared<std::pair<std::shared_ptr<T>,
+                                             std::shared_ptr<T>>>(
+        target, std::move(packed));
+      out.Data_ = std::shared_ptr<T>(both, target.get());
+    }
+    if (inFlight)
+      out.Moved_ = vcuda::EventRecord(strm); // before anyone shares `out`
+    else
+      plat.StreamSynchronize(strm);
+    return out;
+  }
+
   /// Allocate a temporary in (space, device), move the data onto it on the
   /// buffer's stream, and return a self-cleaning view. A transfer into
   /// this buffer still in flight on another stream (a deep_copy onto
@@ -691,6 +849,7 @@ private:
   /// it rather than on the transfer's whole stream. deep_copy writes it
   /// before the copy is shared, so concurrent consumers only read it.
   mutable vcuda::event_t Moved_;
+  bool Slice_ = false; ///< a slice() narrower than the storage it shares
 };
 
 } // namespace hamr

@@ -45,7 +45,10 @@ struct CostModel
   double GraphReplayLatency = 2.0e-6;
 
   // --- threading and messaging -------------------------------------------
-  double ThreadSpawnCost = 2.0e-5;  ///< std::thread launch for async in situ
+  /// std::thread launch: paid once per asynchronous analysis, when its
+  /// bounded pipeline starts the resident consumer (later tasks are
+  /// handed to it at KernelSubmitOverhead), and per ScopedThread.
+  double ThreadSpawnCost = 2.0e-5;
   double MessageLatency = 2.0e-6;   ///< per message fixed cost (on-node MPI)
   double MessageBandwidth = 1.2e10; ///< bytes/s between ranks
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -173,6 +174,10 @@ struct BoundedPipeline::RealWorker
   std::size_t InFlightBytes = 0;
   bool Stop = false;
   double RetiredFinish = 0.0; ///< max virtual finish of completed tasks
+  /// virtual finishes, in order, of completed tasks no submission has
+  /// yet seen finish: the consumer runs ahead of its virtual clock in
+  /// real time, so a completed task can still be running virtually
+  std::deque<double> Finishes;
   std::vector<std::uint64_t> EndTokens; ///< finished, not yet joined
   PipelineStats Stats;
   std::thread Thread;
@@ -193,11 +198,17 @@ struct BoundedPipeline::RealWorker
     return this->Pending.size() + (this->InFlight ? 1u : 0u);
   }
 
-  void NoteOccupancyLocked()
+  /// Forget the completed tasks that finish by `now`.
+  void RetireLocked(double now)
+  {
+    while (!this->Finishes.empty() && this->Finishes.front() <= now)
+      this->Finishes.pop_front();
+  }
+
+  void NoteOccupancyLocked(std::size_t held)
   {
     this->Stats.QueueDepthHighWater =
-      std::max(this->Stats.QueueDepthHighWater,
-               static_cast<long>(this->OccupancyLocked()));
+      std::max(this->Stats.QueueDepthHighWater, static_cast<long>(held));
     this->Stats.PeakQueuedBytes =
       std::max(this->Stats.PeakQueuedBytes, this->Stats.QueuedBytes);
   }
@@ -239,6 +250,7 @@ struct BoundedPipeline::RealWorker
       this->InFlight = false;
       this->InFlightBytes = 0;
       this->RetiredFinish = std::max(this->RetiredFinish, finish);
+      this->Finishes.push_back(finish);
       this->EndTokens.push_back(endToken);
       this->Stats.Executed++;
       this->Stats.QueuedBytes -= std::min(this->Stats.QueuedBytes, t.Bytes);
@@ -367,7 +379,12 @@ void BoundedPipeline::RetireLocked(double now)
 void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
                              std::size_t rawBytes)
 {
-  const double spawnCost = vp::Platform::Get().Config().Cost.ThreadSpawnCost;
+  // the consumer is started once, by the first submission, and parked
+  // between tasks: starting it costs a thread launch, and every later
+  // submission only hands it a task, as a submission to a resident exec
+  // worker does
+  const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+  double handoff = cost.KernelSubmitOverhead;
 
   long depth = 0;
   Backpressure pressure = Backpressure::Block;
@@ -385,6 +402,12 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
       this->Worker_ = std::make_unique<RealWorker>();
       RealWorker *w = this->Worker_.get();
       w->Thread = std::thread([w]() { w->Run(); });
+      handoff = cost.ThreadSpawnCost;
+    }
+    if (!realThreads && !this->Started_)
+    {
+      this->Started_ = true;
+      handoff = cost.ThreadSpawnCost;
     }
   }
 
@@ -393,7 +416,20 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
     RealWorker *w = this->Worker_.get();
     std::unique_lock<std::mutex> lock(w->M);
 
-    if (depth > 0 && w->OccupancyLocked() >= static_cast<std::size_t>(depth))
+    // `block` counts its slots in virtual time, as the deterministic
+    // mode does: a task the consumer has completed keeps its slot until
+    // the submitter's clock reaches the task's virtual finish. The
+    // dropping policies count only the tasks not yet run, the ones they
+    // can discard.
+    const bool virtualSlots = pressure == Backpressure::Block;
+    w->RetireLocked(virtualSlots ? vp::ThisClock().Now()
+                                 : std::numeric_limits<double>::infinity());
+    auto held = [w, virtualSlots]()
+    {
+      return w->OccupancyLocked() + (virtualSlots ? w->Finishes.size() : 0u);
+    };
+
+    if (depth > 0 && held() >= static_cast<std::size_t>(depth))
     {
       switch (pressure)
       {
@@ -420,16 +456,15 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
         case Backpressure::Block:
         block_real:
         {
+          // wait out the oldest tasks' virtual finishes, each after its
+          // real completion, until a slot is free: the stall
           const double before = vp::ThisClock().Now();
-          w->CvSpace.wait(lock,
-                          [&]
-                          {
-                            return w->OccupancyLocked() <
-                                   static_cast<std::size_t>(depth);
-                          });
-          // the slot was freed by completed work: absorb its virtual
-          // finish as the stall
-          vp::ThisClock().AdvanceTo(w->RetiredFinish);
+          while (held() >= static_cast<std::size_t>(depth))
+          {
+            w->CvSpace.wait(lock, [w] { return !w->Finishes.empty(); });
+            vp::ThisClock().AdvanceTo(w->Finishes.front());
+            w->RetireLocked(vp::ThisClock().Now());
+          }
           w->Stats.StallSeconds +=
             std::max(0.0, vp::ThisClock().Now() - before);
           break;
@@ -442,7 +477,7 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
     std::vector<std::uint64_t> done;
     done.swap(w->EndTokens);
 
-    vp::ThisClock().Advance(spawnCost);
+    vp::ThisClock().Advance(handoff);
     RealWorker::RTask t;
     t.SubmitTime = vp::ThisClock().Now();
     t.Bytes = payloadBytes;
@@ -454,7 +489,7 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
     w->Stats.QueuedBytes += payloadBytes;
     w->Stats.PayloadEncodedBytes += payloadBytes;
     w->Stats.PayloadRawBytes += rawBytes ? rawBytes : payloadBytes;
-    w->NoteOccupancyLocked();
+    w->NoteOccupancyLocked(held());
     lock.unlock();
     w->CvWork.notify_one();
 
@@ -517,7 +552,7 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
     }
   }
 
-  vp::ThisClock().Advance(spawnCost);
+  vp::ThisClock().Advance(handoff);
   Task t;
   t.SubmitTime = vp::ThisClock().Now();
   t.Bytes = payloadBytes;
@@ -551,6 +586,7 @@ void BoundedPipeline::Drain()
       w->CvIdle.wait(lock,
                      [&] { return w->Pending.empty() && !w->InFlight; });
       vp::ThisClock().AdvanceTo(w->RetiredFinish);
+      w->Finishes.clear();
       done.swap(w->EndTokens);
     }
     for (std::uint64_t tok : done)

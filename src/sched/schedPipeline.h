@@ -35,14 +35,22 @@
 ///    detached virtual clock seeded at the consumer's start time. Its
 ///    resource claims (device engines, host pool, collectives) land
 ///    exactly as a perfectly-fair concurrent thread's would, and the
-///    submitter's clock advances only by the thread-spawn cost, so
+///    submitter's clock advances only by the hand-off price below, so
 ///    virtual timelines are bit-identical run to run;
 ///  * **real-thread** — tasks run on one persistent consumer std::thread
 ///    with checker-visible fork/join edges per task. The virtual
 ///    semantics are the same, but claim interleaving follows the host OS
 ///    scheduler, so timelines vary run to run. Useful to demonstrate
 ///    that the code is genuinely thread safe (the unit tests exercise
-///    both modes).
+///    both modes). The consumer runs ahead of its virtual clock in real
+///    time, so `block` counts a completed task in its slot until the
+///    submitter's clock reaches the task's virtual finish, as the
+///    deterministic mode does.
+///
+/// In both modes the consumer is resident: the first submission starts
+/// it and pays the thread launch (CostModel::ThreadSpawnCost), and every
+/// later one wakes it with the task and pays what a submission to a
+/// resident exec worker costs (CostModel::KernelSubmitOverhead).
 ///
 /// Dropped or coalesced tasks are destroyed without running; their deep
 /// copies (pool-backed when the memory pool is enabled) are released at
@@ -150,7 +158,8 @@ public:
   /// the effective queue. `rawBytes`, when nonzero, records the payload's
   /// pre-compression size in the stats (PayloadRawBytes). Applies the
   /// configured backpressure when the queue is full; charges the
-  /// submitting thread the thread-spawn cost.
+  /// submitting thread the thread-spawn cost when this submission starts
+  /// the consumer, and the submission overhead of a hand-off to it after.
   void Submit(std::function<void()> fn, std::size_t payloadBytes = 0,
               std::size_t rawBytes = 0);
 
@@ -189,6 +198,7 @@ private:
   mutable std::mutex Mutex_;
   std::deque<Task> Queue_;
   double WorkerAvail_ = 0.0; ///< deterministic consumer availability
+  bool Started_ = false;     ///< the deterministic consumer was started
   bool RealThreads_ = false;
   std::unique_ptr<RealWorker> Worker_;
 

@@ -104,6 +104,18 @@ public:
     return a;
   }
 
+  /// Zero-copy construction around `buffer`, e.g. a hamr::buffer::slice
+  /// of a larger block: the array shares its storage and the event of
+  /// the transfer that filled it. nComp components per tuple.
+  static svtkHAMRDataArray *New(const std::string &name, hamr::buffer<T> buffer,
+                               int nComp)
+  {
+    auto *a = New(name);
+    a->NumComps_ = nComp > 0 ? nComp : 1;
+    a->Buffer_ = std::move(buffer);
+    return a;
+  }
+
   const char *GetClassName() const override { return "svtkHAMRDataArray"; }
 
   // --- svtkDataArray interface ----------------------------------------------
@@ -172,19 +184,6 @@ public:
     auto *a = New(this->GetName());
     a->NumComps_ = this->NumComps_;
     a->Buffer_ = this->Buffer_.deep_copy(device);
-    return a;
-  }
-
-  /// As above in mode `mode`. The asynchronous execution method makes
-  /// its copies with it, in async mode, through
-  /// sensei::DataAdaptor::Snapshot: a copy of device-resident data is
-  /// then still in flight on return, ordered before the simulation's
-  /// later work on the data's stream, and Synchronize() covers it.
-  svtkHAMRDataArray *NewDeepCopy(int device, svtkStreamMode mode) const
-  {
-    auto *a = New(this->GetName());
-    a->NumComps_ = this->NumComps_;
-    a->Buffer_ = this->Buffer_.deep_copy(device, svtkToHamr(mode));
     return a;
   }
 

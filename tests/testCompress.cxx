@@ -434,6 +434,62 @@ TEST(Chunk, OneHostAllocationPerEncodeWithThePoolOff)
   vp::PoolManager::Get().ReleaseAll();
 }
 
+TEST(Chunk, NoneStoresTheValuesInOnePass)
+{
+  // codec none writes every dtype's values straight after the chunk
+  // header, byte for byte the stream spelled out here (appended to what
+  // `out` already holds), allocates no scratch, and is priced as one
+  // pass over the raw bytes
+  ResetAll();
+  vp::PoolManager::Get().Configure(vp::PoolConfig{});
+  const std::vector<double> f64 = RandomDoubles(1001, 31u);
+  const std::vector<float> f32(f64.begin(), f64.end());
+  const std::vector<std::int64_t> i64 = RandomInts<std::int64_t>(1001, 32u);
+  const std::vector<std::int32_t> i32 = RandomInts<std::int32_t>(1001, 33u);
+  std::vector<std::uint8_t> u8(1001);
+  for (std::size_t i = 0; i < u8.size(); ++i)
+    u8[i] = static_cast<std::uint8_t>(i * 7);
+  const struct
+  {
+    const void *Data;
+    cmp::DType Type;
+  } cases[] = {{u8.data(), cmp::DType::U8},
+               {i32.data(), cmp::DType::I32},
+               {i64.data(), cmp::DType::I64},
+               {f32.data(), cmp::DType::F32},
+               {f64.data(), cmp::DType::F64}};
+  const double h2h = vp::Platform::Get().Config().Cost.H2HBandwidth;
+  for (const auto &c : cases)
+  {
+    const std::size_t raw = 1001 * cmp::DTypeSize(c.Type);
+    const auto *bytes = static_cast<const std::uint8_t *>(c.Data);
+    std::vector<std::uint8_t> want = {0xAB, 0xCD};
+    for (std::uint8_t b : {'S', 'C', 'M', 'P'})
+      want.push_back(b);
+    want.push_back(1);
+    want.push_back(static_cast<std::uint8_t>(cmp::CodecId::None));
+    want.push_back(static_cast<std::uint8_t>(c.Type));
+    want.push_back(0);
+    cmp::PutLE64(want, 1001);
+    cmp::PutLE64(want, raw);
+    cmp::PutLE64(want, raw);
+    cmp::PutLE64(want, cmp::Fnv1a(bytes, raw));
+    cmp::PutLE64(want, 0);
+    want.insert(want.end(), bytes, bytes + raw);
+
+    vp::Platform::Get().Stats().Reset();
+    const double before = cmp::Stats().EncodeSeconds;
+    std::vector<std::uint8_t> out = {0xAB, 0xCD};
+    cmp::EncodeChunk(c.Data, c.Type, 1001, {cmp::CodecId::None}, out);
+    EXPECT_EQ(out, want) << "dtype " << static_cast<int>(c.Type);
+    EXPECT_EQ(vp::Platform::Get().Stats().Allocations(vp::MemSpace::Host), 0u)
+      << "dtype " << static_cast<int>(c.Type);
+    EXPECT_DOUBLE_EQ(cmp::Stats().EncodeSeconds - before,
+                     static_cast<double>(raw) / h2h)
+      << "dtype " << static_cast<int>(c.Type);
+  }
+}
+
 TEST(Chunk, StatsAccumulate)
 {
   ResetAll();

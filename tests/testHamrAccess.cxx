@@ -9,6 +9,8 @@
 //  * after Synchronize() every host dereference is clean under the
 //    race/lifetime checker — the accessor discipline really provides
 //    "no unsynchronized access".
+// Then what a deep copy guarantees when it returns, and the packed deep
+// copy: slices of one gathered block, at most one transfer per stream.
 
 #include "execEngine.h"
 #include "svtkHAMRDataArray.h"
@@ -543,5 +545,195 @@ TEST(HamrDeepCopy, AnInFlightCopyDroppedUnreadOutlivesItsTransfer)
     EXPECT_TRUE(ran->load());
     a.synchronize();
   }
+  StopCheckedThreads();
+}
+
+// --- packed deep copies: one gather and at most one transfer per stream -----------------
+
+namespace
+{
+/// Three device-0 buffers of different sizes in async mode, each a ramp
+/// of its own, behind one long pending kernel on device 0's default
+/// stream that adds `k + 1` to buffer k. Returns the kernel's virtual
+/// completion time; `want` receives the values after it.
+double PackedSources(std::vector<hamr::buffer<double>> &parts,
+                     std::vector<std::vector<double>> &want)
+{
+  const std::size_t sizes[] = {kCopyN, 1000, 4097};
+  parts.clear();
+  want.clear();
+  std::vector<double *> ptrs;
+  for (std::size_t k = 0; k < 3; ++k)
+  {
+    std::vector<double> v(sizes[k]);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = 0.25 * static_cast<double>(i) - 3.0 * static_cast<double>(k);
+    parts.emplace_back(hamr::allocator::device, hamr::stream(),
+                       hamr::stream_mode::async, v.size());
+    parts.back().assign(v.data(), v.size());
+    parts.back().synchronize();
+    ptrs.push_back(parts.back().data());
+    for (double &x : v)
+      x += static_cast<double>(k + 1);
+    want.push_back(std::move(v));
+  }
+  vp::Platform &plat = vp::Platform::Get();
+  const std::vector<std::size_t> n(std::begin(sizes), std::end(sizes));
+  vcuda::LaunchN(plat.DefaultStream(0), kCopyN,
+                 [ptrs, n](std::size_t b, std::size_t e)
+                 {
+                   for (std::size_t k = 0; k < ptrs.size(); ++k)
+                     for (std::size_t i = b; i < std::min(e, n[k]); ++i)
+                       ptrs[k][i] += static_cast<double>(k + 1);
+                 },
+                 {1.0e5, 0.0, "hamr_pack_probe", false});
+  return plat.DefaultStream(0).Get()->Completion();
+}
+
+std::vector<const hamr::buffer<double> *>
+PartPointers(const std::vector<hamr::buffer<double>> &parts)
+{
+  std::vector<const hamr::buffer<double> *> out;
+  for (const hamr::buffer<double> &p : parts)
+    out.push_back(&p);
+  return out;
+}
+} // namespace
+
+TEST(HamrPackedCopy, SlicesOfOneBlockShareItsStorageAndTransferEvent)
+{
+  // three device-0 buffers packed onto a peer device cost one gather
+  // kernel and one transfer (two stream-ordered allocations and two
+  // submissions), onto their own device one kernel and no transfer; the
+  // copies are consecutive slices of one block, each waits for the
+  // transfer behind the pending kernel, and one left alone still reads
+  // its values
+  StartCheckedThreads();
+  {
+    const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+    vp::PlatformStats &stats = vp::Platform::Get().Stats();
+    for (int target : {3, 0})
+    {
+      std::vector<hamr::buffer<double>> parts;
+      std::vector<std::vector<double>> want;
+      const double kernelEnd = PackedSources(parts, want);
+      stats.Reset();
+      const double t0 = vp::ThisClock().Now();
+      std::vector<hamr::buffer<double>> c = hamr::buffer<double>::
+        packed_deep_copy(PartPointers(parts), target,
+                         hamr::stream_mode::async);
+      const double hops = target == 0 ? 1.0 : 2.0;
+      EXPECT_NEAR(vp::ThisClock().Now() - t0,
+                  hops * (cost.AsyncAllocLatency + cost.KernelSubmitOverhead),
+                  1e-12)
+        << target;
+      EXPECT_EQ(stats.KernelsLaunched, 1u) << target;
+      EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToDevice),
+                target == 0 ? 0u : 1u);
+      EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToDevice),
+                target == 0 ? 0u : (kCopyN + 1000 + 4097) * sizeof(double));
+      EXPECT_EQ(stats.Copies(vp::CopyKind::OnDevice), 0u) << target;
+      ASSERT_EQ(c.size(), 3u);
+      EXPECT_EQ(c[1].data(), c[0].data() + kCopyN) << target;
+      EXPECT_EQ(c[2].data(), c[1].data() + 1000) << target;
+      EXPECT_LT(vp::ThisClock().Now(), kernelEnd) << target;
+
+      c[0].free();
+      c[2].free();
+      const hamr::buffer<double> alone = c[1];
+      c.clear();
+      EXPECT_EQ(alone.owner(), target);
+      EXPECT_EQ(alone.mode(), hamr::stream_mode::async);
+      alone.synchronize();
+      EXPECT_GT(vp::ThisClock().Now(), kernelEnd) << target;
+      EXPECT_EQ(alone.to_vector(), want[1]) << target;
+    }
+  }
+  StopCheckedThreads();
+}
+
+TEST(HamrPackedCopy, ALoneOrHostPartKeepsItsOwnDeepCopy)
+{
+  // a device part alone on its stream and a host part are copied as
+  // deep_copy copies them: one transfer each, no gather
+  StartCheckedThreads();
+  {
+    vp::PlatformStats &stats = vp::Platform::Get().Stats();
+    std::vector<hamr::buffer<double>> parts;
+    std::vector<std::vector<double>> want;
+    PackedSources(parts, want);
+    const std::vector<double> hv = Ramp(2.0, 1.0);
+    hamr::buffer<double> h(hamr::allocator::malloc_, hamr::stream(),
+                           hamr::stream_mode::async, kCopyN);
+    h.assign(hv.data(), kCopyN);
+    stats.Reset();
+    std::vector<hamr::buffer<double>> c = hamr::buffer<double>::
+      packed_deep_copy({&parts[2], &h}, 3, hamr::stream_mode::async);
+    EXPECT_EQ(stats.KernelsLaunched, 0u);
+    EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToDevice), 1u);
+    EXPECT_EQ(stats.Copies(vp::CopyKind::HostToDevice), 1u);
+    ASSERT_EQ(c.size(), 2u);
+    c[0].synchronize();
+    EXPECT_EQ(c[0].to_vector(), want[2]);
+    EXPECT_EQ(c[1].to_vector(), hv);
+  }
+  StopCheckedThreads();
+}
+
+TEST(HamrPackedCopy, ABlockDroppedUnreadOutlivesItsTransfer)
+{
+  // a packed copy whose slices all drop before anyone synchronized them
+  // is not freed under its gather or its transfer, which wait behind a
+  // kernel that sleeps on its worker
+  StartCheckedThreads();
+  {
+    std::vector<hamr::buffer<double>> parts;
+    std::vector<std::vector<double>> want;
+    PackedSources(parts, want);
+    auto ran = std::make_shared<std::atomic<bool>>(false);
+    vcuda::LaunchN(vp::Platform::Get().DefaultStream(0), 1,
+                   [ran](std::size_t, std::size_t)
+                   {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     ran->store(true);
+                   },
+                   {1.0, 0.0, "hamr_slow_probe", false});
+    hamr::buffer<double>::packed_deep_copy(PartPointers(parts), 3,
+                                           hamr::stream_mode::async);
+    EXPECT_TRUE(ran->load());
+    parts.front().synchronize();
+  }
+  StopCheckedThreads();
+}
+
+TEST(HamrPackedCopy, PooledStagingReturnsToThePoolStreamOrdered)
+{
+  // with the memory pool on, the staging block of a copy onto a peer
+  // device goes back to device 0's pool on the stream its transfer ran
+  // on: another stream cannot take it before that work completes
+  StartCheckedThreads();
+  vp::PoolConfig pc;
+  pc.Enabled = true;
+  vp::PoolManager::Get().Configure(pc);
+  {
+    std::vector<hamr::buffer<double>> parts;
+    std::vector<std::vector<double>> want;
+    const double kernelEnd = PackedSources(parts, want);
+    std::size_t total = 0;
+    for (const hamr::buffer<double> &p : parts)
+      total += p.size();
+    hamr::buffer<double>::packed_deep_copy(PartPointers(parts), 3,
+                                           hamr::stream_mode::async);
+    ASSERT_LT(vp::ThisClock().Now(), kernelEnd);
+    vp::PoolManager::Get().ResetStats();
+    vp::Stream other = vcuda::StreamCreate();
+    void *p = vp::PoolManager::Get().Allocate(
+      vp::MemSpace::Device, 0, total * sizeof(double), vp::PmKind::Cuda, other);
+    EXPECT_EQ(vp::PoolManager::Get().AggregateStats().Hits, 0u);
+    vp::PoolManager::Get().Deallocate(p, other);
+    parts.front().synchronize();
+  }
+  vp::PoolManager::Get().Configure(vp::PoolConfig());
+  vp::PoolManager::Get().ReleaseAll();
   StopCheckedThreads();
 }

@@ -2,8 +2,10 @@
 // policies (the static policy must reproduce Eq. 1 bit for bit, the
 // adaptive policies must route around a saturated device), the bounded
 // pipeline's backpressure matrix (memory stays bounded under a slow
-// consumer), the <sched> XML round trip, and the no-usable-device host
-// fallback regression (Eq. 1 must not divide by zero).
+// consumer) and the price of its resident consumer (one thread launch,
+// then a submission per task), the <sched> XML round trip, and the
+// no-usable-device host fallback regression (Eq. 1 must not divide by
+// zero).
 
 #include "schedPipeline.h"
 #include "schedPolicy.h"
@@ -231,12 +233,14 @@ constexpr int kTasks = 32;
 /// Producer 10x faster than the consumer: the falling-behind scenario.
 sched::PipelineStats DrivePipeline(long depth, sched::Backpressure bp,
                                    double *totalSeconds = nullptr,
-                                   int *executions = nullptr)
+                                   int *executions = nullptr,
+                                   bool realThreads = false)
 {
   Reset();
   sched::PipelineStats out;
   {
     sched::BoundedPipeline pipe;
+    pipe.SetUseRealThreads(realThreads);
     pipe.SetDepth(depth);
     pipe.SetBackpressure(bp);
     for (int i = 0; i < kTasks; ++i)
@@ -344,6 +348,53 @@ TEST(SchedPipeline, RealThreadModeExecutesEverything)
     EXPECT_LE(s.PeakQueuedBytes, 2 * kPayload);
   }
   EXPECT_EQ(count.load(), 8);
+}
+
+TEST(SchedPipeline, RealThreadBlockStallsAsTheDeterministicModeDoes)
+{
+  // the real consumer completes each task long before the producer's
+  // clock reaches the task's virtual finish; `block` keeps the slot
+  // until then, so the producer stalls as in the deterministic mode
+  double deterministic = 0.0, real = 0.0;
+  const sched::PipelineStats d =
+    DrivePipeline(4, sched::Backpressure::Block, &deterministic);
+  const sched::PipelineStats r =
+    DrivePipeline(4, sched::Backpressure::Block, &real, nullptr, true);
+  EXPECT_GT(d.StallSeconds, 0.0);
+  EXPECT_NEAR(r.StallSeconds, d.StallSeconds, 1e-12);
+  EXPECT_DOUBLE_EQ(real, deterministic);
+  EXPECT_EQ(r.QueueDepthHighWater, d.QueueDepthHighWater);
+  EXPECT_EQ(r.Executed, d.Executed);
+}
+
+TEST(SchedPipeline, ConsumerStartsOnceThenIsWoken)
+{
+  // the first submission starts the pipeline's consumer and pays the
+  // thread launch; every later one hands its task to the parked
+  // consumer at the price of a submission, in both modes alike
+  constexpr int kSubmits = 6;
+  for (bool real : {false, true})
+  {
+    Reset();
+    const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+    std::atomic<int> ran{0};
+    sched::BoundedPipeline pipe;
+    pipe.SetUseRealThreads(real);
+    pipe.SetDepth(0);
+    const double t0 = vp::ThisClock().Now();
+    for (int i = 0; i < kSubmits; ++i)
+    {
+      pipe.Submit([&ran]() { ++ran; }, kPayload);
+      EXPECT_DOUBLE_EQ(vp::ThisClock().Now() - t0,
+                       cost.ThreadSpawnCost +
+                         i * cost.KernelSubmitOverhead)
+        << (real ? "real threads" : "deterministic") << ", submission "
+        << i;
+    }
+    pipe.Drain();
+    EXPECT_EQ(ran.load(), kSubmits);
+    EXPECT_EQ(pipe.Stats().Executed, static_cast<std::uint64_t>(kSubmits));
+  }
 }
 
 TEST(SchedPipeline, AggregateStatsFoldInDestroyedPipelines)
