@@ -128,7 +128,7 @@ bench um_pool_reuse_checked.txt env VP_CHECK=1 ../build/bench/um_pool_reuse \
   --benchmark_min_time=0.05
 echo "== scheduler campaign (VP_CHECK=1) =="
 # the adaptive-scheduler campaign under the checker: placement policies,
-# the bounded pipeline (including real-thread mode in the labelled
+# the bounded pipeline (including its consumer thread in the labelled
 # tests), and the backpressure matrix must all be race/lifetime clean
 bench um_sched_checked.txt env VP_CHECK=1 ../build/bench/um_sched \
   --benchmark_min_time=0.05
@@ -211,14 +211,17 @@ echo "== configuration tests =="
 ctest --test-dir ../build -L config --output-on-failure
 
 echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
-# a separate ASan+UBSan build configuration; the real-thread pipeline,
-# the drop/coalesce task destruction paths, and the codec byte-twiddling
+# a separate ASan+UBSan build configuration; the pipeline's consumer
+# thread, the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testInTransit testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess
+cmake --build ../build-sanitize --target um_sched testSched testExtensions um_compress testCompress testService testInTransit testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
+# asynchronous analyses on the pipeline, inline and on its consumer
+# thread, under ASan+UBSan
+../build-sanitize/tests/testExtensions --gtest_filter='AsyncRunner.*'
 bench um_compress_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_compress \
   --benchmark_min_time=0.05
@@ -287,11 +290,14 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess testSched
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess testSched testExtensions
 ../build-tsan/tests/testExec
 # the bounded pipeline's resident consumer thread: submitters handing it
-# tasks, blocking for a slot and draining it, under the race detector
+# tasks, waiting for its finishes and draining it, also across a switch
+# between serial and threads exec, and asynchronous analyses running on
+# it, under the race detector
 ../build-tsan/tests/testSched
+../build-tsan/tests/testExtensions --gtest_filter='AsyncRunner.*'
 bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
   --benchmark_min_time=0.05
 # the service's dispatcher/worker/heartbeat thread interplay under the

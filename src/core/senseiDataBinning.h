@@ -125,11 +125,6 @@ public:
   void SetGpuStrategy(GpuBinningStrategy s) { this->GpuStrategy_ = s; }
   GpuBinningStrategy GetGpuStrategy() const { return this->GpuStrategy_; }
 
-  /// Run asynchronous executions on real std::threads instead of the
-  /// default deterministic virtual-time accounting (see
-  /// schedPipeline.h for the trade-off).
-  void SetUseRealThreads(bool on) { this->Runner_.SetUseRealThreads(on); }
-
   // --- framework interface -----------------------------------------------------
 
   bool Execute(DataAdaptor *data) override;

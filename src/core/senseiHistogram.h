@@ -43,10 +43,6 @@ public:
     this->AutoRange_ = false;
   }
 
-  /// Run asynchronous executions on real std::threads instead of the
-  /// default deterministic virtual-time accounting.
-  void SetUseRealThreads(bool on) { this->Runner_.SetUseRealThreads(on); }
-
   bool Execute(DataAdaptor *data) override;
   /// Its column.
   std::optional<std::vector<std::string>>

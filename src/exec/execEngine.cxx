@@ -176,6 +176,10 @@ void Fence::WaitRaw()
 
 void Fence::Wait()
 {
+  // a fence waited out once is done for every later waiter: no lock,
+  // no join to count
+  if (this->Joined_.load(std::memory_order_acquire))
+    return;
   this->WaitRaw();
   StatsRef().FenceJoins.fetch_add(1, std::memory_order_relaxed);
   // only the first waiter closes the happens-before edge; the checker
@@ -183,6 +187,7 @@ void Fence::Wait()
   const std::uint64_t tok = this->EndToken_.exchange(0);
   if (tok)
     check::OnTaskJoin(tok);
+  this->Joined_.store(true, std::memory_order_release);
 }
 
 bool Fence::Done() const

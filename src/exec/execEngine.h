@@ -134,7 +134,8 @@ class Fence
 {
 public:
   /// Block until the task completed. The first waiter also consumes the
-  /// task's checker join token, closing the happens-before edge.
+  /// task's checker join token, closing the happens-before edge, and
+  /// counts the join; a later Wait returns at once.
   void Wait();
 
   /// Non-blocking completion test.
@@ -151,6 +152,7 @@ private:
   std::condition_variable Cv_;
   bool Done_ = false;
   std::atomic<std::uint64_t> EndToken_{0};
+  std::atomic<bool> Joined_{false}; ///< a Wait joined the task
 };
 
 using FencePtr = std::shared_ptr<Fence>;

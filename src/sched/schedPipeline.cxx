@@ -8,11 +8,9 @@
 #include "vpPlatform.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <limits>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace sched
@@ -148,120 +146,15 @@ PipelineStats AggregateStats()
   return agg;
 }
 
-// --- real-thread consumer ---------------------------------------------------
-
-/// Persistent consumer thread state. All fields are guarded by M; the
-/// pipeline's own Mutex_ is never held while M is (the real-thread path
-/// keeps its counters here to rule out lock-order inversions between the
-/// submitters and the worker).
-struct BoundedPipeline::RealWorker
-{
-  struct RTask
-  {
-    std::function<void()> Fn;
-    double SubmitTime = 0.0;
-    std::size_t Bytes = 0;
-    int Node = 0;
-    std::uint64_t SpawnToken = 0; ///< checker fork edge from the submitter
-  };
-
-  std::mutex M;
-  std::condition_variable CvWork;  ///< worker waits for tasks
-  std::condition_variable CvSpace; ///< blocked submitters wait for a slot
-  std::condition_variable CvIdle;  ///< drainers wait for empty + idle
-  std::deque<RTask> Pending;
-  bool InFlight = false;
-  std::size_t InFlightBytes = 0;
-  bool Stop = false;
-  double RetiredFinish = 0.0; ///< max virtual finish of completed tasks
-  /// virtual finishes, in order, of completed tasks no submission has
-  /// yet seen finish: the consumer runs ahead of its virtual clock in
-  /// real time, so a completed task can still be running virtually
-  std::deque<double> Finishes;
-  std::vector<std::uint64_t> EndTokens; ///< finished, not yet joined
-  PipelineStats Stats;
-  std::thread Thread;
-
-  ~RealWorker()
-  {
-    {
-      std::lock_guard<std::mutex> lock(this->M);
-      this->Stop = true;
-    }
-    this->CvWork.notify_all();
-    if (this->Thread.joinable())
-      this->Thread.join();
-  }
-
-  std::size_t OccupancyLocked() const
-  {
-    return this->Pending.size() + (this->InFlight ? 1u : 0u);
-  }
-
-  /// Forget the completed tasks that finish by `now`.
-  void RetireLocked(double now)
-  {
-    while (!this->Finishes.empty() && this->Finishes.front() <= now)
-      this->Finishes.pop_front();
-  }
-
-  void NoteOccupancyLocked(std::size_t held)
-  {
-    this->Stats.QueueDepthHighWater =
-      std::max(this->Stats.QueueDepthHighWater, static_cast<long>(held));
-    this->Stats.PeakQueuedBytes =
-      std::max(this->Stats.PeakQueuedBytes, this->Stats.QueuedBytes);
-  }
-
-  void Run()
-  {
-    // each task must see a fresh thread's PM device bindings, like the
-    // thread-per-task runner it replaces
-    const int cudaDev0 = vcuda::GetDevice();
-    const int ompDev0 = vomp::GetDefaultDevice();
-
-    std::unique_lock<std::mutex> lock(this->M);
-    for (;;)
-    {
-      this->CvWork.wait(lock,
-                        [this] { return this->Stop || !this->Pending.empty(); });
-      if (this->Pending.empty())
-        return; // Stop with nothing queued (Drain ran first)
-
-      RTask t = std::move(this->Pending.front());
-      this->Pending.pop_front();
-      this->InFlight = true;
-      this->InFlightBytes = t.Bytes;
-      lock.unlock();
-
-      vcuda::SetDevice(cudaDev0);
-      vomp::SetDefaultDevice(ompDev0);
-      vp::Platform::SetThisNode(t.Node);
-      vp::check::OnThreadStart(t.SpawnToken);
-      // single consumer: this task starts when both it was submitted and
-      // the previous task is done (the worker's own clock carries that)
-      vp::ThisClock().AdvanceTo(t.SubmitTime);
-      t.Fn();
-      t.Fn = nullptr; // release the payload before taking the lock
-      const double finish = vp::ThisClock().Now();
-      const std::uint64_t endToken = vp::check::OnThreadEnd();
-
-      lock.lock();
-      this->InFlight = false;
-      this->InFlightBytes = 0;
-      this->RetiredFinish = std::max(this->RetiredFinish, finish);
-      this->Finishes.push_back(finish);
-      this->EndTokens.push_back(endToken);
-      this->Stats.Executed++;
-      this->Stats.QueuedBytes -= std::min(this->Stats.QueuedBytes, t.Bytes);
-      this->CvSpace.notify_all();
-      if (this->Pending.empty())
-        this->CvIdle.notify_all();
-    }
-  }
-};
-
 // --- BoundedPipeline --------------------------------------------------------
+
+namespace
+{
+
+/// A start bound every submitted task meets: start it now.
+constexpr double kAlways = std::numeric_limits<double>::infinity();
+
+} // namespace
 
 BoundedPipeline::BoundedPipeline()
 {
@@ -271,21 +164,14 @@ BoundedPipeline::BoundedPipeline()
 BoundedPipeline::~BoundedPipeline()
 {
   this->Drain();
-  PipelineStats final = this->Stats();
-  this->Worker_.reset(); // stops the consumer thread
-  UnregisterPipeline(this, final);
-}
-
-void BoundedPipeline::SetUseRealThreads(bool on)
-{
-  std::lock_guard<std::mutex> lock(this->Mutex_);
-  this->RealThreads_ = on;
-}
-
-bool BoundedPipeline::GetUseRealThreads() const
-{
-  std::lock_guard<std::mutex> lock(this->Mutex_);
-  return this->RealThreads_;
+  {
+    std::lock_guard<std::mutex> lock(this->Mutex_);
+    this->Stop_ = true;
+  }
+  this->Work_.notify_all();
+  if (this->Consumer_.joinable())
+    this->Consumer_.join();
+  UnregisterPipeline(this, this->Stats());
 }
 
 void BoundedPipeline::SetDepth(long depth)
@@ -325,13 +211,13 @@ void BoundedPipeline::NoteOccupancyLocked(std::size_t bytesDelta)
     std::max(this->Stats_.PeakQueuedBytes, this->Stats_.QueuedBytes);
 }
 
-void BoundedPipeline::ExecuteDetachedLocked(Task &t)
+void BoundedPipeline::RunInlineLocked(Task &t)
 {
   // the consumer reaches this task once it is both submitted and the
   // previous task is done
   const double start = std::max(t.SubmitTime, this->WorkerAvail_);
 
-  // run inline under a detached clock; the task must not disturb the
+  // run under a detached clock; the task must not disturb the
   // submitting thread's PM device bindings
   const int cudaDev = vcuda::GetDevice();
   const int ompDev = vomp::GetDefaultDevice();
@@ -344,30 +230,101 @@ void BoundedPipeline::ExecuteDetachedLocked(Task &t)
   vomp::SetDefaultDevice(ompDev);
 
   t.Fn = nullptr; // the payload's real memory is released at start time
-  t.Executed = true;
+  t.Started = t.Done = true;
   this->WorkerAvail_ = t.Finish;
   this->Stats_.Executed++;
 }
 
-void BoundedPipeline::AdvanceConsumerLocked(double now)
+void BoundedPipeline::StartDueLocked(std::unique_lock<std::mutex> &lock,
+                                     double by)
 {
-  // the queue is an executed prefix followed by an unexecuted suffix
-  // (drop-oldest removes the first unexecuted, coalesce the last, so the
-  // invariant survives); run every deferred task the consumer would have
-  // started by `now`
-  for (Task &t : this->Queue_)
+  // the queue is a started prefix followed by a deferred suffix
+  // (drop-oldest removes the first deferred task, coalesce the last, so
+  // the invariant survives); start deferred tasks in order while the
+  // consumer would have started them by `by`. Only this submitter
+  // changes the queue (Decide_), so waiting keeps `it` valid.
+  auto it = std::find_if(this->Queue_.begin(), this->Queue_.end(),
+                         [](const Task &t) { return !t.Started; });
+  for (; it != this->Queue_.end() && it->SubmitTime <= by; ++it)
   {
-    if (t.Executed)
+    const bool threads = vp::exec::ThreadsEnabled();
+    // deciding the start, or running the task inline, needs the finish
+    // of the task the thread is still running
+    if (this->OnThread_ > 0 && (by < kAlways || !threads))
+      this->Finished_.wait(lock, [this] { return this->OnThread_ == 0; });
+    if (std::max(it->SubmitTime, this->WorkerAvail_) > by)
+      return;
+
+    // order the task after every task the thread finished
+    this->JoinFinishedLocked();
+    if (!threads)
+    {
+      this->RunInlineLocked(*it);
       continue;
-    if (std::max(t.SubmitTime, this->WorkerAvail_) > now)
-      break;
-    this->ExecuteDetachedLocked(t);
+    }
+    it->Started = true;
+    it->Node = vp::Platform::GetThisNode();
+    it->SpawnToken = vp::check::OnThreadSpawn();
+    ++this->OnThread_;
+    if (!this->Consumer_.joinable())
+      this->Consumer_ = std::thread([this] { this->Consume(); });
+    this->Work_.notify_one();
+  }
+}
+
+void BoundedPipeline::Consume()
+{
+  // each task sees a fresh thread's PM device bindings
+  const int cudaDev0 = vcuda::GetDevice();
+  const int ompDev0 = vomp::GetDefaultDevice();
+  // the oldest task handed over and not done; every task before it is
+  // done, and the submitters neither drop nor retire it
+  auto next = [this]
+  {
+    return std::find_if(this->Queue_.begin(), this->Queue_.end(),
+                        [](const Task &t) { return t.Started && !t.Done; });
+  };
+
+  std::unique_lock<std::mutex> lock(this->Mutex_);
+  for (;;)
+  {
+    this->Work_.wait(lock,
+                     [this] { return this->Stop_ || this->OnThread_ > 0; });
+    if (this->OnThread_ == 0)
+      return; // Stop with nothing handed over (Drain ran first)
+
+    Task &t = *next();
+    const double start = std::max(t.SubmitTime, this->WorkerAvail_);
+    std::function<void()> fn = std::move(t.Fn);
+    const int node = t.Node;
+    const std::uint64_t spawnToken = t.SpawnToken;
+    lock.unlock();
+
+    vcuda::SetDevice(cudaDev0);
+    vomp::SetDefaultDevice(ompDev0);
+    vp::Platform::SetThisNode(node);
+    vp::check::OnThreadStart(spawnToken);
+    vp::ThisClock().Set(start);
+    fn();
+    fn = nullptr; // release the payload before taking the lock
+    const double finish = vp::ThisClock().Now();
+    const std::uint64_t endToken = vp::check::OnThreadEnd();
+
+    lock.lock();
+    Task &done = *next();
+    done.Finish = finish;
+    done.Done = true;
+    this->WorkerAvail_ = finish;
+    --this->OnThread_;
+    this->EndTokens_.push_back(endToken);
+    this->Stats_.Executed++;
+    this->Finished_.notify_all();
   }
 }
 
 void BoundedPipeline::RetireLocked(double now)
 {
-  while (!this->Queue_.empty() && this->Queue_.front().Executed &&
+  while (!this->Queue_.empty() && this->Queue_.front().Done &&
          this->Queue_.front().Finish <= now)
   {
     this->Stats_.QueuedBytes -=
@@ -376,135 +333,52 @@ void BoundedPipeline::RetireLocked(double now)
   }
 }
 
+void BoundedPipeline::JoinFinishedLocked()
+{
+  // the checker edges of the tasks the thread finished: waiting for
+  // them, or taking the lock after them, ordered us after them
+  for (std::uint64_t tok : this->EndTokens_)
+    vp::check::OnThreadJoin(tok);
+  this->EndTokens_.clear();
+}
+
 void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
                              std::size_t rawBytes)
 {
+  std::lock_guard<std::mutex> decide(this->Decide_);
+  std::unique_lock<std::mutex> lock(this->Mutex_);
+  const long depth = this->EffectiveDepth();
+  const Backpressure pressure = this->EffectivePressure();
+
   // the consumer is started once, by the first submission, and parked
   // between tasks: starting it costs a thread launch, and every later
   // submission only hands it a task, as a submission to a resident exec
   // worker does
   const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
-  double handoff = cost.KernelSubmitOverhead;
+  const double handoff =
+    this->Launched_ ? cost.KernelSubmitOverhead : cost.ThreadSpawnCost;
+  this->Launched_ = true;
 
-  long depth = 0;
-  Backpressure pressure = Backpressure::Block;
-  bool realThreads = false;
-  {
-    std::lock_guard<std::mutex> lock(this->Mutex_);
-    depth = this->EffectiveDepth();
-    pressure = this->EffectivePressure();
-    // real consumer threads: per-pipeline opt-in or the exec engine's
-    // threads mode (the bounded pipeline rides the same wall-clock
-    // concurrency the engine provides)
-    realThreads = this->RealThreads_ || vp::exec::ThreadsEnabled();
-    if (realThreads && !this->Worker_)
-    {
-      this->Worker_ = std::make_unique<RealWorker>();
-      RealWorker *w = this->Worker_.get();
-      w->Thread = std::thread([w]() { w->Run(); });
-      handoff = cost.ThreadSpawnCost;
-    }
-    if (!realThreads && !this->Started_)
-    {
-      this->Started_ = true;
-      handoff = cost.ThreadSpawnCost;
-    }
-  }
-
-  if (realThreads)
-  {
-    RealWorker *w = this->Worker_.get();
-    std::unique_lock<std::mutex> lock(w->M);
-
-    // `block` counts its slots in virtual time, as the deterministic
-    // mode does: a task the consumer has completed keeps its slot until
-    // the submitter's clock reaches the task's virtual finish. The
-    // dropping policies count only the tasks not yet run, the ones they
-    // can discard.
-    const bool virtualSlots = pressure == Backpressure::Block;
-    w->RetireLocked(virtualSlots ? vp::ThisClock().Now()
-                                 : std::numeric_limits<double>::infinity());
-    auto held = [w, virtualSlots]()
-    {
-      return w->OccupancyLocked() + (virtualSlots ? w->Finishes.size() : 0u);
-    };
-
-    if (depth > 0 && held() >= static_cast<std::size_t>(depth))
-    {
-      switch (pressure)
-      {
-        case Backpressure::DropOldest:
-          if (!w->Pending.empty())
-          {
-            w->Stats.QueuedBytes -=
-              std::min(w->Stats.QueuedBytes, w->Pending.front().Bytes);
-            w->Pending.pop_front();
-            w->Stats.Dropped++;
-            break;
-          }
-          goto block_real; // only the in-flight task remains: wait
-        case Backpressure::Coalesce:
-          if (!w->Pending.empty())
-          {
-            w->Stats.QueuedBytes -=
-              std::min(w->Stats.QueuedBytes, w->Pending.back().Bytes);
-            w->Pending.pop_back();
-            w->Stats.Coalesced++;
-            break;
-          }
-          goto block_real;
-        case Backpressure::Block:
-        block_real:
-        {
-          // wait out the oldest tasks' virtual finishes, each after its
-          // real completion, until a slot is free: the stall
-          const double before = vp::ThisClock().Now();
-          while (held() >= static_cast<std::size_t>(depth))
-          {
-            w->CvSpace.wait(lock, [w] { return !w->Finishes.empty(); });
-            vp::ThisClock().AdvanceTo(w->Finishes.front());
-            w->RetireLocked(vp::ThisClock().Now());
-          }
-          w->Stats.StallSeconds +=
-            std::max(0.0, vp::ThisClock().Now() - before);
-          break;
-        }
-      }
-    }
-
-    // harvest checker edges of work that already finished (the real wait
-    // above, or plain temporal luck, ordered us after it)
-    std::vector<std::uint64_t> done;
-    done.swap(w->EndTokens);
-
-    vp::ThisClock().Advance(handoff);
-    RealWorker::RTask t;
-    t.SubmitTime = vp::ThisClock().Now();
-    t.Bytes = payloadBytes;
-    t.Node = vp::Platform::GetThisNode();
-    t.SpawnToken = vp::check::OnThreadSpawn();
-    t.Fn = std::move(fn);
-    w->Pending.push_back(std::move(t));
-    w->Stats.Submitted++;
-    w->Stats.QueuedBytes += payloadBytes;
-    w->Stats.PayloadEncodedBytes += payloadBytes;
-    w->Stats.PayloadRawBytes += rawBytes ? rawBytes : payloadBytes;
-    w->NoteOccupancyLocked(held());
-    lock.unlock();
-    w->CvWork.notify_one();
-
-    for (std::uint64_t tok : done)
-      vp::check::OnThreadJoin(tok);
-    return;
-  }
-
-  // deterministic mode: inline accounting under the pipeline lock
-  std::lock_guard<std::mutex> lock(this->Mutex_);
-  double now = vp::ThisClock().Now();
-  this->AdvanceConsumerLocked(now);
+  const double now = vp::ThisClock().Now();
+  this->StartDueLocked(lock, now);
   this->RetireLocked(now);
 
-  if (depth > 0 && this->Queue_.size() >= static_cast<std::size_t>(depth))
+  // a full queue's decision needs to know whether the front task is
+  // still running at `now`; when the thread has not finished it yet,
+  // wait for it
+  const auto full = [this, depth]()
+  {
+    return depth > 0 &&
+           this->Queue_.size() >= static_cast<std::size_t>(depth);
+  };
+  while (full() && this->Queue_.front().Started && !this->Queue_.front().Done)
+  {
+    const Task &front = this->Queue_.front();
+    this->Finished_.wait(lock, [&front] { return front.Done; });
+    this->RetireLocked(now);
+  }
+
+  if (full())
   {
     switch (pressure)
     {
@@ -512,7 +386,7 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
       {
         // drop the oldest task the consumer has not started
         auto it = std::find_if(this->Queue_.begin(), this->Queue_.end(),
-                               [](const Task &t) { return !t.Executed; });
+                               [](const Task &t) { return !t.Started; });
         if (it != this->Queue_.end())
         {
           this->Stats_.QueuedBytes -=
@@ -521,12 +395,12 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
           this->Stats_.Dropped++;
           break;
         }
-        goto block_det; // everything queued is in flight: wait
+        goto block; // everything queued is in flight: wait
       }
       case Backpressure::Coalesce:
       {
         // replace the newest not-yet-started task with the incoming one
-        if (!this->Queue_.empty() && !this->Queue_.back().Executed)
+        if (!this->Queue_.back().Started)
         {
           this->Stats_.QueuedBytes -=
             std::min(this->Stats_.QueuedBytes, this->Queue_.back().Bytes);
@@ -534,15 +408,16 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
           this->Stats_.Coalesced++;
           break;
         }
-        goto block_det;
+        goto block;
       }
       case Backpressure::Block:
-      block_det:
-        while (this->Queue_.size() >= static_cast<std::size_t>(depth))
+      block:
+        while (full())
         {
           Task &front = this->Queue_.front();
-          if (!front.Executed)
-            this->ExecuteDetachedLocked(front);
+          if (!front.Started)
+            this->StartDueLocked(lock, kAlways);
+          this->Finished_.wait(lock, [&front] { return front.Done; });
           this->Stats_.StallSeconds +=
             std::max(0.0, front.Finish - vp::ThisClock().Now());
           vp::ThisClock().AdvanceTo(front.Finish);
@@ -563,44 +438,23 @@ void BoundedPipeline::Submit(std::function<void()> fn, std::size_t payloadBytes,
   this->Stats_.PayloadRawBytes += rawBytes ? rawBytes : payloadBytes;
   this->NoteOccupancyLocked(payloadBytes);
 
-  // block / unbounded run eagerly (deferring would reorder resource
+  // block / unbounded start eagerly (deferring would reorder resource
   // claims against the solver and change the timeline); the dropping
   // modes defer so a queued task can still be discarded or replaced
   if (pressure == Backpressure::Block || depth == 0)
-    this->ExecuteDetachedLocked(this->Queue_.back());
+    this->StartDueLocked(lock, kAlways);
+  this->JoinFinishedLocked();
 }
 
 void BoundedPipeline::Drain()
 {
-  RealWorker *w = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(this->Mutex_);
-    w = this->Worker_.get();
-  }
-
-  if (w)
-  {
-    std::vector<std::uint64_t> done;
-    {
-      std::unique_lock<std::mutex> lock(w->M);
-      w->CvIdle.wait(lock,
-                     [&] { return w->Pending.empty() && !w->InFlight; });
-      vp::ThisClock().AdvanceTo(w->RetiredFinish);
-      w->Finishes.clear();
-      done.swap(w->EndTokens);
-    }
-    for (std::uint64_t tok : done)
-      vp::check::OnThreadJoin(tok);
-    // fall through: the deterministic queue is drained too (a pipeline
-    // switched between modes owes both)
-  }
-
-  std::lock_guard<std::mutex> lock(this->Mutex_);
+  std::lock_guard<std::mutex> decide(this->Decide_);
+  std::unique_lock<std::mutex> lock(this->Mutex_);
+  this->StartDueLocked(lock, kAlways);
+  this->Finished_.wait(lock, [this] { return this->OnThread_ == 0; });
+  this->JoinFinishedLocked();
   if (this->Queue_.empty())
     return;
-  for (Task &t : this->Queue_)
-    if (!t.Executed)
-      this->ExecuteDetachedLocked(t);
   vp::ThisClock().AdvanceTo(this->Queue_.back().Finish);
   this->Stats_.QueuedBytes = 0;
   this->Queue_.clear();
@@ -608,37 +462,14 @@ void BoundedPipeline::Drain()
 
 bool BoundedPipeline::Busy() const
 {
-  RealWorker *w = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(this->Mutex_);
-    if (!this->Queue_.empty())
-      return true;
-    w = this->Worker_.get();
-  }
-  if (w)
-  {
-    std::lock_guard<std::mutex> lock(w->M);
-    if (!w->Pending.empty() || w->InFlight)
-      return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(this->Mutex_);
+  return !this->Queue_.empty();
 }
 
 PipelineStats BoundedPipeline::Stats() const
 {
-  PipelineStats s;
-  RealWorker *w = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(this->Mutex_);
-    s = this->Stats_;
-    w = this->Worker_.get();
-  }
-  if (w)
-  {
-    std::lock_guard<std::mutex> lock(w->M);
-    s += w->Stats;
-  }
-  return s;
+  std::lock_guard<std::mutex> lock(this->Mutex_);
+  return this->Stats_;
 }
 
 void ResetAggregateStats()
@@ -662,16 +493,6 @@ void ResetAggregateStats()
     p->Stats_.QueuedBytes = bytes;
     p->Stats_.PeakQueuedBytes = bytes;
     p->Stats_.QueueDepthHighWater = static_cast<long>(p->Queue_.size());
-    if (BoundedPipeline::RealWorker *w = p->Worker_.get())
-    {
-      std::lock_guard<std::mutex> wl(w->M);
-      const std::size_t wb = w->Stats.QueuedBytes;
-      w->Stats = PipelineStats();
-      w->Stats.QueuedBytes = wb;
-      w->Stats.PeakQueuedBytes = wb;
-      w->Stats.QueueDepthHighWater =
-        static_cast<long>(w->OccupancyLocked());
-    }
   }
 }
 

@@ -6,7 +6,7 @@
 /// asynchronous execution method deep-copies what the analysis needs and
 /// runs it in a thread; unbounded, that pattern lets queued deep copies
 /// grow without limit whenever the analysis falls behind the solver —
-/// the classic in situ OOM. sched::BoundedPipeline is the bounded MPSC
+/// the classic in situ OOM. sched::BoundedPipeline is the bounded
 /// work queue each asynchronous analysis adaptor runs its tasks on:
 /// one consumer drains submitted analysis tasks in FIFO order, at most
 /// `queue_depth` task payloads are alive at once, and when the queue is
@@ -29,28 +29,31 @@
 /// compare against). The `<sched>` XML element (or sched::Configure)
 /// sets the depth and the policy for every pipeline in the process.
 ///
-/// Two accounting modes are provided:
+/// One decision procedure, in virtual time, runs the queue whatever the
+/// consumer is. A task holds its slot from submission until the
+/// submitter's clock reaches its virtual finish. `block` and depth 0
+/// start a task at submission; the dropping policies defer it until the
+/// consumer would have started it by the submitter's clock, so a queued
+/// task can still be discarded or replaced. A task starts at
+/// max(submission, the previous task's finish), so the timeline is the
+/// same in both exec modes (vp::exec). The mode decides only where a
+/// started task's body runs:
 ///
-///  * **deterministic** (the default) — the task body runs inline under a
-///    detached virtual clock seeded at the consumer's start time. Its
-///    resource claims (device engines, host pool, collectives) land
-///    exactly as a perfectly-fair concurrent thread's would, and the
-///    submitter's clock advances only by the hand-off price below, so
-///    virtual timelines are bit-identical run to run;
-///  * **real-thread** — tasks run on one persistent consumer std::thread
-///    with checker-visible fork/join edges per task. The virtual
-///    semantics are the same, but claim interleaving follows the host OS
-///    scheduler, so timelines vary run to run. Useful to demonstrate
-///    that the code is genuinely thread safe (the unit tests exercise
-///    both modes). The consumer runs ahead of its virtual clock in real
-///    time, so `block` counts a completed task in its slot until the
-///    submitter's clock reaches the task's virtual finish, as the
-///    deterministic mode does.
+///  * **serial** — inline under a detached virtual clock seeded at its
+///    start, with the submitter's PM device bindings restored after;
+///  * **threads** — on the pipeline's resident consumer std::thread,
+///    from the same start, with checker-visible fork/join edges and a
+///    fresh thread's PM device bindings per task. When the submitter
+///    needs a finish the thread has not published yet (a full queue, a
+///    deferred task's start, Drain) it waits for the thread in real
+///    time, never in virtual time.
 ///
-/// In both modes the consumer is resident: the first submission starts
-/// it and pays the thread launch (CostModel::ThreadSpawnCost), and every
-/// later one wakes it with the task and pays what a submission to a
-/// resident exec worker costs (CostModel::KernelSubmitOverhead).
+/// FIFO order and one task at a time hold across an exec-mode change,
+/// because a task's start needs its predecessor's finish. The consumer
+/// is resident: the first submission starts it and pays the thread
+/// launch (CostModel::ThreadSpawnCost), and every later one wakes it
+/// with the task and pays what a submission to a resident exec worker
+/// costs (CostModel::KernelSubmitOverhead).
 ///
 /// Dropped or coalesced tasks are destroyed without running; their deep
 /// copies (pool-backed when the memory pool is enabled) are released at
@@ -62,13 +65,15 @@
 
 #include "schedPolicy.h"
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace sched
 {
@@ -132,7 +137,7 @@ struct PipelineStats
 };
 
 /// One bounded in situ work queue (typically one per analysis adaptor).
-/// Thread safe.
+/// Thread safe; submissions and drains decide one at a time.
 class BoundedPipeline
 {
 public:
@@ -141,11 +146,6 @@ public:
 
   BoundedPipeline(const BoundedPipeline &) = delete;
   BoundedPipeline &operator=(const BoundedPipeline &) = delete;
-
-  /// Run the consumer on a real std::thread instead of the deterministic
-  /// inline accounting. Must be chosen before the first Submit.
-  void SetUseRealThreads(bool on);
-  bool GetUseRealThreads() const;
 
   /// Override the process-wide queue depth / backpressure for this
   /// pipeline (by default both follow sched::GetConfig() per submission).
@@ -179,32 +179,42 @@ private:
     std::function<void()> Fn;
     double SubmitTime = 0.0;
     std::size_t Bytes = 0;
-    bool Executed = false;
+    bool Started = false; ///< run inline, or handed to the thread
+    bool Done = false;    ///< Finish is known
     double Finish = 0.0;
+    int Node = 0;                 ///< the submitter's node (thread only)
+    std::uint64_t SpawnToken = 0; ///< checker fork edge (thread only)
   };
-  struct RealWorker;
 
   /// Effective depth/pressure for this submission.
   long EffectiveDepth() const;
   Backpressure EffectivePressure() const;
 
-  // deterministic mode (requires Mutex_ held)
-  void ExecuteDetachedLocked(Task &t);
-  void AdvanceConsumerLocked(double now);
+  // require Mutex_ held (and Decide_ for the submitter's side)
+  void StartDueLocked(std::unique_lock<std::mutex> &lock, double by);
+  void RunInlineLocked(Task &t);
   void RetireLocked(double now);
-
+  void JoinFinishedLocked();
   void NoteOccupancyLocked(std::size_t bytesDelta);
 
+  /// The resident consumer thread's loop.
+  void Consume();
+
+  std::mutex Decide_; ///< one submitter or drainer at a time
   mutable std::mutex Mutex_;
+  std::condition_variable Work_;     ///< the thread waits for a task
+  std::condition_variable Finished_; ///< submitters wait for a finish
   std::deque<Task> Queue_;
-  double WorkerAvail_ = 0.0; ///< deterministic consumer availability
-  bool Started_ = false;     ///< the deterministic consumer was started
-  bool RealThreads_ = false;
-  std::unique_ptr<RealWorker> Worker_;
+  double WorkerAvail_ = 0.0; ///< the consumer's last finish
+  bool Launched_ = false;    ///< the first submission paid the launch
+  int OnThread_ = 0;         ///< tasks handed to the thread, not done
+  bool Stop_ = false;
+  std::vector<std::uint64_t> EndTokens_; ///< finished, not yet joined
 
   long DepthOverride_ = -1; ///< -1 = follow GetConfig()
   int PressureOverride_ = -1;
   PipelineStats Stats_;
+  std::thread Consumer_; ///< started by the first hand-off to it
 
   friend void ResetAggregateStats();
 };

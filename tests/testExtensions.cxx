@@ -3,6 +3,7 @@
 // real-thread asynchronous execution, and failure injection (device
 // memory exhaustion surfacing through the analysis stack).
 
+#include "execEngine.h"
 #include "minimpi.h"
 #include "schedPipeline.h"
 #include "senseiColumnStatistics.h"
@@ -28,6 +29,16 @@ void ResetPlatform()
   cfg.HostCoresPerNode = 8;
   vp::Platform::Initialize(cfg);
   vcuda::SetDevice(0);
+}
+
+/// Select where an asynchronous analysis's tasks run: inline (serial)
+/// or on its pipeline's consumer thread (threads).
+void UseExec(vp::exec::Mode mode)
+{
+  vp::exec::ExecConfig cfg;
+  cfg.ExecMode = mode;
+  cfg.Threads = 2;
+  vp::exec::Configure(cfg);
 }
 
 svtkTable *MakeTable(std::size_t n, unsigned seed)
@@ -322,15 +333,17 @@ TEST(ColumnStatistics, AsyncAndXmlConfigured)
 TEST(AsyncRunner, RealThreadModeProducesSameResults)
 {
   ResetPlatform();
-  sched::BoundedPipeline runner;
-  runner.SetUseRealThreads(true);
-  EXPECT_TRUE(runner.GetUseRealThreads());
-
-  int value = 0;
-  runner.Submit([&value]() { value = 42; });
-  runner.Drain();
-  EXPECT_EQ(value, 42);
-  EXPECT_FALSE(runner.Busy());
+  UseExec(vp::exec::Mode::Threads);
+  EXPECT_TRUE(vp::exec::ThreadsEnabled());
+  {
+    sched::BoundedPipeline runner;
+    int value = 0;
+    runner.Submit([&value]() { value = 42; });
+    runner.Drain();
+    EXPECT_EQ(value, 42);
+    EXPECT_FALSE(runner.Busy());
+  }
+  UseExec(vp::exec::Mode::Serial);
 }
 
 TEST(AsyncRunner, DeterministicModeIsBitReproducible)
@@ -375,8 +388,8 @@ TEST(AsyncRunner, BackpressureWaitsForInFlightTask)
 
 TEST(AsyncRunner, RealThreadBinningMatchesDeterministic)
 {
-  // the two async accounting modes must compute identical results (the
-  // real-thread mode also proves the analysis is genuinely thread safe)
+  // the inline and the threaded consumer must compute identical results
+  // (the threaded one also proves the analysis is genuinely thread safe)
   ResetPlatform();
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("t");
   svtkTable *t = MakeTable(3000, 71);
@@ -385,6 +398,7 @@ TEST(AsyncRunner, RealThreadBinningMatchesDeterministic)
 
   auto run = [da](bool realThreads) -> std::vector<double>
   {
+    UseExec(realThreads ? vp::exec::Mode::Threads : vp::exec::Mode::Serial);
     sensei::DataBinning *b = sensei::DataBinning::New();
     b->SetMeshName("t");
     b->SetAxes({"a", "b"});
@@ -393,9 +407,9 @@ TEST(AsyncRunner, RealThreadBinningMatchesDeterministic)
     b->SetRange(1, 0.0, 2.0);
     b->AddOperation("a", sensei::BinningOp::Sum);
     b->SetAsynchronous(true);
-    b->SetUseRealThreads(realThreads);
     EXPECT_TRUE(b->Execute(da));
     b->Finalize();
+    UseExec(vp::exec::Mode::Serial);
 
     svtkImageData *img = b->GetLastResult();
     const svtkDataArray *g = img->GetPointData()->GetArray("a_sum");

@@ -297,6 +297,51 @@ TEST(HamrMoveOrdering, HostViewOfAnInFlightDeepCopyWaitsForIt)
   vp::check::Enable(false);
 }
 
+TEST(HamrSyncEvent, ASecondSynchronizeJoinsNoFence)
+{
+  // the first synchronize() of an async-mode deep copy waits out its
+  // transfer's fences and joins them; a second one finds them joined
+  // and neither waits on them again nor counts a join. scripts/
+  // run_campaign.sh runs this under VP_CHECK=1 in the tsan section.
+  vp::PlatformConfig cfg;
+  cfg.NumNodes = 1;
+  cfg.DevicesPerNode = 4;
+  cfg.HostCoresPerNode = 8;
+  vp::Platform::Initialize(cfg);
+  vcuda::SetDevice(0);
+  vp::check::Reset();
+  vp::check::Configure(vp::check::CheckConfig{true, 256, false});
+  vp::exec::ExecConfig ec;
+  ec.ExecMode = vp::exec::Mode::Threads;
+  ec.Threads = 2;
+  vp::exec::Configure(ec);
+  {
+    constexpr std::size_t n = 65536;
+    std::vector<double> want(n);
+    for (std::size_t i = 0; i < n; ++i)
+      want[i] = 0.125 * static_cast<double>(i) - 1.0;
+    hamr::buffer<double> a(hamr::allocator::device, hamr::stream(),
+                           hamr::stream_mode::async, n);
+    a.assign(want.data(), n);
+    a.synchronize();
+
+    const hamr::buffer<double> c = a.deep_copy(3);
+    const std::uint64_t before = vp::exec::Stats().FenceJoins;
+    c.synchronize();
+    const std::uint64_t first = vp::exec::Stats().FenceJoins;
+    EXPECT_GT(first, before);
+    c.synchronize();
+    EXPECT_EQ(vp::exec::Stats().FenceJoins, first);
+
+    const std::vector<double> got = c.to_vector();
+    EXPECT_EQ(got, want);
+  }
+  vp::exec::Configure(vp::exec::ExecConfig());
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+}
+
 TEST(HamrSyncEvent, SynchronizeDoesNotWaitForLaterWorkOnTheCopysStream)
 {
   // an async-mode deep copy onto device 3 is queued on device 0's

@@ -2,11 +2,13 @@
 // policies (the static policy must reproduce Eq. 1 bit for bit, the
 // adaptive policies must route around a saturated device), the bounded
 // pipeline's backpressure matrix (memory stays bounded under a slow
-// consumer) and the price of its resident consumer (one thread launch,
-// then a submission per task), the <sched> XML round trip, and the
-// no-usable-device host fallback regression (Eq. 1 must not divide by
-// zero).
+// consumer; the inline and the threaded consumer make the same
+// decisions, also across a switch between them) and the price of its
+// resident consumer (one thread launch, then a submission per task), the
+// <sched> XML round trip, and the no-usable-device host fallback
+// regression (Eq. 1 must not divide by zero).
 
+#include "execEngine.h"
 #include "schedPipeline.h"
 #include "schedPolicy.h"
 #include "senseiConfigurableAnalysis.h"
@@ -19,7 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace
@@ -230,17 +236,27 @@ namespace
 constexpr std::size_t kPayload = 1 << 20; // 1 MiB deep copy per step
 constexpr int kTasks = 32;
 
+/// Select where a pipeline's started tasks run: inline (serial) or on
+/// its consumer thread (threads).
+void UseExec(vp::exec::Mode mode)
+{
+  vp::exec::ExecConfig cfg;
+  cfg.ExecMode = mode;
+  cfg.Threads = 2;
+  vp::exec::Configure(cfg);
+}
+
 /// Producer 10x faster than the consumer: the falling-behind scenario.
 sched::PipelineStats DrivePipeline(long depth, sched::Backpressure bp,
                                    double *totalSeconds = nullptr,
                                    int *executions = nullptr,
-                                   bool realThreads = false)
+                                   vp::exec::Mode mode = vp::exec::Mode::Serial)
 {
   Reset();
+  UseExec(mode);
   sched::PipelineStats out;
   {
     sched::BoundedPipeline pipe;
-    pipe.SetUseRealThreads(realThreads);
     pipe.SetDepth(depth);
     pipe.SetBackpressure(bp);
     for (int i = 0; i < kTasks; ++i)
@@ -258,6 +274,7 @@ sched::PipelineStats DrivePipeline(long depth, sched::Backpressure bp,
     pipe.Drain();
     out = pipe.Stats();
   }
+  UseExec(vp::exec::Mode::Serial);
   if (totalSeconds)
     *totalSeconds = vp::ThisClock().Now();
   return out;
@@ -327,10 +344,10 @@ TEST(SchedPipeline, DropOldestTimelineIsBitReproducible)
 TEST(SchedPipeline, RealThreadModeExecutesEverything)
 {
   Reset();
+  UseExec(vp::exec::Mode::Threads);
   std::atomic<int> count{0};
   {
     sched::BoundedPipeline pipe;
-    pipe.SetUseRealThreads(true);
     pipe.SetDepth(2);
     pipe.SetBackpressure(sched::Backpressure::Block);
     for (int i = 0; i < 8; ++i)
@@ -347,19 +364,20 @@ TEST(SchedPipeline, RealThreadModeExecutesEverything)
     EXPECT_EQ(s.Executed, 8u);
     EXPECT_LE(s.PeakQueuedBytes, 2 * kPayload);
   }
+  UseExec(vp::exec::Mode::Serial);
   EXPECT_EQ(count.load(), 8);
 }
 
 TEST(SchedPipeline, RealThreadBlockStallsAsTheDeterministicModeDoes)
 {
-  // the real consumer completes each task long before the producer's
+  // the consumer thread completes each task long before the producer's
   // clock reaches the task's virtual finish; `block` keeps the slot
-  // until then, so the producer stalls as in the deterministic mode
+  // until then, so the producer stalls as with the inline consumer
   double deterministic = 0.0, real = 0.0;
   const sched::PipelineStats d =
     DrivePipeline(4, sched::Backpressure::Block, &deterministic);
-  const sched::PipelineStats r =
-    DrivePipeline(4, sched::Backpressure::Block, &real, nullptr, true);
+  const sched::PipelineStats r = DrivePipeline(
+    4, sched::Backpressure::Block, &real, nullptr, vp::exec::Mode::Threads);
   EXPECT_GT(d.StallSeconds, 0.0);
   EXPECT_NEAR(r.StallSeconds, d.StallSeconds, 1e-12);
   EXPECT_DOUBLE_EQ(real, deterministic);
@@ -376,10 +394,10 @@ TEST(SchedPipeline, ConsumerStartsOnceThenIsWoken)
   for (bool real : {false, true})
   {
     Reset();
+    UseExec(real ? vp::exec::Mode::Threads : vp::exec::Mode::Serial);
     const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
     std::atomic<int> ran{0};
     sched::BoundedPipeline pipe;
-    pipe.SetUseRealThreads(real);
     pipe.SetDepth(0);
     const double t0 = vp::ThisClock().Now();
     for (int i = 0; i < kSubmits; ++i)
@@ -395,6 +413,104 @@ TEST(SchedPipeline, ConsumerStartsOnceThenIsWoken)
     EXPECT_EQ(ran.load(), kSubmits);
     EXPECT_EQ(pipe.Stats().Executed, static_cast<std::uint64_t>(kSubmits));
   }
+  UseExec(vp::exec::Mode::Serial);
+}
+
+TEST(SchedPipeline, BothConsumersDecideAlike)
+{
+  // one decision procedure: whether a started task runs inline or on
+  // the consumer thread, every start, drop, coalesce and stall is the
+  // same, and so is the end of the timeline
+  for (sched::Backpressure bp :
+       {sched::Backpressure::Block, sched::Backpressure::DropOldest,
+        sched::Backpressure::Coalesce})
+    for (long depth : {0L, 1L, 2L, 4L})
+    {
+      double serialEnd = 0.0, threadsEnd = 0.0;
+      const sched::PipelineStats d =
+        DrivePipeline(depth, bp, &serialEnd, nullptr, vp::exec::Mode::Serial);
+      const sched::PipelineStats r = DrivePipeline(
+        depth, bp, &threadsEnd, nullptr, vp::exec::Mode::Threads);
+      const std::string what = std::string(sched::BackpressureName(bp)) +
+                               ", depth " + std::to_string(depth);
+      EXPECT_EQ(r.Submitted, d.Submitted) << what;
+      EXPECT_EQ(r.Executed, d.Executed) << what;
+      EXPECT_EQ(r.Dropped, d.Dropped) << what;
+      EXPECT_EQ(r.Coalesced, d.Coalesced) << what;
+      EXPECT_NEAR(r.StallSeconds, d.StallSeconds, 1e-12) << what;
+      EXPECT_DOUBLE_EQ(threadsEnd, serialEnd) << what;
+      if (depth > 0)
+      {
+        EXPECT_LE(d.QueueDepthHighWater, depth) << what;
+        EXPECT_LE(r.QueueDepthHighWater, depth) << what;
+      }
+    }
+}
+
+TEST(SchedPipeline, AConsumerSwitchKeepsFifoAndOneTaskAtATime)
+{
+  // a task on the consumer thread, then a switch to serial exec: the
+  // next task runs inline, but not before the first one ends, in real
+  // or in virtual time
+  {
+    Reset();
+    UseExec(vp::exec::Mode::Threads);
+    std::atomic<bool> firstDone{false};
+    bool overlapped = true;
+    double firstFinish = 0.0, secondStart = 0.0;
+    sched::BoundedPipeline pipe;
+    pipe.SetDepth(2);
+    pipe.Submit(
+      [&]()
+      {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        vp::ThisClock().Advance(1.0e-3);
+        firstFinish = vp::ThisClock().Now();
+        firstDone = true;
+      });
+    UseExec(vp::exec::Mode::Serial);
+    pipe.Submit(
+      [&]()
+      {
+        overlapped = !firstDone.load();
+        secondStart = vp::ThisClock().Now();
+      });
+    pipe.Drain();
+    EXPECT_FALSE(overlapped);
+    EXPECT_GE(secondStart, firstFinish);
+    EXPECT_EQ(pipe.Stats().Executed, 2u);
+  }
+
+  // drop-oldest defers its tasks: one the serial consumer deferred runs
+  // before a later one handed to the thread after a switch to threads
+  {
+    Reset();
+    UseExec(vp::exec::Mode::Serial);
+    std::mutex m;
+    std::vector<int> order;
+    {
+      sched::BoundedPipeline pipe;
+      pipe.SetDepth(4);
+      pipe.SetBackpressure(sched::Backpressure::DropOldest);
+      for (int i = 0; i < 3; ++i)
+      {
+        if (i == 1)
+          UseExec(vp::exec::Mode::Threads);
+        vp::ThisClock().Advance(1.0e-4);
+        pipe.Submit(
+          [&m, &order, i]()
+          {
+            vp::ThisClock().Advance(1.0e-3);
+            std::lock_guard<std::mutex> lock(m);
+            order.push_back(i);
+          });
+      }
+      pipe.Drain();
+      EXPECT_EQ(pipe.Stats().Dropped, 0u);
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  }
+  UseExec(vp::exec::Mode::Serial);
 }
 
 TEST(SchedPipeline, AggregateStatsFoldInDestroyedPipelines)
