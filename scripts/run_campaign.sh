@@ -254,7 +254,8 @@ bench um_layout_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_layout \
   --benchmark_min_time=0.05
 # the packed binning record of a 4-rank mixed-op binning, the data
-# adaptor's shared per-step snapshot, its per-step axis-range table
+# adaptor's shared per-step snapshot and the axis ranges its gather
+# folds for asynchronous binnings, its per-step axis-range table
 # (fills, hits and peers scanned where they live), and the resident
 # record reset by its compaction and reallocated on a new shape, under
 # ASan+UBSan
@@ -267,7 +268,9 @@ bench um_layout_sanitized.txt \
 # on its transfer's event only, what a deep copy guarantees when it
 # returns (sync, in flight from a device, complete from the host), and
 # packed deep copies (slices of one gathered block that outlive their
-# siblings, a block dropped unread, pooled staging), under ASan+UBSan
+# siblings, a block dropped unread, pooled staging, the parts' ranges
+# the gather folds, ranges dropped before their readback ran), under
+# ASan+UBSan
 ../build-sanitize/tests/testNewton --gtest_filter='NewtonRing.*:NewtonBridge.*'
 ../build-sanitize/tests/testHamrAccess \
   --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*:HamrPackedCopy.*'
@@ -326,10 +329,12 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # <exec mode="threads">: consumer threads drop the last references to
 # the shared copies while the simulation thread drops the snapshot's;
 # then snapshot copies still in flight while the simulation rewrites
-# the columns on their stream, and ten columns gathered into one block
-# whose slices outlive their siblings, with the checker on
+# the columns on their stream, ten columns gathered into one block
+# whose slices outlive their siblings, and consumer threads reducing
+# their axes from the ranges the snapshot's gather folded, with the
+# checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
-  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads:BinningSnapshot.SimulationWritesAfterTheSnapshotDoNotReachIt:BinningSnapshot.OneTransferPerColumnSet'
+  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads:BinningSnapshot.SimulationWritesAfterTheSnapshotDoNotReachIt:BinningSnapshot.OneTransferPerColumnSet:BinningSnapshot.AsyncRangesRideTheSnapshot'
 # lockstep binnings of two rank threads filling and hitting their
 # adaptors' axis-range tables under <exec mode="threads">, with the
 # checker on
@@ -345,8 +350,9 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 # <exec mode="threads"> the staged uploads and force kernels on worker
 # queues, with the checker on for the threaded ring case; then a host
 # view moved out of a deep copy still in flight on another device, two
-# threads synchronizing one shared copy on its transfer's event, and
-# deep copies left in flight behind a pending kernel
+# threads synchronizing one shared copy on its transfer's event, deep
+# copies left in flight behind a pending kernel, and a packed copy's
+# ranges dropped before their readback ran
 ../build-tsan/tests/testNewton --gtest_filter='NewtonRing.*:NewtonBridge.*'
 VP_CHECK=1 ../build-tsan/tests/testNewton \
   --gtest_filter='NewtonRing.CheckerCleanUnderExecThreads'

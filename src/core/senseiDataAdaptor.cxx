@@ -44,7 +44,8 @@ void DataAdaptor::FollowStep()
 }
 
 std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>>
-DataAdaptor::Snapshot(const std::vector<svtkDataArray *> &columns, int device)
+DataAdaptor::Snapshot(const std::vector<svtkDataArray *> &columns, int device,
+                      std::vector<ColumnRange> *ranges)
 {
   if (device < 0)
     device = vp::HostDevice;
@@ -76,18 +77,31 @@ DataAdaptor::Snapshot(const std::vector<svtkDataArray *> &columns, int device)
     parts.push_back(&h->GetBuffer());
     typed.push_back(std::move(h));
   }
+  std::vector<ColumnRange> folded;
   std::vector<hamr::buffer<double>> copies =
     hamr::buffer<double>::packed_deep_copy(parts, device,
-                                           hamr::stream_mode::async);
+                                           hamr::stream_mode::async,
+                                           ranges ? &folded : nullptr);
   for (std::size_t k = 0; k < copies.size(); ++k)
+  {
     copied[k]->Copy = svtkSmartPtr<svtkHAMRDoubleArray>::Take(
       svtkHAMRDoubleArray::New(typed[k]->GetName(), std::move(copies[k]),
                               typed[k]->GetNumberOfComponents()));
+    if (ranges)
+      copied[k]->Range = std::move(folded[k]);
+  }
 
   std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> out;
+  if (ranges)
+    ranges->clear();
   for (svtkDataArray *column : columns)
-    out.push_back(column ? this->Snapshots_.at({column, device}).Copy
-                         : svtkSmartPtr<const svtkHAMRDoubleArray>());
+  {
+    const SnapshotEntry *e =
+      column ? &this->Snapshots_.at({column, device}) : nullptr;
+    out.push_back(e ? e->Copy : svtkSmartPtr<const svtkHAMRDoubleArray>());
+    if (ranges)
+      ranges->push_back(e ? e->Range : ColumnRange());
+  }
   for (svtkDataArray *column : columns)
   {
     if (!column)

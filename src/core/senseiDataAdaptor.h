@@ -45,6 +45,11 @@ public:
   /// version.
   virtual void ReleaseData();
 
+  /// A snapshot copy's local [min, max], as its packed copy's gather
+  /// folded it (hamr::buffer::part_range): two host values, valid once
+  /// `ready` has completed; a null `min_max` when the copy has none.
+  using ColumnRange = hamr::buffer<double>::part_range;
+
   /// The asynchronous execution method's deep copy: shared, read-only
   /// copies of `columns` (distinct columns of this step's mesh), in
   /// order, resident on `device` (a negative id,
@@ -68,8 +73,19 @@ public:
   /// (column name, device) to the previous step's count, and keeps it
   /// until ReleaseData when there is no count yet. A copy is never
   /// handed out again after ReleaseData or once the step index changes.
+  ///
+  /// With `ranges`, which receives one entry per column, the gathers of
+  /// the call's packed copy also fold each copied column's local [min,
+  /// max] in the pass that reads it, and read them back to the host on
+  /// the gather's stream (hamr::buffer::packed_deep_copy). A copy keeps
+  /// its range for the step and hands it to every request it serves. A
+  /// copy made by a call without `ranges`, or not gathered (a column
+  /// alone on its stream, host-resident, or an adopted conversion), has
+  /// none: its entry's min_max is null. A call without `ranges` pays
+  /// nothing for them.
   std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>>
-  Snapshot(const std::vector<svtkDataArray *> &columns, int device);
+  Snapshot(const std::vector<svtkDataArray *> &columns, int device,
+           std::vector<ColumnRange> *ranges = nullptr);
 
   /// The lockstep axis-range table: the global [lo, hi] of columns of
   /// this step's meshes, shared by lockstep DataBinning executes so that
@@ -129,6 +145,7 @@ private:
   {
     svtkSmartPtr<const svtkDataArray> Source; ///< pins the key's address
     svtkSmartPtr<const svtkHAMRDoubleArray> Copy;
+    ColumnRange Range; ///< the copy's local range, when its gather folded it
   };
   using RequestKey = std::pair<std::string, int>; ///< (column name, device)
 

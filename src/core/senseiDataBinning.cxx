@@ -230,7 +230,12 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
 
   // the typed columns: the simulation's, shared zero-copy (lockstep), or
   // the step's snapshot on the placement device (async), taken for all
-  // of a block's distinct columns at once
+  // of a block's distinct columns at once. An asynchronous binning with
+  // auto-ranged axes also takes the local ranges the snapshot's gather
+  // folds, so its task need not scan its axes.
+  bool autoRanged = false;
+  for (std::size_t a = 0; a < this->Axes_.size(); ++a)
+    autoRanged = autoRanged || (this->AutoRange_ && !this->HasFixedRange_[a]);
   for (const BlockSources &src : sources)
   {
     std::vector<svtkDataArray *> distinct;
@@ -239,22 +244,28 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
         if (std::find(distinct.begin(), distinct.end(), col) == distinct.end())
           distinct.push_back(col);
     std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> snapshots;
+    std::vector<DataAdaptor::ColumnRange> ranges;
     if (async)
-      snapshots = data->Snapshot(distinct, in.Device);
+      snapshots =
+        data->Snapshot(distinct, in.Device, autoRanged ? &ranges : nullptr);
     else
       for (svtkDataArray *col : distinct)
         snapshots.push_back(
           svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(col)));
-    auto type = [&](svtkDataArray *col)
+    auto at = [&](svtkDataArray *col)
     {
-      return snapshots[static_cast<std::size_t>(
-        std::find(distinct.begin(), distinct.end(), col) - distinct.begin())];
+      return static_cast<std::size_t>(
+        std::find(distinct.begin(), distinct.end(), col) - distinct.begin());
     };
     BlockInput block;
     for (svtkDataArray *col : src.Axis)
-      block.AxisCols.push_back(type(col));
+    {
+      block.AxisCols.push_back(snapshots[at(col)]);
+      if (!ranges.empty())
+        block.AxisRanges.push_back(ranges[at(col)]);
+    }
     for (svtkDataArray *col : src.Value)
-      block.ValueCols.push_back(type(col));
+      block.ValueCols.push_back(snapshots[at(col)]);
     in.Blocks.push_back(std::move(block));
   }
 
@@ -428,11 +439,14 @@ struct RangeUnit
   std::size_t Slot;
 };
 
-/// Fold the min and max of each unit (N > 0) into lo[Slot] and hi[Slot].
-/// On a device, one multi-unit kernel into `scratch` (2 doubles per unit,
-/// on `device`) and one stream-ordered readback on `strm`; on the host
-/// (device < 0), a parallel loop per unit. Both the asynchronous task and
-/// the lockstep fill scan through here.
+/// Fold the min and max of each unit (N > 0) into lo[Slot] and hi[Slot]:
+/// each unit in index order from +/-inf with std::min and std::max, the
+/// fold hamr's packed gather repeats for a snapshot's columns. On a
+/// device, one multi-unit kernel into `scratch` (2 doubles per unit, on
+/// `device`) and one stream-ordered readback on `strm`; on the host
+/// (device < 0), a parallel loop per unit. The lockstep fill scans
+/// through here, and so does an asynchronous task for the axes its
+/// snapshot folded no range for.
 void ScanRanges(const std::vector<RangeUnit> &scan, int device,
                 const vcuda::stream_t &strm, double *scratch,
                 std::vector<double> &lo, std::vector<double> &hi)
@@ -792,17 +806,59 @@ void DataBinning::RunBinning(const StepInputs &in)
   const std::size_t compactBytes = shape.Bytes(cap);
   this->PrepareRecord(in.Device, nBins, kinds, compactBytes, strm);
 
-  // asynchronous: the task scans its own axes, every (axis, block) pair
-  // in one pass, then one collective; skipped when every axis has a
-  // fixed range (the config, and so the decision, is the same on every
-  // rank). Its scratch, like the record, is sized before the scope opens
-  const bool scanHere = !in.Table && !autoAxes.empty();
+  // asynchronous: each (axis, block) pair's local range is the one the
+  // step's snapshot folded in its gather, or, for a pair without one,
+  // scanned by the task, every such pair in one pass; the pairs then
+  // fold in block order, as one scan of them all would, and one
+  // collective reduces them across ranks. All of it is skipped when
+  // every axis has a fixed range (the config, and so the decision, is
+  // the same on every rank). With nothing to scan the ranges are waited
+  // for and reduced here, before the scope opens, so the captured graph
+  // is the accumulation alone; a scan's scratch, like the record, is
+  // sized before the scope opens
+  const bool asyncRanges = !in.Table && !autoAxes.empty();
+  std::vector<double> pairLo(nAxes * nBlocks,
+                             std::numeric_limits<double>::infinity());
+  std::vector<double> pairHi(nAxes * nBlocks,
+                             -std::numeric_limits<double>::infinity());
   std::vector<RangeUnit> units;
-  if (scanHere)
+  if (asyncRanges)
+  {
+    std::set<std::shared_ptr<const double>, std::owner_less<>> waited;
     for (std::size_t a : autoAxes)
       for (std::size_t b = 0; b < nBlocks; ++b)
-        if (rows[b])
-          units.push_back(RangeUnit{ax[b][a], rows[b], a});
+      {
+        if (!rows[b])
+          continue;
+        const BlockInput &blk = in.Blocks[b];
+        const std::size_t pair = a * nBlocks + b;
+        const DataAdaptor::ColumnRange *folded =
+          blk.AxisRanges.empty() ? nullptr : &blk.AxisRanges[a];
+        // a fold covers the whole column, a scan the block's rows
+        if (!folded || !folded->min_max ||
+            blk.AxisCols[a]->GetBuffer().size() != rows[b])
+        {
+          units.push_back(RangeUnit{ax[b][a], rows[b], pair});
+          continue;
+        }
+        if (waited.insert(folded->min_max).second)
+          vcuda::EventSynchronize(folded->ready);
+        pairLo[pair] = folded->min_max.get()[0];
+        pairHi[pair] = folded->min_max.get()[1];
+      }
+  }
+  auto reduceRanges = [&]()
+  {
+    for (std::size_t a : autoAxes)
+      for (std::size_t b = 0; b < nBlocks; ++b)
+      {
+        lo[a] = std::min(lo[a], pairLo[a * nBlocks + b]);
+        hi[a] = std::max(hi[a], pairHi[a * nBlocks + b]);
+      }
+    ReduceRanges(in.Comm, lo, hi);
+  };
+  if (asyncRanges && units.empty())
+    reduceRanges();
   double *scratch = onDevice && !units.empty()
                       ? this->ScanScratch(in.Device, units.size())
                       : nullptr;
@@ -822,10 +878,10 @@ void DataBinning::RunBinning(const StepInputs &in)
     graphScope.emplace(*this->GraphSession_);
   }
 
-  if (scanHere)
+  if (!units.empty())
   {
-    ScanRanges(units, in.Device, strm, scratch, lo, hi);
-    ReduceRanges(in.Comm, lo, hi);
+    ScanRanges(units, in.Device, strm, scratch, pairLo, pairHi);
+    reduceRanges();
   }
 
   for (std::size_t a = 0; a < nAxes; ++a)

@@ -160,11 +160,15 @@ private:
   /// One block's typed columns: the simulation's, shared zero-copy
   /// (lockstep), or the data adaptor's snapshot on the placement device
   /// (asynchronous). A svtkTable mesh yields one block; a
-  /// svtkMultiBlockDataSet yields one per non-null table block.
+  /// svtkMultiBlockDataSet yields one per non-null table block. An
+  /// asynchronous execute with auto-ranged axes also holds the local
+  /// range the snapshot folded for each axis (a null min_max where it
+  /// folded none); otherwise AxisRanges is empty.
   struct BlockInput
   {
     std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> AxisCols;
     std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> ValueCols;
+    std::vector<DataAdaptor::ColumnRange> AxisRanges;
   };
 
   /// A column a lockstep range fill covers: one of the execute's axes
@@ -193,7 +197,8 @@ private:
 
     /// Lockstep: the adaptor whose axis-range table holds the global
     /// range of the auto-ranged axes (null for an asynchronous execute,
-    /// whose task scans its own axes), the ranges it had, per axis, and
+    /// whose task reduces the local ranges its snapshot folded and scans
+    /// only the axes it lacks one for), the ranges it had, per axis, and
     /// on a miss what the fill covers, in name order.
     DataAdaptor *Table = nullptr;
     std::vector<DataAdaptor::AxisRange> Ranges;

@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -222,6 +223,16 @@ public:
     return out;
   }
 
+  /// A part's [min, max] as a packed copy's gather folded it: two values
+  /// on the host, read back on the gather's stream and valid once `ready`
+  /// has completed (vcuda::EventSynchronize). Null `min_max` for a part
+  /// the copy did not gather.
+  struct part_range
+  {
+    std::shared_ptr<const T> min_max;
+    vcuda::event_t ready;
+  };
+
   /// Deep copies of `parts` resident on `device` (HostDevice for the
   /// host) in mode `mode`, returned in the order of `parts`, with
   /// deep_copy's guarantees but as few transfers as possible. The
@@ -232,9 +243,13 @@ public:
   /// elsewhere it writes a staging block there, allocated on the stream
   /// and released with the block, and one transfer on the stream moves
   /// it to `device`. Every other part (host-resident, empty, or alone on
-  /// its stream) gets deep_copy(device, mode).
+  /// its stream) gets deep_copy(device, mode). With `ranges`, which
+  /// receives one entry per part, each gather also folds its parts'
+  /// ranges in the pass that reads them (see Gather); a part copied by
+  /// deep_copy gets none.
   static std::vector<buffer> packed_deep_copy(
-    const std::vector<const buffer *> &parts, int device, stream_mode mode)
+    const std::vector<const buffer *> &parts, int device, stream_mode mode,
+    std::vector<part_range> *ranges = nullptr)
   {
     const vp::MemSpace space =
       device == vp::HostDevice ? vp::MemSpace::Host : vp::MemSpace::Device;
@@ -248,6 +263,8 @@ public:
       }
 
     std::vector<buffer> out(parts.size());
+    if (ranges)
+      ranges->assign(parts.size(), part_range());
     for (std::size_t i = 0; i < parts.size(); ++i)
     {
       const std::vector<std::size_t> *group =
@@ -259,12 +276,17 @@ public:
         std::vector<const buffer *> members;
         for (std::size_t k : *group)
           members.push_back(parts[k]);
-        const buffer block = Gather(members, streams[i], device, mode);
+        std::vector<part_range> folded;
+        const buffer block = Gather(members, streams[i], device, mode,
+                                    ranges ? &folded : nullptr);
         std::size_t at = 0;
-        for (std::size_t k : *group)
+        for (std::size_t j = 0; j < group->size(); ++j)
         {
+          const std::size_t k = (*group)[j];
           out[k] = block.slice(at, parts[k]->Size_);
           at += parts[k]->Size_;
+          if (ranges)
+            (*ranges)[k] = folded[j];
         }
       }
     }
@@ -736,9 +758,20 @@ private:
 
   /// The block packed_deep_copy slices: `parts`, device-resident on one
   /// device and moved on `strm`, gathered in order into one block
-  /// resident on `device`.
+  /// resident on `device`. With `ranges` the gather kernel also folds
+  /// each part's min and max, in index order from +/-inf with std::min
+  /// and std::max (so a NaN is skipped and the first of tied signed
+  /// zeros wins, as a sequential scan of the part would have it), into a
+  /// tail of 2 values per part behind the gathered values; it runs
+  /// unsharded so the fold is that sequential one, and is priced 2 more
+  /// ops per element. One transfer on `strm`, issued before the block's,
+  /// reads the tail back to the host, and `ranges` receives one entry per
+  /// part with the event recorded after it. The host copy is released
+  /// only once the work queued on `strm` has really run, so a range
+  /// dropped unread never outlives its readback.
   static buffer Gather(const std::vector<const buffer *> &parts,
-                       const vp::Stream &strm, int device, stream_mode mode)
+                       const vp::Stream &strm, int device, stream_mode mode,
+                       std::vector<part_range> *ranges = nullptr)
   {
     const buffer &first = *parts.front();
     const bool host = device == vp::HostDevice;
@@ -758,37 +791,59 @@ private:
     }
 
     // the kernel writes the block itself on the parts' device, a staging
-    // block elsewhere; either is allocated on the stream
+    // block elsewhere; either is allocated on the stream, with the range
+    // tail behind the gathered values
     const bool inFlight = mode == stream_mode::async;
     const bool local = device == first.Owner_;
     const allocator packAlloc = local ? out.Alloc_ : first.Alloc_;
+    const std::size_t nTail = ranges ? 2 * parts.size() : 0;
     std::shared_ptr<T> packed = AllocateAt(
-      vp::MemSpace::Device, first.Owner_, out.Size_, pm_of(packAlloc),
+      vp::MemSpace::Device, first.Owner_, out.Size_ + nTail, pm_of(packAlloc),
       hamr::pooled(packAlloc), strm, inFlight || !local);
     T *to = packed.get();
+    T *tail = ranges ? to + out.Size_ : nullptr;
     vp::Platform &plat = vp::Platform::Get();
     // the kernel moves its bytes at the rate an on-device copy of them
-    // is priced at (D2DBandwidth), with a launch instead of CopyLatency
+    // is priced at (D2DBandwidth), with a launch instead of CopyLatency;
+    // a fold adds the 2 ops per element a range scan is priced at
     const vp::CostModel &cost = plat.Config().Cost;
     const double opsPerElement =
-      static_cast<double>(sizeof(T)) * cost.DeviceOpRate / cost.D2DBandwidth;
+      static_cast<double>(sizeof(T)) * cost.DeviceOpRate / cost.D2DBandwidth +
+      (tail ? 2.0 : 0.0);
     plat.LaunchKernel(strm,
                       vp::KernelDesc{out.Size_, opsPerElement, 0.0,
-                                     "hamr_gather", /*Shardable=*/true},
-                      [from, to](std::size_t b, std::size_t e)
+                                     "hamr_gather", /*Shardable=*/!tail},
+                      [from, to, tail](std::size_t b, std::size_t e)
                       {
                         std::size_t at = 0;
-                        for (const auto &[src, n] : from)
+                        for (std::size_t k = 0; k < from.size(); ++k)
                         {
+                          const auto &[src, n] = from[k];
                           const std::size_t lo = std::max(b, at);
                           const std::size_t hi = std::min(e, at + n);
-                          if (lo < hi)
+                          if (tail) // unsharded: [b, e) covers every part
+                            FoldPart(to + at, src, n, tail + 2 * k);
+                          else if (lo < hi)
                             std::memcpy(to + lo, src + (lo - at),
                                         (hi - lo) * sizeof(T));
                           at += n;
                         }
                       },
                       /*synchronous=*/false);
+    if (tail)
+    {
+      std::shared_ptr<T> host(new T[nTail](),
+                              [strm](T *p)
+                              {
+                                vp::Platform::Get().JoinReal(strm);
+                                delete[] p;
+                              });
+      plat.CopyAsync(strm, host.get(), tail, nTail * sizeof(T));
+      const vcuda::event_t ready = vcuda::EventRecord(strm);
+      for (std::size_t k = 0; k < parts.size(); ++k)
+        ranges->push_back(
+          part_range{std::shared_ptr<const T>(host, host.get() + 2 * k), ready});
+    }
 
     if (local)
       out.Data_ = std::move(packed);
@@ -812,6 +867,25 @@ private:
     else
       plat.StreamSynchronize(strm);
     return out;
+  }
+
+  /// Copy the n values at `src` to `to` and write their min and max to
+  /// minMax[0] and minMax[1]: one sequential pass from +/-inf, with
+  /// std::min and std::max.
+  static void FoldPart(T *to, const T *src, std::size_t n, T *minMax)
+  {
+    using limits = std::numeric_limits<T>;
+    T mn = limits::has_infinity ? limits::infinity() : limits::max();
+    T mx = limits::has_infinity ? -limits::infinity() : limits::lowest();
+    for (std::size_t i = 0; i < n; ++i)
+    {
+      const T v = src[i];
+      to[i] = v;
+      mn = std::min(mn, v);
+      mx = std::max(mx, v);
+    }
+    minMax[0] = mn;
+    minMax[1] = mx;
   }
 
   /// Allocate a temporary in (space, device), move the data onto it on the

@@ -291,18 +291,23 @@ void Platform::Free(void *p)
 
 void Platform::Free(void *p, const Stream &stream)
 {
-  if (p && stream)
-  {
-    std::vector<exec::FencePtr> frontier;
-    {
-      std::lock_guard<std::mutex> lock(stream.Get()->Mutex);
-      frontier = stream.Get()->RealFrontier;
-    }
-    for (const exec::FencePtr &f : frontier)
-      if (f)
-        f->Wait();
-  }
+  if (p)
+    this->JoinReal(stream);
   this->Free(p);
+}
+
+void Platform::JoinReal(const Stream &stream)
+{
+  if (!stream)
+    return;
+  std::vector<exec::FencePtr> frontier;
+  {
+    std::lock_guard<std::mutex> lock(stream.Get()->Mutex);
+    frontier = stream.Get()->RealFrontier;
+  }
+  for (const exec::FencePtr &f : frontier)
+    if (f)
+      f->Wait();
 }
 
 // ---------------------------------------------------------------------------

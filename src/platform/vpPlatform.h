@@ -174,6 +174,12 @@ public:
   /// virtual clock is charged as by Free.
   void Free(void *p, const Stream &stream);
 
+  /// Block the calling thread until the work queued on `stream` so far
+  /// has really run (VP_EXEC=threads; at once in serial mode). Real time
+  /// only: the virtual clock does not move. What a holder of memory that
+  /// work may still write calls before it lets the memory go.
+  void JoinReal(const Stream &stream);
+
   /// Look up allocation metadata; false for untracked (raw host) pointers.
   bool Query(const void *p, AllocInfo &info) const
   {

@@ -4,9 +4,10 @@
 // meshes, bit-exact multi-rank reduction through minimpi, the launch and
 // readback counts of the packed grid record and the size of its compact
 // readback, asynchronous execution and the data adaptor's per-step
-// snapshot it copies through, the per-step axis-range table lockstep
-// binnings share, the record each binning keeps across steps (reset by
-// its compaction, reallocated on a new shape), and file output.
+// snapshot it copies through (and whose gather folds its axes' ranges),
+// the per-step axis-range table lockstep binnings share, the record each
+// binning keeps across steps (reset by its compaction, reallocated on a
+// new shape), and file output.
 
 #include "execEngine.h"
 #include "graphCapture.h"
@@ -1294,9 +1295,11 @@ TEST(BinningSnapshot, FirstExecuteCostsTheSpawnAndTheSubmissions)
   // the columns' stream. The first starts the binning's consumer (one
   // thread launch) and snapshots the ten columns in one packed copy:
   // a gather kernel and a transfer, each with its stream-ordered
-  // allocation and submission. A second execute in the same step shares
-  // that snapshot and only hands its task to the running consumer.
-  // Nothing waits for the kernel or for a transfer.
+  // allocation and submission, and the submission of the readback of
+  // the ranges the gather folds for the auto-ranged axes. A second
+  // execute in the same step shares that snapshot and only hands its
+  // task to the running consumer. Nothing waits for the kernel or for a
+  // transfer.
   ResetPlatform();
   sched::SchedConfig deep;
   deep.QueueDepth = 2; // the second task queues behind the first
@@ -1325,7 +1328,8 @@ TEST(BinningSnapshot, FirstExecuteCostsTheSpawnAndTheSubmissions)
   ASSERT_TRUE(b->Execute(da));
   EXPECT_NEAR(vp::ThisClock().Now() - t0,
               cost.ThreadSpawnCost +
-                2.0 * (cost.AsyncAllocLatency + cost.KernelSubmitOverhead),
+                2.0 * (cost.AsyncAllocLatency + cost.KernelSubmitOverhead) +
+                cost.KernelSubmitOverhead,
               1e-12);
   t0 = vp::ThisClock().Now();
   ASSERT_TRUE(b->Execute(da));
@@ -2067,13 +2071,15 @@ TEST(BinningSharedRange, ReleaseDataEndsTheStepWithoutAStepChange)
 
 TEST(BinningSharedRange, AsyncBinningNeitherFillsNorReadsTheTable)
 {
-  // an asynchronous binning scans its own axes inside its task: run
-  // before a lockstep one it leaves the table empty (the lockstep execute
-  // still fills: 4 kernels), and run after it, it still launches its own
-  // range kernel (4 kernels), while a second lockstep execute hits (3).
-  // The first asynchronous execute of a step also packs the step's
-  // snapshot of x, y and v (one gather kernel: 5), which the second
-  // shares. Each count includes the record's init at step 0 only.
+  // an asynchronous binning takes its axes' ranges from the step's
+  // snapshot, never from the table: run before a lockstep one it leaves
+  // the table empty (the lockstep execute still fills: 4 kernels), and
+  // run after it, it reads the ranges the snapshot it shares folded
+  // (3 kernels), as a second lockstep execute hits (3). The first
+  // asynchronous execute of a step packs the step's snapshot of x, y and
+  // v, folding their ranges in the gather kernel (4, with no range
+  // kernel of its own). Each count includes the record's init at step 0
+  // only.
   ResetPlatform();
   svtkTable *t = MakeDeviceTable(900, 68, 0);
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
@@ -2089,7 +2095,7 @@ TEST(BinningSharedRange, AsyncBinningNeitherFillsNorReadsTheTable)
     return b;
   };
   DataBinning *chain[] = {make(true), make(false), make(true), make(false)};
-  const std::uint64_t kernels[] = {5, 4, 4, 3};
+  const std::uint64_t kernels[] = {4, 4, 3, 3};
   vp::PlatformStats &stats = vp::Platform::Get().Stats();
   for (long step = 0; step < 3; ++step)
   {
@@ -2184,6 +2190,124 @@ TEST(BinningSharedRange, CheckerCleanUnderExecThreads)
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
   vp::check::Enable(false);
   vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+TEST(BinningSnapshot, AsyncRangesRideTheSnapshot)
+{
+  // nine asynchronous binnings of the paper's coordinate systems on
+  // device 3 over ten device-0 columns, x rescaled between steps. Per
+  // step the first snapshot packs the ten columns with one gather kernel
+  // that also folds their ranges, one transfer moves the block and one
+  // readback of 16 B per column brings the ranges to the host; the
+  // others share it. Every task reduces its axes from those ranges, so
+  // it launches only its accumulation and compaction and reads back only
+  // its compact record: 1 + 2 x 9 kernels (and the records' nine inits
+  // at step 0) and 11 copies. A binning of x alone on device 2 gets a
+  // lone deep copy, which folds no range, so its task scans x (a range
+  // kernel and readback of its own), and a host binning takes the ranges
+  // of a snapshot read back to the host with no host range pass. Every
+  // grid, origin and spacing equals a lockstep binning's of the same
+  // table, under serial and threads exec.
+  constexpr std::size_t N = 1500;
+  constexpr std::size_t Systems = 9;
+  for (vp::exec::Mode mode : {vp::exec::Mode::Serial, vp::exec::Mode::Threads})
+  {
+    ResetPlatform();
+    vp::exec::ExecConfig ec;
+    ec.ExecMode = mode;
+    ec.Threads = 2;
+    vp::exec::Configure(ec);
+    svtkTable *t =
+      MakeColumns(N, 340, 1.0, [](const std::string &) { return 0; });
+    sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+    std::vector<DataBinning *> async, lock;
+    for (std::size_t s = 0; s < Systems; ++s)
+    {
+      async.push_back(SystemBinning(s, 3));
+      async.back()->SetAsynchronous(true);
+      lock.push_back(SystemBinning(s, 3));
+    }
+    auto alone = [](int device, bool isAsync)
+    {
+      DataBinning *b = DataBinning::New();
+      b->SetMeshName("bodies");
+      b->SetAxes({"x"});
+      b->SetResolution({32});
+      b->SetDeviceId(device);
+      b->SetAsynchronous(isAsync);
+      return b;
+    };
+    DataBinning *lone[] = {alone(2, true), alone(2, false)};
+    DataBinning *host[] = {SystemBinning(0, AnalysisAdaptor::DEVICE_HOST),
+                           SystemBinning(0, AnalysisAdaptor::DEVICE_HOST)};
+    host[0]->SetAsynchronous(true);
+
+    vp::PlatformStats &stats = vp::Platform::Get().Stats();
+    auto copies = [&stats]()
+    {
+      std::uint64_t n = 0;
+      for (vp::CopyKind k :
+           {vp::CopyKind::HostToDevice, vp::CopyKind::DeviceToHost,
+            vp::CopyKind::DeviceToDevice, vp::CopyKind::OnDevice,
+            vp::CopyKind::HostToHost})
+        n += stats.Copies(k);
+      return n;
+    };
+    for (long step = 0; step < 3; ++step)
+    {
+      if (step)
+        Rescale(t, "x", 1.5, -0.25 * static_cast<double>(step));
+      da->SetTable(t);
+      da->SetDataTimeStep(step);
+      const std::uint64_t inits = step ? 0u : 1u;
+
+      stats.Reset();
+      for (DataBinning *b : async)
+        ASSERT_TRUE(b->Execute(da));
+      for (DataBinning *b : async)
+        b->DrainAsync();
+      EXPECT_EQ(stats.KernelsLaunched.load(), 1u + (2u + inits) * Systems)
+        << "step " << step;
+      EXPECT_EQ(copies(), 11u) << "step " << step;
+      EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToDevice), 1u);
+      EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToDevice), 10u * N * 8);
+      EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 1u + Systems);
+
+      stats.Reset();
+      ASSERT_TRUE(lone[0]->Execute(da));
+      lone[0]->DrainAsync();
+      EXPECT_EQ(stats.KernelsLaunched.load(), 3u + inits) << "step " << step;
+      EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 2u);
+
+      stats.Reset();
+      ASSERT_TRUE(host[0]->Execute(da));
+      host[0]->DrainAsync();
+      EXPECT_EQ(stats.KernelsLaunched.load(), 1u) << "step " << step;
+      EXPECT_EQ(stats.HostRegions.load(), 1u) << "step " << step;
+      EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 2u);
+
+      for (DataBinning *b : lock)
+        ASSERT_TRUE(b->Execute(da));
+      ASSERT_TRUE(lone[1]->Execute(da));
+      ASSERT_TRUE(host[1]->Execute(da));
+      for (std::size_t s = 0; s < Systems; ++s)
+        EXPECT_EQ(ResultBits(async[s]), ResultBits(lock[s]))
+          << "system " << s << " step " << step;
+      EXPECT_EQ(ResultBits(lone[0]), ResultBits(lone[1])) << "step " << step;
+      EXPECT_EQ(ResultBits(host[0]), ResultBits(host[1])) << "step " << step;
+      da->ReleaseData();
+    }
+
+    for (DataBinning *b : async)
+      b->Delete();
+    for (DataBinning *b : lock)
+      b->Delete();
+    for (DataBinning *b : {lone[0], lone[1], host[0], host[1]})
+      b->Delete();
+    t->Delete();
+    da->Delete();
+    vp::exec::Configure(vp::exec::ExecConfig());
+  }
 }
 
 // --- the resident record: allocated once, reset by its compaction ------------------------

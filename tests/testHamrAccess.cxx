@@ -10,7 +10,8 @@
 //    race/lifetime checker — the accessor discipline really provides
 //    "no unsynchronized access".
 // Then what a deep copy guarantees when it returns, and the packed deep
-// copy: slices of one gathered block, at most one transfer per stream.
+// copy: slices of one gathered block, at most one transfer per stream,
+// and the parts' ranges its gather folds and reads back.
 
 #include "execEngine.h"
 #include "svtkHAMRDataArray.h"
@@ -26,6 +27,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -747,6 +749,136 @@ TEST(HamrPackedCopy, ABlockDroppedUnreadOutlivesItsTransfer)
                                            hamr::stream_mode::async);
     EXPECT_TRUE(ran->load());
     parts.front().synchronize();
+  }
+  StopCheckedThreads();
+}
+
+namespace
+{
+std::uint64_t Bits(double x)
+{
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+std::vector<std::uint64_t> Bits(const std::vector<double> &v)
+{
+  std::vector<std::uint64_t> out;
+  for (double x : v)
+    out.push_back(Bits(x));
+  return out;
+}
+} // namespace
+
+TEST(HamrPackedCopy, GatherFoldsEachPartsRange)
+{
+  // five device-0 parts holding NaNs and ties of -0.0 and +0.0, the last
+  // one large enough to be sharded, packed onto a peer device and onto
+  // their own with their ranges: one gather kernel and one readback of
+  // 16 B per part (plus the block's transfer onto the peer), and each
+  // part's [min, max] equals a sequential std::min/std::max fold of it
+  // bit for bit: a NaN is skipped, the first of tied zeros wins, and an
+  // all-NaN part reads [+inf, -inf]. Under serial and threads exec, with
+  // the checker on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> values = {{+0.0, -0.0, nan, 1.5, -0.0},
+                                             {-0.0, +0.0, nan},
+                                             {nan, +0.0, -0.0, -2.5},
+                                             {nan, nan},
+                                             std::vector<double>(kCopyN, +0.0)};
+  values[4][0] = -0.0;
+  for (std::size_t i = 1000; i < kCopyN; i += 1000)
+    values[4][i] = nan;
+  const std::vector<std::vector<double>> want = {
+    {+0.0, 1.5}, {-0.0, -0.0}, {-2.5, +0.0}, {inf, -inf}, {-0.0, -0.0}};
+
+  for (vp::exec::Mode mode : {vp::exec::Mode::Serial, vp::exec::Mode::Threads})
+  {
+    StartCheckedThreads();
+    vp::exec::ExecConfig ec;
+    ec.ExecMode = mode;
+    ec.Threads = 2;
+    vp::exec::Configure(ec);
+    {
+      vp::PlatformStats &stats = vp::Platform::Get().Stats();
+      std::vector<hamr::buffer<double>> parts;
+      for (const std::vector<double> &v : values)
+      {
+        parts.emplace_back(hamr::allocator::device, hamr::stream(),
+                           hamr::stream_mode::async, v.size());
+        parts.back().assign(v.data(), v.size());
+        parts.back().synchronize();
+      }
+      for (int target : {3, 0})
+      {
+        stats.Reset();
+        std::vector<hamr::buffer<double>::part_range> ranges;
+        const std::vector<hamr::buffer<double>> c =
+          hamr::buffer<double>::packed_deep_copy(PartPointers(parts), target,
+                                                 hamr::stream_mode::async,
+                                                 &ranges);
+        EXPECT_EQ(stats.KernelsLaunched, 1u) << target;
+        EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToHost), 1u) << target;
+        EXPECT_EQ(stats.Bytes(vp::CopyKind::DeviceToHost), 16u * values.size())
+          << target;
+        EXPECT_EQ(stats.Copies(vp::CopyKind::DeviceToDevice),
+                  target == 0 ? 0u : 1u);
+        ASSERT_EQ(ranges.size(), values.size());
+        for (std::size_t k = 0; k < values.size(); ++k)
+        {
+          double mn = inf;
+          double mx = -inf;
+          for (double v : values[k])
+          {
+            mn = std::min(mn, v);
+            mx = std::max(mx, v);
+          }
+          ASSERT_TRUE(ranges[k].min_max) << k;
+          vcuda::EventSynchronize(ranges[k].ready);
+          const std::vector<double> got(ranges[k].min_max.get(),
+                                        ranges[k].min_max.get() + 2);
+          EXPECT_EQ(Bits(got), Bits(std::vector<double>{mn, mx}))
+            << "part " << k << " target " << target;
+          EXPECT_EQ(Bits(got), Bits(want[k]))
+            << "part " << k << " target " << target;
+          c[k].synchronize();
+          EXPECT_EQ(Bits(c[k].to_vector()), Bits(values[k]))
+            << "part " << k << " target " << target;
+        }
+      }
+    }
+    StopCheckedThreads();
+  }
+}
+
+TEST(HamrPackedCopy, RangesDroppedUnreadOutliveTheirReadback)
+{
+  // a packed copy's ranges and slices all dropped before anyone waited
+  // for them, while a kernel that sleeps on its worker still holds up the
+  // gather and the ranges' readback: the readback's host target is not
+  // freed under it. 50 times, under threads exec with the checker on.
+  StartCheckedThreads();
+  {
+    for (int rep = 0; rep < 50; ++rep)
+    {
+      std::vector<hamr::buffer<double>> parts;
+      std::vector<std::vector<double>> want;
+      PackedSources(parts, want);
+      vcuda::LaunchN(vp::Platform::Get().DefaultStream(0), 1,
+                     [](std::size_t, std::size_t)
+                     { std::this_thread::sleep_for(std::chrono::milliseconds(1)); },
+                     {1.0, 0.0, "hamr_slow_probe", false});
+      std::vector<hamr::buffer<double>::part_range> ranges;
+      std::vector<hamr::buffer<double>> copies =
+        hamr::buffer<double>::packed_deep_copy(
+          PartPointers(parts), 3, hamr::stream_mode::async, &ranges);
+      ASSERT_EQ(ranges.size(), parts.size());
+      ranges.clear(); // before the slices, which wait for their transfer
+      copies.clear();
+      parts.front().synchronize();
+    }
   }
   StopCheckedThreads();
 }
