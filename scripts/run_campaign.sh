@@ -256,11 +256,13 @@ bench um_layout_sanitized.txt \
 # the packed binning record of a 4-rank mixed-op binning, the data
 # adaptor's shared per-step snapshot and the axis ranges its gather
 # folds for asynchronous binnings, its per-step axis-range table
-# (fills, hits and peers scanned where they live), and the resident
-# record reset by its compaction and reallocated on a new shape, under
-# ASan+UBSan
+# (fills, hits and peers scanned where they live), the resident record
+# reset by its compaction and reallocated on a new shape, and the
+# lockstep batch (completions queued until the step's last lockstep
+# binning, a Finalize or delete before ReleaseData running the queue
+# while readbacks are in flight), under ASan+UBSan
 ../build-sanitize/tests/testBinning \
-  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*'
+  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*:BinningBatch.*'
 # the solver's ring pass (one packed block per hop, staged through the
 # resident device buffer) against its host reference on 1 to 5 ranks,
 # the bridge's resident derived columns, a host view of a deep copy
@@ -340,6 +342,11 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 # checker on
 VP_CHECK=1 ../build-tsan/tests/testBinning \
   --gtest_filter='BinningSharedRange.CheckerCleanUnderExecThreads'
+# the lockstep batch under <exec mode="threads"> (each test selects it):
+# 4 rank threads meet in deferred AllreduceCompacts while the device
+# workers still run their readbacks, a render reads its binning
+# mid-step, and a Finalize or delete runs the queue, with the checker on
+VP_CHECK=1 ../build-tsan/tests/testBinning --gtest_filter='BinningBatch.*'
 # async and lockstep binnings reusing their resident records across
 # steps under <exec mode="threads">: consumer threads and the caller
 # take turns on each record, with the checker on

@@ -357,12 +357,15 @@ public:
   }
 
   /// Virtual duration of a dense collective moving `bytes` per rank: a
-  /// tree fan-in/out of ceil(log2(max(P, 2))) steps.
+  /// tree fan-in/out of ceil(log2(P)) steps, or on one rank the host
+  /// copy of `bytes` it is.
   double TreeSeconds(std::size_t bytes) const
   {
     const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+    if (this->Size_ == 1)
+      return static_cast<double>(bytes) / cost.H2HBandwidth;
     const double steps =
-      std::ceil(std::log2(static_cast<double>(std::max(this->Size_, 2))));
+      std::ceil(std::log2(static_cast<double>(this->Size_)));
     return steps * (cost.MessageLatency +
                     static_cast<double>(bytes) / cost.MessageBandwidth);
   }
@@ -843,11 +846,16 @@ double CompactAllreduceSeconds(const CompactShape &shape,
                                const std::vector<std::size_t> &caps)
 {
   const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
-  const std::size_t nRanks = std::max<std::size_t>(caps.size(), 2);
   const double bitmapBytes = 8.0 * static_cast<double>(shape.BitmapWords());
+  // one rank: a host copy of its record, bitmap and slots
+  if (caps.size() == 1)
+    return (bitmapBytes +
+            static_cast<double>(std::min(shape.Bins, caps[0]) *
+                                shape.Grids() * sizeof(double))) /
+           cost.H2HBandwidth;
   double seconds = 0.0;
   // round k (group = 2^(k-1)) sends what an aligned group of ranks holds
-  for (std::size_t group = 1; group < nRanks; group *= 2)
+  for (std::size_t group = 1; group < caps.size(); group *= 2)
   {
     std::size_t slots = 0;
     for (std::size_t first = 0; first < caps.size(); first += group)

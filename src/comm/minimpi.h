@@ -229,10 +229,11 @@ public:
   /// operator, an absent bin contributing the identity, so the result
   /// is bit-identical to Allreduce over the dense records. Priced from
   /// the capacities alone, never the contents, as a recursive-doubling
-  /// exchange of R = ceil(log2(max(P, 2))) rounds: round k moves the
-  /// bitmap plus min(Bins, the largest sum of caps over an aligned group
-  /// of 2^(k-1) ranks) slots, at MessageLatency + bytes /
-  /// MessageBandwidth.
+  /// exchange of R = ceil(log2(P)) rounds: round k moves the bitmap plus
+  /// min(Bins, the largest sum of caps over an aligned group of 2^(k-1)
+  /// ranks) slots, at MessageLatency + bytes / MessageBandwidth. On one
+  /// rank it is a host copy of the bitmap and min(Bins, cap) slots, at
+  /// bytes / H2HBandwidth.
   void AllreduceCompact(const CompactShape &shape, const void *compact,
                         std::size_t cap, double *dense);
 

@@ -434,6 +434,9 @@ bool ConfigurableAnalysis::Execute(DataAdaptor *data)
   bool ok = true;
   for (AnalysisAdaptor *a : this->Analyses_)
     ok = a->Execute(data) && ok;
+  // a step with fewer lockstep binnings than the last completes here
+  if (data)
+    data->FinishLockstep();
   return ok;
 }
 

@@ -3,6 +3,8 @@
 #include "svtkArrayUtils.h"
 
 #include <algorithm>
+#include <exception>
+#include <iostream>
 
 namespace sensei
 {
@@ -20,7 +22,31 @@ void Roll(Requests &requests, Requests &expected)
   expected.swap(requests);
   requests.clear();
 }
+
+void Roll(long &count, long &expected)
+{
+  if (!count)
+    return;
+  expected = count;
+  count = 0;
+}
 } // namespace
+
+DataAdaptor::~DataAdaptor()
+{
+  // a completion that throws is reported and the rest still run
+  while (!this->Lockstep_.empty())
+    try
+    {
+      this->FinishLockstep();
+    }
+    catch (const std::exception &e)
+    {
+      std::cerr << "sensei::DataAdaptor: a queued lockstep completion "
+                   "failed: "
+                << e.what() << std::endl;
+    }
+}
 
 void DataAdaptor::ReleaseData()
 {
@@ -29,10 +55,31 @@ void DataAdaptor::ReleaseData()
 
 void DataAdaptor::EndStep()
 {
+  this->FinishLockstep();
   this->Snapshots_.clear();
   this->AxisRanges_.clear();
   Roll(this->Requests_, this->Expected_);
   Roll(this->AxisRequests_, this->AxisExpected_);
+  Roll(this->LockstepCount_, this->LockstepExpected_);
+}
+
+void DataAdaptor::BatchLockstep(std::function<void()> completion)
+{
+  this->FollowStep();
+  this->Lockstep_.push_back(std::move(completion));
+  if (++this->LockstepCount_ >= this->LockstepExpected_)
+    this->FinishLockstep();
+}
+
+void DataAdaptor::FinishLockstep()
+{
+  // one at a time, so a completion that throws leaves the rest queued
+  while (!this->Lockstep_.empty())
+  {
+    std::function<void()> next = std::move(this->Lockstep_.front());
+    this->Lockstep_.pop_front();
+    next();
+  }
 }
 
 void DataAdaptor::FollowStep()

@@ -15,6 +15,8 @@
 #include "svtkHAMRDataArray.h"
 #include "svtkObjectBase.h"
 
+#include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -40,10 +42,37 @@ public:
   virtual svtkDataObject *GetMesh(const std::string &meshName) = 0;
 
   /// Invoked by the framework when analyses are done with the current
-  /// step's data; the simulation may reclaim buffers it shared. Drops
-  /// the step's snapshot and axis ranges; overrides must call this base
-  /// version.
+  /// step's data; the simulation may reclaim buffers it shared. Runs the
+  /// step's queued lockstep completions (FinishLockstep) and drops the
+  /// step's snapshot and axis ranges; overrides must call this base
+  /// version before they reclaim anything the step's analyses read.
   virtual void ReleaseData();
+
+  /// The step's lockstep batch. A lockstep DataBinning execute launches
+  /// its device work (the accumulate and compact kernels and the compact
+  /// record's readback; a host placement launches none and accumulates
+  /// in its completion) and hands its completion (the wait for that
+  /// readback, the cross-rank reduction and the stored result) here. The
+  /// call counts one lockstep binning execute of this step. While this
+  /// step's count is below the previous step's, the adaptor expects
+  /// another lockstep binning execute, and the completion is queued;
+  /// otherwise every queued completion runs, in the order queued, and
+  /// then this one. So a step's binnings launch back to back and their
+  /// collectives run while the device still works on later launches. A
+  /// lone binning (a previous count of at most 1) completes inside its
+  /// own execute. The decision reads the counts alone, never placement
+  /// or residency, so every rank of a lockstep run queues alike and
+  /// issues the same collectives in the same order. The count rolls at
+  /// the step's end like the snapshot's (a ReleaseData with no lockstep
+  /// execute since the last one keeps the expectation).
+  void BatchLockstep(std::function<void()> completion);
+
+  /// Run every queued lockstep completion, in the order queued.
+  /// ReleaseData, a step index change, the end of ConfigurableAnalysis::
+  /// Execute, DataBinning::Finalize and the adaptor's destructor call
+  /// it; a reader of a binning's result mid-step calls it first
+  /// (DataBinning::GetLastResult).
+  void FinishLockstep();
 
   /// A snapshot copy's local [min, max], as its packed copy's gather
   /// folded it (hamr::buffer::part_range): two host values, valid once
@@ -131,11 +160,14 @@ public:
 
 protected:
   DataAdaptor() = default;
-  ~DataAdaptor() override = default;
+  /// Runs the lockstep batch; a completion that throws is reported on
+  /// stderr, and the rest still run.
+  ~DataAdaptor() override;
 
 private:
-  /// Drop the snapshot's copies and the axis ranges, and make this
-  /// step's requests the next step's expectation.
+  /// Run the lockstep batch, drop the snapshot's copies and the axis
+  /// ranges, and make this step's requests and lockstep count the next
+  /// step's expectation.
   void EndStep();
 
   /// EndStep when the step index moved since the entries were made.
@@ -169,6 +201,10 @@ private:
   std::map<AxisKey, AxisRangeEntry> AxisRanges_;
   std::set<AxisKey> AxisRequests_; ///< names requested this step
   std::set<AxisKey> AxisExpected_; ///< names requested the step before
+
+  std::deque<std::function<void()>> Lockstep_; ///< queued completions
+  long LockstepCount_ = 0;    ///< lockstep binning executes this step
+  long LockstepExpected_ = 0; ///< lockstep binning executes the step before
 };
 
 /// A concrete DataAdaptor presenting a single svtkTable, used by

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <set>
@@ -63,6 +64,19 @@ DataBinning::DataBinning() = default;
 DataBinning::~DataBinning()
 {
   this->Runner_.Drain();
+  // a completion that throws is reported and the queue runs on, until
+  // this instance's own completion has run
+  while (this->Queued_)
+    try
+    {
+      this->FinishQueued();
+    }
+    catch (const std::exception &e)
+    {
+      std::cerr << "sensei::DataBinning: a queued lockstep completion "
+                   "failed: "
+                << e.what() << std::endl;
+    }
   this->ReleaseRecord();
   if (this->LastResult_)
     this->LastResult_->UnRegister();
@@ -356,6 +370,10 @@ bool DataBinning::Execute(DataAdaptor *data)
   if (!data || this->Axes_.empty())
     return false;
 
+  // a completion of this instance still queued shares the record
+  this->FinishQueued();
+  auto p = std::make_shared<Pending>();
+
   if (this->GetAsynchronous())
   {
     ScopedEvent ev("binning::execute_async_visible");
@@ -363,24 +381,47 @@ bool DataBinning::Execute(DataAdaptor *data)
     if (!this->AsyncComm_ && data->GetCommunicator())
       this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
 
-    auto in = std::make_shared<StepInputs>();
-    if (!this->GatherInputs(data, /*async=*/true, *in))
+    if (!this->GatherInputs(data, /*async=*/true, p->In))
       return false;
-    in->Comm = this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
+    p->In.Comm = this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
 
-    this->Runner_.Submit([this, in]() { this->RunBinning(*in); }, in->Bytes);
+    this->Runner_.Submit(
+      [this, p]()
+      {
+        this->LaunchBinning(*p);
+        this->CompleteBinning(*p);
+      },
+      p->In.Bytes);
     return true;
   }
 
   ScopedEvent ev("binning::execute_lockstep");
   // a task left in flight by an asynchronous execute shares the record
   this->Runner_.Drain();
-  StepInputs in;
-  if (!this->GatherInputs(data, /*async=*/false, in))
+  if (!this->GatherInputs(data, /*async=*/false, p->In))
     return false;
-  in.Comm = data->GetCommunicator();
-  this->RunBinning(in);
+  p->In.Comm = data->GetCommunicator();
+  this->LaunchBinning(*p);
+  {
+    std::lock_guard<std::mutex> lock(this->ResultMutex_);
+    this->Queued_ = data;
+  }
+  data->BatchLockstep(
+    [this, p]()
+    {
+      {
+        std::lock_guard<std::mutex> lock(this->ResultMutex_);
+        this->Queued_ = nullptr;
+      }
+      this->CompleteBinning(*p);
+    });
   return true;
+}
+
+void DataBinning::FinishQueued()
+{
+  if (this->Queued_)
+    this->Queued_->FinishLockstep();
 }
 
 std::optional<std::vector<std::string>>
@@ -399,6 +440,7 @@ DataBinning::GetColumnsRead(const std::string &mesh) const
 int DataBinning::Finalize()
 {
   this->Runner_.Drain();
+  this->FinishQueued();
   this->ReleaseRecord();
   return 0;
 }
@@ -686,10 +728,74 @@ void DataBinning::FillRanges(
   }
 }
 
-void DataBinning::RunBinning(const StepInputs &in)
+double DataBinning::OpsPerRow(const Pending &p)
 {
-  ScopedEvent ev("binning::run");
+  // index math per axis plus one atomic-ish update per grid
+  return 4.0 * static_cast<double>(p.Lo.size()) +
+         3.0 * static_cast<double>(p.RedOps.size() + 1);
+}
 
+auto DataBinning::AccumulateBody(const Pending &p, std::size_t block,
+                                 double *rec)
+{
+  // the accumulation body over the packed record at `rec`: bin index from
+  // the coordinate columns, then a counter increment plus each reduction
+  // (segment 1 + k takes valp[k]) — the updates that need atomics on a
+  // real GPU. Every placement, strategy and exec mode runs this body over
+  // the same rows in the same order, so the grids are bit-exact across
+  // all of them.
+  const std::size_t nAxes = p.Lo.size();
+  const std::size_t nRed = p.RedOps.size();
+  const std::size_t nBins = p.Shape.Bins;
+  const BinningOp *kn = p.Kinds.data();
+  const long *res = p.Res.data();
+  const double *scale = p.Scale.data();
+  const double *shift = p.Shift.data();
+  const double *const *axp = p.Ax[block].data();
+  const double *const *valp = p.Vals[block].data();
+  return [=](std::size_t b, std::size_t e)
+  {
+    for (std::size_t i = b; i < e; ++i)
+    {
+      std::size_t idx = 0;
+      std::size_t strideAcc = 1;
+      for (std::size_t a = 0; a < nAxes; ++a)
+      {
+        long bi = static_cast<long>((axp[a][i] - shift[a]) * scale[a]);
+        bi = std::clamp(bi, 0L, res[a] - 1);
+        idx += static_cast<std::size_t>(bi) * strideAcc;
+        strideAcc *= static_cast<std::size_t>(res[a]);
+      }
+      rec[idx] += 1.0;
+      for (std::size_t k = 0; k < nRed; ++k)
+      {
+        double &cell = rec[(1 + k) * nBins + idx];
+        const double v = valp[k][i];
+        switch (kn[1 + k])
+        {
+          case BinningOp::Sum:
+          case BinningOp::Average:
+            cell += v;
+            break;
+          case BinningOp::Min:
+            cell = std::min(cell, v);
+            break;
+          case BinningOp::Max:
+            cell = std::max(cell, v);
+            break;
+          default:
+            break;
+        }
+      }
+    }
+  };
+}
+
+void DataBinning::LaunchBinning(Pending &p)
+{
+  ScopedEvent ev("binning::launch");
+
+  const StepInputs &in = p.In;
   const std::size_t nAxes = this->Axes_.size();
   const std::size_t nBlocks = in.Blocks.size();
 
@@ -698,38 +804,41 @@ void DataBinning::RunBinning(const StepInputs &in)
     vcuda::SetDevice(in.Device);
 
   // reductions to perform (count is implicit)
-  std::vector<Operation> redOps;
   for (const Operation &op : this->Ops_)
     if (op.Kind != BinningOp::Count)
-      redOps.push_back(op);
-  const std::size_t nRed = redOps.size();
+      p.RedOps.push_back(op);
+  const std::size_t nRed = p.RedOps.size();
 
   // --- the packed grid record: one buffer [count | seg 1 | ... | seg nRed]
   // of nGrids x nBins doubles, segment 1 + k holding reduction k;
   // kinds[g] is the kind of segment g
   const std::size_t nGrids = 1 + nRed;
-  std::vector<BinningOp> kinds(nGrids, BinningOp::Count);
+  std::vector<BinningOp> &kinds = p.Kinds;
+  kinds.assign(nGrids, BinningOp::Count);
   for (std::size_t k = 0; k < nRed; ++k)
-    kinds[1 + k] = redOps[k].Kind;
+    kinds[1 + k] = p.RedOps[k].Kind;
+  p.Res = this->Resolution_;
 
   // --- inputs at the target location, acquired exactly once per column
   // (the access API moves a lockstep column at most once per execute;
   // an asynchronous snapshot already lives there, so its view is
   // zero-copy; both the range scan and the accumulation use the same
   // view)
-  std::map<const svtkHAMRDoubleArray *, std::shared_ptr<const double>> views;
   auto acquire =
     [&](const svtkHAMRDoubleArray *col) -> const double *
   {
-    auto it = views.find(col);
-    if (it == views.end())
-      it = views.emplace(col, col->GetDeviceAccessible(in.Device)).first;
+    auto it = p.Views.find(col);
+    if (it == p.Views.end())
+      it = p.Views.emplace(col, col->GetDeviceAccessible(in.Device)).first;
     return it->second.get();
   };
 
-  std::vector<std::size_t> rows(nBlocks, 0);
-  std::vector<std::vector<const double *>> ax(nBlocks);
-  std::vector<std::vector<const double *>> vals(nBlocks);
+  std::vector<std::size_t> &rows = p.Rows;
+  std::vector<std::vector<const double *>> &ax = p.Ax;
+  std::vector<std::vector<const double *>> &vals = p.Vals;
+  rows.assign(nBlocks, 0);
+  ax.resize(nBlocks);
+  vals.resize(nBlocks);
   for (std::size_t b = 0; b < nBlocks; ++b)
   {
     const BlockInput &blk = in.Blocks[b];
@@ -749,7 +858,9 @@ void DataBinning::RunBinning(const StepInputs &in)
 
   // --- axis bounds: fixed, or the global range of the data over every
   // block and rank ---
-  std::vector<double> lo(nAxes), hi(nAxes);
+  std::vector<double> &lo = p.Lo, &hi = p.Hi;
+  lo.resize(nAxes);
+  hi.resize(nAxes);
   std::vector<std::size_t> autoAxes;
   for (std::size_t a = 0; a < nAxes; ++a)
   {
@@ -769,9 +880,9 @@ void DataBinning::RunBinning(const StepInputs &in)
     autoAxes.push_back(a);
   }
 
-  vcuda::stream_t strm;
   if (onDevice)
-    strm = vcuda::StreamCreate();
+    p.Strm = vcuda::StreamCreate();
+  const vcuda::stream_t &strm = p.Strm;
 
   // lockstep: the adaptor's table, filled on a miss before the step-graph
   // scope opens, so the captured graph has one shape whether this
@@ -796,13 +907,15 @@ void DataBinning::RunBinning(const StepInputs &in)
   std::size_t nBins = 1;
   for (std::size_t a = 0; a < nAxes; ++a)
     nBins *= static_cast<std::size_t>(this->Resolution_[a]);
-  minimpi::CompactShape shape{nBins, {}};
+  minimpi::CompactShape &shape = p.Shape;
+  shape.Bins = nBins;
   for (BinningOp k : kinds)
     shape.Ops.push_back(ReduceOp(k));
   std::size_t cap = 0;
   for (std::size_t b = 0; b < nBlocks; ++b)
     cap += rows[b];
   cap = std::min(cap, nBins);
+  p.Cap = cap;
   const std::size_t compactBytes = shape.Bytes(cap);
   this->PrepareRecord(in.Device, nBins, kinds, compactBytes, strm);
 
@@ -862,14 +975,13 @@ void DataBinning::RunBinning(const StepInputs &in)
   double *scratch = onDevice && !units.empty()
                       ? this->ScanScratch(in.Device, units.size())
                       : nullptr;
-  std::vector<double> &record = this->Record_.Host;
-  std::vector<double> &compact = this->Record_.Compact;
 
   // --- captured step-graph session: the whole device DAG below runs on
   // one private stream; capture it once, then replay it with pointer
   // rebinding on later steps (see src/graph). The scope opens after the
   // input views settle (their movement is data-dependent, not part of
-  // the recurring step shape) and closes when this function returns.
+  // the recurring step shape) and closes when this function returns,
+  // before the completion waits for the stream.
   std::optional<vp::graph::StepScope> graphScope;
   if (onDevice && vp::graph::Enabled())
   {
@@ -896,186 +1008,152 @@ void DataBinning::RunBinning(const StepInputs &in)
   }
 
   // --- bin geometry ----------------------------------------------------------
-  std::vector<double> scale(nAxes), shift(nAxes);
+  p.Scale.resize(nAxes);
+  p.Shift.resize(nAxes);
   for (std::size_t a = 0; a < nAxes; ++a)
   {
-    scale[a] = static_cast<double>(this->Resolution_[a]) / (hi[a] - lo[a]);
-    shift[a] = lo[a];
+    p.Scale[a] = static_cast<double>(p.Res[a]) / (hi[a] - lo[a]);
+    p.Shift[a] = lo[a];
   }
 
+  // a host placement accumulates in its completion
+  if (!onDevice)
+    return;
+
+  // the resident device record, accumulated with atomics (AtomicFraction
+  // models the contention the paper identifies as binning's GPU
+  // weakness), then compacted and read back once. The kernel bodies
+  // capture pointers into `p`, which lives until the completion has
+  // synchronized the stream.
   const std::size_t recLen = nGrids * nBins;
-  const BinningOp *kn = kinds.data();
-  const std::size_t nAxesC = nAxes;
-  const std::size_t nRedC = nRed;
-  const long *resPtr = this->Resolution_.data();
-  const double *scalePtr = scale.data();
-  const double *shiftPtr = shift.data();
-
-  // the accumulation body over the packed record at `rec`: bin index from
-  // the coordinate columns, then a counter increment plus each reduction
-  // (segment 1 + k takes valp[k]) — the updates that need atomics on a
-  // real GPU. Every placement, strategy and exec mode runs this body
-  // over the same rows in the same order, so the grids are bit-exact
-  // across all of them.
-  auto makeBody = [=](double *rec, const double *const *axp,
-                      const double *const *valp)
+  double *dRec = this->Record_.DeviceRec;
+  void *dCompact = this->Record_.DeviceCompact;
+  const bool privatized = this->GpuStrategy_ == GpuBinningStrategy::Privatized;
+  const double ops = OpsPerRow(p);
+  bool accumulated = false;
+  for (std::size_t b = 0; b < nBlocks; ++b)
   {
-    return [=](std::size_t b, std::size_t e)
+    if (!rows[b])
+      continue;
+    accumulated = true;
+    // global atomics is the implementation the paper evaluated: every bin
+    // update is a global atomic, so contention throttles the device.
+    // Privatized uses per-thread-block shared-memory histograms, making
+    // the accumulation nearly streaming; on real hardware that changes
+    // scheduling, not arithmetic, so the body is the same and only the
+    // atomic fraction differs.
+    vcuda::LaunchN(
+      strm, rows[b], AccumulateBody(p, b, dRec),
+      privatized ? vcuda::LaunchBounds{ops, 0.05, "binning_accum_privatized"}
+                 : vcuda::LaunchBounds{ops, 0.6, "binning_accum"});
+  }
+  if (accumulated && privatized)
+  {
+    // the merge of the private copies: each bin gathers them. The
+    // accumulation already wrote the final record, so this body-less
+    // kernel only charges the merge's virtual cost.
+    constexpr double PrivateCopies = 64.0;
+    vcuda::LaunchN(
+      strm, recLen, vp::KernelFn(),
+      vcuda::LaunchBounds{PrivateCopies, 0.0, "binning_merge_privatized"});
+  }
+  // compact the record on the device and write the bins it packed back to
+  // their identities, leaving the record as it was initialized; the pack
+  // reads every bin and the reset writes at most cap of them, so both are
+  // priced from capacities. Then one stream-ordered readback of the
+  // compact buffer on the private stream (the default stream is shared
+  // with the simulation and would splice foreign work into the captured
+  // graph), which the completion waits for.
+  vcuda::LaunchN(
+    strm, nBins,
+    [&shape, cap, dRec, dCompact](std::size_t, std::size_t)
     {
-      for (std::size_t i = b; i < e; ++i)
-      {
-        std::size_t idx = 0;
-        std::size_t strideAcc = 1;
-        for (std::size_t a = 0; a < nAxesC; ++a)
-        {
-          long bi =
-            static_cast<long>((axp[a][i] - shiftPtr[a]) * scalePtr[a]);
-          bi = std::clamp(bi, 0L, resPtr[a] - 1);
-          idx += static_cast<std::size_t>(bi) * strideAcc;
-          strideAcc *= static_cast<std::size_t>(resPtr[a]);
-        }
-        rec[idx] += 1.0;
-        for (std::size_t k = 0; k < nRedC; ++k)
-        {
-          double &cell = rec[(1 + k) * nBins + idx];
-          const double v = valp[k][i];
-          switch (kn[1 + k])
-          {
-            case BinningOp::Sum:
-            case BinningOp::Average:
-              cell += v;
-              break;
-            case BinningOp::Min:
-              cell = std::min(cell, v);
-              break;
-            case BinningOp::Max:
-              cell = std::max(cell, v);
-              break;
-            default:
-              break;
-          }
-        }
-      }
-    };
-  };
+      minimpi::PackCompact(shape, dRec, cap, dCompact);
+      minimpi::ResetCompacted(shape, dCompact, dRec);
+    },
+    vcuda::LaunchBounds{static_cast<double>(nGrids) *
+                          static_cast<double>(nBins + cap) /
+                          static_cast<double>(nBins),
+                        0.0, "binning_compact"});
+  vcuda::MemcpyAsync(this->Record_.Compact.data(), dCompact, compactBytes,
+                     strm);
+}
 
-  // cost of one row: index math per axis plus one atomic-ish update per grid
-  const double opsPerRow = 4.0 * static_cast<double>(nAxes) +
-                           3.0 * static_cast<double>(nRed + 1);
+void DataBinning::CompleteBinning(Pending &p)
+{
+  ScopedEvent ev("binning::complete");
+
+  const StepInputs &in = p.In;
+  const std::size_t nAxes = p.Lo.size();
+  const std::size_t nBins = p.Shape.Bins;
+  const std::size_t nGrids = p.Kinds.size();
+  const std::vector<double> &lo = p.Lo, &hi = p.Hi;
+  const bool onDevice = in.Device >= 0;
+  std::vector<double> &record = this->Record_.Host;
+  std::vector<double> &compact = this->Record_.Compact;
   if (onDevice)
   {
-    // the resident device record, accumulated with atomics
-    // (AtomicFraction models the contention the paper identifies as
-    // binning's GPU weakness), then compacted and read back once
-    double *dRec = this->Record_.DeviceRec;
-    void *dCompact = this->Record_.DeviceCompact;
-    const bool privatized =
-      this->GpuStrategy_ == GpuBinningStrategy::Privatized;
-    bool accumulated = false;
-    for (std::size_t b = 0; b < nBlocks; ++b)
-    {
-      if (!rows[b])
-        continue;
-      accumulated = true;
-      // global atomics is the implementation the paper evaluated: every
-      // bin update is a global atomic, so contention throttles the
-      // device. Privatized uses per-thread-block shared-memory
-      // histograms, making the accumulation nearly streaming; on real
-      // hardware that changes scheduling, not arithmetic, so the body
-      // is the same and only the atomic fraction differs.
-      vcuda::LaunchN(
-        strm, rows[b], makeBody(dRec, ax[b].data(), vals[b].data()),
-        privatized
-          ? vcuda::LaunchBounds{opsPerRow, 0.05, "binning_accum_privatized"}
-          : vcuda::LaunchBounds{opsPerRow, 0.6, "binning_accum"});
-    }
-    if (accumulated && privatized)
-    {
-      // the merge of the private copies: each bin gathers them. The
-      // accumulation already wrote the final record, so this body-less
-      // kernel only charges the merge's virtual cost.
-      constexpr double PrivateCopies = 64.0;
-      vcuda::LaunchN(strm, recLen, vp::KernelFn(),
-                     vcuda::LaunchBounds{PrivateCopies, 0.0,
-                                         "binning_merge_privatized"});
-    }
-    // compact the record on the device and write the bins it packed back
-    // to their identities, leaving the record as it was initialized; the
-    // pack reads every bin and the reset writes at most cap of them, so
-    // both are priced from capacities. Then one stream-ordered readback
-    // of the compact buffer on the private stream (the default stream is
-    // shared with the simulation and would splice foreign work into the
-    // captured graph).
-    vcuda::LaunchN(
-      strm, nBins,
-      [&shape, cap, dRec, dCompact](std::size_t, std::size_t)
-      {
-        minimpi::PackCompact(shape, dRec, cap, dCompact);
-        minimpi::ResetCompacted(shape, dCompact, dRec);
-      },
-      vcuda::LaunchBounds{static_cast<double>(nGrids) *
-                            static_cast<double>(nBins + cap) /
-                            static_cast<double>(nBins),
-                          0.0, "binning_compact"});
-    vcuda::MemcpyAsync(compact.data(), dCompact, compactBytes, strm);
-    vcuda::StreamSynchronize(strm);
+    vcuda::StreamSynchronize(p.Strm);
   }
   else
   {
-    FillInit(kn, nBins, record.data(), 0, recLen);
-    for (std::size_t b = 0; b < nBlocks; ++b)
-      if (rows[b])
+    // a host placement accumulates here rather than at its launch: the
+    // caller's thread has no device work to overlap, and between the
+    // step's collectives the ranks' claims on the shared host pool
+    // interleave as they do when every execute completes at once
+    FillInit(p.Kinds.data(), nBins, record.data(), 0, nGrids * nBins);
+    for (std::size_t b = 0; b < p.Rows.size(); ++b)
+      if (p.Rows[b])
         vp::Platform::Get().HostParallelFor(
-          vp::KernelDesc{rows[b], opsPerRow, 0.15, "binning_accum_host"},
-          makeBody(record.data(), ax[b].data(), vals[b].data()));
+          vp::KernelDesc{p.Rows[b], OpsPerRow(p), 0.15,
+                         "binning_accum_host"},
+          AccumulateBody(p, b, record.data()));
+    // a host record crosses ranks in the compact form too
+    if (in.Comm)
+      vp::Platform::Get().HostParallelFor(
+        vp::KernelDesc{nBins, static_cast<double>(nGrids), 0.0,
+                       "binning_compact_host"},
+        [&p, &record, &compact](std::size_t, std::size_t)
+        {
+          minimpi::PackCompact(p.Shape, record.data(), p.Cap,
+                               compact.data());
+        });
   }
 
   // --- the result arrays, in the configured op order: the cross-rank
   // reduction of the compact records writes each segment straight into
-  // its array, folded in rank order with the segment's operator. A host
-  // record is compacted here; without a communicator it is already final
-  // and is copied, and a device one only needs expanding.
+  // its array, folded in rank order with the segment's operator. Without
+  // a communicator a host record is already final and is copied, and a
+  // device one only needs expanding.
   std::vector<svtkSmartPtr<svtkAOSDoubleArray>> arrays(nGrids);
   std::vector<double *> segs(nGrids);
   for (std::size_t k = 0; k < nGrids; ++k)
   {
     arrays[k] = svtkSmartPtr<svtkAOSDoubleArray>::Take(svtkAOSDoubleArray::New(
-      k ? redOps[k - 1].Column + "_" + BinningOpName(redOps[k - 1].Kind)
+      k ? p.RedOps[k - 1].Column + "_" + BinningOpName(p.RedOps[k - 1].Kind)
         : std::string("count")));
     arrays[k]->GetVector().resize(nBins);
     segs[k] = arrays[k]->GetVector().data();
   }
   if (in.Comm)
-  {
-    if (!onDevice)
-      vp::Platform::Get().HostParallelFor(
-        vp::KernelDesc{nBins, static_cast<double>(nGrids), 0.0,
-                       "binning_compact_host"},
-        [&shape, cap, &record, &compact](std::size_t, std::size_t)
-        { minimpi::PackCompact(shape, record.data(), cap, compact.data()); });
-    in.Comm->AllreduceCompact(shape, compact.data(), cap, segs.data());
-  }
+    in.Comm->AllreduceCompact(p.Shape, compact.data(), p.Cap, segs.data());
   else if (onDevice)
-  {
-    minimpi::UnpackCompact(shape, compact.data(), cap, segs.data());
-  }
+    minimpi::UnpackCompact(p.Shape, compact.data(), p.Cap, segs.data());
   else
-  {
     for (std::size_t k = 0; k < nGrids; ++k)
       std::copy_n(record.data() + k * nBins, nBins, segs[k]);
-  }
 
   // finalize averages, clean empty bins of min/max
   const double *cnt = segs[0];
   for (std::size_t g = 1; g < nGrids; ++g)
   {
     double *seg = segs[g];
-    if (kinds[g] == BinningOp::Average)
+    if (p.Kinds[g] == BinningOp::Average)
     {
       for (std::size_t i = 0; i < nBins; ++i)
         seg[i] = cnt[i] > 0.0 ? seg[i] / cnt[i] : 0.0;
     }
-    else if (kinds[g] == BinningOp::Min || kinds[g] == BinningOp::Max)
+    else if (p.Kinds[g] == BinningOp::Min || p.Kinds[g] == BinningOp::Max)
     {
       for (std::size_t i = 0; i < nBins; ++i)
         if (cnt[i] == 0.0)
@@ -1084,17 +1162,16 @@ void DataBinning::RunBinning(const StepInputs &in)
   }
 
   // --- package the result -----------------------------------------------------
+  const std::vector<long> &res = p.Res;
   svtkImageData *image = svtkImageData::New();
-  image->SetDimensions(static_cast<int>(this->Resolution_[0]),
-                       nAxes > 1 ? static_cast<int>(this->Resolution_[1]) : 1,
-                       nAxes > 2 ? static_cast<int>(this->Resolution_[2]) : 1);
+  image->SetDimensions(static_cast<int>(res[0]),
+                       nAxes > 1 ? static_cast<int>(res[1]) : 1,
+                       nAxes > 2 ? static_cast<int>(res[2]) : 1);
   image->SetOrigin(lo[0], nAxes > 1 ? lo[1] : 0.0, nAxes > 2 ? lo[2] : 0.0);
   image->SetSpacing(
-    (hi[0] - lo[0]) / static_cast<double>(this->Resolution_[0]),
-    nAxes > 1 ? (hi[1] - lo[1]) / static_cast<double>(this->Resolution_[1])
-              : 1.0,
-    nAxes > 2 ? (hi[2] - lo[2]) / static_cast<double>(this->Resolution_[2])
-              : 1.0);
+    (hi[0] - lo[0]) / static_cast<double>(res[0]),
+    nAxes > 1 ? (hi[1] - lo[1]) / static_cast<double>(res[1]) : 1.0,
+    nAxes > 2 ? (hi[2] - lo[2]) / static_cast<double>(res[2]) : 1.0);
   for (const auto &a : arrays)
     image->GetPointData()->AddArray(a.Get());
 
@@ -1123,6 +1200,11 @@ void DataBinning::StoreResult(svtkImageData *image)
 svtkImageData *DataBinning::GetLastResult() const
 {
   std::lock_guard<std::mutex> lock(this->ResultMutex_);
+  if (this->Queued_)
+    throw std::logic_error(
+      "DataBinning::GetLastResult: this step's result is still queued in "
+      "the adaptor's lockstep batch; call DataAdaptor::FinishLockstep() "
+      "first");
   if (this->LastResult_)
     this->LastResult_->Register();
   return this->LastResult_;

@@ -132,15 +132,27 @@ public:
   std::optional<std::vector<std::string>>
   GetColumnsRead(const std::string &mesh) const override;
   void DrainAsync() override { this->Runner_.Drain(); }
-  /// Drain, then free the record's device buffers (an execute after
-  /// Finalize allocates them again).
+  /// Drain, run a lockstep completion still queued (with every one
+  /// queued before it), then free the record's device buffers (an
+  /// execute after Finalize allocates them again).
   int Finalize() override;
 
   /// The most recent result: a uniform mesh whose point data holds one
   /// array per configured operation (named "<column>_<op>", plus
   /// "count"). Returns a new reference, or nullptr before the first
-  /// completed Execute. For asynchronous execution the result trails the
-  /// simulation by up to one in-flight step.
+  /// completed Execute. When a result is complete depends on the method:
+  /// - lockstep: when the step's lockstep batch runs this execute's
+  ///   completion (DataAdaptor::BatchLockstep). That is inside Execute
+  ///   for a lone binning (the previous step ran at most one lockstep
+  ///   binning execute on the adaptor), and otherwise at the step's last
+  ///   lockstep binning execute, ReleaseData, a step index change, the
+  ///   end of ConfigurableAnalysis::Execute or DataAdaptor::
+  ///   FinishLockstep(), whichever comes first. While the completion is
+  ///   still queued this throws std::logic_error rather than return the
+  ///   previous step's grid: a reader mid-step calls FinishLockstep()
+  ///   on the adaptor first;
+  /// - asynchronous: when the task has run, so the result trails the
+  ///   simulation by up to one in-flight step.
   svtkImageData *GetLastResult() const;
 
   /// Number of completed binning executions.
@@ -205,8 +217,50 @@ private:
     std::vector<FillColumn> Fill;
   };
 
+  /// One execute between its two halves. LaunchBinning fills it and
+  /// CompleteBinning consumes it; it keeps alive, until the completion
+  /// has synchronized Strm, the inputs and views the launched kernels
+  /// read and everything their bodies capture.
+  struct Pending
+  {
+    StepInputs In;
+    std::map<const svtkHAMRDoubleArray *, std::shared_ptr<const double>>
+      Views;
+    std::vector<std::size_t> Rows; ///< per block
+    std::vector<std::vector<const double *>> Ax, Vals;
+    std::vector<Operation> RedOps;
+    std::vector<BinningOp> Kinds; ///< one per segment
+    std::vector<long> Res;
+    std::vector<double> Lo, Hi, Scale, Shift;
+    minimpi::CompactShape Shape;
+    std::size_t Cap = 0;
+    vp::Stream Strm; ///< the device placement's private stream
+  };
+
   bool GatherInputs(DataAdaptor *data, bool async, StepInputs &in);
-  void RunBinning(const StepInputs &in);
+
+  /// The launch half: views, axis ranges (a lockstep fill, or an
+  /// asynchronous task's reduction of its snapshot's ranges) and bin
+  /// geometry, then on a device the accumulate and compact kernels and
+  /// the compact record's readback, submitted on p.Strm and not waited
+  /// for.
+  void LaunchBinning(Pending &p);
+
+  /// The completion half: wait for p.Strm (on the host: accumulate and
+  /// compact), reduce the compact record across ranks (AllreduceCompact)
+  /// into the result arrays, finalize averages and empty bins, write the
+  /// output file and store the result.
+  void CompleteBinning(Pending &p);
+
+  /// The accumulation kernel body of block `block` of `p` over the
+  /// packed record at `rec`, and its price per row.
+  static auto AccumulateBody(const Pending &p, std::size_t block,
+                             double *rec);
+  static double OpsPerRow(const Pending &p);
+
+  /// Run this instance's queued lockstep completion (and, in order,
+  /// every one queued before it on the same adaptor).
+  void FinishQueued();
 
   /// The lockstep fill: scan every column of in.Fill in one pass (the
   /// axes through the execute's views `ax`, the peers resident on the
@@ -227,10 +281,11 @@ private:
   /// reduction (or, alone, the unpack) of the compact record writes each
   /// segment straight into its result array, so a device placement has
   /// no dense record on the host. The compact buffers grow to the
-  /// largest capacity seen. Nothing locks them: two RunBinning calls of
-  /// one instance never overlap (one consumer per pipeline, lockstep on
-  /// the caller's thread after a drain), and Finalize and the destructor
-  /// drain before they free.
+  /// largest capacity seen. Nothing locks them: two executes of one
+  /// instance never overlap (one consumer per pipeline; an execute first
+  /// runs its instance's queued lockstep completion, and a lockstep one
+  /// drains the pipeline), and Finalize and the destructor drain and
+  /// finish before they free.
   struct Record
   {
     int Device = DEVICE_HOST;     ///< where DeviceRec and DeviceCompact live
@@ -302,6 +357,9 @@ private:
   mutable std::mutex ResultMutex_;
   svtkImageData *LastResult_ = nullptr;
   long ExecuteCount_ = 0;
+  /// The adaptor whose lockstep batch holds this instance's completion,
+  /// or null when none is queued.
+  DataAdaptor *Queued_ = nullptr;
 };
 
 } // namespace sensei

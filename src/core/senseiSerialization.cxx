@@ -193,6 +193,68 @@ std::size_t TableValueBytes(const svtkTable *table)
   return bytes;
 }
 
+namespace
+{
+/// `cols` merged into one host array of T, or null unless every one is a
+/// host AOS array of T.
+template <typename T>
+svtkDataArray *MergeAs(const std::string &name, int comps,
+                       const std::vector<const svtkDataArray *> &cols)
+{
+  std::vector<const svtkAOSDataArray<T> *> typed;
+  for (const svtkDataArray *col : cols)
+  {
+    const auto *t = dynamic_cast<const svtkAOSDataArray<T> *>(col);
+    if (!t)
+      return nullptr;
+    typed.push_back(t);
+  }
+  auto *merged = svtkAOSDataArray<T>::New(name);
+  merged->SetNumberOfComponents(comps);
+  for (const svtkAOSDataArray<T> *t : typed)
+    merged->GetVector().insert(merged->GetVector().end(),
+                               t->GetVector().begin(), t->GetVector().end());
+  return merged;
+}
+
+/// `cols` merged in their native scalar type when every one is a host
+/// AOS array of `type`, and widened to f64 otherwise.
+svtkDataArray *Merge(const std::string &name, int comps, svtkScalarType type,
+                     const std::vector<const svtkDataArray *> &cols)
+{
+  svtkDataArray *merged = nullptr;
+  switch (type)
+  {
+    case svtkScalarType::Float32:
+      merged = MergeAs<float>(name, comps, cols);
+      break;
+    case svtkScalarType::Float64:
+      merged = MergeAs<double>(name, comps, cols);
+      break;
+    case svtkScalarType::Int32:
+      merged = MergeAs<int>(name, comps, cols);
+      break;
+    case svtkScalarType::Int64:
+      merged = MergeAs<long long>(name, comps, cols);
+      break;
+    case svtkScalarType::UInt8:
+      merged = MergeAs<unsigned char>(name, comps, cols);
+      break;
+  }
+  if (merged)
+    return merged;
+  svtkAOSDoubleArray *wide = svtkAOSDoubleArray::New(name);
+  wide->SetNumberOfComponents(comps);
+  for (const svtkDataArray *col : cols)
+  {
+    const std::vector<double> values = svtkToDoubleVector(col);
+    wide->GetVector().insert(wide->GetVector().end(), values.begin(),
+                             values.end());
+  }
+  return wide;
+}
+} // namespace
+
 svtkTable *ConcatenateTables(const std::vector<svtkTable *> &parts)
 {
   svtkTable *out = svtkTable::New();
@@ -205,25 +267,23 @@ svtkTable *ConcatenateTables(const std::vector<svtkTable *> &parts)
   for (int c = 0; c < nCols; ++c)
   {
     const svtkDataArray *proto = first->GetColumn(c);
-    svtkAOSDoubleArray *merged = svtkAOSDoubleArray::New(proto->GetName());
-    merged->SetNumberOfComponents(proto->GetNumberOfComponents());
-
+    std::vector<const svtkDataArray *> cols;
     for (svtkTable *part : parts)
     {
       const svtkDataArray *col =
         part ? part->GetColumnByName(proto->GetName()) : nullptr;
       if (!col || col->GetNumberOfComponents() != proto->GetNumberOfComponents())
       {
-        merged->Delete();
         out->UnRegister();
         throw std::runtime_error(
           "ConcatenateTables: schema mismatch for column '" +
           proto->GetName() + "'");
       }
-      const std::vector<double> values = svtkToDoubleVector(col);
-      merged->GetVector().insert(merged->GetVector().end(), values.begin(),
-                                 values.end());
+      cols.push_back(col);
     }
+    svtkDataArray *merged = Merge(proto->GetName(),
+                                  proto->GetNumberOfComponents(),
+                                  proto->GetScalarType(), cols);
     out->AddColumn(merged);
     merged->Delete();
   }

@@ -58,9 +58,13 @@ std::size_t TableValueBytes(const svtkTable *table);
 
 /// Merge rows of several tables with identical schemas (same column
 /// names, components, order) into one host-resident table. Used by the
-/// in transit endpoint to assemble the blocks it receives. The caller
-/// owns the returned reference. Throws std::runtime_error on schema
-/// mismatch; an empty input list yields an empty table.
+/// in transit endpoint to assemble the blocks it receives. A column
+/// keeps its native scalar type when every part holds it as a host AOS
+/// array of that type (as DeserializeTableCompressed makes them), and
+/// is widened to f64 otherwise (a type mismatch between parts, or
+/// another array flavour). The caller owns the returned reference.
+/// Throws std::runtime_error on schema mismatch; an empty input list
+/// yields an empty table.
 svtkTable *ConcatenateTables(const std::vector<svtkTable *> &parts);
 
 } // namespace sensei

@@ -262,7 +262,11 @@ bool RenderAnalysis::Execute(sensei::DataAdaptor *data)
   // one placement for the render and its binning: an explicit device
   // (SetDeviceId, the XML device attribute or a steer) places both
   this->Binning_->SetDeviceId(this->GetDeviceId());
-  if (!this->Binning_->Execute(data))
+  const bool binned = this->Binning_->Execute(data);
+  // a lockstep binning's completion may wait in the step's batch
+  if (data)
+    data->FinishLockstep();
+  if (!binned)
     return false;
 
   svtkImageData *img = this->Binning_->GetLastResult();

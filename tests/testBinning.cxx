@@ -9,9 +9,11 @@
 // binning keeps across steps (reset by its compaction, reallocated on a
 // new shape), and file output.
 
+#include "campaign.h"
 #include "execEngine.h"
 #include "graphCapture.h"
 #include "minimpi.h"
+#include "newtonDriver.h"
 #include "schedPipeline.h"
 #include "senseiAutocorrelation.h"
 #include "senseiConfigurableAnalysis.h"
@@ -24,6 +26,7 @@
 #include "vpChecker.h"
 #include "vpClock.h"
 #include "vpPlatform.h"
+#include "vizRender.h"
 
 #include <gtest/gtest.h>
 
@@ -988,6 +991,7 @@ TEST(BinningSnapshot, DataChangedAfterReleaseReachesTheNextStep)
       ASSERT_TRUE(async[i]->Execute(da));
       async[i]->DrainAsync();
       ASSERT_TRUE(lock[i]->Execute(da));
+      da->FinishLockstep();
       EXPECT_EQ(AllGrids(async[i]), AllGrids(lock[i]))
         << "binning " << i << " step " << step;
     }
@@ -1658,6 +1662,7 @@ void ExpectSharedMatchesFresh(int ranks,
           fresh->SetDataTimeStep(step);
           DataBinning *ref = binnings[i](r);
           EXPECT_TRUE(ref->Execute(fresh));
+          da->FinishLockstep();
           EXPECT_EQ(ResultBits(shared[i]), ResultBits(ref))
             << "rank " << r << " step " << step << " binning " << i;
           ref->Delete();
@@ -2735,4 +2740,462 @@ TEST(BinningResident, CheckerCleanUnderExecThreads)
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
   vp::check::Enable(false);
   vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+// --- the lockstep batch -------------------------------------------------------
+
+namespace
+{
+/// Run `binnings` on `ranks` ranks (scheduled in lockstep unless exec
+/// threads are on), step s running the binnings `running[s]` in that
+/// order, twice per rank: a batched chain that executes them and then
+/// releases the step, and a chain on its own adaptor that calls
+/// FinishLockstep() after every execute. After each step every grid,
+/// origin and spacing of the batched chain equals the finished chain's
+/// bit for bit, and a step's first execute is still queued after it
+/// returns when the previous step ran more than one.
+void ExpectBatchMatchesFinished(
+  int ranks, const std::vector<BinningFactory> &binnings,
+  const std::function<svtkDataObject *(int, long)> &mesh,
+  const std::vector<std::vector<std::size_t>> &running,
+  const std::string &what)
+{
+  minimpi::LaunchOptions lo;
+  lo.Ranks = ranks;
+  lo.Lockstep = !vp::exec::ThreadsEnabled();
+  minimpi::Run(
+    lo,
+    [&](minimpi::Communicator &comm)
+    {
+      const int r = comm.Rank();
+      std::vector<DataBinning *> batched, finished;
+      for (const BinningFactory &make : binnings)
+      {
+        batched.push_back(make(r));
+        finished.push_back(make(r));
+      }
+      MeshAdaptor *batch = MeshAdaptor::New();
+      MeshAdaptor *each = MeshAdaptor::New();
+      for (MeshAdaptor *da : {batch, each})
+        da->SetCommunicator(&comm);
+      for (long step = 0; step < static_cast<long>(running.size()); ++step)
+      {
+        const std::vector<std::size_t> &run =
+          running[static_cast<std::size_t>(step)];
+        svtkDataObject *m = mesh(r, step);
+        for (MeshAdaptor *da : {batch, each})
+        {
+          da->SetMesh(m);
+          da->SetDataTimeStep(step);
+        }
+        for (std::size_t i : run)
+        {
+          EXPECT_TRUE(batched[i]->Execute(batch));
+          if (i == run[0] && step &&
+              running[static_cast<std::size_t>(step - 1)].size() > 1)
+          {
+            EXPECT_THROW(batched[i]->GetLastResult(), std::logic_error)
+              << what << " rank " << r << " step " << step;
+          }
+        }
+        batch->ReleaseData();
+        for (std::size_t i : run)
+        {
+          EXPECT_TRUE(finished[i]->Execute(each));
+          each->FinishLockstep();
+        }
+        each->ReleaseData();
+        m->UnRegister();
+        for (std::size_t i : run)
+          EXPECT_EQ(ResultBits(batched[i]), ResultBits(finished[i]))
+            << what << " rank " << r << " step " << step << " binning " << i;
+      }
+      for (DataBinning *b : batched)
+        b->Delete();
+      for (DataBinning *b : finished)
+        b->Delete();
+      batch->Delete();
+      each->Delete();
+    });
+}
+
+/// Run `body(what)` in every exec mode x graph setting, restoring serial
+/// eager execution afterwards.
+void ForEachExecGraph(const std::function<void(const std::string &)> &body)
+{
+  for (bool threads : {false, true})
+    for (bool graph : {false, true})
+    {
+      ResetPlatform();
+      vp::exec::ExecConfig ec;
+      if (threads)
+      {
+        ec.ExecMode = vp::exec::Mode::Threads;
+        ec.Threads = 2;
+      }
+      vp::exec::Configure(ec);
+      vp::graph::GraphConfig gc;
+      gc.Enabled = graph;
+      vp::graph::Configure(gc);
+      body(std::string(threads ? "threads" : "serial") +
+           (graph ? " graph" : " eager"));
+    }
+  vp::graph::Configure(vp::graph::GraphConfig());
+  vp::exec::Configure(vp::exec::ExecConfig());
+}
+} // namespace
+
+TEST(BinningBatch, CampaignChainMatchesFinishingEveryExecute)
+{
+  // 4 ranks run the nine-system chain on the data's device for 4 steps,
+  // the columns changed in place between steps: the batch completes the
+  // chain at its ninth execute, and its grids equal the chain's that
+  // completes every execute at once, bit for bit, in every exec mode,
+  // eager and replayed
+  ForEachExecGraph(
+    [](const std::string &what)
+    {
+      const std::vector<std::size_t> all = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+      std::vector<svtkTable *> tables;
+      ExpectBatchMatchesFinished(4, CampaignChain(RankDevice),
+                                 InPlaceTables(4, tables, OnRankDevice(600)),
+                                 {all, all, all, all}, what);
+      DeleteAll(tables);
+    });
+}
+
+TEST(BinningBatch, MixedPlacementMatchesFinishingEveryExecute)
+{
+  // rank 2 bins on the host while the others bin on their devices: every
+  // rank queues alike, so the deferred collectives meet and the chain
+  // completes without a hang. Then three binnings, C (vx, y) joining at
+  // step 1 between A and B: C's fill of vx runs at its launch, after A's
+  // completion was queued on every rank, so a rank that completed A at
+  // once would meet the others' fill with A's reduction
+  ForEachExecGraph(
+    [](const std::string &what)
+    {
+      const std::vector<std::size_t> all = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+      std::vector<svtkTable *> tables;
+      ExpectBatchMatchesFinished(4, CampaignChain(MixedBinningDevice),
+                                 InPlaceTables(4, tables, MixedTables(400)),
+                                 {all, all, all, all}, what);
+      DeleteAll(tables);
+      ExpectBatchMatchesFinished(4, ThreeBinnings(MixedBinningDevice),
+                                 InPlaceTables(4, tables, MixedTables(300)),
+                                 {{0, 1}, {0, 2, 1}, {2, 0, 1}}, what);
+      DeleteAll(tables);
+    });
+}
+
+TEST(BinningBatch, RenderBesideASiblingRendersItsOwnStep)
+{
+  // a render and a sibling lockstep binning on each of 4 ranks, the
+  // render first or last: the render's binning is queued behind or ahead
+  // of its sibling, and every frame equals a render of the same step on
+  // a fresh adaptor, whose lone binning completes inside its execute.
+  // Each step's tables are new, so a frame of the previous step's grid
+  // would differ
+  ResetPlatform();
+  auto makeRender = [](int r)
+  {
+    viz::RenderAnalysis *v = viz::RenderAnalysis::New();
+    v->SetMeshName("bodies");
+    v->SetAxes({"x", "y"});
+    v->SetBinResolution(16);
+    v->SetVariable("m", "sum");
+    v->SetImageSize(32, 32);
+    v->SetDeviceId(r);
+    return v;
+  };
+  for (bool renderFirst : {true, false})
+  {
+    minimpi::LaunchOptions lo;
+    lo.Ranks = 4;
+    lo.Lockstep = true;
+    minimpi::Run(
+      lo,
+      [&](minimpi::Communicator &comm)
+      {
+        const int r = comm.Rank();
+        viz::RenderAnalysis *render = makeRender(r);
+        DataBinning *sibling = SystemBinning(1, r);
+        MeshAdaptor *da = MeshAdaptor::New();
+        da->SetCommunicator(&comm);
+        for (long step = 0; step < 4; ++step)
+        {
+          svtkTable *t = MakeColumns(300 + 20 * static_cast<std::size_t>(r),
+                                     500u + 10u * static_cast<unsigned>(step) +
+                                       static_cast<unsigned>(r),
+                                     1.0 + r,
+                                     [r](const std::string &) { return r; });
+          da->SetMesh(t);
+          da->SetDataTimeStep(step);
+          if (renderFirst)
+          {
+            EXPECT_TRUE(render->Execute(da));
+          }
+          EXPECT_TRUE(sibling->Execute(da));
+          if (!renderFirst)
+          {
+            EXPECT_TRUE(render->Execute(da));
+          }
+          da->ReleaseData();
+
+          MeshAdaptor *fresh = MeshAdaptor::New();
+          fresh->SetMesh(t);
+          fresh->SetCommunicator(&comm);
+          fresh->SetDataTimeStep(step);
+          viz::RenderAnalysis *ref = makeRender(r);
+          EXPECT_TRUE(ref->Execute(fresh));
+          EXPECT_EQ(render->GetFramebuffer(), ref->GetFramebuffer())
+            << "rank " << r << " step " << step << " render first "
+            << renderFirst;
+          EXPECT_EQ(ResultBits(render->GetBinning()),
+                    ResultBits(ref->GetBinning()))
+            << "rank " << r << " step " << step;
+          ref->Delete();
+          fresh->ReleaseData();
+          fresh->Delete();
+          t->Delete();
+        }
+        render->Delete();
+        sibling->Delete();
+        da->Delete();
+      });
+  }
+}
+
+TEST(BinningBatch, ALoneBinningCompletesInsideItsExecute)
+{
+  // one lockstep binning per step: the expected count is 1, so its
+  // result is ready when Execute returns, every step
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(700, 81, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  DataBinning *b = DataBinning::New();
+  b->SetMeshName("bodies");
+  b->SetAxes({"x", "y"});
+  b->SetResolution({16});
+  b->AddOperation("v", BinningOp::Sum);
+  b->SetDeviceId(0);
+  for (long step = 0; step < 4; ++step)
+  {
+    Rescale(t, "x", 1.5, 0.25);
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    ASSERT_TRUE(b->Execute(da));
+    EXPECT_EQ(b->GetExecuteCount(), step + 1);
+    svtkImageData *img = b->GetLastResult();
+    ASSERT_NE(img, nullptr);
+    double origin[3];
+    img->GetOrigin(origin);
+    img->UnRegister();
+    const std::vector<double> xs = svtkToDoubleVector(t->GetColumnByName("x"));
+    EXPECT_EQ(origin[0], *std::min_element(xs.begin(), xs.end()));
+    da->ReleaseData();
+  }
+  b->Delete();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningBatch, FewerExecutesThanExpectedCompleteAtReleaseData)
+{
+  // step 0 runs A, B and C, so step 1 expects three lockstep binning
+  // executes: A and B alone stay queued (their results throw) until
+  // ReleaseData completes them, in order, and step 2 expects two
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(900, 82, 1);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  std::vector<DataBinning *> chain = {MakeBinning(1), MakeBinning(1),
+                                      MakeBinning(AnalysisAdaptor::DEVICE_HOST)};
+  const std::vector<std::size_t> running[] = {{0, 1, 2}, {0, 1}, {0, 1}};
+  for (long step = 0; step < 3; ++step)
+  {
+    Rescale(t, "y", -1.25, 0.5);
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    for (std::size_t i : running[step])
+      ASSERT_TRUE(chain[i]->Execute(da));
+    const bool queued = step == 1;
+    for (std::size_t i : running[step])
+    {
+      if (queued)
+      {
+        EXPECT_THROW(chain[i]->GetLastResult(), std::logic_error) << i;
+      }
+      else
+      {
+        EXPECT_NO_THROW(chain[i]->GetLastResult()->UnRegister()) << i;
+      }
+      EXPECT_EQ(chain[i]->GetExecuteCount(), step + (queued ? 0 : 1)) << i;
+    }
+    da->ReleaseData();
+    sensei::TableAdaptor *fresh = sensei::TableAdaptor::New("bodies");
+    fresh->SetTable(t);
+    DataBinning *ref = MakeBinning(1);
+    ASSERT_TRUE(ref->Execute(fresh));
+    for (std::size_t i : running[step])
+    {
+      EXPECT_EQ(chain[i]->GetExecuteCount(), step + 1) << i;
+      EXPECT_EQ(ResultBits(chain[i]), ResultBits(ref))
+        << "step " << step << " binning " << i;
+    }
+    ref->Delete();
+    fresh->ReleaseData();
+    fresh->Delete();
+  }
+  for (DataBinning *b : chain)
+    b->Delete();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningBatch, GetLastResultThrowsWhileQueued)
+{
+  // from step 1 on, the first of two lockstep binnings is queued after
+  // its execute: GetLastResult throws instead of returning step 0's
+  // grid, and FinishLockstep() completes it
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(800, 83, 2);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  DataBinning *a = MakeBinning(2), *b = MakeBinning(2);
+  for (long step = 0; step < 3; ++step)
+  {
+    Rescale(t, "v", 2.0, -1.0);
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    ASSERT_TRUE(a->Execute(da));
+    if (step)
+    {
+      EXPECT_THROW(a->GetLastResult(), std::logic_error);
+      EXPECT_EQ(a->GetExecuteCount(), step);
+      da->FinishLockstep();
+    }
+    EXPECT_EQ(a->GetExecuteCount(), step + 1);
+    std::vector<std::uint64_t> bits = ResultBits(a);
+    ASSERT_TRUE(b->Execute(da));
+    EXPECT_EQ(ResultBits(b), bits) << "step " << step;
+    da->ReleaseData();
+  }
+  a->Delete();
+  b->Delete();
+  t->Delete();
+  da->Delete();
+}
+
+TEST(BinningBatch, FinalizeBeforeReleaseDataCompletesTheQueue)
+{
+  // under <exec mode="threads"> the queued binnings' readbacks may still
+  // be in flight on the device workers. Step 0 runs A, B, C and D; at
+  // step 1 A and B are queued, and A's Finalize, before ReleaseData,
+  // runs the queue (its completion and B's) before it frees its record.
+  // C is queued next, and deleting it completes it first: it writes its
+  // step-1 file. Every result is this step's, and an ASan build sees no
+  // access to a freed record
+  ResetPlatform();
+  vp::exec::ExecConfig ec;
+  ec.ExecMode = vp::exec::Mode::Threads;
+  ec.Threads = 2;
+  vp::exec::Configure(ec);
+  const std::string dir = ::testing::TempDir();
+  std::remove((dir + "/batch_c_1.vti").c_str());
+  svtkTable *t = MakeDeviceTable(5000, 84, 3);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  std::vector<DataBinning *> chain;
+  for (int i = 0; i < 4; ++i)
+    chain.push_back(MakeBinning(3, 64));
+  chain[2]->SetOutput(dir, "batch_c", 1);
+  for (long step = 0; step < 2; ++step)
+  {
+    Rescale(t, "x", 0.5, 0.125);
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    ASSERT_TRUE(chain[0]->Execute(da));
+    ASSERT_TRUE(chain[1]->Execute(da));
+    if (!step)
+    {
+      ASSERT_TRUE(chain[2]->Execute(da));
+      ASSERT_TRUE(chain[3]->Execute(da));
+      da->ReleaseData();
+      continue;
+    }
+    EXPECT_THROW(chain[0]->GetLastResult(), std::logic_error);
+    EXPECT_THROW(chain[1]->GetLastResult(), std::logic_error);
+    EXPECT_EQ(chain[0]->Finalize(), 0);
+    EXPECT_EQ(chain[0]->GetExecuteCount(), 2);
+    EXPECT_EQ(chain[1]->GetExecuteCount(), 2);
+    ASSERT_TRUE(chain[2]->Execute(da));
+    EXPECT_THROW(chain[2]->GetLastResult(), std::logic_error);
+    chain[2]->Delete();
+    EXPECT_TRUE(std::ifstream(dir + "/batch_c_1.vti").good());
+
+    sensei::TableAdaptor *fresh = sensei::TableAdaptor::New("bodies");
+    fresh->SetTable(t);
+    DataBinning *ref = MakeBinning(3, 64);
+    ASSERT_TRUE(ref->Execute(fresh));
+    for (std::size_t i = 0; i < 2; ++i)
+      EXPECT_EQ(ResultBits(chain[i]), ResultBits(ref)) << "binning " << i;
+    ref->Delete();
+    fresh->ReleaseData();
+    fresh->Delete();
+    da->ReleaseData();
+  }
+  std::remove((dir + "/batch_c_0.vti").c_str());
+  std::remove((dir + "/batch_c_1.vti").c_str());
+  for (std::size_t i : {0, 1, 3})
+    chain[i]->Delete();
+  t->Delete();
+  da->Delete();
+  vp::exec::Configure(vp::exec::ExecConfig());
+}
+
+TEST(BinningBatch, DriverPinsTheLockstepCampaignsInSituStep)
+{
+  // newton::Driver::Run(6) of the 4-rank, 1024-body same-device lockstep
+  // campaign (the nine-system chain, 10 sums at 128^2), in lockstep
+  // launch: each rank launches the nine binnings back to back and the
+  // last completes them all, so the nine collectives run while the
+  // device works and the step's virtual in situ time is pinned. With
+  // each execute completing inside itself the same run reads 357.3 us.
+  vp::exec::Configure(vp::exec::ExecConfig());
+  vp::PlatformConfig plat;
+  plat.DevicesPerNode = 4;
+  plat.HostCoresPerNode = 64;
+  vp::Platform::Initialize(plat);
+  vp::ThisClock().Set(0.0);
+
+  campaign::CampaignConfig g;
+  g.Resolution = 128;
+  const std::string xml =
+    campaign::BuildXml({campaign::Placement::SameDevice, false}, g);
+  newton::Config sim;
+  sim.TotalBodies = 1024;
+  sim.Ic = newton::InitialCondition::Galaxy;
+  sim.CentralMass = 200.0;
+  sim.Dt = 5e-4;
+  sim.Seed = 1;
+  sim.Repartition = false;
+
+  std::vector<double> insitu(4, 0.0);
+  minimpi::LaunchOptions lo;
+  lo.Ranks = 4;
+  lo.RanksPerNode = 4;
+  lo.Lockstep = true;
+  minimpi::Run(lo,
+               [&](minimpi::Communicator &comm)
+               {
+                 sensei::ConfigurableAnalysis *chain =
+                   sensei::ConfigurableAnalysis::New();
+                 chain->InitializeString(xml);
+                 newton::Driver driver(&comm, sim, chain);
+                 driver.Initialize();
+                 driver.Run(6);
+                 insitu[static_cast<std::size_t>(comm.Rank())] =
+                   driver.MeanInSituSeconds();
+                 chain->Delete();
+               });
+  const double slowest = *std::max_element(insitu.begin(), insitu.end());
+  EXPECT_NEAR(slowest, 224.481e-6, 0.001e-6);
 }

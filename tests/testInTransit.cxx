@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <random>
 
 using sensei::InTransitEndpoint;
@@ -362,6 +364,116 @@ TEST(InTransit, EndpointBinningMatchesInSitu)
   ASSERT_EQ(got.size(), reference.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_NEAR(got[i], reference[i], 1e-12) << "bin " << i;
+}
+
+namespace
+{
+/// Records the scalar type and values of every column of the step's
+/// "bodies" table.
+class ColumnRecorder : public sensei::AnalysisAdaptor
+{
+public:
+  static ColumnRecorder *New() { return new ColumnRecorder; }
+  bool Execute(sensei::DataAdaptor *data) override
+  {
+    auto *t = dynamic_cast<svtkTable *>(data->GetMesh("bodies"));
+    if (!t)
+      return false;
+    for (int c = 0; c < t->GetNumberOfColumns(); ++c)
+    {
+      const svtkDataArray *col = t->GetColumn(c);
+      this->Types[col->GetName()] = col->GetScalarType();
+      std::vector<double> &v = this->Values[col->GetName()];
+      v.clear();
+      for (std::size_t i = 0; i < col->GetNumberOfTuples(); ++i)
+        v.push_back(col->GetVariantValue(i, 0));
+    }
+    t->UnRegister();
+    return true;
+  }
+  std::map<std::string, svtkScalarType> Types;
+  std::map<std::string, std::vector<double>> Values;
+};
+
+/// A column of `n` values v(i) held as T.
+template <typename T>
+svtkDataArray *TypedColumn(const char *name, std::size_t n,
+                           const std::function<double(std::size_t)> &v)
+{
+  auto *c = svtkAOSDataArray<T>::New(name, n, 1);
+  for (std::size_t i = 0; i < n; ++i)
+    c->GetVector()[i] = static_cast<T>(v(i));
+  return c;
+}
+} // namespace
+
+TEST(InTransit, EndpointKeepsNativeColumnTypes)
+{
+  // two senders ship a float32 column f and an int64 column i, and a
+  // column w that is float32 on sender 0 and int32 on sender 1: the
+  // endpoint's analysis sees f as Float32 and i as Int64 with the values
+  // sent, and w widened to Float64
+  ResetPlatform();
+  constexpr std::size_t Rows = 40;
+  auto f = [](int s) { return [s](std::size_t k) { return 0.25 * k - s; }; };
+  auto i = [](int s)
+  { return [s](std::size_t k) { return 1e12 + 3.0 * k + 1000.0 * s; }; };
+  auto w = [](int s) { return [s](std::size_t k) { return 2.0 * k + s; }; };
+
+  std::map<std::string, svtkScalarType> types;
+  std::map<std::string, std::vector<double>> values;
+  minimpi::Run(3,
+               [&](minimpi::Communicator &world)
+               {
+                 const InTransitLayout layout(world.Size(), 1);
+                 const bool isEp = layout.IsEndpoint(world.Rank());
+                 minimpi::Communicator group = world.Split(isEp ? 1 : 0);
+                 if (!isEp)
+                 {
+                   const int s = world.Rank();
+                   svtkTable *t = svtkTable::New();
+                   for (svtkDataArray *c :
+                        {TypedColumn<float>("f", Rows, f(s)),
+                         TypedColumn<long long>("i", Rows, i(s)),
+                         s ? TypedColumn<int>("w", Rows, w(s))
+                           : TypedColumn<float>("w", Rows, w(s))})
+                   {
+                     t->AddColumn(c);
+                     c->Delete();
+                   }
+                   InTransitSender sender(&world, layout, "bodies");
+                   sensei::TableAdaptor *da =
+                     sensei::TableAdaptor::New("bodies");
+                   da->SetTable(t);
+                   t->Delete();
+                   EXPECT_TRUE(sender.Send(da));
+                   sender.Close();
+                   da->ReleaseData();
+                   da->Delete();
+                   return;
+                 }
+                 ColumnRecorder *rec = ColumnRecorder::New();
+                 InTransitEndpoint endpoint(&world, &group, layout, "bodies");
+                 EXPECT_EQ(endpoint.Run(rec), 1);
+                 types = rec->Types;
+                 values = rec->Values;
+                 rec->Delete();
+               });
+
+  EXPECT_EQ(types["f"], svtkScalarType::Float32);
+  EXPECT_EQ(types["i"], svtkScalarType::Int64);
+  EXPECT_EQ(types["w"], svtkScalarType::Float64);
+  for (const auto &[name, gen] :
+       std::vector<std::pair<std::string,
+                             std::function<std::function<double(std::size_t)>(
+                               int)>>>{{"f", f}, {"i", i}, {"w", w}})
+  {
+    std::vector<double> want;
+    for (int s = 0; s < 2; ++s)
+      for (std::size_t k = 0; k < Rows; ++k)
+        want.push_back(gen(s)(k));
+    EXPECT_EQ(values[name], want) << name;
+  }
 }
 
 TEST(InTransit, MisuseIsRejected)

@@ -759,11 +759,11 @@ TEST(CompactAllreduce, CapacityIsEnforced)
 
 TEST(CompactAllreduce, PricedByCapacityRoundsNotContents)
 {
-  // round k of R = ceil(log2(max(P, 2))) charges MessageLatency plus the
-  // bitmap and min(bins, largest sum of caps over an aligned 2^(k-1)-rank
+  // round k of R = ceil(log2(P)) charges MessageLatency plus the bitmap
+  // and min(bins, largest sum of caps over an aligned 2^(k-1)-rank
   // group) slots over MessageBandwidth; contents never matter, and at
   // full capacity the price is the dense Allreduce's plus one bitmap per
-  // round
+  // round (one rank: CompactAllreduce.OneRankIsAHostCopy)
   ResetPlatform();
   const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
   const minimpi::CompactShape shape{
@@ -790,7 +790,8 @@ TEST(CompactAllreduce, PricedByCapacityRoundsNotContents)
   };
 
   std::mt19937_64 gen(7);
-  for (int ranks : {1, 2, 3, 5, 8, 16})
+  gen(); // the draw the one-rank case used to take
+  for (int ranks : {2, 3, 5, 8, 16})
   {
     std::vector<std::size_t> caps;
     for (int r = 0; r < ranks; ++r)
@@ -863,4 +864,88 @@ TEST(CompactAllreduce, PricedByCapacityRoundsNotContents)
                   1e-12 * sparse[static_cast<std::size_t>(r)])
         << ranks << " ranks";
   }
+}
+
+TEST(CompactAllreduce, OneRankIsAHostCopy)
+{
+  // a one-rank collective exchanges nothing: it is priced as the host
+  // copy of what it moves, bytes / H2HBandwidth with no message latency,
+  // while two and four ranks keep their message rounds
+  ResetPlatform();
+  const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+  const minimpi::CompactShape shape{
+    16384, std::vector<minimpi::Op>(11, minimpi::Op::Sum)};
+  const double bitmap = 16384 / 8;
+  const double slotBytes = 11 * sizeof(double);
+  const double denseBytes = 11 * 16384 * sizeof(double);
+
+  // virtual seconds rank 0 spends in one collective
+  auto spent = [](int ranks,
+                  const std::function<void(minimpi::Communicator &)> &fn)
+  {
+    double out = 0.0;
+    vp::ThisClock().Set(0.0);
+    minimpi::Run(ranks,
+                 [&](minimpi::Communicator &comm)
+                 {
+                   comm.Barrier();
+                   const double t0 = vp::ThisClock().Now();
+                   fn(comm);
+                   if (comm.Rank() == 0)
+                     out = vp::ThisClock().Now() - t0;
+                 });
+    return out;
+  };
+  auto compact = [&](const std::vector<std::size_t> &caps)
+  {
+    return spent(static_cast<int>(caps.size()),
+                 [&](minimpi::Communicator &comm)
+                 {
+                   const std::size_t cap =
+                     caps[static_cast<std::size_t>(comm.Rank())];
+                   std::vector<double> dense(11 * shape.Bins, 0.0);
+                   std::vector<double> rec(shape.Bytes(cap) / sizeof(double));
+                   minimpi::PackCompact(shape, dense.data(), cap, rec.data());
+                   comm.AllreduceCompact(shape, rec.data(), cap, dense.data());
+                 });
+  };
+  auto dense = [&](int ranks)
+  {
+    return spent(ranks,
+                 [&](minimpi::Communicator &comm)
+                 {
+                   std::vector<double> rec(11 * shape.Bins, 1.0);
+                   comm.Allreduce(rec.data(), rec.size(), minimpi::Op::Sum);
+                 });
+  };
+
+  // one rank: the record's bitmap and slots, or the dense record, copied
+  for (std::size_t cap : {std::size_t(0), std::size_t(2071), shape.Bins})
+  {
+    const double want =
+      (bitmap + static_cast<double>(cap) * slotBytes) / cost.H2HBandwidth;
+    EXPECT_NEAR(compact({cap}), want, 1e-12 * want) << "cap " << cap;
+  }
+  EXPECT_NEAR(dense(1), denseBytes / cost.H2HBandwidth, 1e-18);
+  EXPECT_NEAR(compact({shape.Bins}),
+              dense(1) + bitmap / cost.H2HBandwidth, 1e-15);
+  EXPECT_EQ(spent(1, [](minimpi::Communicator &comm) { comm.Barrier(); }),
+            0.0);
+  // the one-rank record of a campaign_async binning (2048 rows, 128^2
+  // bins, 11 grids: 182,272 B): 3.65 us where one message round charged
+  // 17.19 us
+  EXPECT_NEAR(compact({2048}), 3.645e-6, 0.001e-6);
+
+  // two and four ranks: one and two message rounds, as before
+  const double round2 =
+    cost.MessageLatency + (bitmap + 3000 * slotBytes) / cost.MessageBandwidth;
+  EXPECT_NEAR(compact({1000, 3000}), round2, 1e-12 * round2);
+  const double round4 =
+    2 * cost.MessageLatency +
+    (2 * bitmap + (3500 + 4000) * slotBytes) / cost.MessageBandwidth;
+  EXPECT_NEAR(compact({1000, 3000, 500, 3500}), round4, 1e-12 * round4);
+  const double tree2 =
+    cost.MessageLatency + denseBytes / cost.MessageBandwidth;
+  EXPECT_NEAR(dense(2), tree2, 1e-12 * tree2);
+  EXPECT_NEAR(dense(4), 2 * tree2, 1e-12 * tree2);
 }
