@@ -215,13 +215,22 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # thread, the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched testExtensions um_compress testCompress testService testInTransit testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess
+cmake --build ../build-sanitize --target um_sched testSched testExtensions um_compress testCompress testService testInTransit testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess testSensei testAutocorrelation
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
 # asynchronous analyses on the pipeline, inline and on its consumer
 # thread, under ASan+UBSan
 ../build-sanitize/tests/testExtensions --gtest_filter='AsyncRunner.*'
+# every back end's tasks on the AnalysisAdaptor base's one pipeline and
+# duplicated communicator: histograms, column statistics,
+# autocorrelation windows and posthoc writes in both methods, on 1 to 3
+# ranks, a switch from asynchronous to lockstep under coalescing
+# backpressure, and the malformed per-analysis attributes, under
+# ASan+UBSan
+../build-sanitize/tests/testSensei
+../build-sanitize/tests/testAutocorrelation
+../build-sanitize/tests/testExtensions --gtest_filter='ColumnStatistics.*'
 bench um_compress_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_compress \
   --benchmark_min_time=0.05
@@ -295,7 +304,7 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess testSched testExtensions
+cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess testSched testExtensions testSensei testAutocorrelation
 ../build-tsan/tests/testExec
 # the bounded pipeline's resident consumer thread: submitters handing it
 # tasks, waiting for its finishes and draining it, also across a switch
@@ -303,6 +312,14 @@ cmake --build ../build-tsan --target testExec um_exec testService testGraph um_g
 # it, under the race detector
 ../build-tsan/tests/testSched
 ../build-tsan/tests/testExtensions --gtest_filter='AsyncRunner.*'
+# the same back ends with every asynchronous task on its pipeline's
+# consumer thread (VP_EXEC=threads): the base's drains, the duplicated
+# communicator's collectives and each back end's result under its lock,
+# under the race detector
+VP_EXEC=threads ../build-tsan/tests/testSensei
+VP_EXEC=threads ../build-tsan/tests/testAutocorrelation
+VP_EXEC=threads ../build-tsan/tests/testExtensions \
+  --gtest_filter='ColumnStatistics.*'
 bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
   --benchmark_min_time=0.05
 # the service's dispatcher/worker/heartbeat thread interplay under the

@@ -98,6 +98,38 @@ inline std::string FormatReal(double v)
   return buf;
 }
 
+/// The bool `text` spells (0/1/on/off/true/false/yes/no, any case);
+/// throws std::invalid_argument saying what was expected.
+inline bool ParseBool(const std::string &text)
+{
+  std::string t;
+  for (char c : text)
+    t += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  if (t == "1" || t == "on" || t == "true" || t == "yes")
+    return true;
+  if (t == "0" || t == "off" || t == "false" || t == "no")
+    return false;
+  throw std::invalid_argument("expected 0/1/on/off/true/false/yes/no");
+}
+
+/// The number `text` spells, base 10 when `integer`, in [min, max];
+/// throws std::invalid_argument saying what was expected.
+inline double ParseNumber(const std::string &text, bool integer, double min,
+                          double max)
+{
+  char *end = nullptr;
+  errno = 0;
+  const double v =
+    integer ? static_cast<double>(std::strtoll(text.c_str(), &end, 10))
+            : std::strtod(text.c_str(), &end);
+  if (text.empty() || *end || errno == ERANGE || !std::isfinite(v) ||
+      !(v >= min && v <= max))
+    throw std::invalid_argument(
+      std::string(integer ? "expected an integer" : "expected a number") +
+      " in [" + FormatReal(min) + ", " + FormatReal(max) + "]");
+  return v;
+}
+
 /// Field<&A::b, &B::c> reads and writes `a.b.c` as a double.
 template <class M>
 struct MemberOf;
@@ -186,16 +218,7 @@ struct Row
   double Value(const std::string &text) const
   {
     if (this->Kind == Type::Bool)
-    {
-      std::string t;
-      for (char c : text)
-        t += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      if (t == "1" || t == "on" || t == "true" || t == "yes")
-        return 1.0;
-      if (t == "0" || t == "off" || t == "false" || t == "no")
-        return 0.0;
-      throw std::invalid_argument("expected 0/1/on/off/true/false/yes/no");
-    }
+      return ParseBool(text) ? 1.0 : 0.0;
     if (this->Kind == Type::Enum)
     {
       const int v = Lookup(*this->Names, text);
@@ -206,18 +229,7 @@ struct Row
         all += (all.empty() ? "" : " | ") + std::string(s.Text);
       throw std::invalid_argument("expected " + all);
     }
-    char *end = nullptr;
-    errno = 0;
-    const bool integer = this->Kind == Type::Int;
-    const double v =
-      integer ? static_cast<double>(std::strtoll(text.c_str(), &end, 10))
-              : std::strtod(text.c_str(), &end);
-    if (text.empty() || *end || errno == ERANGE || !std::isfinite(v) ||
-        !(v >= this->Min && v <= this->Max))
-      throw std::invalid_argument(
-        std::string(integer ? "expected an integer" : "expected a number") +
-        " in [" + FormatReal(this->Min) + ", " + FormatReal(this->Max) + "]");
-    return v;
+    return ParseNumber(text, this->Kind == Type::Int, this->Min, this->Max);
   }
 
   /// Canonical text of `v`: what the tuner emits.

@@ -1,7 +1,10 @@
 #include "senseiAnalysisAdaptor.h"
 
+#include "svtkArrayUtils.h"
 #include "vpLoadTracker.h"
 #include "vpPlatform.h"
+
+#include <utility>
 
 namespace sensei
 {
@@ -46,6 +49,44 @@ int AnalysisAdaptor::GetPlacementDevice(DataAdaptor *data,
     data && data->GetCommunicator() ? data->GetCommunicator()->Rank() : 0;
   return this->GetPlacementDevice(rank, vp::Platform::Get().NumDevices(),
                                   hint);
+}
+
+svtkSmartPtr<svtkTable> AnalysisAdaptor::GetTable(DataAdaptor *data,
+                                                 const std::string &mesh)
+{
+  auto obj = svtkSmartPtr<svtkDataObject>::Take(data->GetMesh(mesh));
+  return svtkSmartPtr<svtkTable>(dynamic_cast<svtkTable *>(obj.Get()));
+}
+
+std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>>
+AnalysisAdaptor::GetInputs(DataAdaptor *data,
+                           const std::vector<svtkDataArray *> &columns,
+                           int device,
+                           std::vector<DataAdaptor::ColumnRange> *ranges) const
+{
+  if (this->GetAsynchronous())
+    return data->Snapshot(columns, device, ranges);
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> typed;
+  for (svtkDataArray *col : columns)
+    typed.push_back(
+      svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(col)));
+  return typed;
+}
+
+void AnalysisAdaptor::Dispatch(DataAdaptor *data, Task task,
+                               std::size_t payloadBytes, std::size_t rawBytes)
+{
+  if (!this->GetAsynchronous())
+  {
+    this->Runner_.Drain();
+    task(data->GetCommunicator());
+    return;
+  }
+  if (!this->AsyncComm_ && data->GetCommunicator())
+    this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
+  minimpi::Communicator *comm = this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
+  this->Runner_.Submit([task = std::move(task), comm]() { task(comm); },
+                       payloadBytes, rawBytes);
 }
 
 } // namespace sensei

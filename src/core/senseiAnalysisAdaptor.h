@@ -3,7 +3,8 @@
 
 /// @file senseiAnalysisAdaptor.h
 /// Base class for SENSEI analysis back ends, carrying the execution-model
-/// extensions the paper adds for heterogeneous architectures (Section 3):
+/// extensions the paper adds for heterogeneous architectures (Section 3)
+/// so that every back end has them:
 ///
 ///  * an execution method — `lockstep`, where simulation and analysis take
 ///    turns, or `asynchronous`, where the analysis deep-copies the data it
@@ -18,21 +19,27 @@
 ///    devices on the node. r and n_a come from system queries; n_u, s,
 ///    d_0 are user controls defaulting to n_u = n_a, s = 1, d_0 = 0.
 ///
-/// These controls are defined here, in the base class, and are therefore
-/// available to all back ends; ConfigurableAnalysis exposes them in the
-/// run time XML configuration.
+/// Automatic placement is delegated to a pluggable sched::PlacementPolicy
+/// (`static` is Eq. 1 verbatim; see schedPolicy.h). ConfigurableAnalysis
+/// exposes both controls in the run time XML configuration.
 ///
-/// Automatic placement is delegated to a pluggable sched::PlacementPolicy:
-/// `static` is Eq. 1 verbatim (the default — bit-for-bit the original
-/// rule), `least-loaded` and `cost-model` consult the virtual platform's
-/// per-device load before deciding (see schedPolicy.h). Back ends may
-/// describe the work being placed with a sched::WorkHint so the
-/// cost-model policy can price it.
+/// The back-end contract: a back end's Execute supplies a sched::WorkHint
+/// describing its work (so the cost-model policy can price it) and its
+/// computation, as a Task. The base runs the rest through three protected
+/// helpers: GetTable (the step's mesh), GetInputs (the simulation's
+/// columns zero-copy, or the step's snapshot) and Dispatch (lockstep:
+/// drain the pipeline, then run inline; asynchronous: submit to the one
+/// pipeline the base owns, on the communicator it duplicates). Its
+/// DrainAsync and Finalize drain that pipeline. A back end whose tasks
+/// read its own members drains in its destructor, because those members
+/// die before the base's pipeline does.
 
-#include "schedPolicy.h"
+#include "schedPipeline.h"
 #include "senseiDataAdaptor.h"
 #include "svtkObjectBase.h"
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,20 +68,24 @@ public:
   static constexpr int DEVICE_HOST = -1; ///< run on the host CPU
 
   /// Process the current simulation state. Returns false on failure.
-  /// In asynchronous mode implementations take the deep copies they need
-  /// from DataAdaptor::Snapshot, hand their task to their bounded
-  /// pipeline's resident consumer, and return immediately.
+  /// In asynchronous mode the task is handed to the base's pipeline
+  /// (Dispatch) and Execute returns without waiting for it.
   virtual bool Execute(DataAdaptor *data) = 0;
 
   /// Complete outstanding asynchronous work and release resources.
-  /// Returns zero on success.
-  virtual int Finalize() { return 0; }
+  /// Returns zero on success. The base drains its pipeline.
+  virtual int Finalize()
+  {
+    this->Runner_.Drain();
+    return 0;
+  }
 
   /// Wait for in-flight asynchronous work without releasing anything.
   /// ConfigurableAnalysis calls this on every analysis before finalizing
   /// any of them, so no back end's Finalize (or the profiler shutdown
   /// that follows) can run while a sibling still has a task in flight.
-  virtual void DrainAsync() {}
+  /// The base drains its pipeline.
+  virtual void DrainAsync() { this->Runner_.Drain(); }
 
   // --- execution method ------------------------------------------------------
 
@@ -153,6 +164,36 @@ protected:
   AnalysisAdaptor() = default;
   ~AnalysisAdaptor() override = default;
 
+  /// Mesh `mesh` of `data` as a table, or null when the adaptor has no
+  /// such mesh or it is not a table. The holder owns the reference
+  /// DataAdaptor::GetMesh returned.
+  static svtkSmartPtr<svtkTable> GetTable(DataAdaptor *data,
+                                         const std::string &mesh);
+
+  /// The typed inputs of this execute, one per column, in order: the
+  /// simulation's arrays shared zero-copy (lockstep), or the step's deep
+  /// copies resident on `device` (asynchronous; DataAdaptor::Snapshot,
+  /// which also fills `ranges` when it is given).
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>>
+  GetInputs(DataAdaptor *data, const std::vector<svtkDataArray *> &columns,
+            int device,
+            std::vector<DataAdaptor::ColumnRange> *ranges = nullptr) const;
+
+  /// A step's computation, run on the communicator it is handed (null in
+  /// serial use).
+  using Task = std::function<void(minimpi::Communicator *)>;
+
+  /// Run `task` by the execution method. Lockstep: drain the pipeline
+  /// (a task of an earlier asynchronous step must not finish after this
+  /// one and overwrite its result), then run it inline on `data`'s
+  /// communicator. Asynchronous: submit it on a communicator duplicated
+  /// from `data`'s at the first asynchronous dispatch, so its collectives
+  /// never interleave with the simulation's; `payloadBytes` is what the
+  /// closure's deep copies hold (what the queue depth meters) and
+  /// `rawBytes`, when nonzero, their size before compression.
+  void Dispatch(DataAdaptor *data, Task task, std::size_t payloadBytes,
+                std::size_t rawBytes = 0);
+
 private:
   ExecutionMethod Method_ = ExecutionMethod::Lockstep;
   sched::PolicyKind Policy_ = sched::PolicyKind::Static;
@@ -161,6 +202,11 @@ private:
   int DeviceStart_ = 0;
   int DeviceStride_ = 1;
   int Verbose_ = 0;
+
+  /// Declared before the pipeline, so it outlives the pipeline's
+  /// draining destructor.
+  std::optional<minimpi::Communicator> AsyncComm_;
+  sched::BoundedPipeline Runner_;
 };
 
 // back ends pass their placement straight to the HDA access API, where

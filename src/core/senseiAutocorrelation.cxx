@@ -1,6 +1,5 @@
 #include "senseiAutocorrelation.h"
 
-#include "svtkArrayUtils.h"
 #include "vcuda.h"
 
 #include <algorithm>
@@ -14,21 +13,10 @@ bool Autocorrelation::Execute(DataAdaptor *data)
   if (!data || this->Column_.empty())
     return false;
 
-  svtkDataObject *obj = data->GetMesh(this->MeshName_);
-  auto *table = dynamic_cast<svtkTable *>(obj);
-  if (!table)
-  {
-    if (obj)
-      obj->UnRegister();
-    return false;
-  }
-
-  svtkDataArray *raw = table->GetColumnByName(this->Column_);
+  svtkSmartPtr<svtkTable> table = GetTable(data, this->MeshName_);
+  svtkDataArray *raw = table ? table->GetColumnByName(this->Column_) : nullptr;
   if (!raw)
-  {
-    table->UnRegister();
     return false;
-  }
 
   // one dot product per lag over the newest column
   const std::size_t n = static_cast<std::size_t>(raw->GetNumberOfTuples());
@@ -52,7 +40,6 @@ bool Autocorrelation::Execute(DataAdaptor *data)
                               snap->GetBuffer().deep_copy(device),
                               snap->GetNumberOfComponents()));
   this->History_.push_back(std::move(snap));
-  table->UnRegister();
 
   while (static_cast<long>(this->History_.size()) > this->Window_)
     this->History_.pop_front();
@@ -60,21 +47,12 @@ bool Autocorrelation::Execute(DataAdaptor *data)
   std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> window(
     this->History_.begin(), this->History_.end());
 
-  if (this->GetAsynchronous())
-  {
-    if (!this->AsyncComm_ && data->GetCommunicator())
-      this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
-    minimpi::Communicator *comm =
-      this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
-    // the closure holds the whole window of deep copies alive
-    const std::size_t bytes = hint.MoveBytes;
-    this->Runner_.Submit([this, window = std::move(window), comm, device]()
-                         { this->Run(window, comm, device); },
-                         bytes);
-    return true;
-  }
-
-  this->Run(window, data->GetCommunicator(), device);
+  // an asynchronous task's closure holds the whole window of deep copies
+  this->Dispatch(data,
+                 [this, window = std::move(window),
+                  device](minimpi::Communicator *comm)
+                 { this->Run(window, comm, device); },
+                 hint.MoveBytes);
   return true;
 }
 
@@ -84,12 +62,6 @@ Autocorrelation::GetColumnsRead(const std::string &mesh) const
   if (mesh != this->MeshName_ || this->Column_.empty())
     return std::vector<std::string>();
   return std::vector<std::string>{this->Column_};
-}
-
-int Autocorrelation::Finalize()
-{
-  this->Runner_.Drain();
-  return 0;
 }
 
 void Autocorrelation::Run(

@@ -11,12 +11,11 @@
 ///
 /// across all ranks. Snapshots are deep copies by necessity — by the
 /// next step the simulation has overwritten its buffers — making this
-/// back end a natural stress test of the data model's deep-copy path,
-/// and, like every back end, it inherits the placement and execution
-/// method extensions from the AnalysisAdaptor base class (the lag dot
-/// products run on the assigned device or the host).
+/// back end a natural stress test of the data model's deep-copy path.
+/// It supplies its placement hint and its computation (the lag dot
+/// products, on the assigned device or the host); the execution method
+/// is the AnalysisAdaptor base's.
 
-#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
 #include "svtkHAMRDataArray.h"
 
@@ -50,8 +49,6 @@ public:
   /// Its column.
   std::optional<std::vector<std::string>>
   GetColumnsRead(const std::string &mesh) const override;
-  void DrainAsync() override { this->Runner_.Drain(); }
-  int Finalize() override;
 
   /// The most recent ACF: element tau is the lag-tau correlation; fewer
   /// than K entries until the window fills. Empty before the first
@@ -60,7 +57,7 @@ public:
 
 protected:
   Autocorrelation() = default;
-  ~Autocorrelation() override { this->Runner_.Drain(); }
+  ~Autocorrelation() override { this->DrainAsync(); } // tasks read members
 
 private:
   void Run(std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> window,
@@ -72,9 +69,6 @@ private:
 
   /// newest snapshot last
   std::deque<svtkSmartPtr<const svtkHAMRDoubleArray>> History_;
-
-  sched::BoundedPipeline Runner_;
-  std::optional<minimpi::Communicator> AsyncComm_;
 
   mutable std::mutex ResultMutex_;
   std::vector<double> Last_;

@@ -1,6 +1,5 @@
 #include "senseiColumnStatistics.h"
 
-#include "svtkArrayUtils.h"
 #include "vcuda.h"
 
 #include <cmath>
@@ -43,14 +42,9 @@ bool ColumnStatistics::Execute(DataAdaptor *data)
   if (!data)
     return false;
 
-  svtkDataObject *obj = data->GetMesh(this->MeshName_);
-  auto *table = dynamic_cast<svtkTable *>(obj);
+  svtkSmartPtr<svtkTable> table = GetTable(data, this->MeshName_);
   if (!table)
-  {
-    if (obj)
-      obj->UnRegister();
     return false;
-  }
 
   // resolve the column list
   std::vector<std::string> names = this->Columns_;
@@ -64,10 +58,7 @@ bool ColumnStatistics::Execute(DataAdaptor *data)
   {
     svtkDataArray *col = table->GetColumnByName(name);
     if (!col)
-    {
-      table->UnRegister();
       return false;
-    }
     raw.push_back(col);
   }
 
@@ -83,31 +74,12 @@ bool ColumnStatistics::Execute(DataAdaptor *data)
   hint.MoveBytes = elements * sizeof(double);
   const int device = this->GetPlacementDevice(data, hint);
 
-  // the simulation's columns (lockstep) or the step's deep copies on the
-  // placement device (asynchronous)
-  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> cols;
-  if (this->GetAsynchronous())
-    cols = data->Snapshot(raw, device);
-  else
-    for (svtkDataArray *c : raw)
-      cols.push_back(
-        svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(c)));
-  table->UnRegister();
-
-  if (this->GetAsynchronous())
-  {
-    if (!this->AsyncComm_ && data->GetCommunicator())
-      this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
-    minimpi::Communicator *comm =
-      this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
-    this->Runner_.Submit(
-      [this, names, cols, comm, step, device]()
-      { this->Run(names, cols, comm, step, device); },
-      hint.MoveBytes);
-    return true;
-  }
-
-  this->Run(names, cols, data->GetCommunicator(), step, device);
+  std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> cols =
+    this->GetInputs(data, raw, device);
+  this->Dispatch(data,
+                 [this, names, cols, step, device](minimpi::Communicator *comm)
+                 { this->Run(names, cols, comm, step, device); },
+                 hint.MoveBytes);
   return true;
 }
 
@@ -119,12 +91,6 @@ ColumnStatistics::GetColumnsRead(const std::string &mesh) const
   if (this->Columns_.empty())
     return std::nullopt; // every column of the mesh
   return this->Columns_;
-}
-
-int ColumnStatistics::Finalize()
-{
-  this->Runner_.Drain();
-  return 0;
 }
 
 void ColumnStatistics::Run(

@@ -4,12 +4,10 @@
 /// @file senseiColumnStatistics.h
 /// Descriptive-statistics analysis back end: per-column count, min, max,
 /// mean, and standard deviation of a table mesh, combined across MPI
-/// ranks with numerically stable moment merging (Chan et al.). A third
-/// analysis alongside DataBinning and Histogram demonstrating that the
-/// paper's placement and execution-method extensions, being defined in
-/// the AnalysisAdaptor base class, apply to every back end unchanged.
+/// ranks with numerically stable moment merging (Chan et al.). It
+/// supplies its placement hint and its computation; the execution method
+/// is the AnalysisAdaptor base's.
 
-#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
 #include "svtkHAMRDataArray.h"
 
@@ -61,8 +59,6 @@ public:
   /// Its column list; any column when the list is empty.
   std::optional<std::vector<std::string>>
   GetColumnsRead(const std::string &mesh) const override;
-  void DrainAsync() override { this->Runner_.Drain(); }
-  int Finalize() override;
 
   /// The most recent per-column statistics (empty before the first
   /// completed execution).
@@ -70,7 +66,7 @@ public:
 
 protected:
   ColumnStatistics() = default;
-  ~ColumnStatistics() override { this->Runner_.Drain(); }
+  ~ColumnStatistics() override { this->DrainAsync(); } // tasks read members
 
 private:
   void Run(const std::vector<std::string> &names,
@@ -80,9 +76,6 @@ private:
   std::string MeshName_ = "table";
   std::vector<std::string> Columns_;
   std::string OutputFile_;
-
-  sched::BoundedPipeline Runner_;
-  std::optional<minimpi::Communicator> AsyncComm_;
 
   mutable std::mutex ResultMutex_;
   std::map<std::string, ColumnMoments> Last_;

@@ -43,6 +43,50 @@ std::vector<std::string> SplitList(const std::string &s)
   return out;
 }
 
+/// The error for attribute `key` of analysis element `el`, naming the
+/// analysis type, the attribute and `what` was expected.
+std::runtime_error BadAttribute(const sxml::Element &el, const std::string &key,
+                                const std::string &what)
+{
+  return std::runtime_error("ConfigurableAnalysis: <analysis type=\"" +
+                            el.Attribute("type") + "\" " + key + "=\"" +
+                            el.Attribute(key) + "\">: " + what);
+}
+
+/// Attribute `key` of analysis element `el` as a boolean in the knob
+/// rows' spellings, or `fallback` when it is absent.
+bool BoolAttribute(const sxml::Element &el, const std::string &key,
+                   bool fallback)
+{
+  try
+  {
+    return el.HasAttribute(key) ? vp::knob::ParseBool(el.Attribute(key))
+                                : fallback;
+  }
+  catch (const std::invalid_argument &e)
+  {
+    throw BadAttribute(el, key, e.what());
+  }
+}
+
+/// Attribute `key` of analysis element `el` as an integer in [min,
+/// 2^31 - 1], or `fallback` when it is absent.
+int IntAttribute(const sxml::Element &el, const std::string &key,
+                 int fallback, int min)
+{
+  try
+  {
+    return el.HasAttribute(key)
+             ? static_cast<int>(vp::knob::ParseNumber(
+                 el.Attribute(key), true, min, vp::knob::kMaxInt32))
+             : fallback;
+  }
+  catch (const std::invalid_argument &e)
+  {
+    throw BadAttribute(el, key, e.what());
+  }
+}
+
 /// What the <viz> rows cannot express: the fixed range and the viewers.
 void ApplyExtra(viz::VizConfig &cfg, const sxml::Element &root)
 {
@@ -189,7 +233,7 @@ void ConfigurableAnalysis::Initialize(const sxml::Element &root)
 
   for (const sxml::Element *el : root.ChildrenNamed("analysis"))
   {
-    if (!el->AttributeBool("enabled", true))
+    if (!BoolAttribute(*el, "enabled", true))
       continue;
     AnalysisAdaptor *a = this->BuildAnalysis(*el);
     try
@@ -209,7 +253,7 @@ void ConfigurableAnalysis::ApplyCommon(const sxml::Element &el,
                                        AnalysisAdaptor *a)
 {
   // execution method
-  a->SetAsynchronous(el.AttributeBool("async", false));
+  a->SetAsynchronous(BoolAttribute(el, "async", false));
 
   // placement: explicit device id, "host", or "auto" + Eq. 1 controls
   const std::string device = el.Attribute("device", "auto");
@@ -218,11 +262,11 @@ void ConfigurableAnalysis::ApplyCommon(const sxml::Element &el,
   else if (device == "auto")
     a->SetDeviceId(AnalysisAdaptor::DEVICE_AUTO);
   else
-    a->SetDeviceId(static_cast<int>(el.AttributeInt("device", 0)));
+    a->SetDeviceId(IntAttribute(el, "device", 0, 0));
 
-  a->SetDevicesToUse(static_cast<int>(el.AttributeInt("devices_to_use", 0)));
-  a->SetDeviceStart(static_cast<int>(el.AttributeInt("device_start", 0)));
-  a->SetDeviceStride(static_cast<int>(el.AttributeInt("device_stride", 1)));
+  a->SetDevicesToUse(IntAttribute(el, "devices_to_use", 0, 0));
+  a->SetDeviceStart(IntAttribute(el, "device_start", 0, 0));
+  a->SetDeviceStride(IntAttribute(el, "device_stride", 1, 1));
   a->SetVerbose(static_cast<int>(el.AttributeInt("verbose", 0)));
 
   AnalysisOverride ov;
@@ -374,7 +418,7 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
     {
       h->SetMeshName(el.Attribute("mesh", "table"));
       h->SetColumn(el.Attribute("column"));
-      h->SetBins(el.AttributeInt("bins", 64));
+      h->SetBins(IntAttribute(el, "bins", 64, 1));
       if (el.HasAttribute("range"))
       {
         std::vector<std::string> r = SplitList(el.Attribute("range"));
@@ -393,10 +437,11 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
 
   if (type == "autocorrelation")
   {
+    const int window = IntAttribute(el, "window", 8, 1);
     Autocorrelation *a = Autocorrelation::New();
     a->SetMeshName(el.Attribute("mesh", "table"));
     a->SetColumn(el.Attribute("column"));
-    a->SetWindow(el.AttributeInt("window", 8));
+    a->SetWindow(window);
     return a;
   }
 
@@ -413,12 +458,15 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
 
   if (type == "posthoc_io")
   {
+    const int frequency = IntAttribute(el, "frequency", 1, 0);
+    const std::string fmt = el.Attribute("format", "csv");
+    if (fmt != "csv" && fmt != "vtk" && fmt != "sbin")
+      throw BadAttribute(el, "format", "expected csv | vtk | sbin");
     PosthocIO *io = PosthocIO::New();
     io->SetMeshName(el.Attribute("mesh", "table"));
     io->SetOutputDir(el.Attribute("dir", "."));
     io->SetPrefix(el.Attribute("prefix", "posthoc"));
-    io->SetFrequency(el.AttributeInt("frequency", 1));
-    const std::string fmt = el.Attribute("format", "csv");
+    io->SetFrequency(frequency);
     io->SetFormat(fmt == "vtk"    ? PosthocIO::Format::VTK
                   : fmt == "sbin" ? PosthocIO::Format::SBIN
                                   : PosthocIO::Format::CSV);

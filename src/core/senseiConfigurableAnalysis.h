@@ -27,7 +27,10 @@
 ///
 /// `device` accepts an explicit id, "host", or "auto" (Eq. 1 placement
 /// with the optional devices_to_use / device_start / device_stride
-/// controls).
+/// controls). A malformed or out-of-range async, enabled, device,
+/// devices_to_use, device_start, device_stride, bins, window, frequency
+/// or format throws std::runtime_error naming the analysis type and the
+/// attribute.
 ///
 /// The optional <sched> element configures the adaptive scheduler: the
 /// automatic-placement policy ("static" = Eq. 1, "least-loaded",

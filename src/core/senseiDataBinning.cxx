@@ -63,7 +63,7 @@ DataBinning::DataBinning() = default;
 
 DataBinning::~DataBinning()
 {
-  this->Runner_.Drain();
+  this->DrainAsync(); // tasks read members
   // a completion that throws is reported and the queue runs on, until
   // this instance's own completion has run
   while (this->Queued_)
@@ -145,20 +145,20 @@ void DataBinning::SetOutput(const std::string &dir, const std::string &prefix,
 }
 
 // ---------------------------------------------------------------------------
-bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
+bool DataBinning::GatherInputs(DataAdaptor *data, StepInputs &in)
 {
-  svtkDataObject *obj = data->GetMesh(this->MeshName_);
+  auto obj = svtkSmartPtr<svtkDataObject>::Take(data->GetMesh(this->MeshName_));
   if (!obj)
     return false;
 
   // resolve to a list of tables: a table mesh is one block; a multi-block
   // mesh contributes every non-null block (all of which must be tables)
   std::vector<svtkTable *> tables;
-  if (auto *table = dynamic_cast<svtkTable *>(obj))
+  if (auto *table = dynamic_cast<svtkTable *>(obj.Get()))
   {
     tables.push_back(table);
   }
-  else if (auto *mb = dynamic_cast<svtkMultiBlockDataSet *>(obj))
+  else if (auto *mb = dynamic_cast<svtkMultiBlockDataSet *>(obj.Get()))
   {
     for (int i = 0; i < mb->GetNumberOfBlocks(); ++i)
     {
@@ -167,16 +167,12 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
         continue;
       auto *t = dynamic_cast<svtkTable *>(block);
       if (!t)
-      {
-        obj->UnRegister();
         return false;
-      }
       tables.push_back(t);
     }
   }
   else
   {
-    obj->UnRegister();
     return false;
   }
 
@@ -218,7 +214,6 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
   }
 
   in.Step = data->GetDataTimeStep();
-  in.Time = data->GetDataTime();
 
   // describe the accumulation so the cost-model policy can price it: the
   // per-row cost and atomic fraction mirror the kernel launched below.
@@ -237,19 +232,15 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
   hint.MoveBytes = in.Bytes;
   in.Device = this->PlaceForGraph(data, hint);
   if (!ok)
-  {
-    obj->UnRegister();
     return false;
-  }
 
-  // the typed columns: the simulation's, shared zero-copy (lockstep), or
-  // the step's snapshot on the placement device (async), taken for all
-  // of a block's distinct columns at once. An asynchronous binning with
-  // auto-ranged axes also takes the local ranges the snapshot's gather
-  // folds, so its task need not scan its axes.
-  bool autoRanged = false;
-  for (std::size_t a = 0; a < this->Axes_.size(); ++a)
-    autoRanged = autoRanged || (this->AutoRange_ && !this->HasFixedRange_[a]);
+  // the typed columns, taken for all of a block's distinct columns at
+  // once. An asynchronous binning with auto-ranged axes also takes the
+  // local ranges the snapshot's gather folds, so its task need not scan
+  // its axes.
+  const bool autoRanged =
+    std::find(this->HasFixedRange_.begin(), this->HasFixedRange_.end(),
+              false) != this->HasFixedRange_.end();
   for (const BlockSources &src : sources)
   {
     std::vector<svtkDataArray *> distinct;
@@ -257,15 +248,10 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
       for (svtkDataArray *col : *cols)
         if (std::find(distinct.begin(), distinct.end(), col) == distinct.end())
           distinct.push_back(col);
-    std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> snapshots;
     std::vector<DataAdaptor::ColumnRange> ranges;
-    if (async)
-      snapshots =
-        data->Snapshot(distinct, in.Device, autoRanged ? &ranges : nullptr);
-    else
-      for (svtkDataArray *col : distinct)
-        snapshots.push_back(
-          svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(col)));
+    const std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> snapshots =
+      this->GetInputs(data, distinct, in.Device,
+                      autoRanged ? &ranges : nullptr);
     auto at = [&](svtkDataArray *col)
     {
       return static_cast<std::size_t>(
@@ -289,7 +275,7 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
   // that no fill has stored yet. The set follows from the names alone,
   // never from placement or residency, so every rank issues the same
   // collectives.
-  if (!async)
+  if (!this->GetAsynchronous())
   {
     in.Table = data;
     in.Ranges.assign(this->Axes_.size(),
@@ -298,7 +284,7 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
     std::map<std::string, FillColumn> fill; // name order
     for (std::size_t a = 0; a < this->Axes_.size(); ++a)
     {
-      if (this->HasFixedRange_[a] || !this->AutoRange_)
+      if (this->HasFixedRange_[a])
         continue;
       DataAdaptor::ColumnSet cols;
       for (const BlockSources &src : sources)
@@ -328,8 +314,6 @@ bool DataBinning::GatherInputs(DataAdaptor *data, bool async, StepInputs &in)
     for (auto &kv : fill)
       in.Fill.push_back(std::move(kv.second));
   }
-
-  obj->UnRegister();
   return true;
 }
 
@@ -377,28 +361,23 @@ bool DataBinning::Execute(DataAdaptor *data)
   if (this->GetAsynchronous())
   {
     ScopedEvent ev("binning::execute_async_visible");
-
-    if (!this->AsyncComm_ && data->GetCommunicator())
-      this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
-
-    if (!this->GatherInputs(data, /*async=*/true, p->In))
+    if (!this->GatherInputs(data, p->In))
       return false;
-    p->In.Comm = this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
-
-    this->Runner_.Submit(
-      [this, p]()
-      {
-        this->LaunchBinning(*p);
-        this->CompleteBinning(*p);
-      },
-      p->In.Bytes);
+    this->Dispatch(data,
+                   [this, p](minimpi::Communicator *comm)
+                   {
+                     p->In.Comm = comm;
+                     this->LaunchBinning(*p);
+                     this->CompleteBinning(*p);
+                   },
+                   p->In.Bytes);
     return true;
   }
 
   ScopedEvent ev("binning::execute_lockstep");
   // a task left in flight by an asynchronous execute shares the record
-  this->Runner_.Drain();
-  if (!this->GatherInputs(data, /*async=*/false, p->In))
+  this->DrainAsync();
+  if (!this->GatherInputs(data, p->In))
     return false;
   p->In.Comm = data->GetCommunicator();
   this->LaunchBinning(*p);
@@ -439,7 +418,7 @@ DataBinning::GetColumnsRead(const std::string &mesh) const
 
 int DataBinning::Finalize()
 {
-  this->Runner_.Drain();
+  this->DrainAsync();
   this->FinishQueued();
   this->ReleaseRecord();
   return 0;
@@ -720,7 +699,7 @@ void DataBinning::FillRanges(
                              {flo[f], fhi[f]});
     for (std::size_t a = 0; a < this->Axes_.size(); ++a)
       if (col.Axis >= 0 && this->Axes_[a] == col.Name &&
-          !this->HasFixedRange_[a] && this->AutoRange_)
+          !this->HasFixedRange_[a])
       {
         lo[a] = flo[f];
         hi[a] = fhi[f];
@@ -864,15 +843,10 @@ void DataBinning::LaunchBinning(Pending &p)
   std::vector<std::size_t> autoAxes;
   for (std::size_t a = 0; a < nAxes; ++a)
   {
-    if (this->HasFixedRange_[a] || !this->AutoRange_)
+    if (this->HasFixedRange_[a])
     {
       lo[a] = this->FixedLo_[a];
-      hi[a] = this->HasFixedRange_[a] ? this->FixedHi_[a] : this->FixedLo_[a];
-      if (!this->HasFixedRange_[a])
-      {
-        lo[a] = 0.0;
-        hi[a] = 1.0;
-      }
+      hi[a] = this->FixedHi_[a];
       continue;
     }
     lo[a] = std::numeric_limits<double>::infinity();

@@ -15,13 +15,12 @@
 /// The implementation follows the paper: a CPU path that runs on the host
 /// and a CUDA path that runs on an assigned device (using the data model's
 /// PM-agnostic access so the simulation's PM never matters), both runnable
-/// asynchronously in a C++ thread, with placement and execution method
-/// controlled through the AnalysisAdaptor base extensions. The GPU path
+/// asynchronously in a C++ thread through the AnalysisAdaptor base's
+/// execution method, which also places them. The GPU path
 /// uses atomic memory updates to handle races between threads hitting the
 /// same bin — which is why, as the paper observes, binning is not an ideal
 /// GPU algorithm.
 
-#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
 #include "svtkDataObject.h"
 #include "svtkHAMRDataArray.h"
@@ -101,11 +100,9 @@ public:
   /// is broadcast to all axes).
   void SetResolution(const std::vector<long> &res);
 
-  /// Fix axis `i`'s bounds instead of computing them from the data.
+  /// Fix axis `i`'s bounds instead of computing them from the data
+  /// every step (the default).
   void SetRange(int axis, double lo, double hi);
-
-  /// Recompute bounds from the data every step (the default).
-  void SetAutoRange(bool on) { this->AutoRange_ = on; }
 
   /// Add a reduction of `column` (ignored/empty for Count).
   void AddOperation(const std::string &column, BinningOp op);
@@ -131,7 +128,6 @@ public:
   /// Its axes and the columns of its reductions.
   std::optional<std::vector<std::string>>
   GetColumnsRead(const std::string &mesh) const override;
-  void DrainAsync() override { this->Runner_.Drain(); }
   /// Drain, run a lockstep completion still queued (with every one
   /// queued before it), then free the record's device buffers (an
   /// execute after Finalize allocates them again).
@@ -202,7 +198,6 @@ private:
     std::vector<BlockInput> Blocks;
     minimpi::Communicator *Comm = nullptr;
     long Step = 0;
-    double Time = 0.0;
     int Device = DEVICE_HOST;
     std::size_t Rows = 0;  ///< total rows over the blocks
     std::size_t Bytes = 0; ///< payload of the distinct columns
@@ -237,7 +232,10 @@ private:
     vp::Stream Strm; ///< the device placement's private stream
   };
 
-  bool GatherInputs(DataAdaptor *data, bool async, StepInputs &in);
+  /// The step's inputs by the execution method: the typed columns of
+  /// every block (GetInputs) and, lockstep, the axis-range table's
+  /// entries or what its fill covers.
+  bool GatherInputs(DataAdaptor *data, StepInputs &in);
 
   /// The launch half: views, axis ranges (a lockstep fill, or an
   /// asynchronous task's reduction of its snapshot's ranges) and bin
@@ -334,7 +332,6 @@ private:
   std::vector<long> Resolution_;
   std::vector<double> FixedLo_, FixedHi_;
   std::vector<bool> HasFixedRange_;
-  bool AutoRange_ = true;
   std::vector<Operation> Ops_;
 
   std::string OutputDir_;
@@ -343,11 +340,6 @@ private:
   GpuBinningStrategy GpuStrategy_ = GpuBinningStrategy::GlobalAtomics;
 
   Record Record_;
-
-  sched::BoundedPipeline Runner_;
-  /// communicator duplicated for the in situ thread, so its collectives
-  /// never interleave with the simulation's
-  std::optional<minimpi::Communicator> AsyncComm_;
 
   /// Captured step-graph session for the device path (src/graph),
   /// created on the first device execution when vp::graph is enabled.

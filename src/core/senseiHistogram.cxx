@@ -1,6 +1,5 @@
 #include "senseiHistogram.h"
 
-#include "svtkArrayUtils.h"
 #include "vcuda.h"
 
 #include <algorithm>
@@ -15,21 +14,10 @@ bool Histogram::Execute(DataAdaptor *data)
   if (!data || this->Column_.empty())
     return false;
 
-  svtkDataObject *obj = data->GetMesh(this->MeshName_);
-  auto *table = dynamic_cast<svtkTable *>(obj);
-  if (!table)
-  {
-    if (obj)
-      obj->UnRegister();
-    return false;
-  }
-
-  svtkDataArray *raw = table->GetColumnByName(this->Column_);
+  svtkSmartPtr<svtkTable> table = GetTable(data, this->MeshName_);
+  svtkDataArray *raw = table ? table->GetColumnByName(this->Column_) : nullptr;
   if (!raw)
-  {
-    table->UnRegister();
     return false;
-  }
 
   // describe the two passes (range scan + accumulation) for the
   // cost-model placement policy
@@ -42,28 +30,12 @@ bool Histogram::Execute(DataAdaptor *data)
   hint.MoveBytes = bytes;
   const int device = this->GetPlacementDevice(data, hint);
 
-  if (this->GetAsynchronous())
-  {
-    if (!this->AsyncComm_ && data->GetCommunicator())
-      this->AsyncComm_.emplace(data->GetCommunicator()->Dup());
-
-    // the step's deep copy on the placement device, then run concurrently
-    svtkSmartPtr<const svtkHAMRDoubleArray> snap =
-      data->Snapshot({raw}, device).front();
-    table->UnRegister();
-
-    minimpi::Communicator *comm =
-      this->AsyncComm_ ? &*this->AsyncComm_ : nullptr;
-    this->Runner_.Submit([this, snap, comm, device]()
-                         { this->Run(snap, comm, device); },
-                         bytes);
-    return true;
-  }
-
-  auto col =
-    svtkSmartPtr<const svtkHAMRDoubleArray>::Take(svtkAsHAMRDouble(raw));
-  this->Run(col, data->GetCommunicator(), device);
-  table->UnRegister();
+  svtkSmartPtr<const svtkHAMRDoubleArray> col =
+    this->GetInputs(data, {raw}, device).front();
+  this->Dispatch(data,
+                 [this, col, device](minimpi::Communicator *comm)
+                 { this->Run(col, comm, device); },
+                 bytes);
   return true;
 }
 
@@ -73,12 +45,6 @@ Histogram::GetColumnsRead(const std::string &mesh) const
   if (mesh != this->MeshName_ || this->Column_.empty())
     return std::vector<std::string>();
   return std::vector<std::string>{this->Column_};
-}
-
-int Histogram::Finalize()
-{
-  this->Runner_.Drain();
-  return 0;
 }
 
 void Histogram::Run(const svtkSmartPtr<const svtkHAMRDoubleArray> &col,

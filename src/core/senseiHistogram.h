@@ -4,11 +4,9 @@
 /// @file senseiHistogram.h
 /// A 1-D histogram analysis back end. Functionally a special case of data
 /// binning (one coordinate axis, count reduction) but implemented
-/// separately, as in SENSEI proper, and used in tests to verify that the
-/// placement and execution-method extensions defined in the
-/// AnalysisAdaptor base class are available to every back end.
+/// separately, as in SENSEI proper. It supplies its placement hint and
+/// its computation; the execution method is the AnalysisAdaptor base's.
 
-#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
 #include "svtkHAMRDataArray.h"
 
@@ -47,8 +45,6 @@ public:
   /// Its column.
   std::optional<std::vector<std::string>>
   GetColumnsRead(const std::string &mesh) const override;
-  void DrainAsync() override { this->Runner_.Drain(); }
-  int Finalize() override;
 
   /// The most recent histogram: bin counts plus the range used. Returns
   /// false before the first completed execution.
@@ -57,7 +53,7 @@ public:
 
 protected:
   Histogram() = default;
-  ~Histogram() override { this->Runner_.Drain(); }
+  ~Histogram() override { this->DrainAsync(); } // tasks read members
 
 private:
   void Run(const svtkSmartPtr<const svtkHAMRDoubleArray> &col,
@@ -68,9 +64,6 @@ private:
   long Bins_ = 64;
   bool AutoRange_ = true;
   double Lo_ = 0.0, Hi_ = 1.0;
-
-  sched::BoundedPipeline Runner_;
-  std::optional<minimpi::Communicator> AsyncComm_;
 
   mutable std::mutex ResultMutex_;
   std::vector<double> LastCounts_;

@@ -19,14 +19,9 @@ bool PosthocIO::Execute(DataAdaptor *data)
   if (data->GetDataTimeStep() % this->Frequency_ != 0)
     return true;
 
-  svtkDataObject *obj = data->GetMesh(this->MeshName_);
-  auto *table = dynamic_cast<svtkTable *>(obj);
+  svtkSmartPtr<svtkTable> table = GetTable(data, this->MeshName_);
   if (!table)
-  {
-    if (obj)
-      obj->UnRegister();
     return false;
-  }
 
   const int rank =
     data->GetCommunicator() ? data->GetCommunicator()->Rank() : 0;
@@ -45,17 +40,13 @@ bool PosthocIO::Execute(DataAdaptor *data)
     // serialize + compress now (the encoder charges the caller's clock,
     // like the in transit sender); the closure owns only the encoded
     // bytes, so the async queue meters the compressed size
-    const std::size_t raw = TableValueBytes(table);
+    const std::size_t raw = TableValueBytes(table.Get());
     auto blob = std::make_shared<std::vector<std::uint8_t>>(
-      SerializeTableCompressed(table, cmp::DefaultRequest()));
-    table->UnRegister();
-
-    auto write = [blob, file]() { sio::WriteBlob(file, *blob); };
-    if (this->GetAsynchronous())
-      this->Runner_.Submit(write, blob->size(), raw);
-    else
-      write();
-
+      SerializeTableCompressed(table.Get(), cmp::DefaultRequest()));
+    this->Dispatch(data,
+                   [blob, file](minimpi::Communicator *)
+                   { sio::WriteBlob(file, *blob); },
+                   blob->size(), raw);
     ++this->WriteCount_;
     return true;
   }
@@ -74,32 +65,21 @@ bool PosthocIO::Execute(DataAdaptor *data)
     host->AddColumn(a);
     a->Delete();
   }
-  table->UnRegister();
 
   // the closure owns the host copy (the scheduler may discard it without
   // running under a dropping backpressure policy)
   auto held = svtkSmartPtr<svtkTable>::Take(host);
-  auto write = [held, file, fmt]()
-  {
-    if (fmt == Format::CSV)
-      sio::WriteCSV(file, held.Get());
-    else
-      sio::WriteParticlesVTK(file, held.Get());
-  };
-
-  if (this->GetAsynchronous())
-    this->Runner_.Submit(write, bytes);
-  else
-    write();
-
+  this->Dispatch(data,
+                 [held, file, fmt](minimpi::Communicator *)
+                 {
+                   if (fmt == Format::CSV)
+                     sio::WriteCSV(file, held.Get());
+                   else
+                     sio::WriteParticlesVTK(file, held.Get());
+                 },
+                 bytes);
   ++this->WriteCount_;
   return true;
-}
-
-int PosthocIO::Finalize()
-{
-  this->Runner_.Drain();
-  return 0;
 }
 
 } // namespace sensei

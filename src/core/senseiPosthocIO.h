@@ -6,10 +6,11 @@
 /// post hoc visualization, in CSV, legacy-VTK particle or SBIN (the table
 /// stream every process boundary uses) format, every k steps. Stands in
 /// for Newton++'s "VTK compatible output format for post processing and
-/// visualization". Supports asynchronous execution (deep copies to host,
-/// writes in a thread).
+/// visualization". It takes its own host copy of the table (the encoded
+/// bytes for SBIN) and hands the write to the AnalysisAdaptor base's
+/// execution method; its writes read no member, so it needs no drain of
+/// its own.
 
-#include "schedPipeline.h"
 #include "senseiAnalysisAdaptor.h"
 
 #include <string>
@@ -46,15 +47,12 @@ public:
   void SetFrequency(long k) { this->Frequency_ = k > 0 ? k : 1; }
 
   bool Execute(DataAdaptor *data) override;
-  void DrainAsync() override { this->Runner_.Drain(); }
-  int Finalize() override;
 
   /// Number of files written so far.
   long GetWriteCount() const { return this->WriteCount_; }
 
 protected:
   PosthocIO() = default;
-  ~PosthocIO() override { this->Runner_.Drain(); }
 
 private:
   std::string MeshName_ = "table";
@@ -63,8 +61,6 @@ private:
   Format Format_ = Format::CSV;
   long Frequency_ = 1;
   long WriteCount_ = 0;
-
-  sched::BoundedPipeline Runner_;
 };
 
 } // namespace sensei

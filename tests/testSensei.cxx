@@ -1,8 +1,11 @@
 // Unit tests for the SENSEI core: the AnalysisAdaptor execution-model
 // extensions (placement Eq. 1 as a parameterized sweep, execution
-// methods), TableAdaptor, Histogram back end on host and device, the
-// ConfigurableAnalysis XML front end, and the profiler.
+// methods and a switch between them), TableAdaptor, Histogram back end
+// on host and device, the ConfigurableAnalysis XML front end, and the
+// profiler.
 
+#include "senseiAutocorrelation.h"
+#include "senseiColumnStatistics.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataAdaptor.h"
 #include "senseiHistogram.h"
@@ -19,8 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
+#include <utility>
 
 using sensei::AnalysisAdaptor;
 
@@ -441,7 +446,120 @@ TEST(ConfigurableAnalysis, RejectsBadConfigs)
                  "range_0='1'/></sensei>"),
                std::runtime_error);
   EXPECT_THROW(ca->InitializeString("not xml"), sxml::ParseError);
+
+  // a malformed per-analysis attribute is an error naming the analysis
+  // type and the attribute, not a silent default
+  const std::pair<const char *, const char *> bad[] = {
+    {"histogram", "async='ture'"},
+    {"histogram", "enabled='nope'"},
+    {"histogram", "device='gpu1'"},
+    {"histogram", "devices_to_use='two'"},
+    {"histogram", "device_start='first'"},
+    {"histogram", "device_stride='1.5'"},
+    {"histogram", "bins='abc'"},
+    {"autocorrelation", "window='0'"},
+    {"posthoc_io", "frequency='-1'"},
+    {"posthoc_io", "format='sbim'"}};
+  for (const auto &[type, attr] : bad)
+  {
+    const std::string doc = std::string("<sensei><analysis type='") + type +
+                            "' column='x' " + attr + "/></sensei>";
+    const std::string name(attr, std::strchr(attr, '='));
+    try
+    {
+      ca->InitializeString(doc);
+      ADD_FAILURE() << doc << " loaded";
+    }
+    catch (const std::runtime_error &e)
+    {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(type), std::string::npos) << what;
+      EXPECT_NE(what.find(name + "="), std::string::npos) << what;
+    }
+  }
   ca->Delete();
+}
+
+// --- execution method switch ---------------------------------------------------------
+
+namespace
+{
+/// What a histogram, a column statistics and an autocorrelation keep
+/// after two steps on different data (of one size: the autocorrelation
+/// multiplies rows of one step with the same rows of the other).
+struct SwitchResults
+{
+  std::vector<double> Counts;
+  double Lo = 0.0, Hi = 0.0;
+  double Count = 0.0, Mean = 0.0, M2 = 0.0;
+  std::vector<double> Acf;
+};
+
+/// Run the three back ends over steps 1 and 2, step 1 asynchronously
+/// when `firstAsync`, step 2 lockstep, then finalize, with coalescing
+/// backpressure.
+SwitchResults RunMethodSwitch(bool firstAsync)
+{
+  sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
+  ca->InitializeString(R"(<sensei>
+    <sched backpressure="coalesce"/>
+    <analysis type="histogram" mesh="bodies" column="x" bins="8"/>
+    <analysis type="column_statistics" mesh="bodies" columns="x"/>
+    <analysis type="autocorrelation" mesh="bodies" column="x" window="4"/>
+  </sensei>)");
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  for (long step : {1L, 2L})
+  {
+    for (int i = 0; i < ca->GetNumberOfAnalyses(); ++i)
+      ca->GetAnalysis(i)->SetAsynchronous(firstAsync && step == 1);
+    svtkTable *t = MakeTable(800, static_cast<unsigned>(10 + step));
+    da->SetTable(t);
+    t->Delete();
+    da->SetDataTimeStep(step);
+    EXPECT_TRUE(ca->Execute(da));
+    da->ReleaseData();
+  }
+  EXPECT_EQ(ca->Finalize(), 0);
+
+  SwitchResults r;
+  auto *h = dynamic_cast<sensei::Histogram *>(ca->GetAnalysis(0));
+  auto *s = dynamic_cast<sensei::ColumnStatistics *>(ca->GetAnalysis(1));
+  auto *a = dynamic_cast<sensei::Autocorrelation *>(ca->GetAnalysis(2));
+  EXPECT_TRUE(h && s && a);
+  if (h && s && a)
+  {
+    EXPECT_TRUE(h->GetLastResult(r.Counts, r.Lo, r.Hi));
+    const sensei::ColumnMoments x = s->GetLastResult()["x"];
+    r.Count = x.Count;
+    r.Mean = x.Mean;
+    r.M2 = x.M2;
+    r.Acf = a->GetLastResult();
+  }
+  ca->Delete();
+  da->Delete();
+  sensei::ResetConfig({"sched"});
+  return r;
+}
+} // namespace
+
+TEST(AnalysisMethodSwitch, LockstepAfterAsyncKeepsTheNewerResult)
+{
+  // coalescing backpressure defers the asynchronous step-1 task until the
+  // pipeline is next entered; the lockstep step-2 execute must drain it
+  // before it runs, or Finalize's drain runs it last and step 1's result
+  // overwrites step 2's
+  ResetPlatform();
+  const SwitchResults ref = RunMethodSwitch(false);
+  ASSERT_EQ(ref.Count, 800.0);
+  ASSERT_EQ(ref.Acf.size(), 2u);
+
+  const SwitchResults got = RunMethodSwitch(true);
+  EXPECT_EQ(got.Counts, ref.Counts) << "histogram kept step 1's result";
+  EXPECT_EQ(got.Lo, ref.Lo);
+  EXPECT_EQ(got.Hi, ref.Hi);
+  EXPECT_EQ(got.Mean, ref.Mean) << "column statistics kept step 1's result";
+  EXPECT_EQ(got.M2, ref.M2);
+  EXPECT_EQ(got.Acf, ref.Acf) << "autocorrelation kept step 1's result";
 }
 
 // --- PosthocIO -----------------------------------------------------------------------
