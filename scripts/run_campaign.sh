@@ -120,6 +120,13 @@ if [ -f BENCH_viz.json ]; then
   echo "wrote results/BENCH_viz.json"
 fi
 
+echo "== end-to-end benchmark smoke run =="
+# bench/e2e's own build and self test: its step loop is bit-identical to
+# newton::Driver::Run, and every workload's output checks pass (every
+# binning holds every body and all the mass, every histogram counts every
+# body)
+bench e2e_smoke.txt bash ../bench/e2e/run.sh --smoke
+
 echo "== checked pooled campaign (VP_CHECK=1) =="
 # the race/lifetime checker instruments the whole pooled campaign; any
 # violation (use-after-free, unsynced access, cross-stream race, double
@@ -317,6 +324,11 @@ cmake --build ../build-tsan --target testExec um_exec testService testGraph um_g
 # communicator's collectives and each back end's result under its lock,
 # under the race detector
 VP_EXEC=threads ../build-tsan/tests/testSensei
+# histograms (each a one-axis count binning) on host and devices, both
+# methods, their asynchronous tasks on consumer threads, with the checker
+# on
+VP_CHECK=1 VP_EXEC=threads ../build-tsan/tests/testSensei \
+  --gtest_filter='Histogram.*'
 VP_EXEC=threads ../build-tsan/tests/testAutocorrelation
 VP_EXEC=threads ../build-tsan/tests/testExtensions \
   --gtest_filter='ColumnStatistics.*'

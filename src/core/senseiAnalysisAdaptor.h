@@ -32,7 +32,10 @@
 /// pipeline the base owns, on the communicator it duplicates). Its
 /// DrainAsync and Finalize drain that pipeline. A back end whose tasks
 /// read its own members drains in its destructor, because those members
-/// die before the base's pipeline does.
+/// die before the base's pipeline does. A back end that composes another
+/// analysis (Histogram and viz::RenderAnalysis own a DataBinning) hands
+/// it its placement through PassPlacement, and forwards DrainAsync and
+/// Finalize to it when it also hands it its execution method.
 
 #include "schedPipeline.h"
 #include "senseiDataAdaptor.h"
@@ -193,6 +196,19 @@ protected:
   /// `rawBytes`, when nonzero, their size before compression.
   void Dispatch(DataAdaptor *data, Task task, std::size_t payloadBytes,
                 std::size_t rawBytes = 0);
+
+  /// Give `to` this analysis's placement controls: the device id,
+  /// devices_to_use, device_start, device_stride and the placement
+  /// policy. A back end that composes another analysis calls it at each
+  /// execute, so the composed one is placed as it is.
+  void PassPlacement(AnalysisAdaptor &to) const
+  {
+    to.DeviceId_ = this->DeviceId_;
+    to.DevicesToUse_ = this->DevicesToUse_;
+    to.DeviceStart_ = this->DeviceStart_;
+    to.DeviceStride_ = this->DeviceStride_;
+    to.Policy_ = this->Policy_;
+  }
 
 private:
   ExecutionMethod Method_ = ExecutionMethod::Lockstep;

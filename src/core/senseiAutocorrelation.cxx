@@ -68,11 +68,11 @@ void Autocorrelation::Run(
   std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> window,
   minimpi::Communicator *comm, int device)
 {
+  // [the lag sums | the rows each lag summed], reduced in one collective
   const std::size_t lags = window.size();
-  std::vector<double> sums(lags, 0.0);
+  std::vector<double> sums(2 * lags, 0.0);
 
   const svtkHAMRDoubleArray *newest = window.back().Get();
-  const std::size_t n = newest->GetNumberOfTuples();
 
   auto newestView = newest->GetDeviceAccessible(device);
   newest->Synchronize();
@@ -84,6 +84,10 @@ void Autocorrelation::Run(
     auto pastView = past->GetDeviceAccessible(device);
     past->Synchronize();
     const double *vP = pastView.get();
+    // a rank's row count may change between steps: a lag covers the
+    // rows both entries hold
+    const std::size_t n =
+      std::min(newest->GetNumberOfTuples(), past->GetNumberOfTuples());
 
     double acc = 0.0;
     const auto body = [vT, vP, &acc](std::size_t b, std::size_t e)
@@ -106,18 +110,17 @@ void Autocorrelation::Run(
         vp::KernelDesc{n, 2.0, 0.0, "autocorr_dot_host"}, body);
     }
     sums[tau] = acc;
+    sums[lags + tau] = static_cast<double>(n);
   }
 
-  // combine across ranks in one collective: the dot products plus the
-  // element count packed behind them
-  sums.push_back(static_cast<double>(n));
   if (comm)
     comm->Allreduce(sums.data(), sums.size(), minimpi::Op::Sum);
-  const double count = sums.back();
-  sums.pop_back();
-
-  for (double &s : sums)
-    s = count > 0 ? s / count : 0.0;
+  for (std::size_t tau = 0; tau < lags; ++tau)
+  {
+    const double count = sums[lags + tau];
+    sums[tau] = count > 0 ? sums[tau] / count : 0.0;
+  }
+  sums.resize(lags);
 
   std::lock_guard<std::mutex> lock(this->ResultMutex_);
   this->Last_ = std::move(sums);

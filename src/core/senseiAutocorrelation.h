@@ -9,7 +9,9 @@
 ///
 ///     ACF(tau) = (1/N) sum_i v_i(T) * v_i(T - tau),  tau = 0..K-1
 ///
-/// across all ranks. Snapshots are deep copies by necessity — by the
+/// across all ranks, where on each rank i runs over the rows both
+/// snapshots hold (a rank's row count may change between steps) and N is
+/// the global count of those rows. Snapshots are deep copies by necessity — by the
 /// next step the simulation has overwritten its buffers — making this
 /// back end a natural stress test of the data model's deep-copy path.
 /// It supplies its placement hint and its computation (the lag dot

@@ -18,9 +18,12 @@
 #include "vpMemoryPool.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace sensei
 {
@@ -53,15 +56,14 @@ std::runtime_error BadAttribute(const sxml::Element &el, const std::string &key,
                             el.Attribute(key) + "\">: " + what);
 }
 
-/// Attribute `key` of analysis element `el` as a boolean in the knob
-/// rows' spellings, or `fallback` when it is absent.
-bool BoolAttribute(const sxml::Element &el, const std::string &key,
-                   bool fallback)
+/// parse(), reporting a std::invalid_argument it throws as an error in
+/// attribute `key` of analysis element `el`.
+template <class F>
+auto Checked(const sxml::Element &el, const std::string &key, F &&parse)
 {
   try
   {
-    return el.HasAttribute(key) ? vp::knob::ParseBool(el.Attribute(key))
-                                : fallback;
+    return parse();
   }
   catch (const std::invalid_argument &e)
   {
@@ -69,22 +71,59 @@ bool BoolAttribute(const sxml::Element &el, const std::string &key,
   }
 }
 
+/// Attribute `key` of analysis element `el` as a boolean in the knob
+/// rows' spellings, or `fallback` when it is absent.
+bool BoolAttribute(const sxml::Element &el, const std::string &key,
+                   bool fallback)
+{
+  if (!el.HasAttribute(key))
+    return fallback;
+  return Checked(el, key,
+                 [&] { return vp::knob::ParseBool(el.Attribute(key)); });
+}
+
 /// Attribute `key` of analysis element `el` as an integer in [min,
 /// 2^31 - 1], or `fallback` when it is absent.
 int IntAttribute(const sxml::Element &el, const std::string &key,
                  int fallback, int min)
 {
+  if (!el.HasAttribute(key))
+    return fallback;
+  return Checked(el, key,
+                 [&]
+                 {
+                   return static_cast<int>(vp::knob::ParseNumber(
+                     el.Attribute(key), true, min, vp::knob::kMaxInt32));
+                 });
+}
+
+/// "lo,hi" as two finite numbers with lo < hi; throws
+/// std::invalid_argument saying what was expected.
+std::pair<double, double> ParseRange(const std::string &text)
+{
+  const std::vector<std::string> r = SplitList(text);
+  constexpr double big = std::numeric_limits<double>::max();
   try
   {
-    return el.HasAttribute(key)
-             ? static_cast<int>(vp::knob::ParseNumber(
-                 el.Attribute(key), true, min, vp::knob::kMaxInt32))
-             : fallback;
+    if (r.size() == 2)
+    {
+      const double lo = vp::knob::ParseNumber(r[0], false, -big, big);
+      const double hi = vp::knob::ParseNumber(r[1], false, -big, big);
+      if (lo < hi)
+        return {lo, hi};
+    }
   }
-  catch (const std::invalid_argument &e)
+  catch (const std::invalid_argument &)
   {
-    throw BadAttribute(el, key, e.what());
   }
+  throw std::invalid_argument("expected 'lo,hi', two numbers with lo < hi");
+}
+
+/// Attribute `key` of analysis element `el` as a range (ParseRange).
+std::pair<double, double> RangeAttribute(const sxml::Element &el,
+                                         const std::string &key)
+{
+  return Checked(el, key, [&] { return ParseRange(el.Attribute(key)); });
 }
 
 /// What the <viz> rows cannot express: the fixed range and the viewers.
@@ -95,11 +134,7 @@ void ApplyExtra(viz::VizConfig &cfg, const sxml::Element &root)
     return;
   if (ze->HasAttribute("range"))
   {
-    std::vector<std::string> r = SplitList(ze->Attribute("range"));
-    if (r.size() != 2)
-      throw std::runtime_error("<viz> range must be 'lo,hi'");
-    cfg.Lo = std::stod(r[0]);
-    cfg.Hi = std::stod(r[1]);
+    std::tie(cfg.Lo, cfg.Hi) = ParseRange(ze->Attribute("range"));
     cfg.AutoRange = false;
   }
   cfg.Viewers.clear();
@@ -267,7 +302,7 @@ void ConfigurableAnalysis::ApplyCommon(const sxml::Element &el,
   a->SetDevicesToUse(IntAttribute(el, "devices_to_use", 0, 0));
   a->SetDeviceStart(IntAttribute(el, "device_start", 0, 0));
   a->SetDeviceStride(IntAttribute(el, "device_stride", 1, 1));
-  a->SetVerbose(static_cast<int>(el.AttributeInt("verbose", 0)));
+  a->SetVerbose(IntAttribute(el, "verbose", 0, 0));
 
   AnalysisOverride ov;
   AnalysisRows().Merge(
@@ -295,12 +330,16 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
       b->SetAxes(axes);
 
       if (el.HasAttribute("resolution"))
-      {
-        std::vector<long> res;
-        for (const std::string &r : SplitList(el.Attribute("resolution")))
-          res.push_back(std::stol(r));
-        b->SetResolution(res);
-      }
+        Checked(el, "resolution",
+                [&]
+                {
+                  std::vector<long> res;
+                  for (const std::string &r :
+                       SplitList(el.Attribute("resolution")))
+                    res.push_back(static_cast<long>(
+                      vp::knob::ParseNumber(r, true, 1, vp::knob::kMaxInt32)));
+                  b->SetResolution(res);
+                });
 
       // optional fixed ranges: range_0="lo,hi" per axis
       for (std::size_t a = 0; a < axes.size(); ++a)
@@ -308,11 +347,8 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
         const std::string key = "range_" + std::to_string(a);
         if (el.HasAttribute(key))
         {
-          std::vector<std::string> r = SplitList(el.Attribute(key));
-          if (r.size() != 2)
-            throw std::runtime_error("data_binning: " + key +
-                                     " must be 'lo,hi'");
-          b->SetRange(static_cast<int>(a), std::stod(r[0]), std::stod(r[1]));
+          const auto [lo, hi] = RangeAttribute(el, key);
+          b->SetRange(static_cast<int>(a), lo, hi);
         }
       }
 
@@ -322,19 +358,24 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
         SplitList(el.Attribute("values", ""));
       for (std::size_t i = 0; i < ops.size(); ++i)
       {
-        const BinningOp op = BinningOpFromName(ops[i]);
+        const BinningOp op =
+          Checked(el, "ops", [&] { return BinningOpFromName(ops[i]); });
         const std::string col = i < values.size() ? values[i] : std::string();
         if (op != BinningOp::Count)
           b->AddOperation(col, op);
       }
 
+      const int outFreq = IntAttribute(el, "out_freq", 1, 0);
       if (el.HasAttribute("out_dir"))
         b->SetOutput(el.Attribute("out_dir"),
-                     el.Attribute("out_prefix", "binning"),
-                     el.AttributeInt("out_freq", 1));
+                     el.Attribute("out_prefix", "binning"), outFreq);
 
-      b->SetGpuStrategy(
-        GpuBinningStrategyFromName(el.Attribute("gpu_strategy", "")));
+      b->SetGpuStrategy(Checked(el, "gpu_strategy",
+                                [&]
+                                {
+                                  return GpuBinningStrategyFromName(
+                                    el.Attribute("gpu_strategy", ""));
+                                }));
     }
     catch (...)
     {
@@ -353,22 +394,19 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
     try
     {
       r->SetMeshName(el.Attribute("mesh", "table"));
-      r->SetAxes(SplitList(el.Attribute("axes", "x,y")));
+      const std::vector<std::string> axes =
+        SplitList(el.Attribute("axes", "x,y"));
+      r->SetAxes(axes);
       if (el.HasAttribute("resolution"))
-        r->SetBinResolution(el.AttributeInt("resolution", 256));
+        r->SetBinResolution(IntAttribute(el, "resolution", 256, 1));
 
-      const std::vector<std::string> axes = SplitList(el.Attribute(
-        "axes", "x,y"));
       for (std::size_t a = 0; a < axes.size(); ++a)
       {
         const std::string key = "range_" + std::to_string(a);
         if (el.HasAttribute(key))
         {
-          std::vector<std::string> rg = SplitList(el.Attribute(key));
-          if (rg.size() != 2)
-            throw std::runtime_error("render: " + key + " must be 'lo,hi'");
-          r->SetBinRange(static_cast<int>(a), std::stod(rg[0]),
-                         std::stod(rg[1]));
+          const auto [lo, hi] = RangeAttribute(el, key);
+          r->SetBinRange(static_cast<int>(a), lo, hi);
         }
       }
 
@@ -376,23 +414,21 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
         r->SetVariable(el.Attribute("variable"), el.Attribute("op", "sum"));
 
       r->SetImageSize(
-        static_cast<std::uint32_t>(el.AttributeInt("width", vcfg.Width)),
-        static_cast<std::uint32_t>(el.AttributeInt("height", vcfg.Height)));
+        static_cast<std::uint32_t>(
+          IntAttribute(el, "width", static_cast<int>(vcfg.Width), 1)),
+        static_cast<std::uint32_t>(
+          IntAttribute(el, "height", static_cast<int>(vcfg.Height), 1)));
 
       viz::TransferFunction tf;
       tf.Map = viz::ColormapFromName(
         el.Attribute("colormap", viz::ColormapName(vcfg.Map)));
-      tf.Log = el.AttributeBool("log", vcfg.Log);
+      tf.Log = BoolAttribute(el, "log", vcfg.Log);
       tf.AutoRange = vcfg.AutoRange;
       tf.Lo = vcfg.Lo;
       tf.Hi = vcfg.Hi;
       if (el.HasAttribute("range"))
       {
-        std::vector<std::string> rg = SplitList(el.Attribute("range"));
-        if (rg.size() != 2)
-          throw std::runtime_error("render: range must be 'lo,hi'");
-        tf.Lo = std::stod(rg[0]);
-        tf.Hi = std::stod(rg[1]);
+        std::tie(tf.Lo, tf.Hi) = RangeAttribute(el, "range");
         tf.AutoRange = false;
       }
       r->SetTransfer(tf);
@@ -421,10 +457,8 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
       h->SetBins(IntAttribute(el, "bins", 64, 1));
       if (el.HasAttribute("range"))
       {
-        std::vector<std::string> r = SplitList(el.Attribute("range"));
-        if (r.size() != 2)
-          throw std::runtime_error("histogram: range must be 'lo,hi'");
-        h->SetRange(std::stod(r[0]), std::stod(r[1]));
+        const auto [lo, hi] = RangeAttribute(el, "range");
+        h->SetRange(lo, hi);
       }
     }
     catch (...)

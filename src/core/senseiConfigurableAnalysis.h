@@ -27,10 +27,14 @@
 ///
 /// `device` accepts an explicit id, "host", or "auto" (Eq. 1 placement
 /// with the optional devices_to_use / device_start / device_stride
-/// controls). A malformed or out-of-range async, enabled, device,
-/// devices_to_use, device_start, device_stride, bins, window, frequency
-/// or format throws std::runtime_error naming the analysis type and the
-/// attribute.
+/// controls). A malformed or out-of-range attribute throws
+/// std::runtime_error naming the analysis type and the attribute: async,
+/// enabled, device, devices_to_use, device_start, device_stride and
+/// verbose on every analysis; data_binning's resolution, range_N, ops,
+/// gpu_strategy and out_freq; render's resolution, range_N, width,
+/// height, log and range; histogram's bins and range; autocorrelation's
+/// window; posthoc_io's frequency and format. A range ("lo,hi") needs
+/// two numbers with lo < hi.
 ///
 /// The optional <sched> element configures the adaptive scheduler: the
 /// automatic-placement policy ("static" = Eq. 1, "least-loaded",

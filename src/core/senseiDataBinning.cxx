@@ -1159,19 +1159,30 @@ void DataBinning::CompleteBinning(Pending &p)
     sio::WriteVTI(path.str(), image);
   }
 
-  this->StoreResult(image); // takes the reference
+  this->StoreResult(image, lo, hi); // takes the reference
 }
 
-void DataBinning::StoreResult(svtkImageData *image)
+void DataBinning::StoreResult(svtkImageData *image,
+                              const std::vector<double> &lo,
+                              const std::vector<double> &hi)
 {
   std::lock_guard<std::mutex> lock(this->ResultMutex_);
   if (this->LastResult_)
     this->LastResult_->UnRegister();
   this->LastResult_ = image;
+  this->LastLo_ = lo;
+  this->LastHi_ = hi;
   ++this->ExecuteCount_;
 }
 
 svtkImageData *DataBinning::GetLastResult() const
+{
+  std::vector<double> lo, hi;
+  return this->GetLastResult(lo, hi);
+}
+
+svtkImageData *DataBinning::GetLastResult(std::vector<double> &lo,
+                                          std::vector<double> &hi) const
 {
   std::lock_guard<std::mutex> lock(this->ResultMutex_);
   if (this->Queued_)
@@ -1179,8 +1190,11 @@ svtkImageData *DataBinning::GetLastResult() const
       "DataBinning::GetLastResult: this step's result is still queued in "
       "the adaptor's lockstep batch; call DataAdaptor::FinishLockstep() "
       "first");
-  if (this->LastResult_)
-    this->LastResult_->Register();
+  if (!this->LastResult_)
+    return nullptr;
+  this->LastResult_->Register();
+  lo = this->LastLo_;
+  hi = this->LastHi_;
   return this->LastResult_;
 }
 

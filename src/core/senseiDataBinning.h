@@ -151,6 +151,13 @@ public:
   ///   simulation by up to one in-flight step.
   svtkImageData *GetLastResult() const;
 
+  /// GetLastResult, with the exact [lo[a], hi[a]] each axis a of that
+  /// result was binned over (the image's origin and spacing do not give
+  /// hi back bit for bit). `lo` and `hi` are left alone when there is no
+  /// result.
+  svtkImageData *GetLastResult(std::vector<double> &lo,
+                               std::vector<double> &hi) const;
+
   /// Number of completed binning executions.
   long GetExecuteCount() const;
 
@@ -325,7 +332,8 @@ private:
   /// graph is dropped and placement re-decided.
   int PlaceForGraph(DataAdaptor *data, const sched::WorkHint &hint);
 
-  void StoreResult(svtkImageData *image);
+  void StoreResult(svtkImageData *image, const std::vector<double> &lo,
+                   const std::vector<double> &hi);
 
   std::string MeshName_ = "table";
   std::vector<std::string> Axes_;
@@ -348,6 +356,7 @@ private:
 
   mutable std::mutex ResultMutex_;
   svtkImageData *LastResult_ = nullptr;
+  std::vector<double> LastLo_, LastHi_; ///< LastResult_'s axis ranges
   long ExecuteCount_ = 0;
   /// The adaptor whose lockstep batch holds this instance's completion,
   /// or null when none is queued.

@@ -259,9 +259,10 @@ bool RenderAnalysis::Execute(sensei::DataAdaptor *data)
 
   const double renderBegin = RealNow();
 
-  // one placement for the render and its binning: an explicit device
-  // (SetDeviceId, the XML device attribute or a steer) places both
-  this->Binning_->SetDeviceId(this->GetDeviceId());
+  // one placement for the render and its binning: the device id (set,
+  // configured or steered) and the automatic placement's controls place
+  // both. Not the method: the render reads the grid in this execute
+  this->PassPlacement(*this->Binning_);
   const bool binned = this->Binning_->Execute(data);
   // a lockstep binning's completion may wait in the step's batch
   if (data)

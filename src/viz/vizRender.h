@@ -20,8 +20,11 @@
 /// the next step captures the new shape instead of dying on a replay
 /// mismatch.
 ///
-/// The binning runs where the render does: the render's device id
-/// (explicit, host or auto) is the binning's at every execute.
+/// The binning runs where the render does: the render's placement
+/// controls (device id, devices_to_use, device_start, device_stride and
+/// policy) are the binning's at every execute. Its execution method is
+/// not: the binning runs lockstep, since the render reads its grid in the
+/// same execute.
 
 #include "senseiAnalysisAdaptor.h"
 #include "senseiDataBinning.h"

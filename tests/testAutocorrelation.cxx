@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 using sensei::Autocorrelation;
@@ -235,6 +236,69 @@ TEST(Autocorrelation, AsyncMatchesLockstepAndMultiRankSums)
   for (double v : lockstep)
     EXPECT_NEAR(v, 14.0 / 3.0, 1e-12);
   EXPECT_EQ(lockstep, async);
+}
+
+TEST(Autocorrelation, GrowingRowCountStaysInBounds)
+{
+  // a rank's row count may change between steps (nbody_insitu
+  // repartitions every step): each lag sums over the rows both window
+  // entries hold and divides by the global count of those rows. The
+  // values are small integers, so every sum is exact
+  ResetPlatform();
+  const std::size_t rows[2][3] = {{500, 800, 900}, {300, 300, 700}};
+  auto value = [](int rank, long step, std::size_t i)
+  { return static_cast<double>((i + 3 * step + rank) % 5) - 2.0; };
+
+  // the reference: ACF(tau) of the last step over the rows both steps hold
+  const long last = 2;
+  std::vector<double> want(3, 0.0);
+  for (long tau = 0; tau <= last; ++tau)
+  {
+    double sum = 0.0, count = 0.0;
+    for (int rank = 0; rank < 2; ++rank)
+    {
+      const std::size_t n = std::min(rows[rank][last], rows[rank][last - tau]);
+      for (std::size_t i = 0; i < n; ++i)
+        sum += value(rank, last, i) * value(rank, last - tau, i);
+      count += static_cast<double>(n);
+    }
+    want[static_cast<std::size_t>(tau)] = sum / count;
+  }
+
+  std::vector<double> got;
+  minimpi::Run(2,
+               [&](minimpi::Communicator &comm)
+               {
+                 const int rank = comm.Rank();
+                 sensei::TableAdaptor *da = sensei::TableAdaptor::New("t");
+                 da->SetCommunicator(&comm);
+                 Autocorrelation *ac = Autocorrelation::New();
+                 ac->SetMeshName("t");
+                 ac->SetColumn("v");
+                 ac->SetWindow(3);
+                 ac->SetDeviceId(sensei::AnalysisAdaptor::DEVICE_HOST);
+                 for (long s = 0; s <= last; ++s)
+                 {
+                   const std::size_t n = rows[rank][s];
+                   svtkTable *t = svtkTable::New();
+                   svtkAOSDoubleArray *c = svtkAOSDoubleArray::New("v", n, 1);
+                   for (std::size_t i = 0; i < n; ++i)
+                     c->SetVariantValue(i, 0, value(rank, s, i));
+                   t->AddColumn(c);
+                   c->Delete();
+                   da->SetTable(t);
+                   t->Delete();
+                   da->SetDataTimeStep(s);
+                   EXPECT_TRUE(ac->Execute(da));
+                   da->ReleaseData();
+                 }
+                 ac->Finalize();
+                 if (rank == 0)
+                   got = ac->GetLastResult();
+                 ac->Delete();
+                 da->Delete();
+               });
+  EXPECT_EQ(got, want);
 }
 
 TEST(Autocorrelation, XmlConfigured)

@@ -12,9 +12,11 @@
 #include "senseiPosthocIO.h"
 #include "senseiProfiler.h"
 #include "svtkAOSDataArray.h"
+#include "svtkArrayUtils.h"
 #include "svtkHAMRDataArray.h"
 #include "vcuda.h"
 #include "vomp.h"
+#include "vpChecker.h"
 #include "vpPlatform.h"
 
 #include "sxml.h"
@@ -366,6 +368,163 @@ TEST(Histogram, MissingColumnFailsGracefully)
   da->Delete();
 }
 
+namespace
+{
+/// MakeTable's columns as HAMR arrays resident on `device`.
+svtkTable *MakeDeviceTable(std::size_t n, unsigned seed, int device)
+{
+  svtkTable *host = MakeTable(n, seed);
+  svtkTable *t = svtkTable::New();
+  vcuda::SetDevice(device);
+  for (int c = 0; c < host->GetNumberOfColumns(); ++c)
+  {
+    const svtkDataArray *src = host->GetColumn(c);
+    const std::vector<double> v = svtkToDoubleVector(src);
+    svtkHAMRDoubleArray *a =
+      svtkHAMRDoubleArray::New(src->GetName(), n, 1, svtkAllocator::cuda);
+    a->GetBuffer().assign(v.data(), n);
+    t->AddColumn(a);
+    a->Delete();
+  }
+  vcuda::SetDevice(0);
+  host->Delete();
+  return t;
+}
+} // namespace
+
+TEST(Histogram, HostPlacementMovesADeviceColumnOnce)
+{
+  // a host histogram of a device-resident column takes one host view of
+  // it per execute, for the range scan and the accumulation alike
+  ResetPlatform();
+  svtkTable *t = MakeDeviceTable(4000, 71, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  sensei::Histogram *h = sensei::Histogram::New();
+  h->SetMeshName("bodies");
+  h->SetColumn("x");
+  h->SetBins(16);
+  h->SetDeviceId(AnalysisAdaptor::DEVICE_HOST);
+
+  for (long step = 0; step < 3; ++step)
+  {
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    vp::Platform::Get().Stats().Reset();
+    ASSERT_TRUE(h->Execute(da));
+    EXPECT_EQ(vp::Platform::Get().Stats().Copies(vp::CopyKind::DeviceToHost),
+              1u)
+      << "step " << step;
+    da->ReleaseData();
+
+    std::vector<double> counts;
+    double lo = 0, hi = 0;
+    ASSERT_TRUE(h->GetLastResult(counts, lo, hi));
+    double total = 0;
+    for (double c : counts)
+      total += c;
+    EXPECT_EQ(total, 4000.0);
+  }
+
+  h->Delete();
+  da->Delete();
+  t->Delete();
+}
+
+TEST(Histogram, RejectsAnEmptyOrInvertedRange)
+{
+  // an empty range would put every value in bin 0 and an inverted one
+  // would reverse the bins; both are errors (in a configuration too:
+  // ConfigurableAnalysis.RejectsBadConfigs), and the histogram keeps
+  // binning over the data's range
+  ResetPlatform();
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  svtkTable *t = MakeTable(1000);
+  da->SetTable(t);
+  t->Delete();
+
+  sensei::Histogram *h = sensei::Histogram::New();
+  h->SetMeshName("bodies");
+  h->SetColumn("x");
+  h->SetBins(4);
+  EXPECT_THROW(h->SetRange(1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(h->SetRange(2.0, 0.0), std::invalid_argument);
+  ASSERT_TRUE(h->Execute(da));
+  std::vector<double> counts;
+  double lo = 0, hi = 0;
+  ASSERT_TRUE(h->GetLastResult(counts, lo, hi));
+  EXPECT_LT(lo, -0.99);
+  EXPECT_GT(hi, 0.99);
+  h->Delete();
+  da->ReleaseData();
+  da->Delete();
+}
+
+TEST(Histogram, AsyncDeviceHistogramIsCheckerClean)
+{
+  // asynchronous histograms on the column's device and on another one,
+  // over a device-resident table the simulation rewrites between steps:
+  // the checker sees no violation, and the counts match a lockstep host
+  // histogram of the same steps
+  ResetPlatform();
+  vp::check::Reset();
+  vp::check::Enable(true);
+
+  svtkTable *t = MakeDeviceTable(3000, 72, 0);
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  sensei::Histogram *hs[3];
+  const int devices[3] = {0, 2, AnalysisAdaptor::DEVICE_HOST};
+  for (int i = 0; i < 3; ++i)
+  {
+    hs[i] = sensei::Histogram::New();
+    hs[i]->SetMeshName("bodies");
+    hs[i]->SetColumn("x");
+    hs[i]->SetBins(16);
+    hs[i]->SetDeviceId(devices[i]);
+    hs[i]->SetAsynchronous(devices[i] >= 0);
+  }
+
+  std::vector<std::vector<double>> got[3];
+  for (long step = 0; step < 3; ++step)
+  {
+    if (step)
+    {
+      auto *x = dynamic_cast<svtkHAMRDoubleArray *>(t->GetColumnByName("x"));
+      ASSERT_NE(x, nullptr);
+      std::vector<double> v = x->ToVector();
+      for (double &e : v)
+        e = 0.5 * e + 0.25;
+      x->GetBuffer().assign(v.data(), v.size());
+    }
+    da->SetTable(t);
+    da->SetDataTimeStep(step);
+    for (sensei::Histogram *h : hs)
+      ASSERT_TRUE(h->Execute(da));
+    for (sensei::Histogram *h : hs)
+      h->DrainAsync();
+    da->ReleaseData();
+    for (int i = 0; i < 3; ++i)
+    {
+      std::vector<double> counts;
+      double lo = 0, hi = 0;
+      ASSERT_TRUE(hs[i]->GetLastResult(counts, lo, hi));
+      got[i].push_back(counts);
+    }
+  }
+  for (sensei::Histogram *h : hs)
+  {
+    EXPECT_EQ(h->Finalize(), 0);
+    h->Delete();
+  }
+  da->Delete();
+  t->Delete();
+
+  EXPECT_EQ(got[0], got[2]);
+  EXPECT_EQ(got[1], got[2]);
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << r.Summary();
+  vp::check::Enable(false);
+}
+
 // --- ConfigurableAnalysis ----------------------------------------------------------------
 
 TEST(ConfigurableAnalysis, BuildsChainFromXml)
@@ -457,6 +616,22 @@ TEST(ConfigurableAnalysis, RejectsBadConfigs)
     {"histogram", "device_start='first'"},
     {"histogram", "device_stride='1.5'"},
     {"histogram", "bins='abc'"},
+    {"histogram", "range='1,1'"},
+    {"histogram", "range='2,0'"},
+    {"histogram", "range='0,1x'"},
+    {"histogram", "verbose='loud'"},
+    {"data_binning", "resolution='abc'"},
+    {"data_binning", "resolution='16x'"},
+    {"data_binning", "range_0='0,1x'"},
+    {"data_binning", "ops='median'"},
+    {"data_binning", "gpu_strategy='fastest'"},
+    {"data_binning", "out_freq='often' out_dir='.'"},
+    {"render", "resolution='fine'"},
+    {"render", "width='wide'"},
+    {"render", "height='-4'"},
+    {"render", "log='maybe'"},
+    {"render", "range='0,1x'"},
+    {"render", "range_0='0,1x'"},
     {"autocorrelation", "window='0'"},
     {"posthoc_io", "frequency='-1'"},
     {"posthoc_io", "format='sbim'"}};

@@ -30,6 +30,7 @@
 #include "vizWire.h"
 #include "vomp.h"
 #include "vpFaultInjector.h"
+#include "vpLoadTracker.h"
 #include "vpPlatform.h"
 
 #include <gtest/gtest.h>
@@ -931,6 +932,43 @@ TEST(VizRender, HostPlacementAlsoPlacesTheBinning)
     da->ReleaseData();
     da->Delete();
   }
+}
+
+TEST(VizRender, AutomaticPlacementControlsAlsoPlaceTheBinning)
+{
+  // device="auto" with device_start="1" on 4 devices places rank 0's
+  // render on device 1 by Eq. 1, and its binning with it: both of the
+  // execute's placement decisions name device 1
+  ResetViz();
+  ConfigureSerial();
+  sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
+  ca->InitializeString(R"(
+    <sensei>
+      <analysis type="render" mesh="bodies" axes="x,y" resolution="8"
+                variable="v" op="sum" width="16" height="16"
+                device="auto" device_start="1"/>
+    </sensei>)");
+  auto *r = dynamic_cast<viz::RenderAnalysis *>(ca->GetAnalysis(0));
+  ASSERT_NE(r, nullptr);
+
+  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
+  svtkTable *t = MakeTable(2000, 13u);
+  da->SetTable(t);
+  t->Delete();
+  da->SetDataTimeStep(0);
+  ASSERT_TRUE(r->Execute(da));
+
+  const vp::DeviceLoadTracker &load = vp::DeviceLoadTracker::Get();
+  const int node = vp::Platform::GetThisNode();
+  EXPECT_EQ(load.Placements(node, 1), 2u);
+  EXPECT_EQ(load.Placements(node, 0), 0u);
+  EXPECT_EQ(r->GetBinning()->GetDeviceStart(), 1);
+  EXPECT_EQ(r->GetBinning()->GetAsynchronous(), false);
+
+  EXPECT_EQ(ca->Finalize(), 0);
+  ca->Delete();
+  da->ReleaseData();
+  da->Delete();
 }
 
 TEST(VizRender, BitIdenticalAcrossExecAndGraphModes)
