@@ -227,17 +227,20 @@ bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
 # asynchronous analyses on the pipeline, inline and on its consumer
-# thread, under ASan+UBSan
-../build-sanitize/tests/testExtensions --gtest_filter='AsyncRunner.*'
+# thread, under ASan+UBSan. UBSan recovers by default, so these runs and
+# the binning, back-end and minimpi runs below halt on the first report
+UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testExtensions \
+  --gtest_filter='AsyncRunner.*'
 # every back end's tasks on the AnalysisAdaptor base's one pipeline and
 # duplicated communicator: histograms, column statistics,
 # autocorrelation windows and posthoc writes in both methods, on 1 to 3
 # ranks, a switch from asynchronous to lockstep under coalescing
 # backpressure, and the malformed per-analysis attributes, under
 # ASan+UBSan
-../build-sanitize/tests/testSensei
-../build-sanitize/tests/testAutocorrelation
-../build-sanitize/tests/testExtensions --gtest_filter='ColumnStatistics.*'
+UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testSensei
+UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testAutocorrelation
+UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testExtensions \
+  --gtest_filter='ColumnStatistics.*'
 bench um_compress_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_compress \
   --benchmark_min_time=0.05
@@ -274,10 +277,12 @@ bench um_layout_sanitized.txt \
 # folds for asynchronous binnings, its per-step axis-range table
 # (fills, hits and peers scanned where they live), the resident record
 # reset by its compaction and reallocated on a new shape, and the
-# lockstep batch (completions queued until the step's last lockstep
-# binning, a Finalize or delete before ReleaseData running the queue
-# while readbacks are in flight), under ASan+UBSan
-../build-sanitize/tests/testBinning \
+# lockstep batch (host halves queued until the step's last lockstep
+# binning, a Finalize or delete before ReleaseData running the queue,
+# each device's share compacted into the leading instance's buffers and
+# read back into its pinned arena at per-record offsets), under
+# ASan+UBSan
+UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testBinning \
   --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*:BinningBatch.*'
 # the solver's ring pass (one packed block per hop, staged through the
 # resident device buffer) against its host reference on 1 to 5 ranks,
@@ -298,8 +303,8 @@ bench um_layout_sanitized.txt \
 ../build-sanitize/tests/testExec --gtest_filter='ExecEquality.*'
 # all of minimpi (point to point, collectives with empty messages on
 # Gather's non-root ranks, the compact record's pack, unpack and sparse
-# allreduce, the hostile chunk headers), stopping at the first UBSan
-# report
+# allreduce, one record or a batch, the hostile chunk headers), stopping
+# at the first UBSan report
 UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testMinimpi
 # the knob rows: every shipped config, the golden effective config, the
 # env matrix, every row's bad attribute/variable and vp_tune's malformed

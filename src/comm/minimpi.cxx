@@ -308,16 +308,6 @@ public:
     int rank, const void *in, void *out, std::size_t outBytes,
     const std::function<double(const std::vector<const void *> &)> &combine)
   {
-    this->Collective(rank, in, &out, 1, outBytes, combine);
-  }
-
-  /// As above, copying the first nOut * outBytes of Scratch_ out in
-  /// pieces of `outBytes`: piece k into out[k].
-  void Collective(
-    int rank, const void *in, void *const *out, std::size_t nOut,
-    std::size_t outBytes,
-    const std::function<double(const std::vector<const void *> &)> &combine)
-  {
     std::unique_lock<std::mutex> lock(this->CollMutex_);
     const std::uint64_t myGen = this->Generation_;
     this->InPtrs_[static_cast<std::size_t>(rank)] = in;
@@ -349,10 +339,8 @@ public:
       this->CollCv_.wait(lock, [&] { return this->Generation_ != myGen; });
     }
 
-    if (outBytes)
-      for (std::size_t k = 0; k < nOut; ++k)
-        if (out[k])
-          std::memcpy(out[k], this->Scratch_.data() + k * outBytes, outBytes);
+    if (out && outBytes)
+      std::memcpy(out, this->Scratch_.data(), outBytes);
     vp::ThisClock().AdvanceTo(this->ExitTime_);
   }
 
@@ -751,53 +739,38 @@ CompactPart PartOf(const CompactShape &shape, const void *compact,
   return part;
 }
 
-/// Fold the parts into the record whose segment g is seg[g] (Bins
-/// doubles) exactly as Allreduce folds dense records: the first part is
-/// copied (its values at the bins it holds, the identity elsewhere), and
-/// each later part is combined in part order by the same ReduceInto,
-/// over the union of the bitmaps gathered into contiguous runs (an
-/// absent bin contributes the identity). Bins no part holds stay the
-/// identity, which is also what the dense fold gives.
-void MergeCompact(const CompactShape &shape,
-                  const std::vector<CompactPart> &parts, double *const *seg)
+/// Write one part into the record whose segment g is seg[g] (Bins
+/// doubles): its values at the bins it holds, the identity elsewhere.
+void ExpandCompact(const CompactShape &shape, const CompactPart &part,
+                   double *const *seg)
 {
-  const std::size_t nBins = shape.Bins;
+  const std::size_t nGrids = shape.Grids();
+  for (std::size_t g = 0; g < nGrids; ++g)
+    std::fill(seg[g], seg[g] + shape.Bins, Identity(shape.Ops[g]));
+  const double *slot = part.Slots;
+  for (std::size_t w = 0; w < part.Bitmap.size(); ++w)
+    for (std::uint64_t bits = part.Bitmap[w]; bits; bits &= bits - 1)
+    {
+      const std::size_t i =
+        64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      for (std::size_t g = 0; g < nGrids; ++g)
+        seg[g][i] = *slot++;
+    }
+}
+
+/// Fold the parts exactly as Allreduce folds dense records, over the
+/// union of their bitmaps (a bin no part holds is the identity in the
+/// dense fold too): each union bin starts from the first part's values
+/// (the identity where it holds none) and combines every later part in
+/// part order through the same ReduceInto. Appends the result to `out`
+/// as a compact record holding the union's bins, whose expansion is the
+/// dense fold bit for bit.
+void FoldCompact(const CompactShape &shape,
+                 const std::vector<CompactPart> &parts,
+                 std::vector<std::uint8_t> &out)
+{
   const std::size_t nGrids = shape.Grids();
   const std::size_t nWords = shape.BitmapWords();
-  std::vector<double> id(nGrids);
-  for (std::size_t g = 0; g < nGrids; ++g)
-  {
-    id[g] = Identity(shape.Ops[g]);
-    std::fill(seg[g], seg[g] + nBins, id[g]);
-  }
-
-  // visit the bins of `bitmap` in order, with each one's nGrids values
-  // (the slots of a part that holds it, else the identities)
-  auto forEach = [&](const std::vector<std::uint64_t> &bitmap,
-                     const CompactPart *part, auto &&fn)
-  {
-    const double *slot = part ? part->Slots : nullptr;
-    for (std::size_t w = 0; w < nWords; ++w)
-      for (std::uint64_t bits = bitmap[w]; bits; bits &= bits - 1)
-      {
-        const int b = std::countr_zero(bits);
-        const bool mine = part && ((part->Bitmap[w] >> b) & 1u);
-        fn(64 * w + static_cast<std::size_t>(b), mine ? slot : id.data());
-        slot += mine ? nGrids : 0;
-      }
-  };
-
-  if (parts.empty())
-    return;
-  forEach(parts[0].Bitmap, &parts[0],
-          [&](std::size_t i, const double *v)
-          {
-            for (std::size_t g = 0; g < nGrids; ++g)
-              seg[g][i] = v[g];
-          });
-  if (parts.size() == 1)
-    return;
-
   std::vector<std::uint64_t> any(nWords, 0);
   std::size_t n = 0;
   for (std::size_t w = 0; w < nWords; ++w)
@@ -807,68 +780,82 @@ void MergeCompact(const CompactShape &shape,
     n += static_cast<std::size_t>(std::popcount(any[w]));
   }
 
-  // acc and in are segment-major over the union: [g * n + j]
+  // acc and in are segment-major over the union: [g * n + j]; gather
+  // writes a part's values over the union, the identity where it holds
+  // none
   std::vector<double> acc(nGrids * n), in(nGrids * n);
-  std::size_t j = 0;
-  forEach(any, nullptr,
-          [&](std::size_t i, const double *)
-          {
-            for (std::size_t g = 0; g < nGrids; ++g)
-              acc[g * n + j] = seg[g][i];
-            ++j;
-          });
+  auto gather = [&](const CompactPart &p, std::vector<double> &dst)
+  {
+    const double *slot = p.Slots;
+    std::size_t j = 0;
+    for (std::size_t w = 0; w < nWords; ++w)
+      for (std::uint64_t bits = any[w]; bits; bits &= bits - 1, ++j)
+      {
+        const bool mine = (p.Bitmap[w] >> std::countr_zero(bits)) & 1u;
+        for (std::size_t g = 0; g < nGrids; ++g)
+          dst[g * n + j] = mine ? slot[g] : Identity(shape.Ops[g]);
+        slot += mine ? nGrids : 0;
+      }
+  };
+  gather(parts[0], acc);
   for (std::size_t r = 1; r < parts.size(); ++r)
   {
-    j = 0;
-    forEach(any, &parts[r],
-            [&](std::size_t, const double *v)
-            {
-              for (std::size_t g = 0; g < nGrids; ++g)
-                in[g * n + j] = v[g];
-              ++j;
-            });
+    gather(parts[r], in);
     for (std::size_t g = 0; g < nGrids; ++g)
       ReduceInto(acc.data() + g * n, in.data() + g * n, n, shape.Ops[g]);
   }
-  j = 0;
-  forEach(any, nullptr,
-          [&](std::size_t i, const double *)
-          {
-            for (std::size_t g = 0; g < nGrids; ++g)
-              seg[g][i] = acc[g * n + j];
-            ++j;
-          });
+
+  const std::size_t base = out.size();
+  out.resize(base + shape.Bytes(n));
+  std::memcpy(out.data() + base, any.data(), 8 * nWords);
+  auto *slot = reinterpret_cast<double *>(out.data() + base + 8 * nWords);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t g = 0; g < nGrids; ++g)
+      *slot++ = acc[g * n + j];
 }
 
-/// Virtual duration of AllreduceCompact over ranks with capacities
-/// `caps`, in rank order (see Communicator::AllreduceCompact).
-double CompactAllreduceSeconds(const CompactShape &shape,
-                               const std::vector<std::size_t> &caps)
+/// Virtual duration of a batched AllreduceCompact over the records of
+/// `shapes`, record i with capacity caps[i][r] on rank r (see
+/// Communicator::AllreduceCompact).
+double CompactAllreduceSeconds(
+  const std::vector<const CompactShape *> &shapes,
+  const std::vector<std::vector<std::size_t>> &caps, std::size_t ranks)
 {
   const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
-  const double bitmapBytes = 8.0 * static_cast<double>(shape.BitmapWords());
-  // one rank: a host copy of its record, bitmap and slots
-  if (caps.size() == 1)
-    return (bitmapBytes +
-            static_cast<double>(std::min(shape.Bins, caps[0]) *
-                                shape.Grids() * sizeof(double))) /
-           cost.H2HBandwidth;
+  // the bytes record i moves when `slots` slots cross
+  auto bytes = [&](std::size_t i, std::size_t slots)
+  {
+    return 8.0 * static_cast<double>(shapes[i]->BitmapWords()) +
+           static_cast<double>(std::min(shapes[i]->Bins, slots) *
+                               shapes[i]->Grids() * sizeof(double));
+  };
+  // one rank: a host copy of its records, bitmaps and slots
+  if (ranks == 1)
+  {
+    double total = 0.0;
+    for (std::size_t i = 0; i < shapes.size(); ++i)
+      total += bytes(i, caps[i][0]);
+    return total / cost.H2HBandwidth;
+  }
   double seconds = 0.0;
   // round k (group = 2^(k-1)) sends what an aligned group of ranks holds
-  for (std::size_t group = 1; group < caps.size(); group *= 2)
+  // of every record, in one message
+  for (std::size_t group = 1; group < ranks; group *= 2)
   {
-    std::size_t slots = 0;
-    for (std::size_t first = 0; first < caps.size(); first += group)
+    double total = 0.0;
+    for (std::size_t i = 0; i < shapes.size(); ++i)
     {
-      std::size_t sum = 0;
-      for (std::size_t r = first; r < std::min(caps.size(), first + group); ++r)
-        sum += caps[r];
-      slots = std::max(slots, std::min(shape.Bins, sum));
+      std::size_t slots = 0;
+      for (std::size_t first = 0; first < ranks; first += group)
+      {
+        std::size_t sum = 0;
+        for (std::size_t r = first; r < std::min(ranks, first + group); ++r)
+          sum += caps[i][r];
+        slots = std::max(slots, sum);
+      }
+      total += bytes(i, slots);
     }
-    seconds += cost.MessageLatency +
-               (bitmapBytes + static_cast<double>(slots * shape.Grids()) *
-                                sizeof(double)) /
-                 cost.MessageBandwidth;
+    seconds += cost.MessageLatency + total / cost.MessageBandwidth;
   }
   return seconds;
 }
@@ -965,7 +952,7 @@ void UnpackCompact(const CompactShape &shape, const void *compact,
 void UnpackCompact(const CompactShape &shape, const void *compact,
                    std::size_t cap, double *const *segments)
 {
-  MergeCompact(shape, {PartOf(shape, compact, cap)}, segments);
+  ExpandCompact(shape, PartOf(shape, compact, cap), segments);
 }
 
 void Communicator::AllreduceCompact(const CompactShape &shape,
@@ -980,31 +967,63 @@ void Communicator::AllreduceCompact(const CompactShape &shape,
                                     const void *compact, std::size_t cap,
                                     double *const *segments)
 {
-  // each rank checks its own record before it enters, so a malformed one
-  // throws on its rank instead of inside the last arrival's merge
-  const CompactPart mine = PartOf(shape, compact, cap);
+  this->AllreduceCompact(
+    {CompactRecord{&shape, compact, cap}},
+    [&shape, segments](std::size_t, const void *reduced, std::size_t held)
+    { UnpackCompact(shape, reduced, held, segments); });
+}
+
+void Communicator::AllreduceCompact(
+  const std::vector<CompactRecord> &records,
+  const std::function<void(std::size_t, const void *, std::size_t)> &each)
+{
+  // each rank checks its own records before it enters, so a malformed one
+  // throws on its rank instead of inside the last arrival's fold
+  std::vector<CompactPart> mine;
+  for (const CompactRecord &rec : records)
+    mine.push_back(PartOf(*rec.Shape, rec.Compact, rec.Cap));
   Context *ctx = this->Ctx_;
-  const std::size_t segBytes = shape.Bins * sizeof(double);
-  const std::size_t bytes = shape.Grids() * segBytes;
   ctx->Collective(
-    this->Rank_, &mine, reinterpret_cast<void *const *>(segments),
-    shape.Grids(), segBytes,
-    [ctx, &shape, bytes](const std::vector<const void *> &in)
+    this->Rank_, &mine, nullptr, 0,
+    [ctx, &records](const std::vector<const void *> &in)
     {
-      std::vector<CompactPart> parts;
-      std::vector<std::size_t> caps;
-      for (const void *p : in)
+      std::vector<std::uint8_t> &out = ctx->Scratch();
+      out.clear();
+      std::vector<const CompactShape *> shapes;
+      std::vector<std::vector<std::size_t>> caps;
+      for (std::size_t i = 0; i < records.size(); ++i)
       {
-        parts.push_back(*static_cast<const CompactPart *>(p));
-        caps.push_back(parts.back().Cap);
+        std::vector<CompactPart> parts;
+        caps.emplace_back();
+        for (const void *p : in)
+        {
+          parts.push_back(
+            (*static_cast<const std::vector<CompactPart> *>(p))[i]);
+          caps.back().push_back(parts.back().Cap);
+        }
+        shapes.push_back(records[i].Shape);
+        FoldCompact(*shapes.back(), parts, out);
       }
-      ctx->Scratch().resize(bytes);
-      MergeCompact(shape, parts,
-                   SegmentsOf(shape, reinterpret_cast<double *>(
-                                       ctx->Scratch().data()))
-                     .data());
-      return CompactAllreduceSeconds(shape, caps);
+      return CompactAllreduceSeconds(shapes, caps, in.size());
     });
+
+  // the reductions stay in the scratch until every rank has entered this
+  // communicator's next collective, so each rank visits them after the
+  // collective's lock, alongside the other ranks
+  const std::uint8_t *at = ctx->Scratch().data();
+  for (std::size_t i = 0; i < records.size(); ++i)
+  {
+    const CompactShape &shape = *records[i].Shape;
+    std::size_t held = 0;
+    for (std::size_t w = 0; w < shape.BitmapWords(); ++w)
+    {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, at + 8 * w, 8);
+      held += static_cast<std::size_t>(std::popcount(bits));
+    }
+    each(i, at, held);
+    at += shape.Bytes(held);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -89,6 +89,15 @@ void UnpackCompact(const CompactShape &shape, const void *compact,
 void UnpackCompact(const CompactShape &shape, const void *compact,
                    std::size_t cap, double *const *segments);
 
+/// One record of a batched AllreduceCompact: its shape and its compact
+/// form of capacity `Cap` (PackCompact).
+struct CompactRecord
+{
+  const CompactShape *Shape = nullptr;
+  const void *Compact = nullptr;
+  std::size_t Cap = 0;
+};
+
 /// Per-rank handle to the communicator. Valid only inside the function
 /// passed to Run. All methods are callable concurrently from their
 /// respective rank threads.
@@ -241,6 +250,24 @@ public:
   /// `segments[g]` (Bins doubles each) instead of a dense record.
   void AllreduceCompact(const CompactShape &shape, const void *compact,
                         std::size_t cap, double *const *segments);
+
+  /// Sparse allreduce of several grid records in one collective: every
+  /// rank passes the same number of records, record i of one shape on
+  /// every rank (capacities may differ). Each rank checks all of its
+  /// records' bitmaps against their capacities, and throws
+  /// std::runtime_error, before it enters. Then it visits the records in
+  /// order: each(i, reduced, held) gets record i's reduction as a compact
+  /// record of its shape holding `held` bins (the union of the ranks'
+  /// bitmaps), whose UnpackCompact is, bit for bit, what the
+  /// single-record call leaves. `reduced` is valid only during the call,
+  /// and `each` must not enter a collective on this communicator. Priced
+  /// as one exchange: each of the R rounds charges one MessageLatency
+  /// plus the records' summed bytes (each as the single-record call
+  /// counts them) over MessageBandwidth, and on one rank the host copy of
+  /// every record. A batch of one is priced as the single-record call.
+  void AllreduceCompact(
+    const std::vector<CompactRecord> &records,
+    const std::function<void(std::size_t, const void *, std::size_t)> &each);
 
   /// Gather n elements from every rank to root (root gets Size()*n
   /// elements in rank order; other ranks get an empty vector).

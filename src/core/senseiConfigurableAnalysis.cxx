@@ -327,7 +327,7 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
 
       const std::vector<std::string> axes =
         SplitList(el.Attribute("axes", "x,y"));
-      b->SetAxes(axes);
+      Checked(el, "axes", [&] { b->SetAxes(axes); });
 
       if (el.HasAttribute("resolution"))
         Checked(el, "resolution",
@@ -362,7 +362,7 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
           Checked(el, "ops", [&] { return BinningOpFromName(ops[i]); });
         const std::string col = i < values.size() ? values[i] : std::string();
         if (op != BinningOp::Count)
-          b->AddOperation(col, op);
+          Checked(el, "ops", [&] { b->AddOperation(col, op); });
       }
 
       const int outFreq = IntAttribute(el, "out_freq", 1, 0);
@@ -396,7 +396,7 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
       r->SetMeshName(el.Attribute("mesh", "table"));
       const std::vector<std::string> axes =
         SplitList(el.Attribute("axes", "x,y"));
-      r->SetAxes(axes);
+      Checked(el, "axes", [&] { r->SetAxes(axes); });
       if (el.HasAttribute("resolution"))
         r->SetBinResolution(IntAttribute(el, "resolution", 256, 1));
 
@@ -410,8 +410,10 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
         }
       }
 
+      const std::string op = el.Attribute("op", "sum");
+      Checked(el, "op", [&] { return BinningOpFromName(op); });
       if (el.HasAttribute("variable"))
-        r->SetVariable(el.Attribute("variable"), el.Attribute("op", "sum"));
+        r->SetVariable(el.Attribute("variable"), op);
 
       r->SetImageSize(
         static_cast<std::uint32_t>(
@@ -420,8 +422,12 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
           IntAttribute(el, "height", static_cast<int>(vcfg.Height), 1)));
 
       viz::TransferFunction tf;
-      tf.Map = viz::ColormapFromName(
-        el.Attribute("colormap", viz::ColormapName(vcfg.Map)));
+      tf.Map = Checked(el, "colormap",
+                       [&]
+                       {
+                         return viz::ColormapFromName(el.Attribute(
+                           "colormap", viz::ColormapName(vcfg.Map)));
+                       });
       tf.Log = BoolAttribute(el, "log", vcfg.Log);
       tf.AutoRange = vcfg.AutoRange;
       tf.Lo = vcfg.Lo;
@@ -432,12 +438,6 @@ AnalysisAdaptor *ConfigurableAnalysis::BuildAnalysis(const sxml::Element &el)
         tf.AutoRange = false;
       }
       r->SetTransfer(tf);
-    }
-    catch (const std::invalid_argument &e)
-    {
-      r->UnRegister();
-      throw std::runtime_error(std::string("ConfigurableAnalysis: render: ") +
-                               e.what());
     }
     catch (...)
     {

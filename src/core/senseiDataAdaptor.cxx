@@ -1,5 +1,6 @@
 #include "senseiDataAdaptor.h"
 
+#include "senseiDataBinning.h"
 #include "svtkArrayUtils.h"
 
 #include <algorithm>
@@ -34,18 +35,15 @@ void Roll(long &count, long &expected)
 
 DataAdaptor::~DataAdaptor()
 {
-  // a completion that throws is reported and the rest still run
-  while (!this->Lockstep_.empty())
-    try
-    {
-      this->FinishLockstep();
-    }
-    catch (const std::exception &e)
-    {
-      std::cerr << "sensei::DataAdaptor: a queued lockstep completion "
-                   "failed: "
-                << e.what() << std::endl;
-    }
+  try
+  {
+    this->FinishLockstep();
+  }
+  catch (const std::exception &e)
+  {
+    std::cerr << "sensei::DataAdaptor: a queued lockstep batch failed: "
+              << e.what() << std::endl;
+  }
 }
 
 void DataAdaptor::ReleaseData()
@@ -63,23 +61,21 @@ void DataAdaptor::EndStep()
   Roll(this->LockstepCount_, this->LockstepExpected_);
 }
 
-void DataAdaptor::BatchLockstep(std::function<void()> completion)
+void DataAdaptor::BatchLockstep(std::shared_ptr<PendingBinning> execute)
 {
   this->FollowStep();
-  this->Lockstep_.push_back(std::move(completion));
+  this->Lockstep_.push_back(std::move(execute));
   if (++this->LockstepCount_ >= this->LockstepExpected_)
     this->FinishLockstep();
 }
 
 void DataAdaptor::FinishLockstep()
 {
-  // one at a time, so a completion that throws leaves the rest queued
-  while (!this->Lockstep_.empty())
-  {
-    std::function<void()> next = std::move(this->Lockstep_.front());
-    this->Lockstep_.pop_front();
-    next();
-  }
+  // taken off the queue first, so a batch that throws is not run again
+  std::vector<std::shared_ptr<PendingBinning>> batch;
+  batch.swap(this->Lockstep_);
+  if (!batch.empty())
+    DataBinning::CompleteBatch(batch);
 }
 
 void DataAdaptor::FollowStep()

@@ -15,9 +15,8 @@
 #include "svtkHAMRDataArray.h"
 #include "svtkObjectBase.h"
 
-#include <deque>
-#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -26,6 +25,8 @@
 
 namespace sensei
 {
+
+struct PendingBinning;
 
 /// Abstract interface between a simulation and SENSEI analyses.
 class DataAdaptor : public svtkObjectBase
@@ -48,30 +49,28 @@ public:
   /// version before they reclaim anything the step's analyses read.
   virtual void ReleaseData();
 
-  /// The step's lockstep batch. A lockstep DataBinning execute launches
-  /// its device work (the accumulate and compact kernels and the compact
-  /// record's readback; a host placement launches none and accumulates
-  /// in its completion) and hands its completion (the wait for that
-  /// readback, the cross-rank reduction and the stored result) here. The
-  /// call counts one lockstep binning execute of this step. While this
-  /// step's count is below the previous step's, the adaptor expects
-  /// another lockstep binning execute, and the completion is queued;
-  /// otherwise every queued completion runs, in the order queued, and
-  /// then this one. So a step's binnings launch back to back and their
-  /// collectives run while the device still works on later launches. A
-  /// lone binning (a previous count of at most 1) completes inside its
-  /// own execute. The decision reads the counts alone, never placement
-  /// or residency, so every rank of a lockstep run queues alike and
-  /// issues the same collectives in the same order. The count rolls at
-  /// the step's end like the snapshot's (a ReleaseData with no lockstep
+  /// The step's lockstep batch. A lockstep DataBinning execute runs its
+  /// host half (inputs, views, the axis ranges, bin geometry and record
+  /// sizing) and hands the rest here. The call counts one lockstep
+  /// binning execute of this step. While this step's count is below the
+  /// previous step's, the adaptor expects another lockstep binning
+  /// execute, and the execute is queued; otherwise the queue and this
+  /// execute complete together, in the order queued
+  /// (DataBinning::CompleteBatch): per placement device one launch set
+  /// and one readback, and one collective for every record. A lone
+  /// binning (a previous count of at most 1) completes inside its own
+  /// execute. The decision reads the counts alone, never placement or
+  /// residency, so every rank of a lockstep run queues alike and issues
+  /// the same collectives in the same order. The count rolls at the
+  /// step's end like the snapshot's (a ReleaseData with no lockstep
   /// execute since the last one keeps the expectation).
-  void BatchLockstep(std::function<void()> completion);
+  void BatchLockstep(std::shared_ptr<PendingBinning> execute);
 
-  /// Run every queued lockstep completion, in the order queued.
-  /// ReleaseData, a step index change, the end of ConfigurableAnalysis::
-  /// Execute, DataBinning::Finalize and the adaptor's destructor call
-  /// it; a reader of a binning's result mid-step calls it first
-  /// (DataBinning::GetLastResult).
+  /// Complete every queued lockstep execute, as one batch in the order
+  /// queued. ReleaseData, a step index change, the end of
+  /// ConfigurableAnalysis::Execute, DataBinning::Finalize and the
+  /// adaptor's destructor call it; a reader of a binning's result
+  /// mid-step calls it first (DataBinning::GetLastResult).
   void FinishLockstep();
 
   /// A snapshot copy's local [min, max], as its packed copy's gather
@@ -160,8 +159,8 @@ public:
 
 protected:
   DataAdaptor() = default;
-  /// Runs the lockstep batch; a completion that throws is reported on
-  /// stderr, and the rest still run.
+  /// Completes the lockstep batch; a batch that throws is reported on
+  /// stderr.
   ~DataAdaptor() override;
 
 private:
@@ -202,7 +201,7 @@ private:
   std::set<AxisKey> AxisRequests_; ///< names requested this step
   std::set<AxisKey> AxisExpected_; ///< names requested the step before
 
-  std::deque<std::function<void()>> Lockstep_; ///< queued completions
+  std::vector<std::shared_ptr<PendingBinning>> Lockstep_; ///< queued
   long LockstepCount_ = 0;    ///< lockstep binning executes this step
   long LockstepExpected_ = 0; ///< lockstep binning executes the step before
 };

@@ -10,7 +10,10 @@
 #include "vpLoadTracker.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <exception>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -64,19 +67,16 @@ DataBinning::DataBinning() = default;
 DataBinning::~DataBinning()
 {
   this->DrainAsync(); // tasks read members
-  // a completion that throws is reported and the queue runs on, until
-  // this instance's own completion has run
-  while (this->Queued_)
-    try
-    {
-      this->FinishQueued();
-    }
-    catch (const std::exception &e)
-    {
-      std::cerr << "sensei::DataBinning: a queued lockstep completion "
-                   "failed: "
-                << e.what() << std::endl;
-    }
+  // a batch that throws is reported; it has left the queue either way
+  try
+  {
+    this->FinishQueued();
+  }
+  catch (const std::exception &e)
+  {
+    std::cerr << "sensei::DataBinning: a queued lockstep batch failed: "
+              << e.what() << std::endl;
+  }
   this->ReleaseRecord();
   if (this->LastResult_)
     this->LastResult_->UnRegister();
@@ -356,7 +356,8 @@ bool DataBinning::Execute(DataAdaptor *data)
 
   // a completion of this instance still queued shares the record
   this->FinishQueued();
-  auto p = std::make_shared<Pending>();
+  auto p = std::make_shared<PendingBinning>();
+  p->Owner = this;
 
   if (this->GetAsynchronous())
   {
@@ -367,8 +368,8 @@ bool DataBinning::Execute(DataAdaptor *data)
                    [this, p](minimpi::Communicator *comm)
                    {
                      p->In.Comm = comm;
-                     this->LaunchBinning(*p);
-                     this->CompleteBinning(*p);
+                     this->PrepareBinning(*p);
+                     CompleteBatch({p});
                    },
                    p->In.Bytes);
     return true;
@@ -380,20 +381,12 @@ bool DataBinning::Execute(DataAdaptor *data)
   if (!this->GatherInputs(data, p->In))
     return false;
   p->In.Comm = data->GetCommunicator();
-  this->LaunchBinning(*p);
+  this->PrepareBinning(*p);
   {
     std::lock_guard<std::mutex> lock(this->ResultMutex_);
     this->Queued_ = data;
   }
-  data->BatchLockstep(
-    [this, p]()
-    {
-      {
-        std::lock_guard<std::mutex> lock(this->ResultMutex_);
-        this->Queued_ = nullptr;
-      }
-      this->CompleteBinning(*p);
-    });
+  data->BatchLockstep(std::move(p));
   return true;
 }
 
@@ -581,14 +574,10 @@ void FillInit(const BinningOp *kinds, std::size_t nBins, double *p,
 } // namespace
 
 void DataBinning::PrepareRecord(int device, std::size_t nBins,
-                                const std::vector<BinningOp> &kinds,
-                                std::size_t compactBytes,
-                                const vp::Stream &strm)
+                                const std::vector<BinningOp> &kinds)
 {
   Record &r = this->Record_;
   const std::size_t recLen = kinds.size() * nBins;
-  if (r.Compact.size() * sizeof(double) < compactBytes)
-    r.Compact.resize(compactBytes / sizeof(double));
   if (device < 0)
   {
     r.Host.resize(recLen);
@@ -600,25 +589,12 @@ void DataBinning::PrepareRecord(int device, std::size_t nBins,
       r.Kinds != kinds)
   {
     vcuda::Free(r.DeviceRec);
-    vcuda::Free(r.DeviceCompact);
-    r.DeviceCompact = nullptr;
-    r.DeviceCompactBytes = 0;
     r.Device = device;
     r.Bins = nBins;
     r.Kinds = kinds;
     r.DeviceRec =
       static_cast<double *>(vcuda::Malloc(recLen * sizeof(double)));
-    vcuda::LaunchN(
-      strm, recLen,
-      [kn = r.Kinds, nBins, rec = r.DeviceRec](std::size_t b, std::size_t e)
-      { FillInit(kn.data(), nBins, rec, b, e); },
-      vcuda::LaunchBounds{1.0, 0.0, "binning_init"});
-  }
-  if (r.DeviceCompactBytes < compactBytes)
-  {
-    vcuda::Free(r.DeviceCompact);
-    r.DeviceCompact = vcuda::Malloc(compactBytes);
-    r.DeviceCompactBytes = compactBytes;
+    r.Fresh = true;
   }
 }
 
@@ -639,10 +615,13 @@ double *DataBinning::ScanScratch(int device, std::size_t nUnits)
 void DataBinning::ReleaseRecord()
 {
   vcuda::Free(this->Record_.DeviceRec);
-  vcuda::Free(this->Record_.DeviceCompact);
   for (const auto &entry : this->Record_.Scan)
     vcuda::Free(entry.second.P);
   this->Record_ = Record();
+  for (const auto &entry : this->Arena_.Device)
+    vcuda::Free(entry.second.P);
+  vcuda::Free(this->Arena_.Host.P);
+  this->Arena_ = Arena();
 }
 
 void DataBinning::FillRanges(
@@ -707,14 +686,14 @@ void DataBinning::FillRanges(
   }
 }
 
-double DataBinning::OpsPerRow(const Pending &p)
+double DataBinning::OpsPerRow(const PendingBinning &p)
 {
   // index math per axis plus one atomic-ish update per grid
   return 4.0 * static_cast<double>(p.Lo.size()) +
          3.0 * static_cast<double>(p.RedOps.size() + 1);
 }
 
-auto DataBinning::AccumulateBody(const Pending &p, std::size_t block,
+auto DataBinning::AccumulateBody(const PendingBinning &p, std::size_t block,
                                  double *rec)
 {
   // the accumulation body over the packed record at `rec`: bin index from
@@ -770,9 +749,9 @@ auto DataBinning::AccumulateBody(const Pending &p, std::size_t block,
   };
 }
 
-void DataBinning::LaunchBinning(Pending &p)
+void DataBinning::PrepareBinning(PendingBinning &p)
 {
-  ScopedEvent ev("binning::launch");
+  ScopedEvent ev("binning::prepare");
 
   const StepInputs &in = p.In;
   const std::size_t nAxes = this->Axes_.size();
@@ -787,6 +766,7 @@ void DataBinning::LaunchBinning(Pending &p)
     if (op.Kind != BinningOp::Count)
       p.RedOps.push_back(op);
   const std::size_t nRed = p.RedOps.size();
+  p.Strategy = this->GpuStrategy_;
 
   // --- the packed grid record: one buffer [count | seg 1 | ... | seg nRed]
   // of nGrids x nBins doubles, segment 1 + k holding reduction k;
@@ -858,9 +838,7 @@ void DataBinning::LaunchBinning(Pending &p)
     p.Strm = vcuda::StreamCreate();
   const vcuda::stream_t &strm = p.Strm;
 
-  // lockstep: the adaptor's table, filled on a miss before the step-graph
-  // scope opens, so the captured graph has one shape whether this
-  // execute fills the table or hits it
+  // lockstep: the adaptor's table, filled on a miss
   if (in.Table && !autoAxes.empty())
   {
     for (std::size_t a : autoAxes)
@@ -872,45 +850,20 @@ void DataBinning::LaunchBinning(Pending &p)
       this->FillRanges(in, ax, rows, strm, lo, hi);
   }
 
-  // --- the record's compact form, in which it leaves the device and
-  // crosses ranks: the occupancy bitmap plus the values of each occupied
-  // bin (src/comm). A rank cannot occupy more bins than it binned rows,
-  // so the capacity is known before any kernel runs and the readback has
-  // a fixed size. The record's buffers are sized here, before the
-  // step-graph scope opens, so every captured step has one shape.
-  std::size_t nBins = 1;
-  for (std::size_t a = 0; a < nAxes; ++a)
-    nBins *= static_cast<std::size_t>(this->Resolution_[a]);
-  minimpi::CompactShape &shape = p.Shape;
-  shape.Bins = nBins;
-  for (BinningOp k : kinds)
-    shape.Ops.push_back(ReduceOp(k));
-  std::size_t cap = 0;
-  for (std::size_t b = 0; b < nBlocks; ++b)
-    cap += rows[b];
-  cap = std::min(cap, nBins);
-  p.Cap = cap;
-  const std::size_t compactBytes = shape.Bytes(cap);
-  this->PrepareRecord(in.Device, nBins, kinds, compactBytes, strm);
-
   // asynchronous: each (axis, block) pair's local range is the one the
   // step's snapshot folded in its gather, or, for a pair without one,
-  // scanned by the task, every such pair in one pass; the pairs then
-  // fold in block order, as one scan of them all would, and one
-  // collective reduces them across ranks. All of it is skipped when
-  // every axis has a fixed range (the config, and so the decision, is
-  // the same on every rank). With nothing to scan the ranges are waited
-  // for and reduced here, before the scope opens, so the captured graph
-  // is the accumulation alone; a scan's scratch, like the record, is
-  // sized before the scope opens
-  const bool asyncRanges = !in.Table && !autoAxes.empty();
-  std::vector<double> pairLo(nAxes * nBlocks,
-                             std::numeric_limits<double>::infinity());
-  std::vector<double> pairHi(nAxes * nBlocks,
-                             -std::numeric_limits<double>::infinity());
-  std::vector<RangeUnit> units;
-  if (asyncRanges)
+  // scanned here, every such pair in one pass; the pairs then fold in
+  // block order, as one scan of them all would, and one collective
+  // reduces them across ranks. All of it is skipped when every axis has
+  // a fixed range (the config, and so the decision, is the same on every
+  // rank)
+  if (!in.Table && !autoAxes.empty())
   {
+    std::vector<double> pairLo(nAxes * nBlocks,
+                               std::numeric_limits<double>::infinity());
+    std::vector<double> pairHi(nAxes * nBlocks,
+                               -std::numeric_limits<double>::infinity());
+    std::vector<RangeUnit> units;
     std::set<std::shared_ptr<const double>, std::owner_less<>> waited;
     for (std::size_t a : autoAxes)
       for (std::size_t b = 0; b < nBlocks; ++b)
@@ -933,9 +886,11 @@ void DataBinning::LaunchBinning(Pending &p)
         pairLo[pair] = folded->min_max.get()[0];
         pairHi[pair] = folded->min_max.get()[1];
       }
-  }
-  auto reduceRanges = [&]()
-  {
+    ScanRanges(units, in.Device, strm,
+               onDevice && !units.empty()
+                 ? this->ScanScratch(in.Device, units.size())
+                 : nullptr,
+               pairLo, pairHi);
     for (std::size_t a : autoAxes)
       for (std::size_t b = 0; b < nBlocks; ++b)
       {
@@ -943,31 +898,6 @@ void DataBinning::LaunchBinning(Pending &p)
         hi[a] = std::max(hi[a], pairHi[a * nBlocks + b]);
       }
     ReduceRanges(in.Comm, lo, hi);
-  };
-  if (asyncRanges && units.empty())
-    reduceRanges();
-  double *scratch = onDevice && !units.empty()
-                      ? this->ScanScratch(in.Device, units.size())
-                      : nullptr;
-
-  // --- captured step-graph session: the whole device DAG below runs on
-  // one private stream; capture it once, then replay it with pointer
-  // rebinding on later steps (see src/graph). The scope opens after the
-  // input views settle (their movement is data-dependent, not part of
-  // the recurring step shape) and closes when this function returns,
-  // before the completion waits for the stream.
-  std::optional<vp::graph::StepScope> graphScope;
-  if (onDevice && vp::graph::Enabled())
-  {
-    if (!this->GraphSession_)
-      this->GraphSession_ = std::make_unique<vp::graph::Session>();
-    graphScope.emplace(*this->GraphSession_);
-  }
-
-  if (!units.empty())
-  {
-    ScanRanges(units, in.Device, strm, scratch, pairLo, pairHi);
-    reduceRanges();
   }
 
   for (std::size_t a = 0; a < nAxes; ++a)
@@ -982,144 +912,338 @@ void DataBinning::LaunchBinning(Pending &p)
   }
 
   // --- bin geometry ----------------------------------------------------------
+  std::size_t nBins = 1;
   p.Scale.resize(nAxes);
   p.Shift.resize(nAxes);
   for (std::size_t a = 0; a < nAxes; ++a)
   {
+    nBins *= static_cast<std::size_t>(p.Res[a]);
     p.Scale[a] = static_cast<double>(p.Res[a]) / (hi[a] - lo[a]);
     p.Shift[a] = lo[a];
   }
 
-  // a host placement accumulates in its completion
-  if (!onDevice)
-    return;
-
-  // the resident device record, accumulated with atomics (AtomicFraction
-  // models the contention the paper identifies as binning's GPU
-  // weakness), then compacted and read back once. The kernel bodies
-  // capture pointers into `p`, which lives until the completion has
-  // synchronized the stream.
-  const std::size_t recLen = nGrids * nBins;
-  double *dRec = this->Record_.DeviceRec;
-  void *dCompact = this->Record_.DeviceCompact;
-  const bool privatized = this->GpuStrategy_ == GpuBinningStrategy::Privatized;
-  const double ops = OpsPerRow(p);
-  bool accumulated = false;
+  // --- the record's compact form, in which it leaves the device and
+  // crosses ranks: the occupancy bitmap plus the values of each occupied
+  // bin (src/comm). A rank cannot occupy more bins than it binned rows,
+  // so the capacity is known before any kernel runs and the readback has
+  // a fixed size
+  p.Shape.Bins = nBins;
+  for (BinningOp k : kinds)
+    p.Shape.Ops.push_back(ReduceOp(k));
+  std::size_t cap = 0;
   for (std::size_t b = 0; b < nBlocks; ++b)
-  {
-    if (!rows[b])
-      continue;
-    accumulated = true;
-    // global atomics is the implementation the paper evaluated: every bin
-    // update is a global atomic, so contention throttles the device.
-    // Privatized uses per-thread-block shared-memory histograms, making
-    // the accumulation nearly streaming; on real hardware that changes
-    // scheduling, not arithmetic, so the body is the same and only the
-    // atomic fraction differs.
-    vcuda::LaunchN(
-      strm, rows[b], AccumulateBody(p, b, dRec),
-      privatized ? vcuda::LaunchBounds{ops, 0.05, "binning_accum_privatized"}
-                 : vcuda::LaunchBounds{ops, 0.6, "binning_accum"});
-  }
-  if (accumulated && privatized)
-  {
-    // the merge of the private copies: each bin gathers them. The
-    // accumulation already wrote the final record, so this body-less
-    // kernel only charges the merge's virtual cost.
-    constexpr double PrivateCopies = 64.0;
-    vcuda::LaunchN(
-      strm, recLen, vp::KernelFn(),
-      vcuda::LaunchBounds{PrivateCopies, 0.0, "binning_merge_privatized"});
-  }
-  // compact the record on the device and write the bins it packed back to
-  // their identities, leaving the record as it was initialized; the pack
-  // reads every bin and the reset writes at most cap of them, so both are
-  // priced from capacities. Then one stream-ordered readback of the
-  // compact buffer on the private stream (the default stream is shared
-  // with the simulation and would splice foreign work into the captured
-  // graph), which the completion waits for.
-  vcuda::LaunchN(
-    strm, nBins,
-    [&shape, cap, dRec, dCompact](std::size_t, std::size_t)
-    {
-      minimpi::PackCompact(shape, dRec, cap, dCompact);
-      minimpi::ResetCompacted(shape, dCompact, dRec);
-    },
-    vcuda::LaunchBounds{static_cast<double>(nGrids) *
-                          static_cast<double>(nBins + cap) /
-                          static_cast<double>(nBins),
-                        0.0, "binning_compact"});
-  vcuda::MemcpyAsync(this->Record_.Compact.data(), dCompact, compactBytes,
-                     strm);
+    cap += rows[b];
+  p.Cap = std::min(cap, nBins);
+  this->PrepareRecord(in.Device, nBins, kinds);
 }
 
-void DataBinning::CompleteBinning(Pending &p)
+void DataBinning::CompleteBatch(
+  const std::vector<std::shared_ptr<PendingBinning>> &batch)
 {
   ScopedEvent ev("binning::complete");
+  for (const auto &p : batch)
+  {
+    std::lock_guard<std::mutex> lock(p->Owner->ResultMutex_);
+    p->Owner->Queued_ = nullptr;
+  }
 
-  const StepInputs &in = p.In;
+  // --- the arena's layout: each placement's share (the host's, then the
+  // devices' in id order), its executes in queue order, one compact
+  // record after the other (each a whole number of doubles)
+  struct Share
+  {
+    std::vector<std::size_t> Items; ///< indices into the batch
+    std::size_t Base = 0, Bytes = 0;
+  };
+  std::map<int, Share> shares;
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    shares[std::max(batch[i]->In.Device, DEVICE_HOST)].Items.push_back(i);
+  std::vector<std::size_t> at(batch.size());
+  std::size_t total = 0;
+  for (auto &[device, share] : shares)
+  {
+    share.Base = total;
+    for (std::size_t i : share.Items)
+    {
+      at[i] = total;
+      total += batch[i]->Shape.Bytes(batch[i]->Cap);
+    }
+    share.Bytes = total - share.Base;
+  }
+
+  // the buffers grow in powers of two, so row counts that creep up from
+  // step to step (a repartitioning simulation) reallocate them rarely
+  Arena &arena = batch.front()->Owner->Arena_;
+  if (arena.Host.Bytes < total)
+  {
+    vcuda::Free(arena.Host.P);
+    arena.Host.Bytes = std::bit_ceil(total);
+    arena.Host.P = vcuda::MallocHost(arena.Host.Bytes);
+  }
+  auto *host = static_cast<std::byte *>(arena.Host.P);
+  for (auto it = arena.Device.begin(); it != arena.Device.end();)
+  {
+    if (shares.count(it->first))
+    {
+      ++it;
+      continue;
+    }
+    vcuda::Free(it->second.P);
+    it = arena.Device.erase(it);
+  }
+
+  // --- each device's share: the fresh records' inits, then under one
+  // step-graph scope (the share's first instance's session: capture
+  // once, then replay with pointer rebinding, see src/graph) one
+  // accumulate launch per GPU strategy, one compact launch and one
+  // readback, all on the share's first execute's stream. The inits run
+  // before the scope opens, so every captured step has one shape; the
+  // scope closes before the wait for the stream
+  for (auto &[device, share] : shares)
+  {
+    if (device < 0)
+      continue;
+    vcuda::SetDevice(device);
+    Arena::Buffer &buf = arena.Device[device];
+    if (buf.Bytes < share.Bytes)
+    {
+      vcuda::Free(buf.P);
+      buf.Bytes = std::bit_ceil(share.Bytes);
+      buf.P = vcuda::Malloc(buf.Bytes);
+    }
+    PendingBinning &first = *batch[share.Items.front()];
+    const vcuda::stream_t &strm = first.Strm;
+    for (std::size_t i : share.Items)
+    {
+      Record &r = batch[i]->Owner->Record_;
+      if (!r.Fresh)
+        continue;
+      r.Fresh = false;
+      vcuda::LaunchN(
+        strm, r.Kinds.size() * r.Bins,
+        [kn = r.Kinds, nBins = r.Bins, rec = r.DeviceRec](std::size_t b,
+                                                          std::size_t e)
+        { FillInit(kn.data(), nBins, rec, b, e); },
+        vcuda::LaunchBounds{1.0, 0.0, "binning_init"});
+    }
+
+    std::optional<vp::graph::StepScope> graphScope;
+    if (vp::graph::Enabled())
+    {
+      auto &session = first.Owner->GraphSession_;
+      if (!session)
+        session = std::make_unique<vp::graph::Session>();
+      graphScope.emplace(*session);
+    }
+
+    // global atomics is the implementation the paper evaluated: every bin
+    // update is a global atomic, so contention throttles the device
+    // (AtomicFraction models the contention the paper identifies as
+    // binning's GPU weakness). Privatized uses per-thread-block
+    // shared-memory histograms, making the accumulation nearly streaming;
+    // on real hardware that changes scheduling, not arithmetic, so the
+    // body is the same and only the atomic fraction differs. One launch
+    // covers every block of every execute of the strategy: row j of the
+    // launch is a row of the run holding it, each run accumulating its
+    // block's rows in order into its own record, so the grids are those
+    // of one launch per block
+    for (GpuBinningStrategy strategy :
+         {GpuBinningStrategy::GlobalAtomics, GpuBinningStrategy::Privatized})
+    {
+      struct Run
+      {
+        std::size_t First, Rows;
+        vp::KernelFn Body;
+      };
+      auto runs = std::make_shared<std::vector<Run>>();
+      std::size_t nRows = 0, mergeLen = 0;
+      double work = 0.0;
+      for (std::size_t i : share.Items)
+      {
+        PendingBinning &p = *batch[i];
+        if (p.Strategy != strategy)
+          continue;
+        const std::size_t before = nRows;
+        for (std::size_t b = 0; b < p.Rows.size(); ++b)
+        {
+          if (!p.Rows[b])
+            continue;
+          runs->push_back(Run{nRows, p.Rows[b],
+                              AccumulateBody(p, b, p.Owner->Record_.DeviceRec)});
+          nRows += p.Rows[b];
+          work += static_cast<double>(p.Rows[b]) * OpsPerRow(p);
+        }
+        if (nRows > before)
+          mergeLen += p.Kinds.size() * p.Shape.Bins;
+      }
+      if (!nRows)
+        continue;
+      const double ops = work / static_cast<double>(nRows);
+      const bool privatized = strategy == GpuBinningStrategy::Privatized;
+      vcuda::LaunchN(
+        strm, nRows,
+        [runs](std::size_t b, std::size_t e)
+        {
+          for (const Run &run : *runs)
+          {
+            const std::size_t rb = std::max(b, run.First);
+            const std::size_t re = std::min(e, run.First + run.Rows);
+            if (rb < re)
+              run.Body(rb - run.First, re - run.First);
+          }
+        },
+        privatized
+          ? vcuda::LaunchBounds{ops, 0.05, "binning_accum_privatized"}
+          : vcuda::LaunchBounds{ops, 0.6, "binning_accum"});
+      if (privatized)
+      {
+        // the merge of the private copies: each bin gathers them. The
+        // accumulation already wrote the final records, so this
+        // body-less kernel only charges the merge's virtual cost.
+        constexpr double PrivateCopies = 64.0;
+        vcuda::LaunchN(
+          strm, mergeLen, vp::KernelFn(),
+          vcuda::LaunchBounds{PrivateCopies, 0.0, "binning_merge_privatized"});
+      }
+    }
+
+    // compact every record into the share's buffer and write the bins it
+    // packed back to their identities, leaving each record as it was
+    // initialized; the pack reads every bin and the reset writes at most
+    // cap of them, so the launch is priced from capacities. Then one
+    // stream-ordered readback of the share into the arena, on the
+    // private stream (the default stream is shared with the simulation
+    // and would splice foreign work into the captured graph)
+    struct Pack
+    {
+      const minimpi::CompactShape *Shape;
+      double *Rec;
+      std::size_t Cap;
+      void *Out;
+    };
+    std::vector<Pack> packs;
+    std::size_t nBins = 0;
+    double work = 0.0;
+    for (std::size_t i : share.Items)
+    {
+      PendingBinning &p = *batch[i];
+      packs.push_back(Pack{&p.Shape, p.Owner->Record_.DeviceRec, p.Cap,
+                           static_cast<std::byte *>(buf.P) + at[i] -
+                             share.Base});
+      nBins += p.Shape.Bins;
+      work += static_cast<double>(p.Shape.Grids()) *
+              static_cast<double>(p.Shape.Bins + p.Cap);
+    }
+    vcuda::LaunchN(
+      strm, nBins,
+      [packs = std::move(packs)](std::size_t, std::size_t)
+      {
+        for (const Pack &k : packs)
+        {
+          minimpi::PackCompact(*k.Shape, k.Rec, k.Cap, k.Out);
+          minimpi::ResetCompacted(*k.Shape, k.Out, k.Rec);
+        }
+      },
+      vcuda::LaunchBounds{work / static_cast<double>(nBins), 0.0,
+                          "binning_compact"});
+    vcuda::MemcpyAsync(host + share.Base, buf.P, share.Bytes, strm);
+  }
+
+  // --- the host share, in queue order, while the devices work. A host
+  // placement accumulates here rather than in its host half: the
+  // caller's thread has no device work of its own to overlap, and its
+  // claims on the shared host pool come after the step's fills
+  minimpi::Communicator *comm = batch.front()->In.Comm;
+  if (auto it = shares.find(DEVICE_HOST); it != shares.end())
+    for (std::size_t i : it->second.Items)
+    {
+      PendingBinning &p = *batch[i];
+      std::vector<double> &record = p.Owner->Record_.Host;
+      FillInit(p.Kinds.data(), p.Shape.Bins, record.data(), 0,
+               record.size());
+      for (std::size_t b = 0; b < p.Rows.size(); ++b)
+        if (p.Rows[b])
+          vp::Platform::Get().HostParallelFor(
+            vp::KernelDesc{p.Rows[b], OpsPerRow(p), 0.15,
+                           "binning_accum_host"},
+            AccumulateBody(p, b, record.data()));
+      // a host record crosses ranks in the compact form too
+      if (comm)
+        vp::Platform::Get().HostParallelFor(
+          vp::KernelDesc{p.Shape.Bins,
+                         static_cast<double>(p.Shape.Grids()), 0.0,
+                         "binning_compact_host"},
+          [&p, &record, out = host + at[i]](std::size_t, std::size_t)
+          { minimpi::PackCompact(p.Shape, record.data(), p.Cap, out); });
+    }
+  for (auto &[device, share] : shares)
+    if (device >= 0)
+      vcuda::StreamSynchronize(batch[share.Items.front()]->Strm);
+
+  // --- each execute's result, one after the other while its grids are
+  // in cache: one batched reduction of every compact record, folded in
+  // rank order with each segment's operator, hands each record's
+  // reduction over in compact form, however the executes were placed.
+  // Without a communicator a device record's own compact form is
+  // expanded, and a host record is already final and is copied. A
+  // failure to write one result's file leaves the rest of the batch to
+  // complete before the first failure is rethrown
+  std::exception_ptr failure;
+  auto finish = [&batch, &failure](std::size_t i, const void *reduced,
+                                   std::size_t held)
+  {
+    try
+    {
+      batch[i]->Owner->FinishBinning(*batch[i], reduced, held);
+    }
+    catch (...)
+    {
+      if (!failure)
+        failure = std::current_exception();
+    }
+  };
+  std::vector<minimpi::CompactRecord> records;
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    records.push_back(
+      minimpi::CompactRecord{&batch[i]->Shape, host + at[i], batch[i]->Cap});
+  if (comm)
+    comm->AllreduceCompact(records, finish);
+  else
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      finish(i, batch[i]->In.Device >= 0 ? host + at[i] : nullptr,
+             batch[i]->Cap);
+  if (failure)
+    std::rethrow_exception(failure);
+}
+
+void DataBinning::FinishBinning(const PendingBinning &p, const void *reduced,
+                                std::size_t held)
+{
   const std::size_t nAxes = p.Lo.size();
   const std::size_t nBins = p.Shape.Bins;
-  const std::size_t nGrids = p.Kinds.size();
   const std::vector<double> &lo = p.Lo, &hi = p.Hi;
-  const bool onDevice = in.Device >= 0;
-  std::vector<double> &record = this->Record_.Host;
-  std::vector<double> &compact = this->Record_.Compact;
-  if (onDevice)
-  {
-    vcuda::StreamSynchronize(p.Strm);
-  }
-  else
-  {
-    // a host placement accumulates here rather than at its launch: the
-    // caller's thread has no device work to overlap, and between the
-    // step's collectives the ranks' claims on the shared host pool
-    // interleave as they do when every execute completes at once
-    FillInit(p.Kinds.data(), nBins, record.data(), 0, nGrids * nBins);
-    for (std::size_t b = 0; b < p.Rows.size(); ++b)
-      if (p.Rows[b])
-        vp::Platform::Get().HostParallelFor(
-          vp::KernelDesc{p.Rows[b], OpsPerRow(p), 0.15,
-                         "binning_accum_host"},
-          AccumulateBody(p, b, record.data()));
-    // a host record crosses ranks in the compact form too
-    if (in.Comm)
-      vp::Platform::Get().HostParallelFor(
-        vp::KernelDesc{nBins, static_cast<double>(nGrids), 0.0,
-                       "binning_compact_host"},
-        [&p, &record, &compact](std::size_t, std::size_t)
-        {
-          minimpi::PackCompact(p.Shape, record.data(), p.Cap,
-                               compact.data());
-        });
-  }
 
-  // --- the result arrays, in the configured op order: the cross-rank
-  // reduction of the compact records writes each segment straight into
-  // its array, folded in rank order with the segment's operator. Without
-  // a communicator a host record is already final and is copied, and a
-  // device one only needs expanding.
-  std::vector<svtkSmartPtr<svtkAOSDoubleArray>> arrays(nGrids);
-  std::vector<double *> segs(nGrids);
-  for (std::size_t k = 0; k < nGrids; ++k)
+  // the result arrays, in the configured op order
+  std::vector<svtkSmartPtr<svtkAOSDoubleArray>> arrays;
+  std::vector<double *> segs;
+  for (std::size_t k = 0; k < p.Kinds.size(); ++k)
   {
-    arrays[k] = svtkSmartPtr<svtkAOSDoubleArray>::Take(svtkAOSDoubleArray::New(
-      k ? p.RedOps[k - 1].Column + "_" + BinningOpName(p.RedOps[k - 1].Kind)
-        : std::string("count")));
-    arrays[k]->GetVector().resize(nBins);
-    segs[k] = arrays[k]->GetVector().data();
+    arrays.push_back(svtkSmartPtr<svtkAOSDoubleArray>::Take(
+      svtkAOSDoubleArray::New(k ? p.RedOps[k - 1].Column + "_" +
+                                    BinningOpName(p.RedOps[k - 1].Kind)
+                                : std::string("count"))));
+    arrays.back()->GetVector().resize(nBins);
+    segs.push_back(arrays.back()->GetVector().data());
   }
-  if (in.Comm)
-    in.Comm->AllreduceCompact(p.Shape, compact.data(), p.Cap, segs.data());
-  else if (onDevice)
-    minimpi::UnpackCompact(p.Shape, compact.data(), p.Cap, segs.data());
+  if (reduced)
+    minimpi::UnpackCompact(p.Shape, reduced, held, segs.data());
   else
-    for (std::size_t k = 0; k < nGrids; ++k)
-      std::copy_n(record.data() + k * nBins, nBins, segs[k]);
+    for (std::size_t k = 0; k < segs.size(); ++k)
+      std::copy_n(this->Record_.Host.data() + k * nBins, nBins, segs[k]);
 
   // finalize averages, clean empty bins of min/max
   const double *cnt = segs[0];
-  for (std::size_t g = 1; g < nGrids; ++g)
+  for (std::size_t g = 1; g < segs.size(); ++g)
   {
     double *seg = segs[g];
     if (p.Kinds[g] == BinningOp::Average)
@@ -1137,7 +1261,7 @@ void DataBinning::CompleteBinning(Pending &p)
 
   // --- package the result -----------------------------------------------------
   const std::vector<long> &res = p.Res;
-  svtkImageData *image = svtkImageData::New();
+  auto image = svtkSmartPtr<svtkImageData>::Take(svtkImageData::New());
   image->SetDimensions(static_cast<int>(res[0]),
                        nAxes > 1 ? static_cast<int>(res[1]) : 1,
                        nAxes > 2 ? static_cast<int>(res[2]) : 1);
@@ -1149,17 +1273,20 @@ void DataBinning::CompleteBinning(Pending &p)
   for (const auto &a : arrays)
     image->GetPointData()->AddArray(a.Get());
 
-  const bool isRoot = !in.Comm || in.Comm->Rank() == 0;
+  // stored before the file is written, so a write that fails still
+  // leaves the step's result
+  image->Register();
+  this->StoreResult(image.Get(), lo, hi); // takes that reference
+
+  const bool isRoot = !p.In.Comm || p.In.Comm->Rank() == 0;
   if (isRoot && this->OutputFrequency_ > 0 &&
-      in.Step % this->OutputFrequency_ == 0 && !this->OutputDir_.empty())
+      p.In.Step % this->OutputFrequency_ == 0 && !this->OutputDir_.empty())
   {
     std::ostringstream path;
     path << this->OutputDir_ << '/' << this->OutputPrefix_ << '_'
-         << in.Step << ".vti";
-    sio::WriteVTI(path.str(), image);
+         << p.In.Step << ".vti";
+    sio::WriteVTI(path.str(), image.Get());
   }
-
-  this->StoreResult(image, lo, hi); // takes the reference
 }
 
 void DataBinning::StoreResult(svtkImageData *image,

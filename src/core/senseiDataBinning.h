@@ -78,6 +78,8 @@ enum class GpuBinningStrategy : int
 /// Parse a strategy name ("global_atomics", "privatized").
 GpuBinningStrategy GpuBinningStrategyFromName(const std::string &name);
 
+struct PendingBinning;
+
 /// One coordinate-system data binning operator instance.
 class DataBinning : public AnalysisAdaptor
 {
@@ -128,9 +130,9 @@ public:
   /// Its axes and the columns of its reductions.
   std::optional<std::vector<std::string>>
   GetColumnsRead(const std::string &mesh) const override;
-  /// Drain, run a lockstep completion still queued (with every one
-  /// queued before it), then free the record's device buffers (an
-  /// execute after Finalize allocates them again).
+  /// Drain, complete a lockstep execute still queued (with every one
+  /// queued before it), then free the record's device buffers and the
+  /// arena (an execute after Finalize allocates them again).
   int Finalize() override;
 
   /// The most recent result: a uniform mesh whose point data holds one
@@ -219,49 +221,45 @@ private:
     std::vector<FillColumn> Fill;
   };
 
-  /// One execute between its two halves. LaunchBinning fills it and
-  /// CompleteBinning consumes it; it keeps alive, until the completion
-  /// has synchronized Strm, the inputs and views the launched kernels
-  /// read and everything their bodies capture.
-  struct Pending
-  {
-    StepInputs In;
-    std::map<const svtkHAMRDoubleArray *, std::shared_ptr<const double>>
-      Views;
-    std::vector<std::size_t> Rows; ///< per block
-    std::vector<std::vector<const double *>> Ax, Vals;
-    std::vector<Operation> RedOps;
-    std::vector<BinningOp> Kinds; ///< one per segment
-    std::vector<long> Res;
-    std::vector<double> Lo, Hi, Scale, Shift;
-    minimpi::CompactShape Shape;
-    std::size_t Cap = 0;
-    vp::Stream Strm; ///< the device placement's private stream
-  };
-
   /// The step's inputs by the execution method: the typed columns of
   /// every block (GetInputs) and, lockstep, the axis-range table's
   /// entries or what its fill covers.
   bool GatherInputs(DataAdaptor *data, StepInputs &in);
 
-  /// The launch half: views, axis ranges (a lockstep fill, or an
-  /// asynchronous task's reduction of its snapshot's ranges) and bin
-  /// geometry, then on a device the accumulate and compact kernels and
-  /// the compact record's readback, submitted on p.Strm and not waited
-  /// for.
-  void LaunchBinning(Pending &p);
+  /// The host half of an execute: views, axis ranges (a lockstep fill or
+  /// table hit, or an asynchronous task's reduction of its snapshot's
+  /// ranges), bin geometry and the record's sizing. It launches nothing
+  /// but a range scan; the device work is the batch's (CompleteBatch).
+  void PrepareBinning(PendingBinning &p);
 
-  /// The completion half: wait for p.Strm (on the host: accumulate and
-  /// compact), reduce the compact record across ranks (AllreduceCompact)
-  /// into the result arrays, finalize averages and empty bins, write the
-  /// output file and store the result.
-  void CompleteBinning(Pending &p);
+  /// Complete `batch`, executes whose host halves have run: a lockstep
+  /// batch's queue in queue order (DataAdaptor::FinishLockstep), or an
+  /// asynchronous task's one execute. On each placement device the
+  /// device's share is one accumulate launch per GPU strategy (plus the
+  /// privatized merge), one compact launch over all of its records and
+  /// one readback of their compact forms into the pinned arena of the
+  /// batch's first execute's instance; the host-placed executes
+  /// accumulate and compact in queue order meanwhile. Then one batched
+  /// AllreduceCompact reduces every record (without a communicator, an
+  /// unpack or copy each), and FinishBinning completes each execute in
+  /// turn.
+  static void
+  CompleteBatch(const std::vector<std::shared_ptr<PendingBinning>> &batch);
+  friend class DataAdaptor;
+  friend struct PendingBinning;
+
+  /// One execute's result from its record's reduction `reduced`, a
+  /// compact record holding `held` bins (null: a host record without a
+  /// communicator, already final): the result arrays, averages and empty
+  /// bins finalized, stored, then written to the output file.
+  void FinishBinning(const PendingBinning &p, const void *reduced,
+                     std::size_t held);
 
   /// The accumulation kernel body of block `block` of `p` over the
   /// packed record at `rec`, and its price per row.
-  static auto AccumulateBody(const Pending &p, std::size_t block,
+  static auto AccumulateBody(const PendingBinning &p, std::size_t block,
                              double *rec);
-  static double OpsPerRow(const Pending &p);
+  static double OpsPerRow(const PendingBinning &p);
 
   /// Run this instance's queued lockstep completion (and, in order,
   /// every one queued before it on the same adaptor).
@@ -278,29 +276,27 @@ private:
                   const vp::Stream &strm, std::vector<double> &lo,
                   std::vector<double> &hi);
 
-  /// The packed grid record [count | seg 1 | ... | seg nRed] and its
-  /// compact form, kept across executes. On a device the record is
-  /// allocated and initialized once per (device, bins, kinds), and
-  /// compaction writes every bin it packs back to its identity, so each
-  /// execute leaves the record as it was initialized; the cross-rank
-  /// reduction (or, alone, the unpack) of the compact record writes each
-  /// segment straight into its result array, so a device placement has
-  /// no dense record on the host. The compact buffers grow to the
-  /// largest capacity seen. Nothing locks them: two executes of one
-  /// instance never overlap (one consumer per pipeline; an execute first
-  /// runs its instance's queued lockstep completion, and a lockstep one
-  /// drains the pipeline), and Finalize and the destructor drain and
-  /// finish before they free.
+  /// The packed grid record [count | seg 1 | ... | seg nRed], kept
+  /// across executes. On a device the record is allocated once per
+  /// (device, bins, kinds) and initialized by the first batch that runs
+  /// it, and compaction writes every bin it packs back to its identity,
+  /// so each execute leaves the record as it was initialized; the
+  /// cross-rank reduction (or, alone, the unpack) of the compact record
+  /// writes each segment straight into its result array, so a device
+  /// placement has no dense record on the host. The compact forms live
+  /// in the Arena of the instance that leads the batch. Nothing locks
+  /// the record: two executes of one instance never overlap (one
+  /// consumer per pipeline; an execute first runs its instance's queued
+  /// lockstep completion, and a lockstep one drains the pipeline), and
+  /// Finalize and the destructor drain and finish before they free.
   struct Record
   {
-    int Device = DEVICE_HOST;     ///< where DeviceRec and DeviceCompact live
+    int Device = DEVICE_HOST;     ///< where DeviceRec lives
     std::size_t Bins = 0;         ///< bins per segment
     std::vector<BinningOp> Kinds; ///< one per segment
     double *DeviceRec = nullptr;  ///< Kinds.size() x Bins, at identities
-    void *DeviceCompact = nullptr;
-    std::size_t DeviceCompactBytes = 0;
-    std::vector<double> Host;    ///< a host placement's dense record
-    std::vector<double> Compact; ///< the compact record on the host
+    bool Fresh = false;           ///< DeviceRec still awaits its init
+    std::vector<double> Host;     ///< a host placement's dense record
     /// The range scan's device scratch, 2 doubles per unit, keyed by
     /// the scanned device (a lockstep fill may scan peers that live on
     /// another device); allocated outside the pool and grown to the
@@ -313,17 +309,35 @@ private:
     std::map<int, Scratch> Scan;
   };
 
-  /// Size the record for (device, bins, kinds) and a compact record of
-  /// `compactBytes`, allocating and initializing on `strm` only what a
-  /// change of device, bins or kinds, or a larger capacity, requires.
+  /// Size the record for (device, bins, kinds), allocating only what a
+  /// change of device, bins or kinds requires.
   void PrepareRecord(int device, std::size_t nBins,
-                     const std::vector<BinningOp> &kinds,
-                     std::size_t compactBytes, const vp::Stream &strm);
+                     const std::vector<BinningOp> &kinds);
+
+  /// The compact forms of a batch this instance leads (its first
+  /// execute is this instance's), kept across batches: per placement
+  /// device, the buffer the device's compact launch writes its share
+  /// into, and the pinned host arena every record's compact form lands
+  /// in, each device's share by one readback. Allocated outside the
+  /// pool and grown, in powers of two, to cover the largest batch; a
+  /// device buffer is freed when a batch leaves its device out, and
+  /// everything at Finalize.
+  struct Arena
+  {
+    struct Buffer
+    {
+      void *P = nullptr;
+      std::size_t Bytes = 0;
+    };
+    std::map<int, Buffer> Device;
+    Buffer Host;
+  };
 
   /// The range scan's scratch on `device`, room for `nUnits` units.
   double *ScanScratch(int device, std::size_t nUnits);
 
-  /// Free the device buffers and drop the host ones.
+  /// Free the record's device buffers and the arena, and drop the host
+  /// ones.
   void ReleaseRecord();
 
   /// Placement with the captured-graph pin: while GraphSession_ holds an
@@ -348,9 +362,11 @@ private:
   GpuBinningStrategy GpuStrategy_ = GpuBinningStrategy::GlobalAtomics;
 
   Record Record_;
+  Arena Arena_;
 
-  /// Captured step-graph session for the device path (src/graph),
-  /// created on the first device execution when vp::graph is enabled.
+  /// Captured step-graph session (src/graph) of the device shares this
+  /// instance's execute leads in a batch, created on the first one when
+  /// vp::graph is enabled.
   std::unique_ptr<vp::graph::Session> GraphSession_;
   int GraphDevice_ = DEVICE_AUTO; ///< device pinned at capture
 
@@ -361,6 +377,27 @@ private:
   /// The adaptor whose lockstep batch holds this instance's completion,
   /// or null when none is queued.
   DataAdaptor *Queued_ = nullptr;
+};
+
+/// One execute between its host half (DataBinning::PrepareBinning) and
+/// its completion (DataBinning::CompleteBatch). It keeps alive, until the
+/// batch has synchronized its device work, the inputs and views the
+/// kernels read and everything their bodies capture.
+struct PendingBinning
+{
+  DataBinning *Owner = nullptr;
+  DataBinning::StepInputs In;
+  std::map<const svtkHAMRDoubleArray *, std::shared_ptr<const double>> Views;
+  std::vector<std::size_t> Rows; ///< per block
+  std::vector<std::vector<const double *>> Ax, Vals;
+  std::vector<DataBinning::Operation> RedOps;
+  std::vector<BinningOp> Kinds; ///< one per segment
+  std::vector<long> Res;
+  std::vector<double> Lo, Hi, Scale, Shift;
+  GpuBinningStrategy Strategy = GpuBinningStrategy::GlobalAtomics;
+  minimpi::CompactShape Shape;
+  std::size_t Cap = 0;
+  vp::Stream Strm; ///< a device placement's private stream
 };
 
 } // namespace sensei

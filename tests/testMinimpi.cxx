@@ -949,3 +949,273 @@ TEST(CompactAllreduce, OneRankIsAHostCopy)
   EXPECT_NEAR(dense(2), tree2, 1e-12 * tree2);
   EXPECT_NEAR(dense(4), 2 * tree2, 1e-12 * tree2);
 }
+
+// --- several compact records in one collective ---------------------------------
+
+namespace
+{
+/// One rank's record of a batch: its dense form, capacity and compact
+/// form.
+struct BatchRecord
+{
+  RandomRecord Rec;
+  std::vector<double> Compact;
+};
+
+/// A batch of `n` shapes: the first has 100 bins (not a multiple of 64)
+/// with a sum, a min and a max segment besides the count, the rest are
+/// drawn by RandomShape.
+std::vector<minimpi::CompactShape> BatchShapes(std::size_t n,
+                                               std::mt19937_64 &gen)
+{
+  std::vector<minimpi::CompactShape> shapes = {minimpi::CompactShape{
+    100,
+    {minimpi::Op::Sum, minimpi::Op::Sum, minimpi::Op::Min, minimpi::Op::Max}}};
+  while (shapes.size() < n)
+    shapes.push_back(RandomShape(gen));
+  return shapes;
+}
+
+/// Records of `shapes` for `ranks` ranks, [rank][record]; the last rank's
+/// first record is empty (cap 0).
+std::vector<std::vector<BatchRecord>>
+BatchRecords(const std::vector<minimpi::CompactShape> &shapes, int ranks,
+             std::mt19937_64 &gen)
+{
+  std::vector<std::vector<BatchRecord>> out(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r)
+    for (std::size_t i = 0; i < shapes.size(); ++i)
+    {
+      const minimpi::CompactShape &shape = shapes[i];
+      BatchRecord b;
+      b.Rec = MakeRecord(shape, gen);
+      if (r == ranks - 1 && i == 0)
+      {
+        for (std::size_t g = 0; g < shape.Grids(); ++g)
+          std::fill_n(b.Rec.Dense.begin() + static_cast<long>(g * shape.Bins),
+                      shape.Bins, Identity(shape.Ops[g]));
+        b.Rec.Cap = 0;
+      }
+      b.Compact.resize(shape.Bytes(b.Rec.Cap) / sizeof(double));
+      minimpi::PackCompact(shape, b.Rec.Dense.data(), b.Rec.Cap,
+                           b.Compact.data());
+      out[static_cast<std::size_t>(r)].push_back(std::move(b));
+    }
+  return out;
+}
+
+/// The batched call over `mine`, each record's reduction expanded into
+/// out[i] (Grids() x Bins doubles); the records are visited once each,
+/// in order.
+void BatchReduce(minimpi::Communicator &comm,
+                 const std::vector<minimpi::CompactShape> &shapes,
+                 const std::vector<BatchRecord> &mine,
+                 std::vector<std::vector<double>> &out)
+{
+  std::vector<minimpi::CompactRecord> records;
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    records.push_back(minimpi::CompactRecord{
+      &shapes[i], mine[i].Compact.data(), mine[i].Rec.Cap});
+  out.assign(shapes.size(), {});
+  std::size_t next = 0;
+  comm.AllreduceCompact(
+    records,
+    [&](std::size_t i, const void *reduced, std::size_t held)
+    {
+      EXPECT_EQ(i, next++);
+      out[i].resize(shapes[i].Grids() * shapes[i].Bins);
+      minimpi::UnpackCompact(shapes[i], reduced, held, out[i].data());
+    });
+  EXPECT_EQ(next, shapes.size());
+}
+
+class CompactBatchRanks : public ::testing::TestWithParam<int>
+{
+protected:
+  void SetUp() override { ResetPlatform(); }
+};
+} // namespace
+
+TEST_P(CompactBatchRanks, MatchesOneCallPerRecordBitForBit)
+{
+  // batches of 1 to 4 records of different shapes: every segment the
+  // batched call leaves equals, byte for byte, what one single-record
+  // call per record leaves
+  const int ranks = GetParam();
+  for (std::size_t n = 1; n <= 4; ++n)
+    for (unsigned seed = 0; seed < 10; ++seed)
+    {
+      std::mt19937_64 gen(seed * 977u + static_cast<unsigned>(ranks * 10 + n));
+      const std::vector<minimpi::CompactShape> shapes = BatchShapes(n, gen);
+      const auto recs = BatchRecords(shapes, ranks, gen);
+      minimpi::Run(
+        ranks,
+        [&](minimpi::Communicator &comm)
+        {
+          const auto &mine = recs[static_cast<std::size_t>(comm.Rank())];
+          std::vector<std::vector<double>> want(n);
+          for (std::size_t i = 0; i < n; ++i)
+          {
+            want[i].resize(shapes[i].Grids() * shapes[i].Bins);
+            comm.AllreduceCompact(shapes[i], mine[i].Compact.data(),
+                                  mine[i].Rec.Cap, want[i].data());
+          }
+          std::vector<std::vector<double>> got;
+          BatchReduce(comm, shapes, mine, got);
+          for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                                  got[i].size() * sizeof(double)),
+                      0)
+              << "seed " << seed << " rank " << comm.Rank() << " record " << i
+              << " of " << n << " bins " << shapes[i].Bins;
+        });
+    }
+}
+
+TEST_P(CompactBatchRanks, PricedAsOneExchange)
+{
+  // every rank spends R = ceil(log2 P) rounds of one MessageLatency plus
+  // the records' summed bytes (bitmap + min(bins, largest aligned group
+  // sum of caps) slots, each record as the single call counts it) over
+  // MessageBandwidth; one rank the host copy of every record. A batch
+  // of one costs what the single-record call does, to the bit
+  const int ranks = GetParam();
+  const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
+  auto spent = [ranks](const std::function<void(minimpi::Communicator &)> &fn)
+  {
+    std::vector<double> out(static_cast<std::size_t>(ranks));
+    vp::ThisClock().Set(0.0);
+    minimpi::Run(ranks,
+                 [&](minimpi::Communicator &comm)
+                 {
+                   comm.Barrier();
+                   const double t0 = vp::ThisClock().Now();
+                   fn(comm);
+                   out[static_cast<std::size_t>(comm.Rank())] =
+                     vp::ThisClock().Now() - t0;
+                 });
+    return out;
+  };
+  for (std::size_t n = 1; n <= 4; ++n)
+  {
+    std::mt19937_64 gen(31u * n + static_cast<unsigned>(ranks));
+    const std::vector<minimpi::CompactShape> shapes = BatchShapes(n, gen);
+    const auto recs = BatchRecords(shapes, ranks, gen);
+
+    // bytes record i moves with `slots` slots
+    auto bytes = [&](std::size_t i, std::size_t slots)
+    {
+      return 8.0 * static_cast<double>(shapes[i].BitmapWords()) +
+             static_cast<double>(std::min(slots, shapes[i].Bins) *
+                                 shapes[i].Grids() * sizeof(double));
+    };
+    auto cap = [&](int r, std::size_t i)
+    { return recs[static_cast<std::size_t>(r)][i].Rec.Cap; };
+    double want = 0.0;
+    if (ranks == 1)
+    {
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i)
+        total += bytes(i, cap(0, i));
+      want = total / cost.H2HBandwidth;
+    }
+    for (int group = 1; group < ranks; group *= 2)
+    {
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i)
+      {
+        std::size_t largest = 0;
+        for (int first = 0; first < ranks; first += group)
+        {
+          std::size_t sum = 0;
+          for (int r = first; r < std::min(ranks, first + group); ++r)
+            sum += cap(r, i);
+          largest = std::max(largest, sum);
+        }
+        total += bytes(i, largest);
+      }
+      want += cost.MessageLatency + total / cost.MessageBandwidth;
+    }
+
+    const std::vector<double> batched = spent(
+      [&](minimpi::Communicator &comm)
+      {
+        std::vector<std::vector<double>> dense;
+        BatchReduce(comm, shapes, recs[static_cast<std::size_t>(comm.Rank())],
+                    dense);
+      });
+    for (double s : batched)
+      EXPECT_NEAR(s, want, 1e-12 * want) << n << " records";
+
+    if (n == 1)
+    {
+      const std::vector<double> single = spent(
+        [&](minimpi::Communicator &comm)
+        {
+          const BatchRecord &b = recs[static_cast<std::size_t>(comm.Rank())][0];
+          std::vector<double> dense(shapes[0].Grids() * shapes[0].Bins);
+          comm.AllreduceCompact(shapes[0], b.Compact.data(), b.Rec.Cap,
+                                dense.data());
+        });
+      EXPECT_EQ(batched, single);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, CompactBatchRanks,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(CompactBatch, AnOverfullRecordThrowsBeforeEntering)
+{
+  // a record whose bitmap names more bins than its capacity, at any
+  // position of a batch of four, throws std::runtime_error on its rank
+  // before the collective is entered: the rank's clock has not moved,
+  // and the next collective pairs up as if the failed call never ran
+  ResetPlatform();
+  for (int ranks : {1, 2, 3})
+    for (std::size_t bad = 0; bad < 4; ++bad)
+    {
+      std::mt19937_64 gen(101u + bad);
+      const std::vector<minimpi::CompactShape> shapes = BatchShapes(4, gen);
+      auto recs = BatchRecords(shapes, ranks, gen);
+      minimpi::Run(
+        ranks,
+        [&](minimpi::Communicator &comm)
+        {
+          std::vector<BatchRecord> mine =
+            recs[static_cast<std::size_t>(comm.Rank())];
+          // two bins held, one slot claimed
+          const minimpi::CompactShape &shape = shapes[bad];
+          std::vector<double> dense(shape.Grids() * shape.Bins);
+          for (std::size_t g = 0; g < shape.Grids(); ++g)
+            std::fill_n(dense.begin() + static_cast<long>(g * shape.Bins),
+                        shape.Bins, Identity(shape.Ops[g]));
+          dense[0] = 1.0;
+          dense[shape.Bins - 1] = 2.0;
+          BatchRecord &b = mine[bad];
+          b.Compact.assign(shape.Bytes(2) / sizeof(double), 0.0);
+          minimpi::PackCompact(shape, dense.data(), 2, b.Compact.data());
+          b.Rec.Cap = shape.Bins > 1 ? 1 : 0;
+
+          std::vector<std::vector<double>> out;
+          const double t0 = vp::ThisClock().Now();
+          EXPECT_THROW(BatchReduce(comm, shapes, mine, out), std::runtime_error)
+            << ranks << " ranks, record " << bad;
+          EXPECT_EQ(vp::ThisClock().Now(), t0);
+
+          // the good batch still reduces as one call per record
+          const auto &good = recs[static_cast<std::size_t>(comm.Rank())];
+          BatchReduce(comm, shapes, good, out);
+          for (std::size_t i = 0; i < shapes.size(); ++i)
+          {
+            std::vector<double> want(out[i].size());
+            comm.AllreduceCompact(shapes[i], good[i].Compact.data(),
+                                  good[i].Rec.Cap, want.data());
+            EXPECT_EQ(std::memcmp(out[i].data(), want.data(),
+                                  want.size() * sizeof(double)),
+                      0)
+              << ranks << " ranks, record " << i;
+          }
+        });
+    }
+}

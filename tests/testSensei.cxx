@@ -624,6 +624,8 @@ TEST(ConfigurableAnalysis, RejectsBadConfigs)
     {"data_binning", "resolution='16x'"},
     {"data_binning", "range_0='0,1x'"},
     {"data_binning", "ops='median'"},
+    {"data_binning", "axes='x,y,z,w'"},
+    {"data_binning", "ops='sum'"},
     {"data_binning", "gpu_strategy='fastest'"},
     {"data_binning", "out_freq='often' out_dir='.'"},
     {"render", "resolution='fine'"},
@@ -632,6 +634,9 @@ TEST(ConfigurableAnalysis, RejectsBadConfigs)
     {"render", "log='maybe'"},
     {"render", "range='0,1x'"},
     {"render", "range_0='0,1x'"},
+    {"render", "axes='x,y,z,w'"},
+    {"render", "colormap='bogus'"},
+    {"render", "op='median'"},
     {"autocorrelation", "window='0'"},
     {"posthoc_io", "frequency='-1'"},
     {"posthoc_io", "format='sbim'"}};
