@@ -84,7 +84,10 @@ static void BM_CompactVsDense(benchmark::State &state)
           minimpi::PackCompact(shape, rec.data(), cap, buf.data());
         const double t0 = vp::ThisClock().Now();
         if (compact)
-          comm.AllreduceCompact(shape, buf.data(), cap, rec.data());
+          comm.AllreduceCompact(
+            {minimpi::CompactRecord{&shape, buf.data(), cap}},
+            [&](std::size_t, const void *reduced, std::size_t held)
+            { minimpi::UnpackCompact(shape, reduced, held, rec.data()); });
         else
           comm.Allreduce(rec.data(), rec.size(), minimpi::Op::Sum);
         if (comm.Rank() == 0)

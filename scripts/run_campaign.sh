@@ -22,6 +22,26 @@ bench() {
   fi
 }
 
+# gtest FILTER CMD...: run the gtest binary command CMD (an `env VAR=...`
+# prefix allowed) on the tests FILTER selects. gtest passes a filter that
+# selects nothing ("0 tests ran", exit 0), so every ':'-separated pattern
+# of FILTER is listed first (--gtest_list_tests), and a pattern that
+# selects no test fails the script
+gtest() {
+  filter=$1
+  shift
+  if ! printf '%s\n' "$filter" | tr ':' '\n' | while read -r pattern; do
+    "$@" --gtest_filter="$pattern" --gtest_list_tests </dev/null |
+      grep -q '^  ' || {
+      echo "run_campaign.sh: '$pattern' selects no test of $*" >&2
+      exit 1
+    }
+  done; then
+    exit 1
+  fi
+  "$@" --gtest_filter="$filter"
+}
+
 cd "$(dirname "$0")/.."
 
 cmake -B build -G Ninja
@@ -229,8 +249,8 @@ bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
 # asynchronous analyses on the pipeline, inline and on its consumer
 # thread, under ASan+UBSan. UBSan recovers by default, so these runs and
 # the binning, back-end and minimpi runs below halt on the first report
-UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testExtensions \
-  --gtest_filter='AsyncRunner.*'
+gtest 'AsyncRunner.*' \
+  env UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testExtensions
 # every back end's tasks on the AnalysisAdaptor base's one pipeline and
 # duplicated communicator: histograms, column statistics,
 # autocorrelation windows and posthoc writes in both methods, on 1 to 3
@@ -239,8 +259,8 @@ UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testExtensions \
 # ASan+UBSan
 UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testSensei
 UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testAutocorrelation
-UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testExtensions \
-  --gtest_filter='ColumnStatistics.*'
+gtest 'ColumnStatistics.*' \
+  env UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testExtensions
 bench um_compress_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_compress \
   --benchmark_min_time=0.05
@@ -274,16 +294,16 @@ bench um_layout_sanitized.txt \
   --benchmark_min_time=0.05
 # the packed binning record of a 4-rank mixed-op binning, the data
 # adaptor's shared per-step snapshot and the axis ranges its gather
-# folds for asynchronous binnings, its per-step axis-range table
-# (fills, hits and peers scanned where they live), the resident record
+# folds for asynchronous binnings, the batch's range pass (one scan per
+# source column and block, through the first reader's view), the resident record
 # reset by its compaction and reallocated on a new shape, and the
 # lockstep batch (host halves queued until the step's last lockstep
 # binning, a Finalize or delete before ReleaseData running the queue,
 # each device's share compacted into the leading instance's buffers and
 # read back into its pinned arena at per-record offsets), under
 # ASan+UBSan
-UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testBinning \
-  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*:BinningBatch.*'
+gtest 'Binning.MultiRankReductionMatchesSerial:BinningPacked.*:BinningSnapshot.*:BinningSharedRange.*:BinningResident.*:BinningBatch.*' \
+  env UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testBinning
 # the solver's ring pass (one packed block per hop, staged through the
 # resident device buffer) against its host reference on 1 to 5 ranks,
 # the bridge's resident derived columns, a host view of a deep copy
@@ -294,13 +314,13 @@ UBSAN_OPTIONS=halt_on_error=1 ../build-sanitize/tests/testBinning \
 # siblings, a block dropped unread, pooled staging, the parts' ranges
 # the gather folds, ranges dropped before their readback ran), under
 # ASan+UBSan
-../build-sanitize/tests/testNewton --gtest_filter='NewtonRing.*:NewtonBridge.*'
-../build-sanitize/tests/testHamrAccess \
-  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*:HamrPackedCopy.*'
+gtest 'NewtonRing.*:NewtonBridge.*' ../build-sanitize/tests/testNewton
+gtest 'HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*:HamrPackedCopy.*' \
+  ../build-sanitize/tests/testHamrAccess
 # serial vs threads: bit-exact binning grids and virtual time on the
 # host and under both device strategies, and a host campaign's virtual
 # timings independent of the pool width, under ASan+UBSan
-../build-sanitize/tests/testExec --gtest_filter='ExecEquality.*'
+gtest 'ExecEquality.*' ../build-sanitize/tests/testExec
 # all of minimpi (point to point, collectives with empty messages on
 # Gather's non-root ranks, the compact record's pack, unpack and sparse
 # allreduce, one record or a batch, the hostile chunk headers), stopping
@@ -323,7 +343,7 @@ cmake --build ../build-tsan --target testExec um_exec testService testGraph um_g
 # between serial and threads exec, and asynchronous analyses running on
 # it, under the race detector
 ../build-tsan/tests/testSched
-../build-tsan/tests/testExtensions --gtest_filter='AsyncRunner.*'
+gtest 'AsyncRunner.*' ../build-tsan/tests/testExtensions
 # the same back ends with every asynchronous task on its pipeline's
 # consumer thread (VP_EXEC=threads): the base's drains, the duplicated
 # communicator's collectives and each back end's result under its lock,
@@ -332,11 +352,11 @@ VP_EXEC=threads ../build-tsan/tests/testSensei
 # histograms (each a one-axis count binning) on host and devices, both
 # methods, their asynchronous tasks on consumer threads, with the checker
 # on
-VP_CHECK=1 VP_EXEC=threads ../build-tsan/tests/testSensei \
-  --gtest_filter='Histogram.*'
+gtest 'Histogram.*' \
+  env VP_CHECK=1 VP_EXEC=threads ../build-tsan/tests/testSensei
 VP_EXEC=threads ../build-tsan/tests/testAutocorrelation
-VP_EXEC=threads ../build-tsan/tests/testExtensions \
-  --gtest_filter='ColumnStatistics.*'
+gtest 'ColumnStatistics.*' \
+  env VP_EXEC=threads ../build-tsan/tests/testExtensions
 bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
   --benchmark_min_time=0.05
 # the service's dispatcher/worker/heartbeat thread interplay under the
@@ -359,8 +379,8 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # clean
 ../build-tsan/tests/testLayout
 # 4 rank threads meeting in the packed binning record's collectives
-../build-tsan/tests/testBinning \
-  --gtest_filter='Binning.MultiRankReductionMatchesSerial:BinningPacked.*'
+gtest 'Binning.MultiRankReductionMatchesSerial:BinningPacked.*' \
+  ../build-tsan/tests/testBinning
 # async binnings sharing one snapshot copy per column under
 # <exec mode="threads">: consumer threads drop the last references to
 # the shared copies while the simulation thread drops the snapshot's;
@@ -369,23 +389,23 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # whose slices outlive their siblings, and consumer threads reducing
 # their axes from the ranges the snapshot's gather folded, with the
 # checker on
-VP_CHECK=1 ../build-tsan/tests/testBinning \
-  --gtest_filter='BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads:BinningSnapshot.SimulationWritesAfterTheSnapshotDoNotReachIt:BinningSnapshot.OneTransferPerColumnSet:BinningSnapshot.AsyncRangesRideTheSnapshot'
-# lockstep binnings of two rank threads filling and hitting their
-# adaptors' axis-range tables under <exec mode="threads">, with the
-# checker on
-VP_CHECK=1 ../build-tsan/tests/testBinning \
-  --gtest_filter='BinningSharedRange.CheckerCleanUnderExecThreads'
+gtest 'BinningSnapshot.SharedCopiesAreCheckerCleanUnderExecThreads:BinningSnapshot.SimulationWritesAfterTheSnapshotDoNotReachIt:BinningSnapshot.OneTransferPerColumnSet:BinningSnapshot.AsyncRangesRideTheSnapshot' \
+  env VP_CHECK=1 ../build-tsan/tests/testBinning
+# lockstep binnings of two rank threads, each step's batch scanning its
+# axes through views on the rank's device (some moved from another)
+# under <exec mode="threads">, with the checker on
+gtest 'BinningSharedRange.CheckerCleanUnderExecThreads' \
+  env VP_CHECK=1 ../build-tsan/tests/testBinning
 # the lockstep batch under <exec mode="threads"> (each test selects it):
 # 4 rank threads meet in deferred AllreduceCompacts while the device
 # workers still run their readbacks, a render reads its binning
 # mid-step, and a Finalize or delete runs the queue, with the checker on
-VP_CHECK=1 ../build-tsan/tests/testBinning --gtest_filter='BinningBatch.*'
+gtest 'BinningBatch.*' env VP_CHECK=1 ../build-tsan/tests/testBinning
 # async and lockstep binnings reusing their resident records across
 # steps under <exec mode="threads">: consumer threads and the caller
 # take turns on each record, with the checker on
-VP_CHECK=1 ../build-tsan/tests/testBinning \
-  --gtest_filter='BinningResident.CheckerCleanUnderExecThreads'
+gtest 'BinningResident.CheckerCleanUnderExecThreads' \
+  env VP_CHECK=1 ../build-tsan/tests/testBinning
 # rank threads passing packed blocks around the ring and repartitioning
 # under the bridge's resident derived columns, and under
 # <exec mode="threads"> the staged uploads and force kernels on worker
@@ -394,15 +414,15 @@ VP_CHECK=1 ../build-tsan/tests/testBinning \
 # threads synchronizing one shared copy on its transfer's event, deep
 # copies left in flight behind a pending kernel, and a packed copy's
 # ranges dropped before their readback ran
-../build-tsan/tests/testNewton --gtest_filter='NewtonRing.*:NewtonBridge.*'
-VP_CHECK=1 ../build-tsan/tests/testNewton \
-  --gtest_filter='NewtonRing.CheckerCleanUnderExecThreads'
-VP_CHECK=1 ../build-tsan/tests/testHamrAccess \
-  --gtest_filter='HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*:HamrPackedCopy.*'
+gtest 'NewtonRing.*:NewtonBridge.*' ../build-tsan/tests/testNewton
+gtest 'NewtonRing.CheckerCleanUnderExecThreads' \
+  env VP_CHECK=1 ../build-tsan/tests/testNewton
+gtest 'HamrMoveOrdering.*:HamrSyncEvent.*:HamrDeepCopy.*:HamrPackedCopy.*' \
+  env VP_CHECK=1 ../build-tsan/tests/testHamrAccess
 # up to 16 rank threads meeting in the sparse allreduce: the last
 # arrival's merge reads every rank's compact record
-../build-tsan/tests/testMinimpi \
-  --gtest_filter='RankCounts/CompactRanks.*:CompactAllreduce.*'
+gtest 'RankCounts/CompactRanks.*:CompactAllreduce.*' \
+  ../build-tsan/tests/testMinimpi
 # 4 rank threads running Initialize at once against the one-time knob
 # rows (each test is its own process, so the first use races for real)
 ctest --test-dir ../build-tsan -L config --output-on-failure

@@ -955,24 +955,6 @@ void UnpackCompact(const CompactShape &shape, const void *compact,
   ExpandCompact(shape, PartOf(shape, compact, cap), segments);
 }
 
-void Communicator::AllreduceCompact(const CompactShape &shape,
-                                    const void *compact, std::size_t cap,
-                                    double *dense)
-{
-  this->AllreduceCompact(shape, compact, cap,
-                         SegmentsOf(shape, dense).data());
-}
-
-void Communicator::AllreduceCompact(const CompactShape &shape,
-                                    const void *compact, std::size_t cap,
-                                    double *const *segments)
-{
-  this->AllreduceCompact(
-    {CompactRecord{&shape, compact, cap}},
-    [&shape, segments](std::size_t, const void *reduced, std::size_t held)
-    { UnpackCompact(shape, reduced, held, segments); });
-}
-
 void Communicator::AllreduceCompact(
   const std::vector<CompactRecord> &records,
   const std::function<void(std::size_t, const void *, std::size_t)> &each)

@@ -78,9 +78,9 @@ void ResetCompacted(const CompactShape &shape, const void *compact,
                     double *dense);
 
 /// Expand one compact record of capacity `cap` into the dense record
-/// (absent bins get the identities): what AllreduceCompact leaves on a
-/// single rank, without a communicator. Throws std::runtime_error when
-/// the bitmap names more than `cap` bins.
+/// (absent bins get the identities), as AllreduceCompact's reduction
+/// does on one rank, and as a caller without a communicator does. Throws
+/// std::runtime_error when the bitmap names more than `cap` bins.
 void UnpackCompact(const CompactShape &shape, const void *compact,
                    std::size_t cap, double *dense);
 
@@ -89,8 +89,8 @@ void UnpackCompact(const CompactShape &shape, const void *compact,
 void UnpackCompact(const CompactShape &shape, const void *compact,
                    std::size_t cap, double *const *segments);
 
-/// One record of a batched AllreduceCompact: its shape and its compact
-/// form of capacity `Cap` (PackCompact).
+/// One record of an AllreduceCompact: its shape and its compact form of
+/// capacity `Cap` (PackCompact).
 struct CompactRecord
 {
   const CompactShape *Shape = nullptr;
@@ -231,40 +231,26 @@ public:
     (void)root;
   }
 
-  /// Sparse allreduce of a grid record. Every rank passes its compact
-  /// record (PackCompact with capacity `cap`; ranks may differ in `cap`)
-  /// and ends with the dense reduction in `dense` (Grids() x Bins
-  /// doubles). Each bin folds the ranks in rank order with its segment's
-  /// operator, an absent bin contributing the identity, so the result
-  /// is bit-identical to Allreduce over the dense records. Priced from
-  /// the capacities alone, never the contents, as a recursive-doubling
-  /// exchange of R = ceil(log2(P)) rounds: round k moves the bitmap plus
+  /// Sparse allreduce of grid records in one collective. Every rank
+  /// passes the same number of records, record i of one shape on every
+  /// rank, each in its compact form (PackCompact) with a capacity that
+  /// may differ across ranks. Each rank checks all of its records'
+  /// bitmaps against their capacities, and throws std::runtime_error,
+  /// before it enters. Then it visits the records in order:
+  /// each(i, reduced, held) gets record i's reduction as a compact record
+  /// of its shape holding `held` bins, the union of the ranks' bitmaps.
+  /// Each bin folds the ranks in rank order with its segment's operator,
+  /// an absent bin contributing the identity, so the UnpackCompact of a
+  /// reduction is bit-identical to Allreduce over the ranks' dense
+  /// records. `reduced` is valid only during the call, and `each` must
+  /// not enter a collective on this communicator. Priced from the
+  /// capacities alone, never the contents, as one recursive-doubling
+  /// exchange of R = ceil(log2(P)) rounds: round k charges one
+  /// MessageLatency plus, summed over the records, the bitmap and
   /// min(Bins, the largest sum of caps over an aligned group of 2^(k-1)
-  /// ranks) slots, at MessageLatency + bytes / MessageBandwidth. On one
-  /// rank it is a host copy of the bitmap and min(Bins, cap) slots, at
-  /// bytes / H2HBandwidth.
-  void AllreduceCompact(const CompactShape &shape, const void *compact,
-                        std::size_t cap, double *dense);
-
-  /// As above, with segment g of the reduction copied out to
-  /// `segments[g]` (Bins doubles each) instead of a dense record.
-  void AllreduceCompact(const CompactShape &shape, const void *compact,
-                        std::size_t cap, double *const *segments);
-
-  /// Sparse allreduce of several grid records in one collective: every
-  /// rank passes the same number of records, record i of one shape on
-  /// every rank (capacities may differ). Each rank checks all of its
-  /// records' bitmaps against their capacities, and throws
-  /// std::runtime_error, before it enters. Then it visits the records in
-  /// order: each(i, reduced, held) gets record i's reduction as a compact
-  /// record of its shape holding `held` bins (the union of the ranks'
-  /// bitmaps), whose UnpackCompact is, bit for bit, what the
-  /// single-record call leaves. `reduced` is valid only during the call,
-  /// and `each` must not enter a collective on this communicator. Priced
-  /// as one exchange: each of the R rounds charges one MessageLatency
-  /// plus the records' summed bytes (each as the single-record call
-  /// counts them) over MessageBandwidth, and on one rank the host copy of
-  /// every record. A batch of one is priced as the single-record call.
+  /// ranks) slots, over MessageBandwidth. On one rank it is a host copy
+  /// of every record's bitmap and min(Bins, cap) slots, at bytes /
+  /// H2HBandwidth.
   void AllreduceCompact(
     const std::vector<CompactRecord> &records,
     const std::function<void(std::size_t, const void *, std::size_t)> &each);

@@ -3,7 +3,6 @@
 #include "senseiDataBinning.h"
 #include "svtkArrayUtils.h"
 
-#include <algorithm>
 #include <exception>
 #include <iostream>
 
@@ -55,9 +54,7 @@ void DataAdaptor::EndStep()
 {
   this->FinishLockstep();
   this->Snapshots_.clear();
-  this->AxisRanges_.clear();
   Roll(this->Requests_, this->Expected_);
-  Roll(this->AxisRequests_, this->AxisExpected_);
   Roll(this->LockstepCount_, this->LockstepExpected_);
 }
 
@@ -156,43 +153,6 @@ DataAdaptor::Snapshot(const std::vector<svtkDataArray *> &columns, int device,
       this->Snapshots_.erase({column, device});
   }
   return out;
-}
-
-std::optional<DataAdaptor::AxisRange>
-DataAdaptor::FindAxisRange(const std::string &mesh, const std::string &name,
-                           const ColumnSet &columns)
-{
-  this->FollowStep();
-  const AxisKey key(mesh, name);
-  this->AxisRequests_.insert(key);
-
-  auto it = this->AxisRanges_.find(key);
-  if (it == this->AxisRanges_.end() ||
-      !std::equal(it->second.Columns.begin(), it->second.Columns.end(),
-                  columns.begin(), columns.end(),
-                  [](const auto &held, const auto &col)
-                  { return held.Get() == col.Get(); }))
-    return std::nullopt;
-  return it->second.Range;
-}
-
-std::vector<std::string> DataAdaptor::PendingAxisRanges(const std::string &mesh)
-{
-  this->FollowStep();
-  std::vector<std::string> names;
-  for (auto it = this->AxisExpected_.lower_bound({mesh, std::string()});
-       it != this->AxisExpected_.end() && it->first == mesh; ++it)
-    if (!this->AxisRanges_.count(*it))
-      names.push_back(it->second);
-  return names;
-}
-
-void DataAdaptor::StoreAxisRange(const std::string &mesh,
-                                 const std::string &name,
-                                 const ColumnSet &columns, AxisRange range)
-{
-  this->FollowStep();
-  this->AxisRanges_[{mesh, name}] = AxisRangeEntry{columns, range};
 }
 
 } // namespace sensei

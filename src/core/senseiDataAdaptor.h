@@ -17,8 +17,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,19 +43,20 @@ public:
   /// Invoked by the framework when analyses are done with the current
   /// step's data; the simulation may reclaim buffers it shared. Runs the
   /// step's queued lockstep completions (FinishLockstep) and drops the
-  /// step's snapshot and axis ranges; overrides must call this base
-  /// version before they reclaim anything the step's analyses read.
+  /// step's snapshot; overrides must call this base version before they
+  /// reclaim anything the step's analyses read.
   virtual void ReleaseData();
 
   /// The step's lockstep batch. A lockstep DataBinning execute runs its
-  /// host half (inputs, views, the axis ranges, bin geometry and record
-  /// sizing) and hands the rest here. The call counts one lockstep
-  /// binning execute of this step. While this step's count is below the
-  /// previous step's, the adaptor expects another lockstep binning
-  /// execute, and the execute is queued; otherwise the queue and this
-  /// execute complete together, in the order queued
-  /// (DataBinning::CompleteBatch): per placement device one launch set
-  /// and one readback, and one collective for every record. A lone
+  /// host half (inputs, views and record sizing) and hands the rest
+  /// here. The call counts one lockstep binning execute of this step.
+  /// While this step's count is below the previous step's, the adaptor
+  /// expects another lockstep binning execute, and the execute is queued;
+  /// otherwise the queue and this execute complete together, in the order
+  /// queued (DataBinning::CompleteBatch): one range pass and one range
+  /// collective for the batch's auto-ranged axes, per placement device
+  /// one launch set and one readback, and one collective for every
+  /// record. A lone
   /// binning (a previous count of at most 1) completes inside its own
   /// execute. The decision reads the counts alone, never placement or
   /// residency, so every rank of a lockstep run queues alike and issues
@@ -115,35 +114,6 @@ public:
   Snapshot(const std::vector<svtkDataArray *> &columns, int device,
            std::vector<ColumnRange> *ranges = nullptr);
 
-  /// The lockstep axis-range table: the global [lo, hi] of columns of
-  /// this step's meshes, shared by lockstep DataBinning executes so that
-  /// a column is scanned, read back and reduced across ranks once per
-  /// step however many binnings bin along it. An entry is stored per
-  /// (mesh, column name) with the identity of the arrays it was computed
-  /// from (one per block), and serves only those arrays. The table is
-  /// dropped at ReleaseData and once the step index changes.
-  using AxisRange = std::pair<double, double>; ///< global [lo, hi]
-  using ColumnSet = std::vector<svtkSmartPtr<const svtkDataArray>>;
-
-  /// The step's range of axis `name` of `mesh`, whose arrays are
-  /// `columns`, or nothing when no fill stored it for these arrays.
-  /// Notes the request: this step's requested names are the next step's
-  /// expectation, kept as Snapshot keeps its counts (a ReleaseData with
-  /// no request since the last one keeps the expectation).
-  std::optional<AxisRange> FindAxisRange(const std::string &mesh,
-                                         const std::string &name,
-                                         const ColumnSet &columns);
-
-  /// The names of `mesh` the previous step requested that no fill has
-  /// stored this step, in name order: what a fill covers besides the
-  /// missed axes of its own execute.
-  std::vector<std::string> PendingAxisRanges(const std::string &mesh);
-
-  /// Store a fill's global range of column `name` of `mesh`, whose
-  /// arrays on this rank are `columns` (none when the rank lacks it).
-  void StoreAxisRange(const std::string &mesh, const std::string &name,
-                      const ColumnSet &columns, AxisRange range);
-
   /// Simulated time of the current step.
   double GetDataTime() const { return this->Time_; }
   void SetDataTime(double t) { this->Time_ = t; }
@@ -164,9 +134,8 @@ protected:
   ~DataAdaptor() override;
 
 private:
-  /// Run the lockstep batch, drop the snapshot's copies and the axis
-  /// ranges, and make this step's requests and lockstep count the next
-  /// step's expectation.
+  /// Run the lockstep batch, drop the snapshot's copies, and make this
+  /// step's requests and lockstep count the next step's expectation.
   void EndStep();
 
   /// EndStep when the step index moved since the entries were made.
@@ -180,26 +149,15 @@ private:
   };
   using RequestKey = std::pair<std::string, int>; ///< (column name, device)
 
-  struct AxisRangeEntry
-  {
-    ColumnSet Columns; ///< pins the arrays' addresses
-    AxisRange Range;
-  };
-  using AxisKey = std::pair<std::string, std::string>; ///< (mesh, column)
-
   double Time_ = 0.0;
   long TimeStep_ = 0;
   minimpi::Communicator *Comm_ = nullptr;
 
-  long Step_ = 0; ///< step the snapshot and axis-range entries belong to
+  long Step_ = 0; ///< step the snapshot's entries belong to
 
   std::map<std::pair<const svtkDataArray *, int>, SnapshotEntry> Snapshots_;
   std::map<RequestKey, long> Requests_;  ///< requests this step
   std::map<RequestKey, long> Expected_;  ///< requests the step before
-
-  std::map<AxisKey, AxisRangeEntry> AxisRanges_;
-  std::set<AxisKey> AxisRequests_; ///< names requested this step
-  std::set<AxisKey> AxisExpected_; ///< names requested the step before
 
   std::vector<std::shared_ptr<PendingBinning>> Lockstep_; ///< queued
   long LockstepCount_ = 0;    ///< lockstep binning executes this step

@@ -4,7 +4,6 @@
 #include "senseiProfiler.h"
 #include "sio.h"
 #include "svtkAOSDataArray.h"
-#include "svtkArrayUtils.h"
 #include "vcuda.h"
 #include "vpClock.h"
 #include "vpLoadTracker.h"
@@ -20,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 namespace sensei
 {
@@ -185,7 +185,6 @@ bool DataBinning::GatherInputs(DataAdaptor *data, StepInputs &in)
     std::vector<svtkDataArray *> Axis, Value;
   };
   std::vector<BlockSources> sources;
-  bool ok = true;
   for (svtkTable *table : tables)
   {
     BlockSources src;
@@ -202,11 +201,13 @@ bool DataBinning::GatherInputs(DataAdaptor *data, StepInputs &in)
       out.push_back(col);
       return true;
     };
+    // a missing column fails the execute before it is placed
     for (const std::string &axis : this->Axes_)
-      ok = ok && grab(axis, src.Axis);
+      if (!grab(axis, src.Axis))
+        return false;
     for (const Operation &op : this->Ops_)
-      if (op.Kind != BinningOp::Count)
-        ok = ok && grab(op.Column, src.Value);
+      if (op.Kind != BinningOp::Count && !grab(op.Column, src.Value))
+        return false;
 
     if (!src.Axis.empty())
       in.Rows += static_cast<std::size_t>(src.Axis[0]->GetNumberOfTuples());
@@ -231,8 +232,6 @@ bool DataBinning::GatherInputs(DataAdaptor *data, StepInputs &in)
     this->GpuStrategy_ == GpuBinningStrategy::GlobalAtomics ? 0.6 : 0.05;
   hint.MoveBytes = in.Bytes;
   in.Device = this->PlaceForGraph(data, hint);
-  if (!ok)
-    return false;
 
   // the typed columns, taken for all of a block's distinct columns at
   // once. An asynchronous binning with auto-ranged axes also takes the
@@ -261,58 +260,13 @@ bool DataBinning::GatherInputs(DataAdaptor *data, StepInputs &in)
     for (svtkDataArray *col : src.Axis)
     {
       block.AxisCols.push_back(snapshots[at(col)]);
+      block.AxisSources.emplace_back(col);
       if (!ranges.empty())
         block.AxisRanges.push_back(ranges[at(col)]);
     }
     for (svtkDataArray *col : src.Value)
       block.ValueCols.push_back(snapshots[at(col)]);
     in.Blocks.push_back(std::move(block));
-  }
-
-  // lockstep: the auto-ranged axes' global ranges from the adaptor's
-  // per-step table. On a miss the fill covers the missed axes and every
-  // column the previous step's lockstep executes requested on this mesh
-  // that no fill has stored yet. The set follows from the names alone,
-  // never from placement or residency, so every rank issues the same
-  // collectives.
-  if (!this->GetAsynchronous())
-  {
-    in.Table = data;
-    in.Ranges.assign(this->Axes_.size(),
-                     {std::numeric_limits<double>::infinity(),
-                      -std::numeric_limits<double>::infinity()});
-    std::map<std::string, FillColumn> fill; // name order
-    for (std::size_t a = 0; a < this->Axes_.size(); ++a)
-    {
-      if (this->HasFixedRange_[a])
-        continue;
-      DataAdaptor::ColumnSet cols;
-      for (const BlockSources &src : sources)
-        cols.emplace_back(src.Axis[a]);
-      const std::string &name = this->Axes_[a];
-      if (auto range = data->FindAxisRange(this->MeshName_, name, cols))
-        in.Ranges[a] = *range;
-      else if (!fill.count(name))
-        fill[name] = FillColumn{name, static_cast<int>(a), cols, {}};
-    }
-    if (!fill.empty())
-      for (const std::string &name : data->PendingAxisRanges(this->MeshName_))
-      {
-        if (fill.count(name))
-          continue;
-        FillColumn &peer = fill[name];
-        peer.Name = name;
-        for (svtkTable *table : tables)
-          if (svtkDataArray *col = table->GetColumnByName(name))
-          {
-            peer.Sources.emplace_back(col);
-            peer.Peer.push_back(
-              svtkSmartPtr<const svtkHAMRDoubleArray>::Take(
-                svtkAsHAMRDouble(col)));
-          }
-      }
-    for (auto &kv : fill)
-      in.Fill.push_back(std::move(kv.second));
   }
   return true;
 }
@@ -458,9 +412,8 @@ struct RangeUnit
 /// fold hamr's packed gather repeats for a snapshot's columns. On a
 /// device, one multi-unit kernel into `scratch` (2 doubles per unit, on
 /// `device`) and one stream-ordered readback on `strm`; on the host
-/// (device < 0), a parallel loop per unit. The lockstep fill scans
-/// through here, and so does an asynchronous task for the axes its
-/// snapshot folded no range for.
+/// (device < 0), a parallel loop per unit. A batch's range pass scans
+/// through here.
 void ScanRanges(const std::vector<RangeUnit> &scan, int device,
                 const vcuda::stream_t &strm, double *scratch,
                 std::vector<double> &lo, std::vector<double> &hi)
@@ -598,92 +551,30 @@ void DataBinning::PrepareRecord(int device, std::size_t nBins,
   }
 }
 
-double *DataBinning::ScanScratch(int device, std::size_t nUnits)
+void *DataBinning::Arena::Buffer::Reserve(std::size_t bytes, bool host)
 {
-  Record::Scratch &s = this->Record_.Scan[device];
-  if (s.Units < nUnits)
+  // powers of two, so row counts that creep up from step to step (a
+  // repartitioning simulation) reallocate rarely
+  if (this->Bytes < bytes)
   {
-    vcuda::Free(s.P);
-    s.P = static_cast<double *>(vp::Platform::Get().Allocate(
-      vp::MemSpace::Device, device, 2 * nUnits * sizeof(double),
-      vp::PmKind::Cuda));
-    s.Units = nUnits;
+    vcuda::Free(this->P);
+    this->Bytes = std::bit_ceil(bytes);
+    this->P = host ? vcuda::MallocHost(this->Bytes) : vcuda::Malloc(this->Bytes);
   }
-  return s.P;
+  return this->P;
 }
 
 void DataBinning::ReleaseRecord()
 {
   vcuda::Free(this->Record_.DeviceRec);
-  for (const auto &entry : this->Record_.Scan)
-    vcuda::Free(entry.second.P);
   this->Record_ = Record();
   for (const auto &entry : this->Arena_.Device)
-    vcuda::Free(entry.second.P);
+  {
+    vcuda::Free(entry.second.Scan.P);
+    vcuda::Free(entry.second.Compact.P);
+  }
   vcuda::Free(this->Arena_.Host.P);
   this->Arena_ = Arena();
-}
-
-void DataBinning::FillRanges(
-  const StepInputs &in, const std::vector<std::vector<const double *>> &ax,
-  const std::vector<std::size_t> &rows, const vcuda::stream_t &strm,
-  std::vector<double> &lo, std::vector<double> &hi)
-{
-  const std::size_t nFill = in.Fill.size();
-  std::vector<double> flo(nFill, std::numeric_limits<double>::infinity());
-  std::vector<double> fhi(nFill, -std::numeric_limits<double>::infinity());
-
-  // units by where they are scanned: the axes through the views, and the
-  // peers resident with them, where the execute runs; every other peer
-  // in place, on the host or its owner device. A peer this rank lacks
-  // has no unit and contributes the identity.
-  const int here = in.Device;
-  std::map<int, std::vector<RangeUnit>> units;
-  for (std::size_t f = 0; f < nFill; ++f)
-  {
-    const FillColumn &col = in.Fill[f];
-    if (col.Axis >= 0)
-    {
-      for (std::size_t b = 0; b < rows.size(); ++b)
-        if (rows[b])
-          units[here].push_back(
-            RangeUnit{ax[b][static_cast<std::size_t>(col.Axis)], rows[b], f});
-      continue;
-    }
-    for (const auto &peer : col.Peer)
-    {
-      const std::size_t n = peer->GetNumberOfTuples();
-      if (!n)
-        continue;
-      int at = here;
-      if (here >= 0 ? !peer->DeviceAccessible(here) : !peer->HostAccessible())
-        at = peer->HostAccessible() ? DEVICE_HOST : peer->GetOwner();
-      peer->Synchronize();
-      units[at].push_back(RangeUnit{peer->GetData(), n, f});
-    }
-  }
-  for (const auto &[at, scan] : units)
-    ScanRanges(scan, at,
-               at >= 0 && at != here
-                 ? vp::Stream::New(vp::Platform::GetThisNode(), at)
-                 : strm,
-               at >= 0 ? this->ScanScratch(at, scan.size()) : nullptr, flo,
-               fhi);
-  ReduceRanges(in.Comm, flo, fhi);
-
-  for (std::size_t f = 0; f < nFill; ++f)
-  {
-    const FillColumn &col = in.Fill[f];
-    in.Table->StoreAxisRange(this->MeshName_, col.Name, col.Sources,
-                             {flo[f], fhi[f]});
-    for (std::size_t a = 0; a < this->Axes_.size(); ++a)
-      if (col.Axis >= 0 && this->Axes_[a] == col.Name &&
-          !this->HasFixedRange_[a])
-      {
-        lo[a] = flo[f];
-        hi[a] = fhi[f];
-      }
-  }
 }
 
 double DataBinning::OpsPerRow(const PendingBinning &p)
@@ -761,7 +652,14 @@ void DataBinning::PrepareBinning(PendingBinning &p)
   if (onDevice)
     vcuda::SetDevice(in.Device);
 
-  // reductions to perform (count is implicit)
+  // the configuration the batch reads: the axes, their fixed ranges (the
+  // batch's range pass sets the auto-ranged ones) and the reductions to
+  // perform (count is implicit)
+  p.Mesh = this->MeshName_;
+  p.Axes = this->Axes_;
+  p.Fixed = this->HasFixedRange_;
+  p.Lo = this->FixedLo_;
+  p.Hi = this->FixedHi_;
   for (const Operation &op : this->Ops_)
     if (op.Kind != BinningOp::Count)
       p.RedOps.push_back(op);
@@ -815,118 +713,17 @@ void DataBinning::PrepareBinning(PendingBinning &p)
       c->Synchronize();
   }
 
-  // --- axis bounds: fixed, or the global range of the data over every
-  // block and rank ---
-  std::vector<double> &lo = p.Lo, &hi = p.Hi;
-  lo.resize(nAxes);
-  hi.resize(nAxes);
-  std::vector<std::size_t> autoAxes;
-  for (std::size_t a = 0; a < nAxes; ++a)
-  {
-    if (this->HasFixedRange_[a])
-    {
-      lo[a] = this->FixedLo_[a];
-      hi[a] = this->FixedHi_[a];
-      continue;
-    }
-    lo[a] = std::numeric_limits<double>::infinity();
-    hi[a] = -lo[a];
-    autoAxes.push_back(a);
-  }
-
   if (onDevice)
     p.Strm = vcuda::StreamCreate();
-  const vcuda::stream_t &strm = p.Strm;
-
-  // lockstep: the adaptor's table, filled on a miss
-  if (in.Table && !autoAxes.empty())
-  {
-    for (std::size_t a : autoAxes)
-    {
-      lo[a] = in.Ranges[a].first;
-      hi[a] = in.Ranges[a].second;
-    }
-    if (!in.Fill.empty())
-      this->FillRanges(in, ax, rows, strm, lo, hi);
-  }
-
-  // asynchronous: each (axis, block) pair's local range is the one the
-  // step's snapshot folded in its gather, or, for a pair without one,
-  // scanned here, every such pair in one pass; the pairs then fold in
-  // block order, as one scan of them all would, and one collective
-  // reduces them across ranks. All of it is skipped when every axis has
-  // a fixed range (the config, and so the decision, is the same on every
-  // rank)
-  if (!in.Table && !autoAxes.empty())
-  {
-    std::vector<double> pairLo(nAxes * nBlocks,
-                               std::numeric_limits<double>::infinity());
-    std::vector<double> pairHi(nAxes * nBlocks,
-                               -std::numeric_limits<double>::infinity());
-    std::vector<RangeUnit> units;
-    std::set<std::shared_ptr<const double>, std::owner_less<>> waited;
-    for (std::size_t a : autoAxes)
-      for (std::size_t b = 0; b < nBlocks; ++b)
-      {
-        if (!rows[b])
-          continue;
-        const BlockInput &blk = in.Blocks[b];
-        const std::size_t pair = a * nBlocks + b;
-        const DataAdaptor::ColumnRange *folded =
-          blk.AxisRanges.empty() ? nullptr : &blk.AxisRanges[a];
-        // a fold covers the whole column, a scan the block's rows
-        if (!folded || !folded->min_max ||
-            blk.AxisCols[a]->GetBuffer().size() != rows[b])
-        {
-          units.push_back(RangeUnit{ax[b][a], rows[b], pair});
-          continue;
-        }
-        if (waited.insert(folded->min_max).second)
-          vcuda::EventSynchronize(folded->ready);
-        pairLo[pair] = folded->min_max.get()[0];
-        pairHi[pair] = folded->min_max.get()[1];
-      }
-    ScanRanges(units, in.Device, strm,
-               onDevice && !units.empty()
-                 ? this->ScanScratch(in.Device, units.size())
-                 : nullptr,
-               pairLo, pairHi);
-    for (std::size_t a : autoAxes)
-      for (std::size_t b = 0; b < nBlocks; ++b)
-      {
-        lo[a] = std::min(lo[a], pairLo[a * nBlocks + b]);
-        hi[a] = std::max(hi[a], pairHi[a * nBlocks + b]);
-      }
-    ReduceRanges(in.Comm, lo, hi);
-  }
-
-  for (std::size_t a = 0; a < nAxes; ++a)
-  {
-    if (!std::isfinite(lo[a]) || !std::isfinite(hi[a]))
-    {
-      lo[a] = 0.0;
-      hi[a] = 1.0;
-    }
-    if (!(hi[a] > lo[a]))
-      hi[a] = lo[a] + 1.0;
-  }
-
-  // --- bin geometry ----------------------------------------------------------
-  std::size_t nBins = 1;
-  p.Scale.resize(nAxes);
-  p.Shift.resize(nAxes);
-  for (std::size_t a = 0; a < nAxes; ++a)
-  {
-    nBins *= static_cast<std::size_t>(p.Res[a]);
-    p.Scale[a] = static_cast<double>(p.Res[a]) / (hi[a] - lo[a]);
-    p.Shift[a] = lo[a];
-  }
 
   // --- the record's compact form, in which it leaves the device and
   // crosses ranks: the occupancy bitmap plus the values of each occupied
   // bin (src/comm). A rank cannot occupy more bins than it binned rows,
   // so the capacity is known before any kernel runs and the readback has
   // a fixed size
+  std::size_t nBins = 1;
+  for (long r : p.Res)
+    nBins *= static_cast<std::size_t>(r);
   p.Shape.Bins = nBins;
   for (BinningOp k : kinds)
     p.Shape.Ops.push_back(ReduceOp(k));
@@ -937,8 +734,125 @@ void DataBinning::PrepareBinning(PendingBinning &p)
   this->PrepareRecord(in.Device, nBins, kinds);
 }
 
-void DataBinning::CompleteBatch(
-  const std::vector<std::shared_ptr<PendingBinning>> &batch)
+void DataBinning::SetBinGeometry(const Batch &batch)
+{
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+
+  // the slots: every auto-ranged axis's (mesh, column), in name order
+  std::map<std::pair<std::string, std::string>, std::size_t> slots;
+  for (const auto &p : batch)
+    for (std::size_t a = 0; a < p->Axes.size(); ++a)
+      if (!p->Fixed[a])
+        slots.emplace(std::make_pair(p->Mesh, p->Axes[a]), 0);
+  std::size_t nSlots = 0;
+  for (auto &slot : slots)
+    slot.second = nSlots++;
+  std::vector<double> lo(nSlots, Inf), hi(nSlots, -Inf);
+
+  if (nSlots)
+  {
+    // the parts, each a (slot, block, source array)'s local range: the
+    // snapshot's fold, or the scan of a unit queued on the placement
+    // device of the first execute that reads it
+    std::map<std::tuple<std::size_t, std::size_t, const svtkDataArray *>,
+             std::size_t>
+      parts;
+    std::vector<std::size_t> partSlot;
+    std::vector<double> partLo, partHi;
+    std::map<int, std::vector<RangeUnit>> units;
+    std::set<std::shared_ptr<const double>, std::owner_less<>> waited;
+    for (const auto &pp : batch)
+    {
+      const PendingBinning &p = *pp;
+      for (std::size_t a = 0; a < p.Axes.size(); ++a)
+      {
+        if (p.Fixed[a])
+          continue;
+        const std::size_t slot = slots.at({p.Mesh, p.Axes[a]});
+        for (std::size_t b = 0; b < p.Rows.size(); ++b)
+        {
+          const BlockInput &blk = p.In.Blocks[b];
+          if (!p.Rows[b] ||
+              !parts.try_emplace({slot, b, blk.AxisSources[a].Get()},
+                                 partSlot.size())
+                 .second)
+            continue;
+          partSlot.push_back(slot);
+          partLo.push_back(Inf);
+          partHi.push_back(-Inf);
+          // a fold covers the whole column, a scan the block's rows
+          const DataAdaptor::ColumnRange *folded =
+            blk.AxisRanges.empty() ? nullptr : &blk.AxisRanges[a];
+          if (!folded || !folded->min_max ||
+              blk.AxisCols[a]->GetBuffer().size() != p.Rows[b])
+          {
+            units[std::max(p.In.Device, DEVICE_HOST)].push_back(
+              RangeUnit{p.Ax[b][a], p.Rows[b], partSlot.size() - 1});
+            continue;
+          }
+          if (waited.insert(folded->min_max).second)
+            vcuda::EventSynchronize(folded->ready);
+          partLo.back() = folded->min_max.get()[0];
+          partHi.back() = folded->min_max.get()[1];
+        }
+      }
+    }
+
+    // one scan per placement device, on the stream of its first execute
+    // in queue order (the stream its share's launches run on)
+    Arena &arena = batch.front()->Owner->Arena_;
+    for (const auto &[device, scan] : units)
+    {
+      const PendingBinning &first = **std::find_if(
+        batch.begin(), batch.end(), [device = device](const auto &p)
+        { return std::max(p->In.Device, DEVICE_HOST) == device; });
+      double *scratch = nullptr;
+      if (device >= 0)
+      {
+        vcuda::SetDevice(device);
+        scratch = static_cast<double *>(arena.Device[device].Scan.Reserve(
+          2 * scan.size() * sizeof(double), false));
+      }
+      ScanRanges(scan, device, first.Strm, scratch, partLo, partHi);
+    }
+    for (std::size_t i = 0; i < partSlot.size(); ++i)
+    {
+      lo[partSlot[i]] = std::min(lo[partSlot[i]], partLo[i]);
+      hi[partSlot[i]] = std::max(hi[partSlot[i]], partHi[i]);
+    }
+    ReduceRanges(batch.front()->In.Comm, lo, hi);
+  }
+
+  // --- each execute's bin geometry
+  for (const auto &pp : batch)
+  {
+    PendingBinning &p = *pp;
+    const std::size_t nAxes = p.Axes.size();
+    p.Scale.resize(nAxes);
+    p.Shift.resize(nAxes);
+    for (std::size_t a = 0; a < nAxes; ++a)
+    {
+      double &alo = p.Lo[a], &ahi = p.Hi[a];
+      if (!p.Fixed[a])
+      {
+        const std::size_t slot = slots.at({p.Mesh, p.Axes[a]});
+        alo = lo[slot];
+        ahi = hi[slot];
+      }
+      if (!std::isfinite(alo) || !std::isfinite(ahi))
+      {
+        alo = 0.0;
+        ahi = 1.0;
+      }
+      if (!(ahi > alo))
+        ahi = alo + 1.0;
+      p.Scale[a] = static_cast<double>(p.Res[a]) / (ahi - alo);
+      p.Shift[a] = alo;
+    }
+  }
+}
+
+void DataBinning::CompleteBatch(const Batch &batch)
 {
   ScopedEvent ev("binning::complete");
   for (const auto &p : batch)
@@ -946,6 +860,7 @@ void DataBinning::CompleteBatch(
     std::lock_guard<std::mutex> lock(p->Owner->ResultMutex_);
     p->Owner->Queued_ = nullptr;
   }
+  SetBinGeometry(batch);
 
   // --- the arena's layout: each placement's share (the host's, then the
   // devices' in id order), its executes in queue order, one compact
@@ -971,16 +886,8 @@ void DataBinning::CompleteBatch(
     share.Bytes = total - share.Base;
   }
 
-  // the buffers grow in powers of two, so row counts that creep up from
-  // step to step (a repartitioning simulation) reallocate them rarely
   Arena &arena = batch.front()->Owner->Arena_;
-  if (arena.Host.Bytes < total)
-  {
-    vcuda::Free(arena.Host.P);
-    arena.Host.Bytes = std::bit_ceil(total);
-    arena.Host.P = vcuda::MallocHost(arena.Host.Bytes);
-  }
-  auto *host = static_cast<std::byte *>(arena.Host.P);
+  auto *host = static_cast<std::byte *>(arena.Host.Reserve(total, true));
   for (auto it = arena.Device.begin(); it != arena.Device.end();)
   {
     if (shares.count(it->first))
@@ -988,7 +895,8 @@ void DataBinning::CompleteBatch(
       ++it;
       continue;
     }
-    vcuda::Free(it->second.P);
+    vcuda::Free(it->second.Scan.P);
+    vcuda::Free(it->second.Compact.P);
     it = arena.Device.erase(it);
   }
 
@@ -1004,13 +912,7 @@ void DataBinning::CompleteBatch(
     if (device < 0)
       continue;
     vcuda::SetDevice(device);
-    Arena::Buffer &buf = arena.Device[device];
-    if (buf.Bytes < share.Bytes)
-    {
-      vcuda::Free(buf.P);
-      buf.Bytes = std::bit_ceil(share.Bytes);
-      buf.P = vcuda::Malloc(buf.Bytes);
-    }
+    void *buf = arena.Device[device].Compact.Reserve(share.Bytes, false);
     PendingBinning &first = *batch[share.Items.front()];
     const vcuda::stream_t &strm = first.Strm;
     for (std::size_t i : share.Items)
@@ -1128,7 +1030,7 @@ void DataBinning::CompleteBatch(
     {
       PendingBinning &p = *batch[i];
       packs.push_back(Pack{&p.Shape, p.Owner->Record_.DeviceRec, p.Cap,
-                           static_cast<std::byte *>(buf.P) + at[i] -
+                           static_cast<std::byte *>(buf) + at[i] -
                              share.Base});
       nBins += p.Shape.Bins;
       work += static_cast<double>(p.Shape.Grids()) *
@@ -1146,13 +1048,13 @@ void DataBinning::CompleteBatch(
       },
       vcuda::LaunchBounds{work / static_cast<double>(nBins), 0.0,
                           "binning_compact"});
-    vcuda::MemcpyAsync(host + share.Base, buf.P, share.Bytes, strm);
+    vcuda::MemcpyAsync(host + share.Base, buf, share.Bytes, strm);
   }
 
   // --- the host share, in queue order, while the devices work. A host
   // placement accumulates here rather than in its host half: the
   // caller's thread has no device work of its own to overlap, and its
-  // claims on the shared host pool come after the step's fills
+  // claims on the shared host pool come after the batch's range pass
   minimpi::Communicator *comm = batch.front()->In.Comm;
   if (auto it = shares.find(DEVICE_HOST); it != shares.end())
     for (std::size_t i : it->second.Items)

@@ -176,7 +176,8 @@ private:
 
   /// One block's typed columns: the simulation's, shared zero-copy
   /// (lockstep), or the data adaptor's snapshot on the placement device
-  /// (asynchronous). A svtkTable mesh yields one block; a
+  /// (asynchronous), and the simulation's arrays behind the axes, which
+  /// key the batch's range scan. A svtkTable mesh yields one block; a
   /// svtkMultiBlockDataSet yields one per non-null table block. An
   /// asynchronous execute with auto-ranged axes also holds the local
   /// range the snapshot folded for each axis (a null min_max where it
@@ -185,20 +186,8 @@ private:
   {
     std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> AxisCols;
     std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> ValueCols;
+    std::vector<svtkSmartPtr<const svtkDataArray>> AxisSources;
     std::vector<DataAdaptor::ColumnRange> AxisRanges;
-  };
-
-  /// A column a lockstep range fill covers: one of the execute's axes
-  /// the table missed (Axis >= 0, scanned through the execute's views),
-  /// or a peer, a column the previous step's lockstep executes requested
-  /// on the mesh (typed per block that holds it). Sources, per block that
-  /// holds it, key the table.
-  struct FillColumn
-  {
-    std::string Name;
-    int Axis = -1;
-    DataAdaptor::ColumnSet Sources;
-    std::vector<svtkSmartPtr<const svtkHAMRDoubleArray>> Peer;
   };
 
   /// A step's worth of inputs.
@@ -210,43 +199,49 @@ private:
     int Device = DEVICE_HOST;
     std::size_t Rows = 0;  ///< total rows over the blocks
     std::size_t Bytes = 0; ///< payload of the distinct columns
-
-    /// Lockstep: the adaptor whose axis-range table holds the global
-    /// range of the auto-ranged axes (null for an asynchronous execute,
-    /// whose task reduces the local ranges its snapshot folded and scans
-    /// only the axes it lacks one for), the ranges it had, per axis, and
-    /// on a miss what the fill covers, in name order.
-    DataAdaptor *Table = nullptr;
-    std::vector<DataAdaptor::AxisRange> Ranges;
-    std::vector<FillColumn> Fill;
   };
 
   /// The step's inputs by the execution method: the typed columns of
-  /// every block (GetInputs) and, lockstep, the axis-range table's
-  /// entries or what its fill covers.
+  /// every block (GetInputs). Places the execute only once its columns
+  /// are found.
   bool GatherInputs(DataAdaptor *data, StepInputs &in);
 
-  /// The host half of an execute: views, axis ranges (a lockstep fill or
-  /// table hit, or an asynchronous task's reduction of its snapshot's
-  /// ranges), bin geometry and the record's sizing. It launches nothing
-  /// but a range scan; the device work is the batch's (CompleteBatch).
+  /// The host half of an execute: views, the configuration the batch
+  /// reads (axes, fixed ranges, reductions, resolution) and the record's
+  /// sizing. It launches nothing; the ranges and the device work are the
+  /// batch's (CompleteBatch).
   void PrepareBinning(PendingBinning &p);
+
+  using Batch = std::vector<std::shared_ptr<PendingBinning>>;
 
   /// Complete `batch`, executes whose host halves have run: a lockstep
   /// batch's queue in queue order (DataAdaptor::FinishLockstep), or an
-  /// asynchronous task's one execute. On each placement device the
-  /// device's share is one accumulate launch per GPU strategy (plus the
-  /// privatized merge), one compact launch over all of its records and
-  /// one readback of their compact forms into the pinned arena of the
-  /// batch's first execute's instance; the host-placed executes
-  /// accumulate and compact in queue order meanwhile. Then one batched
-  /// AllreduceCompact reduces every record (without a communicator, an
-  /// unpack or copy each), and FinishBinning completes each execute in
-  /// turn.
-  static void
-  CompleteBatch(const std::vector<std::shared_ptr<PendingBinning>> &batch);
+  /// asynchronous task's one execute. First the range pass and each
+  /// execute's bin geometry (SetBinGeometry). Then on each placement
+  /// device the device's share is one accumulate launch per GPU strategy
+  /// (plus the privatized merge), one compact launch over all of its
+  /// records and one readback of their compact forms into the pinned
+  /// arena of the batch's first execute's instance; the host-placed
+  /// executes accumulate and compact in queue order meanwhile. Then one
+  /// batched AllreduceCompact reduces every record (without a
+  /// communicator, an unpack or copy each), and FinishBinning completes
+  /// each execute in turn.
+  static void CompleteBatch(const Batch &batch);
   friend class DataAdaptor;
   friend struct PendingBinning;
+
+  /// The batch's range pass, then every execute's bin geometry. Each
+  /// auto-ranged (execute, axis, block) takes the local range its
+  /// snapshot folded when its copy has one (asynchronous), and otherwise
+  /// that of one scan unit per distinct source array and block, scanned
+  /// through the view of the first execute in queue order that reads it:
+  /// one multi-unit kernel and one readback per placement device (into
+  /// the scratch of the batch leader's Arena), a host loop on the host.
+  /// The parts of each (mesh, column) slot fold in block order, and one
+  /// Min collective over the slots in name order makes them global. The
+  /// slots follow from the configuration alone, so every rank issues the
+  /// same collective, and none when every axis is fixed.
+  static void SetBinGeometry(const Batch &batch);
 
   /// One execute's result from its record's reduction `reduced`, a
   /// compact record holding `held` bins (null: a host record without a
@@ -264,17 +259,6 @@ private:
   /// Run this instance's queued lockstep completion (and, in order,
   /// every one queued before it on the same adaptor).
   void FinishQueued();
-
-  /// The lockstep fill: scan every column of in.Fill in one pass (the
-  /// axes through the execute's views `ax`, the peers resident on the
-  /// execute's device in the same kernel, other peers where they live),
-  /// reduce them in one collective, store them in in.Table, and set `lo`
-  /// and `hi` of the axes it covered.
-  void FillRanges(const StepInputs &in,
-                  const std::vector<std::vector<const double *>> &ax,
-                  const std::vector<std::size_t> &rows,
-                  const vp::Stream &strm, std::vector<double> &lo,
-                  std::vector<double> &hi);
 
   /// The packed grid record [count | seg 1 | ... | seg nRed], kept
   /// across executes. On a device the record is allocated once per
@@ -297,16 +281,6 @@ private:
     double *DeviceRec = nullptr;  ///< Kinds.size() x Bins, at identities
     bool Fresh = false;           ///< DeviceRec still awaits its init
     std::vector<double> Host;     ///< a host placement's dense record
-    /// The range scan's device scratch, 2 doubles per unit, keyed by
-    /// the scanned device (a lockstep fill may scan peers that live on
-    /// another device); allocated outside the pool and grown to the
-    /// largest scan seen.
-    struct Scratch
-    {
-      double *P = nullptr;
-      std::size_t Units = 0;
-    };
-    std::map<int, Scratch> Scan;
   };
 
   /// Size the record for (device, bins, kinds), allocating only what a
@@ -314,27 +288,32 @@ private:
   void PrepareRecord(int device, std::size_t nBins,
                      const std::vector<BinningOp> &kinds);
 
-  /// The compact forms of a batch this instance leads (its first
-  /// execute is this instance's), kept across batches: per placement
-  /// device, the buffer the device's compact launch writes its share
-  /// into, and the pinned host arena every record's compact form lands
-  /// in, each device's share by one readback. Allocated outside the
-  /// pool and grown, in powers of two, to cover the largest batch; a
-  /// device buffer is freed when a batch leaves its device out, and
-  /// everything at Finalize.
+  /// The buffers of a batch this instance leads (its first execute is
+  /// this instance's), kept across batches: per placement device, the
+  /// range scan's scratch (2 doubles per unit) and the buffer the
+  /// device's compact launch writes its share into, and the pinned host
+  /// arena every record's compact form lands in, each device's share by
+  /// one readback. Allocated outside the pool and grown, in powers of
+  /// two, to cover the largest batch; a device's buffers are freed when
+  /// a batch leaves its device out, and everything at Finalize.
   struct Arena
   {
     struct Buffer
     {
       void *P = nullptr;
       std::size_t Bytes = 0;
+      /// Room for `bytes`: pinned host memory when `host`, else device
+      /// memory on the current device, reallocated to the next power of
+      /// two when it holds less.
+      void *Reserve(std::size_t bytes, bool host);
     };
-    std::map<int, Buffer> Device;
+    struct DeviceBuffers
+    {
+      Buffer Scan, Compact;
+    };
+    std::map<int, DeviceBuffers> Device;
     Buffer Host;
   };
-
-  /// The range scan's scratch on `device`, room for `nUnits` units.
-  double *ScanScratch(int device, std::size_t nUnits);
 
   /// Free the record's device buffers and the arena, and drop the host
   /// ones.
@@ -390,6 +369,9 @@ struct PendingBinning
   std::map<const svtkHAMRDoubleArray *, std::shared_ptr<const double>> Views;
   std::vector<std::size_t> Rows; ///< per block
   std::vector<std::vector<const double *>> Ax, Vals;
+  std::string Mesh;
+  std::vector<std::string> Axes;
+  std::vector<bool> Fixed; ///< per axis: Lo and Hi are the fixed range
   std::vector<DataBinning::Operation> RedOps;
   std::vector<BinningOp> Kinds; ///< one per segment
   std::vector<long> Res;

@@ -665,6 +665,18 @@ RandomRecord MakeRecord(const minimpi::CompactShape &shape,
   return rec;
 }
 
+/// AllreduceCompact over a batch of one: the compact record `compact` of
+/// capacity `cap`, its reduction expanded into `dense` (Grids() x Bins
+/// doubles).
+void ReduceOne(minimpi::Communicator &comm, const minimpi::CompactShape &shape,
+               const void *compact, std::size_t cap, double *dense)
+{
+  comm.AllreduceCompact(
+    {minimpi::CompactRecord{&shape, compact, cap}},
+    [&](std::size_t, const void *reduced, std::size_t held)
+    { minimpi::UnpackCompact(shape, reduced, held, dense); });
+}
+
 class CompactRanks : public ::testing::TestWithParam<int>
 {
 protected:
@@ -722,7 +734,7 @@ TEST_P(CompactRanks, MatchesDenseFoldBitForBit)
           << "seed " << seed << " rank " << comm.Rank() << " round trip";
 
         std::vector<double> got(mine.Dense.size());
-        comm.AllreduceCompact(shape, compact.data(), mine.Cap, got.data());
+        ReduceOne(comm, shape, compact.data(), mine.Cap, got.data());
         EXPECT_EQ(
           std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
           0)
@@ -832,7 +844,7 @@ TEST(CompactAllreduce, PricedByCapacityRoundsNotContents)
               dense[g * shape.Bins + i] = 1.0 + static_cast<double>((i + g) % 7);
           std::vector<double> compact(shape.Bytes(cap) / sizeof(double));
           minimpi::PackCompact(shape, dense.data(), cap, compact.data());
-          comm.AllreduceCompact(shape, compact.data(), cap, dense.data());
+          ReduceOne(comm, shape, compact.data(), cap, dense.data());
         });
     };
     const std::vector<double> empty = run(false), full = run(true);
@@ -855,7 +867,7 @@ TEST(CompactAllreduce, PricedByCapacityRoundsNotContents)
         std::vector<double> rec(11 * shape.Bins, 1.0);
         std::vector<double> compact(shape.Bytes(shape.Bins) / sizeof(double));
         minimpi::PackCompact(shape, rec.data(), shape.Bins, compact.data());
-        comm.AllreduceCompact(shape, compact.data(), shape.Bins, rec.data());
+        ReduceOne(comm, shape, compact.data(), shape.Bins, rec.data());
       });
     const double extra = rounds * bitmap / cost.MessageBandwidth;
     for (int r = 0; r < ranks; ++r)
@@ -906,7 +918,7 @@ TEST(CompactAllreduce, OneRankIsAHostCopy)
                    std::vector<double> dense(11 * shape.Bins, 0.0);
                    std::vector<double> rec(shape.Bytes(cap) / sizeof(double));
                    minimpi::PackCompact(shape, dense.data(), cap, rec.data());
-                   comm.AllreduceCompact(shape, rec.data(), cap, dense.data());
+                   ReduceOne(comm, shape, rec.data(), cap, dense.data());
                  });
   };
   auto dense = [&](int ranks)
@@ -1038,9 +1050,8 @@ protected:
 
 TEST_P(CompactBatchRanks, MatchesOneCallPerRecordBitForBit)
 {
-  // batches of 1 to 4 records of different shapes: every segment the
-  // batched call leaves equals, byte for byte, what one single-record
-  // call per record leaves
+  // batches of 1 to 4 records of different shapes: every segment a batch
+  // leaves equals, byte for byte, what a batch of one per record leaves
   const int ranks = GetParam();
   for (std::size_t n = 1; n <= 4; ++n)
     for (unsigned seed = 0; seed < 10; ++seed)
@@ -1057,8 +1068,8 @@ TEST_P(CompactBatchRanks, MatchesOneCallPerRecordBitForBit)
           for (std::size_t i = 0; i < n; ++i)
           {
             want[i].resize(shapes[i].Grids() * shapes[i].Bins);
-            comm.AllreduceCompact(shapes[i], mine[i].Compact.data(),
-                                  mine[i].Rec.Cap, want[i].data());
+            ReduceOne(comm, shapes[i], mine[i].Compact.data(),
+                      mine[i].Rec.Cap, want[i].data());
           }
           std::vector<std::vector<double>> got;
           BatchReduce(comm, shapes, mine, got);
@@ -1076,9 +1087,8 @@ TEST_P(CompactBatchRanks, PricedAsOneExchange)
 {
   // every rank spends R = ceil(log2 P) rounds of one MessageLatency plus
   // the records' summed bytes (bitmap + min(bins, largest aligned group
-  // sum of caps) slots, each record as the single call counts it) over
-  // MessageBandwidth; one rank the host copy of every record. A batch
-  // of one costs what the single-record call does, to the bit
+  // sum of caps) slots per record) over MessageBandwidth; one rank the
+  // host copy of every record
   const int ranks = GetParam();
   const vp::CostModel &cost = vp::Platform::Get().Config().Cost;
   auto spent = [ranks](const std::function<void(minimpi::Communicator &)> &fn)
@@ -1146,19 +1156,6 @@ TEST_P(CompactBatchRanks, PricedAsOneExchange)
       });
     for (double s : batched)
       EXPECT_NEAR(s, want, 1e-12 * want) << n << " records";
-
-    if (n == 1)
-    {
-      const std::vector<double> single = spent(
-        [&](minimpi::Communicator &comm)
-        {
-          const BatchRecord &b = recs[static_cast<std::size_t>(comm.Rank())][0];
-          std::vector<double> dense(shapes[0].Grids() * shapes[0].Bins);
-          comm.AllreduceCompact(shapes[0], b.Compact.data(), b.Rec.Cap,
-                                dense.data());
-        });
-      EXPECT_EQ(batched, single);
-    }
   }
 }
 
@@ -1203,14 +1200,14 @@ TEST(CompactBatch, AnOverfullRecordThrowsBeforeEntering)
             << ranks << " ranks, record " << bad;
           EXPECT_EQ(vp::ThisClock().Now(), t0);
 
-          // the good batch still reduces as one call per record
+          // the good batch still reduces as a batch of one per record
           const auto &good = recs[static_cast<std::size_t>(comm.Rank())];
           BatchReduce(comm, shapes, good, out);
           for (std::size_t i = 0; i < shapes.size(); ++i)
           {
             std::vector<double> want(out[i].size());
-            comm.AllreduceCompact(shapes[i], good[i].Compact.data(),
-                                  good[i].Rec.Cap, want.data());
+            ReduceOne(comm, shapes[i], good[i].Compact.data(),
+                      good[i].Rec.Cap, want.data());
             EXPECT_EQ(std::memcmp(out[i].data(), want.data(),
                                   want.size() * sizeof(double)),
                       0)
