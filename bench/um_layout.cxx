@@ -10,11 +10,10 @@
 //     auto-vectorization gains are swamped by timer noise on small
 //     boxes; recorded and skipped there; exit 3).
 //   - a direct binning pipeline must produce bit-exact grids across
-//     serial/threads x eager/graph-replay (always enforced; exit 4).
+//     serial x threads execution (always enforced; exit 4).
 //   - under VP_CHECK=1 any checker violation exits 2.
 
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "layoutMapping.h"
 #include "newtonSolver.h"
 #include "senseiDataAdaptor.h"
@@ -135,17 +134,14 @@ std::vector<double> GridValues(svtkImageData *img, const char *name)
 }
 
 /// Four direct binning steps on device 0 under the given execution
-/// mode and graph setting; returns every grid.
-std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn)
+/// mode; returns every grid.
+std::vector<std::vector<double>> RunBinning(bool threads)
 {
   Reset();
   vp::exec::ExecConfig ec;
   ec.ExecMode = threads ? vp::exec::Mode::Threads : vp::exec::Mode::Serial;
   ec.Threads = threads ? 2 : 0;
   vp::exec::Configure(ec);
-  vp::graph::GraphConfig gc;
-  gc.Enabled = graphOn;
-  vp::graph::Configure(gc);
 
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
   sensei::DataBinning *b = sensei::DataBinning::New();
@@ -182,7 +178,6 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn)
   da->ReleaseData();
   da->Delete();
   vp::exec::Configure(vp::exec::ExecConfig());
-  vp::graph::Configure(vp::graph::GraphConfig());
   return out;
 }
 
@@ -244,23 +239,15 @@ int main(int argc, char **argv)
   sensei::Profiler::Global().Clear();
   vp::layout::ResetStats();
 
-  // the bit-exactness matrix first: every execution mode must
-  // reproduce the serial eager grids exactly
-  const std::vector<std::vector<double>> baseline = RunBinning(false, false);
+  // the bit-exactness matrix first: threads execution must reproduce
+  // the serial grids exactly
+  const std::vector<std::vector<double>> baseline = RunBinning(false);
   bool exact = !baseline.empty();
-  for (bool threads : {false, true})
-    for (bool graphOn : {false, true})
-    {
-      if (!threads && !graphOn)
-        continue;
-      if (RunBinning(threads, graphOn) != baseline)
-      {
-        std::fprintf(stderr,
-                     "um_layout: binning diverged (threads=%d graph=%d)\n",
-                     threads ? 1 : 0, graphOn ? 1 : 0);
-        exact = false;
-      }
-    }
+  if (RunBinning(true) != baseline)
+  {
+    std::fprintf(stderr, "um_layout: binning diverged under threads\n");
+    exact = false;
+  }
 
   // wall-clock probes: best of 3 trials each to shed scheduler noise
   const std::size_t bodies = 1024;
@@ -303,12 +290,11 @@ int main(int argc, char **argv)
 
   if (!exact)
   {
-    std::fprintf(stderr, "um_layout: the exec/graph matrix diverged from "
-                         "the serial eager grids\n");
+    std::fprintf(stderr, "um_layout: the exec matrix diverged from the "
+                         "serial grids\n");
     return 4;
   }
-  std::printf("binning grids bit-exact across serial/threads x "
-              "eager/replay\n");
+  std::printf("binning grids bit-exact across serial x threads\n");
 
   if (!gatesEnforced)
   {

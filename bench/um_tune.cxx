@@ -1,5 +1,5 @@
 // Benchmark and acceptance gates for the campaign auto-tuner (src/tune):
-// offline annealed search over the <pool>/<sched>/<graph> knob space,
+// offline annealed search over the <pool>/<sched> knob space,
 // scored on the virtual platform, plus the online controller that adapts
 // bounded-risk knobs from profiler counters mid-run. Writes
 // BENCH_tune.json into the working directory (scripts/run_campaign.sh
@@ -32,7 +32,6 @@
 
 #include "campaign.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "newtonDriver.h"
 #include "schedPipeline.h"
 #include "senseiConfigurableAnalysis.h"
@@ -87,8 +86,7 @@ void StallShading(sxml::Element &root)
 }
 
 /// Eight-case comparison campaign: paper-shaped analysis load (9 systems,
-/// 10 variables) at 3 steps so captured step-graphs have replays to
-/// amortize their capture over, one virtual node to keep a search
+/// 10 variables) at 3 steps, one virtual node to keep a search
 /// affordable. Stall-shaded, since the healthy campaign is flat
 /// (EXPERIMENTS.md, um_tune).
 tune::EvalConfig CompareConfig()
@@ -194,10 +192,9 @@ double RunShiftingScenario(bool online, tune::OnlineStats *stats,
   plat.ExecuteKernels = false; // timing-only, like the campaign
   vp::Platform::Initialize(plat);
 
-  sensei::ResetConfig({"sched", "exec", "graph", "fault"});
+  sensei::ResetConfig({"sched", "exec", "fault"});
   sched::ResetAggregateStats();
   vp::exec::ResetStats();
-  vp::graph::ResetStats();
   vp::ThisClock().Set(0.0);
   sensei::Profiler::Global().Clear(); // the controller reads step deltas
 

@@ -141,7 +141,6 @@ try
   sensei::ExportSchedStats(sensei::Profiler::Global());
   sensei::ExportCompressStats(sensei::Profiler::Global());
   sensei::ExportExecStats(sensei::Profiler::Global());
-  sensei::ExportGraphStats(sensei::Profiler::Global());
   sensei::ExportLayoutStats(sensei::Profiler::Global());
   sensei::ExportServiceStats(sensei::Profiler::Global());
   sensei::ExportVizStats(sensei::Profiler::Global());

@@ -1,5 +1,5 @@
 // vp_tune: offline auto-tuning of the campaign scheduling space on the
-// virtual platform. Searches the <pool>/<sched>/<graph> knob space (the
+// virtual platform. Searches the <pool>/<sched> knob space (the
 // knobs whose values move the virtual-time score) with a seeded simulated
 // annealer (random-search and greedy hill-climb baselines available),
 // scoring each candidate by running a down-scaled proxy campaign and

@@ -102,17 +102,9 @@ fi
 if [ -f BENCH_service.json ]; then
   echo "wrote results/BENCH_service.json"
 fi
-# um_graph writes the captured step-graph campaign: the eight cases under
-# VP_GRAPH=0 vs VP_GRAPH=1 plus the serial bit-exactness probe; the binary
-# exits nonzero unless replay stays bit-exact with the eager timeline and
-# exec::tasks_enqueued drops >= 2.5x with replay (wall-clock must also
-# hold steady on machines with >= 4 hardware threads)
-if [ -f BENCH_graph.json ]; then
-  echo "wrote results/BENCH_graph.json"
-fi
 # um_layout writes the SIMD-switch campaign: real wall-clock for the
 # SoA+SIMD nbody force kernel vs the seed's scalar loop, plus the binning
-# bit-exactness matrix across serial/threads x eager/graph-replay; the
+# bit-exactness matrix across serial x threads execution; the
 # binary exits nonzero when the matrix diverges, and on machines with
 # >= 4 hardware threads it also gates on the 1.5x force speedup
 if [ -f BENCH_layout.json ]; then
@@ -133,7 +125,7 @@ fi
 # viewers' p99 frame age stays bounded and no publish stalls the step
 # loop), a mid-run resolution+variable steer (applied within <= 2 step
 # boundaries without killing the viewer session), and the bit-exactness
-# probe (framebuffers identical across serial/threads x eager/graph);
+# probe (framebuffers identical across serial x threads execution);
 # the binary exits nonzero when a gate fails (the timing gate needs
 # >= 4 hardware threads, the steer and bit-exact gates always apply)
 if [ -f BENCH_viz.json ]; then
@@ -181,30 +173,24 @@ echo "== multi-tenant service campaign (VP_CHECK=1) =="
 bench um_service_checked.txt env VP_CHECK=1 ../build/bench/um_service \
   --benchmark_min_time=0.05
 echo "== auto-tuner smoke gate (VP_CHECK=1) =="
-# the tuner's campaigns under the checker: hand-config scoring, a
-# short warm-started comparison search (the committed tuned config keeps
-# the margin gate honest at the reduced budget), the annealer-vs-random
-# proxy searches, and both shifting-workload runs must be race/lifetime
-# clean; every acceptance gate still applies
+# the tuner's campaigns under the checker, which checks every operation
+# of every step: hand-config scoring, a short warm-started comparison
+# search (the committed tuned config keeps the margin gate honest at the
+# reduced budget), the annealer-vs-random proxy searches, and both
+# shifting-workload runs must be race/lifetime clean; every acceptance
+# gate still applies
 bench um_tune_checked.txt env VP_CHECK=1 VP_TUNE_BUDGET=6 \
   ../build/bench/um_tune --benchmark_min_time=0.05
 echo "== steerable visualization campaign (VP_CHECK=1) =="
 # the streamer's fan-out, the viewer threads, the steer control path,
-# and the render kernels (host shards and the captured device graph)
-# under the checker; the steer and bit-exact gates still apply
+# and the render kernels (host shards and the device path) under the
+# checker; the steer and serial x threads bit-exact gates still apply
 bench um_viz_checked.txt env VP_CHECK=1 ../build/bench/um_viz \
   --benchmark_min_time=0.05
-echo "== step-graph campaign (VP_CHECK=1) =="
-# capture and replay under the checker: the validate-once capture
-# step plus every replayed step's summary edges must be race/lifetime
-# clean; the binary also gates on bit-exact replay and the 2.5x
-# tasks_enqueued drop, so a regression in either fails the run
-bench um_graph_checked.txt env VP_CHECK=1 ../build/bench/um_graph \
-  --benchmark_min_time=0.05
 echo "== layout-engine campaign (VP_CHECK=1) =="
-# the binning matrix and the lane-vectorized force kernel under the
-# checker; the bit-exactness matrix still applies, so an exec mode or
-# graph replay that perturbs the binning grids fails the run
+# the serial x threads binning matrix and the lane-vectorized force
+# kernel under the checker; the bit-exactness matrix still applies, so
+# an exec mode that perturbs the binning grids fails the run
 bench um_layout_checked.txt env VP_CHECK=1 ../build/bench/um_layout \
   --benchmark_min_time=0.05
 echo "== scheduler-labelled tests =="
@@ -221,9 +207,6 @@ ctest --test-dir ../build -L exec --output-on-failure
 
 echo "== service tests =="
 ctest --test-dir ../build -L svc --output-on-failure
-
-echo "== step-graph tests =="
-ctest --test-dir ../build -L graph --output-on-failure
 
 echo "== auto-tuner tests =="
 ctest --test-dir ../build -L tune --output-on-failure
@@ -242,7 +225,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # thread, the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched testExtensions um_compress testCompress testService testInTransit testGraph um_graph testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess testSensei testAutocorrelation
+cmake --build ../build-sanitize --target um_sched testSched testExtensions um_compress testCompress testService testInTransit testTune testViz testLayout um_layout testBinning testMinimpi testConfigs testKnob testExec vp_tune testNewton testHamrAccess testSensei testAutocorrelation
 bench um_sched_sanitized.txt ../build-sanitize/bench/um_sched \
   --benchmark_min_time=0.05
 ../build-sanitize/tests/testSched
@@ -272,12 +255,6 @@ bench um_compress_sanitized.txt \
 # contract (a corrupt table, a hostile chunk header, a short read, a
 # missed deadline) under ASan+UBSan
 ../build-sanitize/tests/testInTransit
-# capture-node lifetimes and the replay rebinding paths under
-# ASan+UBSan; um_graph keeps its bit-exact and 2.5x gates in the
-# sanitized build too
-ctest --test-dir ../build-sanitize -L graph --output-on-failure
-bench um_graph_sanitized.txt env VP_CHECK=1 ../build-sanitize/bench/um_graph \
-  --benchmark_min_time=0.05
 # the tuner's knob-space serialization, evaluator state resets, and the
 # online controller's apply/revert closures under ASan+UBSan
 ../build-sanitize/tests/testTune
@@ -285,9 +262,9 @@ bench um_graph_sanitized.txt env VP_CHECK=1 ../build-sanitize/bench/um_graph \
 # encodings, and the streamer's session teardown under ASan+UBSan
 ../build-sanitize/tests/testViz
 # the codec's per-plane shuffle, the <layout simd> configuration, the
-# binning matrix and the lane-vectorized force kernel under ASan+UBSan;
-# um_layout keeps its bit-exactness matrix gate in the sanitized build
-# too
+# serial x threads binning matrix and the lane-vectorized force kernel
+# under ASan+UBSan; um_layout keeps its bit-exactness matrix gate in the
+# sanitized build too
 ../build-sanitize/tests/testLayout
 bench um_layout_sanitized.txt \
   env VP_CHECK=1 ../build-sanitize/bench/um_layout \
@@ -336,7 +313,10 @@ echo "== ThreadSanitizer execution-engine run (-DVP_TSAN=ON) =="
 # the worker queues, sharded regions, fences and event edges of the
 # threaded engine run under the race detector
 cmake -B ../build-tsan -S .. -G Ninja -DVP_TSAN=ON
-cmake --build ../build-tsan --target testExec um_exec testService testGraph um_graph testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess testSched testExtensions testSensei testAutocorrelation
+cmake --build ../build-tsan --target testExec um_exec testService testTune testViz testLayout testBinning testMinimpi testConfigs testKnob vp_tune testNewton testHamrAccess testSched testExtensions testSensei testAutocorrelation
+# all of testExec, the 1000-seed random stream/event/copy/sharded-kernel
+# DAG sweep included: it sets each run's exec mode itself, and every
+# tenth seed runs under the threaded engine with the checker on
 ../build-tsan/tests/testExec
 # the bounded pipeline's resident consumer thread: submitters handing it
 # tasks, waiting for its finishes and draining it, also across a switch
@@ -362,11 +342,6 @@ bench um_exec_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_exec \
 # the service's dispatcher/worker/heartbeat thread interplay under the
 # race detector
 ../build-tsan/tests/testService
-# graph flush vs worker threads: the armed session's inline replay bodies
-# and the threaded engine's queues share streams; both must be race clean
-ctest --test-dir ../build-tsan -L graph --output-on-failure
-bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
-  --benchmark_min_time=0.05
 # lockstep evaluator campaigns (rank threads under the cooperative
 # scheduler) and the online controller under the race detector
 ../build-tsan/tests/testTune
@@ -374,9 +349,9 @@ bench um_graph_tsan.txt env VP_EXEC=threads ../build-tsan/bench/um_graph \
 # path: the streamer's pending-slot and fan-out locking under the race
 # detector
 ../build-tsan/tests/testViz
-# the binning matrix and the lane-vectorized force kernel under the
-# threaded engine: the serial-vs-threads equality tests must be race
-# clean
+# the serial x threads binning matrix and the lane-vectorized force
+# kernel under the threaded engine: the serial-vs-threads equality tests
+# must be race clean
 ../build-tsan/tests/testLayout
 # 4 rank threads meeting in the packed binning record's collectives
 gtest 'Binning.MultiRankReductionMatchesSerial:BinningPacked.*' \

@@ -1,7 +1,6 @@
 #include "campaign.h"
 
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "minimpi.h"
 #include "newtonDriver.h"
 #include "schedPipeline.h"
@@ -219,15 +218,14 @@ CaseResult RunCase(const CaseConfig &c, const CampaignConfig &g)
   plat.ExecuteKernels = !g.TimingOnly;
   vp::Platform::Initialize(plat);
 
-  // the scheduler, execution engine and captured step-graph
-  // configurations are process-wide and sticky; start every case from the
-  // defaults (the environment's VP_EXEC / VP_GRAPH included) so an element
-  // of a prior case, or a prior caller's Configure, cannot leak into this
-  // one, and zero their counters so per-case exports are self-contained
-  sensei::ResetConfig({"sched", "exec", "graph"});
+  // the scheduler and execution engine configurations are process-wide
+  // and sticky; start every case from the defaults (the environment's
+  // VP_EXEC included) so an element of a prior case, or a prior caller's
+  // Configure, cannot leak into this one, and zero their counters so
+  // per-case exports are self-contained
+  sensei::ResetConfig({"sched", "exec"});
   sched::ResetAggregateStats();
   vp::exec::ResetStats();
-  vp::graph::ResetStats();
 
   newton::Config sim;
   sim.TotalBodies = g.BodiesPerNode * static_cast<std::size_t>(g.Nodes);

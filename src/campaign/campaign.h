@@ -93,7 +93,7 @@ struct CampaignConfig
   // per-case configuration injection: when set, the built <sensei>
   // document is passed through this mutator before it is serialized and
   // handed to ConfigurableAnalysis. The campaign auto-tuner (src/tune)
-  // uses it to overlay candidate <pool>/<sched>/<graph> elements and
+  // uses it to overlay candidate <pool>/<sched> elements and
   // per-analysis override attributes onto every case of a run without
   // the campaign knowing about the tuner's knob space.
   std::function<void(sxml::Element &)> ConfigMutator;

@@ -179,7 +179,7 @@ struct Row
   double (*Get)(const Cfg &) = nullptr;
   void (*Set)(Cfg &, double) = nullptr;
   /// The text a present element without the attribute means (a bare
-  /// `<graph/>` is enabled="1").
+  /// `<check/>` is enabled="1").
   const char *Implied = nullptr;
   /// A hand parser for what the type cannot spell (a service codec also
   /// marks its override set); throws std::invalid_argument.

@@ -6,7 +6,6 @@
 #include "senseiHistogram.h"
 #include "senseiPosthocIO.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "layoutMapping.h"
 #include "schedPipeline.h"
 #include "svcSession.h"
@@ -169,8 +168,6 @@ void ForEachSection(F &&f)
     vp::check::Configure);
   f("sched", sched::ConfigRows(), sched::GetConfig, sched::Configure);
   f("exec", vp::exec::ConfigRows(), vp::exec::GetConfig, vp::exec::Configure);
-  f("graph", vp::graph::ConfigRows(), vp::graph::GetConfig,
-    vp::graph::Configure);
   f("layout", vp::layout::ConfigRows(), vp::layout::GetConfig,
     vp::layout::Configure);
   f("compress", cmp::ConfigRows(), cmp::GetConfig, cmp::Configure);

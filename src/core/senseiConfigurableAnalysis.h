@@ -42,8 +42,8 @@
 /// the bounded asynchronous pipeline (queue_depth, 0 = unbounded;
 /// backpressure = "block" | "drop-oldest" | "coalesce").
 ///
-/// Every subsystem element (<pool>, <check>, <sched>, <exec>, <graph>,
-/// <layout>, <compress>, <service>, <viz>, <fault>) is read through the
+/// Every subsystem element (<pool>, <check>, <sched>, <exec>, <layout>,
+/// <compress>, <service>, <viz>, <fault>) is read through the
 /// rows its subsystem declares (vpKnob.h): the environment variable beats
 /// the attribute, the attribute beats the current value, and a value that
 /// does not parse or is out of range throws std::runtime_error.
@@ -87,8 +87,8 @@ struct AttrsOf
 
 /// Reset configuration sections to their defaults, each config struct's
 /// defaults with the environment applied. Sections are named by element
-/// ("pool", "check", "sched", "exec", "graph", "layout", "compress",
-/// "service", "viz", "fault"); no names resets every section. Throws
+/// ("pool", "check", "sched", "exec", "layout", "compress", "service",
+/// "viz", "fault"); no names resets every section. Throws
 /// std::invalid_argument on an unknown name.
 void ResetConfig(std::initializer_list<std::string> sections = {});
 

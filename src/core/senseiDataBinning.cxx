@@ -1,12 +1,9 @@
 #include "senseiDataBinning.h"
 
-#include "graphCapture.h"
 #include "senseiProfiler.h"
 #include "sio.h"
 #include "svtkAOSDataArray.h"
 #include "vcuda.h"
-#include "vpClock.h"
-#include "vpLoadTracker.h"
 
 #include <algorithm>
 #include <bit>
@@ -62,8 +59,6 @@ const char *BinningOpName(BinningOp op)
 }
 
 // ---------------------------------------------------------------------------
-DataBinning::DataBinning() = default;
-
 DataBinning::~DataBinning()
 {
   this->DrainAsync(); // tasks read members
@@ -231,7 +226,7 @@ bool DataBinning::GatherInputs(DataAdaptor *data, StepInputs &in)
   hint.AtomicFraction =
     this->GpuStrategy_ == GpuBinningStrategy::GlobalAtomics ? 0.6 : 0.05;
   hint.MoveBytes = in.Bytes;
-  in.Device = this->PlaceForGraph(data, hint);
+  in.Device = this->GetPlacementDevice(data, hint);
 
   // the typed columns, taken for all of a block's distinct columns at
   // once. An asynchronous binning with auto-ranged axes also takes the
@@ -269,38 +264,6 @@ bool DataBinning::GatherInputs(DataAdaptor *data, StepInputs &in)
     in.Blocks.push_back(std::move(block));
   }
   return true;
-}
-
-int DataBinning::PlaceForGraph(DataAdaptor *data, const sched::WorkHint &hint)
-{
-  const bool armed = this->GraphSession_ && this->GraphSession_->Armed();
-  if (!armed || this->GraphDevice_ < 0 || this->GetDeviceId() != DEVICE_AUTO)
-    return this->GraphDevice_ = this->GetPlacementDevice(data, hint);
-
-  // an armed graph pins the capture-time device — moving the work would
-  // invalidate the graph anyway — unless the policy has diverged from
-  // the pin (Eq. 1 names another device, or the pinned device's backlog
-  // fell behind the candidates by more than the repin threshold); then
-  // drop the graph and decide afresh
-  sched::PlacementRequest req;
-  req.Rank =
-    data && data->GetCommunicator() ? data->GetCommunicator()->Rank() : 0;
-  req.DevicesPerNode = vp::Platform::Get().NumDevices();
-  req.DevicesToUse = this->GetDevicesToUse();
-  req.DeviceStart = this->GetDeviceStart();
-  req.DeviceStride = this->GetDeviceStride();
-  req.Node = vp::Platform::GetThisNode();
-  req.Hint = hint;
-  if (sched::PlacementDiverged(this->GetPlacementPolicy(), req,
-                               this->GraphDevice_,
-                               vp::graph::kRepinThreshold,
-                               vp::ThisClock().Now()))
-  {
-    this->GraphSession_->Drop();
-    return this->GraphDevice_ = this->GetPlacementDevice(data, hint);
-  }
-  vp::DeviceLoadTracker::Get().RecordPlacement(req.Node, this->GraphDevice_);
-  return this->GraphDevice_;
 }
 
 bool DataBinning::Execute(DataAdaptor *data)
@@ -900,21 +863,16 @@ void DataBinning::CompleteBatch(const Batch &batch)
     it = arena.Device.erase(it);
   }
 
-  // --- each device's share: the fresh records' inits, then under one
-  // step-graph scope (the share's first instance's session: capture
-  // once, then replay with pointer rebinding, see src/graph) one
-  // accumulate launch per GPU strategy, one compact launch and one
-  // readback, all on the share's first execute's stream. The inits run
-  // before the scope opens, so every captured step has one shape; the
-  // scope closes before the wait for the stream
+  // --- each device's share: the fresh records' inits, one accumulate
+  // launch per GPU strategy, one compact launch and one readback, all on
+  // the share's first execute's stream
   for (auto &[device, share] : shares)
   {
     if (device < 0)
       continue;
     vcuda::SetDevice(device);
     void *buf = arena.Device[device].Compact.Reserve(share.Bytes, false);
-    PendingBinning &first = *batch[share.Items.front()];
-    const vcuda::stream_t &strm = first.Strm;
+    const vcuda::stream_t &strm = batch[share.Items.front()]->Strm;
     for (std::size_t i : share.Items)
     {
       Record &r = batch[i]->Owner->Record_;
@@ -927,15 +885,6 @@ void DataBinning::CompleteBatch(const Batch &batch)
                                                           std::size_t e)
         { FillInit(kn.data(), nBins, rec, b, e); },
         vcuda::LaunchBounds{1.0, 0.0, "binning_init"});
-    }
-
-    std::optional<vp::graph::StepScope> graphScope;
-    if (vp::graph::Enabled())
-    {
-      auto &session = first.Owner->GraphSession_;
-      if (!session)
-        session = std::make_unique<vp::graph::Session>();
-      graphScope.emplace(*session);
     }
 
     // global atomics is the implementation the paper evaluated: every bin
@@ -1014,8 +963,7 @@ void DataBinning::CompleteBatch(const Batch &batch)
     // initialized; the pack reads every bin and the reset writes at most
     // cap of them, so the launch is priced from capacities. Then one
     // stream-ordered readback of the share into the arena, on the
-    // private stream (the default stream is shared with the simulation
-    // and would splice foreign work into the captured graph)
+    // private stream (the default stream is shared with the simulation)
     struct Pack
     {
       const minimpi::CompactShape *Shape;

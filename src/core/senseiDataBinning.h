@@ -33,14 +33,6 @@
 #include <string>
 #include <vector>
 
-namespace vp
-{
-namespace graph
-{
-class Session;
-}
-}
-
 namespace sensei
 {
 
@@ -164,7 +156,7 @@ public:
   long GetExecuteCount() const;
 
 protected:
-  DataBinning(); // out of line: GraphSession_ needs the complete type
+  DataBinning() = default;
   ~DataBinning() override;
 
 private:
@@ -319,12 +311,6 @@ private:
   /// ones.
   void ReleaseRecord();
 
-  /// Placement with the captured-graph pin: while GraphSession_ holds an
-  /// armed graph the capture-time device is kept (replay requires it),
-  /// unless the policy has genuinely diverged from the pin — then the
-  /// graph is dropped and placement re-decided.
-  int PlaceForGraph(DataAdaptor *data, const sched::WorkHint &hint);
-
   void StoreResult(svtkImageData *image, const std::vector<double> &lo,
                    const std::vector<double> &hi);
 
@@ -342,12 +328,6 @@ private:
 
   Record Record_;
   Arena Arena_;
-
-  /// Captured step-graph session (src/graph) of the device shares this
-  /// instance's execute leads in a batch, created on the first one when
-  /// vp::graph is enabled.
-  std::unique_ptr<vp::graph::Session> GraphSession_;
-  int GraphDevice_ = DEVICE_AUTO; ///< device pinned at capture
 
   mutable std::mutex ResultMutex_;
   svtkImageData *LastResult_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include "cmpCodec.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "layoutMapping.h"
 #include "schedPipeline.h"
 #include "svcSession.h"
@@ -198,19 +197,6 @@ void ExportExecStats(Profiler &prof)
   prof.Event("exec::fence_joins", static_cast<double>(s.FenceJoins));
 }
 
-void ExportGraphStats(Profiler &prof)
-{
-  const vp::graph::GraphStats s = vp::graph::Stats();
-  prof.Event("graph::captures", static_cast<double>(s.Captures));
-  prof.Event("graph::capture_aborts", static_cast<double>(s.CaptureAborts));
-  prof.Event("graph::replays", static_cast<double>(s.Replays));
-  prof.Event("graph::invalidations", static_cast<double>(s.Invalidations));
-  prof.Event("graph::nodes_captured", static_cast<double>(s.NodesCaptured));
-  prof.Event("graph::launches_fused", static_cast<double>(s.LaunchesFused));
-  prof.Event("graph::flushes", static_cast<double>(s.Flushes));
-  prof.Event("graph::ops_absorbed", static_cast<double>(s.OpsAbsorbed));
-}
-
 void ExportLayoutStats(Profiler &prof)
 {
   const vp::layout::LayoutStats s = vp::layout::Stats();
@@ -260,7 +246,6 @@ void ExportVizStats(Profiler &prof)
              static_cast<double>(s.FramesPublished));
   prof.Event("viz::steers_applied", static_cast<double>(s.SteersApplied));
   prof.Event("viz::steers_stale", static_cast<double>(s.SteersStale));
-  prof.Event("viz::recaptures", static_cast<double>(s.Recaptures));
   prof.Event("viz::frame_age_count", static_cast<double>(s.FrameAgeCount));
   prof.Event("viz::frame_age_p99_us", static_cast<double>(s.FrameAgeP99Us));
   prof.Event("viz::frame_age_max_us", static_cast<double>(s.FrameAgeMaxUs));

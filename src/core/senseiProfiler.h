@@ -34,7 +34,7 @@ public:
   /// consumers can detect incompatible exports. Bumped only when an
   /// existing key is renamed/removed or the JSON shape changes; counter
   /// additions do not bump it.
-  static constexpr const char *SchemaVersion = "sensei-profiler/2";
+  static constexpr const char *SchemaVersion = "sensei-profiler/3";
 
   /// One counter's accumulated state, as captured by Snapshot().
   struct Counter
@@ -123,7 +123,7 @@ public:
                                const CounterSnapshot &older);
 
   /// Serialize every event as JSON:
-  /// {"schema":"sensei-profiler/2",
+  /// {"schema":"sensei-profiler/3",
   ///  "events":{"name":{"count":N,"total":T,"mean":M,"max":X},...}}
   std::string ToJson() const;
 
@@ -210,13 +210,6 @@ void ExportCompressStats(Profiler &prof);
 /// campaigns can audit how much real concurrency the run actually had.
 void ExportExecStats(Profiler &prof);
 
-/// Record the captured step-graph counters (vp::graph::Stats) as
-/// profiler events: graph::captures, graph::capture_aborts,
-/// graph::replays, graph::invalidations, graph::nodes_captured,
-/// graph::launches_fused, graph::flushes, graph::ops_absorbed — how much
-/// of the campaign's submission work the replay path absorbed.
-void ExportGraphStats(Profiler &prof);
-
 /// Record the SIMD switch's counters (vp::layout::Stats) as profiler
 /// events: layout::simd_kernels, layout::scalar_kernels — which kernel
 /// variants (vectorized vs scalar) ran.
@@ -236,7 +229,7 @@ void ExportServiceStats(Profiler &prof);
 
 /// Record the visualization endpoint counters (viz::Stats) as profiler
 /// events: viz::frames_rendered / _published, viz::steers_applied /
-/// _stale, viz::recaptures, and the frame-age distribution
+/// _stale, and the frame-age distribution
 /// (viz::frame_age_count / _p99_us / _max_us) — how fresh the frames
 /// the viewers saw actually were.
 void ExportVizStats(Profiler &prof);

@@ -38,12 +38,6 @@ struct CostModel
   double AllocLatency = 2.0e-6;       ///< device allocation bookkeeping
   double AsyncAllocLatency = 0.4e-6;  ///< stream-ordered allocation
 
-  // --- captured step-graph replay ----------------------------------------
-  /// One amortized host-side charge per replay flush of a captured step
-  /// graph (src/graph), replacing the per-call KernelSubmitOverhead of
-  /// every absorbed operation — the cudaGraphLaunch analogue.
-  double GraphReplayLatency = 2.0e-6;
-
   // --- threading and messaging -------------------------------------------
   /// std::thread launch: paid once per asynchronous analysis, when its
   /// bounded pipeline starts the resident consumer (later tasks are

@@ -1,7 +1,6 @@
 #include "vpPlatform.h"
 
 #include "execEngine.h"
-#include "vpCaptureSink.h"
 #include "vpChecker.h"
 #include "vpFaultInjector.h"
 
@@ -331,10 +330,6 @@ void Platform::LaunchKernel(const Stream &stream, const KernelDesc &desc,
     throw Error("Platform::LaunchKernel: null stream (resolve a default "
                 "stream first)");
 
-  if (CaptureSink *sink = GetCaptureSink())
-    if (sink->OnKernel(stream, desc, fn, synchronous))
-      return;
-
   StreamState *s = stream.Get();
   Device &dev = this->GetDevice(s->Node, s->Device);
   const CostModel &cost = this->Config_.Cost;
@@ -486,10 +481,6 @@ void Platform::CopyAsync(const Stream &stream, void *dst, const void *src,
   if (!bytes)
     return;
 
-  if (CaptureSink *sink = GetCaptureSink())
-    if (sink->OnCopy(stream, dst, src, bytes))
-      return;
-
   AllocInfo di, si;
   if (!this->Registry_.Query(dst, di))
     di = AllocInfo{}; // untracked: pageable host
@@ -584,10 +575,6 @@ void Platform::StreamSynchronize(const Stream &stream)
 {
   if (!stream)
     return;
-  // a replay sink runs its pending recorded prefix here (inline, on this
-  // thread) so the eager join below sees a settled stream
-  if (CaptureSink *sink = GetCaptureSink())
-    sink->BeforeStreamSync(stream);
   StreamState *s = stream.Get();
   // real join first: wait out the stream's deferred bodies (empty in
   // serial mode). Fence::Wait also closes the checker's happens-before
@@ -607,8 +594,6 @@ void Platform::StreamSynchronize(const Stream &stream)
 void Platform::DeviceSynchronize(DeviceId device)
 {
   this->CheckDevice(device);
-  if (CaptureSink *sink = GetCaptureSink())
-    sink->BeforeDeviceSync(GetThisNode(), device);
   Device &dev = this->GetDevice(GetThisNode(), device);
   if (exec::ThreadsEnabled())
     exec::Engine::Get().WaitDeviceTails(GetThisNode(), device);

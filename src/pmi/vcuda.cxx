@@ -1,7 +1,6 @@
 #include "vcuda.h"
 
 #include "execEngine.h"
-#include "vpCaptureSink.h"
 #include "vpChecker.h"
 #include "vpFaultInjector.h"
 #include "vpMemoryPool.h"
@@ -168,15 +167,6 @@ event_t EventRecord(const stream_t &stream)
     // carries no ordering edge — waiters proceed without synchronizing
     if (vp::fault::ShouldDropEvent())
       return ev;
-    // under step-graph capture/replay the event is identified by a
-    // capture id; an absorbed record carries only the id (ordering is
-    // realized when the sink flushes)
-    if (vp::CaptureSink *sink = vp::GetCaptureSink())
-    {
-      ev.CaptureId_ = vp::NextCaptureEventId();
-      if (sink->OnEventRecord(stream, ev.CaptureId_))
-        return ev;
-    }
     vp::StreamState *s = stream.Get();
     {
       std::lock_guard<std::mutex> lock(s->Mutex);
@@ -194,10 +184,6 @@ void StreamWaitEvent(const stream_t &stream, const event_t &event)
 {
   if (stream)
   {
-    if (event.CaptureId_)
-      if (vp::CaptureSink *sink = vp::GetCaptureSink())
-        if (sink->OnStreamWaitEvent(stream, event.CaptureId_))
-          return;
     vp::StreamState *s = stream.Get();
     {
       std::lock_guard<std::mutex> lock(s->Mutex);
@@ -211,12 +197,6 @@ void StreamWaitEvent(const stream_t &stream, const event_t &event)
 
 void EventSynchronize(const event_t &event)
 {
-  // an absorbed event's completion time only exists inside the sink's
-  // replayed timeline — flush pending work and advance the thread clock
-  // there; the eager fallthrough below is then a no-op (Time_ == 0)
-  if (event.CaptureId_)
-    if (vp::CaptureSink *sink = vp::GetCaptureSink())
-      sink->BeforeEventSync(event.CaptureId_);
   for (const auto &f : event.Fences_)
     if (f)
       f->Wait();

@@ -110,12 +110,6 @@ private:
   friend void EventSynchronize(const event_t &);
   double Time_ = 0.0;
   std::uint64_t Token_ = 0; ///< checker happens-before token (0 = none)
-  /// Capture identity while a vp::CaptureSink is installed (0 = none):
-  /// lets step-graph capture/replay recognize this event at
-  /// StreamWaitEvent/EventSynchronize. An absorbed (replayed) record
-  /// carries only this id; Time_/Fences_ stay empty and ordering is
-  /// realized when the sink flushes.
-  std::uint64_t CaptureId_ = 0;
   /// Real-execution edge (VP_EXEC=threads): the recorded stream's
   /// frontier fences at record time; empty in serial mode.
   std::vector<std::shared_ptr<vp::exec::Fence>> Fences_;

@@ -251,28 +251,4 @@ std::size_t HostFallbackCount()
   return HostFallbacks.load();
 }
 
-bool PlacementDiverged(PolicyKind k, const PlacementRequest &req, int device,
-                       double threshold, double now)
-{
-  if (device < 0)
-    return true; // a host pin never holds a device graph
-
-  if (k == PolicyKind::Static)
-    return Eq1Device(req) != device;
-
-  const std::vector<int> candidates = CandidateDevices(req);
-  bool member = false;
-  for (int d : candidates)
-    member = member || d == device;
-  if (!member)
-    return true;
-
-  vp::DeviceLoadTracker &tracker = vp::DeviceLoadTracker::Get();
-  double best = std::numeric_limits<double>::infinity();
-  for (int d : candidates)
-    best = std::min(best, tracker.Backlog(req.Node, d, now));
-  const double pinned = tracker.Backlog(req.Node, device, now);
-  return pinned - best > threshold;
-}
-
 } // namespace sched

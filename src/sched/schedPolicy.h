@@ -135,16 +135,6 @@ std::vector<int> CandidateDevices(const PlacementRequest &req);
 /// on the first fallback only).
 std::size_t HostFallbackCount();
 
-/// Would the policy rather not keep running on `device`? Used by captured
-/// step-graph replay (src/graph), which pins the placement decided at
-/// capture: Static diverges when Eq. 1 names a different device; the
-/// adaptive policies diverge when the pinned device left the candidate
-/// set or its backlog exceeds the best candidate's by more than
-/// `threshold` virtual seconds at time `now`. A diverged pin is the cue
-/// to drop the armed graph and re-decide placement.
-bool PlacementDiverged(PolicyKind k, const PlacementRequest &req, int device,
-                       double threshold, double now);
-
 } // namespace sched
 
 #endif

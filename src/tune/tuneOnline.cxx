@@ -1,6 +1,5 @@
 #include "tuneOnline.h"
 
-#include "graphCapture.h"
 #include "newtonDriver.h"
 #include "schedPipeline.h"
 
@@ -17,7 +16,6 @@ struct OnlineTuner::Move
   std::string Name;
   std::function<void()> Apply;
   std::function<void()> Revert;
-  bool IsPolicy = false;
 };
 
 namespace
@@ -73,11 +71,6 @@ double OnlineTuner::CloseWindow()
   }
   this->LastSnap_ = now;
   this->HaveSnap_ = true;
-
-  // graph activity: replays observed in this window freeze policy moves
-  const std::uint64_t replays = vp::graph::Stats().Replays;
-  this->GraphActive_ = vp::graph::Enabled() && replays > this->LastReplays_;
-  this->LastReplays_ = replays;
   return metric;
 }
 
@@ -119,21 +112,12 @@ bool OnlineTuner::ProposeNext(double metric)
         return setRow(sched::ConfigRows(), "backpressure", sc,
                       (static_cast<int>(sc.Pressure) + 1) % 3,
                       sched::Configure);
-      case 3: // next placement policy (frozen while graphs replay)
-      {
+      case 3: // next placement policy
         if (!this->Cfg_.AdaptPolicy)
           return Move();
-        if (this->GraphActive_)
-        {
-          ++this->Stats_.PolicyFrozen;
-          return Move();
-        }
-        Move m = setRow(sched::ConfigRows(), "policy", sc,
-                        (static_cast<int>(sc.Policy) + 1) % 3,
-                        sched::Configure);
-        m.IsPolicy = true;
-        return m;
-      }
+        return setRow(sched::ConfigRows(), "policy", sc,
+                      (static_cast<int>(sc.Policy) + 1) % 3,
+                      sched::Configure);
       default:
         return Move();
     }
@@ -231,8 +215,6 @@ void OnlineTuner::ExportStats(sensei::Profiler &prof) const
   prof.Event("tune::online_kept", static_cast<double>(this->Stats_.Kept));
   prof.Event("tune::online_reverted",
              static_cast<double>(this->Stats_.Reverted));
-  prof.Event("tune::online_policy_frozen",
-             static_cast<double>(this->Stats_.PolicyFrozen));
 }
 
 } // namespace tune

@@ -14,16 +14,11 @@
 /// improves by at least the hysteresis margin, revert (with a cooldown on
 /// that move) otherwise. The window metric is virtual time, so knobs that
 /// only act on the wall clock (the `<exec>` worker-pool width) are not
-/// moved.
-///
-/// Two guards keep it from thrashing state that is expensive to rebuild:
-/// the hysteresis margin means a kept change must earn its keep, and
-/// placement-policy moves are frozen while captured step-graph sessions
-/// are actively replaying (a policy flip would repin every armed graph).
+/// moved. The hysteresis margin keeps it from thrashing: a kept change
+/// must earn its keep.
 
 #include "senseiProfiler.h"
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -50,8 +45,7 @@ struct OnlineConfig
   /// by deepening past this ceiling).
   long MaxQueueDepth = 8;
 
-  /// Propose placement-policy changes (still frozen while graph
-  /// sessions replay).
+  /// Propose placement-policy changes.
   bool AdaptPolicy = true;
 
   /// Windows a reverted move sits out before being proposed again.
@@ -61,11 +55,10 @@ struct OnlineConfig
 /// Decision counters.
 struct OnlineStats
 {
-  long Windows = 0;      ///< measurement windows completed
-  long Trials = 0;       ///< changes applied on trial
-  long Kept = 0;         ///< trials that beat the hysteresis margin
-  long Reverted = 0;     ///< trials rolled back
-  long PolicyFrozen = 0; ///< policy proposals skipped (graph replaying)
+  long Windows = 0;  ///< measurement windows completed
+  long Trials = 0;   ///< changes applied on trial
+  long Kept = 0;     ///< trials that beat the hysteresis margin
+  long Reverted = 0; ///< trials rolled back
 };
 
 /// Between-steps hill climber over the live scheduler configuration.
@@ -93,7 +86,7 @@ public:
 
   /// Record the decision counters as profiler events
   /// (tune::online_windows, tune::online_kept, tune::online_reverted,
-  /// tune::online_policy_frozen, tune::online_trials).
+  /// tune::online_trials).
   void ExportStats(sensei::Profiler &prof) const;
 
 private:
@@ -109,8 +102,6 @@ private:
 
   sensei::Profiler::CounterSnapshot LastSnap_;
   bool HaveSnap_ = false;
-  std::uint64_t LastReplays_ = 0;
-  bool GraphActive_ = false; ///< replays observed in the last window
 
   int StepsInWindow_ = 0;
   enum class Phase

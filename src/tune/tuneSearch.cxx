@@ -46,7 +46,7 @@ EvalResult Evaluator::Run(const ConfigPoint &p)
 
   try
   {
-    // RunCase resets sched/exec/graph per case but the pool, codec, and
+    // RunCase resets sched/exec per case but the pool, codec, and
     // fault-injector configurations are sticky process state: start them
     // from defaults so nothing a previous candidate (or an earlier
     // workload that armed the injector) can outlive its evaluation — the

@@ -79,14 +79,13 @@ int OverridePolicy(const ConfigPoint &p, std::size_t i)
   return i < p.Overrides.size() ? p.Overrides[i].Policy : -1;
 }
 
-/// Visit the three tuned sections: each subsystem's rows with the
+/// Visit the two tuned sections: each subsystem's rows with the
 /// ConfigPoint member they set. Every row of them is a knob.
 template <class F>
 void ForEachSection(F &&f)
 {
   f(vp::PoolConfigRows(), &ConfigPoint::Pool);
   f(sched::ConfigRows(), &ConfigPoint::Sched);
-  f(vp::graph::ConfigRows(), &ConfigPoint::Graph);
 }
 
 /// f(row, member) for the row named `name`.
@@ -119,7 +118,6 @@ const Domain kDomains[] = {
   {"sched.policy", KnobKind::Enum, 0, 2},
   {"sched.queue_depth", KnobKind::Int, 0, 8}, // 0 = unbounded
   {"sched.backpressure", KnobKind::Enum, 0, 2},
-  {"graph.enabled", KnobKind::Bool, 0, 1},
 };
 
 /// Write the set overrides of `ov` as attributes of `el`.

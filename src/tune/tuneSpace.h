@@ -4,12 +4,12 @@
 /// @file tuneSpace.h
 /// The campaign auto-tuner's configuration-space model: the run-time
 /// knobs whose values move the tuner's virtual-time score — pool knobs x
-/// placement policy x queue depth x backpressure x graph capture, plus
-/// per-analysis placement overrides. This header makes that space a
+/// placement policy x queue depth x backpressure, plus per-analysis
+/// placement overrides. This header makes that space a
 /// first-class object:
 ///
 ///  * `ConfigPoint` — one point in the space: the tuned subsystems' own
-///    config structs (`<pool>`, `<sched>`, `<graph>`) plus optional
+///    config structs (`<pool>`, `<sched>`) plus optional
 ///    per-analysis overrides (the attributes ConfigurableAnalysis honours
 ///    per `<analysis>` element).
 ///  * `Knob` / `KnobSpace` — typed knob domains (bool, enum, power-of-two,
@@ -29,7 +29,6 @@
 /// compress. Those subsystems keep their knobs; the tuner does not search
 /// them (tests/testTune.cxx, TuneSpace.EveryKnobMovesTheScore).
 
-#include "graphCapture.h"
 #include "schedPipeline.h"
 #include "senseiConfigurableAnalysis.h"
 #include "vpMemoryPool.h"
@@ -59,7 +58,6 @@ struct ConfigPoint
 {
   vp::PoolConfig Pool;
   sched::SchedConfig Sched;
-  vp::graph::GraphConfig Graph;
 
   /// Per-analysis overrides; entries beyond the vector (or default
   /// entries) mean "follow the run-wide configuration", so a missing
@@ -102,7 +100,7 @@ struct Knob
 class KnobSpace
 {
 public:
-  /// The campaign space: every `<pool>`, `<sched>` and `<graph>` knob,
+  /// The campaign space: every `<pool>` and `<sched>` knob,
   /// plus a per-analysis placement-policy override knob for each of
   /// `nAnalyses` analyses (0 = no per-analysis knobs).
   static KnobSpace Campaign(int nAnalyses = 0);
@@ -127,7 +125,7 @@ private:
   std::vector<Knob> Knobs_;
 };
 
-/// Overlay `p` onto a parsed `<sensei>` document: the three tuned
+/// Overlay `p` onto a parsed `<sensei>` document: the two tuned
 /// elements are created (or taken over) with every knob explicitly set,
 /// and per-analysis override attributes are written onto the i-th
 /// `<analysis>` child. Fully explicit emission is what makes evaluations
@@ -154,7 +152,7 @@ ConfigPoint ParseFile(const std::string &path);
 
 /// One-line description of a point (diagnostics, traces): each tuned
 /// element with the values of its rows, "pool=0/268435456/0.5/256
-/// sched=static/1/block graph=0", then the number of set overrides.
+/// sched=static/1/block", then the number of set overrides.
 std::string Describe(const ConfigPoint &p);
 
 } // namespace tune

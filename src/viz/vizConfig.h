@@ -62,7 +62,6 @@ struct VizStats
   std::uint64_t FramesPublished = 0; ///< per-viewer frames handed to svc
   std::uint64_t SteersApplied = 0;   ///< commands applied at a step boundary
   std::uint64_t SteersStale = 0;     ///< commands discarded (stale version)
-  std::uint64_t Recaptures = 0;      ///< render graph invalidations forced
   std::uint64_t FrameAgeCount = 0;   ///< frame-age samples recorded
   std::uint64_t FrameAgeP99Us = 0;   ///< p99 of the sample reservoir, µs
   std::uint64_t FrameAgeMaxUs = 0;   ///< max observed frame age, µs

@@ -1,18 +1,15 @@
 #include "vizRender.h"
 
-#include "graphCapture.h"
 #include "senseiProfiler.h"
 #include "svtkAOSDataArray.h"
 #include "vcuda.h"
 #include "vizConfig.h"
 #include "vizStreamer.h"
 #include "vpClock.h"
-#include "vpLoadTracker.h"
 #include "vpPlatform.h"
 
 #include <chrono>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -101,24 +98,14 @@ void RenderAnalysis::SetImageSize(std::uint32_t width, std::uint32_t height)
 
 void RenderAnalysis::ApplySteer(const SteerCommand &cmd)
 {
-  bool reshape = false;
   try
   {
     if (cmd.Have & kSteerImageSize)
-    {
       this->SetImageSize(cmd.Width, cmd.Height);
-      reshape = true;
-    }
     if (cmd.Have & kSteerAxes)
-    {
       this->SetAxes(SplitAxes(cmd.Axes));
-      reshape = true;
-    }
     if (cmd.Have & kSteerBinRes)
-    {
       this->SetBinResolution(static_cast<long>(cmd.BinResolution));
-      reshape = true;
-    }
     if (cmd.Have & kSteerVariable)
       this->SetVariable(cmd.Variable, cmd.Op.empty() ? "sum" : cmd.Op);
     if (cmd.Have & kSteerColormap)
@@ -134,10 +121,7 @@ void RenderAnalysis::ApplySteer(const SteerCommand &cmd)
     if (cmd.Have & kSteerAutoRange)
       this->Tf_.AutoRange = true;
     if (cmd.Have & kSteerDevice)
-    {
       this->SetDeviceId(cmd.Device);
-      reshape = true; // placement moves: the pinned graph is stale
-    }
   }
   catch (const std::exception &e)
   {
@@ -149,15 +133,6 @@ void RenderAnalysis::ApplySteer(const SteerCommand &cmd)
 
   this->ParamVersion_ = cmd.Version;
   UpdateStats([](VizStats &s) { ++s.SteersApplied; });
-
-  if (reshape && this->GraphSession_ && this->GraphSession_->Armed())
-  {
-    // the armed render graph recorded the old shape; drop it so the
-    // next step recaptures instead of dying on a replay mismatch
-    this->GraphSession_->Drop();
-    this->GraphDevice_ = DEVICE_AUTO;
-    UpdateStats([](VizStats &s) { ++s.Recaptures; });
-  }
 }
 
 int RenderAnalysis::PlaceRender(sensei::DataAdaptor *data,
@@ -169,18 +144,7 @@ int RenderAnalysis::PlaceRender(sensei::DataAdaptor *data,
   hint.AtomicFraction = 0.0;
   hint.MoveBytes = gridBytes + 4 * hint.Elements;
   hint.Latency = sched::LatencyClass::Interactive;
-
-  // an armed graph pins the capture-time device: moving the render
-  // would invalidate it anyway
-  const bool armed = this->GraphSession_ && this->GraphSession_->Armed();
-  if (armed && this->GraphDevice_ >= 0 &&
-      this->GetDeviceId() == DEVICE_AUTO)
-  {
-    vp::DeviceLoadTracker::Get().RecordPlacement(vp::Platform::GetThisNode(),
-                                                 this->GraphDevice_);
-    return this->GraphDevice_;
-  }
-  return this->GraphDevice_ = this->GetPlacementDevice(data, hint);
+  return this->GetPlacementDevice(data, hint);
 }
 
 void RenderAnalysis::Render(const double *grid, std::uint32_t gw,
@@ -216,16 +180,6 @@ void RenderAnalysis::Render(const double *grid, std::uint32_t gw,
   vcuda::SetDevice(device);
   vcuda::stream_t strm = vcuda::StreamCreate();
 
-  // captured step-graph session: upload, fill, readback is the whole
-  // recurring step shape; capture once, replay on later steps
-  std::optional<vp::graph::StepScope> graphScope;
-  if (vp::graph::Enabled())
-  {
-    if (!this->GraphSession_)
-      this->GraphSession_ = std::make_unique<vp::graph::Session>();
-    graphScope.emplace(*this->GraphSession_);
-  }
-
   const std::size_t gridBytes =
     static_cast<std::size_t>(gw) * gh * sizeof(double);
   auto *dGrid = static_cast<double *>(vcuda::MallocAsync(gridBytes, strm));
@@ -238,8 +192,7 @@ void RenderAnalysis::Render(const double *grid, std::uint32_t gw,
                  {kRenderOpsPerPixel, 0.0, "viz::render", true});
   vcuda::MemcpyAsync(this->Fb_.data(), dFb, 4 * n, strm);
   // settle the step before releasing the device buffers: FreeAsync frees
-  // immediately, which would yank them out from under deferred shards or
-  // a capturing graph
+  // immediately, which would yank them out from under deferred shards
   vcuda::StreamSynchronize(strm);
   vcuda::Free(dGrid);
   vcuda::Free(dFb);

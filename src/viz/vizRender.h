@@ -7,18 +7,15 @@
 /// transfer function (colormap, value range, log/linear) into an RGBA
 /// framebuffer at a steerable resolution. The per-pixel fill is a
 /// Shardable kernel: under VP_EXEC=threads it shards across host lanes,
-/// on a device it launches through vcuda on a private stream inside a
-/// captured step-graph session (VP_GRAPH=1), and because each pixel is
-/// a pure function of the grid the framebuffer is bit-identical across
-/// serial/threads and eager/graph-replay execution.
+/// on a device it launches through vcuda on a private stream, and because
+/// each pixel is a pure function of the grid the framebuffer is
+/// bit-identical across serial and threads execution.
 ///
 /// When a Streamer is attached the framebuffer fans out to every
 /// admitted viewer after each render, and pending steering commands are
 /// drained at the next step boundary — parameters never change
-/// mid-render. A steer that changes the framebuffer or binning
-/// resolution drops the armed render graph (counted as a recapture);
-/// the next step captures the new shape instead of dying on a replay
-/// mismatch.
+/// mid-render, so a steer that changes the framebuffer or binning
+/// resolution takes effect whole at the next step.
 ///
 /// The binning runs where the render does: the render's placement
 /// controls (device id, devices_to_use, device_start, device_stride and
@@ -32,17 +29,8 @@
 #include "vizWire.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
-
-namespace vp
-{
-namespace graph
-{
-class Session;
-}
-}
 
 namespace viz
 {
@@ -122,8 +110,7 @@ private:
   void Render(const double *grid, std::uint32_t gw, std::uint32_t gh,
               int device);
 
-  /// Placement for the render kernel, pinned while the render graph is
-  /// armed.
+  /// Placement for the render kernel.
   int PlaceRender(sensei::DataAdaptor *data, std::size_t gridBytes);
 
   sensei::DataBinning *Binning_;
@@ -136,9 +123,6 @@ private:
   std::uint32_t Width_ = 256, Height_ = 256;
   TransferFunction Tf_;
   std::vector<std::uint8_t> Fb_;
-
-  std::unique_ptr<vp::graph::Session> GraphSession_;
-  int GraphDevice_ = DEVICE_AUTO; ///< device pinned at capture
 
   std::uint64_t Renders_ = 0;
   std::uint64_t ParamVersion_ = 0;

@@ -6,8 +6,7 @@
 /// scalar binning grid through a colormap into RGBA pixels. Every pixel
 /// is a pure function of (value, parameters) — no accumulation, no
 /// shared state — so the per-pixel fill loop is trivially Shardable and
-/// bit-identical across serial/threaded execution and eager/graph-replay
-/// modes.
+/// bit-identical across serial and threaded execution.
 ///
 /// Conventions:
 ///  * NaN values and empty bins (when the caller passes an occupancy

@@ -2,7 +2,7 @@
 #define effectiveConfig_h
 
 // Text dump of every configuration section a SENSEI document can set:
-// the ten process-wide subsystem configurations read back through their
+// the nine process-wide subsystem configurations read back through their
 // public GetConfig() accessors, plus the per-analysis settings of a
 // loaded ConfigurableAnalysis. One "section.field = value" line each, so
 // two dumps diff line by line. Reads only the config structs and the
@@ -10,7 +10,6 @@
 
 #include "cmpCodec.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "layoutMapping.h"
 #include "schedPipeline.h"
 #include "senseiConfigurableAnalysis.h"
@@ -68,10 +67,6 @@ inline std::string Sections()
     os << "exec.mode = " << vp::exec::ModeName(c.ExecMode) << "\n"
        << "exec.threads = " << c.Threads << "\n"
        << "exec.shard_grain = " << c.ShardGrain << "\n";
-  }
-  {
-    const vp::graph::GraphConfig c = vp::graph::GetConfig();
-    os << "graph.enabled = " << c.Enabled << "\n";
   }
   {
     const vp::layout::LayoutConfig c = vp::layout::GetConfig();

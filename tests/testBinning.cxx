@@ -11,7 +11,6 @@
 
 #include "campaign.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "minimpi.h"
 #include "newtonDriver.h"
 #include "schedPipeline.h"
@@ -2489,33 +2488,27 @@ void ExpectResidentMatchesFresh(const BinningFactory &make,
   DeleteAll(tables);
 }
 
-/// Run `body(what)` in every exec mode x graph setting for both GPU
-/// strategies, restoring serial eager execution afterwards.
-void ForEachExecGraphStrategy(
+/// Run `body(what)` in every exec mode for both GPU strategies,
+/// restoring serial execution afterwards.
+void ForEachExecStrategy(
   const std::function<void(sensei::GpuBinningStrategy, const std::string &)>
     &body)
 {
   for (bool threads : {false, true})
-    for (bool graph : {false, true})
-      for (auto strat : {sensei::GpuBinningStrategy::GlobalAtomics,
-                         sensei::GpuBinningStrategy::Privatized})
+    for (auto strat : {sensei::GpuBinningStrategy::GlobalAtomics,
+                       sensei::GpuBinningStrategy::Privatized})
+    {
+      ResetPlatform();
+      vp::exec::ExecConfig ec;
+      if (threads)
       {
-        ResetPlatform();
-        vp::exec::ExecConfig ec;
-        if (threads)
-        {
-          ec.ExecMode = vp::exec::Mode::Threads;
-          ec.Threads = 2;
-        }
-        vp::exec::Configure(ec);
-        vp::graph::GraphConfig gc;
-        gc.Enabled = graph;
-        vp::graph::Configure(gc);
-        body(strat, std::string(threads ? "threads" : "serial") +
-                      (graph ? " graph" : " eager") + " strategy " +
-                      std::to_string(static_cast<int>(strat)));
+        ec.ExecMode = vp::exec::Mode::Threads;
+        ec.Threads = 2;
       }
-  vp::graph::Configure(vp::graph::GraphConfig());
+      vp::exec::Configure(ec);
+      body(strat, std::string(threads ? "threads" : "serial") +
+                    " strategy " + std::to_string(static_cast<int>(strat)));
+    }
   vp::exec::Configure(vp::exec::ExecConfig());
 }
 
@@ -2629,7 +2622,7 @@ TEST(BinningResident, RangeScanAllocatesOnlyOnTheFirstStep)
 
 TEST(BinningResident, LockstepMatchesFreshEveryStep)
 {
-  ForEachExecGraphStrategy(
+  ForEachExecStrategy(
     [](sensei::GpuBinningStrategy strat, const std::string &what)
     {
       ExpectResidentMatchesFresh(
@@ -2640,7 +2633,7 @@ TEST(BinningResident, LockstepMatchesFreshEveryStep)
 
 TEST(BinningResident, AsyncMatchesFreshEveryStep)
 {
-  ForEachExecGraphStrategy(
+  ForEachExecStrategy(
     [](sensei::GpuBinningStrategy strat, const std::string &what)
     {
       ExpectResidentMatchesFresh(
@@ -2900,28 +2893,22 @@ void ExpectBatchMatchesFinished(
     });
 }
 
-/// Run `body(what)` in every exec mode x graph setting, restoring serial
-/// eager execution afterwards.
-void ForEachExecGraph(const std::function<void(const std::string &)> &body)
+/// Run `body(what)` in every exec mode, restoring serial execution
+/// afterwards.
+void ForEachExec(const std::function<void(const std::string &)> &body)
 {
   for (bool threads : {false, true})
-    for (bool graph : {false, true})
+  {
+    ResetPlatform();
+    vp::exec::ExecConfig ec;
+    if (threads)
     {
-      ResetPlatform();
-      vp::exec::ExecConfig ec;
-      if (threads)
-      {
-        ec.ExecMode = vp::exec::Mode::Threads;
-        ec.Threads = 2;
-      }
-      vp::exec::Configure(ec);
-      vp::graph::GraphConfig gc;
-      gc.Enabled = graph;
-      vp::graph::Configure(gc);
-      body(std::string(threads ? "threads" : "serial") +
-           (graph ? " graph" : " eager"));
+      ec.ExecMode = vp::exec::Mode::Threads;
+      ec.Threads = 2;
     }
-  vp::graph::Configure(vp::graph::GraphConfig());
+    vp::exec::Configure(ec);
+    body(threads ? "threads" : "serial");
+  }
   vp::exec::Configure(vp::exec::ExecConfig());
 }
 } // namespace
@@ -2931,10 +2918,10 @@ TEST(BinningBatch, CampaignChainMatchesFinishingEveryExecute)
   // 4 ranks run the nine-system chain on the data's device for 4 steps,
   // the columns changed in place between steps: the batch completes the
   // chain at its ninth execute, and its grids equal the chain's that
-  // completes every execute at once, bit for bit, in every exec mode,
-  // eager and replayed. So do they with the chain split across two
-  // devices per rank, one launch set and one graph scope per device
-  ForEachExecGraph(
+  // completes every execute at once, bit for bit, in every exec mode.
+  // So do they with the chain split across two devices per rank, one
+  // launch set per device
+  ForEachExec(
     [](const std::string &what)
     {
       const std::vector<std::size_t> all = {0, 1, 2, 3, 4, 5, 6, 7, 8};
@@ -2957,7 +2944,7 @@ TEST(BinningBatch, MixedPlacementMatchesFinishingEveryExecute)
   // step 1 between A and B: C's fill of vx runs at its launch, after A's
   // completion was queued on every rank, so a rank that completed A at
   // once would meet the others' fill with A's reduction
-  ForEachExecGraph(
+  ForEachExec(
     [](const std::string &what)
     {
       const std::vector<std::size_t> all = {0, 1, 2, 3, 4, 5, 6, 7, 8};

@@ -417,31 +417,63 @@ TEST_F(CheckTest, SeededFaultDecisionsAreDeterministic)
 
 TEST_F(CheckTest, InjectedStreamDelayIsDeterministicVirtualTime)
 {
+  // one recurring device step, four kernels and one readback on one
+  // stream, run four times: every submission of every step pays the
+  // injected delay, so every step takes the same virtual time and two
+  // runs agree to the bit
+  constexpr int kSteps = 4;
+  constexpr int kSubmissions = 5;
+  constexpr double kDelay = 1e-3;
   auto run = [this]()
   {
     this->SetUp();             // fresh platform + checker
     vp::ThisClock().Set(0.0);  // identical virtual start time
     vp::fault::FaultConfig fcfg;
     fcfg.Enabled = true;
-    fcfg.StreamDelaySeconds = 1e-3;
+    fcfg.StreamDelaySeconds = kDelay;
     fcfg.DelayDevice = 1;
     vp::fault::Configure(fcfg);
 
     vcuda::SetDevice(1);
     vcuda::stream_t s = vcuda::StreamCreate();
-    for (int i = 0; i < 8; ++i)
-      vcuda::LaunchN(s, 10000, [](std::size_t, std::size_t) {});
-    const double done = s.Get()->Completion();
-    vcuda::StreamSynchronize(s);
+    const std::size_t n = 10000;
+    auto *dev = static_cast<double *>(vcuda::Malloc(n * sizeof(double)));
+    std::vector<double> host(n);
+    std::vector<double> stepSeconds;
+    for (int step = 0; step < kSteps; ++step)
+    {
+      const double begin = vp::ThisClock().Now();
+      for (int k = 0; k + 1 < kSubmissions; ++k)
+        vcuda::LaunchN(s, n,
+                       [dev, k](std::size_t b, std::size_t e)
+                       {
+                         for (std::size_t i = b; i < e; ++i)
+                           dev[i] = static_cast<double>(i + k);
+                       });
+      vcuda::MemcpyAsync(host.data(), dev, n * sizeof(double), s);
+      vcuda::StreamSynchronize(s);
+      stepSeconds.push_back(vp::ThisClock().Now() - begin);
+    }
+    EXPECT_EQ(vp::fault::Stats().DelaysApplied,
+              static_cast<std::uint64_t>(kSteps * kSubmissions));
+    vcuda::Free(dev);
+    vcuda::StreamDestroy(s);
     vp::fault::Reset();
-    return done;
+    return stepSeconds;
   };
 
-  const double t1 = run();
-  const double t2 = run();
-  EXPECT_EQ(t1, t2);            // bit-identical virtual times
-  EXPECT_GT(t1, 8 * 1e-3);      // the delay really was charged
+  const std::vector<double> t1 = run();
+  const std::vector<double> t2 = run();
+  EXPECT_EQ(t1, t2); // bit-identical virtual times
+  ASSERT_EQ(t1.size(), static_cast<std::size_t>(kSteps));
+  for (int step = 0; step < kSteps; ++step)
+  {
+    // the delay really was charged, to every submission of every step
+    EXPECT_GT(t1[step], kSubmissions * kDelay) << "step " << step;
+    EXPECT_NEAR(t1[step], t1[0], 1e-12) << "step " << step;
+  }
   EXPECT_EQ(vp::fault::Stats().DelaysApplied, 0u); // Reset re-armed counters
+  EXPECT_EQ(vp::check::Snapshot().Total(), 0u);
 }
 
 // --- configuration surfaces -------------------------------------------------

@@ -55,7 +55,7 @@ std::vector<std::pair<std::string, std::string>> LoadAllConfigs()
 
 /// Every environment variable a config row reads.
 const char *const kConfigVariables[] = {
-  "VP_EXEC", "VP_EXEC_THREADS", "VP_GRAPH", "VP_SIMD",
+  "VP_EXEC", "VP_EXEC_THREADS", "VP_SIMD",
   "VP_CHECK",
   "VP_SVC_MAX_SESSIONS", "VP_SVC_WORKERS", "VP_SVC_QUEUE_DEPTH",
   "VP_SVC_BACKPRESSURE", "VP_SVC_POLICY", "VP_SVC_HEARTBEAT_MS",
@@ -177,7 +177,6 @@ TEST(Configs, EveryVariableBeatsAConflictingAttribute)
   const Case cases[] = {
     {"VP_EXEC", "threads", "<exec mode=\"serial\"/>", "exec.mode = threads"},
     {"VP_EXEC_THREADS", "3", "<exec threads=\"5\"/>", "exec.threads = 3"},
-    {"VP_GRAPH", "0", "<graph enabled=\"1\"/>", "graph.enabled = 0"},
     {"VP_SIMD", "0", "<layout simd=\"1\"/>", "layout.simd = 0"},
     {"VP_CHECK", "0", "<check enabled=\"1\"/>", "check.enabled = 0"},
     {"VP_SVC_MAX_SESSIONS", "3", "<service max_sessions=\"5\"/>",

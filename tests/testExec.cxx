@@ -4,7 +4,9 @@
 // equality for the nbody, binning, and compression kernels (binning
 // grids and virtual time bit-exact on every placement and strategy, and
 // a host campaign's virtual timings independent of the pool width), a
-// checker-clean 8-case campaign under VP_EXEC=threads, a shard-boundary
+// checker-clean 8-case campaign under VP_EXEC=threads, a 1000-seed sweep
+// of random stream/event/copy/sharded-kernel DAGs (checker clean, every
+// tenth seed byte-equal between serial and threads), a shard-boundary
 // property sweep (seeded N/grain/width combinations, every index covered
 // exactly once), host-region charging by the lanes actually claimed, and
 // the <exec> XML configuration element.
@@ -12,7 +14,6 @@
 #include "campaign.h"
 #include "cmpCodec.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "newtonSolver.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataAdaptor.h"
@@ -31,6 +32,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <random>
@@ -482,57 +484,273 @@ TEST(ExecChecker, EightCaseCampaignIsCheckerCleanUnderThreads)
   ConfigureSerial();
 }
 
-TEST(ExecChecker, DanglingEventRecordIsCleanEagerAndReplayed)
+TEST(ExecChecker, DanglingEventRecordIsClean)
 {
   // an EventRecord whose event is never waited on leaves an unconsumed
-  // token behind; neither the eager path nor a capture/replay session may
-  // turn that into a violation at finalize time
+  // token behind; that must not turn into a violation at finalize time
   ResetPlatform();
   ConfigureSerial();
   vp::check::Reset();
   vp::check::Configure(vp::check::CheckConfig{true, 64, false});
 
-  auto danglingStep = [](vcuda::stream_t &s)
-  {
-    vcuda::LaunchN(s, 32, [](std::size_t, std::size_t) {},
-                   vcuda::LaunchBounds{1.0, 0.0, "dangle_work", false});
-    (void)vcuda::EventRecord(s); // recorded, never waited
-    vcuda::LaunchN(s, 32, [](std::size_t, std::size_t) {},
-                   vcuda::LaunchBounds{1.0, 0.0, "dangle_tail", false});
-    vcuda::StreamSynchronize(s);
-  };
-
-  // eager
-  {
-    vcuda::stream_t s = vcuda::StreamCreate();
-    danglingStep(s);
-    vcuda::StreamDestroy(s);
-  }
-
-  // captured then replayed: the replay absorbs the record, so only the
-  // capture step's token reaches the checker — still dangling at the end
-  vp::graph::GraphConfig gc;
-  gc.Enabled = true;
-  vp::graph::Configure(gc);
-  vp::graph::ResetStats();
-  {
-    vp::graph::Session sess;
-    for (int step = 0; step < 3; ++step)
-    {
-      vcuda::stream_t s = vcuda::StreamCreate();
-      {
-        vp::graph::StepScope scope(sess);
-        danglingStep(s);
-      }
-      vcuda::StreamDestroy(s);
-    }
-  }
-  EXPECT_GE(vp::graph::Stats().Replays, 1u);
+  vcuda::stream_t s = vcuda::StreamCreate();
+  vcuda::LaunchN(s, 32, [](std::size_t, std::size_t) {},
+                 vcuda::LaunchBounds{1.0, 0.0, "dangle_work", false});
+  (void)vcuda::EventRecord(s); // recorded, never waited
+  vcuda::LaunchN(s, 32, [](std::size_t, std::size_t) {},
+                 vcuda::LaunchBounds{1.0, 0.0, "dangle_tail", false});
+  vcuda::StreamSynchronize(s);
+  vcuda::StreamDestroy(s);
 
   const vp::check::Report r = vp::check::Snapshot();
   EXPECT_EQ(r.Total(), 0u) << r.Summary();
   vp::check::Enable(false);
-  vp::graph::Configure(vp::graph::GraphConfig());
+}
+
+// --- 1000-seed random stream DAGs --------------------------------------------
+
+namespace
+{
+
+/// A randomly generated step DAG: up to 3 streams on one device, each
+/// with a device buffer and a scratch buffer, driven by a fixed op list
+/// of shardable/unshardable kernels, H2D copies from fresh pinned input,
+/// same-stream D2D copies, and cross-stream event record/wait edges.
+struct DagProgram
+{
+  struct Op
+  {
+    enum Kind
+    {
+      Init = 0, ///< dev[i] = B + i%7 (ignores prior contents)
+      Kernel,   ///< dev[i] = dev[i]*A + B + i%7
+      H2D,      ///< dev <- this step's pinned host input
+      D2D,      ///< scr <- dev (same stream)
+      Record,
+      Wait
+    };
+    Kind K = Kernel;
+    int Stream = 0;
+    double A = 1.0, B = 0.0;
+    bool Shardable = false;
+    int Ev = -1; ///< Wait: index into the step's recorded events
+  };
+
+  int NStreams = 1;
+  std::vector<Op> Ops;
+  std::vector<char> ScrWritten; ///< per stream: scratch is defined
+
+  static DagProgram Generate(unsigned seed)
+  {
+    std::mt19937_64 gen(seed);
+    std::uniform_real_distribution<double> u(-2.0, 2.0);
+
+    DagProgram p;
+    p.NStreams = 1 + static_cast<int>(gen() % 3);
+    p.ScrWritten.assign(static_cast<std::size_t>(p.NStreams), 0);
+
+    // every stream's first touch assigns, so later kernels never see
+    // uninitialized memory
+    for (int s = 0; s < p.NStreams; ++s)
+      p.Ops.push_back(Op{Op::Init, s, 0.0, u(gen), (gen() % 2) == 0, -1});
+
+    int numRecords = 0;
+    const int extra = 3 + static_cast<int>(gen() % 10);
+    for (int k = 0; k < extra; ++k)
+    {
+      const int s = static_cast<int>(gen() % static_cast<std::size_t>(
+                                               p.NStreams));
+      switch (gen() % 5)
+      {
+        case 0:
+        case 1:
+          p.Ops.push_back(Op{Op::Kernel, s, u(gen), u(gen),
+                             (gen() % 2) == 0, -1});
+          break;
+        case 2:
+          p.Ops.push_back(Op{Op::H2D, s, 0.0, 0.0, false, -1});
+          break;
+        case 3:
+          if (numRecords && (gen() % 2))
+          {
+            p.Ops.push_back(
+              Op{Op::Wait, s, 0.0, 0.0, false,
+                 static_cast<int>(gen() % static_cast<std::size_t>(
+                                            numRecords))});
+          }
+          else
+          {
+            p.Ops.push_back(Op{Op::Record, s, 0.0, 0.0, false, -1});
+            numRecords++;
+          }
+          break;
+        case 4:
+          p.Ops.push_back(Op{Op::D2D, s, 0.0, 0.0, false, -1});
+          p.ScrWritten[static_cast<std::size_t>(s)] = 1;
+          break;
+      }
+    }
+    return p;
+  }
+};
+
+/// Run `p` for `steps` steps (fresh streams, buffers and input every
+/// step) and return every readback, concatenated in a fixed order. The
+/// checker is on for the whole run and must stay clean.
+std::vector<std::vector<double>> RunDag(const DagProgram &p, unsigned seed,
+                                        bool threads, int steps)
+{
+  ResetPlatform();
+  if (threads)
+    ConfigureThreads(64, 3);
+  else
+    ConfigureSerial();
+  vp::check::Reset();
+  vp::check::Configure(vp::check::CheckConfig{true, 64, false});
+
+  const std::size_t N = 192;
+  vcuda::SetDevice(0);
+  std::vector<std::vector<double>> out;
+
+  for (int step = 0; step < steps; ++step)
+  {
+    const std::size_t ns = static_cast<std::size_t>(p.NStreams);
+    std::vector<double *> dev(ns), scr(ns), hin(ns);
+    std::vector<vcuda::stream_t> st(ns);
+    for (std::size_t s = 0; s < ns; ++s)
+    {
+      st[s] = vcuda::StreamCreate();
+      dev[s] = static_cast<double *>(vcuda::Malloc(N * sizeof(double)));
+      scr[s] = static_cast<double *>(vcuda::Malloc(N * sizeof(double)));
+      hin[s] = static_cast<double *>(vcuda::MallocHost(N * sizeof(double)));
+      std::mt19937_64 fill(seed * 1000u + static_cast<unsigned>(step) * 8u +
+                           static_cast<unsigned>(s));
+      std::uniform_real_distribution<double> u(-4.0, 4.0);
+      for (std::size_t i = 0; i < N; ++i)
+        hin[s][i] = u(fill);
+    }
+
+    std::vector<vcuda::event_t> recorded;
+    for (const DagProgram::Op &op : p.Ops)
+    {
+      const std::size_t s = static_cast<std::size_t>(op.Stream);
+      switch (op.K)
+      {
+        case DagProgram::Op::Init:
+        {
+          double *d = dev[s];
+          const double b = op.B;
+          vcuda::LaunchN(st[s], N,
+                         [d, b](std::size_t b0, std::size_t e)
+                         {
+                           for (std::size_t i = b0; i < e; ++i)
+                             d[i] = b + static_cast<double>(i % 7);
+                         },
+                         vcuda::LaunchBounds{2.0, 0.0, "dag_init",
+                                             op.Shardable});
+          break;
+        }
+        case DagProgram::Op::Kernel:
+        {
+          double *d = dev[s];
+          const double a = op.A, b = op.B;
+          vcuda::LaunchN(st[s], N,
+                         [d, a, b](std::size_t b0, std::size_t e)
+                         {
+                           for (std::size_t i = b0; i < e; ++i)
+                             d[i] = d[i] * a + b + static_cast<double>(i % 7);
+                         },
+                         vcuda::LaunchBounds{4.0, 0.0, "dag_kernel",
+                                             op.Shardable});
+          break;
+        }
+        case DagProgram::Op::H2D:
+          vcuda::MemcpyAsync(dev[s], hin[s], N * sizeof(double), st[s]);
+          break;
+        case DagProgram::Op::D2D:
+          vcuda::MemcpyAsync(scr[s], dev[s], N * sizeof(double), st[s]);
+          break;
+        case DagProgram::Op::Record:
+          recorded.push_back(vcuda::EventRecord(st[s]));
+          break;
+        case DagProgram::Op::Wait:
+          vcuda::StreamWaitEvent(st[s],
+                                 recorded[static_cast<std::size_t>(op.Ev)]);
+          break;
+      }
+    }
+
+    std::vector<std::vector<double>> devOut(ns), scrOut(ns);
+    for (std::size_t s = 0; s < ns; ++s)
+    {
+      devOut[s].resize(N);
+      vcuda::MemcpyAsync(devOut[s].data(), dev[s], N * sizeof(double), st[s]);
+      if (p.ScrWritten[s])
+      {
+        scrOut[s].resize(N);
+        vcuda::MemcpyAsync(scrOut[s].data(), scr[s], N * sizeof(double),
+                           st[s]);
+      }
+    }
+    for (std::size_t s = 0; s < ns; ++s)
+      vcuda::StreamSynchronize(st[s]);
+
+    for (std::size_t s = 0; s < ns; ++s)
+    {
+      out.push_back(std::move(devOut[s]));
+      if (p.ScrWritten[s])
+        out.push_back(std::move(scrOut[s]));
+      vcuda::Free(dev[s]);
+      vcuda::Free(scr[s]);
+      vcuda::Free(hin[s]);
+      vcuda::StreamDestroy(st[s]);
+    }
+  }
+
+  const vp::check::Report r = vp::check::Snapshot();
+  EXPECT_EQ(r.Total(), 0u) << "seed=" << seed
+                           << (threads ? " threads" : " serial") << "\n"
+                           << r.Summary();
+  vp::check::Enable(false);
+  ConfigureSerial();
+  return out;
+}
+
+/// Same readbacks, byte for byte.
+bool BytesEqual(const std::vector<std::vector<double>> &a,
+                const std::vector<std::vector<double>> &b)
+{
+  if (a.size() != b.size())
+    return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(),
+                    a[i].size() * sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+} // namespace
+
+TEST(ExecProperty, ThousandRandomDagsMatchAcrossExecModesAndCheckerClean)
+{
+  const int steps = 3;
+  for (unsigned seed = 1; seed <= 1000; ++seed)
+  {
+    const DagProgram p = DagProgram::Generate(seed);
+    const auto serial = RunDag(p, seed, false, steps);
+    if (::testing::Test::HasFailure())
+      FAIL() << "stopping at seed=" << seed;
+    // every tenth DAG also runs under the threaded engine
+    if (seed % 10 == 0)
+    {
+      const auto threads = RunDag(p, seed, true, steps);
+      ASSERT_TRUE(BytesEqual(serial, threads))
+        << "threads diverged from serial: seed=" << seed;
+      if (::testing::Test::HasFailure())
+        FAIL() << "stopping at seed=" << seed << " (threads)";
+    }
+  }
 }
 
 // --- zero-N launches --------------------------------------------------------

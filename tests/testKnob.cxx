@@ -9,7 +9,6 @@
 
 #include "cmpCodec.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "layoutMapping.h"
 #include "schedPipeline.h"
 #include "senseiConfigurableAnalysis.h"
@@ -67,7 +66,6 @@ void ForEachTable(F &&f)
   f(vp::check::ConfigRows());
   f(sched::ConfigRows());
   f(vp::exec::ConfigRows());
-  f(vp::graph::ConfigRows());
   f(vp::layout::ConfigRows());
   f(cmp::ConfigRows());
   f(svc::ConfigRows());
@@ -165,8 +163,8 @@ TEST_F(KnobTest, EveryRowRejectsBadAttributesAndVariables)
         envRows += r.Env ? 1 : 0;
       }
     });
-  EXPECT_EQ(rows, 48);
-  EXPECT_EQ(envRows, 17);
+  EXPECT_EQ(rows, 47);
+  EXPECT_EQ(envRows, 16);
 }
 
 TEST_F(KnobTest, HandPickedBadValuesThrow)
@@ -308,7 +306,6 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
     <pool enabled="1" trim_threshold="0.25"/>
     <sched policy="least-loaded" queue_depth="3"/>
     <exec mode="serial" shard_grain="8192"/>
-    <graph enabled="1"/>
     <layout simd="1"/>
     <compress codec="delta-varint"/>
     <service workers="3"/>
@@ -324,7 +321,6 @@ TEST(KnobConcurrency, RankThreadsInitializeAgainstTheOneTimeRows)
   EXPECT_TRUE(vp::PoolManager::Get().Config().Enabled);
   EXPECT_EQ(sched::GetConfig().QueueDepth, 3);
   EXPECT_EQ(vp::exec::GetConfig().ShardGrain, 8192u);
-  EXPECT_TRUE(vp::graph::GetConfig().Enabled);
   EXPECT_TRUE(vp::layout::GetConfig().Simd);
   EXPECT_EQ(cmp::GetConfig().Default.Codec, cmp::CodecId::DeltaVarint);
   EXPECT_EQ(svc::GetConfig().Workers, 3);

@@ -1,11 +1,10 @@
 // Tests for the SIMD force switch (src/layout): the codec shuffle
 // round trip, XML / environment configuration of <layout simd>, the
 // profiler export — and equality of the binning grids and the nbody
-// force across serial / threads execution and eager / graph replay.
+// force across serial / threads execution.
 
 #include "cmpCodec.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "layoutMapping.h"
 #include "newtonSolver.h"
 #include "senseiConfigurableAnalysis.h"
@@ -49,7 +48,6 @@ protected:
     unsetenv("VP_SIMD");
     vp::layout::Configure(vp::layout::LayoutConfig());
     vp::exec::Configure(vp::exec::ExecConfig());
-    vp::graph::Configure(vp::graph::GraphConfig());
     ResetPlatform();
   }
 
@@ -58,7 +56,6 @@ protected:
     unsetenv("VP_SIMD");
     vp::layout::Configure(vp::layout::LayoutConfig());
     vp::exec::Configure(vp::exec::ExecConfig());
-    vp::graph::Configure(vp::graph::GraphConfig());
   }
 };
 
@@ -139,7 +136,7 @@ TEST_F(LayoutTest, ProfilerExportsLayoutCounters)
   sensei::Profiler prof;
   sensei::ExportLayoutStats(prof);
   const std::string json = prof.ToJson();
-  EXPECT_NE(json.find("\"schema\":\"sensei-profiler/2\""),
+  EXPECT_NE(json.find("\"schema\":\"sensei-profiler/3\""),
             std::string::npos);
   EXPECT_NE(json.find("layout::simd_kernels"), std::string::npos);
   EXPECT_NE(json.find("layout::scalar_kernels"), std::string::npos);
@@ -200,9 +197,9 @@ struct BinningCase
 constexpr std::size_t kMatrixRows = 3000;
 constexpr std::size_t kMatrixGrain = 1024;
 
-/// Two direct DataBinning steps under the given execution mode and
-/// graph setting; returns all grids concatenated.
-std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
+/// Two direct DataBinning steps under the given execution mode; returns
+/// all grids concatenated.
+std::vector<std::vector<double>> RunBinning(bool threads,
                                             const BinningCase &c)
 {
   ResetPlatform();
@@ -211,9 +208,6 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
   ec.Threads = threads ? 2 : 0;
   ec.ShardGrain = kMatrixGrain;
   vp::exec::Configure(ec);
-  vp::graph::GraphConfig gc;
-  gc.Enabled = graphOn;
-  vp::graph::Configure(gc);
 
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
   sensei::DataBinning *b = sensei::DataBinning::New();
@@ -251,16 +245,14 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
   da->ReleaseData();
   da->Delete();
   vp::exec::Configure(vp::exec::ExecConfig());
-  vp::graph::Configure(vp::graph::GraphConfig());
   return out;
 }
 
 } // namespace
 
-TEST_F(LayoutTest, BinningBitExactAcrossExecAndGraphMatrix)
+TEST_F(LayoutTest, BinningBitExactAcrossExecModes)
 {
-  // device 0 under both strategies, and the host (where graph capture
-  // does not apply, so its graph runs are eager too)
+  // device 0 under both strategies, and the host
   const BinningCase cases[] = {
     {0, sensei::GpuBinningStrategy::GlobalAtomics},
     {0, sensei::GpuBinningStrategy::Privatized},
@@ -268,21 +260,14 @@ TEST_F(LayoutTest, BinningBitExactAcrossExecAndGraphMatrix)
      sensei::GpuBinningStrategy::GlobalAtomics}};
   for (const BinningCase &c : cases)
   {
-    const auto baseline = RunBinning(false, false, c);
-    ASSERT_FALSE(baseline.empty());
-    for (bool threads : {false, true})
-      for (bool graphOn : {false, true})
-      {
-        if (!threads && !graphOn)
-          continue;
-        const auto got = RunBinning(threads, graphOn, c);
-        ASSERT_EQ(got.size(), baseline.size());
-        for (std::size_t g = 0; g < got.size(); ++g)
-          ASSERT_EQ(got[g], baseline[g])
-            << "device=" << c.Device << " strategy="
-            << static_cast<int>(c.Strategy) << " threads=" << threads
-            << " graph=" << graphOn << " grid " << g;
-      }
+    const auto serial = RunBinning(false, c);
+    ASSERT_FALSE(serial.empty());
+    const auto threads = RunBinning(true, c);
+    ASSERT_EQ(threads.size(), serial.size());
+    for (std::size_t g = 0; g < threads.size(); ++g)
+      ASSERT_EQ(threads[g], serial[g])
+        << "device=" << c.Device
+        << " strategy=" << static_cast<int>(c.Strategy) << " grid " << g;
   }
 }
 

@@ -153,12 +153,11 @@ TEST(TuneSpace, EveryKnobMovesTheScore)
   // a knob belongs in the space only when some value of it, set alone,
   // changes what the evaluator scores, to the bit (lockstep scoring is
   // deterministic). Start from the default point, and from a busy one
-  // (the pool on at a 1 MiB cap, graph capture on, a depth-2 drop-oldest
-  // queue) where the pool's cap, trim and block knobs act
+  // (the pool on at a 1 MiB cap, a depth-2 drop-oldest queue) where the
+  // pool's cap, trim and block knobs act
   tune::ConfigPoint busy;
   busy.Pool.Enabled = true;
   busy.Pool.MaxCachedBytes = 1 << 20;
-  busy.Graph.Enabled = true;
   busy.Sched.QueueDepth = 2;
   busy.Sched.Pressure = sched::Backpressure::DropOldest;
 
@@ -213,7 +212,7 @@ TEST(TuneSpace, RoundTripRandomPoints)
 TEST(TuneSpace, RoundTripPerAnalysisOverrides)
 {
   tune::ConfigPoint p;
-  p.Graph.Enabled = true;
+  p.Pool.Enabled = true;
   p.Sched.QueueDepth = 4;
   p.Overrides.resize(3);
   p.Overrides[0].Policy = static_cast<int>(sched::PolicyKind::LeastLoaded);
@@ -305,7 +304,7 @@ TEST(TuneProfiler, ToJsonCarriesSchemaVersion)
 TEST(TuneEval, BitDeterministicAcrossFreshEvaluators)
 {
   tune::ConfigPoint p;
-  p.Graph.Enabled = true;
+  p.Pool.Enabled = true;
   p.Sched.QueueDepth = 2;
 
   tune::Evaluator a(TinyEvalConfig());
@@ -349,7 +348,7 @@ TEST(TuneSearch, AnnealFixedSeedReproducibleWithWarmStart)
   sc.Seed = 42;
   sc.Budget = 4;
   tune::ConfigPoint warm;
-  warm.Graph.Enabled = true;
+  warm.Pool.Enabled = true;
   sc.Warm.push_back(warm);
 
   tune::Evaluator a(TinyEvalConfig());

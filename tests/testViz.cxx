@@ -6,13 +6,12 @@
 // the service transport (drop-oldest under a slow viewer, per-viewer
 // downsample/codec overrides, one crashing viewer leaving survivors
 // unaffected), steer versioning with stale-command discard, the render
-// analysis' bit-exact equality across serial/threads and eager/graph
-// modes, steering applied at step boundaries with graph recapture, and
-// the <viz> XML element with its VP_VIZ_* environment overrides.
+// analysis' bit-exact equality across serial/threads execution, steering
+// applied at step boundaries, and the <viz> XML element with its
+// VP_VIZ_* environment overrides.
 
 #include "cmpCodec.h"
 #include "execEngine.h"
-#include "graphCapture.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataAdaptor.h"
 #include "senseiProfiler.h"
@@ -65,7 +64,6 @@ void ResetViz()
   viz::Configure(viz::VizConfig{});
   viz::ResetStats();
   vp::exec::Configure(vp::exec::ExecConfig());
-  vp::graph::Configure(vp::graph::GraphConfig{});
 }
 
 svc::ServiceConfig FastConfig()
@@ -87,13 +85,6 @@ void ConfigureThreads(std::size_t grain = 256, int threads = 3)
 void ConfigureSerial()
 {
   vp::exec::Configure(vp::exec::ExecConfig());
-}
-
-void ConfigureGraph(bool enabled)
-{
-  vp::graph::GraphConfig cfg;
-  cfg.Enabled = enabled;
-  vp::graph::Configure(cfg);
 }
 
 /// Wait (bounded real time) for `pred` to become true.
@@ -786,8 +777,7 @@ viz::RenderAnalysis *MakeRender(long binRes, std::uint32_t w,
 
 /// Drive a render analysis for `steps` steps with a fresh table per step
 /// and return each step's framebuffer.
-std::vector<std::vector<std::uint8_t>> RunRenderSteps(bool graphOn,
-                                                      bool threads,
+std::vector<std::vector<std::uint8_t>> RunRenderSteps(bool threads,
                                                       int steps = 3)
 {
   ResetViz();
@@ -795,12 +785,10 @@ std::vector<std::vector<std::uint8_t>> RunRenderSteps(bool graphOn,
     ConfigureThreads();
   else
     ConfigureSerial();
-  ConfigureGraph(graphOn);
-  vp::graph::ResetStats();
 
   sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
   viz::RenderAnalysis *r = MakeRender(16, 32, 32);
-  r->SetDeviceId(0); // device path so the graph session arms
+  r->SetDeviceId(0); // the device path: upload, fill, readback
 
   std::vector<std::vector<std::uint8_t>> out;
   for (int s = 0; s < steps; ++s)
@@ -819,7 +807,6 @@ std::vector<std::vector<std::uint8_t>> RunRenderSteps(bool graphOn,
   r->Delete();
   da->ReleaseData();
   da->Delete();
-  ConfigureGraph(false);
   ConfigureSerial();
   return out;
 }
@@ -971,26 +958,14 @@ TEST(VizRender, AutomaticPlacementControlsAlsoPlaceTheBinning)
   da->Delete();
 }
 
-TEST(VizRender, BitIdenticalAcrossExecAndGraphModes)
+TEST(VizRender, BitIdenticalAcrossExecModes)
 {
-  const auto serialEager = RunRenderSteps(false, false);
-  const auto threadsEager = RunRenderSteps(false, true);
-  const auto serialGraph = RunRenderSteps(true, false);
-  const vp::graph::GraphStats gs = vp::graph::Stats();
-  const auto threadsGraph = RunRenderSteps(true, true);
+  const auto serial = RunRenderSteps(false);
+  const auto threads = RunRenderSteps(true);
 
-  ASSERT_EQ(serialEager.size(), 3u);
-  for (std::size_t s = 0; s < serialEager.size(); ++s)
-  {
-    EXPECT_EQ(serialEager[s], threadsEager[s]) << "threads, step " << s;
-    EXPECT_EQ(serialEager[s], serialGraph[s]) << "graph, step " << s;
-    EXPECT_EQ(serialEager[s], threadsGraph[s])
-      << "threads+graph, step " << s;
-  }
-
-  // the captured path really ran: capture on the first step, replay after
-  EXPECT_GE(gs.Captures, 1u);
-  EXPECT_GE(gs.Replays, 1u);
+  ASSERT_EQ(serial.size(), 3u);
+  for (std::size_t s = 0; s < serial.size(); ++s)
+    EXPECT_EQ(serial[s], threads[s]) << "threads, step " << s;
 }
 
 TEST(VizRender, SteerAppliesAtStepBoundaryAndPublishesNewShape)
@@ -1097,73 +1072,6 @@ TEST(VizRender, SteerAppliesAtStepBoundaryAndPublishesNewShape)
   st.Stop();
 }
 
-TEST(VizRender, ReshapingSteerDropsTheArmedGraphAndRecaptures)
-{
-  ResetViz();
-  ConfigureSerial();
-  ConfigureGraph(true);
-  vp::graph::ResetStats();
-
-  viz::Streamer st(FastConfig());
-  st.Start();
-
-  svc::Client viewer(st.Connect(), "viz:pilot");
-  ASSERT_TRUE(viewer.Connect(cmp::Params{}, false));
-  viewer.StartHeartbeats();
-  ASSERT_TRUE(Eventually([&] { return st.ActiveViewers() == 1; }));
-
-  sensei::TableAdaptor *da = sensei::TableAdaptor::New("bodies");
-  viz::RenderAnalysis *r = MakeRender(8, 16, 16);
-  r->SetDeviceId(0); // device path: the render graph arms
-  r->SetStreamer(&st);
-
-  auto step = [&](int s)
-  {
-    svtkTable *t = MakeTable(1000, 60u + static_cast<unsigned>(s));
-    da->SetTable(t);
-    t->Delete();
-    da->SetDataTimeStep(s);
-    ASSERT_TRUE(r->Execute(da));
-  };
-
-  step(0); // capture
-  step(1); // replay
-  const vp::graph::GraphStats before = vp::graph::Stats();
-  EXPECT_GE(before.Captures, 1u);
-  EXPECT_GE(before.Replays, 1u);
-
-  viz::SteerCommand c;
-  c.Version = 1;
-  c.Have = viz::kSteerImageSize;
-  c.Width = 24;
-  c.Height = 24;
-  const std::vector<std::uint8_t> buf = viz::EncodeSteer(c);
-  ASSERT_TRUE(viewer.SendSteer(buf.data(), buf.size(), c.Version));
-  ASSERT_TRUE(Eventually([&] { return svc::Stats().Steers >= 1; }));
-
-  // the steer lands, drops the armed session, and the next steps render
-  // at the new shape instead of dying on a replay shape mismatch
-  for (int s = 2; s <= 5 && r->GetParamVersion() != 1; ++s)
-    step(s);
-  ASSERT_EQ(r->GetParamVersion(), 1u);
-  EXPECT_EQ(r->GetFramebuffer().size(), std::size_t(24 * 24 * 4));
-  EXPECT_GE(viz::Stats().Recaptures, 1u);
-
-  step(6);
-  step(7);
-  const vp::graph::GraphStats after = vp::graph::Stats();
-  EXPECT_GT(after.Captures, before.Captures); // recaptured at the new shape
-  EXPECT_EQ(r->GetFramebuffer().size(), std::size_t(24 * 24 * 4));
-
-  EXPECT_EQ(r->Finalize(), 0);
-  r->Delete();
-  da->ReleaseData();
-  da->Delete();
-  viewer.Close();
-  st.Stop();
-  ConfigureGraph(false);
-}
-
 // --- profiler export --------------------------------------------------------
 
 TEST(VizProfiler, ExportsVizAndRttCounters)
@@ -1181,6 +1089,7 @@ TEST(VizProfiler, ExportsVizAndRttCounters)
   EXPECT_NE(json.find("viz::steers_applied"), std::string::npos);
   EXPECT_NE(json.find("svc::heartbeat_rtt_us"), std::string::npos);
   EXPECT_NE(json.find("svc::push_drops"), std::string::npos);
+  EXPECT_EQ(json.find("viz::recaptures"), std::string::npos); // schema /3
   EXPECT_EQ(prof.Total("viz::frames_rendered"), 1.0);
 }
 
